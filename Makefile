@@ -38,21 +38,24 @@ bench:
 	$(GO) test -bench=. -benchtime=1x .
 
 # Persisted engine-matrix benchmark: runs the two engine suites and
-# writes chips/s and fault-patterns/s per engine×circuit to
-# BENCH_PR9.json (schema documented in cmd/benchjson). CI archives the
-# file as a build artifact, so the BENCH trajectory is no longer
-# ephemeral terminal scrollback.
+# writes chips/s and fault-patterns/s per engine×circuit to the
+# untracked bench-current.json (schema documented in cmd/benchjson).
+# CI archives the file as a build artifact. The checked-in
+# BENCH_PR*.json files are the append-only history and are never
+# overwritten here.
 bench-json:
 	$(GO) test -run '^$$' -bench 'BenchmarkEngines|BenchmarkLotEngines' -benchtime 40x . \
-		| $(GO) run ./cmd/benchjson -out BENCH_PR9.json
-	@echo "wrote BENCH_PR9.json"
+		| $(GO) run ./cmd/benchjson -out bench-current.json
+	@echo "wrote bench-current.json"
 
 # Soft regression gate over the persisted matrix: compares the fresh
-# BENCH_PR9.json against the checked-in PR6 baseline and fails only on
-# a >25% fault-patterns/s slide in the engines suite (lot-engines and
-# smaller slips print as warnings — CI runners are noisy).
+# bench-current.json against the newest checked-in record,
+# BENCH_PR9.json, and fails only on a >25% fault-patterns/s slide in
+# the engines suite (lot-engines and smaller slips print as warnings —
+# CI runners are noisy). Engines retired since the record print as
+# "gone".
 bench-compare:
-	$(GO) run ./cmd/benchjson -in BENCH_PR9.json -baseline BENCH_PR6.json -fail-over 25
+	$(GO) run ./cmd/benchjson -in bench-current.json -baseline BENCH_PR9.json -fail-over 25
 
 # Golden guard: the paper-number fixtures (sweep CSV, dist sample
 # sequences) must stay byte-identical across engine ports. CI fails the

@@ -96,12 +96,12 @@ func BenchmarkFig6(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines is the fault-simulation engine matrix: every engine
-// against paper-scale circuits, 256 random patterns each, on the
-// collapsed fault list. ppsfp-full is the pre-cone full-circuit
-// reference path (the seed implementation); comparing it with ppsfp
-// isolates what the cone restriction buys. The ns/fault-pattern metric
-// is the engine-comparison number quoted in the README.
+// BenchmarkEngines is the fault-simulation engine matrix: every
+// registered engine against paper-scale circuits, 256 random patterns
+// each, on the collapsed fault list. serial is the full-circuit
+// baseline; comparing it with ppsfp shows what cone restriction and
+// fault dropping buy. The ns/fault-pattern metric is the
+// engine-comparison number quoted in the README.
 func BenchmarkEngines(b *testing.B) {
 	circuits := []struct {
 		name  string
@@ -110,22 +110,9 @@ func BenchmarkEngines(b *testing.B) {
 		{"mul8", func() (*netlist.Circuit, error) { return netlist.ArrayMultiplier(8) }},
 		{"cmp16", func() (*netlist.Circuit, error) { return netlist.Comparator(16) }},
 	}
-	type benchEngine struct {
-		name   string
-		engine faultsim.Engine
-		opt    faultsim.Options
-	}
-	// Every registered engine is benchmarked automatically; ppsfp-full
-	// is the seed full-circuit reference path kept for comparison.
-	engines := []benchEngine{
-		{"ppsfp-full", faultsim.PPSFP, faultsim.Options{FullCircuit: true}},
-	}
 	for _, e := range faultsim.Engines() {
-		engines = append(engines, benchEngine{e.String(), e, faultsim.Options{}})
-	}
-	for _, en := range engines {
 		for _, ce := range circuits {
-			b.Run(en.name+"/"+ce.name, func(b *testing.B) {
+			b.Run(e.String()+"/"+ce.name, func(b *testing.B) {
 				c, err := ce.build()
 				if err != nil {
 					b.Fatal(err)
@@ -143,12 +130,12 @@ func BenchmarkEngines(b *testing.B) {
 				// One warm-up run outside the timer so -benchtime=1x
 				// still reports steady state (the per-circuit cone
 				// set is built once and cached on the circuit).
-				if _, err := faultsim.RunOpts(c, reps, patterns, en.engine, en.opt); err != nil {
+				if _, err := faultsim.Run(c, reps, patterns, e); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := faultsim.RunOpts(c, reps, patterns, en.engine, en.opt); err != nil {
+					if _, err := faultsim.Run(c, reps, patterns, e); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -170,8 +157,8 @@ func BenchmarkEngines(b *testing.B) {
 // BenchmarkEngines for the lot-testing path: every lot engine first-
 // fail-tests the same paper-shaped lot (2000 chips, y=0.07, n0=8.8)
 // against a production pattern set, at strobe granularity. The chips/s
-// metric is the campaign-throughput number the chip-parallel engine is
-// judged on (the acceptance bar is ≥2x serial on mul8).
+// metric is the campaign-throughput number the chipparallel256 engine
+// is judged on against the serial oracle.
 func BenchmarkLotEngines(b *testing.B) {
 	workloads := []struct {
 		name  string

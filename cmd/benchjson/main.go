@@ -1,6 +1,7 @@
 // Command benchjson converts `go test -bench` output on stdin into the
-// JSON benchmark artifact CI archives (BENCH_PR9.json) and compares two
-// artifacts. It understands the two engine-matrix suites:
+// JSON benchmark artifact CI archives (bench-current.json, written by
+// `make bench-json`) and compares two artifacts. It understands the two
+// engine-matrix suites:
 //
 //	BenchmarkEngines/<engine>/<circuit>-P     ... ns/op ... ns/fault-pattern
 //	BenchmarkLotEngines/<engine>/<circuit>-P  ... ns/op ... chips/s
@@ -12,7 +13,7 @@
 //	  "rows": [
 //	    {
 //	      "suite": "engines",             // "engines" | "lot-engines"
-//	      "engine": "pf256",              // registry name, e.g. serial, ppsfp, pf, pf256
+//	      "engine": "pf256",              // registry name, e.g. serial, ppsfp, pf256
 //	      "circuit": "mul8",              // workload name
 //	      "iterations": 30,               // benchmark iteration count
 //	      "ns_per_op": 1885999,           // one op = one full run over the workload
@@ -28,9 +29,9 @@
 //
 // Rows keep input order (the registries' stable engine order). Usage:
 //
-//	go test -run '^$' -bench 'BenchmarkEngines|BenchmarkLotEngines' . | benchjson > BENCH_PR9.json
-//	go test ... -bench ... | benchjson -out BENCH_PR9.json -baseline BENCH_PR6.json
-//	benchjson -in BENCH_PR9.json -baseline BENCH_PR6.json -fail-over 25
+//	go test -run '^$' -bench 'BenchmarkEngines|BenchmarkLotEngines' . | benchjson > bench-current.json
+//	go test ... -bench ... | benchjson -out bench-current.json -baseline BENCH_PR9.json
+//	benchjson -in bench-current.json -baseline BENCH_PR9.json -fail-over 25
 //
 // With -baseline, a per-row comparison table (throughput delta % per
 // engine×circuit) is printed; -fail-over N exits non-zero when any
@@ -262,8 +263,9 @@ func parseLine(line string) (Row, bool) {
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 		return Row{}, false
 	}
-	// Name: BenchmarkEngines/<engine>/<circuit>-P. Engines may contain
-	// '-' (ppsfp-full, chip-parallel), so only the final -P is trimmed.
+	// Name: BenchmarkEngines/<engine>/<circuit>-P. Engine names may
+	// contain '-' (the retired ppsfp-full and chip-parallel rows of the
+	// checked-in records do), so only the final -P is trimmed.
 	parts := strings.Split(fields[0], "/")
 	if len(parts) != 3 {
 		return Row{}, false

@@ -4,7 +4,7 @@
 // fault-simulator product §5 of the paper starts from.
 //
 //	faultsim -bench c17.bench -patterns 64 -seed 7
-//	faultsim -circuit mul8 -patterns 256 -engine deductive
+//	faultsim -circuit mul8 -patterns 256 -engine pf256
 //	faultsim -circuit cmp16 -patterns 512 -engine concurrent -workers 8
 //	faultsim -list-circuits
 package main
@@ -27,9 +27,8 @@ func main() {
 	listCircuits := flag.Bool("list-circuits", false, "print the workload spec grammar and exit")
 	npat := flag.Int("patterns", 64, "number of random patterns")
 	seed := flag.Int64("seed", 1, "pattern seed")
-	engine := flag.String("engine", "ppsfp", "engine: serial, ppsfp, deductive, pf, concurrent, pf256")
+	engine := flag.String("engine", "ppsfp", "engine: ppsfp, serial, concurrent, pf256")
 	workers := flag.Int("workers", 0, "goroutines for -engine concurrent (0 = GOMAXPROCS)")
-	full := flag.Bool("full", false, "disable cone restriction (full-circuit reference path)")
 	lfsr := flag.Bool("lfsr", false, "use an LFSR instead of uniform random patterns")
 	flag.Parse()
 
@@ -41,7 +40,7 @@ func main() {
 	if *benchPath != "" {
 		spec = "bench:" + *benchPath
 	}
-	opt := faultsim.Options{Workers: *workers, FullCircuit: *full}
+	opt := faultsim.Options{Workers: *workers}
 	if err := run(spec, *npat, *seed, *engine, opt, *lfsr); err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim:", err)
 		os.Exit(1)
@@ -66,9 +65,6 @@ func run(spec string, npat int, seed int64, engineName string, opt faultsim.Opti
 	// Reject flag/engine combinations that would be silently ignored:
 	// wrong timings attributed to the wrong configuration are worse
 	// than an error.
-	if opt.FullCircuit && eng != faultsim.PPSFP && eng != faultsim.Concurrent {
-		return fmt.Errorf("-full only applies to the ppsfp and concurrent engines (got %v)", eng)
-	}
 	if opt.Workers != 0 && eng != faultsim.Concurrent {
 		return fmt.Errorf("-workers only applies to the concurrent engine (got %v)", eng)
 	}

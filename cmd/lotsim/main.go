@@ -30,8 +30,8 @@ func main() {
 		"workload spec of the DUT (see -list-circuits)")
 	listCircuits := flag.Bool("list-circuits", false, "print the workload spec grammar and exit")
 	physical := flag.Bool("physical", false, "generate the lot through the physical-defect layer")
-	lotEngineName := flag.String("lotengine", tester.ChipParallel.String(),
-		"ATE lot engine: chip-parallel (63 chips + good machine per word), chipparallel256 (255 chips per 4-word lane block), or serial (per-chip oracle)")
+	lotEngineName := flag.String("lotengine", tester.ChipParallel256.String(),
+		"ATE lot engine: chipparallel256 (up to 255 chips + good machine per lane block) or serial (per-chip oracle)")
 	sampleFaults := flag.Int("sample-faults", 0,
 		"prepare against a deterministic random sample of at most N collapsed fault classes (0 = full universe)")
 	backtrackLimit := flag.Int("backtrack-limit", 0,

@@ -287,11 +287,20 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// maxSubmitBytes caps a submit body. A real campaign config is a few
+// hundred bytes; the cap keeps one hostile client from making the
+// daemon buffer an unbounded body.
+const maxSubmitBytes = 1 << 20
+
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
+			httpError(w, http.StatusRequestEntityTooLarge, "config body over %d bytes", tooBig.Limit)
+			return
+		}
 		httpError(w, http.StatusBadRequest, "malformed config: %v", err)
 		return
 	}

@@ -236,25 +236,43 @@ func TestErrorPaths(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	post := func(body string) int {
+	post := func(body string) (int, string) {
 		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		return resp.StatusCode
+		defer resp.Body.Close()
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		return resp.StatusCode, buf.String()
 	}
-	// Malformed JSON, unknown field, empty grid, bad engine name: 400.
-	for name, body := range map[string]string{
-		"not json":      `{"circuits": [`,
-		"unknown field": `{"circuits": ["mul4"], "bogus": 1}`,
-		"empty grid":    `{"circuits": ["mul4"]}`,
-		"bad circuit":   `{"circuits": ["no-such-circuit"], "yields": [0.2], "n0s": [3], "lot_sizes": [60], "coverages": [0.5], "replicates": 1, "random_patterns": 32}`,
-		"bad engine":    `{"circuits": ["mul4"], "yields": [0.2], "n0s": [3], "lot_sizes": [60], "coverages": [0.5], "replicates": 1, "random_patterns": 32, "engine": "warp-drive"}`,
+	// Malformed JSON, unknown field, empty grid, bad or retired engine
+	// name: 400, and an engine error names the registered engines.
+	const grid = `"circuits": ["mul4"], "yields": [0.2], "n0s": [3], "lot_sizes": [60], "coverages": [0.5], "replicates": 1, "random_patterns": 32`
+	for name, tc := range map[string]struct{ body, names string }{
+		"not json":           {`{"circuits": [`, ""},
+		"unknown field":      {`{"circuits": ["mul4"], "bogus": 1}`, ""},
+		"empty grid":         {`{"circuits": ["mul4"]}`, ""},
+		"bad circuit":        {`{"circuits": ["no-such-circuit"], "yields": [0.2], "n0s": [3], "lot_sizes": [60], "coverages": [0.5], "replicates": 1, "random_patterns": 32}`, ""},
+		"bad engine":         {`{` + grid + `, "engine": "warp-drive"}`, "ppsfp"},
+		"retired lot engine": {`{` + grid + `, "lot_engine": "chip-parallel"}`, "chipparallel256"},
 	} {
-		if code := post(body); code != http.StatusBadRequest {
+		code, body := post(tc.body)
+		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)
 		}
+		if !strings.Contains(body, tc.names) {
+			t.Errorf("%s: error %q does not name %q", name, body, tc.names)
+		}
+	}
+	// An oversized body is refused with 413 before it is buffered, and
+	// the daemon keeps serving.
+	huge := `{"circuits": ["` + strings.Repeat("a", maxSubmitBytes) + `"]}`
+	if code, _ := post(huge); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status %d, want 413", code)
+	}
+	if code, _ := fetch(t, ts.URL+"/campaigns"); code != http.StatusOK {
+		t.Errorf("GET /campaigns after an oversized submit: status %d, want 200", code)
 	}
 	// Unknown campaign ID: 404 on every read endpoint.
 	for _, path := range []string{"/campaigns/nope", "/campaigns/nope/results", "/campaigns/nope/stream", "/campaigns/nope/shard"} {

@@ -9,6 +9,7 @@ package diagnose
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 
 	"repro/internal/fault"
@@ -50,24 +51,15 @@ func distance(a, b Syndrome) int {
 	}
 	d := 0
 	for i := 0; i < n; i++ {
-		d += popcount(a[i] ^ b[i])
+		d += bits.OnesCount64(a[i] ^ b[i])
 	}
 	for i := n; i < len(a); i++ {
-		d += popcount(a[i])
+		d += bits.OnesCount64(a[i])
 	}
 	for i := n; i < len(b); i++ {
-		d += popcount(b[i])
+		d += bits.OnesCount64(b[i])
 	}
 	return d
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }
 
 // Dictionary holds the precomputed response of every modelled fault.
@@ -79,9 +71,10 @@ type Dictionary struct {
 }
 
 // Build fault-simulates every fault against the ordered pattern set
-// and stores full response signatures. Cost is one faulty-machine
-// simulation per fault (64 patterns per pass), so it is run once per
-// test program release.
+// and stores full response signatures. Each fault costs one flat cone
+// walk per 64-pattern block (logicsim.FlatSim.RunCone), whose
+// per-output diff words are exactly the syndrome bits, so it is run
+// once per test program release.
 func Build(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern) (*Dictionary, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("diagnose: no patterns")
@@ -89,55 +82,61 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern
 	if len(c.Outputs) > 64 {
 		return nil, fmt.Errorf("diagnose: more than 64 outputs (%d) does not fit the syndrome mask", len(c.Outputs))
 	}
-	sim, err := logicsim.NewSimulator(c)
+	for i, f := range faults {
+		if f.Gate < 0 || f.Gate >= len(c.Gates) {
+			return nil, fmt.Errorf("diagnose: fault %d site %d out of range", i, f.Gate)
+		}
+	}
+	cones, err := logicsim.FlatConeSetFor(c)
 	if err != nil {
 		return nil, err
 	}
+	flat := cones.Flat()
+	sim := logicsim.NewFlatSim(flat)
 	d := &Dictionary{c: c, patterns: patterns, faults: faults,
 		syndromes: make([]Syndrome, len(faults))}
 	for i := range d.syndromes {
 		d.syndromes[i] = make(Syndrome, len(patterns))
 	}
+	outDiffs := make([]uint64, len(c.Outputs))
+	var good []uint64
 	for base := 0; base < len(patterns); base += 64 {
-		end := base + 64
-		if end > len(patterns) {
-			end = len(patterns)
-		}
+		end := min(base+64, len(patterns))
 		block, err := logicsim.PackPatterns(patterns[base:end])
 		if err != nil {
 			return nil, err
 		}
-		mask := block.Mask()
-		good, err := sim.Run(block)
-		if err != nil {
+		if good, err = sim.RunInto(block, good); err != nil {
 			return nil, err
 		}
-		goodCopy := append([]uint64(nil), good...)
 		for fi, f := range faults {
-			bad, err := sim.RunWithFault(block, f.Gate, f.Pin, f.Stuck)
+			slot := flat.SlotOf(f.Gate)
+			cone := cones.ConeOfPtr(slot)
+			if f.Pin < 0 {
+				_, err = sim.RunCone(slot, f.Stuck, cone, outDiffs)
+			} else {
+				_, err = sim.RunConeForced(slot, f.Pin, f.Stuck, cone, outDiffs)
+			}
 			if err != nil {
 				return nil, err
 			}
-			for o := range bad {
-				diff := (bad[o] ^ goodCopy[o]) & mask
-				for diff != 0 {
-					p := trailing(diff)
-					d.syndromes[fi][base+p] |= 1 << uint(o)
-					diff &= diff - 1
-				}
+			// The walk writes outDiffs only at the cone's reachable
+			// outputs; no other output can differ.
+			for _, o := range cone.Outputs {
+				setBits(d.syndromes[fi][base:], outDiffs[o], int(o))
 			}
 		}
 	}
 	return d, nil
 }
 
-func trailing(x uint64) int {
-	n := 0
-	for x&1 == 0 {
-		x >>= 1
-		n++
+// setBits marks output o failing on every pattern whose bit is set in
+// diff, syn[p] being the mask of pattern p of the block.
+func setBits(syn Syndrome, diff uint64, o int) {
+	for diff != 0 {
+		syn[bits.TrailingZeros64(diff)] |= 1 << uint(o)
+		diff &= diff - 1
 	}
-	return n
 }
 
 // ObserveChip runs the tester on a chip carrying the given faults
@@ -169,12 +168,7 @@ func (d *Dictionary) ObserveChip(inj []logicsim.Injection) (Syndrome, error) {
 			return nil, err
 		}
 		for o := range bad {
-			diff := (bad[o] ^ goodCopy[o]) & mask
-			for diff != 0 {
-				p := trailing(diff)
-				syn[base+p] |= 1 << uint(o)
-				diff &= diff - 1
-			}
+			setBits(syn[base:], (bad[o]^goodCopy[o])&mask, o)
 		}
 	}
 	return syn, nil

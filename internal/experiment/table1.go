@@ -59,8 +59,8 @@ type Table1Config struct {
 	// circuits.Params.SampleFaults). Zero means the full universe.
 	SampleFaults int
 	// LotEngine selects the ATE's lot-testing engine. The zero value is
-	// the default chip-parallel engine (good machine + 63 chips in one
-	// word's bit-lanes); tester.Serial is the per-chip oracle, kept as
+	// the default chipparallel256 engine (good machine + up to 255 chips
+	// in one lane block); tester.Serial is the per-chip oracle, kept as
 	// an opt-out. Results are bit-identical either way.
 	LotEngine tester.LotEngine
 }

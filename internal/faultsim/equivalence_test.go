@@ -3,6 +3,7 @@ package faultsim
 import (
 	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -62,7 +63,7 @@ func pointerSerialFirstDetect(t *testing.T, c *netlist.Circuit, faults []fault.F
 }
 
 // TestEngineEquivalenceProperty is the cross-engine contract: every
-// engine (and the full-circuit reference paths) must return identical
+// engine must return identical
 // FirstDetect indices on randomized circuits, randomized fault subsets,
 // and randomized pattern sets. The oracle is the retired pointer-
 // walking serial engine above, so even the registered flat Serial
@@ -74,18 +75,13 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 		opt    Options
 	}
 	// Every registered engine is checked automatically (a new registry
-	// entry lands here with zero test changes); the explicit extras
-	// pin the full-circuit reference paths and a real worker pool even
-	// on single-core hosts.
+	// entry lands here with zero test changes); the explicit extra pins
+	// a real worker pool even on single-core hosts.
 	var variants []variant
 	for _, e := range Engines() {
 		variants = append(variants, variant{e.String(), e, Options{}})
 	}
-	variants = append(variants,
-		variant{"ppsfp-full", PPSFP, Options{FullCircuit: true}},
-		variant{"concurrent-4", Concurrent, Options{Workers: 4}},
-		variant{"concurrent-full", Concurrent, Options{Workers: 3, FullCircuit: true}},
-	)
+	variants = append(variants, variant{"concurrent-4", Concurrent, Options{Workers: 4}})
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(trial + 1)
 		rng := rand.New(rand.NewSource(seed * 977))
@@ -109,7 +105,7 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 		}
 		// Randomized fault list: sometimes the full uncollapsed
 		// universe, sometimes a random subset (exercises dropping and
-		// PF grouping with arbitrary holes), sometimes collapsed reps.
+		// pf256 grouping with arbitrary holes), sometimes collapsed reps.
 		all := fault.AllFaults(c)
 		var faults []fault.Fault
 		switch trial % 3 {
@@ -181,7 +177,7 @@ func TestRunStepsMatchesEngines(t *testing.T) {
 					seed, fi, ref.FirstDetect[fi], got, pat.FirstDetect[fi])
 			}
 		}
-		for _, e := range []Engine{Deductive, FaultParallel, Concurrent} {
+		for _, e := range []Engine{Serial, Concurrent, FaultParallel256} {
 			got, err := RunStepsOpts(c, faults, patterns, e, Options{})
 			if err != nil {
 				t.Fatalf("%v: %v", e, err)
@@ -203,8 +199,18 @@ func TestParseEngine(t *testing.T) {
 			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
 		}
 	}
-	if _, err := ParseEngine("warp-drive"); err == nil {
-		t.Error("unknown engine name should error")
+	// Unknown and retired names fail fast, naming what is registered.
+	for _, name := range []string{"warp-drive", "pf", "deductive", "ppsfp-full", ""} {
+		_, err := ParseEngine(name)
+		if err == nil {
+			t.Errorf("ParseEngine(%q) accepted", name)
+			continue
+		}
+		for _, e := range Engines() {
+			if !strings.Contains(err.Error(), e.String()) {
+				t.Errorf("ParseEngine(%q) error %q does not name %q", name, err, e)
+			}
+		}
 	}
 }
 
@@ -216,7 +222,7 @@ func TestRunOptsValidatesFaults(t *testing.T) {
 		t.Error("out-of-range fault site should error")
 	}
 	badPin := []fault.Fault{{Gate: c.Outputs[0], Pin: 99}}
-	if _, err := Run(c, badPin, patterns, FaultParallel); err == nil {
+	if _, err := Run(c, badPin, patterns, FaultParallel256); err == nil {
 		t.Error("out-of-range pin should error")
 	}
 }

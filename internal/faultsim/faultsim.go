@@ -1,26 +1,22 @@
 // Package faultsim measures which single-stuck-at faults a test-pattern
-// sequence detects. Six engines share one result contract (identical
+// sequence detects. Four engines share one result contract (identical
 // FirstDetect, bit for bit) and one set of plumbing — block packing,
-// fault dropping, first-detect bookkeeping — and differ only in how
-// they spend the machine word:
+// fault dropping, first-detect bookkeeping — and all run on the flat
+// core (logicsim.Flat); they differ only in how they spend the machine
+// word:
 //
 //   - Serial: one fault at a time, full-circuit re-simulation as a
 //     scalar flat walk, no fault dropping — the classic baseline and
-//     the reference the other engines are cross-checked against;
+//     the full-circuit reference the other engines are cross-checked
+//     against;
 //   - PPSFP: parallel-pattern single-fault propagation with fault
-//     dropping, restricted to each fault's slot cone over the flat
-//     core (logicsim.FlatSim + FlatConeSet) — the workhorse used by
-//     the experiments;
-//   - Deductive: per-pattern fault-list propagation (one pass computes
-//     every fault's detectability for that pattern);
-//   - FaultParallel (PF): the good machine plus up to 63 faulty
-//     machines packed into the 64 bit-lanes of one word per pattern,
-//     evaluated over the union of the faults' output cones;
-//   - Concurrent: cone-restricted flat PPSFP sharded over a goroutine
-//     pool;
-//   - FaultParallel256 (pf256): the PF layout widened to 4-word lane
-//     blocks (good machine + 255 faulty machines) over the flat
-//     struct-of-arrays core (logicsim.Flat/WideSim).
+//     dropping, restricted to each fault's slot cone (logicsim.FlatSim
+//     over a FlatConeSet) — the workhorse used by the experiments;
+//   - Concurrent: cone-restricted PPSFP sharded over a goroutine pool;
+//   - FaultParallel256 (pf256): the good machine plus up to 255 faulty
+//     machines packed into the lanes of a 4-word lane block per
+//     pattern, evaluated over the union of the faults' slot cones
+//     (logicsim.WideSim).
 //
 // The paper's experiment needs the cumulative coverage curve of an
 // ordered pattern set — CoverageCurve produces exactly the "fault
@@ -30,6 +26,7 @@ package faultsim
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/logicsim"
@@ -71,14 +68,14 @@ func (r Result) Coverage() float64 {
 type Engine int
 
 // Available engines. PPSFP is the zero value on purpose: an
-// unconfigured Engine field selects the workhorse.
+// unconfigured Engine field selects the workhorse. The values are
+// stable, because a sweep's JSON report records the Engine number: a
+// retired engine leaves its value unused.
 const (
-	PPSFP Engine = iota
-	Serial
-	Deductive
-	FaultParallel
-	Concurrent
-	FaultParallel256
+	PPSFP            Engine = 0
+	Serial           Engine = 1
+	Concurrent       Engine = 4
+	FaultParallel256 Engine = 5
 )
 
 // strategy is one entry of the engine registry: the CLI-stable name
@@ -93,10 +90,8 @@ type strategy struct {
 // bookkeeping with dropping), so adding an engine is one entry here
 // plus a run function.
 var registry = map[Engine]strategy{
-	Serial:           {"serial", func(s *session) error { return s.runParallelPattern(false, false) }},
-	PPSFP:            {"ppsfp", func(s *session) error { return s.runParallelPattern(true, !s.opt.FullCircuit) }},
-	Deductive:        {"deductive", runDeductive},
-	FaultParallel:    {"pf", runFaultParallel},
+	Serial:           {"serial", func(s *session) error { return s.runParallelPattern(false) }},
+	PPSFP:            {"ppsfp", func(s *session) error { return s.runParallelPattern(true) }},
 	Concurrent:       {"concurrent", runConcurrent},
 	FaultParallel256: {"pf256", runFaultParallel256},
 }
@@ -117,7 +112,7 @@ func ParseEngine(name string) (Engine, error) {
 			return e, nil
 		}
 	}
-	return 0, fmt.Errorf("faultsim: unknown engine %q", name)
+	return 0, fmt.Errorf("faultsim: unknown engine %q (registered: %s)", name, engineNames())
 }
 
 // Engines lists every registered engine in a stable order (ascending
@@ -133,16 +128,21 @@ func Engines() []Engine {
 	return out
 }
 
+// engineNames lists the registered engine names, comma-separated in
+// Engines order, for error messages.
+func engineNames() string {
+	names := make([]string, 0, len(registry))
+	for _, e := range Engines() {
+		names = append(names, registry[e].name)
+	}
+	return strings.Join(names, ", ")
+}
+
 // Options tunes a run; the zero value selects the defaults.
 type Options struct {
 	// Workers is the goroutine count for the Concurrent engine; <= 0
 	// selects GOMAXPROCS. Other engines ignore it.
 	Workers int
-	// FullCircuit disables cone restriction in the PPSFP and Concurrent
-	// engines: every faulty pass re-evaluates the whole circuit. This is
-	// the pre-cone reference path, kept for cross-checking and for
-	// measuring what the cones buy (see BenchmarkEngines).
-	FullCircuit bool
 }
 
 // Run fault-simulates the ordered patterns against the fault list with
@@ -176,9 +176,7 @@ func RunOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Patte
 // session carries the state every engine shares: the circuit, the fault
 // list, lazily packed 64-pattern blocks with their good-machine
 // outputs, the lazily built flat form with its slot cones, and the
-// first-detect array the engines fill in. The pointer-walking simulator
-// and gate cones remain for the engines that still consume them
-// (deductive, pf); everything parallel-pattern runs flat.
+// first-detect array the engines fill in.
 type session struct {
 	c        *netlist.Circuit
 	faults   []fault.Fault
@@ -186,8 +184,6 @@ type session struct {
 	opt      Options
 	first    []int
 
-	sim        *logicsim.Simulator
-	cones      *logicsim.ConeSet
 	flat       *logicsim.Flat
 	flatCones  *logicsim.FlatConeSet
 	fsim       *logicsim.FlatSim
@@ -217,34 +213,6 @@ func newSession(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pa
 		first[i] = NotDetected
 	}
 	return &session{c: c, faults: faults, patterns: patterns, opt: opt, first: first}, nil
-}
-
-// simulator returns the session's levelized simulator, creating it on
-// first use. Engines that spawn goroutines create their own per-worker
-// simulators instead (the simulator is not safe for concurrent use).
-func (s *session) simulator() (*logicsim.Simulator, error) {
-	if s.sim == nil {
-		sim, err := logicsim.NewSimulator(s.c)
-		if err != nil {
-			return nil, err
-		}
-		s.sim = sim
-	}
-	return s.sim, nil
-}
-
-// coneSet returns the circuit's fault-site cones, built on first use
-// and cached on the circuit across sessions. The set is immutable and
-// shared across workers.
-func (s *session) coneSet() (*logicsim.ConeSet, error) {
-	if s.cones == nil {
-		cs, err := logicsim.ConeSetFor(s.c)
-		if err != nil {
-			return nil, err
-		}
-		s.cones = cs
-	}
-	return s.cones, nil
 }
 
 // flatCircuit returns the circuit's flat compiled form, built on first

@@ -196,14 +196,20 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(c, faults, nil, PPSFP); err == nil {
 		t.Error("no patterns should error")
 	}
-	if _, err := Run(c, faults, exhaustivePatterns(c), Engine(99)); err == nil {
-		t.Error("unknown engine should error")
+	// 2 and 3 are the retired deductive and pf values.
+	for _, e := range []Engine{2, 3, 99} {
+		if _, err := Run(c, faults, exhaustivePatterns(c), e); err == nil {
+			t.Errorf("unknown engine %d should error", int(e))
+		}
 	}
 }
 
 func TestEngineString(t *testing.T) {
-	if Serial.String() != "serial" || PPSFP.String() != "ppsfp" || Deductive.String() != "deductive" {
+	if Serial.String() != "serial" || PPSFP.String() != "ppsfp" || Concurrent.String() != "concurrent" || FaultParallel256.String() != "pf256" {
 		t.Error("engine names")
+	}
+	if got := engineNames(); got != "ppsfp, serial, concurrent, pf256" {
+		t.Errorf("registered engines %q", got)
 	}
 	if Engine(9).String() != "Engine(9)" {
 		t.Error("unknown engine name")
@@ -284,22 +290,6 @@ func BenchmarkSerialMul8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(c, reps, patterns, Serial); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDeductiveMul8(b *testing.B) {
-	c, err := netlist.ArrayMultiplier(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := fault.BuildUniverse(c)
-	reps := fault.Reps(u.Collapsed)
-	patterns := randomPatterns(c, 64, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(c, reps, patterns, Deductive); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -32,9 +32,9 @@ func runConcurrent(s *session) error {
 		workers = len(s.faults)
 	}
 	if workers <= 1 {
-		return s.runParallelPattern(true, !s.opt.FullCircuit)
+		return s.runParallelPattern(true)
 	}
-	blocks, err := s.packBlocks(s.opt.FullCircuit)
+	blocks, err := s.packBlocks(false)
 	if err != nil {
 		return err
 	}
@@ -42,13 +42,11 @@ func runConcurrent(s *session) error {
 	if err != nil {
 		return err
 	}
-	var cones *logicsim.FlatConeSet
-	if !s.opt.FullCircuit {
-		// Resolved before the workers spawn; the set and its cones are
-		// immutable and shared read-only across the pool.
-		if cones, err = s.flatConeSet(); err != nil {
-			return err
-		}
+	// Resolved before the workers spawn; the set and its cones are
+	// immutable and shared read-only across the pool.
+	cones, err := s.flatConeSet()
+	if err != nil {
+		return err
 	}
 	var (
 		wg       sync.WaitGroup
@@ -77,7 +75,7 @@ func runConcurrent(s *session) error {
 					if !s.alive(fi) {
 						continue
 					}
-					if cones != nil && !ran {
+					if !ran {
 						out, werr := fsim.RunInto(b.pat, scratch)
 						if werr != nil {
 							errOnce.Do(func() { firstErr = werr })

@@ -12,9 +12,10 @@ import (
 // With cones non-nil the pass is cone-restricted — only the fault's
 // slot cone is re-evaluated, with activation early-exit — and the flat
 // simulator must already hold the block's good-machine values (the cone
-// walks restore them, so consecutive calls share one good evaluation).
-// With cones nil it is the full-circuit reference path: a scalar flat
-// walk with the fault injected, diffed against the stored good outputs.
+// walks never mutate them, so consecutive calls share one good
+// evaluation). With cones nil it is the serial baseline's full-circuit
+// path: a scalar flat walk with the fault injected, diffed against the
+// stored good outputs.
 // This is the single copy of the diff-and-detect rule every
 // parallel-pattern engine (serial, ppsfp, concurrent) runs on.
 //
@@ -53,13 +54,12 @@ func (s *session) diffFault(fsim *logicsim.FlatSim, cones *logicsim.FlatConeSet,
 
 // runParallelPattern is the parallel-pattern engine family over the
 // flat core: 64 patterns per machine word, one fault injected at a
-// time. drop skips faults already detected in earlier blocks (PPSFP
-// fault dropping; without it every fault meets every block, the serial
-// baseline). cone restricts each faulty pass to the fault's slot cone
-// on top of the block's good-machine values instead of re-walking the
-// whole circuit.
-func (s *session) runParallelPattern(drop, cone bool) error {
-	blocks, err := s.packBlocks(!cone)
+// time. With ppsfp set, faults already detected in earlier blocks are
+// dropped and each faulty pass is restricted to the fault's slot cone
+// on top of the block's good-machine values; without it every fault
+// meets every block on a full-circuit walk, the serial baseline.
+func (s *session) runParallelPattern(ppsfp bool) error {
+	blocks, err := s.packBlocks(!ppsfp)
 	if err != nil {
 		return err
 	}
@@ -68,7 +68,7 @@ func (s *session) runParallelPattern(drop, cone bool) error {
 		return err
 	}
 	var cones *logicsim.FlatConeSet
-	if cone {
+	if ppsfp {
 		if cones, err = s.flatConeSet(); err != nil {
 			return err
 		}
@@ -76,19 +76,19 @@ func (s *session) runParallelPattern(drop, cone bool) error {
 	var scratch []uint64
 	for bi := range blocks {
 		b := &blocks[bi]
-		if drop && !s.anyAlive() {
-			break // everything detected; skip the dead tail
-		}
-		if cone {
-			// (Re-)establish the good machine for this block; the cone
-			// runs save and restore it, so one evaluation serves every
+		if ppsfp {
+			if !s.anyAlive() {
+				break // everything detected; skip the dead tail
+			}
+			// Establish the good machine for this block; the cone walks
+			// leave it untouched, so one evaluation serves every
 			// surviving fault.
 			if scratch, err = fsim.RunInto(b.pat, scratch); err != nil {
 				return err
 			}
 		}
 		for fi := range s.faults {
-			if drop && !s.alive(fi) {
+			if ppsfp && !s.alive(fi) {
 				continue
 			}
 			var diff uint64

@@ -13,12 +13,11 @@ import (
 // machines per group.
 const pf256Words = 4
 
-// runFaultParallel256 is the wide fault-parallel (pf256) engine: the PF
-// algorithm ported onto the flat struct-of-arrays core with 4-word lane
-// blocks. Where PF packs the good machine plus 63 faulty machines into
-// one uint64, pf256 packs it plus 255 faulty machines into a [4]uint64
-// lane block, so each union-cone pass retires 4x the faults of PF while
-// the flat walk removes the per-gate struct dereferences PF pays.
+// runFaultParallel256 is the wide fault-parallel (pf256) engine: the
+// good machine (lane 0) plus up to 255 faulty machines ride the lanes
+// of a [4]uint64 lane block, one fault per lane, and each pattern is
+// one forced flat walk over the union of the group's slot cones
+// (logicsim.WideSim.EvalSlotsForced).
 //
 // Because Flat slots are a topological order, the union cone needs only
 // a plain integer sort of slot indices — no level lookups — and the
@@ -57,8 +56,7 @@ func runFaultParallel256(s *session) error {
 	lanesPerGroup := ws.Lanes() - 1 // lane 0 is the good machine
 	// Lane assignment by cone locality: slot order is topological, so
 	// grouping the faults by site slot keeps each group's union cone
-	// small — the same trick PF plays with (level, id) keys. Relative
-	// slot order never changes, so one sort up front serves every block;
+	// small. Relative slot order never changes, so one sort up front serves every block;
 	// per block the order is merely filtered down to the live faults.
 	order := make([]int, len(s.faults))
 	for fi := range order {
@@ -99,7 +97,7 @@ func runFaultParallel256(s *session) error {
 
 // pf256State is the engine's per-run scratch, allocated once and reused
 // across groups and blocks; group membership uses epoch marks
-// (slot == gid), like the PF engine.
+// (slot == gid).
 type pf256State struct {
 	ws *logicsim.WideSim
 	lf *logicsim.WideLaneForces
@@ -143,8 +141,8 @@ func (s *session) pf256Group(good *logicsim.FlatSim, flat *logicsim.Flat, cones 
 			}
 		}
 	}
-	// Ascending slot order is topological: a plain integer sort replaces
-	// PF's (level, id) comparison sort.
+	// Ascending slot order is topological: a plain integer sort puts
+	// the union cone in evaluation order.
 	slices.Sort(union)
 	slices.Sort(outs)
 	// Frontier: slots feeding the union cone from outside it; all their

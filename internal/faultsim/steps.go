@@ -38,46 +38,60 @@ func RunStepsOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.
 		return Result{}, err
 	}
 	nOut := len(c.Outputs)
+	// Bucket the detected faults by first-detect pattern so refinement
+	// visits patterns in ascending order: the run is deterministic down
+	// to which fault an inconsistency error names.
 	first := make([]int, len(faults))
-	byPattern := make(map[int][]int)
+	byPattern := make([][]int, len(patterns))
 	for fi, p := range res.FirstDetect {
 		first[fi] = NotDetected
 		if p != NotDetected {
 			byPattern[p] = append(byPattern[p], fi)
 		}
 	}
-	sim, err := logicsim.NewSimulator(c)
+	// The slot cones are cached on the circuit; ATPG grading has
+	// usually built them already.
+	cones, err := logicsim.FlatConeSetFor(c)
 	if err != nil {
 		return Result{}, err
 	}
-	cones, err := logicsim.ConeSetFor(c)
-	if err != nil {
-		return Result{}, err
-	}
+	flat := cones.Flat()
+	fsim := logicsim.NewFlatSim(flat)
 	outDiffs := make([]uint64, nOut)
+	var good []uint64
 	for p, fis := range byPattern {
-		blk, err := logicsim.PackPatterns([]logicsim.Pattern{patterns[p]})
+		if len(fis) == 0 {
+			continue
+		}
+		blk, err := logicsim.PackPatterns(patterns[p : p+1])
 		if err != nil {
 			return Result{}, err
 		}
-		if _, err := sim.Run(blk); err != nil {
+		if good, err = fsim.RunInto(blk, good); err != nil {
 			return Result{}, err
 		}
 		for _, fi := range fis {
 			f := faults[fi]
-			cone := cones.Cone(f.Gate)
-			diff, err := sim.RunWithFaultCone(f.Gate, f.Pin, f.Stuck, cone, outDiffs)
+			slot := flat.SlotOf(f.Gate)
+			cone := cones.ConeOfPtr(slot)
+			var diff uint64
+			if f.Pin < 0 {
+				diff, err = fsim.RunCone(slot, f.Stuck, cone, outDiffs)
+			} else {
+				diff, err = fsim.RunConeForced(slot, f.Pin, f.Stuck, cone, outDiffs)
+			}
 			if err != nil {
 				return Result{}, err
 			}
 			if diff == 0 {
 				return Result{}, fmt.Errorf("faultsim: %v engine detected fault %d at pattern %d but re-simulation does not", engine, fi, p)
 			}
-			// cone.Outputs ascends, so the first differing entry is the
-			// first strobed output the fault flips.
+			// cone.Outputs ascends, and the walk writes outDiffs only
+			// there, so the first differing entry is the first strobed
+			// output the fault flips.
 			for _, oi := range cone.Outputs {
 				if outDiffs[oi]&1 != 0 {
-					first[fi] = p*nOut + oi
+					first[fi] = p*nOut + int(oi)
 					break
 				}
 			}

@@ -8,8 +8,8 @@ import (
 
 var hotpathAnalyzer = &Analyzer{
 	Name: "hotpath",
-	Doc: "functions annotated //repolint:hotpath (the flat/wide walks, " +
-		"RunLaneForced, engine inner loops) may not call fmt, allocate via " +
+	Doc: "functions annotated //repolint:hotpath (the flat cone walks, " +
+		"WideSim.RunLaneForced, engine inner loops) may not call fmt, allocate via " +
 		"unsized make or slice/map/pointer composite literals, or capture " +
 		"loop state into closures — the zero-alloc steady state is a measured " +
 		"contract (AllocsPerRun tests), this keeps it by construction",

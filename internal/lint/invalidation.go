@@ -8,8 +8,9 @@ import (
 
 // circuitStructuralFields are the Circuit fields that define the
 // circuit's structure. Writing any of them stales every derived cache
-// (levelization, the simCaches bundle of ConeSet + Flat), so the
-// mutation must drop them via invalidate(). The cache fields
+// (levelization, the simCaches bundle of Flat, FlatConeSet and the
+// trace-only ConeSet), so the mutation must drop them via
+// invalidate(). The cache fields
 // themselves (level, order, simCache) are deliberately absent: filling
 // a cache is not a mutation.
 var circuitStructuralFields = map[string]bool{

@@ -1,7 +1,6 @@
 package logicsim
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/netlist"
@@ -25,12 +24,13 @@ type Cone struct {
 	OutPos []int
 }
 
-// ConeSet precomputes the output cone of every gate of a circuit. The
-// set is immutable after construction and safe for concurrent readers,
-// so one ConeSet can back a pool of per-goroutine simulators. Memory is
-// O(sum of cone sizes), which is fine for the generated circuit
-// families used here (thousands of gates); truly huge netlists would
-// want a lazy variant.
+// ConeSet precomputes the output cone of every gate of a circuit, in
+// gate-ID space. No simulation path reads it: every cone walk runs on
+// the flat slot cones (FlatConeSet). It remains as the independent
+// structural reference the flat cones are tested against, and because
+// the perfbench trace still times its construction. The set is
+// immutable after construction and safe for concurrent readers. Memory
+// is O(sum of cone sizes).
 type ConeSet struct {
 	cones []Cone
 }
@@ -108,9 +108,8 @@ func (p *outPair) Swap(a, b int) {
 
 // ConeSetFor returns the circuit's cone set, building it on first use
 // and caching it on the circuit (the cache is dropped automatically on
-// mutation). Callers that fault-simulate the same circuit many times —
-// ATPG fault-dropping loops, coverage ramps, benchmark reruns — pay
-// for construction once. Safe for concurrent callers on a levelized
+// mutation). Its one caller is the perfbench trace, which times the
+// build as its own stage. Safe for concurrent callers on a levelized
 // circuit (see cacheMu), but must not race with mutation.
 func ConeSetFor(c *netlist.Circuit) (*ConeSet, error) {
 	cacheMu.Lock()
@@ -141,125 +140,4 @@ func (cs *ConeSet) Size() int {
 		n += len(cone.Gates)
 	}
 	return n
-}
-
-// RunWithFaultCone re-simulates a single stuck-at fault on top of the
-// good-machine state left in the simulator by the immediately preceding
-// Run call: only the fault's output cone is re-evaluated (in place,
-// with the good values saved and restored), and only the reachable
-// primary outputs are diffed. An inactive fault — the forced value
-// equals the good value on every pattern of the block — returns
-// immediately without touching the cone.
-//
-// The returned word has bit p set iff pattern p of the block produces a
-// different value on some reachable output; if outDiffs is non-nil it
-// must have one slot per primary output, and the slots of every
-// reachable output are overwritten with that output's diff word
-// (unreachable outputs are left untouched — they cannot differ).
-//
-// The fault convention matches RunWithFault: pin < 0 is a stem fault on
-// the gate's output, pin >= 0 forces input pin `pin` of gate `site`.
-// After the call the simulator again holds the good-machine values, so
-// cone runs for many faults can share one good-machine evaluation.
-func (s *Simulator) RunWithFaultCone(site, pin int, stuck bool, cone Cone, outDiffs []uint64) (uint64, error) {
-	if site < 0 || site >= len(s.c.Gates) {
-		return 0, fmt.Errorf("logicsim: fault site %d out of range", site)
-	}
-	if len(cone.Gates) == 0 || cone.Gates[0] != site {
-		return 0, fmt.Errorf("logicsim: cone does not start at fault site %d", site)
-	}
-	if s.mask == 0 {
-		// A real Run always leaves a non-zero mask; catching the
-		// violated precondition beats silently reporting every fault
-		// undetected.
-		return 0, fmt.Errorf("logicsim: RunWithFaultCone requires a preceding Run")
-	}
-	g := &s.c.Gates[site]
-	var stuckWord uint64
-	if stuck {
-		stuckWord = ^uint64(0)
-	}
-	var v uint64
-	if pin >= 0 {
-		if pin >= len(g.Fanin) {
-			return 0, fmt.Errorf("logicsim: gate %d has no pin %d", site, pin)
-		}
-		v = evalWithForcedPin(g.Type, g.Fanin, s.val, pin, stuckWord)
-	} else {
-		v = stuckWord // stem fault forces the output outright
-	}
-	if outDiffs != nil {
-		for _, oi := range cone.Outputs {
-			outDiffs[oi] = 0
-		}
-	}
-	val := s.val
-	if v == val[site] {
-		return 0, nil // fault not activated by any pattern of the block
-	}
-	if cap(s.saved) < len(cone.Gates) {
-		s.saved = make([]uint64, len(s.c.Gates))
-	}
-	saved := s.saved[:len(cone.Gates)]
-	saved[0] = val[site]
-	val[site] = v
-	// One linear pass over the cone in topological order. The common
-	// 1- and 2-input gates are evaluated inline; everything is plain
-	// sequential loads/stores, which beats cleverer event scheduling
-	// when 64 patterns ride in each word (some pattern almost always
-	// keeps the fault effect alive).
-	for k := 1; k < len(cone.Gates); k++ {
-		id := cone.Gates[k]
-		gg := &s.c.Gates[id]
-		fanin := gg.Fanin
-		var nv uint64
-		switch len(fanin) {
-		case 2:
-			a, b := val[fanin[0]], val[fanin[1]]
-			switch gg.Type {
-			case netlist.And:
-				nv = a & b
-			case netlist.Nand:
-				nv = ^(a & b)
-			case netlist.Or:
-				nv = a | b
-			case netlist.Nor:
-				nv = ^(a | b)
-			case netlist.Xor:
-				nv = a ^ b
-			case netlist.Xnor:
-				nv = ^(a ^ b)
-			default:
-				nv = eval(gg.Type, fanin, val)
-			}
-		case 1:
-			switch gg.Type {
-			case netlist.Not:
-				nv = ^val[fanin[0]]
-			case netlist.Buf:
-				nv = val[fanin[0]]
-			default:
-				nv = eval(gg.Type, fanin, val)
-			}
-		default:
-			nv = eval(gg.Type, fanin, val)
-		}
-		saved[k] = val[id]
-		val[id] = nv
-	}
-	// Diff the reachable outputs directly via their cone positions,
-	// then restore the good machine with a branch-free copy-back.
-	var diff uint64
-	for j, oi := range cone.Outputs {
-		k := cone.OutPos[j]
-		d := (val[cone.Gates[k]] ^ saved[k]) & s.mask
-		diff |= d
-		if outDiffs != nil {
-			outDiffs[oi] = d
-		}
-	}
-	for k, id := range cone.Gates {
-		val[id] = saved[k]
-	}
-	return diff, nil
 }

@@ -90,153 +90,3 @@ func TestConeSetStructure(t *testing.T) {
 		t.Fatal("cone set smaller than the gate count")
 	}
 }
-
-// TestRunWithFaultConeMatchesRunWithFault is the core correctness
-// property: for every fault site of several circuits, the cone-
-// restricted diff must equal the full-circuit faulty-vs-good diff.
-func TestRunWithFaultConeMatchesRunWithFault(t *testing.T) {
-	circuits := []*netlist.Circuit{netlist.C17()}
-	if c, err := netlist.RippleAdder(4); err == nil {
-		circuits = append(circuits, c)
-	} else {
-		t.Fatal(err)
-	}
-	for seed := int64(1); seed <= 2; seed++ {
-		c, err := netlist.RandomCircuit("r", 8, 80, 6, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		circuits = append(circuits, c)
-	}
-	for _, c := range circuits {
-		sim, err := NewSimulator(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs, err := NewConeSet(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		block := randomBlock(t, c, 64, int64(len(c.Gates)))
-		mask := block.Mask()
-		good, err := sim.Run(block)
-		if err != nil {
-			t.Fatal(err)
-		}
-		goodCopy := append([]uint64(nil), good...)
-		outDiffs := make([]uint64, len(c.Outputs))
-		type site struct {
-			gate, pin int
-		}
-		var sites []site
-		for id, g := range c.Gates {
-			sites = append(sites, site{id, -1})
-			for pin := range g.Fanin {
-				sites = append(sites, site{id, pin})
-			}
-		}
-		for _, st := range sites {
-			for _, stuck := range []bool{false, true} {
-				coneDiff, err := sim.RunWithFaultCone(st.gate, st.pin, stuck, cs.Cone(st.gate), outDiffs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bad, err := sim.RunWithFault(block, st.gate, st.pin, stuck)
-				if err != nil {
-					t.Fatal(err)
-				}
-				// RunWithFault trashed the value array; restore the good
-				// machine for the next cone call.
-				if _, err := sim.Run(block); err != nil {
-					t.Fatal(err)
-				}
-				var fullDiff uint64
-				for o := range bad {
-					d := (bad[o] ^ goodCopy[o]) & mask
-					fullDiff |= d
-					if d != outDiffs[o] {
-						in := false
-						for _, oi := range cs.Cone(st.gate).Outputs {
-							if oi == o {
-								in = true
-							}
-						}
-						if in {
-							t.Fatalf("%s gate %d pin %d stuck %v: output %d diff %x, cone says %x",
-								c.Name, st.gate, st.pin, stuck, o, d, outDiffs[o])
-						}
-						if d != 0 {
-							t.Fatalf("%s gate %d pin %d stuck %v: unreachable output %d differs",
-								c.Name, st.gate, st.pin, stuck, o)
-						}
-					}
-				}
-				if coneDiff != fullDiff {
-					t.Fatalf("%s gate %d pin %d stuck %v: cone diff %x, full diff %x",
-						c.Name, st.gate, st.pin, stuck, coneDiff, fullDiff)
-				}
-			}
-		}
-	}
-}
-
-// TestRunWithFaultConeRestoresGoodMachine checks the save/restore: after
-// a cone run the simulator must again hold the good-machine values, so
-// back-to-back cone runs need no re-simulation.
-func TestRunWithFaultConeRestoresGoodMachine(t *testing.T) {
-	c, err := netlist.RippleAdder(6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := NewSimulator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := NewConeSet(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := randomBlock(t, c, 40, 7)
-	if _, err := sim.Run(block); err != nil {
-		t.Fatal(err)
-	}
-	before := make([]uint64, len(c.Gates))
-	for id := range c.Gates {
-		before[id] = sim.Value(id)
-	}
-	for id := range c.Gates {
-		if _, err := sim.RunWithFaultCone(id, -1, true, cs.Cone(id), nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id := range c.Gates {
-		if sim.Value(id) != before[id] {
-			t.Fatalf("gate %d value changed after cone runs", id)
-		}
-	}
-}
-
-func TestRunWithFaultConeErrors(t *testing.T) {
-	c := netlist.C17()
-	sim, err := NewSimulator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, err := NewConeSet(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	block := randomBlock(t, c, 8, 1)
-	if _, err := sim.Run(block); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sim.RunWithFaultCone(-1, -1, false, cs.Cone(0), nil); err == nil {
-		t.Error("out-of-range site should error")
-	}
-	if _, err := sim.RunWithFaultCone(1, -1, false, cs.Cone(0), nil); err == nil {
-		t.Error("mismatched cone should error")
-	}
-	if _, err := sim.RunWithFaultCone(0, 99, false, cs.Cone(0), nil); err == nil {
-		t.Error("bad pin should error")
-	}
-}

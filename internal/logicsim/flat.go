@@ -67,7 +67,7 @@ func opFor(t netlist.GateType, fanins int) (uint8, error) {
 	}
 	if fanins == 1 {
 		// Degenerate 1-input logic gates reduce to a buffer or inverter,
-		// matching eval/EvalWords semantics.
+		// matching eval/evalWords semantics.
 		switch t {
 		case netlist.Buf, netlist.And, netlist.Or, netlist.Xor:
 			return opBuf, nil

@@ -289,7 +289,6 @@ func TestZeroValuePatternBlockRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf := NewLaneForces(c)
 	blocks := []PatternBlock{
 		{},
 		{Inputs: make([]uint64, len(c.Inputs))}, // Count 0
@@ -306,9 +305,6 @@ func TestZeroValuePatternBlockRejected(t *testing.T) {
 		}
 		if _, err := sim.RunWithFaults(b, nil); err == nil {
 			t.Errorf("block %d: RunWithFaults accepted it", i)
-		}
-		if _, err := sim.RunLaneForced(b, 0, lf, nil); err == nil {
-			t.Errorf("block %d: RunLaneForced accepted it", i)
 		}
 		if _, err := fs.RunInto(b, nil); err == nil {
 			t.Errorf("block %d: FlatSim.RunInto accepted it", i)

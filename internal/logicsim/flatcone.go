@@ -275,8 +275,7 @@ func (cs *FlatConeSet) Size() int { return len(cs.slots) }
 // plane — the good machine is never touched), and only the reachable
 // primary outputs are diffed. An inactive fault — the stuck value
 // equals the good value on every pattern of the block — returns
-// immediately without touching the cone. The flat analogue of
-// Simulator.RunWithFaultCone with pin < 0.
+// immediately without touching the cone.
 //
 // The returned word has bit p set iff pattern p of the block produces a
 // different value on some reachable output; if outDiffs is non-nil it
@@ -301,8 +300,7 @@ func (s *FlatSim) RunCone(slot int, stuck bool, cone *FlatCone, outDiffs []uint6
 // RunConeForced is RunCone for an *input-pin* fault: input pin `pin` of
 // the slot's gate is forced to the stuck value during the site's
 // evaluation only (the fanout-branch semantics), and the resulting site
-// value propagates through the cone. The flat analogue of
-// Simulator.RunWithFaultCone with pin >= 0.
+// value propagates through the cone.
 //
 //repolint:hotpath
 func (s *FlatSim) RunConeForced(slot, pin int, stuck bool, cone *FlatCone, outDiffs []uint64) (uint64, error) {

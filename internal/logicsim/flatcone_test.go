@@ -73,13 +73,18 @@ func TestFlatConeSetMatchesConeSet(t *testing.T) {
 	}
 }
 
-// TestRunConeMatchesRunWithFaultCone is the core flat-cone correctness
+// TestRunConeMatchesRunWithFault is the core flat-cone correctness
 // property: for every fault site, pin, and polarity, the flat cone walk
-// must return the same diff word and per-output diffs as the pointer
-// cone walk — and, transitively through cone_test.go, the full-circuit
-// faulty-vs-good diff.
-func TestRunConeMatchesRunWithFaultCone(t *testing.T) {
+// must return the full-circuit faulty-vs-good diff of the pointer-
+// walking oracle (Simulator.RunWithFault), both as the OR-ed diff word
+// and per reachable output, and no unreachable output may differ.
+func TestRunConeMatchesRunWithFault(t *testing.T) {
 	circuits := []*netlist.Circuit{netlist.C17()}
+	adder, err := netlist.RippleAdder(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits = append(circuits, adder)
 	for seed := int64(4); seed <= 5; seed++ {
 		c, err := netlist.RandomCircuit("r", 8, 80, 6, seed)
 		if err != nil {
@@ -89,10 +94,6 @@ func TestRunConeMatchesRunWithFaultCone(t *testing.T) {
 	}
 	for _, c := range circuits {
 		sim, err := NewSimulator(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs, err := NewConeSet(c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,25 +107,26 @@ func TestRunConeMatchesRunWithFaultCone(t *testing.T) {
 		}
 		fs := NewFlatSim(f)
 		block := randomBlock(t, c, 1+int(int64(len(c.Gates))%64), int64(len(c.Gates)))
-		if _, err := sim.Run(block); err != nil {
+		mask := block.Mask()
+		good, err := sim.Run(block)
+		if err != nil {
 			t.Fatal(err)
 		}
+		good = append([]uint64(nil), good...)
 		if _, err := fs.RunInto(block, nil); err != nil {
 			t.Fatal(err)
 		}
-		wantDiffs := make([]uint64, len(c.Outputs))
 		gotDiffs := make([]uint64, len(c.Outputs))
 		for gate, g := range c.Gates {
 			slot := f.SlotOf(gate)
 			cone := fcs.ConeOf(slot)
-			pins := make([]int, 0, len(g.Fanin)+1)
-			pins = append(pins, -1)
-			for pin := range g.Fanin {
-				pins = append(pins, pin)
+			reach := make([]bool, len(c.Outputs))
+			for _, oi := range cone.Outputs {
+				reach[oi] = true
 			}
-			for _, pin := range pins {
+			for pin := -1; pin < len(g.Fanin); pin++ {
 				for _, stuck := range []bool{false, true} {
-					want, err := sim.RunWithFaultCone(gate, pin, stuck, cs.Cone(gate), wantDiffs)
+					bad, err := sim.RunWithFault(block, gate, pin, stuck)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -137,23 +139,33 @@ func TestRunConeMatchesRunWithFaultCone(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got != want {
-						t.Fatalf("%s gate %d pin %d stuck %v: flat diff %x, pointer diff %x",
-							c.Name, gate, pin, stuck, got, want)
-					}
-					for _, oi := range cone.Outputs {
-						if gotDiffs[oi] != wantDiffs[oi] {
-							t.Fatalf("%s gate %d pin %d stuck %v: output %d flat diff %x, pointer %x",
-								c.Name, gate, pin, stuck, oi, gotDiffs[oi], wantDiffs[oi])
+					var want uint64
+					for o := range bad {
+						d := (bad[o] ^ good[o]) & mask
+						want |= d
+						switch {
+						case reach[o] && gotDiffs[o] != d:
+							t.Fatalf("%s gate %d pin %d stuck %v: output %d cone diff %x, full diff %x",
+								c.Name, gate, pin, stuck, o, gotDiffs[o], d)
+						case !reach[o] && d != 0:
+							t.Fatalf("%s gate %d pin %d stuck %v: unreachable output %d differs",
+								c.Name, gate, pin, stuck, o)
 						}
+					}
+					if got != want {
+						t.Fatalf("%s gate %d pin %d stuck %v: cone diff %x, full diff %x",
+							c.Name, gate, pin, stuck, got, want)
 					}
 				}
 			}
 		}
-		// After all the cone runs the flat value plane must again hold
+		// After all the cone runs the flat value plane must still hold
 		// the good machine.
+		if _, err := sim.Run(block); err != nil {
+			t.Fatal(err)
+		}
 		for slot := 0; slot < f.Slots(); slot++ {
-			if fs.Value(slot)&block.Mask() != sim.Value(f.GateAt(slot))&block.Mask() {
+			if fs.Value(slot)&mask != sim.Value(f.GateAt(slot))&mask {
 				t.Fatalf("%s slot %d: good machine not restored after cone runs", c.Name, slot)
 			}
 		}

@@ -1,15 +1,19 @@
 // Package logicsim simulates combinational circuits. It provides
 //
-//   - a 64-way bit-parallel levelized simulator (Simulator): each uint64
-//     word carries 64 independent input patterns, the standard trick the
-//     fault simulator builds on;
+//   - the flat core: a struct-of-arrays compiled form (Flat) walked 64
+//     patterns per word (FlatSim), per-slot output cones compiled to
+//     instruction streams (FlatConeSet) for cone-restricted faulty
+//     re-simulation (RunCone/RunConeForced), and the 1..8-word wide
+//     lane layer (WideSim, WideLaneForces) that packs up to 511 faulty
+//     machines beside the good one. Every production fault-simulation,
+//     strobe-refinement and lot-testing path runs on it;
+//   - the pointer-walking oracle (Simulator): a 64-way bit-parallel
+//     levelized walk over the netlist's gate structs, with single- and
+//     multi-fault injection. It shares no code with the flat core, so
+//     the tests, the tester's Serial engine and fault diagnosis use it
+//     as the independent reference;
 //   - a scalar three-valued (0/1/X) simulator used by the PODEM test
-//     generator's implication step;
-//   - an event-driven simulator that only re-evaluates gates whose
-//     inputs changed, with activity accounting;
-//   - precomputed per-gate output cones (ConeSet) and cone-restricted
-//     faulty re-simulation (RunWithFaultCone), the structural machinery
-//     the fault simulator's fast engines are built on.
+//     generator's implication step.
 package logicsim
 
 import (
@@ -82,16 +86,15 @@ func (b PatternBlock) validate(nIn int) error {
 	return nil
 }
 
-// Simulator evaluates a circuit 64 patterns at a time. It owns a value
-// array indexed by gate ID and is reused across blocks; it is not safe
-// for concurrent use (create one per goroutine).
+// Simulator evaluates a circuit 64 patterns at a time by walking the
+// netlist's gate structs: the oracle the flat core is checked against.
+// It owns a value array indexed by gate ID and is reused across
+// blocks; it is not safe for concurrent use (create one per goroutine).
 type Simulator struct {
 	c      *netlist.Circuit
 	order  []int
 	val    []uint64
-	mask   uint64      // valid-pattern mask of the last Run block
-	saved  []uint64    // scratch for RunWithFaultCone save/restore
-	forces *LaneForces // scratch forcing table for RunWithFaults
+	forces *laneForces // scratch forcing table for RunWithFaults
 }
 
 // NewSimulator prepares a simulator for the circuit, levelizing it. A
@@ -112,11 +115,9 @@ func NewSimulator(c *netlist.Circuit) (*Simulator, error) {
 	return &Simulator{c: c, order: order, val: make([]uint64, len(c.Gates))}, nil
 }
 
-// EvalWords evaluates one gate of type t over explicit fanin words:
-// the shared bit-parallel gate function, exposed for engines (like the
-// fault simulator's fault-parallel one) that stage fanin words
-// themselves before evaluation.
-func EvalWords(t netlist.GateType, words []uint64) uint64 {
+// evalWords evaluates one gate of type t over explicit fanin words,
+// for the forced-pin paths that stage their fanin words first.
+func evalWords(t netlist.GateType, words []uint64) uint64 {
 	switch t {
 	case netlist.Buf:
 		return words[0]
@@ -154,10 +155,9 @@ func EvalWords(t netlist.GateType, words []uint64) uint64 {
 	}
 }
 
-// eval computes a gate's word from its fanin words. It is the hot
-// inner loop of every simulator pass, so it indexes val directly
-// instead of staging through EvalWords; the two switches (plus the
-// 1/2-input fast path in RunWithFaultCone) must implement the same
+// eval computes a gate's word from its fanin words. It is the inner
+// loop of every simulator pass, so it indexes val directly instead of
+// staging through evalWords; the two switches must implement the same
 // gate functions.
 func eval(t netlist.GateType, fanin []int, val []uint64) uint64 {
 	switch t {
@@ -211,7 +211,6 @@ func (s *Simulator) RunInto(block PatternBlock, out []uint64) ([]uint64, error) 
 	if err := block.validate(len(s.c.Inputs)); err != nil {
 		return nil, err
 	}
-	s.mask = block.Mask()
 	for i, id := range s.c.Inputs {
 		s.val[id] = block.Inputs[i]
 	}
@@ -267,7 +266,7 @@ func (s *Simulator) RunWithFaultInto(block PatternBlock, site, pin int, stuck bo
 			if pin >= len(g.Fanin) {
 				return nil, fmt.Errorf("logicsim: gate %d has no pin %d", site, pin)
 			}
-			v = evalWithForcedPin(g.Type, g.Fanin, s.val, pin, stuckWord)
+			v = evalWithForcedPins(g.Type, g.Fanin, s.val, []pinForce{{pin, stuckWord}})
 		} else {
 			v = eval(g.Type, g.Fanin, s.val)
 		}
@@ -281,26 +280,6 @@ func (s *Simulator) RunWithFaultInto(block PatternBlock, site, pin int, stuck bo
 		out = append(out, s.val[id])
 	}
 	return out, nil
-}
-
-// evalWithForcedPin evaluates a gate with one fanin word replaced. It
-// stages the fanin words and defers to EvalWords — this path runs once
-// per fault site, not per gate, so the copy is cheap and keeps the
-// gate-function switch in one place.
-func evalWithForcedPin(t netlist.GateType, fanin []int, val []uint64, pin int, forced uint64) uint64 {
-	var stage [8]uint64
-	words := stage[:0]
-	if len(fanin) > len(stage) {
-		words = make([]uint64, 0, len(fanin))
-	}
-	for i, f := range fanin {
-		w := val[f]
-		if i == pin {
-			w = forced
-		}
-		words = append(words, w)
-	}
-	return EvalWords(t, words)
 }
 
 // RunSingle simulates one pattern and returns the output bits.
@@ -320,6 +299,6 @@ func (s *Simulator) RunSingle(p Pattern) ([]bool, error) {
 	return out, nil
 }
 
-// Values exposes the internal value of gate id after the last Run; used
-// by the fault simulator for stem analysis.
+// Value exposes the internal value of gate id after the last Run, for
+// tests that compare whole value planes against it.
 func (s *Simulator) Value(id int) uint64 { return s.val[id] }

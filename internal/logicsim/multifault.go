@@ -16,96 +16,88 @@ type Injection struct {
 	Stuck bool
 }
 
-// LaneForces is an array-indexed multi-fault forcing table over the 64
-// bit-lanes of a word: each fault site carries a careMask (which lanes
-// are forced there) and forceBits (the stuck values of those lanes),
-// applied as v = (v &^ careMask) | forceBits. Stem forces overwrite a
-// gate's output word; pin forces overwrite one fanin word during that
-// gate's evaluation only (the fanout-branch semantics).
-//
-// The lanes parameter of Add is what generalizes the table across the
-// two word layouts the simulator supports: RunWithFaults forces every
-// lane of a 64-pattern word (one faulty machine, 64 patterns), while
-// the tester's chip-parallel lot engine forces one lane per chip (64
-// machines, one pattern) — up to 63 multi-fault chips plus the good
-// machine in lane 0, sharing one table per batch.
-//
-// Adding the same site twice with overlapping lanes keeps the *last*
-// value on the overlap, matching how a physical short list is applied
-// in order. Reset clears the table in O(1) via an epoch bump; the
-// per-gate arrays are allocated once and reused, which is what replaces
-// the three per-call maps RunWithFaults used to build. A LaneForces is
-// not safe for concurrent use.
-type LaneForces struct {
+// laneForces is RunWithFaults' multi-fault forcing table. Every
+// forced site overrides all 64 pattern lanes of its word (one faulty
+// machine, 64 patterns): a stem force replaces the gate's output word,
+// a pin force replaces one fanin word during that gate's evaluation
+// only (the fanout-branch semantics). Adding the same site twice keeps
+// the *last* value, matching how a physical short list is applied in
+// order. reset clears the table in O(1) via an epoch bump; the per-gate
+// arrays are allocated once and reused. Not safe for concurrent use.
+type laneForces struct {
 	c     *netlist.Circuit
 	epoch int
 	mark  []int // per gate: the epoch this gate's entries belong to
-	// stemCare/stemForce are the output-stem masks; stemCare == 0 means
-	// no stem fault on the gate this epoch.
-	stemCare  []uint64
-	stemForce []uint64
-	// pins holds the per-input-pin masks of each gate, truncated to
-	// zero length when the gate is first touched in a new epoch.
-	pins [][]pinLane
+	// stemOn/stem are the output-stem force: stem[id] is the forced word
+	// when stemOn[id] is set this epoch.
+	stemOn []bool
+	stem   []uint64
+	// pins holds the forced input pins of each gate, truncated to zero
+	// length when the gate is first touched in a new epoch.
+	pins [][]pinForce
 }
 
-// pinLane is one forced input pin of a gate.
-type pinLane struct {
-	pin         int
-	care, force uint64
+// pinForce is one forced input pin of a gate.
+type pinForce struct {
+	pin  int
+	word uint64
 }
 
-// NewLaneForces allocates a forcing table sized for the circuit.
-func NewLaneForces(c *netlist.Circuit) *LaneForces {
+// newLaneForces allocates a forcing table sized for the circuit.
+func newLaneForces(c *netlist.Circuit) *laneForces {
 	n := len(c.Gates)
-	return &LaneForces{
-		c:         c,
-		epoch:     1,
-		mark:      make([]int, n),
-		stemCare:  make([]uint64, n),
-		stemForce: make([]uint64, n),
-		pins:      make([][]pinLane, n),
+	return &laneForces{
+		c:      c,
+		epoch:  1,
+		mark:   make([]int, n),
+		stemOn: make([]bool, n),
+		stem:   make([]uint64, n),
+		pins:   make([][]pinForce, n),
 	}
 }
 
-// Reset empties the table for reuse. O(1): stale entries are ignored by
-// the epoch marks and overwritten on the next Add.
-func (lf *LaneForces) Reset() { lf.epoch++ }
+// reset empties the table for reuse. O(1): stale entries are ignored by
+// the epoch marks and overwritten on the next add.
+func (lf *laneForces) reset() { lf.epoch++ }
 
-// Add forces the fault onto the given lanes (a bitmask of the word's
-// bit-lanes carrying a machine that has this fault). On lanes already
-// forced at the same site, the new stuck value wins.
-func (lf *LaneForces) Add(f Injection, lanes uint64) error {
+// add forces the fault on every lane. A site already forced keeps the
+// new stuck value.
+func (lf *laneForces) add(f Injection) error {
 	if f.Gate < 0 || f.Gate >= len(lf.c.Gates) {
 		return fmt.Errorf("logicsim: fault site %d out of range", f.Gate)
 	}
 	if lf.mark[f.Gate] != lf.epoch {
 		lf.mark[f.Gate] = lf.epoch
-		lf.stemCare[f.Gate] = 0
-		lf.stemForce[f.Gate] = 0
+		lf.stemOn[f.Gate] = false
 		lf.pins[f.Gate] = lf.pins[f.Gate][:0]
 	}
-	var force uint64
+	var word uint64
 	if f.Stuck {
-		force = lanes
+		word = ^uint64(0)
 	}
 	if f.Pin < 0 {
-		lf.stemCare[f.Gate] |= lanes
-		lf.stemForce[f.Gate] = lf.stemForce[f.Gate]&^lanes | force
+		lf.stemOn[f.Gate], lf.stem[f.Gate] = true, word
 		return nil
 	}
 	if f.Pin >= len(lf.c.Gates[f.Gate].Fanin) {
 		return fmt.Errorf("logicsim: gate %d has no pin %d", f.Gate, f.Pin)
 	}
 	for i := range lf.pins[f.Gate] {
-		if pl := &lf.pins[f.Gate][i]; pl.pin == f.Pin {
-			pl.care |= lanes
-			pl.force = pl.force&^lanes | force
+		if pf := &lf.pins[f.Gate][i]; pf.pin == f.Pin {
+			pf.word = word
 			return nil
 		}
 	}
-	lf.pins[f.Gate] = append(lf.pins[f.Gate], pinLane{pin: f.Pin, care: lanes, force: force})
+	lf.pins[f.Gate] = append(lf.pins[f.Gate], pinForce{pin: f.Pin, word: word})
 	return nil
+}
+
+// forceWord applies the gate's stem force to a value word, if any.
+func (lf *laneForces) forceWord(id int, v uint64) uint64 {
+	if lf.mark[id] == lf.epoch && lf.stemOn[id] {
+		return lf.stem[id]
+	}
+	return v
 }
 
 // RunWithFaults simulates the block with *all* the given faults present
@@ -127,156 +119,47 @@ func (s *Simulator) RunWithFaultsInto(block PatternBlock, faults []Injection, ou
 		return nil, err
 	}
 	if s.forces == nil {
-		s.forces = NewLaneForces(s.c)
+		s.forces = newLaneForces(s.c)
 	}
-	s.forces.Reset()
+	lf := s.forces
+	lf.reset()
 	for _, f := range faults {
-		// The fault is present in every pattern of the block: force all
-		// 64 pattern-lanes.
-		if err := s.forces.Add(f, ^uint64(0)); err != nil {
+		if err := lf.add(f); err != nil {
 			return nil, err
 		}
 	}
 	for i, id := range s.c.Inputs {
-		s.val[id] = s.forces.forceWord(id, block.Inputs[i])
+		s.val[id] = lf.forceWord(id, block.Inputs[i])
 	}
-	s.runForced(s.forces)
-	out = out[:0]
-	for _, id := range s.c.Outputs {
-		out = append(out, s.val[id])
-	}
-	return out, nil
-}
-
-// RunLaneForced evaluates pattern p of the block across 64 machine
-// lanes in one circuit walk: every lane sees the same input bits
-// (broadcast from bit p of each packed input word), and each forced
-// site applies its lane masks as v = (v &^ care) | force. Lanes whose
-// machines carry no fault — lane 0 by the tester's convention —
-// compute the good circuit. Output words are appended to out (reused
-// when capacity allows) in primary-output order.
-//
-// This is the chip-parallel lot engine's inner loop: one walk per
-// pattern evaluates the good machine plus up to 63 defective chips.
-//
-//repolint:hotpath
-func (s *Simulator) RunLaneForced(block PatternBlock, p int, forces *LaneForces, out []uint64) ([]uint64, error) {
-	if err := block.validate(len(s.c.Inputs)); err != nil {
-		return nil, err
-	}
-	if p < 0 || p >= block.Count {
-		return nil, errPatternRange(p, block.Count)
-	}
-	if forces.c != s.c {
-		return nil, errForeignForces()
-	}
-	for i, id := range s.c.Inputs {
-		// Broadcast bit p across all 64 lanes, then force.
-		s.val[id] = forces.forceWord(id, -(block.Inputs[i] >> uint(p) & 1))
-	}
-	s.runForced(forces)
-	out = out[:0]
-	for _, id := range s.c.Outputs {
-		out = append(out, s.val[id])
-	}
-	return out, nil
-}
-
-// errPatternRange and errForeignForces build RunLaneForced's
-// validation errors outside the annotated hot functions, so the
-// formatting machinery stays off the hot path.
-func errPatternRange(p, count int) error {
-	return fmt.Errorf("logicsim: pattern %d outside block of %d", p, count)
-}
-
-func errForeignForces() error {
-	return fmt.Errorf("logicsim: forcing table built for a different circuit")
-}
-
-// forceWord applies the gate's stem masks to a value word, if any.
-//
-//repolint:hotpath
-func (lf *LaneForces) forceWord(id int, v uint64) uint64 {
-	if lf.mark[id] == lf.epoch {
-		if care := lf.stemCare[id]; care != 0 {
-			v = v&^care | lf.stemForce[id]
-		}
-	}
-	return v
-}
-
-// runForced is the shared forced-evaluation walk: inputs are already
-// loaded (and stem-forced) in s.val; every other gate evaluates with
-// its pin forces staged and its stem force overwriting the result.
-//
-//repolint:hotpath
-func (s *Simulator) runForced(lf *LaneForces) {
 	for _, id := range s.order {
 		g := &s.c.Gates[id]
 		if g.Type == netlist.Input {
 			continue
 		}
+		if lf.mark[id] != lf.epoch {
+			s.val[id] = eval(g.Type, g.Fanin, s.val)
+			continue
+		}
 		var v uint64
-		if lf.mark[id] == lf.epoch {
-			if pins := lf.pins[id]; len(pins) > 0 {
-				v = evalWithLanePins(g.Type, g.Fanin, s.val, pins)
-			} else {
-				v = eval(g.Type, g.Fanin, s.val)
-			}
-			if care := lf.stemCare[id]; care != 0 {
-				v = v&^care | lf.stemForce[id]
-			}
+		if pins := lf.pins[id]; len(pins) > 0 {
+			v = evalWithForcedPins(g.Type, g.Fanin, s.val, pins)
 		} else {
 			v = eval(g.Type, g.Fanin, s.val)
 		}
-		s.val[id] = v
+		s.val[id] = lf.forceWord(id, v)
 	}
+	out = out[:0]
+	for _, id := range s.c.Outputs {
+		out = append(out, s.val[id])
+	}
+	return out, nil
 }
 
-// evalWithLanePins evaluates a gate with some fanin words lane-forced.
-// In a chip-parallel batch most of the circuit carries forces, so this
-// runs for a large fraction of gates per walk: the ubiquitous 1- and
-// 2-input shapes are evaluated inline, and only wider gates pay the
-// staged EvalWords path.
-//
-//repolint:hotpath
-func evalWithLanePins(t netlist.GateType, fanin []int, val []uint64, pins []pinLane) uint64 {
-	switch len(fanin) {
-	case 1:
-		w := val[fanin[0]]
-		for _, pl := range pins {
-			w = w&^pl.care | pl.force
-		}
-		switch t {
-		case netlist.Buf, netlist.And, netlist.Or, netlist.Xor:
-			return w
-		case netlist.Not, netlist.Nand, netlist.Nor, netlist.Xnor:
-			return ^w
-		}
-	case 2:
-		a, b := val[fanin[0]], val[fanin[1]]
-		for _, pl := range pins {
-			if pl.pin == 0 {
-				a = a&^pl.care | pl.force
-			} else {
-				b = b&^pl.care | pl.force
-			}
-		}
-		switch t {
-		case netlist.And:
-			return a & b
-		case netlist.Nand:
-			return ^(a & b)
-		case netlist.Or:
-			return a | b
-		case netlist.Nor:
-			return ^(a | b)
-		case netlist.Xor:
-			return a ^ b
-		case netlist.Xnor:
-			return ^(a ^ b)
-		}
-	}
+// evalWithForcedPins evaluates a gate with some fanin words replaced.
+// It stages the fanin words and defers to evalWords: this runs once
+// per forced site, not per gate, so the copy is cheap and keeps the
+// gate-function switch in one place.
+func evalWithForcedPins(t netlist.GateType, fanin []int, val []uint64, pins []pinForce) uint64 {
 	var stage [8]uint64
 	words := stage[:0]
 	if len(fanin) > len(stage) {
@@ -285,8 +168,8 @@ func evalWithLanePins(t netlist.GateType, fanin []int, val []uint64, pins []pinL
 	for _, f := range fanin {
 		words = append(words, val[f])
 	}
-	for _, pl := range pins {
-		words[pl.pin] = words[pl.pin]&^pl.care | pl.force
+	for _, pf := range pins {
+		words[pf.pin] = pf.word
 	}
-	return EvalWords(t, words)
+	return evalWords(t, words)
 }

@@ -131,10 +131,12 @@ func TestRunWithFaultsInputStem(t *testing.T) {
 	}
 }
 
+// TestRunLaneForcedMatchesPerMachineRunWithFaults is the chip-parallel
+// transpose identity at one word, the width the compacting lot engine
+// settles at: lane l of one WideSim.RunLaneForced walk must equal bit p
+// of a separate RunWithFaults pass over that lane's fault set, with
+// lane 0 computing the good machine.
 func TestRunLaneForcedMatchesPerMachineRunWithFaults(t *testing.T) {
-	// Lane l of one RunLaneForced walk must equal bit p of a separate
-	// RunWithFaults pass over that lane's fault set — the chip-parallel
-	// transpose identity the tester's lot engine is built on.
 	c, err := netlist.RandomCircuit("r", 9, 90, 7, 23)
 	if err != nil {
 		t.Fatal(err)
@@ -143,35 +145,29 @@ func TestRunLaneForcedMatchesPerMachineRunWithFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(4))
-	patterns := make([]Pattern, 17)
-	for i := range patterns {
-		p := make(Pattern, len(c.Inputs))
-		for j := range p {
-			p[j] = rng.Intn(2) == 1
-		}
-		patterns[i] = p
+	f, err := NewFlat(c)
+	if err != nil {
+		t.Fatal(err)
 	}
-	block, err := PackPatterns(patterns)
+	ws, err := NewWideSim(f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lf, err := NewWideLaneForces(f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	block, err := PackPatterns(randomPatterns(c, 17, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// 12 machines in lanes 1..12, each with 1..5 random faults; lane 0
 	// stays good.
-	machines := make([][]Injection, 12)
-	lf := NewLaneForces(c)
+	machines := randomMachines(c, 12, rng)
 	for m := range machines {
-		k := 1 + rng.Intn(5)
-		for j := 0; j < k; j++ {
-			gate := rng.Intn(len(c.Gates))
-			pin := -1
-			if n := len(c.Gates[gate].Fanin); n > 0 && rng.Intn(2) == 1 {
-				pin = rng.Intn(n)
-			}
-			machines[m] = append(machines[m], Injection{Gate: gate, Pin: pin, Stuck: rng.Intn(2) == 1})
-		}
-		for _, f := range machines[m] {
-			if err := lf.Add(f, 1<<uint(m+1)); err != nil {
+		for _, inj := range machines[m] {
+			if err := lf.Add(inj, m+1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -180,7 +176,7 @@ func TestRunLaneForcedMatchesPerMachineRunWithFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goodCopy := append([]uint64(nil), good...)
+	good = append([]uint64(nil), good...)
 	want := make([][]uint64, len(machines))
 	for m := range machines {
 		out, err := sim.RunWithFaults(block, machines[m])
@@ -191,14 +187,14 @@ func TestRunLaneForcedMatchesPerMachineRunWithFaults(t *testing.T) {
 	}
 	var out []uint64
 	for p := 0; p < block.Count; p++ {
-		out, err = sim.RunLaneForced(block, p, lf, out)
+		out, err = ws.RunLaneForced(block, p, lf, out)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for o := range out {
-			if got := out[o] & 1; got != goodCopy[o]>>uint(p)&1 {
+			if got := out[o] & 1; got != good[o]>>uint(p)&1 {
 				t.Fatalf("pattern %d output %d: lane 0 bit %d, good machine bit %d",
-					p, o, got, goodCopy[o]>>uint(p)&1)
+					p, o, got, good[o]>>uint(p)&1)
 			}
 			for m := range machines {
 				got := out[o] >> uint(m+1) & 1
@@ -211,10 +207,10 @@ func TestRunLaneForcedMatchesPerMachineRunWithFaults(t *testing.T) {
 	}
 }
 
+// TestLaneForcesLastValueWins pins the oracle's forcing table: adding
+// both polarities of one site keeps the last, the order-dependent
+// overwrite a chip's fault list gets, on stems and on input pins.
 func TestLaneForcesLastValueWins(t *testing.T) {
-	// Adding both polarities of one site to the same lane keeps the
-	// last — the same order-dependent overwrite RunWithFaults applies to
-	// a chip's fault list.
 	c := netlist.C17()
 	sim, err := NewSimulator(c)
 	if err != nil {
@@ -222,40 +218,50 @@ func TestLaneForcesLastValueWins(t *testing.T) {
 	}
 	g22, _ := c.GateByName("22")
 	block, _ := PackPatterns([]Pattern{make(Pattern, 5)})
-	lf := NewLaneForces(c)
-	if err := lf.Add(Injection{Gate: g22, Pin: -1, Stuck: false}, 1<<1); err != nil {
-		t.Fatal(err)
-	}
-	if err := lf.Add(Injection{Gate: g22, Pin: -1, Stuck: true}, 1<<1); err != nil {
-		t.Fatal(err)
-	}
-	out, err := sim.RunLaneForced(block, 0, lf, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0]>>1&1 != 1 {
-		t.Error("second add (stuck-at-1) should win the lane")
-	}
-	// And the multi-fault path agrees on the same double-injection.
-	multi, err := sim.RunWithFaults(block, []Injection{
-		{Gate: g22, Pin: -1, Stuck: false},
-		{Gate: g22, Pin: -1, Stuck: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if multi[0]&1 != 1 {
-		t.Error("RunWithFaults should keep the last polarity too")
+	for _, last := range []bool{false, true} {
+		out, err := sim.RunWithFaults(block, []Injection{
+			{Gate: g22, Pin: -1, Stuck: !last},
+			{Gate: g22, Pin: -1, Stuck: last},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out[0]&1 == 1; got != last {
+			t.Errorf("stem: output 22 reads %v, want the last polarity %v", got, last)
+		}
+		// Both fanins of NAND 22 are 1 on the all-zero pattern, so
+		// output 22 reads the complement of the last value on pin 0.
+		out, err = sim.RunWithFaults(block, []Injection{
+			{Gate: g22, Pin: 0, Stuck: last},
+			{Gate: g22, Pin: 0, Stuck: !last},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out[0]&1 == 1; got != last {
+			t.Errorf("pin: output 22 reads %v, want %v", got, last)
+		}
 	}
 }
 
+// TestRunLaneForcedErrors pins the lane walk's validation: bad sites
+// and pins are rejected at Add, a pattern outside the block, a forcing
+// table built for another circuit, and a block of the wrong width at
+// the walk.
 func TestRunLaneForcedErrors(t *testing.T) {
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	f, err := NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf := NewLaneForces(c)
+	ws, err := NewWideSim(f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lf, err := NewWideLaneForces(f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := lf.Add(Injection{Gate: 999, Pin: -1}, 1); err == nil {
 		t.Error("bad gate should error")
 	}
@@ -263,16 +269,23 @@ func TestRunLaneForcedErrors(t *testing.T) {
 		t.Error("bad pin should error")
 	}
 	block, _ := PackPatterns([]Pattern{make(Pattern, 5)})
-	if _, err := sim.RunLaneForced(block, 5, lf, nil); err == nil {
+	if _, err := ws.RunLaneForced(block, 5, lf, nil); err == nil {
 		t.Error("pattern outside block should error")
 	}
 	other, _ := netlist.RippleAdder(2)
-	otherLf := NewLaneForces(other)
-	if _, err := sim.RunLaneForced(block, 0, otherLf, nil); err == nil {
+	of, err := NewFlat(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherLf, err := NewWideLaneForces(of, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ws.RunLaneForced(block, 0, otherLf, nil); err == nil {
 		t.Error("foreign forcing table should error")
 	}
 	short := PatternBlock{Inputs: []uint64{0}, Count: 1}
-	if _, err := sim.RunLaneForced(short, 0, lf, nil); err == nil {
+	if _, err := ws.RunLaneForced(short, 0, lf, nil); err == nil {
 		t.Error("wrong width should error")
 	}
 }

@@ -167,104 +167,3 @@ func TestTernaryWidthError(t *testing.T) {
 		t.Error("wrong width should error")
 	}
 }
-
-func TestEventSimMatchesLevelized(t *testing.T) {
-	c, err := netlist.RandomCircuit("r", 10, 300, 10, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	esim, err := NewEventSim(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bsim, err := NewSimulator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := uint32(5)
-	prev := make(Pattern, len(c.Inputs))
-	for trial := 0; trial < 50; trial++ {
-		p := make(Pattern, len(c.Inputs))
-		copy(p, prev)
-		// Flip a few bits to exercise the event path.
-		for k := 0; k < 3; k++ {
-			s = s*1664525 + 1013904223
-			p[int(s>>8)%len(p)] = s>>20&1 == 1
-		}
-		got, err := esim.Run(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := bsim.RunSingle(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d output %d: event %v levelized %v", trial, i, got[i], want[i])
-			}
-		}
-		prev = p
-	}
-}
-
-func TestEventSimActivitySavings(t *testing.T) {
-	// Flipping one input must evaluate far fewer gates than the full
-	// circuit on average.
-	c, err := netlist.ArrayMultiplier(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	esim, err := NewEventSim(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := make(Pattern, len(c.Inputs))
-	if _, err := esim.Run(p); err != nil {
-		t.Fatal(err)
-	}
-	full := esim.Evals
-	// Single-bit change.
-	p2 := make(Pattern, len(p))
-	copy(p2, p)
-	p2[0] = true
-	if _, err := esim.Run(p2); err != nil {
-		t.Fatal(err)
-	}
-	delta := esim.Evals - full
-	if delta >= full {
-		t.Errorf("event sim evaluated %d gates for a 1-bit change (full = %d)", delta, full)
-	}
-}
-
-func TestEventSimWidthError(t *testing.T) {
-	esim, err := NewEventSim(netlist.C17())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := esim.Run(Pattern{true}); err == nil {
-		t.Error("wrong width should error")
-	}
-}
-
-func BenchmarkEventSimOneBitFlips(b *testing.B) {
-	c, err := netlist.ArrayMultiplier(12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	esim, err := NewEventSim(c)
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := make(Pattern, len(c.Inputs))
-	if _, err := esim.Run(p); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p[i%len(p)] = !p[i%len(p)]
-		if _, err := esim.Run(p); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -120,15 +120,16 @@ func (b WidePatternBlock) validate(nIn int) error {
 	return nil
 }
 
-// WideLaneForces is the N-word generalization of LaneForces, indexed by
-// *slot* so it pairs with the flat walk: each forced slot carries a
+// WideLaneForces is a multi-fault forcing table over the 64*N lanes of
+// an N-word lane block, indexed by *slot* so it pairs with the flat
+// walk: each lane carries one machine, and each forced slot carries a
 // care mask (which lanes are forced there) and force bits (their stuck
 // values), applied as v = (v &^ care) | force word by word. Stem forces
 // overwrite a slot's output block; pin forces overwrite one fanin block
 // during that slot's evaluation only. Adding the same site twice on an
-// overlapping lane keeps the last value, and Reset is O(1) via an epoch
-// bump — the same contracts as LaneForces. Not safe for concurrent
-// use.
+// overlapping lane keeps the last value, as the oracle's RunWithFaults
+// does for a chip's ordered fault list, and Reset is O(1) via an epoch
+// bump. Not safe for concurrent use.
 type WideLaneForces struct {
 	f     *Flat
 	words int
@@ -356,8 +357,9 @@ func (s *WideSim) RunInto(block WidePatternBlock, out []uint64) ([]uint64, error
 // applies its lane masks. Lanes carrying no fault — lane 0 by engine
 // convention — compute the good circuit. Output lane blocks are
 // appended stride-packed to out (reused when capacity allows) in
-// primary-output order: the wide counterpart of
-// Simulator.RunLaneForced.
+// primary-output order. This is the chipparallel256 lot engine's inner
+// loop: one walk per pattern evaluates the good machine plus up to
+// 64*Words-1 defective chips.
 //
 //repolint:hotpath
 func (s *WideSim) RunLaneForced(block PatternBlock, p int, lf *WideLaneForces, out []uint64) ([]uint64, error) {
@@ -438,10 +440,15 @@ func (s *WideSim) appendOutputs(out []uint64) []uint64 {
 	return out
 }
 
-// errForcesShape builds RunLaneForced's shape-mismatch error outside
-// the annotated hot function, keeping fmt off the hot path.
+// errForcesShape and errPatternRange build RunLaneForced's validation
+// errors outside the annotated hot function, keeping fmt off the hot
+// path.
 func errForcesShape(words int) error {
 	return fmt.Errorf("logicsim: forcing table shape (%d words) does not match simulator", words)
+}
+
+func errPatternRange(p, count int) error {
+	return fmt.Errorf("logicsim: pattern %d outside block of %d", p, count)
 }
 
 // walkForced is the wide hot loop: one linear pass over the logic

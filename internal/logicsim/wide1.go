@@ -1,7 +1,7 @@
 package logicsim
 
 // The 1-word (64-lane) specialization of the wide walk. This is the
-// width the chip-parallel engines' dead-lane compaction collapses to
+// width the chipparallel256 engine's dead-lane compaction collapses to
 // once a batch's survivors fit in 64 lanes — on shallow circuits that
 // is most of every batch's lifetime — so the walk must not pay the
 // generic stride loop's per-word branch for a single word. The kernels

@@ -80,7 +80,7 @@ func (s *WideSim) evalSlot4(slot int, dst *[4]uint64) {
 }
 
 // evalStaged4 evaluates a pin-forced slot at words == 4. In a dense
-// chip-parallel batch most of the circuit carries forces, so this runs
+// chipparallel256 batch most of the circuit carries forces, so this runs
 // for a large fraction of gates per walk: the ubiquitous 1- and 2-input
 // shapes are evaluated inline on local copies with no staging pass, and
 // only wider gates pay the generic staged path.

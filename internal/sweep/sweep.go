@@ -85,7 +85,7 @@ type Config struct {
 	// fingerprint and from JSON output.
 	PreparedDir string `json:"-"`
 	// LotEngine selects the ATE's lot-testing engine for every
-	// replicate (chip-parallel by default, tester.Serial as the
+	// replicate (the zero value is chipparallel256, tester.Serial the
 	// opt-out oracle); the aggregates are bit-identical either way.
 	LotEngine tester.LotEngine
 }

@@ -86,7 +86,7 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 func TestSweepDeterministicAcrossLotEngines(t *testing.T) {
 	// The lot engine is a speed knob, never a results knob: the CSV must
 	// be byte-identical across every (lot engine, worker count) pair —
-	// the chip-parallel engine against the serial oracle, under both
+	// the chipparallel256 engine against the serial oracle, under both
 	// serial and concurrent scheduling.
 	var csvs []string
 	var labels []string

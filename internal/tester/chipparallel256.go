@@ -9,25 +9,49 @@ import (
 	"repro/internal/logicsim"
 )
 
-// The chipparallel256 lot engine is the chip-parallel engine widened
-// onto the flat struct-of-arrays core: the good machine (lane 0) plus
-// up to 255 defective chips ride the bit-lanes of a multi-word lane
-// block, and one flat walk per pattern (logicsim.WideSim.RunLaneForced)
-// evaluates the whole batch. Scheduling is identical to chip-parallel —
-// growing pattern chunks with cross-batch survivor re-packing, ordered
-// by lowest fault-universe index, and force-table pruning once three
-// quarters of a batch's lanes have died — with one addition: dead-lane
-// *compaction*. A batch starts at the narrowest width that holds its
-// lanes and, whenever the survivors fit in at most half the current
-// words, re-packs them into the low lanes of a narrower block and
-// continues at that width. Shallow circuits kill most of a batch in the
-// first few patterns, so without compaction the walk drags mostly-empty
-// words for the batch's whole life — the documented cmp16 regression
-// against the 1-word chip-parallel engine. With it the steady state
-// collapses to the 1-word scalar kernel (logicsim wide1.go) while the
-// opening patterns still retire 255 chips per walk. First-fail
-// extraction is exact at both granularities, bit-identical to the
-// serial oracle.
+// The chipparallel256 lot engine transposes the ATE's word layout:
+// where the serial oracle packs 64 patterns into a word and walks the
+// circuit once per (chip, block), chipparallel256 packs the good
+// machine (lane 0) plus up to 255 defective chips into the bit-lanes of
+// a multi-word lane block and walks the flat circuit once per pattern
+// for the whole batch (logicsim.WideSim.RunLaneForced). Each chip's
+// faults are forced onto its lane through a shared
+// logicsim.WideLaneForces table — v = (v &^ care) | force per fault
+// site.
+//
+// First-fail extraction is exact at either granularity: at pattern p
+// the lane block of each primary output is diffed against the
+// broadcast of lane 0 (the good machine computed in the same walk),
+// outputs in strobe order, so the first differing (pattern, output)
+// pair per lane is the same strobe the serial oracle reports. A lane is
+// dropped the moment its chip fails.
+//
+// Scheduling is what makes the lanes earn their keep:
+//
+//   - Patterns are processed in growing chunks (8, 16, 32, then 64), and
+//     after each chunk the survivors of *all* batches are re-packed into
+//     fresh full batches for the next chunk. Most defective chips fail
+//     within the first few patterns, so without re-packing a batch
+//     would idle its dead lanes while its slowest chip (or an escape)
+//     walks the rest of the program.
+//   - Within a round, surviving chips are ordered by their lowest
+//     fault-universe index: chips with overlapping fault sites fail at
+//     correlated times, so neighbours tend to die in the same chunk and
+//     lanes stay packed.
+//   - Once three quarters of a batch's lanes have died, its force table
+//     is rebuilt over the survivors, so the walk cost tracks the
+//     survivor count.
+//   - Dead-lane *compaction*: a batch starts at the narrowest width that
+//     holds its lanes (a small lot runs at one word from the start) and,
+//     whenever the survivors fit in at most half the current words,
+//     re-packs them into the low lanes of a narrower block and continues
+//     at that width. Shallow circuits kill most of a batch in the first
+//     few patterns, so the steady state collapses to the 1-word scalar
+//     kernel (logicsim wide1.go) while the opening patterns still retire
+//     255 chips per walk.
+//
+// The ordering affects only scheduling, never results: first fails are
+// bit-identical to the serial oracle.
 
 const (
 	// pp256Words is the lane-block width a batch *starts* at (before
@@ -36,7 +60,53 @@ const (
 	// pp256Lanes is the number of chip lanes per batch (lane 0 is the
 	// good machine).
 	pp256Lanes = 64*pp256Words - 1
+	// ppChunkStart/ppChunkMax bound the growing pattern-chunk schedule:
+	// small early chunks keep dead-lane waste low while the lot is
+	// failing fast, and the cap keeps late rounds from re-packing
+	// needlessly once only stragglers remain.
+	ppChunkStart = 8
+	ppChunkMax   = 64
 )
+
+// ppItem is one defective chip awaiting testing: its lot index and its
+// batching key (lowest fault-universe index).
+type ppItem struct {
+	chip, key int
+}
+
+// ppSort is the reusable scratch of sortWork.
+type ppSort struct {
+	count []int32
+	tmp   []ppItem
+}
+
+// sortWork orders the lot's defective chips by batching key, chip index
+// breaking ties — the deterministic schedule. Keys are fault-universe
+// indexes, so instead of a comparison sort this is one stable counting
+// pass over nKeys buckets: count the keys, prefix-sum the counts into
+// bucket offsets, and place the items in their incoming (chip) order.
+// On shallow circuits chips die within the first few patterns and
+// scheduling overhead competes with simulation itself — a comparison
+// sort here was a fifth of lot wall time.
+func (ps *ppSort) sortWork(work []ppItem, nKeys int) {
+	if cap(ps.count) < nKeys+1 {
+		ps.count = make([]int32, nKeys+1)
+	}
+	count := ps.count[:nKeys+1]
+	clear(count)
+	for _, it := range work {
+		count[it.key]++
+	}
+	var sum int32
+	for k := range count {
+		sum, count[k] = sum+count[k], sum
+	}
+	ps.tmp = append(ps.tmp[:0], work...)
+	for _, it := range ps.tmp {
+		work[count[it.key]] = it
+		count[it.key]++
+	}
+}
 
 // ErrBatchLanes marks a chip batch whose lanes do not fit the
 // lane-block width the engine is about to walk — the guard that keeps a
@@ -88,11 +158,7 @@ func (st *chipParallel256State) at(words int) (*logicsim.WideSim, *logicsim.Wide
 // bit-identical to serialFirstFail.
 func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injection, steps bool) ([]int, error) {
 	if a.pp256 == nil {
-		flat, err := logicsim.FlatFor(a.c)
-		if err != nil {
-			return nil, err
-		}
-		a.pp256 = &chipParallel256State{flat: flat}
+		a.pp256 = &chipParallel256State{flat: a.flat}
 	}
 	st := a.pp256
 	// Resolve the universe to slot space once, then flatten each chip's

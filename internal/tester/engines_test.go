@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -24,8 +25,25 @@ func TestParseLotEngine(t *testing.T) {
 			t.Errorf("%v not Known", e)
 		}
 	}
-	if _, err := ParseLotEngine("warp"); err == nil {
-		t.Error("unknown name should error")
+	if got := LotEngines(); !reflect.DeepEqual(got, []LotEngine{ChipParallel256, Serial}) {
+		t.Errorf("registered lot engines %v", got)
+	}
+	var zero LotEngine
+	if zero != ChipParallel256 {
+		t.Errorf("zero-value lot engine is %v, want chipparallel256", zero)
+	}
+	// Unknown and retired names fail fast, naming what is registered.
+	for _, name := range []string{"warp", "chip-parallel", ""} {
+		_, err := ParseLotEngine(name)
+		if err == nil {
+			t.Errorf("ParseLotEngine(%q) accepted", name)
+			continue
+		}
+		for _, e := range LotEngines() {
+			if !strings.Contains(err.Error(), e.String()) {
+				t.Errorf("ParseLotEngine(%q) error %q does not name %q", name, err, e)
+			}
+		}
 	}
 	if LotEngine(99).Known() {
 		t.Error("bogus engine Known")
@@ -58,8 +76,8 @@ func TestLotEngineEquivalenceProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		patterns := atpg.Take(src, 48+rng.Intn(100))
-		// Low yield and large-ish lots force multiple 63-lane batches
-		// and several re-pack rounds through the chunk schedule.
+		// Low yield and large-ish lots force several re-pack rounds
+		// through the chunk schedule.
 		y := 0.05 + rng.Float64()*0.5
 		n0 := 1 + rng.Float64()*7
 		chips := 150 + rng.Intn(250)
@@ -237,12 +255,9 @@ func TestConcurrentATEsShareCircuit(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e := ChipParallel
-			switch w % 3 {
-			case 1:
+			e := ChipParallel256
+			if w%2 == 1 {
 				e = Serial
-			case 2:
-				e = ChipParallel256
 			}
 			a, err := NewEngine(c, patterns, e)
 			if err != nil {

@@ -6,14 +6,12 @@
 // cumulative-coverage ramp, give the fallout curve from which n0 is
 // estimated.
 //
-// Three lot engines share one result contract (identical FirstFail, bit
-// for bit): Serial tests one chip at a time — the oracle —
-// ChipParallel, the default, packs the good machine plus up to 63
-// defective chips into the 64 bit-lanes of one word and evaluates them
-// in a single circuit walk per pattern (see chipparallel.go), and
-// ChipParallel256 widens that layout to 4-word lane blocks (255 chips
-// per walk) over the flat struct-of-arrays core (see
-// chipparallel256.go).
+// Two lot engines share one result contract (identical FirstFail, bit
+// for bit): ChipParallel256, the default, packs the good machine plus
+// up to 255 defective chips into the lanes of a multi-word lane block
+// and evaluates them in a single flat circuit walk per pattern (see
+// chipparallel256.go), and Serial tests one chip at a time on the
+// pointer-walking logicsim.Simulator — the oracle.
 package tester
 
 import (
@@ -21,6 +19,7 @@ import (
 	"math"
 	"math/bits"
 	"sort"
+	"strings"
 
 	"repro/internal/defect"
 	"repro/internal/fault"
@@ -36,20 +35,18 @@ const NeverFails = -1
 // produce bit-identical results; they differ only in speed.
 type LotEngine int
 
-// Available lot engines. ChipParallel is the zero value on purpose: an
-// unconfigured engine field selects the fast path, and Serial stays
+// Available lot engines. ChipParallel256 is the zero value on purpose:
+// an unconfigured engine field selects the fast path, and Serial stays
 // around as the per-chip oracle the equivalence tests pin it to.
 const (
-	ChipParallel LotEngine = iota
+	ChipParallel256 LotEngine = iota
 	Serial
-	ChipParallel256
 )
 
 // lotEngineNames maps each engine to its CLI-stable name.
 var lotEngineNames = map[LotEngine]string{
-	ChipParallel:    "chip-parallel",
-	Serial:          "serial",
 	ChipParallel256: "chipparallel256",
+	Serial:          "serial",
 }
 
 // String names the lot engine.
@@ -75,7 +72,11 @@ func ParseLotEngine(name string) (LotEngine, error) {
 			return e, nil
 		}
 	}
-	return 0, fmt.Errorf("tester: unknown lot engine %q", name)
+	names := make([]string, 0, len(lotEngineNames))
+	for _, e := range LotEngines() {
+		names = append(names, lotEngineNames[e])
+	}
+	return 0, fmt.Errorf("tester: unknown lot engine %q (registered: %s)", name, strings.Join(names, ", "))
 }
 
 // LotEngines lists every registered lot engine in a stable order.
@@ -93,9 +94,14 @@ type ATE struct {
 	c        *netlist.Circuit
 	patterns []logicsim.Pattern
 	blocks   []logicsim.PatternBlock
-	good     [][]uint64 // good-machine outputs per block
-	sim      *logicsim.Simulator
+	flat     *logicsim.Flat // the circuit's cached flat form
 	engine   LotEngine
+
+	// The Serial oracle's pointer-walking simulator and its good-machine
+	// outputs per block, built on first use (see oracle): the default
+	// engine never reads them.
+	sim  *logicsim.Simulator
+	good [][]uint64
 
 	// Universe→Injection conversion cache: campaigns share one fault
 	// universe across thousands of lots, so the conversion is keyed by
@@ -104,15 +110,14 @@ type ATE struct {
 	univLen int
 	univInj []logicsim.Injection
 
-	pp    *chipParallelState    // lazily built chip-parallel scratch
 	pp256 *chipParallel256State // lazily built chipparallel256 scratch
 	tcOut []uint64              // TestChip/TestChipSteps output scratch
 }
 
-// New builds an ATE with the default (chip-parallel) lot engine,
-// pre-simulating the good machine once.
+// New builds an ATE with the default (chipparallel256) lot engine,
+// packing the pattern set into 64-pattern blocks once.
 func New(c *netlist.Circuit, patterns []logicsim.Pattern) (*ATE, error) {
-	return NewEngine(c, patterns, ChipParallel)
+	return NewEngine(c, patterns, ChipParallel256)
 }
 
 // NewEngine is New with an explicit lot engine.
@@ -123,11 +128,13 @@ func NewEngine(c *netlist.Circuit, patterns []logicsim.Pattern, engine LotEngine
 	if !engine.Known() {
 		return nil, fmt.Errorf("tester: unknown lot engine %v", engine)
 	}
-	sim, err := logicsim.NewSimulator(c)
+	// Compiling (or fetching the cached) flat form rejects a malformed
+	// netlist at construction, whichever engine runs.
+	flat, err := logicsim.FlatFor(c)
 	if err != nil {
 		return nil, err
 	}
-	a := &ATE{c: c, patterns: patterns, sim: sim, engine: engine}
+	a := &ATE{c: c, patterns: patterns, flat: flat, engine: engine}
 	for base := 0; base < len(patterns); base += 64 {
 		end := base + 64
 		if end > len(patterns) {
@@ -137,14 +144,31 @@ func NewEngine(c *netlist.Circuit, patterns []logicsim.Pattern, engine LotEngine
 		if err != nil {
 			return nil, err
 		}
-		good, err := sim.Run(block)
+		a.blocks = append(a.blocks, block)
+	}
+	return a, nil
+}
+
+// oracle returns the Serial path's pointer-walking simulator, building
+// it and pre-simulating the good machine of every block on first use.
+func (a *ATE) oracle() (*logicsim.Simulator, error) {
+	if a.sim != nil {
+		return a.sim, nil
+	}
+	sim, err := logicsim.NewSimulator(a.c)
+	if err != nil {
+		return nil, err
+	}
+	good := make([][]uint64, len(a.blocks))
+	for bi, block := range a.blocks {
+		out, err := sim.Run(block)
 		if err != nil {
 			return nil, err
 		}
-		a.blocks = append(a.blocks, block)
-		a.good = append(a.good, append([]uint64(nil), good...))
+		good[bi] = append([]uint64(nil), out...)
 	}
-	return a, nil
+	a.sim, a.good = sim, good
+	return sim, nil
 }
 
 // Engine returns the lot engine TestLot/TestLotSteps dispatch to.
@@ -168,8 +192,12 @@ func (a *ATE) TestChip(chip defect.Chip, universe []logicsim.Injection) (int, er
 	if err != nil {
 		return 0, err
 	}
+	sim, err := a.oracle()
+	if err != nil {
+		return 0, err
+	}
 	for bi, block := range a.blocks {
-		bad, err := a.sim.RunWithFaultsInto(block, inj, a.tcOut)
+		bad, err := sim.RunWithFaultsInto(block, inj, a.tcOut)
 		if err != nil {
 			return 0, err
 		}
@@ -197,9 +225,13 @@ func (a *ATE) TestChipSteps(chip defect.Chip, universe []logicsim.Injection) (in
 	if err != nil {
 		return 0, err
 	}
+	sim, err := a.oracle()
+	if err != nil {
+		return 0, err
+	}
 	nOut := len(a.c.Outputs)
 	for bi, block := range a.blocks {
-		bad, err := a.sim.RunWithFaultsInto(block, inj, a.tcOut)
+		bad, err := sim.RunWithFaultsInto(block, inj, a.tcOut)
 		if err != nil {
 			return 0, err
 		}
@@ -293,8 +325,6 @@ func (a *ATE) testLot(lot defect.Lot, steps bool) (LotResult, error) {
 	switch a.engine {
 	case Serial:
 		ff, err = a.serialFirstFail(lot, universe, steps)
-	case ChipParallel:
-		ff, err = a.chipParallelFirstFail(lot, universe, steps)
 	case ChipParallel256:
 		ff, err = a.chipParallel256FirstFail(lot, universe, steps)
 	default:
