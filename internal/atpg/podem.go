@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fault"
 	"repro/internal/logicsim"
@@ -38,32 +39,122 @@ func (s Status) String() string {
 }
 
 // Podem is a deterministic single-stuck-at test generator implementing
-// the PODEM algorithm: branch-and-bound over primary-input assignments
-// with a pair (good, faulty) three-valued simulation for implication.
+// the PODEM algorithm (Goel, IEEE TC 1981): branch-and-bound over
+// primary-input assignments with a paired (good, faulty) three-valued
+// simulation for implication.
+//
+// Implication runs on the circuit's flat form (logicsim.Flat): both
+// ternary planes are slot-indexed arrays and fanin/fanout are CSR
+// ranges. Each Generate evaluates the whole circuit once, with the
+// fault injected; after that every decision, flip or pop re-evaluates
+// only the fanout of the inputs it changed, through a level-ordered
+// event queue that stops wherever a slot's (good, faulty) pair holds.
+// The slots carrying the fault effect are tracked as values change, so
+// the per-iteration checks (detection, D-frontier, X-path) start from
+// them instead of scanning the circuit. A Podem is not safe for
+// concurrent use; its scratch is reused across calls, so a warmed
+// Generate allocates nothing but the pattern it returns.
 type Podem struct {
-	c     *netlist.Circuit
-	order []int
+	c    *netlist.Circuit
+	flat *logicsim.Flat
 	// BacktrackLimit bounds the search; 0 means the default (10000).
 	BacktrackLimit int
 
-	good []logicsim.Trit
-	bad  []logicsim.Trit
-	pi   []logicsim.Trit // current PI assignment
+	// Per-slot circuit facts, fixed at construction.
+	level []int32 // logic depth; primary inputs are level 0
+	isOut []bool  // the slot drives a primary output
+
+	// Ternary planes, slot-indexed; good[:NumInputs] is the current
+	// primary-input assignment.
+	good, bad []logicsim.Trit
+	stack     []decision
+
+	// The target fault in slot space: site, pin (< 0 for a stem fault),
+	// stuck value, and line, the slot whose good value activates it.
+	site, pin, line int32
+	stuck           logicsim.Trit
+
+	// The site's output cone, the only place an effect can exist:
+	// inCone[slot] == epoch marks a member.
+	inCone []uint32
+	epoch  uint32
+
+	// effect lists the slots whose two copies are binary and differ, in
+	// no particular order; effAt[slot] is the slot's position in it, or
+	// -1. frontier is the D-frontier in ascending gate-ID order.
+	effect   []int32
+	effAt    []int32
+	frontier []int32
+
+	// Level-ordered event queue: bucket l holds queued slots of level l
+	// in events[bucketAt[l] : bucketAt[l]+bucketLen[l]], sized so every
+	// slot of the level fits; lo..hi bound the non-empty levels. dirty
+	// lists the inputs assigned since the last propagate.
+	events    []int32
+	bucketAt  []int32
+	bucketLen []int32
+	queued    []bool
+	lo, hi    int
+	dirty     []int32
+
+	// Search scratch: seen[slot] == seenEpoch marks a slot dFrontier or
+	// xPathExists already visited; walk is the traversal queue or stack
+	// of target and xPathExists.
+	seen      []uint32
+	seenEpoch uint32
+	walk      []int32
 }
 
 // NewPodem prepares a generator for the circuit.
 func NewPodem(c *netlist.Circuit) (*Podem, error) {
-	order, err := c.Order()
+	f, err := logicsim.FlatFor(c)
 	if err != nil {
 		return nil, err
 	}
-	return &Podem{
-		c:     c,
-		order: order,
-		good:  make([]logicsim.Trit, len(c.Gates)),
-		bad:   make([]logicsim.Trit, len(c.Gates)),
-		pi:    make([]logicsim.Trit, len(c.Inputs)),
-	}, nil
+	n := f.Slots()
+	p := &Podem{
+		c:        c,
+		flat:     f,
+		level:    make([]int32, n),
+		isOut:    make([]bool, n),
+		good:     make([]logicsim.Trit, n),
+		bad:      make([]logicsim.Trit, n),
+		stack:    make([]decision, 0, f.NumInputs()),
+		inCone:   make([]uint32, n),
+		effect:   make([]int32, 0, n),
+		effAt:    make([]int32, n),
+		frontier: make([]int32, 0, n),
+		events:   make([]int32, n),
+		queued:   make([]bool, n),
+		dirty:    make([]int32, 0, f.NumInputs()+1),
+		seen:     make([]uint32, n),
+		walk:     make([]int32, 0, n),
+	}
+	for i := range p.effAt {
+		p.effAt[i] = -1
+	}
+	maxLevel := int32(0)
+	for s := 0; s < n; s++ {
+		l, err := c.Level(f.GateAt(s))
+		if err != nil {
+			return nil, err
+		}
+		p.level[s] = int32(l)
+		maxLevel = max(maxLevel, p.level[s])
+	}
+	for oi := range c.Outputs {
+		p.isOut[f.OutputSlot(oi)] = true
+	}
+	p.bucketAt = make([]int32, maxLevel+2)
+	for s := 0; s < n; s++ {
+		p.bucketAt[p.level[s]+1]++
+	}
+	for l := int32(0); l <= maxLevel; l++ {
+		p.bucketAt[l+1] += p.bucketAt[l]
+	}
+	p.bucketLen = make([]int32, maxLevel+1)
+	p.lo, p.hi = len(p.bucketLen), -1
+	return p, nil
 }
 
 // stuckTrit converts a stuck value to a Trit.
@@ -72,132 +163,6 @@ func stuckTrit(stuck bool) logicsim.Trit {
 		return logicsim.T
 	}
 	return logicsim.F
-}
-
-// imply simulates both machines under the current PI assignment with
-// fault f injected in the faulty copy.
-func (p *Podem) imply(f fault.Fault) {
-	for i, id := range p.c.Inputs {
-		p.good[id] = p.pi[i]
-		p.bad[id] = p.pi[i]
-	}
-	var buf [8]logicsim.Trit
-	for _, id := range p.order {
-		g := &p.c.Gates[id]
-		if g.Type != netlist.Input {
-			in := buf[:0]
-			for _, fi := range g.Fanin {
-				in = append(in, p.good[fi])
-			}
-			p.good[id] = logicsim.EvalT(g.Type, in)
-			in = buf[:0]
-			for pin, fi := range g.Fanin {
-				v := p.bad[fi]
-				if f.Pin >= 0 && f.Gate == id && pin == f.Pin {
-					v = stuckTrit(f.Stuck)
-				}
-				in = append(in, v)
-			}
-			p.bad[id] = logicsim.EvalT(g.Type, in)
-		}
-		if f.Pin < 0 && f.Gate == id {
-			p.bad[id] = stuckTrit(f.Stuck)
-		}
-	}
-}
-
-// effectAt reports whether gate id carries a fault effect: both copies
-// binary and different.
-func (p *Podem) effectAt(id int) bool {
-	return p.good[id] != logicsim.X && p.bad[id] != logicsim.X && p.good[id] != p.bad[id]
-}
-
-// detected reports whether any primary output shows the effect.
-func (p *Podem) detected() bool {
-	for _, o := range p.c.Outputs {
-		if p.effectAt(o) {
-			return true
-		}
-	}
-	return false
-}
-
-// faultLine returns the gate whose value activates the fault: the gate
-// itself for a stem fault, the driver for a branch fault.
-func faultLine(c *netlist.Circuit, f fault.Fault) int {
-	if f.Pin < 0 {
-		return f.Gate
-	}
-	return c.Gates[f.Gate].Fanin[f.Pin]
-}
-
-// branchActivated reports whether a branch fault's effect is present at
-// its pin: the driving line is binary and differs from the stuck value.
-func (p *Podem) branchActivated(f fault.Fault) bool {
-	if f.Pin < 0 {
-		return false
-	}
-	drv := p.c.Gates[f.Gate].Fanin[f.Pin]
-	return p.good[drv] != logicsim.X && p.good[drv] != stuckTrit(f.Stuck)
-}
-
-// dFrontier returns gates with at least one fault-effect input and an
-// output still unknown in either copy. For a branch fault, the faulted
-// gate itself joins the frontier once the fault is activated, because
-// the effect lives on the pin, which is invisible to gate-level values.
-func (p *Podem) dFrontier(f fault.Fault) []int {
-	var out []int
-	for id := range p.c.Gates {
-		g := &p.c.Gates[id]
-		if g.Type == netlist.Input {
-			continue
-		}
-		if p.good[id] != logicsim.X && p.bad[id] != logicsim.X {
-			continue
-		}
-		if f.Gate == id && p.branchActivated(f) {
-			out = append(out, id)
-			continue
-		}
-		for _, fi := range g.Fanin {
-			if p.effectAt(fi) {
-				out = append(out, id)
-				break
-			}
-		}
-	}
-	return out
-}
-
-// xPathExists checks that some D-frontier gate reaches a primary output
-// through gates whose value is still unknown in either copy.
-func (p *Podem) xPathExists(frontier []int) bool {
-	if len(frontier) == 0 {
-		return false
-	}
-	isPO := make(map[int]bool, len(p.c.Outputs))
-	for _, o := range p.c.Outputs {
-		isPO[o] = true
-	}
-	seen := make([]bool, len(p.c.Gates))
-	stack := append([]int(nil), frontier...)
-	for len(stack) > 0 {
-		id := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[id] {
-			continue
-		}
-		seen[id] = true
-		if isPO[id] {
-			return true
-		}
-		for _, out := range p.c.Gates[id].Fanout {
-			if p.good[out] == logicsim.X || p.bad[out] == logicsim.X {
-				stack = append(stack, out)
-			}
-		}
-	}
-	return false
 }
 
 // controlling returns the controlling input value of a gate type and
@@ -223,67 +188,9 @@ func inverts(t netlist.GateType) bool {
 	}
 }
 
-// backtrace maps an objective (gate, value) to an unassigned primary
-// input and a value that tends to achieve the objective.
-func (p *Podem) backtrace(id int, v logicsim.Trit) (piIndex int, value logicsim.Trit, ok bool) {
-	for {
-		g := &p.c.Gates[id]
-		if g.Type == netlist.Input {
-			for i, pid := range p.c.Inputs {
-				if pid == id {
-					if p.pi[i] != logicsim.X {
-						return 0, logicsim.X, false // already assigned: dead objective
-					}
-					return i, v, true
-				}
-			}
-			return 0, logicsim.X, false
-		}
-		if inverts(g.Type) {
-			v = logicsim.NotT(v)
-		}
-		// Choose an X-valued fanin; prefer the first.
-		next := -1
-		for _, fi := range g.Fanin {
-			if p.good[fi] == logicsim.X {
-				next = fi
-				break
-			}
-		}
-		if next < 0 {
-			return 0, logicsim.X, false
-		}
-		id = next
-	}
-}
-
-// objective picks the next goal: activate the fault if not yet
-// activated, otherwise advance the D-frontier.
-func (p *Podem) objective(f fault.Fault) (id int, v logicsim.Trit, ok bool) {
-	line := faultLine(p.c, f)
-	if p.good[line] == logicsim.X {
-		return line, logicsim.NotT(stuckTrit(f.Stuck)), true
-	}
-	frontier := p.dFrontier(f)
-	for _, gid := range frontier {
-		g := &p.c.Gates[gid]
-		ctrl, has := controlling(g.Type)
-		want := logicsim.T
-		if has {
-			want = logicsim.NotT(ctrl)
-		}
-		for _, fi := range g.Fanin {
-			if p.good[fi] == logicsim.X {
-				return fi, want, true
-			}
-		}
-	}
-	return 0, logicsim.X, false
-}
-
 // decision is one node of the backtracking stack.
 type decision struct {
-	pi      int
+	pi      int32
 	value   logicsim.Trit
 	flipped bool
 }
@@ -291,89 +198,361 @@ type decision struct {
 // Generate attempts to produce a test pattern for fault f. Unassigned
 // inputs in a successful test are filled with 0 (deterministic), which
 // keeps full runs reproducible; callers wanting random fill can
-// post-process the returned assignment via FillX.
+// post-process the returned assignment via FillX. A fault naming no
+// gate or pin of the circuit is reported Untestable.
 func (p *Podem) Generate(f fault.Fault) (logicsim.Pattern, Status) {
-	if f.Gate < 0 || f.Gate >= len(p.c.Gates) {
+	if f.Gate < 0 || f.Gate >= len(p.c.Gates) || f.Pin < -1 || f.Pin >= len(p.c.Gates[f.Gate].Fanin) {
 		return nil, Untestable
 	}
 	limit := p.BacktrackLimit
 	if limit <= 0 {
 		limit = 10000
 	}
-	for i := range p.pi {
-		p.pi[i] = logicsim.X
-	}
-	var stack []decision
+	p.target(f)
+	p.stack = p.stack[:0]
 	backtracks := 0
 	for {
-		p.imply(f)
+		p.propagate()
 		if p.detected() {
 			return p.extractPattern(), Detected
 		}
-		line := faultLine(p.c, f)
-		failed := false
+		lineGood := p.good[p.line]
 		// Activation impossible?
-		if p.good[line] != logicsim.X && p.good[line] == stuckTrit(f.Stuck) {
-			failed = true
-		}
-		// Fault activated but effect vanished and no frontier to push.
-		if !failed && p.good[line] != logicsim.X {
-			frontier := p.dFrontier(f)
-			if !p.effectAnywhere() && !(p.branchActivated(f) && (p.good[f.Gate] == logicsim.X || p.bad[f.Gate] == logicsim.X)) {
+		failed := lineGood != logicsim.X && lineGood == p.stuck
+		if !failed && lineGood != logicsim.X {
+			// Fault activated but the effect vanished with nothing left on
+			// the branch pin to push, or no X-path from the frontier to an
+			// output.
+			effect := p.dFrontier()
+			siteOpen := p.good[p.site] == logicsim.X || p.bad[p.site] == logicsim.X
+			if !effect && !(p.branchActivated() && siteOpen) {
 				failed = true
-			} else if !p.xPathExists(frontier) && !p.detected() {
+			} else if !p.xPathExists() {
 				failed = true
 			}
 		}
 		if !failed {
-			id, v, ok := p.objective(f)
-			if ok {
-				if pi, val, ok2 := p.backtrace(id, v); ok2 {
-					stack = append(stack, decision{pi: pi, value: val})
-					p.pi[pi] = val
+			if id, v, ok := p.objective(); ok {
+				if pi, val, ok := p.backtrace(id, v); ok {
+					p.stack = append(p.stack, decision{pi: pi, value: val})
+					p.assign(pi, val)
 					continue
 				}
 			}
-			failed = true
 		}
 		// Backtrack.
 		for {
-			if len(stack) == 0 {
+			if len(p.stack) == 0 {
 				return nil, Untestable
 			}
-			top := &stack[len(stack)-1]
+			top := &p.stack[len(p.stack)-1]
 			if !top.flipped {
 				top.flipped = true
 				top.value = logicsim.NotT(top.value)
-				p.pi[top.pi] = top.value
+				p.assign(top.pi, top.value)
 				backtracks++
 				if backtracks > limit {
 					return nil, Aborted
 				}
 				break
 			}
-			p.pi[top.pi] = logicsim.X
-			stack = stack[:len(stack)-1]
+			p.assign(top.pi, logicsim.X)
+			p.stack = p.stack[:len(p.stack)-1]
 		}
 	}
 }
 
-// effectAnywhere reports whether any gate carries the fault effect.
-func (p *Podem) effectAnywhere() bool {
-	for id := range p.c.Gates {
-		if p.effectAt(id) {
+// target loads fault f: its slot coordinates, its output cone, and a
+// full evaluation of both planes with every input X and the fault
+// injected.
+func (p *Podem) target(f fault.Fault) {
+	fl := p.flat
+	p.site, p.pin, p.stuck = int32(fl.SlotOf(f.Gate)), int32(f.Pin), stuckTrit(f.Stuck)
+	p.line = p.site
+	if f.Pin >= 0 {
+		p.line = fl.FaninSlots(int(p.site))[f.Pin]
+	}
+	if p.epoch++; p.epoch == 0 {
+		clear(p.inCone)
+		p.epoch = 1
+	}
+	p.inCone[p.site] = p.epoch
+	queue := append(p.walk[:0], p.site)
+	for i := 0; i < len(queue); i++ {
+		for _, fo := range fl.FanoutSlots(int(queue[i])) {
+			if p.inCone[fo] != p.epoch {
+				p.inCone[fo] = p.epoch
+				queue = append(queue, fo)
+			}
+		}
+	}
+	p.walk = queue[:0]
+	for _, s := range p.effect {
+		p.effAt[s] = -1
+	}
+	p.effect = p.effect[:0]
+	numIn := fl.NumInputs()
+	for s := 0; s < numIn; s++ {
+		p.good[s], p.bad[s] = logicsim.X, logicsim.X
+	}
+	if p.site < int32(numIn) {
+		p.set(p.site, logicsim.X, p.stuck) // stem fault on a primary input
+	}
+	for s := numIn; s < len(p.good); s++ {
+		g, b := p.eval(int32(s))
+		p.set(int32(s), g, b)
+	}
+	p.dirty = p.dirty[:0]
+}
+
+// set stores slot s's (good, faulty) pair and keeps the effect list in
+// step.
+//
+//repolint:hotpath
+func (p *Podem) set(s int32, g, b logicsim.Trit) {
+	p.good[s], p.bad[s] = g, b
+	on := g != logicsim.X && b != logicsim.X && g != b
+	if on == (p.effAt[s] >= 0) {
+		return
+	}
+	if on {
+		p.effAt[s] = int32(len(p.effect))
+		p.effect = append(p.effect, s)
+		return
+	}
+	// Swap-remove.
+	i, last := p.effAt[s], p.effect[len(p.effect)-1]
+	p.effect[i], p.effAt[last] = last, i
+	p.effect = p.effect[:len(p.effect)-1]
+	p.effAt[s] = -1
+}
+
+// eval computes a logic slot's (good, faulty) pair from its fanins,
+// injecting the target fault at its site. Outside the site's cone the
+// faulty machine equals the good one.
+//
+//repolint:hotpath
+func (p *Podem) eval(s int32) (logicsim.Trit, logicsim.Trit) {
+	g := p.flat.EvalSlotT(p.good, int(s), -1, logicsim.X)
+	switch {
+	case p.inCone[s] != p.epoch:
+		return g, g
+	case s != p.site:
+		return g, p.flat.EvalSlotT(p.bad, int(s), -1, logicsim.X)
+	case p.pin < 0:
+		return g, p.stuck
+	default:
+		return g, p.flat.EvalSlotT(p.bad, int(s), int(p.pin), p.stuck)
+	}
+}
+
+// assign sets primary input pi to v in both planes (a stem fault on the
+// input keeps its stuck value in the faulty one) and marks it for the
+// next propagate.
+func (p *Podem) assign(pi int32, v logicsim.Trit) {
+	b := v
+	if pi == p.site && p.pin < 0 {
+		b = p.stuck
+	}
+	p.set(pi, v, b)
+	p.dirty = append(p.dirty, pi)
+}
+
+// propagate is the event-driven implication: it queues the fanout of
+// every input assigned since the last call and re-evaluates queued
+// slots level by level. A slot whose (good, faulty) pair changes queues
+// its own fanout, always at a higher level, so one ascending pass over
+// the levels reaches the same values a full evaluation would.
+//
+//repolint:hotpath
+func (p *Podem) propagate() {
+	fl := p.flat
+	for _, pi := range p.dirty {
+		for _, fo := range fl.FanoutSlots(int(pi)) {
+			p.push(fo)
+		}
+	}
+	p.dirty = p.dirty[:0]
+	for l := p.lo; l <= p.hi; l++ {
+		bucket := p.events[p.bucketAt[l] : p.bucketAt[l]+p.bucketLen[l]]
+		for _, s := range bucket {
+			p.queued[s] = false
+			g, b := p.eval(s)
+			if g == p.good[s] && b == p.bad[s] {
+				continue
+			}
+			p.set(s, g, b)
+			for _, fo := range fl.FanoutSlots(int(s)) {
+				p.push(fo)
+			}
+		}
+		p.bucketLen[l] = 0
+	}
+	p.lo, p.hi = len(p.bucketLen), -1
+}
+
+// push queues slot s for re-evaluation, once.
+//
+//repolint:hotpath
+func (p *Podem) push(s int32) {
+	if p.queued[s] {
+		return
+	}
+	p.queued[s] = true
+	l := int(p.level[s])
+	p.events[p.bucketAt[l]+p.bucketLen[l]] = s
+	p.bucketLen[l]++
+	p.lo, p.hi = min(p.lo, l), max(p.hi, l)
+}
+
+// detected reports whether any primary output shows the effect.
+func (p *Podem) detected() bool {
+	for _, s := range p.effect {
+		if p.isOut[s] {
 			return true
 		}
 	}
 	return false
 }
 
-// extractPattern converts the PI assignment to a concrete pattern,
+// branchActivated reports whether a branch fault's effect is present at
+// its pin: the driving line is binary and differs from the stuck value.
+func (p *Podem) branchActivated() bool {
+	if p.pin < 0 {
+		return false
+	}
+	v := p.good[p.line]
+	return v != logicsim.X && v != p.stuck
+}
+
+// dFrontier fills p.frontier with the D-frontier in ascending gate-ID
+// order — the gates with a fault-effect input whose output is still
+// unknown in either copy, gathered from the fanout of the effect slots
+// — and reports whether any slot carries the effect. For a branch
+// fault, the faulted gate itself joins the frontier once the fault is
+// activated, because the effect lives on the pin, which is invisible to
+// slot values.
+func (p *Podem) dFrontier() (effect bool) {
+	fl := p.flat
+	p.nextSeen()
+	open := func(s int32) bool { return p.good[s] == logicsim.X || p.bad[s] == logicsim.X }
+	fr := p.frontier[:0]
+	if p.branchActivated() && open(p.site) {
+		p.seen[p.site] = p.seenEpoch
+		fr = append(fr, int32(fl.GateAt(int(p.site))))
+	}
+	for _, e := range p.effect {
+		for _, fo := range fl.FanoutSlots(int(e)) {
+			if p.seen[fo] != p.seenEpoch && open(fo) {
+				p.seen[fo] = p.seenEpoch
+				fr = append(fr, int32(fl.GateAt(int(fo))))
+			}
+		}
+	}
+	slices.Sort(fr)
+	for i, g := range fr {
+		fr[i] = int32(fl.SlotOf(int(g)))
+	}
+	p.frontier = fr
+	return len(p.effect) > 0
+}
+
+// nextSeen starts a new search over the seen stamps.
+func (p *Podem) nextSeen() {
+	if p.seenEpoch++; p.seenEpoch == 0 {
+		clear(p.seen)
+		p.seenEpoch = 1
+	}
+}
+
+// xPathExists checks that some D-frontier gate reaches a primary output
+// through gates whose value is still unknown in either copy.
+func (p *Podem) xPathExists() bool {
+	p.nextSeen()
+	stack := append(p.walk[:0], p.frontier...)
+	found := false
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if p.seen[s] == p.seenEpoch {
+			continue
+		}
+		p.seen[s] = p.seenEpoch
+		if p.isOut[s] {
+			found = true
+			break
+		}
+		for _, fo := range p.flat.FanoutSlots(int(s)) {
+			if p.good[fo] == logicsim.X || p.bad[fo] == logicsim.X {
+				stack = append(stack, fo)
+			}
+		}
+	}
+	p.walk = stack[:0]
+	return found
+}
+
+// objective picks the next goal: activate the fault if not yet
+// activated, otherwise advance the first D-frontier gate with an X
+// input (the frontier the preceding dFrontier left).
+func (p *Podem) objective() (slot int32, v logicsim.Trit, ok bool) {
+	if p.good[p.line] == logicsim.X {
+		return p.line, logicsim.NotT(p.stuck), true
+	}
+	for _, s := range p.frontier {
+		for _, fs := range p.flat.FaninSlots(int(s)) {
+			if p.good[fs] == logicsim.X {
+				// Ask for the value that lets the effect through: the
+				// non-controlling one, or 1 for a gate without one.
+				want := logicsim.T
+				if ctrl, has := controlling(p.gateType(s)); has {
+					want = logicsim.NotT(ctrl)
+				}
+				return fs, want, true
+			}
+		}
+	}
+	return 0, logicsim.X, false
+}
+
+// gateType returns the netlist type of the gate at logic slot s.
+func (p *Podem) gateType(s int32) netlist.GateType {
+	return p.c.Gates[p.flat.GateAt(int(s))].Type
+}
+
+// backtrace maps an objective (slot, value) to an unassigned primary
+// input and a value that tends to achieve the objective, following the
+// first X fanin in pin order.
+func (p *Podem) backtrace(s int32, v logicsim.Trit) (pi int32, value logicsim.Trit, ok bool) {
+	numIn := int32(p.flat.NumInputs())
+	for s >= numIn {
+		if inverts(p.gateType(s)) {
+			v = logicsim.NotT(v)
+		}
+		next := int32(-1)
+		for _, fs := range p.flat.FaninSlots(int(s)) {
+			if p.good[fs] == logicsim.X {
+				next = fs
+				break
+			}
+		}
+		if next < 0 {
+			return 0, logicsim.X, false
+		}
+		s = next
+	}
+	if p.good[s] != logicsim.X {
+		return 0, logicsim.X, false // already assigned: dead objective
+	}
+	return s, v, true
+}
+
+// extractPattern converts the input assignment to a concrete pattern,
 // filling X with 0.
 func (p *Podem) extractPattern() logicsim.Pattern {
-	out := make(logicsim.Pattern, len(p.pi))
-	for i, v := range p.pi {
-		out[i] = v == logicsim.T
+	out := make(logicsim.Pattern, p.flat.NumInputs())
+	for i := range out {
+		out[i] = p.good[i] == logicsim.T
 	}
 	return out
 }

@@ -244,9 +244,9 @@ func (s *session) flatSim() (*logicsim.FlatSim, error) {
 	return s.fsim, nil
 }
 
-// flatConeSet returns the circuit's slot cones, built on first use and
-// cached on the circuit across sessions. The set is immutable and
-// shared across workers.
+// flatConeSet returns the circuit's slot cones, cached on the circuit
+// across sessions; each cone compiles on its first request. The set is
+// safe to share across workers.
 func (s *session) flatConeSet() (*logicsim.FlatConeSet, error) {
 	if s.flatCones == nil {
 		cs, err := logicsim.FlatConeSetFor(s.c)

@@ -42,8 +42,9 @@ func runConcurrent(s *session) error {
 	if err != nil {
 		return err
 	}
-	// Resolved before the workers spawn; the set and its cones are
-	// immutable and shared read-only across the pool.
+	// Resolved before the workers spawn and shared across the pool: a
+	// cone compiles on its first request, from whichever worker asks,
+	// and is read-only from then on.
 	cones, err := s.flatConeSet()
 	if err != nil {
 		return err

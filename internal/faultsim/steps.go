@@ -50,7 +50,7 @@ func RunStepsOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.
 		}
 	}
 	// The slot cones are cached on the circuit; ATPG grading has
-	// usually built them already.
+	// usually compiled these faults' cones already.
 	cones, err := logicsim.FlatConeSetFor(c)
 	if err != nil {
 		return Result{}, err

@@ -33,6 +33,8 @@ type Flat struct {
 	op      []uint8 // flat gate function per slot (op* codes)
 	faninAt []int32 // slot -> offset of its first fanin; len = slots+1
 	fanin   []int32 // flattened fanin slot indices, pin order preserved
+	foAt    []int32 // slot -> offset of its first fanout; len = slots+1
+	fanout  []int32 // flattened fanout slot indices, ascending per slot
 
 	slotOf  []int32 // gate ID -> slot
 	gateOf  []int32 // slot -> gate ID
@@ -172,6 +174,23 @@ func NewFlat(c *netlist.Circuit) (*Flat, error) {
 		f.op[s] = op
 	}
 	f.faninAt[n] = int32(len(f.fanin))
+	// Fanout in slot space, from the fanin arrays: count, prefix sums,
+	// fill. Filling in ascending reader order keeps each list ascending.
+	f.foAt = make([]int32, n+1)
+	for _, fs := range f.fanin {
+		f.foAt[fs+1]++
+	}
+	for s := 0; s < n; s++ {
+		f.foAt[s+1] += f.foAt[s]
+	}
+	f.fanout = make([]int32, len(f.fanin))
+	fill := make([]int32, n)
+	for s := 0; s < n; s++ {
+		for _, fs := range f.FaninSlots(s) {
+			f.fanout[f.foAt[fs]+fill[fs]] = int32(s)
+			fill[fs]++
+		}
+	}
 	for oi, id := range c.Outputs {
 		f.outSlot[oi] = f.slotOf[id]
 	}
@@ -224,6 +243,13 @@ func (f *Flat) IsInputSlot(slot int) bool { return slot < f.numIn }
 // it.
 func (f *Flat) FaninSlots(slot int) []int32 {
 	return f.fanin[f.faninAt[slot]:f.faninAt[slot+1]]
+}
+
+// FanoutSlots returns the slots that read a slot, ascending (a slot
+// reading it on several pins appears once per pin). The returned slice
+// aliases the flat arrays; callers must not mutate it.
+func (f *Flat) FanoutSlots(slot int) []int32 {
+	return f.fanout[f.foAt[slot]:f.foAt[slot+1]]
 }
 
 // OutputSlot returns the slot of primary output oi (an index into

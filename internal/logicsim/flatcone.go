@@ -3,6 +3,8 @@ package logicsim
 import (
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/netlist"
 )
@@ -43,168 +45,144 @@ type FlatCone struct {
 	Bound []int32
 }
 
-// FlatConeSet precomputes the output cone of every slot of a flat
-// circuit, stored as flattened ranges over shared arrays (one
-// allocation each, no per-cone slice headers). It is immutable after
-// construction and safe for concurrent readers; it is cached on the
-// circuit beside the Flat and the ConeSet (one simCaches bundle, one
-// invalidation rule).
+// FlatConeSet holds the output cone of every slot of a flat circuit,
+// compiled on demand: a cone is built on its first request (ConeOf /
+// ConeOfPtr) and kept, so a job pays only for the fault sites it asks
+// about — a sampled ATPG run touches a few hundred sites of an 8k-slot
+// circuit, a full-universe job ends up compiling them all. Cone content
+// is a pure function of the site, so the order of requests cannot
+// change any result. The set is safe for concurrent use: compilation
+// is serialized on the set's lock, and each compiled cone is published
+// atomically, so a later request for it is lock-free and
+// allocation-free. It is cached on the circuit beside the Flat and the
+// ConeSet (one simCaches bundle, one invalidation rule).
 type FlatConeSet struct {
-	f      *Flat
-	coneAt []int32 // slot -> offset of its cone in slots; len = slots+1
-	slots  []int32 // concatenated cone slot lists
-	outAt  []int32 // slot -> offset of its outputs in outIdx/outPos
-	outIdx []int32 // concatenated reachable-output index lists
-	outPos []int32 // concatenated within-cone positions, aligned with outIdx
-	progAt []int32 // slot -> offset of its instruction stream in prog
-	prog   []int32 // concatenated cone programs (see FlatCone.Prog)
-	bndAt  []int32 // slot -> offset of its boundary list in bnd
-	bnd    []int32 // concatenated boundary slot lists (see FlatCone.Bound)
-	// cones holds every slot's assembled FlatCone view over the arrays
-	// above, so per-fault hot paths borrow a pointer (ConeOfPtr) instead
-	// of copying five slice headers per lookup — and sessions need no
-	// per-fault cone cache of their own, which kept showing up as
-	// allocation and GC write-barrier traffic on short runs.
-	cones []FlatCone
+	f *Flat
+	// cones[slot] is the slot's compiled cone, nil until first request.
+	// Each FlatCone owns one backing array holding its five lists, so
+	// hot paths borrow a pointer (ConeOfPtr) and sessions need no
+	// per-fault cone cache of their own.
+	cones []atomic.Pointer[FlatCone]
+
+	mu sync.Mutex // serializes compile; guards the scratch below
+	// outOf maps a slot to its primary-output index, -1 when it drives
+	// none. mark[slot] == site marks a slot already taken by the cone
+	// being compiled: a member, then also an emitted boundary slot.
+	// Stamping with the site needs no clearing between compiles, since
+	// each site is compiled once.
+	outOf, mark          []int32
+	cone, outIdx, outPos []int32
+	prog, bound          []int32
 }
 
-// NewFlatConeSet builds all slot cones of the flat circuit.
-func NewFlatConeSet(f *Flat) (*FlatConeSet, error) {
+// NewFlatConeSet returns an empty cone set over the flat circuit; cones
+// are compiled on first request.
+func NewFlatConeSet(f *Flat) *FlatConeSet {
 	n := f.Slots()
-	// Fanout in slot space, rebuilt from the fanin arrays: count, prefix
-	// sums, fill.
-	cnt := make([]int32, n+1)
-	for _, fs := range f.fanin {
-		cnt[fs+1]++
+	cs := &FlatConeSet{
+		f:     f,
+		cones: make([]atomic.Pointer[FlatCone], n),
+		outOf: make([]int32, n),
+		mark:  make([]int32, n),
 	}
-	for s := 0; s < n; s++ {
-		cnt[s+1] += cnt[s]
-	}
-	fanout := make([]int32, len(f.fanin))
-	fill := make([]int32, n)
-	for slot := 0; slot < n; slot++ {
-		for _, fs := range f.fanin[f.faninAt[slot]:f.faninAt[slot+1]] {
-			fanout[cnt[fs]+fill[fs]] = int32(slot)
-			fill[fs]++
-		}
-	}
-	// Per-slot output index (into Circuit.Outputs), -1 when the slot
-	// drives no primary output.
-	outOf := make([]int32, n)
-	for i := range outOf {
-		outOf[i] = -1
+	for i := range cs.outOf {
+		cs.outOf[i], cs.mark[i] = -1, -1
 	}
 	for oi, os := range f.outSlot {
-		outOf[os] = int32(oi)
+		cs.outOf[os] = int32(oi)
 	}
-	cs := &FlatConeSet{
-		f:      f,
-		coneAt: make([]int32, n+1),
-		outAt:  make([]int32, n+1),
-		progAt: make([]int32, n+1),
-		bndAt:  make([]int32, n+1),
+	return cs
+}
+
+// compile builds the site's cone (or returns the one a concurrent
+// caller built first) and publishes it: BFS over the fanout, an
+// ascending sort (slot order is topological), the reachable-output
+// list, then the instruction stream with the boundary collected on
+// first reference.
+func (cs *FlatConeSet) compile(site int) *FlatCone {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	if c := cs.cones[site].Load(); c != nil {
+		return c
 	}
-	mark := make([]int32, n)
-	for i := range mark {
-		mark[i] = -1
-	}
-	// seen[slot] == site marks a slot as already part of the cone being
-	// compiled — a cone member or an emitted boundary slot.
-	seen := make([]int32, n)
-	for i := range seen {
-		seen[i] = -1
-	}
-	queue := make([]int32, 0, n)
-	cone := make([]int32, 0, n)
-	for site := 0; site < n; site++ {
-		cone = cone[:0]
-		queue = append(queue[:0], int32(site))
-		mark[site] = int32(site)
-		cone = append(cone, int32(site))
-		for len(queue) > 0 {
-			slot := queue[len(queue)-1]
-			queue = queue[:len(queue)-1]
-			for _, fo := range fanout[cnt[slot]:cnt[slot+1]] {
-				if mark[fo] != int32(site) {
-					mark[fo] = int32(site)
-					cone = append(cone, fo)
-					queue = append(queue, fo)
-				}
-			}
-		}
-		// Ascending slot order is topological, so a plain integer sort
-		// levelizes the cone.
-		slices.Sort(cone)
-		if cone[0] != int32(site) {
-			return nil, fmt.Errorf("logicsim: cone of slot %d does not start at the site (cycle?)", site)
-		}
-		cs.coneAt[site] = int32(len(cs.slots))
-		cs.slots = append(cs.slots, cone...)
-		cs.outAt[site] = int32(len(cs.outIdx))
-		for pos, slot := range cone {
-			if oi := outOf[slot]; oi >= 0 {
-				cs.outIdx = append(cs.outIdx, oi)
-				cs.outPos = append(cs.outPos, int32(pos))
-			}
-		}
-		// Keep Outputs ascending by output index (consumers rely on it to
-		// find the first strobed output), carrying the positions along.
-		sortOutPair(cs.outIdx[cs.outAt[site]:], cs.outPos[cs.outAt[site]:])
-		// Compile the cone body to its instruction stream (see
-		// FlatCone.Prog for the record shapes), collecting the boundary
-		// (distinct out-of-cone fanins) on first reference. 1-input gates
-		// duplicate their operand so every non-wide record is exactly
-		// four words.
-		for _, slot := range cone {
-			seen[slot] = int32(site)
-		}
-		cs.progAt[site] = int32(len(cs.prog))
-		cs.bndAt[site] = int32(len(cs.bnd))
-		for _, slot := range cone[1:] {
-			lo, hi := f.faninAt[slot], f.faninAt[slot+1]
-			op := f.op[slot]
-			if op <= opXnor2 {
-				a := f.fanin[lo]
-				b := a
-				if hi-lo == 2 {
-					b = f.fanin[lo+1]
-				}
-				cs.prog = append(cs.prog, int32(op), slot, a, b)
-				if seen[a] != int32(site) {
-					seen[a] = int32(site)
-					cs.bnd = append(cs.bnd, a)
-				}
-				if seen[b] != int32(site) {
-					seen[b] = int32(site)
-					cs.bnd = append(cs.bnd, b)
-				}
-				continue
-			}
-			cs.prog = append(cs.prog, int32(op)|(hi-lo)<<8, slot)
-			for _, fs := range f.fanin[lo:hi] {
-				if seen[fs] != int32(site) {
-					seen[fs] = int32(site)
-					cs.bnd = append(cs.bnd, fs)
-				}
-				cs.prog = append(cs.prog, fs)
+	f := cs.f
+	stamp := int32(site)
+	cone := append(cs.cone[:0], stamp)
+	cs.mark[site] = stamp
+	for i := 0; i < len(cone); i++ {
+		for _, fo := range f.FanoutSlots(int(cone[i])) {
+			if cs.mark[fo] != stamp {
+				cs.mark[fo] = stamp
+				cone = append(cone, fo)
 			}
 		}
 	}
-	cs.coneAt[n] = int32(len(cs.slots))
-	cs.outAt[n] = int32(len(cs.outIdx))
-	cs.progAt[n] = int32(len(cs.prog))
-	cs.bndAt[n] = int32(len(cs.bnd))
-	cs.cones = make([]FlatCone, n)
-	for slot := 0; slot < n; slot++ {
-		cs.cones[slot] = FlatCone{
-			Slots:   cs.slots[cs.coneAt[slot]:cs.coneAt[slot+1]],
-			Outputs: cs.outIdx[cs.outAt[slot]:cs.outAt[slot+1]],
-			OutPos:  cs.outPos[cs.outAt[slot]:cs.outAt[slot+1]],
-			Prog:    cs.prog[cs.progAt[slot]:cs.progAt[slot+1]],
-			Bound:   cs.bnd[cs.bndAt[slot]:cs.bndAt[slot+1]],
+	// Ascending slot order is topological, so a plain integer sort
+	// levelizes the cone; the site, a strict predecessor of every other
+	// member, comes first.
+	slices.Sort(cone)
+	outIdx, outPos := cs.outIdx[:0], cs.outPos[:0]
+	for pos, slot := range cone {
+		if oi := cs.outOf[slot]; oi >= 0 {
+			outIdx = append(outIdx, oi)
+			outPos = append(outPos, int32(pos))
 		}
 	}
-	return cs, nil
+	// Keep Outputs ascending by output index (consumers rely on it to
+	// find the first strobed output), carrying the positions along.
+	sortOutPair(outIdx, outPos)
+	// Compile the cone body to its instruction stream (see
+	// FlatCone.Prog for the record shapes), collecting the boundary
+	// (distinct out-of-cone fanins — every member is already marked) on
+	// first reference. 1-input gates duplicate their operand so every
+	// non-wide record is exactly four words.
+	prog, bound := cs.prog[:0], cs.bound[:0]
+	for _, slot := range cone[1:] {
+		lo, hi := f.faninAt[slot], f.faninAt[slot+1]
+		op := f.op[slot]
+		if op <= opXnor2 {
+			a := f.fanin[lo]
+			b := a
+			if hi-lo == 2 {
+				b = f.fanin[lo+1]
+			}
+			prog = append(prog, int32(op), slot, a, b)
+			if cs.mark[a] != stamp {
+				cs.mark[a] = stamp
+				bound = append(bound, a)
+			}
+			if cs.mark[b] != stamp {
+				cs.mark[b] = stamp
+				bound = append(bound, b)
+			}
+			continue
+		}
+		prog = append(prog, int32(op)|(hi-lo)<<8, slot)
+		for _, fs := range f.fanin[lo:hi] {
+			if cs.mark[fs] != stamp {
+				cs.mark[fs] = stamp
+				bound = append(bound, fs)
+			}
+			prog = append(prog, fs)
+		}
+	}
+	cs.cone, cs.outIdx, cs.outPos, cs.prog, cs.bound = cone, outIdx, outPos, prog, bound
+	// One exact-size backing array per cone, carved with capped slices.
+	buf := make([]int32, 0, len(cone)+2*len(outIdx)+len(prog)+len(bound))
+	take := func(src []int32) []int32 {
+		lo := len(buf)
+		buf = append(buf, src...)
+		return buf[lo:len(buf):len(buf)]
+	}
+	c := &FlatCone{
+		Slots:   take(cone),
+		Outputs: take(outIdx),
+		OutPos:  take(outPos),
+		Prog:    take(prog),
+		Bound:   take(bound),
+	}
+	cs.cones[site].Store(c)
+	return c
 }
 
 // sortOutPair sorts the parallel (outIdx, outPos) tails by output index
@@ -219,10 +197,11 @@ func sortOutPair(idx, pos []int32) {
 	}
 }
 
-// FlatConeSetFor returns the circuit's flat cone set, building it (and
+// FlatConeSetFor returns the circuit's flat cone set, creating it (and
 // the Flat underneath, if needed) on first use and caching both on the
-// circuit. Like every lazy circuit cache it is safe for concurrent
-// callers but must not race with mutation.
+// circuit. No cone is compiled here; see FlatConeSet. Like every lazy
+// circuit cache it is safe for concurrent callers but must not race
+// with mutation.
 func FlatConeSetFor(c *netlist.Circuit) (*FlatConeSet, error) {
 	cacheMu.Lock()
 	defer cacheMu.Unlock()
@@ -237,37 +216,34 @@ func FlatConeSetFor(c *netlist.Circuit) (*FlatConeSet, error) {
 		}
 		sc.flat = f
 	}
-	cs, err := NewFlatConeSet(sc.flat)
-	if err != nil {
-		return nil, err
-	}
-	sc.flatCones = cs
-	return cs, nil
+	sc.flatCones = NewFlatConeSet(sc.flat)
+	return sc.flatCones, nil
 }
 
 // Flat returns the compiled form the cones are expressed in.
 func (cs *FlatConeSet) Flat() *Flat { return cs.f }
 
-// ConeOf returns the output cone of the slot. Both stem faults and
-// input-pin faults of a gate disturb the gate's own output first, so
-// one cone serves every fault on the slot's gate. The returned slices
-// alias the set's arrays; callers must not mutate them.
+// ConeOf returns the output cone of the slot, compiling it on first
+// request. Both stem faults and input-pin faults of a gate disturb the
+// gate's own output first, so one cone serves every fault on the slot's
+// gate. The returned slices are shared; callers must not mutate them.
 func (cs *FlatConeSet) ConeOf(slot int) FlatCone {
-	return cs.cones[slot]
+	return *cs.ConeOfPtr(slot)
 }
 
 // ConeOfPtr is ConeOf for hot loops: it borrows the set's own FlatCone
-// for the slot instead of copying five slice headers per lookup. The
-// pointee is shared and immutable; callers must not mutate it.
+// for the slot instead of copying five slice headers per lookup. Once
+// the cone is compiled this is one atomic load — no lock, no
+// allocation. The pointee is shared and immutable; callers must not
+// mutate it.
 //
 //repolint:hotpath
 func (cs *FlatConeSet) ConeOfPtr(slot int) *FlatCone {
-	return &cs.cones[slot]
+	if c := cs.cones[slot].Load(); c != nil {
+		return c
+	}
+	return cs.compile(slot)
 }
-
-// Size reports the total number of (slot, cone) memberships — the same
-// measure ConeSet.Size reports for the pointer cones.
-func (cs *FlatConeSet) Size() int { return len(cs.slots) }
 
 // RunCone re-simulates a single stuck-at *stem* fault on top of the
 // good-machine state left in the simulator by the immediately preceding

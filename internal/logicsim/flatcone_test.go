@@ -2,6 +2,8 @@ package logicsim
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/netlist"
@@ -28,13 +30,7 @@ func TestFlatConeSetMatchesConeSet(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fcs, err := NewFlatConeSet(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fcs.Size() != cs.Size() {
-			t.Fatalf("%s: flat cone set size %d, gate cone set size %d", c.Name, fcs.Size(), cs.Size())
-		}
+		fcs := NewFlatConeSet(f)
 		for gate := range c.Gates {
 			slot := f.SlotOf(gate)
 			fc := fcs.ConeOf(slot)
@@ -101,10 +97,7 @@ func TestRunConeMatchesRunWithFault(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fcs, err := NewFlatConeSet(f)
-		if err != nil {
-			t.Fatal(err)
-		}
+		fcs := NewFlatConeSet(f)
 		fs := NewFlatSim(f)
 		block := randomBlock(t, c, 1+int(int64(len(c.Gates))%64), int64(len(c.Gates)))
 		mask := block.Mask()
@@ -232,10 +225,7 @@ func TestRunConeZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcs, err := NewFlatConeSet(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fcs := NewFlatConeSet(f)
 	fs := NewFlatSim(f)
 	block, err := PackPatterns(randomPatterns(c, 64, rand.New(rand.NewSource(1))))
 	if err != nil {
@@ -245,13 +235,18 @@ func TestRunConeZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	outDiffs := make([]uint64, len(c.Outputs))
-	// Warm once so the save/restore scratch reaches its high-water mark.
-	if _, err := fs.RunCone(f.NumInputs(), true, conePtr(fcs.ConeOf(f.NumInputs())), outDiffs); err != nil {
+	// Warm once so the shadow plane reaches its high-water mark, and
+	// compile every cone: first-request compilation allocates by design,
+	// the steady state (cone hits included) must not.
+	for slot := 0; slot < f.Slots(); slot++ {
+		fcs.ConeOfPtr(slot)
+	}
+	if _, err := fs.RunCone(f.NumInputs(), true, fcs.ConeOfPtr(f.NumInputs()), outDiffs); err != nil {
 		t.Fatal(err)
 	}
 	slot := 0
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := fs.RunCone(slot%f.Slots(), slot%2 == 0, conePtr(fcs.ConeOf(slot%f.Slots())), outDiffs); err != nil {
+		if _, err := fs.RunCone(slot%f.Slots(), slot%2 == 0, fcs.ConeOfPtr(slot%f.Slots()), outDiffs); err != nil {
 			t.Fatal(err)
 		}
 		slot++
@@ -268,6 +263,65 @@ func TestRunConeZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestFlatConeSetLazyMatchesEager pins on-demand compilation: goroutines
+// request overlapping random slots of one shared set concurrently (the
+// concurrent fault-sim engine's access pattern; run it under -race),
+// and every cone they get — program and boundary included — must equal
+// the one a fresh set compiles when every slot is requested in order.
+func TestFlatConeSetLazyMatchesEager(t *testing.T) {
+	c, err := netlist.RandomCircuit("lazy", 12, 300, 8, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFlat(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eager := NewFlatConeSet(f)
+	for slot := 0; slot < f.Slots(); slot++ {
+		eager.ConeOfPtr(slot)
+	}
+	lazy := NewFlatConeSet(f)
+	const workers = 4
+	got := make([][]*FlatCone, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			got[w] = make([]*FlatCone, f.Slots())
+			for _, slot := range rng.Perm(f.Slots()) {
+				got[w][slot] = lazy.ConeOfPtr(slot)
+			}
+		}(w)
+	}
+	wg.Wait()
+	for slot := 0; slot < f.Slots(); slot++ {
+		want := eager.ConeOfPtr(slot)
+		for w := range got {
+			if got[w][slot] != got[0][slot] {
+				t.Fatalf("slot %d: workers got different cone objects", slot)
+			}
+		}
+		g := got[0][slot]
+		for _, field := range []struct {
+			name      string
+			got, want []int32
+		}{
+			{"Slots", g.Slots, want.Slots},
+			{"Outputs", g.Outputs, want.Outputs},
+			{"OutPos", g.OutPos, want.OutPos},
+			{"Prog", g.Prog, want.Prog},
+			{"Bound", g.Bound, want.Bound},
+		} {
+			if !slices.Equal(field.got, field.want) {
+				t.Fatalf("slot %d: lazy %s %v, eager %v", slot, field.name, field.got, field.want)
+			}
+		}
+	}
+}
+
 // TestFlatConeErrors exercises the cone-walk validation paths.
 func TestFlatConeErrors(t *testing.T) {
 	c := netlist.C17()
@@ -275,10 +329,7 @@ func TestFlatConeErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcs, err := NewFlatConeSet(f)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fcs := NewFlatConeSet(f)
 	fs := NewFlatSim(f)
 	// A cone walk without a preceding good run must be rejected, not
 	// silently report every fault undetected.

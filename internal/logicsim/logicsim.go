@@ -12,8 +12,9 @@
 //     multi-fault injection. It shares no code with the flat core, so
 //     the tests, the tester's Serial engine and fault diagnosis use it
 //     as the independent reference;
-//   - a scalar three-valued (0/1/X) simulator used by the PODEM test
-//     generator's implication step.
+//   - the three-valued (0/1/X) gate kernel over the flat form
+//     (Flat.EvalSlotT) behind the PODEM test generator's implication,
+//     with the per-gate EvalT as its reference.
 package logicsim
 
 import (

@@ -75,7 +75,9 @@ func XorT(a, b Trit) Trit {
 	return F
 }
 
-// EvalT evaluates a gate in three-valued logic over its fanin values.
+// EvalT evaluates a gate in three-valued logic over its fanin values:
+// the per-gate reference the flat kernel (Flat.EvalSlotT) is tested
+// against.
 func EvalT(t netlist.GateType, in []Trit) Trit {
 	switch t {
 	case netlist.Buf:
@@ -114,44 +116,111 @@ func EvalT(t netlist.GateType, in []Trit) Trit {
 	}
 }
 
-// TernarySim is a scalar three-valued simulator. PODEM uses it to
-// propagate partial input assignments (unassigned inputs are X).
-type TernarySim struct {
-	c     *netlist.Circuit
-	order []int
-	val   []Trit
-	buf   []Trit
+// EvalSlotT evaluates one logic slot of the flat circuit in three-valued
+// logic over a slot-indexed value plane — the ternary kernel behind
+// PODEM's implication. pin >= 0 replaces that fanin's value with forced
+// (an input-pin fault at the slot); pin < 0 reads every fanin from val.
+// The result equals EvalT over the gate's type and fanin values. The
+// slot must be a logic slot (not a primary input) and pin, if set, one
+// of its pins.
+//
+//repolint:hotpath
+func (f *Flat) EvalSlotT(val []Trit, slot, pin int, forced Trit) Trit {
+	fanin := f.fanin[f.faninAt[slot]:f.faninAt[slot+1]]
+	switch op := f.op[slot]; op {
+	case opBuf, opNot:
+		v := forced
+		if pin != 0 {
+			v = val[fanin[0]]
+		}
+		if op == opNot {
+			return NotT(v)
+		}
+		return v
+	case opAnd2, opNand2, opOr2, opNor2, opXor2, opXnor2:
+		a, b := val[fanin[0]], val[fanin[1]]
+		switch pin {
+		case 0:
+			a = forced
+		case 1:
+			b = forced
+		}
+		return tritLUT2[op][a&3][b&3]
+	default:
+		var seen, odd uint8
+		for i, fs := range fanin {
+			v := val[fs]
+			if i == pin {
+				v = forced
+			}
+			seen |= 1 << v
+			odd ^= uint8(v) & 1
+		}
+		return tritFold[op][seen&7][odd&1]
+	}
 }
 
-// NewTernarySim prepares a ternary simulator.
-func NewTernarySim(c *netlist.Circuit) (*TernarySim, error) {
-	order, err := c.Order()
-	if err != nil {
-		return nil, err
+// tritLUT2[op][a][b] is 2-input op code op over trits a and b (index 3
+// unused), so the common gate shapes evaluate with one load.
+var tritLUT2 = func() (lut [opXnor2 + 1][4][4]Trit) {
+	for op := opAnd2; op <= opXnor2; op++ {
+		for a := F; a <= X; a++ {
+			for b := F; b <= X; b++ {
+				lut[op][a][b] = foldT(op, 1<<a|1<<b, uint8(a&1^b&1))
+			}
+		}
 	}
-	return &TernarySim{c: c, order: order, val: make([]Trit, len(c.Gates)), buf: make([]Trit, 8)}, nil
-}
+	return lut
+}()
 
-// Run evaluates the circuit for the given primary-input assignment
-// (one Trit per input, in input order) and returns the full per-gate
-// value slice, valid until the next Run.
-func (s *TernarySim) Run(inputs []Trit) ([]Trit, error) {
-	if len(inputs) != len(s.c.Inputs) {
-		return nil, fmt.Errorf("logicsim: %d input trits for %d inputs", len(inputs), len(s.c.Inputs))
-	}
-	for i, id := range s.c.Inputs {
-		s.val[id] = inputs[i]
-	}
-	for _, id := range s.order {
-		g := &s.c.Gates[id]
-		if g.Type == netlist.Input {
-			continue
+// tritFold[op][seen][odd] is foldT tabulated for the wide op codes, so
+// a wide gate costs its fanin loop plus one load.
+var tritFold = func() (lut [opXnorN + 1][8][2]Trit) {
+	for op := opAndN; op <= opXnorN; op++ {
+		for seen := range uint8(8) {
+			for odd := range uint8(2) {
+				lut[op][seen][odd] = foldT(op, seen, odd)
+			}
 		}
-		in := s.buf[:0]
-		for _, f := range g.Fanin {
-			in = append(in, s.val[f])
-		}
-		s.val[id] = EvalT(g.Type, in)
 	}
-	return s.val, nil
+	return lut
+}()
+
+// foldT finishes a ternary AND/OR/XOR-family gate from a summary of its
+// fanin values: seen has bit v set for every fanin value v (F=0, T=1,
+// X=2), odd is the parity of the 1s. AND is 0 if any 0 and else X if
+// any X; OR is 1 if any 1 and else X if any X; XOR is X if any X and
+// else the parity. The inverting ops complement the result.
+func foldT(op uint8, seen, odd uint8) Trit {
+	var r Trit
+	switch op {
+	case opAnd2, opNand2, opAndN, opNandN:
+		switch {
+		case seen&(1<<F) != 0:
+			r = F
+		case seen&(1<<X) != 0:
+			r = X
+		default:
+			r = T
+		}
+	case opOr2, opNor2, opOrN, opNorN:
+		switch {
+		case seen&(1<<T) != 0:
+			r = T
+		case seen&(1<<X) != 0:
+			r = X
+		default:
+			r = F
+		}
+	default: // XOR family
+		r = Trit(odd)
+		if seen&(1<<X) != 0 {
+			r = X
+		}
+	}
+	switch op {
+	case opNand2, opNandN, opNor2, opNorN, opXnor2, opXnorN:
+		return NotT(r)
+	}
+	return r
 }

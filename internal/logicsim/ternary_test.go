@@ -1,6 +1,7 @@
 package logicsim
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -77,14 +78,26 @@ func TestEvalTAllTypes(t *testing.T) {
 	}
 }
 
+// walkT loads the input trits into a slot-indexed plane and evaluates
+// every logic slot in slot (= topological) order with the flat ternary
+// kernel, returning the plane.
+func walkT(f *Flat, inputs []Trit) []Trit {
+	val := make([]Trit, f.Slots())
+	copy(val, inputs)
+	for slot := f.NumInputs(); slot < f.Slots(); slot++ {
+		val[slot] = f.EvalSlotT(val, slot, -1, X)
+	}
+	return val
+}
+
 func TestTernaryAgreesWithBinary(t *testing.T) {
-	// With no X inputs, the ternary simulator must agree with the
+	// With no X inputs, the flat ternary kernel must agree with the
 	// parallel simulator on every gate.
 	c, err := netlist.RandomCircuit("r", 10, 200, 8, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tsim, err := NewTernarySim(c)
+	f, err := NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,19 +119,17 @@ func TestTernaryAgreesWithBinary(t *testing.T) {
 				in[i] = F
 			}
 		}
-		tv, err := tsim.Run(in)
-		if err != nil {
-			return false
-		}
+		tv := walkT(f, in)
 		if _, err := bsim.RunSingle(p); err != nil {
 			return false
 		}
 		for id := range c.Gates {
 			bin := bsim.Value(id)&1 == 1
-			if tv[id] == X {
+			v := tv[f.SlotOf(id)]
+			if v == X {
 				return false // no X can appear with fully assigned inputs
 			}
-			if (tv[id] == T) != bin {
+			if (v == T) != bin {
 				return false
 			}
 		}
@@ -133,37 +144,61 @@ func TestTernaryXPropagation(t *testing.T) {
 	// c17 with all-X inputs: every gate is X. With input 3=0, gates 10
 	// and 11 become 1 regardless of other inputs.
 	c := netlist.C17()
-	sim, err := NewTernarySim(c)
+	f, err := NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals, err := sim.Run([]Trit{X, X, X, X, X})
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals := walkT(f, []Trit{X, X, X, X, X})
 	for _, id := range c.Outputs {
-		if vals[id] != X {
-			t.Errorf("all-X inputs: output %s = %v", c.Gates[id].Name, vals[id])
+		if vals[f.SlotOf(id)] != X {
+			t.Errorf("all-X inputs: output %s = %v", c.Gates[id].Name, vals[f.SlotOf(id)])
 		}
 	}
 	// Input order: 1,2,3,6,7. Set 3 = 0.
-	vals, err = sim.Run([]Trit{X, X, F, X, X})
-	if err != nil {
-		t.Fatal(err)
-	}
+	vals = walkT(f, []Trit{X, X, F, X, X})
 	g10, _ := c.GateByName("10")
 	g11, _ := c.GateByName("11")
-	if vals[g10] != T || vals[g11] != T {
-		t.Errorf("NAND with a 0 input must be 1: g10=%v g11=%v", vals[g10], vals[g11])
+	if vals[f.SlotOf(g10)] != T || vals[f.SlotOf(g11)] != T {
+		t.Errorf("NAND with a 0 input must be 1: g10=%v g11=%v", vals[f.SlotOf(g10)], vals[f.SlotOf(g11)])
 	}
 }
 
-func TestTernaryWidthError(t *testing.T) {
-	sim, err := NewTernarySim(netlist.C17())
+// TestEvalSlotTMatchesEvalT pins the flat kernel to the per-gate
+// reference on random ternary planes, with and without a forced pin:
+// every gate type and fanin shape a random circuit produces, X inputs
+// included.
+func TestEvalSlotTMatchesEvalT(t *testing.T) {
+	c, err := netlist.RandomCircuit("r", 9, 250, 6, 21)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run([]Trit{X}); err == nil {
-		t.Error("wrong width should error")
+	f, err := NewFlat(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	val := make([]Trit, f.Slots())
+	var in []Trit
+	for round := 0; round < 20; round++ {
+		for i := range val {
+			val[i] = Trit(rng.Intn(3))
+		}
+		for slot := f.NumInputs(); slot < f.Slots(); slot++ {
+			g := &c.Gates[f.GateAt(slot)]
+			for pin := -1; pin < len(g.Fanin); pin++ {
+				forced := Trit(rng.Intn(3))
+				in = in[:0]
+				for i, fs := range f.FaninSlots(slot) {
+					v := val[fs]
+					if i == pin {
+						v = forced
+					}
+					in = append(in, v)
+				}
+				if got, want := f.EvalSlotT(val, slot, pin, forced), EvalT(g.Type, in); got != want {
+					t.Fatalf("slot %d (%v %v) pin %d: EvalSlotT %v, EvalT %v", slot, g.Type, in, pin, got, want)
+				}
+			}
+		}
 	}
 }
