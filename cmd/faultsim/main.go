@@ -4,7 +4,7 @@
 // fault-simulator product §5 of the paper starts from.
 //
 //	faultsim -bench c17.bench -patterns 64 -seed 7
-//	faultsim -circuit mul8 -patterns 256 -engine pf256
+//	faultsim -circuit mul8 -patterns 256 -engine serial
 //	faultsim -circuit cmp16 -patterns 512 -engine concurrent -workers 8
 //	faultsim -list-circuits
 package main
@@ -27,7 +27,7 @@ func main() {
 	listCircuits := flag.Bool("list-circuits", false, "print the workload spec grammar and exit")
 	npat := flag.Int("patterns", 64, "number of random patterns")
 	seed := flag.Int64("seed", 1, "pattern seed")
-	engine := flag.String("engine", "ppsfp", "engine: ppsfp, serial, concurrent, pf256")
+	engine := flag.String("engine", "ppsfp", "engine: "+faultsim.EngineNames())
 	workers := flag.Int("workers", 0, "goroutines for -engine concurrent (0 = GOMAXPROCS)")
 	lfsr := flag.Bool("lfsr", false, "use an LFSR instead of uniform random patterns")
 	flag.Parse()

@@ -49,7 +49,7 @@ func main() {
 	seed := flag.Int64("seed", 1981, "base seed; per-replicate seeds are derived deterministically")
 	random := flag.Int("random", 192, "random patterns before PODEM cleanup")
 	physical := flag.Bool("physical", false, "generate lots through the physical-defect layer")
-	engineName := flag.String("engine", "ppsfp", "fault-simulation engine: ppsfp, serial, concurrent, pf256")
+	engineName := flag.String("engine", "ppsfp", "fault-simulation engine: "+faultsim.EngineNames())
 	simWorkers := flag.Int("simworkers", 0, "goroutines for -engine concurrent (0 = GOMAXPROCS)")
 	lotEngineName := flag.String("lotengine", tester.ChipParallel256.String(),
 		"ATE lot engine: chipparallel256 or serial (bit-identical results)")

@@ -255,6 +255,7 @@ func TestErrorPaths(t *testing.T) {
 		"empty grid":         {`{"circuits": ["mul4"]}`, ""},
 		"bad circuit":        {`{"circuits": ["no-such-circuit"], "yields": [0.2], "n0s": [3], "lot_sizes": [60], "coverages": [0.5], "replicates": 1, "random_patterns": 32}`, ""},
 		"bad engine":         {`{` + grid + `, "engine": "warp-drive"}`, "ppsfp"},
+		"retired engine":     {`{` + grid + `, "engine": "pf256"}`, "ppsfp"},
 		"retired lot engine": {`{` + grid + `, "lot_engine": "chip-parallel"}`, "chipparallel256"},
 	} {
 		code, body := post(tc.body)

@@ -1,6 +1,7 @@
 package atpg
 
 import (
+	"hash/fnv"
 	"testing"
 
 	"repro/internal/fault"
@@ -219,6 +220,61 @@ func TestGenerateAllDecoder(t *testing.T) {
 	}
 	if res.Coverage != 1 {
 		t.Errorf("decoder coverage = %v", res.Coverage)
+	}
+}
+
+// patternDigest is an FNV-64a digest of a pattern set: each pattern as
+// a line of '0'/'1' characters.
+func patternDigest(ps []logicsim.Pattern) uint64 {
+	h := fnv.New64a()
+	for _, p := range ps {
+		line := make([]byte, len(p)+1)
+		for i, v := range p {
+			line[i] = '0'
+			if v {
+				line[i] = '1'
+			}
+		}
+		line[len(p)] = '\n'
+		h.Write(line)
+	}
+	return h.Sum64()
+}
+
+// TestGenerateAllPinned pins GenerateAll's pattern sets (count plus
+// digest) to the values its original private PODEM-and-drop loop
+// produced, now that it runs through CleanupTestsBudget, and checks
+// that its outcome tally partitions the fault list. The old loop
+// counted an abort when PODEM gave up, even if a later pattern dropped
+// the fault, so the three buckets could sum past Faults.
+func TestGenerateAllPinned(t *testing.T) {
+	cases := []struct {
+		name     string
+		build    func() (*netlist.Circuit, error)
+		patterns int
+		digest   uint64
+	}{
+		{"c17", func() (*netlist.Circuit, error) { return netlist.C17(), nil }, 7, 0x4df5ad818c1a543e},
+		{"rca4", func() (*netlist.Circuit, error) { return netlist.RippleAdder(4) }, 18, 0x6ed9518c15d6dc64},
+		{"dec3", func() (*netlist.Circuit, error) { return netlist.Decoder(3) }, 16, 0xc28235f9ca2355c3},
+		{"mul4", func() (*netlist.Circuit, error) { return netlist.ArrayMultiplier(4) }, 16, 0x6b99c5d5c05743a},
+		{"mul8", func() (*netlist.Circuit, error) { return netlist.ArrayMultiplier(8) }, 36, 0x226571421bae5f35},
+	}
+	for _, tc := range cases {
+		c, err := tc.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := GenerateAll(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := patternDigest(res.Patterns); len(res.Patterns) != tc.patterns || got != tc.digest {
+			t.Errorf("%s: %d patterns, digest %#x; want %d, %#x", tc.name, len(res.Patterns), got, tc.patterns, tc.digest)
+		}
+		if sum := res.Detected + res.Untestable + res.Aborted; sum != res.Faults {
+			t.Errorf("%s: buckets sum to %d, want %d (%+v)", tc.name, sum, res.Faults, res)
+		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 
 // TestCleanupTestsBudgetMatchesUnbudgeted pins the compatibility
 // contract: over the full collapsed list with a zero (default) budget,
-// CleanupTestsBudget emits exactly CleanupTestsEngine's pattern set,
+// CleanupTestsBudget emits exactly CleanupTests' pattern set,
 // and the tally buckets partition the fault list.
 func TestCleanupTestsBudgetMatchesUnbudgeted(t *testing.T) {
 	c, err := netlist.Decoder(3)
@@ -21,7 +21,7 @@ func TestCleanupTestsBudgetMatchesUnbudgeted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := CleanupTestsEngine(c, base, faultsim.PPSFP, faultsim.Options{})
+	want, err := CleanupTests(c, base)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,59 +23,35 @@ type RunResult struct {
 // collapsed fault list with fault dropping: each PODEM test is fault-
 // simulated against the remaining faults so one pattern usually retires
 // many faults. Random-fill is not used; the run is fully reproducible.
+// It is CleanupTestsBudget with no base patterns and the default
+// backtrack budget, so the outcome buckets partition the fault list.
 func GenerateAll(c *netlist.Circuit) (RunResult, error) {
-	if err := c.Validate(); err != nil {
-		return RunResult{}, fmt.Errorf("atpg: invalid circuit: %w", err)
-	}
-	u := fault.BuildUniverse(c)
-	reps := fault.Reps(u.Collapsed)
-	gen, err := NewPodem(c)
+	reps, err := collapsedReps(c)
 	if err != nil {
 		return RunResult{}, err
 	}
-	detected := make([]bool, len(reps))
-	res := RunResult{Faults: len(reps)}
-	for fi, f := range reps {
-		if detected[fi] {
-			continue
-		}
-		pattern, status := gen.Generate(f)
-		switch status {
-		case Untestable:
-			res.Untestable++
-			continue
-		case Aborted:
-			res.Aborted++
-			continue
-		}
-		res.Patterns = append(res.Patterns, pattern)
-		// Drop everything this pattern detects.
-		var remaining []fault.Fault
-		var remainingIdx []int
-		for ri, rf := range reps {
-			if !detected[ri] {
-				remaining = append(remaining, rf)
-				remainingIdx = append(remainingIdx, ri)
-			}
-		}
-		sim, err := faultsim.Run(c, remaining, []logicsim.Pattern{pattern}, faultsim.PPSFP)
-		if err != nil {
-			return RunResult{}, err
-		}
-		for ri, d := range sim.FirstDetect {
-			if d != faultsim.NotDetected {
-				detected[remainingIdx[ri]] = true
-				res.Detected++
-			}
-		}
-		if !detected[fi] {
-			// The generated pattern must detect its target; a miss means
-			// the generator and simulator disagree.
-			return RunResult{}, fmt.Errorf("atpg: internal inconsistency: PODEM test for %v not confirmed by fault simulation", f.Name(c))
-		}
+	patterns, tally, err := CleanupTestsBudget(c, nil, reps, 0, faultsim.PPSFP, faultsim.Options{})
+	if err != nil {
+		return RunResult{}, err
 	}
-	res.Coverage = float64(res.Detected) / float64(res.Faults)
-	return res, nil
+	return RunResult{
+		Patterns:   patterns,
+		Coverage:   float64(tally.Detected) / float64(tally.Faults),
+		Detected:   tally.Detected,
+		Untestable: tally.Untestable,
+		Aborted:    tally.Aborted,
+		Faults:     tally.Faults,
+	}, nil
+}
+
+// collapsedReps validates the circuit and returns the representatives
+// of its equivalence-collapsed fault universe: the target list of the
+// whole-circuit ATPG entry points.
+func collapsedReps(c *netlist.Circuit) ([]fault.Fault, error) {
+	if err := c.Validate(); err != nil {
+		return nil, fmt.Errorf("atpg: invalid circuit: %w", err)
+	}
+	return fault.Reps(fault.BuildUniverse(c).Collapsed), nil
 }
 
 // Compact performs reverse-order compaction: patterns are fault-
@@ -83,13 +59,6 @@ func GenerateAll(c *netlist.Circuit) (RunResult, error) {
 // detects no fresh fault is discarded. The compacted set preserves
 // total coverage.
 func Compact(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern) ([]logicsim.Pattern, error) {
-	return CompactEngine(c, faults, patterns, faultsim.PPSFP, faultsim.Options{})
-}
-
-// CompactEngine is Compact with an explicit fault-simulation engine and
-// options (every engine returns identical first-detects, so the
-// compacted set is engine-independent; only wall-clock changes).
-func CompactEngine(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, engine faultsim.Engine, opt faultsim.Options) ([]logicsim.Pattern, error) {
 	if len(patterns) == 0 {
 		return nil, nil
 	}
@@ -97,7 +66,7 @@ func CompactEngine(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim
 	for i, p := range patterns {
 		reversed[len(patterns)-1-i] = p
 	}
-	res, err := faultsim.RunOpts(c, faults, reversed, engine, opt)
+	res, err := faultsim.Run(c, faults, reversed, faultsim.PPSFP)
 	if err != nil {
 		return nil, err
 	}
@@ -134,19 +103,11 @@ func HybridTests(c *netlist.Circuit, randomCount int, seed int64) ([]logicsim.Pa
 // CleanupTests appends deterministic PODEM tests for every collapsed
 // fault the base pattern sequence misses, preserving the base order.
 func CleanupTests(c *netlist.Circuit, base []logicsim.Pattern) ([]logicsim.Pattern, error) {
-	return CleanupTestsEngine(c, base, faultsim.PPSFP, faultsim.Options{})
-}
-
-// CleanupTestsEngine is CleanupTests with an explicit fault-simulation
-// engine and options for the grading and dropping passes. The fault-
-// parallel engine suits the one-pattern-many-faults dropping loop; the
-// default cone-restricted PPSFP suits the long base sequence.
-func CleanupTestsEngine(c *netlist.Circuit, base []logicsim.Pattern, engine faultsim.Engine, opt faultsim.Options) ([]logicsim.Pattern, error) {
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("atpg: invalid circuit: %w", err)
+	reps, err := collapsedReps(c)
+	if err != nil {
+		return nil, err
 	}
-	reps := fault.Reps(fault.BuildUniverse(c).Collapsed)
-	patterns, _, err := CleanupTestsBudget(c, base, reps, 0, engine, opt)
+	patterns, _, err := CleanupTestsBudget(c, base, reps, 0, faultsim.PPSFP, faultsim.Options{})
 	return patterns, err
 }
 
@@ -161,13 +122,21 @@ type Tally struct {
 	Aborted    int `json:"aborted"`
 }
 
-// CleanupTestsBudget is the accounting core of the cleanup pass: it
-// targets an explicit fault list (the caller's collapsed universe, or a
-// sample of it), bounds PODEM to backtrackLimit backtracks per fault
-// (0 = the generator's 10000 default), and reports the outcome tally
-// instead of silently skipping untestable and aborted faults. The
-// pattern set is identical to CleanupTestsEngine's when given the full
-// collapsed list and a zero budget.
+// CleanupTestsBudget is the one PODEM-and-drop loop every ATPG entry
+// point runs: GenerateAll, CleanupTests and ProductionTests call it over
+// the full collapsed list with the default budget, and circuits.Prepare
+// through ProductionTestsBudget over a sample. The base sequence is
+// graded first; then, in fault-list order, each fault still undetected
+// gets a PODEM test, which is appended and fault-simulated against the
+// remaining faults so it drops every fault it detects. It targets an
+// explicit fault list (the caller's collapsed universe, or a sample of
+// it), bounds PODEM to backtrackLimit backtracks per fault (0 = the
+// generator's 10000 default), and reports the outcome tally instead of
+// silently skipping untestable and aborted faults. A PODEM test that
+// fault simulation does not confirm against its own target is an
+// internal inconsistency and fails the run. The engine and options
+// change only wall-clock: every engine returns the same first-detects,
+// so the pattern set and tally are engine-independent.
 func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, backtrackLimit int, engine faultsim.Engine, opt faultsim.Options) ([]logicsim.Pattern, Tally, error) {
 	if err := c.Validate(); err != nil {
 		return nil, Tally{}, fmt.Errorf("atpg: invalid circuit: %w", err)
@@ -197,6 +166,8 @@ func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []faul
 	// abort bucket is settled only after the loop, over the faults that
 	// stayed undetected. Untestable is a proof and final immediately.
 	aborted := make([]bool, len(reps))
+	var remaining []fault.Fault
+	var idx []int
 	for fi, f := range reps {
 		if detected[fi] {
 			continue
@@ -212,8 +183,7 @@ func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []faul
 			continue
 		}
 		patterns = append(patterns, pattern)
-		var remaining []fault.Fault
-		var idx []int
+		remaining, idx = remaining[:0], idx[:0]
 		for ri := range reps {
 			if !detected[ri] {
 				remaining = append(remaining, reps[ri])
@@ -228,6 +198,11 @@ func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []faul
 			if d != faultsim.NotDetected {
 				detected[idx[ri]] = true
 			}
+		}
+		if !detected[fi] {
+			// The generated pattern must detect its target; a miss means
+			// the generator and simulator disagree.
+			return nil, Tally{}, fmt.Errorf("atpg: internal inconsistency: PODEM test for %v not confirmed by fault simulation", f.Name(c))
 		}
 	}
 	for fi, d := range detected {

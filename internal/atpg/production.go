@@ -83,31 +83,21 @@ func ProductionPatterns(width, lowWeight, uniform int, seed int64) ([]logicsim.P
 // circuit: ProductionPatterns bring-up and random phases followed by
 // deterministic PODEM tests for whatever remains undetected.
 func ProductionTests(c *netlist.Circuit, lowWeight, uniform int, seed int64) ([]logicsim.Pattern, error) {
-	return ProductionTestsEngine(c, lowWeight, uniform, seed, faultsim.PPSFP, faultsim.Options{})
-}
-
-// ProductionTestsEngine is ProductionTests with an explicit fault-
-// simulation engine and options for the grading and PODEM fault-
-// dropping passes. The pattern set produced is engine-independent (all
-// engines agree on first-detects); the engine only changes how fast it
-// is built.
-func ProductionTestsEngine(c *netlist.Circuit, lowWeight, uniform int, seed int64, engine faultsim.Engine, opt faultsim.Options) ([]logicsim.Pattern, error) {
-	if err := c.Validate(); err != nil {
-		return nil, fmt.Errorf("atpg: invalid circuit: %w", err)
-	}
-	base, err := ProductionPatterns(len(c.Inputs), lowWeight, uniform, seed)
+	reps, err := collapsedReps(c)
 	if err != nil {
 		return nil, err
 	}
-	return CleanupTestsEngine(c, base, engine, opt)
+	patterns, _, err := ProductionTestsBudget(c, lowWeight, uniform, seed, reps, 0, faultsim.PPSFP, faultsim.Options{})
+	return patterns, err
 }
 
-// ProductionTestsBudget is ProductionTestsEngine with an explicit
-// target fault list and a per-fault PODEM backtrack budget, returning
-// the outcome tally. It is the circuits-layer staged-pipeline entry
-// point: sampling hands it a subset of the collapsed universe, and the
-// budget bounds the worst-case cleanup cost on LSI-scale circuits
-// instead of burning the 10k-backtrack default on every hard fault.
+// ProductionTestsBudget is ProductionTests with an explicit target
+// fault list, fault-simulation engine and per-fault PODEM backtrack
+// budget, returning the outcome tally. It is the circuits-layer
+// staged-pipeline entry point: sampling hands it a subset of the
+// collapsed universe, and the budget bounds the worst-case cleanup cost
+// on LSI-scale circuits instead of burning the 10k-backtrack default on
+// every hard fault.
 func ProductionTestsBudget(c *netlist.Circuit, lowWeight, uniform int, seed int64, reps []fault.Fault, backtrackLimit int, engine faultsim.Engine, opt faultsim.Options) ([]logicsim.Pattern, Tally, error) {
 	if err := c.Validate(); err != nil {
 		return nil, Tally{}, fmt.Errorf("atpg: invalid circuit: %w", err)

@@ -104,8 +104,8 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Randomized fault list: sometimes the full uncollapsed
-		// universe, sometimes a random subset (exercises dropping and
-		// pf256 grouping with arbitrary holes), sometimes collapsed reps.
+		// universe, sometimes a random subset (exercises dropping with
+		// arbitrary holes), sometimes collapsed reps.
 		all := fault.AllFaults(c)
 		var faults []fault.Fault
 		switch trial % 3 {
@@ -177,7 +177,7 @@ func TestRunStepsMatchesEngines(t *testing.T) {
 					seed, fi, ref.FirstDetect[fi], got, pat.FirstDetect[fi])
 			}
 		}
-		for _, e := range []Engine{Serial, Concurrent, FaultParallel256} {
+		for _, e := range []Engine{Serial, Concurrent} {
 			got, err := RunStepsOpts(c, faults, patterns, e, Options{})
 			if err != nil {
 				t.Fatalf("%v: %v", e, err)
@@ -200,16 +200,14 @@ func TestParseEngine(t *testing.T) {
 		}
 	}
 	// Unknown and retired names fail fast, naming what is registered.
-	for _, name := range []string{"warp-drive", "pf", "deductive", "ppsfp-full", ""} {
+	for _, name := range []string{"warp-drive", "pf", "deductive", "ppsfp-full", "pf256", ""} {
 		_, err := ParseEngine(name)
 		if err == nil {
 			t.Errorf("ParseEngine(%q) accepted", name)
 			continue
 		}
-		for _, e := range Engines() {
-			if !strings.Contains(err.Error(), e.String()) {
-				t.Errorf("ParseEngine(%q) error %q does not name %q", name, err, e)
-			}
+		if !strings.Contains(err.Error(), "(registered: ppsfp, serial, concurrent)") {
+			t.Errorf("ParseEngine(%q) error %q does not list the three engines", name, err)
 		}
 	}
 }
@@ -222,8 +220,10 @@ func TestRunOptsValidatesFaults(t *testing.T) {
 		t.Error("out-of-range fault site should error")
 	}
 	badPin := []fault.Fault{{Gate: c.Outputs[0], Pin: 99}}
-	if _, err := Run(c, badPin, patterns, FaultParallel256); err == nil {
-		t.Error("out-of-range pin should error")
+	for _, e := range Engines() {
+		if _, err := Run(c, badPin, patterns, e); err == nil {
+			t.Errorf("%v: out-of-range pin should error", e)
+		}
 	}
 }
 

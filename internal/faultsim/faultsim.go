@@ -1,5 +1,5 @@
 // Package faultsim measures which single-stuck-at faults a test-pattern
-// sequence detects. Four engines share one result contract (identical
+// sequence detects. Three engines share one result contract (identical
 // FirstDetect, bit for bit) and one set of plumbing — block packing,
 // fault dropping, first-detect bookkeeping — and all run on the flat
 // core (logicsim.Flat); they differ only in how they spend the machine
@@ -12,11 +12,7 @@
 //   - PPSFP: parallel-pattern single-fault propagation with fault
 //     dropping, restricted to each fault's slot cone (logicsim.FlatSim
 //     over a FlatConeSet) — the workhorse used by the experiments;
-//   - Concurrent: cone-restricted PPSFP sharded over a goroutine pool;
-//   - FaultParallel256 (pf256): the good machine plus up to 255 faulty
-//     machines packed into the lanes of a 4-word lane block per
-//     pattern, evaluated over the union of the faults' slot cones
-//     (logicsim.WideSim).
+//   - Concurrent: cone-restricted PPSFP sharded over a goroutine pool.
 //
 // The paper's experiment needs the cumulative coverage curve of an
 // ordered pattern set — CoverageCurve produces exactly the "fault
@@ -70,12 +66,11 @@ type Engine int
 // Available engines. PPSFP is the zero value on purpose: an
 // unconfigured Engine field selects the workhorse. The values are
 // stable, because a sweep's JSON report records the Engine number: a
-// retired engine leaves its value unused.
+// retired engine leaves its value unused (2, 3 and 5 are).
 const (
-	PPSFP            Engine = 0
-	Serial           Engine = 1
-	Concurrent       Engine = 4
-	FaultParallel256 Engine = 5
+	PPSFP      Engine = 0
+	Serial     Engine = 1
+	Concurrent Engine = 4
 )
 
 // strategy is one entry of the engine registry: the CLI-stable name
@@ -90,10 +85,9 @@ type strategy struct {
 // bookkeeping with dropping), so adding an engine is one entry here
 // plus a run function.
 var registry = map[Engine]strategy{
-	Serial:           {"serial", func(s *session) error { return s.runParallelPattern(false) }},
-	PPSFP:            {"ppsfp", func(s *session) error { return s.runParallelPattern(true) }},
-	Concurrent:       {"concurrent", runConcurrent},
-	FaultParallel256: {"pf256", runFaultParallel256},
+	Serial:     {"serial", func(s *session) error { return s.runParallelPattern(false) }},
+	PPSFP:      {"ppsfp", func(s *session) error { return s.runParallelPattern(true) }},
+	Concurrent: {"concurrent", runConcurrent},
 }
 
 // String names the engine.
@@ -112,7 +106,7 @@ func ParseEngine(name string) (Engine, error) {
 			return e, nil
 		}
 	}
-	return 0, fmt.Errorf("faultsim: unknown engine %q (registered: %s)", name, engineNames())
+	return 0, fmt.Errorf("faultsim: unknown engine %q (registered: %s)", name, EngineNames())
 }
 
 // Engines lists every registered engine in a stable order (ascending
@@ -128,9 +122,9 @@ func Engines() []Engine {
 	return out
 }
 
-// engineNames lists the registered engine names, comma-separated in
-// Engines order, for error messages.
-func engineNames() string {
+// EngineNames lists the registered engine names, comma-separated in
+// Engines order, for error messages and CLI flag help.
+func EngineNames() string {
 	names := make([]string, 0, len(registry))
 	for _, e := range Engines() {
 		names = append(names, registry[e].name)

@@ -196,8 +196,8 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(c, faults, nil, PPSFP); err == nil {
 		t.Error("no patterns should error")
 	}
-	// 2 and 3 are the retired deductive and pf values.
-	for _, e := range []Engine{2, 3, 99} {
+	// 2, 3 and 5 are the retired deductive, pf and pf256 values.
+	for _, e := range []Engine{2, 3, 5, 99} {
 		if _, err := Run(c, faults, exhaustivePatterns(c), e); err == nil {
 			t.Errorf("unknown engine %d should error", int(e))
 		}
@@ -205,10 +205,10 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestEngineString(t *testing.T) {
-	if Serial.String() != "serial" || PPSFP.String() != "ppsfp" || Concurrent.String() != "concurrent" || FaultParallel256.String() != "pf256" {
+	if Serial.String() != "serial" || PPSFP.String() != "ppsfp" || Concurrent.String() != "concurrent" {
 		t.Error("engine names")
 	}
-	if got := engineNames(); got != "ppsfp, serial, concurrent, pf256" {
+	if got := EngineNames(); got != "ppsfp, serial, concurrent" {
 		t.Errorf("registered engines %q", got)
 	}
 	if Engine(9).String() != "Engine(9)" {

@@ -99,18 +99,3 @@ func RunStepsOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.
 	}
 	return Result{FirstDetect: first, Patterns: len(patterns) * nOut}, nil
 }
-
-// StepCoverageCurve fault-simulates at strobe granularity and returns
-// the cumulative coverage after every step.
-func StepCoverageCurve(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern) ([]CoveragePoint, Result, error) {
-	return StepCoverageCurveOpts(c, faults, patterns, PPSFP, Options{})
-}
-
-// StepCoverageCurveOpts is StepCoverageCurve with an explicit engine.
-func StepCoverageCurveOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, engine Engine, opt Options) ([]CoveragePoint, Result, error) {
-	res, err := RunStepsOpts(c, faults, patterns, engine, opt)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	return CurveFromResult(res), res, nil
-}

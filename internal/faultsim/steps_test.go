@@ -52,10 +52,11 @@ func TestStepCoverageCurveFiner(t *testing.T) {
 	c := netlist.C17()
 	faults := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
 	patterns := exhaustivePatterns(c)
-	curve, res, err := StepCoverageCurve(c, faults, patterns)
+	res, err := RunSteps(c, faults, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
+	curve := CurveFromResult(res)
 	if len(curve) != len(patterns)*len(c.Outputs) {
 		t.Fatalf("curve length %d", len(curve))
 	}

@@ -19,7 +19,7 @@ import (
 // PatternBlock loads with one copy), then every logic gate in
 // topological order. Because fanins are stored as slot indices, slot
 // order is itself a valid evaluation order, and ascending-slot subsets
-// (like the union cones the pf256 engine walks) stay topological with a
+// (like the slot cones FlatConeSet compiles) stay topological with a
 // plain integer sort.
 //
 // A Flat is immutable after construction and safe for concurrent
@@ -351,8 +351,8 @@ func (s *FlatSim) RunWithFaultInto(block PatternBlock, slot, pin int, stuck bool
 	return out, nil
 }
 
-// Value returns the value word of a slot after the last run; the pf256
-// engine reads good-machine frontier values through it.
+// Value returns the value word of a slot after the last run; tests
+// compare the flat walk against the pointer oracle through it.
 func (s *FlatSim) Value(slot int) uint64 { return s.val[slot] }
 
 // walkRange is the flat hot loop: one linear pass over the logic slots

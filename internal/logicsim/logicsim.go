@@ -3,9 +3,9 @@
 //   - the flat core: a struct-of-arrays compiled form (Flat) walked 64
 //     patterns per word (FlatSim), per-slot output cones compiled to
 //     instruction streams (FlatConeSet) for cone-restricted faulty
-//     re-simulation (RunCone/RunConeForced), and the 1..8-word wide
-//     lane layer (WideSim, WideLaneForces) that packs up to 511 faulty
-//     machines beside the good one. Every production fault-simulation,
+//     re-simulation (RunCone/RunConeForced), and the 1..4-word wide
+//     lane layer (WideSim, WideLaneForces) that packs up to 255
+//     defective chips beside the good machine. Every production fault-simulation,
 //     strobe-refinement and lot-testing path runs on it;
 //   - the pointer-walking oracle (Simulator): a 64-way bit-parallel
 //     levelized walk over the netlist's gate structs, with single- and

@@ -166,11 +166,7 @@ func TestRunLaneForcedMatchesPerMachineRunWithFaults(t *testing.T) {
 	// stays good.
 	machines := randomMachines(c, 12, rng)
 	for m := range machines {
-		for _, inj := range machines[m] {
-			if err := lf.Add(inj, m+1); err != nil {
-				t.Fatal(err)
-			}
-		}
+		forceMachine(t, f, lf, machines[m], m+1)
 	}
 	good, err := sim.Run(block)
 	if err != nil {
@@ -245,9 +241,9 @@ func TestLaneForcesLastValueWins(t *testing.T) {
 }
 
 // TestRunLaneForcedErrors pins the lane walk's validation: bad sites
-// and pins are rejected at Add, a pattern outside the block, a forcing
-// table built for another circuit, and a block of the wrong width at
-// the walk.
+// and pins are rejected at ResolveInjections, a pattern outside the
+// block, a forcing table built for another circuit, and a block of the
+// wrong width at the walk.
 func TestRunLaneForcedErrors(t *testing.T) {
 	c := netlist.C17()
 	f, err := NewFlat(c)
@@ -262,10 +258,10 @@ func TestRunLaneForcedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lf.Add(Injection{Gate: 999, Pin: -1}, 1); err == nil {
+	if _, err := f.ResolveInjections([]Injection{{Gate: 999, Pin: -1}}); err == nil {
 		t.Error("bad gate should error")
 	}
-	if err := lf.Add(Injection{Gate: 10, Pin: 9}, 1); err == nil {
+	if _, err := f.ResolveInjections([]Injection{{Gate: 10, Pin: 9}}); err == nil {
 		t.Error("bad pin should error")
 	}
 	block, _ := PackPatterns([]Pattern{make(Pattern, 5)})

@@ -7,115 +7,28 @@ import (
 
 // The wide lane layer generalizes the 64-bit machine word to an N-word
 // lane block: 64*N independent bit-lanes ride one flat circuit walk.
-// The fault simulator's pf256 engine puts the good machine plus 255
-// faulty machines in the lanes of a 4-word block; the ATE's
-// chipparallel256 lot engine puts the good machine plus 255 defective
-// chips there. Lane blocks are stored stride-packed: a slot's block is
-// the W contiguous words at [slot*W, slot*W+W), lane L living in word
-// L/64 bit L%64 — so the whole value plane is one contiguous []uint64
-// and the walk stays a linear sweep.
+// The ATE's chipparallel256 lot engine puts the good machine plus up
+// to 255 defective chips in the lanes of a block of 1..4 words. Lane
+// blocks are stored stride-packed: a slot's block is the W contiguous
+// words at [slot*W, slot*W+W), lane L living in word L/64 bit L%64 —
+// so the whole value plane is one contiguous []uint64 and the walk
+// stays a linear sweep.
 
-// MaxLaneWords bounds the lane-block width: up to 512 lanes per walk.
-// Wider blocks stop paying — the value plane falls out of cache before
-// the per-gate overhead amortizes any further.
-const MaxLaneWords = 8
+// MaxLaneWords bounds the lane-block width: up to 256 lanes per walk,
+// the widest block a chipparallel256 batch (the good machine plus at
+// most 255 chips) ever needs.
+const MaxLaneWords = 4
 
 // ErrLaneWords marks a lane-block word count outside 1..MaxLaneWords.
-// Every wide-layer entry point (simulators, forcing tables, block
-// packing and conversion) wraps it, so callers can errors.Is a shape
-// mistake regardless of which layer caught it.
+// Both wide-layer constructors (simulator and forcing table) wrap it,
+// so callers can errors.Is a shape mistake regardless of which one
+// caught it.
 var ErrLaneWords = errors.New("lane-block word count outside range")
 
 // validLaneWords rejects widths outside 1..MaxLaneWords.
 func validLaneWords(words int) error {
 	if words < 1 || words > MaxLaneWords {
 		return fmt.Errorf("logicsim: lane block of %d words outside 1..%d: %w", words, MaxLaneWords, ErrLaneWords)
-	}
-	return nil
-}
-
-// WidePatternBlock packs up to 64*Words patterns: lane p of input i's
-// block is pattern p's value of input i — the N-word generalization of
-// PatternBlock. Input i's block is Inputs[i*Words : (i+1)*Words].
-type WidePatternBlock struct {
-	Inputs []uint64 // stride-packed lane blocks, one per primary input
-	Words  int      // words per lane block (1..MaxLaneWords)
-	Count  int      // number of valid patterns (1..64*Words)
-}
-
-// PackWidePatterns packs up to 64*words patterns into a wide block. All
-// patterns must have the same width (the circuit's input count).
-func PackWidePatterns(patterns []Pattern, words int) (WidePatternBlock, error) {
-	if err := validLaneWords(words); err != nil {
-		return WidePatternBlock{}, err
-	}
-	if max := 64 * words; len(patterns) == 0 || len(patterns) > max {
-		return WidePatternBlock{}, fmt.Errorf("logicsim: wide block needs 1..%d patterns, got %d", max, len(patterns))
-	}
-	width := len(patterns[0])
-	inputs := make([]uint64, width*words)
-	for p, pat := range patterns {
-		if len(pat) != width {
-			return WidePatternBlock{}, fmt.Errorf("logicsim: pattern %d width %d != %d", p, len(pat), width)
-		}
-		for i, v := range pat {
-			if v {
-				inputs[i*words+p>>6] |= 1 << uint(p&63)
-			}
-		}
-	}
-	return WidePatternBlock{Inputs: inputs, Words: words, Count: len(patterns)}, nil
-}
-
-// WidenBlock converts a packed 64-pattern block to a words-wide lane
-// block: the block's patterns occupy lanes 0..Count-1 (word 0 of every
-// input's lane block), the remaining lanes are zero. A word count
-// outside 1..MaxLaneWords is rejected with ErrLaneWords, and a block
-// whose shape cannot have come from PackPatterns (Count outside 1..64)
-// is rejected before any allocation — the zero-value PatternBlock being
-// the classic way to hit it.
-func WidenBlock(b PatternBlock, words int) (WidePatternBlock, error) {
-	if err := validLaneWords(words); err != nil {
-		return WidePatternBlock{}, err
-	}
-	if b.Count < 1 || b.Count > 64 {
-		return WidePatternBlock{}, fmt.Errorf("logicsim: block Count %d outside 1..64 (zero-value PatternBlock?)", b.Count)
-	}
-	inputs := make([]uint64, len(b.Inputs)*words)
-	for i, w := range b.Inputs {
-		inputs[i*words] = w
-	}
-	return WidePatternBlock{Inputs: inputs, Words: words, Count: b.Count}, nil
-}
-
-// MaskInto appends the valid-lane mask (Words words) to dst.
-func (b WidePatternBlock) MaskInto(dst []uint64) []uint64 {
-	dst = dst[:0]
-	for k := 0; k < b.Words; k++ {
-		lo := k * 64
-		switch {
-		case b.Count >= lo+64:
-			dst = append(dst, ^uint64(0))
-		case b.Count > lo:
-			dst = append(dst, (uint64(1)<<uint(b.Count-lo))-1)
-		default:
-			dst = append(dst, 0)
-		}
-	}
-	return dst
-}
-
-// validate rejects a wide block whose shape cannot have come from
-// PackWidePatterns, mirroring PatternBlock.validate.
-func (b WidePatternBlock) validate(nIn int) error {
-	if err := validLaneWords(b.Words); err != nil {
-		return err
-	}
-	if len(b.Inputs) != nIn*b.Words {
-		return fmt.Errorf("logicsim: wide block has %d words for %d inputs × %d words", len(b.Inputs), nIn, b.Words)
-	}
-	if max := 64 * b.Words; b.Count < 1 || b.Count > max {
-		return fmt.Errorf("logicsim: wide block Count %d outside 1..%d (zero-value block?)", b.Count, max)
 	}
 	return nil
 }
@@ -184,25 +97,6 @@ func (lf *WideLaneForces) Words() int { return lf.words }
 // Reset empties the table for reuse in O(1).
 func (lf *WideLaneForces) Reset() { lf.epoch++ }
 
-// Add forces the fault onto one lane. On a lane already forced at the
-// same site, the new stuck value wins.
-func (lf *WideLaneForces) Add(f Injection, lane int) error {
-	if f.Gate < 0 || f.Gate >= lf.f.Slots() {
-		return fmt.Errorf("logicsim: fault site %d out of range", f.Gate)
-	}
-	if lane < 0 || lane >= lf.Lanes() {
-		return fmt.Errorf("logicsim: lane %d outside 0..%d", lane, lf.Lanes()-1)
-	}
-	slot := lf.f.slotOf[f.Gate]
-	if f.Pin >= 0 {
-		if nf := int(lf.f.faninAt[slot+1] - lf.f.faninAt[slot]); f.Pin >= nf {
-			return fmt.Errorf("logicsim: gate %d has no pin %d", f.Gate, f.Pin)
-		}
-	}
-	lf.AddResolved(SlotInjection{Slot: slot, Pin: int32(f.Pin), Stuck: f.Stuck}, lane)
-	return nil
-}
-
 // SlotInjection is an Injection resolved to slot space: the fault site
 // as a flat slot index, with site and pin validation already done. A
 // negative Pin is an output-stem fault, as in Injection.
@@ -240,8 +134,8 @@ func (f *Flat) ResolveInjections(faults []Injection) ([]SlotInjection, error) {
 // AddResolved forces a pre-resolved fault onto one lane. The caller
 // guarantees the injection came from ResolveInjections on the same
 // flat circuit and that lane is inside 0..Lanes()-1; no per-call
-// validation is repeated. Overlap semantics match Add: the new stuck
-// value wins.
+// validation is repeated. On a lane already forced at the same site,
+// the new stuck value wins.
 //
 //repolint:hotpath
 func (lf *WideLaneForces) AddResolved(f SlotInjection, lane int) {
@@ -287,7 +181,7 @@ func (lf *WideLaneForces) AddResolved(f SlotInjection, lane int) {
 
 // forced reports whether the slot carries forces this epoch.
 func (lf *WideLaneForces) forced(slot int) bool {
-	return lf != nil && lf.mark[slot] == lf.epoch
+	return lf.mark[slot] == lf.epoch
 }
 
 // WideSim is the N-word walk state over a Flat: one stride-packed lane
@@ -307,48 +201,6 @@ func NewWideSim(f *Flat, words int) (*WideSim, error) {
 		return nil, err
 	}
 	return &WideSim{f: f, words: words, val: make([]uint64, f.Slots()*words)}, nil
-}
-
-// Flat returns the compiled form the simulator walks.
-func (s *WideSim) Flat() *Flat { return s.f }
-
-// Words returns the lane-block width in machine words.
-func (s *WideSim) Words() int { return s.words }
-
-// Lanes returns the number of bit-lanes per walk.
-func (s *WideSim) Lanes() int { return 64 * s.words }
-
-// ValueWords returns the lane block of a slot after the last run. The
-// returned slice aliases the value plane; callers must not mutate it.
-func (s *WideSim) ValueWords(slot int) []uint64 {
-	return s.val[slot*s.words : (slot+1)*s.words]
-}
-
-// Broadcast spreads bit p of a 64-bit word across every lane of the
-// slot's value — how engines seed frontier slots with good-machine
-// values before a subset walk.
-func (s *WideSim) Broadcast(slot int, word uint64, p int) {
-	b := -(word >> uint(p) & 1)
-	o := slot * s.words
-	for k := 0; k < s.words; k++ {
-		s.val[o+k] = b
-	}
-}
-
-// RunInto simulates a wide pattern block (lanes carry patterns) and
-// appends the stride-packed primary-output lane blocks to out, reusing
-// its capacity: the N-word counterpart of Simulator.RunInto.
-func (s *WideSim) RunInto(block WidePatternBlock, out []uint64) ([]uint64, error) {
-	f := s.f
-	if err := block.validate(f.numIn); err != nil {
-		return nil, err
-	}
-	if block.Words != s.words {
-		return nil, fmt.Errorf("logicsim: %d-word block through a %d-word simulator", block.Words, s.words)
-	}
-	copy(s.val[:f.numIn*s.words], block.Inputs)
-	s.walkForced(nil)
-	return s.appendOutputs(out), nil
 }
 
 // RunLaneForced evaluates pattern p of the block across all 64*Words
@@ -392,43 +244,6 @@ func (s *WideSim) RunLaneForced(block PatternBlock, p int, lf *WideLaneForces, o
 	return s.appendOutputs(out), nil
 }
 
-// EvalSlotsForced evaluates only the given slots, in order, with the
-// forcing table applied — the subset walk behind the pf256 engine's
-// union-cone passes. slots must be ascending (slot order is
-// topological); values of fanins outside the subset are whatever the
-// caller staged (typically good-machine Broadcasts). Input slots inside
-// the subset are re-broadcast from the good simulator's value before
-// stem forcing, so a forced primary input works like any other site.
-func (s *WideSim) EvalSlotsForced(good *FlatSim, p int, slots []int32, lf *WideLaneForces) error {
-	if good.f != s.f {
-		return fmt.Errorf("logicsim: good-machine simulator walks a different flat circuit")
-	}
-	if lf != nil && (lf.f != s.f || lf.words != s.words) {
-		return fmt.Errorf("logicsim: forcing table shape (%d words) does not match simulator", lf.words)
-	}
-	w := s.words
-	for _, s32 := range slots {
-		slot := int(s32)
-		if s.f.op[slot] == opInput {
-			b := -(good.val[slot] >> uint(p) & 1)
-			o := slot * w
-			if lf.forced(slot) {
-				sb := slot * 2 * w
-				for k := 0; k < w; k++ {
-					s.val[o+k] = b&^lf.stem[sb+k] | lf.stem[sb+w+k]
-				}
-			} else {
-				for k := 0; k < w; k++ {
-					s.val[o+k] = b
-				}
-			}
-			continue
-		}
-		s.evalForcedSlot(slot, lf)
-	}
-	return nil
-}
-
 // appendOutputs appends the primary-output lane blocks to out.
 func (s *WideSim) appendOutputs(out []uint64) []uint64 {
 	out = out[:0]
@@ -452,9 +267,9 @@ func errPatternRange(p, count int) error {
 }
 
 // walkForced is the wide hot loop: one linear pass over the logic
-// slots; lf == nil walks unforced. The width dispatch is hoisted out
-// of the loop so the specialized widths pay one kernel call per slot
-// instead of riding through evalForcedSlot's per-slot switch — at
+// slots with the forcing table applied. The width dispatch is hoisted
+// out of the loop so the specialized widths pay one kernel call per
+// slot instead of riding through evalForcedSlot's per-slot switch — at
 // width 1, the steady state of the compacting lot engine, that inner
 // dispatch was a second dynamic call on every gate.
 //
@@ -479,15 +294,12 @@ func (s *WideSim) walkForced(lf *WideLaneForces) {
 
 // evalForcedSlot evaluates one logic slot into the value plane,
 // applying the slot's pin forces during evaluation and its stem force
-// to the result. Width dispatch: the 4-word width the engines batch at
-// gets the unrolled kernel in wide4.go, the 1-word width their dead-lane
-// compaction collapses to gets the scalar kernel in wide1.go, and every
-// other width (2, 3, 5..8) takes the generic stride loops below. An
-// 8-word unroll does not earn its bytes: BenchmarkWideWidths shows
-// per-lane cost improving only through W≈5 and regressing by W=8, where
-// the stride-8 value plane spills the close caches and the walk goes
-// memory-bound — the stride loop's bounds checks hide behind the
-// misses, and the engines batch at 4 words anyway.
+// to the result. Width dispatch: the 4-word width the lot engine
+// batches at gets the unrolled kernel in wide4.go, the 1-word width its
+// dead-lane compaction collapses to gets the scalar kernel in wide1.go,
+// and the transient widths 2 and 3 (a batch compacting down, or one
+// started with fewer than 192 chips) take the generic stride loops
+// below.
 //
 //repolint:hotpath
 func (s *WideSim) evalForcedSlot(slot int, lf *WideLaneForces) {

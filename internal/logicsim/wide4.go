@@ -2,12 +2,12 @@ package logicsim
 
 // The 4-word (256-lane) specialization of the wide walk. The generic
 // stride loops in wide.go pay a bounds check and a loop branch per
-// word; at the width the pf256 and chipparallel256 engines actually
-// run, that overhead dominates the gate function itself. Converting
-// each lane block to a *[4]uint64 (a plain slice-to-array-pointer
-// conversion, one length check per block) lets the compiler emit
-// straight-line unchecked word ops — the moral equivalent of the
-// scalar walk's single-op gate evaluation, four words wide.
+// word; at the width the chipparallel256 lot engine batches at, that
+// overhead dominates the gate function itself. Converting each lane
+// block to a *[4]uint64 (a plain slice-to-array-pointer conversion, one
+// length check per block) lets the compiler emit straight-line
+// unchecked word ops — the moral equivalent of the scalar walk's
+// single-op gate evaluation, four words wide.
 
 // block4 returns slot's lane block as a fixed-size array pointer.
 func (s *WideSim) block4(slot int) *[4]uint64 {

@@ -9,10 +9,25 @@ import (
 )
 
 // wideWidths is the lane-block width matrix the wide-layer property
-// tests sweep: the specialized 1- and 4-word kernels, the 2-word width
-// dead-lane compaction passes through, a generic stride width (5), and
-// the maximum (8).
-var wideWidths = []int{1, 2, 4, 5, 8}
+// tests sweep: every width the chipparallel256 lot engine walks — the
+// specialized 1- and 4-word kernels, and the generic stride loops at 2
+// (compaction passes through it) and 3 (a batch of 128..190 chips
+// starts there).
+var wideWidths = []int{1, 2, 3, 4}
+
+// forceMachine forces one machine's faults onto a lane the way the lot
+// engine builds its tables: resolved to slot space by
+// Flat.ResolveInjections, then added with AddResolved.
+func forceMachine(t testing.TB, f *Flat, lf *WideLaneForces, machine []Injection, lane int) {
+	t.Helper()
+	resolved, err := f.ResolveInjections(machine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, si := range resolved {
+		lf.AddResolved(si, lane)
+	}
+}
 
 // randomMachines builds n multi-fault machines of 1..5 random faults.
 func randomMachines(c *netlist.Circuit, n int, rng *rand.Rand) [][]Injection {
@@ -75,11 +90,7 @@ func TestWideRunLaneForcedMatchesRunWithFaults(t *testing.T) {
 		}
 		machines := randomMachines(c, len(lanes), rng)
 		for m, lane := range lanes {
-			for _, inj := range machines[m] {
-				if err := lf.Add(inj, lane); err != nil {
-					t.Fatal(err)
-				}
-			}
+			forceMachine(t, f, lf, machines[m], lane)
 		}
 		want := make([][]uint64, len(machines))
 		for m := range machines {
@@ -118,132 +129,6 @@ func TestWideRunLaneForcedMatchesRunWithFaults(t *testing.T) {
 	}
 }
 
-// TestWideRunIntoMatchesSimulator pins the wide unforced walk to the
-// Simulator: up to 64*W patterns in one wide block produce the same
-// output bits as the 64-wide oracle, for every width.
-func TestWideRunIntoMatchesSimulator(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	c, err := netlist.RandomCircuit("w", 8, 120, 6, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := NewSimulator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFlat(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, words := range wideWidths {
-		n := 64*words - rng.Intn(17) // exercise a partial last word
-		patterns := randomPatterns(c, n, rng)
-		wb, err := PackWidePatterns(patterns, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ws, err := NewWideSim(f, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := ws.RunInto(wb, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for base := 0; base < n; base += 64 {
-			end := base + 64
-			if end > n {
-				end = n
-			}
-			block, err := PackPatterns(patterns[base:end])
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := sim.Run(block)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for o := range c.Outputs {
-				for p := base; p < end; p++ {
-					got := out[o*words+p>>6] >> uint(p&63) & 1
-					if got != want[o]>>uint(p-base)&1 {
-						t.Fatalf("words=%d output %d pattern %d: wide %d, simulator %d",
-							words, o, p, got, want[o]>>uint(p-base)&1)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestEvalSlotsForcedMatchesFullWalk pins the subset walk pf256 runs
-// over union cones to the full forced walk: evaluating *all* slots via
-// EvalSlotsForced (inputs re-broadcast from the good machine) must
-// leave the same value plane as RunLaneForced.
-func TestEvalSlotsForcedMatchesFullWalk(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	c, err := netlist.RandomCircuit("e", 7, 70, 5, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFlat(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := NewFlatSim(f)
-	block, err := PackPatterns(randomPatterns(c, 32, rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := good.RunInto(block, nil); err != nil {
-		t.Fatal(err)
-	}
-	allSlots := make([]int32, f.Slots())
-	for i := range allSlots {
-		allSlots[i] = int32(i)
-	}
-	for _, words := range wideWidths {
-		full, err := NewWideSim(f, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		subset, err := NewWideSim(f, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lf, err := NewWideLaneForces(f, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		machines := randomMachines(c, 3, rng)
-		for m := range machines {
-			lane := 1 + m*(lf.Lanes()-2)/2 // lanes 1, middle, last
-			for _, inj := range machines[m] {
-				if err := lf.Add(inj, lane); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		for p := 0; p < block.Count; p += 7 {
-			if _, err := full.RunLaneForced(block, p, lf, nil); err != nil {
-				t.Fatal(err)
-			}
-			if err := subset.EvalSlotsForced(good, p, allSlots, lf); err != nil {
-				t.Fatal(err)
-			}
-			for slot := 0; slot < f.Slots(); slot++ {
-				fw, sw := full.ValueWords(slot), subset.ValueWords(slot)
-				for k := 0; k < words; k++ {
-					if fw[k] != sw[k] {
-						t.Fatalf("words=%d pattern %d slot %d word %d: full %x, subset %x",
-							words, p, slot, k, fw[k], sw[k])
-					}
-				}
-			}
-		}
-	}
-}
-
 func TestWideLaneForcesLastValueWins(t *testing.T) {
 	c := netlist.C17()
 	f, err := NewFlat(c)
@@ -267,19 +152,15 @@ func TestWideLaneForcesLastValueWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Both polarities on one lane: the second Add wins, same as a chip's
+	// Both polarities on one lane: the second add wins, same as a chip's
 	// ordered fault list under RunWithFaults.
 	const lane = 200
-	if err := lf.Add(Injection{Gate: g22, Pin: -1, Stuck: true}, lane); err != nil {
-		t.Fatal(err)
-	}
-	if err := lf.Add(Injection{Gate: g22, Pin: -1, Stuck: false}, lane); err != nil {
-		t.Fatal(err)
-	}
-	want, err := sim.RunWithFaults(block, []Injection{
+	machine := []Injection{
 		{Gate: g22, Pin: -1, Stuck: true},
 		{Gate: g22, Pin: -1, Stuck: false},
-	})
+	}
+	forceMachine(t, f, lf, machine, lane)
+	want, err := sim.RunWithFaults(block, machine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,11 +199,7 @@ func TestWideRunLaneForcedZeroAllocs(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(3))
 	for m, machine := range randomMachines(c, 40, rng) {
-		for _, inj := range machine {
-			if err := lf.Add(inj, m+1); err != nil {
-				t.Fatal(err)
-			}
-		}
+		forceMachine(t, f, lf, machine, m+1)
 	}
 	block, err := PackPatterns(randomPatterns(c, 64, rng))
 	if err != nil {
@@ -346,120 +223,18 @@ func TestWideRunLaneForcedZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestPackWidePatternsRoundTrip(t *testing.T) {
-	c := netlist.C17()
-	rng := rand.New(rand.NewSource(6))
-	patterns := randomPatterns(c, 300, rng)
-	wb, err := PackWidePatterns(patterns, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wb.Count != 300 || wb.Words != 8 {
-		t.Fatalf("packed shape %d/%d", wb.Count, wb.Words)
-	}
-	for p, pat := range patterns {
-		for i, v := range pat {
-			got := wb.Inputs[i*8+p>>6]>>uint(p&63)&1 == 1
-			if got != v {
-				t.Fatalf("pattern %d input %d: packed %v, want %v", p, i, got, v)
-			}
-		}
-	}
-	mask := wb.MaskInto(nil)
-	set := 0
-	for _, w := range mask {
-		for ; w != 0; w &= w - 1 {
-			set++
-		}
-	}
-	if len(mask) != 8 || set != 300 {
-		t.Fatalf("mask has %d bits over %d words, want 300 over 8", set, len(mask))
-	}
-}
-
-// TestWidenBlock checks the PatternBlock→WidePatternBlock conversion:
-// patterns land in word 0 of every input's lane block, padding lanes
-// stay zero, and word counts outside 1..MaxLaneWords are rejected with
-// the named ErrLaneWords — the regression for shape mistakes that
-// previously surfaced as opaque walk errors.
-func TestWidenBlock(t *testing.T) {
-	c := netlist.C17()
-	rng := rand.New(rand.NewSource(4))
-	patterns := randomPatterns(c, 23, rng)
-	b, err := PackPatterns(patterns)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := NewFlat(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := NewSimulator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sim.Run(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, words := range []int{1, 3, 8} {
-		wb, err := WidenBlock(b, words)
-		if err != nil {
-			t.Fatalf("words=%d: %v", words, err)
-		}
-		if wb.Count != b.Count || wb.Words != words {
-			t.Fatalf("words=%d: widened shape %d/%d", words, wb.Count, wb.Words)
-		}
-		for i, w := range b.Inputs {
-			if wb.Inputs[i*words] != w {
-				t.Fatalf("words=%d input %d: word 0 is %x, want %x", words, i, wb.Inputs[i*words], w)
-			}
-			for k := 1; k < words; k++ {
-				if wb.Inputs[i*words+k] != 0 {
-					t.Fatalf("words=%d input %d: padding word %d not zero", words, i, k)
-				}
-			}
-		}
-		// The widened block simulates identically to the 64-lane one.
-		ws, err := NewWideSim(f, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, err := ws.RunInto(wb, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mask := b.Mask()
-		for o := range want {
-			if out[o*words]&mask != want[o]&mask {
-				t.Fatalf("words=%d output %d: widened %x, simulator %x", words, o, out[o*words]&mask, want[o]&mask)
-			}
-		}
-	}
-	for _, words := range []int{0, -2, 9} {
-		if _, err := WidenBlock(b, words); !errors.Is(err, ErrLaneWords) {
-			t.Errorf("WidenBlock(%d words) error %v, want ErrLaneWords", words, err)
-		}
-	}
-	if _, err := WidenBlock(PatternBlock{}, 4); err == nil {
-		t.Error("zero-value PatternBlock accepted")
-	}
-	// The other wide-layer entry points wrap the same sentinel.
-	if _, err := NewWideSim(f, 9); !errors.Is(err, ErrLaneWords) {
-		t.Errorf("NewWideSim(9 words) error %v, want ErrLaneWords", err)
-	}
-	if _, err := NewWideLaneForces(f, 0); !errors.Is(err, ErrLaneWords) {
-		t.Errorf("NewWideLaneForces(0 words) error %v, want ErrLaneWords", err)
-	}
-}
-
 // TestWideLaneForcesResetKeepsLaneBounds is the compaction regression:
-// an epoch Reset must empty the table without enlarging it, so a
-// narrow (re-packed) table still rejects lane indices surviving from a
-// wider layout.
+// an epoch Reset must empty the table without resizing it, so a narrow
+// (re-packed) table still reports the lane count the lot engine checks
+// a batch against, and a force from the previous epoch no longer
+// reaches the walk.
 func TestWideLaneForcesResetKeepsLaneBounds(t *testing.T) {
 	c := netlist.C17()
 	f, err := NewFlat(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := NewWideSim(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,66 +242,82 @@ func TestWideLaneForcesResetKeepsLaneBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lf.Lanes() != 64 {
-		t.Fatalf("1-word table has %d lanes", lf.Lanes())
+	if lf.Lanes() != 64 || lf.Words() != 1 {
+		t.Fatalf("1-word table has %d lanes over %d words", lf.Lanes(), lf.Words())
 	}
-	if err := lf.Add(Injection{Gate: 0, Pin: -1, Stuck: true}, 63); err != nil {
+	block, err := PackPatterns(randomPatterns(c, 8, rand.New(rand.NewSource(2))))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lf.Add(Injection{Gate: 0, Pin: -1, Stuck: true}, 64); err == nil {
-		t.Error("lane 64 accepted by a 1-word table")
+	// Stick every output on lane 63, then Reset: the walk must see the
+	// good machine on every lane again.
+	var stuck []Injection
+	for _, g := range c.Outputs {
+		stuck = append(stuck, Injection{Gate: g, Pin: -1, Stuck: true})
+	}
+	forceMachine(t, f, lf, stuck, 63)
+	diverged := false
+	for p := 0; p < block.Count; p++ {
+		out, err := ws.RunLaneForced(block, p, lf, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range out {
+			diverged = diverged || w>>63 != w&1
+		}
+	}
+	if !diverged {
+		t.Fatal("stuck outputs on lane 63 never differed from the good machine")
 	}
 	lf.Reset()
-	if err := lf.Add(Injection{Gate: 0, Pin: -1, Stuck: true}, 64); err == nil {
-		t.Error("lane 64 accepted by a 1-word table after Reset")
+	if lf.Lanes() != 64 || lf.Words() != 1 {
+		t.Fatalf("Reset resized the table to %d lanes over %d words", lf.Lanes(), lf.Words())
 	}
-	if err := lf.Add(Injection{Gate: 0, Pin: -1, Stuck: true}, 63); err != nil {
-		t.Errorf("in-range lane rejected after Reset: %v", err)
+	for p := 0; p < block.Count; p++ {
+		out, err := ws.RunLaneForced(block, p, lf, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for o, w := range out {
+			if w != 0 && w != ^uint64(0) {
+				t.Fatalf("pattern %d output %d: lanes disagree (%x) after Reset", p, o, w)
+			}
+		}
 	}
 }
 
+// TestWideValidationErrors pins the wide layer's shape checks: widths
+// outside 1..MaxLaneWords (including the retired 5..8) are rejected
+// with the named ErrLaneWords by both constructors, fault lists are
+// validated once at ResolveInjections, and the walk rejects a
+// mismatched forcing table or an out-of-range pattern.
 func TestWideValidationErrors(t *testing.T) {
 	c := netlist.C17()
 	f, err := NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, words := range []int{0, -1, 9} {
-		if _, err := NewWideSim(f, words); err == nil {
-			t.Errorf("NewWideSim accepted %d words", words)
+	for _, words := range []int{0, -1, 5, 8, 9} {
+		if _, err := NewWideSim(f, words); !errors.Is(err, ErrLaneWords) {
+			t.Errorf("NewWideSim(%d words) error %v, want ErrLaneWords", words, err)
 		}
-		if _, err := NewWideLaneForces(f, words); err == nil {
-			t.Errorf("NewWideLaneForces accepted %d words", words)
-		}
-		if _, err := PackWidePatterns(randomPatterns(c, 4, rand.New(rand.NewSource(1))), words); err == nil {
-			t.Errorf("PackWidePatterns accepted %d words", words)
+		if _, err := NewWideLaneForces(f, words); !errors.Is(err, ErrLaneWords) {
+			t.Errorf("NewWideLaneForces(%d words) error %v, want ErrLaneWords", words, err)
 		}
 	}
 	ws, err := NewWideSim(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Zero-value and malformed wide blocks are rejected like their
-	// 64-lane counterparts.
-	if _, err := ws.RunInto(WidePatternBlock{}, nil); err == nil {
-		t.Error("zero-value WidePatternBlock accepted")
-	}
-	if _, err := ws.RunInto(WidePatternBlock{Inputs: make([]uint64, 5*4), Words: 4, Count: 257}, nil); err == nil {
-		t.Error("oversized Count accepted")
-	}
-	if _, err := ws.RunInto(WidePatternBlock{Inputs: make([]uint64, 5*2), Words: 2, Count: 10}, nil); err == nil {
-		t.Error("width-mismatched wide block accepted")
-	}
-	// Lane and shape checks on the forcing table.
 	lf, err := NewWideLaneForces(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lf.Add(Injection{Gate: 0, Pin: -1}, 256); err == nil {
-		t.Error("out-of-range lane accepted")
-	}
-	if err := lf.Add(Injection{Gate: len(c.Gates), Pin: -1}, 1); err == nil {
+	if _, err := f.ResolveInjections([]Injection{{Gate: len(c.Gates), Pin: -1}}); err == nil {
 		t.Error("out-of-range site accepted")
+	}
+	if _, err := f.ResolveInjections([]Injection{{Gate: c.Outputs[0], Pin: 9}}); err == nil {
+		t.Error("out-of-range pin accepted")
 	}
 	lf2, err := NewWideLaneForces(f, 2)
 	if err != nil {

@@ -54,9 +54,10 @@ import (
 // bit-identical to the serial oracle.
 
 const (
-	// pp256Words is the lane-block width a batch *starts* at (before
-	// compaction narrows it): 4 words = 256 lanes.
-	pp256Words = 4
+	// pp256Words is the widest lane block a batch starts at (before
+	// compaction narrows it): the wide layer's maximum, 4 words = 256
+	// lanes, so the per-width state arrays cover every width.
+	pp256Words = logicsim.MaxLaneWords
 	// pp256Lanes is the number of chip lanes per batch (lane 0 is the
 	// good machine).
 	pp256Lanes = 64*pp256Words - 1

@@ -377,41 +377,13 @@ type FalloutRow struct {
 	CumFracton float64 // cumulative fraction of chips failed
 }
 
-// FalloutTable reduces a lot result to Table 1 format at the given
-// pattern checkpoints, using the coverage ramp from fault simulation.
-// checkpoints are pattern indices (inclusive); the coverage column is
-// the ramp value at that pattern.
-func FalloutTable(res LotResult, curve []faultsim.CoveragePoint, checkpoints []int) ([]FalloutRow, error) {
-	if len(curve) == 0 {
-		return nil, fmt.Errorf("tester: empty coverage curve")
-	}
-	rows := make([]FalloutRow, 0, len(checkpoints))
-	total := len(res.FirstFail)
-	for _, cp := range checkpoints {
-		if cp < 0 || cp >= len(curve) {
-			return nil, fmt.Errorf("tester: checkpoint %d outside curve (%d patterns)", cp, len(curve))
-		}
-		failed := 0
-		for _, ff := range res.FirstFail {
-			if ff != NeverFails && ff <= cp {
-				failed++
-			}
-		}
-		rows = append(rows, FalloutRow{
-			Coverage:   curve[cp].Coverage,
-			CumFailed:  failed,
-			CumFracton: float64(failed) / float64(total),
-		})
-	}
-	return rows, nil
-}
-
-// FalloutTableRamp is FalloutTable against a change-point-compressed
-// coverage ramp (faultsim.SparseRamp): checkpoints are strobe step
-// indices in [0, ramp.Steps), and the coverage column is the ramp
-// value at that step. This is the LSI-scale path — the dense curve for
-// a 7.5k-gate circuit is tens of millions of points, the sparse ramp a
-// few thousand.
+// FalloutTableRamp reduces a lot result to Table 1 format at the given
+// checkpoints against a change-point-compressed coverage ramp
+// (faultsim.SparseRamp): checkpoints are step indices in
+// [0, ramp.Steps), inclusive, and the coverage column is the ramp value
+// at that step. The sparse ramp keeps this cheap at LSI scale — the
+// dense curve for a 7.5k-gate circuit is tens of millions of points,
+// the sparse ramp a few thousand.
 func FalloutTableRamp(res LotResult, ramp faultsim.Ramp, checkpoints []int) ([]FalloutRow, error) {
 	if ramp.Steps == 0 {
 		return nil, fmt.Errorf("tester: empty coverage ramp")
@@ -442,9 +414,9 @@ func FalloutTableRamp(res LotResult, ramp faultsim.Ramp, checkpoints []int) ([]F
 // the input format the estimate package's bootstrap consumes. The
 // result and the curve must share one granularity: a TestLotSteps
 // result pairs with the strobe-granular ramp (pattern × output, e.g.
-// faultsim.StepCoverageCurve), a TestLot result with the
-// pattern-granular one. A first-fail index outside the curve is a
-// granularity mismatch and returns an error instead of panicking.
+// faultsim.CurveFromResult over faultsim.RunSteps), a TestLot result
+// with the pattern-granular one. A first-fail index outside the curve
+// is a granularity mismatch and returns an error instead of panicking.
 func FirstFailCoverages(res LotResult, curve []faultsim.CoveragePoint) ([]float64, error) {
 	out := make([]float64, len(res.FirstFail))
 	for i, ff := range res.FirstFail {

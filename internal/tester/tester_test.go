@@ -176,13 +176,17 @@ func TestTestLotStatistics(t *testing.T) {
 	}
 }
 
+// TestFalloutTable checks the Table 1 reduction at checkpoint rows of
+// a change-point ramp: between change points a row carries the last
+// point's coverage.
 func TestFalloutTable(t *testing.T) {
 	res := LotResult{FirstFail: []int{0, 0, 3, NeverFails, 7}}
-	curve := make([]faultsim.CoveragePoint, 10)
-	for i := range curve {
-		curve[i] = faultsim.CoveragePoint{Pattern: i, Coverage: float64(i+1) / 10}
-	}
-	rows, err := FalloutTable(res, curve, []int{0, 3, 9})
+	ramp := faultsim.Ramp{Points: []faultsim.CoveragePoint{
+		{Pattern: 0, Detected: 1, Coverage: 0.1},
+		{Pattern: 2, Detected: 4, Coverage: 0.4},
+		{Pattern: 9, Detected: 10, Coverage: 1},
+	}, Steps: 10}
+	rows, err := FalloutTableRamp(res, ramp, []int{0, 3, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,12 +207,12 @@ func TestFalloutTable(t *testing.T) {
 
 func TestFalloutTableErrors(t *testing.T) {
 	res := LotResult{FirstFail: []int{0}}
-	if _, err := FalloutTable(res, nil, []int{0}); err == nil {
-		t.Error("empty curve should error")
+	if _, err := FalloutTableRamp(res, faultsim.Ramp{}, []int{0}); err == nil {
+		t.Error("empty ramp should error")
 	}
-	curve := []faultsim.CoveragePoint{{Pattern: 0, Coverage: 0.5}}
-	if _, err := FalloutTable(res, curve, []int{5}); err == nil {
-		t.Error("checkpoint beyond curve should error")
+	ramp := faultsim.Ramp{Points: []faultsim.CoveragePoint{{Pattern: 0, Detected: 1, Coverage: 0.5}}, Steps: 1}
+	if _, err := FalloutTableRamp(res, ramp, []int{5}); err == nil {
+		t.Error("checkpoint beyond ramp should error")
 	}
 }
 
