@@ -7,6 +7,7 @@ package repro
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -97,11 +98,11 @@ func BenchmarkFig6(b *testing.B) {
 }
 
 // BenchmarkEngines is the fault-simulation engine matrix: every
-// registered engine against paper-scale circuits, 256 random patterns
-// each, on the collapsed fault list. serial is the full-circuit
-// baseline; comparing it with ppsfp shows what cone restriction and
-// fault dropping buy. The ns/fault-pattern metric is the
-// engine-comparison number quoted in the README.
+// registered engine, plus one sharded ppsfp row, against paper-scale
+// circuits, 256 random patterns each, on the collapsed fault list.
+// serial is the full-circuit baseline; comparing it with ppsfp shows
+// what cone restriction and fault dropping buy. The ns/fault-pattern
+// metric is the engine-comparison number quoted in the README.
 func BenchmarkEngines(b *testing.B) {
 	circuits := []struct {
 		name  string
@@ -110,9 +111,23 @@ func BenchmarkEngines(b *testing.B) {
 		{"mul8", func() (*netlist.Circuit, error) { return netlist.ArrayMultiplier(8) }},
 		{"cmp16", func() (*netlist.Circuit, error) { return netlist.Comparator(16) }},
 	}
+	type row struct {
+		name   string
+		engine faultsim.Engine
+		opt    faultsim.Options
+	}
+	var rows []row
 	for _, e := range faultsim.Engines() {
+		rows = append(rows, row{e.String(), e, faultsim.Options{}})
+	}
+	// The sharded row: ppsfp over GOMAXPROCS fault-list shards, the
+	// configuration the retired concurrent engine ran. It keeps that
+	// engine's row name so make bench-compare still pairs it with the
+	// recorded "concurrent" rows instead of reporting them as gone.
+	rows = append(rows, row{"concurrent", faultsim.PPSFP, faultsim.Options{Workers: runtime.GOMAXPROCS(0)}})
+	for _, r := range rows {
 		for _, ce := range circuits {
-			b.Run(e.String()+"/"+ce.name, func(b *testing.B) {
+			b.Run(r.name+"/"+ce.name, func(b *testing.B) {
 				c, err := ce.build()
 				if err != nil {
 					b.Fatal(err)
@@ -130,12 +145,12 @@ func BenchmarkEngines(b *testing.B) {
 				// One warm-up run outside the timer so -benchtime=1x
 				// still reports steady state (the per-circuit cone
 				// set is built once and cached on the circuit).
-				if _, err := faultsim.Run(c, reps, patterns, e); err != nil {
+				if _, err := faultsim.RunOpts(c, reps, patterns, r.engine, r.opt); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := faultsim.Run(c, reps, patterns, e); err != nil {
+					if _, err := faultsim.RunOpts(c, reps, patterns, r.engine, r.opt); err != nil {
 						b.Fatal(err)
 					}
 				}

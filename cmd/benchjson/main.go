@@ -13,7 +13,7 @@
 //	  "rows": [
 //	    {
 //	      "suite": "engines",             // "engines" | "lot-engines"
-//	      "engine": "ppsfp",              // registry name, e.g. serial, ppsfp, concurrent
+//	      "engine": "ppsfp",              // benchmark row name, e.g. serial, ppsfp, concurrent
 //	      "circuit": "mul8",              // workload name
 //	      "iterations": 30,               // benchmark iteration count
 //	      "ns_per_op": 1885999,           // one op = one full run over the workload

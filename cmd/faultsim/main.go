@@ -5,7 +5,7 @@
 //
 //	faultsim -bench c17.bench -patterns 64 -seed 7
 //	faultsim -circuit mul8 -patterns 256 -engine serial
-//	faultsim -circuit cmp16 -patterns 512 -engine concurrent -workers 8
+//	faultsim -circuit cmp16 -patterns 512 -workers 8
 //	faultsim -list-circuits
 package main
 
@@ -28,7 +28,7 @@ func main() {
 	npat := flag.Int("patterns", 64, "number of random patterns")
 	seed := flag.Int64("seed", 1, "pattern seed")
 	engine := flag.String("engine", "ppsfp", "engine: "+faultsim.EngineNames())
-	workers := flag.Int("workers", 0, "goroutines for -engine concurrent (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "fault-list shards (0 = one)")
 	lfsr := flag.Bool("lfsr", false, "use an LFSR instead of uniform random patterns")
 	flag.Parse()
 
@@ -61,12 +61,6 @@ func run(spec string, npat int, seed int64, engineName string, opt faultsim.Opti
 	eng, err := faultsim.ParseEngine(engineName)
 	if err != nil {
 		return err
-	}
-	// Reject flag/engine combinations that would be silently ignored:
-	// wrong timings attributed to the wrong configuration are worse
-	// than an error.
-	if opt.Workers != 0 && eng != faultsim.Concurrent {
-		return fmt.Errorf("-workers only applies to the concurrent engine (got %v)", eng)
 	}
 
 	var src atpg.Source

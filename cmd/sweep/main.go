@@ -6,7 +6,7 @@
 //
 //	sweep -circuits mul8 -yields 0.07 -n0s 8,8.8 -chips 6000 -coverages 0.8,0.94 -replicates 30
 //	sweep -circuits mul4,cmp8,rand7 -format csv > sweep.csv
-//	sweep -circuits bench:circuits/ -format json -workers 8 -engine concurrent
+//	sweep -circuits bench:circuits/ -format json -workers 8 -simworkers 4
 //	sweep -list-circuits
 //
 // Campaigns are durable and shardable. -checkpoint snapshots progress
@@ -50,7 +50,7 @@ func main() {
 	random := flag.Int("random", 192, "random patterns before PODEM cleanup")
 	physical := flag.Bool("physical", false, "generate lots through the physical-defect layer")
 	engineName := flag.String("engine", "ppsfp", "fault-simulation engine: "+faultsim.EngineNames())
-	simWorkers := flag.Int("simworkers", 0, "goroutines for -engine concurrent (0 = GOMAXPROCS)")
+	simWorkers := flag.Int("simworkers", 0, "fault-list shards (0 = one)")
 	lotEngineName := flag.String("lotengine", tester.ChipParallel256.String(),
 		"ATE lot engine: chipparallel256 or serial (bit-identical results)")
 	sampleFaults := flag.Int("sample-faults", 0,

@@ -247,7 +247,8 @@ func TestErrorPaths(t *testing.T) {
 		return resp.StatusCode, buf.String()
 	}
 	// Malformed JSON, unknown field, empty grid, bad or retired engine
-	// name: 400, and an engine error names the registered engines.
+	// name, a builtin spec past its size cap: 400, and an engine error
+	// names the registered engines.
 	const grid = `"circuits": ["mul4"], "yields": [0.2], "n0s": [3], "lot_sizes": [60], "coverages": [0.5], "replicates": 1, "random_patterns": 32`
 	for name, tc := range map[string]struct{ body, names string }{
 		"not json":           {`{"circuits": [`, ""},
@@ -256,6 +257,8 @@ func TestErrorPaths(t *testing.T) {
 		"bad circuit":        {`{"circuits": ["no-such-circuit"], "yields": [0.2], "n0s": [3], "lot_sizes": [60], "coverages": [0.5], "replicates": 1, "random_patterns": 32}`, ""},
 		"bad engine":         {`{` + grid + `, "engine": "warp-drive"}`, "ppsfp"},
 		"retired engine":     {`{` + grid + `, "engine": "pf256"}`, "ppsfp"},
+		"folded engine":      {`{` + grid + `, "engine": "concurrent"}`, "ppsfp"},
+		"oversized circuit":  {strings.Replace(`{`+grid+`}`, `"mul4"`, `"lsi400000000"`, 1), "size cap"},
 		"retired lot engine": {`{` + grid + `, "lot_engine": "chip-parallel"}`, "chipparallel256"},
 	} {
 		code, body := post(tc.body)

@@ -26,8 +26,9 @@ type Params struct {
 	// the coverage ramp; every engine yields an identical ramp, so this
 	// only affects speed.
 	Engine faultsim.Engine
-	// SimWorkers is the goroutine count for faultsim.Concurrent
-	// (0 = GOMAXPROCS); other engines ignore it.
+	// SimWorkers is the number of fault-list shards each fault
+	// simulation runs, one goroutine each (faultsim.Options.Workers;
+	// 0 = one, inline). It only affects speed.
 	SimWorkers int
 	// BacktrackLimit bounds PODEM's search per fault during cleanup
 	// ATPG (0 = the generator's default). Faults that exhaust the

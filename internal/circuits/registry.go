@@ -31,6 +31,11 @@
 //	                 inside, sorted), or a glob pattern
 //	<path>.bench     shorthand for bench:<path>.bench
 //
+// Every sized family has a fixed cap on N (the max column of builtins,
+// printed by List) that keeps each builtin under ~10^5 gates: a larger
+// N fails with ErrSpecTooLarge as soon as the spec is expanded, instead
+// of exhausting memory when it is built.
+//
 // A spec that names a file or builtin resolves to exactly one circuit;
 // a directory or glob spec expands to one circuit per matching .bench
 // file. Expand normalizes every spec to such unit specs, which are the
@@ -38,7 +43,9 @@
 package circuits
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,33 +54,55 @@ import (
 	"repro/internal/netlist"
 )
 
+// ErrSpecTooLarge reports a builtin spec whose N exceeds its family's
+// size cap.
+var ErrSpecTooLarge = errors.New("circuits: spec exceeds its family's size cap")
+
 // builtin is one parameterized generator family of the registry.
 type builtin struct {
 	prefix string
 	doc    string
-	build  func(n int) (*netlist.Circuit, error)
+	// max caps N. The sized families' caps keep every builtin under
+	// ~10^5 gates; rand's N is a seed, not a size, so it is uncapped.
+	max   int
+	build func(n int) (*netlist.Circuit, error)
 }
 
 // builtins lists every generator family, in the order List prints them.
 func builtins() []builtin {
 	return []builtin{
-		{"rca", "N-bit ripple-carry adder", netlist.RippleAdder},
-		{"mul", "N×N array multiplier (quadratic gate count, LSI-scale)", netlist.ArrayMultiplier},
-		{"parity", "N-input XOR parity tree (random-pattern friendly)", netlist.ParityTree},
-		{"dec", "N-to-2^N decoder with enable (random-pattern resistant)", netlist.Decoder},
-		{"mux", "2^N-to-1 multiplexer tree", netlist.MuxTree},
-		{"cmp", "N-bit equality comparator", netlist.Comparator},
-		{"cla", "N-bit carry-lookahead adder (wide-fanin reconvergent carries)", netlist.CarryLookaheadAdder},
-		{"alu", "N-bit ALU slice: AND/OR/XOR/ADD selected by two op bits", netlist.ALUSlice},
-		{"bshift", "2^N-bit logical barrel shifter with N mux stages", netlist.BarrelShifter},
-		{"datapath", "N-bit datapath: multiplier and adder feeding an ALU, parity-observed", netlist.Datapath},
-		{"rand", "pseudo-random circuit, 16 inputs × 400 gates × 12 outputs, seeded by N",
+		{"rca", "N-bit ripple-carry adder", 8192, netlist.RippleAdder},
+		{"mul", "N×N array multiplier (quadratic gate count, LSI-scale)", 128, netlist.ArrayMultiplier},
+		{"parity", "N-input XOR parity tree (random-pattern friendly)", 32768, netlist.ParityTree},
+		{"dec", "N-to-2^N decoder with enable (random-pattern resistant)", 12, netlist.Decoder},
+		{"mux", "2^N-to-1 multiplexer tree", 10, netlist.MuxTree},
+		{"cmp", "N-bit equality comparator", 16384, netlist.Comparator},
+		{"cla", "N-bit carry-lookahead adder (wide-fanin reconvergent carries)", 16, netlist.CarryLookaheadAdder},
+		{"alu", "N-bit ALU slice: AND/OR/XOR/ADD selected by two op bits", 4096, netlist.ALUSlice},
+		{"bshift", "2^N-bit logical barrel shifter with N mux stages", 6, netlist.BarrelShifter},
+		{"datapath", "N-bit datapath: multiplier and adder feeding an ALU, parity-observed", 8, netlist.Datapath},
+		{"rand", "pseudo-random circuit, 16 inputs × 400 gates × 12 outputs, seeded by N", math.MaxInt,
 			func(n int) (*netlist.Circuit, error) {
 				return netlist.RandomCircuit(fmt.Sprintf("rand%d", n), 16, 400, 12, int64(n))
 			}},
-		{"lsi", "ISCAS'85-class pseudo-random netlist of ~N gates (N >= 100; 1k–10k is the LSI range)",
+		{"lsi", "ISCAS'85-class pseudo-random netlist of ~N gates (1k–10k is the LSI range), N >= 100", 50000,
 			netlist.LSIChip},
 	}
+}
+
+// matchBuiltin finds the generator family whose grammar the spec
+// matches and checks N against the family's cap; ok is false when no
+// family matches.
+func matchBuiltin(spec string) (b builtin, n int, ok bool, err error) {
+	for _, b := range builtins() {
+		if scan(spec, b.prefix+"%d", &n) {
+			if n > b.max {
+				return b, n, true, fmt.Errorf("%w: %s (%s<N> takes N <= %d)", ErrSpecTooLarge, spec, b.prefix, b.max)
+			}
+			return b, n, true, nil
+		}
+	}
+	return builtin{}, 0, false, nil
 }
 
 // Resolve maps one unit spec to a validated circuit. Directory and glob
@@ -93,15 +122,15 @@ func Resolve(spec string) (*netlist.Circuit, error) {
 	if c, ok, err := resolveFixture(spec); ok {
 		return c, err
 	}
-	for _, b := range builtins() {
-		var n int
-		if scan(spec, b.prefix+"%d", &n) {
-			c, err := b.build(n)
-			if err != nil {
-				return nil, fmt.Errorf("circuits: %s: %w", spec, err)
-			}
-			return c, nil
+	if b, n, ok, err := matchBuiltin(spec); ok {
+		if err != nil {
+			return nil, err
 		}
+		c, err := b.build(n)
+		if err != nil {
+			return nil, fmt.Errorf("circuits: %s: %w", spec, err)
+		}
+		return c, nil
 	}
 	return nil, fmt.Errorf("circuits: unknown spec %q (run with -list-circuits for the grammar)", spec)
 }
@@ -184,18 +213,16 @@ func ResolveAll(specs []string) ([]*netlist.Circuit, error) {
 	return out, nil
 }
 
-// checkBuiltin verifies a non-bench spec against the grammar without
-// synthesizing anything. Parameter-range errors (a width the generator
-// rejects) still surface at Resolve time.
+// checkBuiltin verifies a non-bench spec against the grammar and the
+// family's size cap without synthesizing anything. Other parameter
+// errors (a width below what the generator accepts) still surface at
+// Resolve time.
 func checkBuiltin(spec string) error {
 	if spec == "c17" || isFixture(spec) {
 		return nil
 	}
-	for _, b := range builtins() {
-		var n int
-		if scan(spec, b.prefix+"%d", &n) {
-			return nil
-		}
+	if _, _, ok, err := matchBuiltin(spec); ok {
+		return err
 	}
 	return fmt.Errorf("circuits: unknown spec %q (run with -list-circuits for the grammar)", spec)
 }
@@ -237,7 +264,11 @@ func List() string {
 	sb.WriteString("workload specs (comma-separable where a flag takes a list):\n")
 	sb.WriteString("  c17            ISCAS-85 c17 benchmark (6 NAND gates)\n")
 	for _, b := range builtins() {
-		fmt.Fprintf(&sb, "  %-14s %s\n", b.prefix+"<N>", b.doc)
+		fmt.Fprintf(&sb, "  %-14s %s", b.prefix+"<N>", b.doc)
+		if b.max < math.MaxInt {
+			fmt.Fprintf(&sb, ", N <= %d", b.max)
+		}
+		sb.WriteString("\n")
 	}
 	for _, f := range fixtureList() {
 		fmt.Fprintf(&sb, "  %-14s %s\n", f.spec, f.doc)

@@ -2,6 +2,9 @@ package circuits
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -168,3 +171,36 @@ func TestListCoversGrammar(t *testing.T) {
 // repo-wide by the repolint registry analyzer (internal/lint), which
 // bans any call outside this package to a package-level netlist
 // function returning *netlist.Circuit, so the ban list cannot drift.
+
+// TestBuiltinSizeCaps pins the per-family size caps: N at the cap
+// builds (so a cap never promises a circuit its generator refuses),
+// N one past it is refused by Expand and Resolve alike with the named
+// error, before anything is synthesized.
+func TestBuiltinSizeCaps(t *testing.T) {
+	for _, b := range builtins() {
+		if b.max == math.MaxInt {
+			continue // rand: N is a seed
+		}
+		at := fmt.Sprintf("%s%d", b.prefix, b.max)
+		if _, err := Expand(at); err != nil {
+			t.Errorf("Expand(%s): %v", at, err)
+		}
+		if !testing.Short() {
+			c, err := Resolve(at)
+			if err != nil {
+				t.Errorf("Resolve(%s): %v", at, err)
+			} else if len(c.Gates) > 100000 {
+				t.Errorf("%s has %d gates, above the ~10^5 budget", at, len(c.Gates))
+			}
+		}
+		over := fmt.Sprintf("%s%d", b.prefix, b.max+1)
+		for _, spec := range []string{over, b.prefix + "400000000"} {
+			if _, err := Expand(spec); !errors.Is(err, ErrSpecTooLarge) {
+				t.Errorf("Expand(%s) error %v, want ErrSpecTooLarge", spec, err)
+			}
+			if _, err := Resolve(spec); !errors.Is(err, ErrSpecTooLarge) {
+				t.Errorf("Resolve(%s) error %v, want ErrSpecTooLarge", spec, err)
+			}
+		}
+	}
+}

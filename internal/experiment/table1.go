@@ -47,9 +47,9 @@ type Table1Config struct {
 	// and the test-set construction. The zero value is the default
 	// cone-restricted PPSFP; every engine yields an identical ramp.
 	Engine faultsim.Engine
-	// SimWorkers is the goroutine count when Engine is
-	// faultsim.Concurrent (0 = GOMAXPROCS); every other engine is
-	// single-threaded and ignores it.
+	// SimWorkers is the number of fault-list shards each fault
+	// simulation runs, one goroutine each (faultsim.Options.Workers;
+	// 0 = one, inline). It only affects speed.
 	SimWorkers int
 	// BacktrackLimit bounds PODEM's per-fault search during cleanup
 	// ATPG (0 = the generator's default).

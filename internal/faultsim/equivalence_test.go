@@ -1,6 +1,7 @@
 package faultsim
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"strings"
@@ -75,13 +76,17 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 		opt    Options
 	}
 	// Every registered engine is checked automatically (a new registry
-	// entry lands here with zero test changes); the explicit extra pins
-	// a real worker pool even on single-core hosts.
+	// entry lands here with zero test changes); the explicit extras pin
+	// real shard counts, uneven splits included, even on single-core
+	// hosts.
 	var variants []variant
 	for _, e := range Engines() {
 		variants = append(variants, variant{e.String(), e, Options{}})
 	}
-	variants = append(variants, variant{"concurrent-4", Concurrent, Options{Workers: 4}})
+	for _, w := range []int{1, 2, 3, 4} {
+		variants = append(variants, variant{fmt.Sprintf("ppsfp-%d", w), PPSFP, Options{Workers: w}})
+	}
+	variants = append(variants, variant{"serial-2", Serial, Options{Workers: 2}})
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(trial + 1)
 		rng := rand.New(rand.NewSource(seed * 977))
@@ -177,15 +182,18 @@ func TestRunStepsMatchesEngines(t *testing.T) {
 					seed, fi, ref.FirstDetect[fi], got, pat.FirstDetect[fi])
 			}
 		}
-		for _, e := range []Engine{Serial, Concurrent} {
-			got, err := RunStepsOpts(c, faults, patterns, e, Options{})
+		for _, v := range []struct {
+			e   Engine
+			opt Options
+		}{{Serial, Options{}}, {PPSFP, Options{Workers: 3}}} {
+			got, err := RunStepsOpts(c, faults, patterns, v.e, v.opt)
 			if err != nil {
-				t.Fatalf("%v: %v", e, err)
+				t.Fatalf("%v %+v: %v", v.e, v.opt, err)
 			}
 			for fi := range faults {
 				if got.FirstDetect[fi] != ref.FirstDetect[fi] {
-					t.Fatalf("seed %d fault %d: %v steps %d, ppsfp steps %d",
-						seed, fi, e, got.FirstDetect[fi], ref.FirstDetect[fi])
+					t.Fatalf("seed %d fault %d: %v %+v steps %d, ppsfp steps %d",
+						seed, fi, v.e, v.opt, got.FirstDetect[fi], ref.FirstDetect[fi])
 				}
 			}
 		}
@@ -200,14 +208,14 @@ func TestParseEngine(t *testing.T) {
 		}
 	}
 	// Unknown and retired names fail fast, naming what is registered.
-	for _, name := range []string{"warp-drive", "pf", "deductive", "ppsfp-full", "pf256", ""} {
+	for _, name := range []string{"warp-drive", "pf", "deductive", "ppsfp-full", "pf256", "concurrent", ""} {
 		_, err := ParseEngine(name)
 		if err == nil {
 			t.Errorf("ParseEngine(%q) accepted", name)
 			continue
 		}
-		if !strings.Contains(err.Error(), "(registered: ppsfp, serial, concurrent)") {
-			t.Errorf("ParseEngine(%q) error %q does not list the three engines", name, err)
+		if !strings.Contains(err.Error(), "(registered: ppsfp, serial)") {
+			t.Errorf("ParseEngine(%q) error %q does not list the two engines", name, err)
 		}
 	}
 }

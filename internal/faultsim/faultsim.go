@@ -1,18 +1,19 @@
 // Package faultsim measures which single-stuck-at faults a test-pattern
-// sequence detects. Three engines share one result contract (identical
-// FirstDetect, bit for bit) and one set of plumbing — block packing,
-// fault dropping, first-detect bookkeeping — and all run on the flat
-// core (logicsim.Flat); they differ only in how they spend the machine
-// word:
+// sequence detects. Two engines share one result contract (identical
+// FirstDetect, bit for bit), one set of plumbing — block packing,
+// fault dropping, first-detect bookkeeping — and one block×fault loop
+// on the flat core (logicsim.Flat); they differ only in how each
+// faulty pass is simulated:
 //
-//   - Serial: one fault at a time, full-circuit re-simulation as a
-//     scalar flat walk, no fault dropping — the classic baseline and
-//     the full-circuit reference the other engines are cross-checked
-//     against;
 //   - PPSFP: parallel-pattern single-fault propagation with fault
 //     dropping, restricted to each fault's slot cone (logicsim.FlatSim
 //     over a FlatConeSet) — the workhorse used by the experiments;
-//   - Concurrent: cone-restricted PPSFP sharded over a goroutine pool.
+//   - Serial: one fault at a time, full-circuit re-simulation as a
+//     scalar flat walk, no fault dropping — the classic baseline and
+//     the full-circuit reference PPSFP is cross-checked against.
+//
+// Options.Workers shards the fault list across goroutines for either
+// engine; the default runs one shard inline.
 //
 // The paper's experiment needs the cumulative coverage curve of an
 // ordered pattern set — CoverageCurve produces exactly the "fault
@@ -66,28 +67,26 @@ type Engine int
 // Available engines. PPSFP is the zero value on purpose: an
 // unconfigured Engine field selects the workhorse. The values are
 // stable, because a sweep's JSON report records the Engine number: a
-// retired engine leaves its value unused (2, 3 and 5 are).
+// retired engine leaves its value unused (2, 3, 4 and 5 are).
 const (
-	PPSFP      Engine = 0
-	Serial     Engine = 1
-	Concurrent Engine = 4
+	PPSFP  Engine = 0
+	Serial Engine = 1
 )
 
 // strategy is one entry of the engine registry: the CLI-stable name
-// plus the run function, operating on the shared session plumbing.
+// plus how the shared shard loop simulates each faulty pass.
 type strategy struct {
 	name string
-	run  func(*session) error
+	// ppsfp selects cone-restricted passes with fault dropping; without
+	// it every fault meets every block on a full-circuit walk.
+	ppsfp bool
 }
 
-// registry maps each Engine to its strategy. Every engine consumes the
-// same session (packed blocks, good-machine outputs, first-detect
-// bookkeeping with dropping), so adding an engine is one entry here
-// plus a run function.
+// registry maps each Engine to its strategy. Every engine runs the same
+// shard loop over the same session.
 var registry = map[Engine]strategy{
-	Serial:     {"serial", func(s *session) error { return s.runParallelPattern(false) }},
-	PPSFP:      {"ppsfp", func(s *session) error { return s.runParallelPattern(true) }},
-	Concurrent: {"concurrent", runConcurrent},
+	PPSFP:  {"ppsfp", true},
+	Serial: {"serial", false},
 }
 
 // String names the engine.
@@ -134,8 +133,9 @@ func EngineNames() string {
 
 // Options tunes a run; the zero value selects the defaults.
 type Options struct {
-	// Workers is the goroutine count for the Concurrent engine; <= 0
-	// selects GOMAXPROCS. Other engines ignore it.
+	// Workers is the number of fault-list shards, each simulated on
+	// its own goroutine; 0 or 1 runs one shard inline. Results do not
+	// depend on it.
 	Workers int
 }
 
@@ -157,32 +157,26 @@ func RunOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Patte
 	if !ok {
 		return Result{}, fmt.Errorf("faultsim: unknown engine %v", engine)
 	}
-	s, err := newSession(c, faults, patterns, opt)
+	if opt.Workers < 0 {
+		return Result{}, fmt.Errorf("faultsim: shard count must be >= 0, got %d", opt.Workers)
+	}
+	s, err := newSession(c, faults, patterns)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := st.run(s); err != nil {
+	if err := s.run(st.ppsfp, opt.Workers); err != nil {
 		return Result{}, err
 	}
 	return Result{FirstDetect: s.first, Patterns: len(patterns)}, nil
 }
 
 // session carries the state every engine shares: the circuit, the fault
-// list, lazily packed 64-pattern blocks with their good-machine
-// outputs, the lazily built flat form with its slot cones, and the
-// first-detect array the engines fill in.
+// list, the patterns, and the first-detect array the shards fill in.
 type session struct {
 	c        *netlist.Circuit
 	faults   []fault.Fault
 	patterns []logicsim.Pattern
-	opt      Options
 	first    []int
-
-	flat       *logicsim.Flat
-	flatCones  *logicsim.FlatConeSet
-	fsim       *logicsim.FlatSim
-	blocks     []block
-	blocksGood bool // block.good filled in
 }
 
 // block is one packed slab of up to 64 patterns plus its good-machine
@@ -193,7 +187,7 @@ type block struct {
 	good []uint64
 }
 
-func newSession(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, opt Options) (*session, error) {
+func newSession(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern) (*session, error) {
 	for i, f := range faults {
 		if f.Gate < 0 || f.Gate >= len(c.Gates) {
 			return nil, fmt.Errorf("faultsim: fault %d site %d out of range", i, f.Gate)
@@ -206,92 +200,35 @@ func newSession(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pa
 	for i := range first {
 		first[i] = NotDetected
 	}
-	return &session{c: c, faults: faults, patterns: patterns, opt: opt, first: first}, nil
+	return &session{c: c, faults: faults, patterns: patterns, first: first}, nil
 }
 
-// flatCircuit returns the circuit's flat compiled form, built on first
-// use and cached on the circuit across sessions. The form is immutable
-// and shared across workers.
-func (s *session) flatCircuit() (*logicsim.Flat, error) {
-	if s.flat == nil {
-		f, err := logicsim.FlatFor(s.c)
+// packBlocks packs the pattern sequence into 64-wide blocks. needGood
+// additionally records each block's good-machine primary-output words
+// on fsim — only the full-circuit diff path reads them; the cone
+// passes diff against the simulator's saved values and would otherwise
+// pay one wasted good simulation per block.
+func (s *session) packBlocks(fsim *logicsim.FlatSim, needGood bool) ([]block, error) {
+	var blocks []block
+	for base := 0; base < len(s.patterns); base += 64 {
+		pat, err := logicsim.PackPatterns(s.patterns[base:min(base+64, len(s.patterns))])
 		if err != nil {
 			return nil, err
 		}
-		s.flat = f
-	}
-	return s.flat, nil
-}
-
-// flatSim returns the session's flat walk state, creating it on first
-// use. Engines that spawn goroutines create their own per-worker
-// FlatSims over the shared Flat instead (FlatSim is not safe for
-// concurrent use).
-func (s *session) flatSim() (*logicsim.FlatSim, error) {
-	if s.fsim == nil {
-		f, err := s.flatCircuit()
-		if err != nil {
-			return nil, err
-		}
-		s.fsim = logicsim.NewFlatSim(f)
-	}
-	return s.fsim, nil
-}
-
-// flatConeSet returns the circuit's slot cones, cached on the circuit
-// across sessions; each cone compiles on its first request. The set is
-// safe to share across workers.
-func (s *session) flatConeSet() (*logicsim.FlatConeSet, error) {
-	if s.flatCones == nil {
-		cs, err := logicsim.FlatConeSetFor(s.c)
-		if err != nil {
-			return nil, err
-		}
-		s.flatCones = cs
-	}
-	return s.flatCones, nil
-}
-
-// packBlocks packs the pattern sequence into 64-wide blocks, once per
-// session. needGood additionally records each block's good-machine
-// primary-output words — only the full-circuit diff path reads them;
-// the cone engines diff against the simulator's saved values and would
-// otherwise pay one wasted good simulation per block.
-func (s *session) packBlocks(needGood bool) ([]block, error) {
-	if s.blocks == nil {
-		for base := 0; base < len(s.patterns); base += 64 {
-			end := base + 64
-			if end > len(s.patterns) {
-				end = len(s.patterns)
-			}
-			pat, err := logicsim.PackPatterns(s.patterns[base:end])
-			if err != nil {
+		b := block{pat: pat, base: base}
+		if needGood {
+			if b.good, err = fsim.RunInto(pat, nil); err != nil {
 				return nil, err
 			}
-			s.blocks = append(s.blocks, block{pat: pat, base: base})
 		}
+		blocks = append(blocks, b)
 	}
-	if needGood && !s.blocksGood {
-		fsim, err := s.flatSim()
-		if err != nil {
-			return nil, err
-		}
-		for i := range s.blocks {
-			good, err := fsim.RunInto(s.blocks[i].pat, nil)
-			if err != nil {
-				return nil, err
-			}
-			s.blocks[i].good = good
-		}
-		s.blocksGood = true
-	}
-	return s.blocks, nil
+	return blocks, nil
 }
 
 // detect records that fault fi is detected by pattern p, keeping the
 // earliest index. Not safe for concurrent use on the same fault index;
-// the concurrent engine partitions the fault list so each index has one
-// writer.
+// a sharded run partitions the fault list so each index has one writer.
 func (s *session) detect(fi, p int) {
 	if s.first[fi] == NotDetected || p < s.first[fi] {
 		s.first[fi] = p
@@ -301,14 +238,3 @@ func (s *session) detect(fi, p int) {
 // alive reports whether fault fi is still undetected (the fault-
 // dropping predicate).
 func (s *session) alive(fi int) bool { return s.first[fi] == NotDetected }
-
-// anyAlive reports whether any fault remains undetected, letting
-// dropping engines skip the dead tail of a long pattern set.
-func (s *session) anyAlive() bool {
-	for _, d := range s.first {
-		if d == NotDetected {
-			return true
-		}
-	}
-	return false
-}

@@ -196,19 +196,23 @@ func TestRunErrors(t *testing.T) {
 	if _, err := Run(c, faults, nil, PPSFP); err == nil {
 		t.Error("no patterns should error")
 	}
-	// 2, 3 and 5 are the retired deductive, pf and pf256 values.
-	for _, e := range []Engine{2, 3, 5, 99} {
+	// 2, 3, 4 and 5 are the retired deductive, pf, concurrent and
+	// pf256 values.
+	for _, e := range []Engine{2, 3, 4, 5, 99} {
 		if _, err := Run(c, faults, exhaustivePatterns(c), e); err == nil {
 			t.Errorf("unknown engine %d should error", int(e))
 		}
 	}
+	if _, err := RunOpts(c, faults, exhaustivePatterns(c), PPSFP, Options{Workers: -1}); err == nil {
+		t.Error("negative shard count should error")
+	}
 }
 
 func TestEngineString(t *testing.T) {
-	if Serial.String() != "serial" || PPSFP.String() != "ppsfp" || Concurrent.String() != "concurrent" {
+	if Serial.String() != "serial" || PPSFP.String() != "ppsfp" {
 		t.Error("engine names")
 	}
-	if got := EngineNames(); got != "ppsfp, serial, concurrent" {
+	if got := EngineNames(); got != "ppsfp, serial" {
 		t.Errorf("registered engines %q", got)
 	}
 	if Engine(9).String() != "Engine(9)" {

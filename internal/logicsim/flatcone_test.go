@@ -265,7 +265,7 @@ func TestRunConeZeroAllocs(t *testing.T) {
 
 // TestFlatConeSetLazyMatchesEager pins on-demand compilation: goroutines
 // request overlapping random slots of one shared set concurrently (the
-// concurrent fault-sim engine's access pattern; run it under -race),
+// access pattern of sharded fault simulation; run it under -race),
 // and every cone they get — program and boundary included — must equal
 // the one a fresh set compiles when every slot is requested in order.
 func TestFlatConeSetLazyMatchesEager(t *testing.T) {

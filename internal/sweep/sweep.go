@@ -62,7 +62,9 @@ type Config struct {
 	// The aggregates do not depend on it.
 	Workers int
 	// RandomPatterns, Seed, Physical, Engine, and SimWorkers configure
-	// the per-circuit test program exactly as in experiment.Table1Config.
+	// the per-circuit test program exactly as in experiment.Table1Config;
+	// SimWorkers is the fault-list shard count of each fault simulation
+	// (0 = one) and, like Engine, only affects speed.
 	RandomPatterns int
 	Seed           int64
 	Physical       bool
