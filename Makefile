@@ -1,13 +1,17 @@
 GO ?= go
 
-.PHONY: verify build vet test smoke lint cover bench bench-json bench-compare golden race sweep-smoke sweepd-smoke lsi-smoke perfbench-check
+.PHONY: verify build fmt vet test smoke lint cover bench bench-json bench-compare golden race fuzz sweep-smoke sweepd-smoke lsi-smoke perfbench-check
 
-# Tier-1 verification plus vet, repolint and the benchmark harness
-# check: what CI runs.
-verify: build vet lint test smoke perfbench-check
+# Tier-1 verification plus gofmt, vet, repolint and the benchmark
+# harness check: what CI runs.
+verify: build fmt vet lint test smoke perfbench-check
 
 build:
 	$(GO) build ./...
+
+# Fails listing every file gofmt would rewrite.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -77,6 +81,16 @@ golden:
 # concurrent layers appeared.
 race:
 	$(GO) test -race -short ./...
+
+# Native fuzzing: each fuzz target explores past its seed corpus for
+# FUZZTIME (plain `go test` only replays the seeds). go test -fuzz takes
+# one target per run, hence one line each.
+FUZZTIME ?= 5s
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzNewChipFaultCount$$' -fuzztime $(FUZZTIME) ./internal/dist/
+	$(GO) test -run '^$$' -fuzz '^FuzzPoissonPMFCDF$$' -fuzztime $(FUZZTIME) ./internal/dist/
+	$(GO) test -run '^$$' -fuzz '^FuzzHypergeometricPZero$$' -fuzztime $(FUZZTIME) ./internal/dist/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseBench$$' -fuzztime $(FUZZTIME) ./internal/netlist/
 
 # Tiny end-to-end Monte-Carlo grid through the real CLI over a
 # two-circuit campaign: seconds, not minutes, yet it exercises the

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"repro/internal/campaign"
@@ -506,13 +507,7 @@ func (s *server) handleList(w http.ResponseWriter, r *http.Request) {
 		out[i] = s.status(j)
 	}
 	// Stable order for humans and tests.
-	for i := 0; i < len(out); i++ {
-		for k := i + 1; k < len(out); k++ {
-			if out[k].ID < out[i].ID {
-				out[i], out[k] = out[k], out[i]
-			}
-		}
-	}
+	sort.Slice(out, func(i, k int) bool { return out[i].ID < out[k].ID })
 	writeJSON(w, http.StatusOK, out)
 }
 

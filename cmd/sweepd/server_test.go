@@ -247,8 +247,9 @@ func TestErrorPaths(t *testing.T) {
 		return resp.StatusCode, buf.String()
 	}
 	// Malformed JSON, unknown field, empty grid, bad or retired engine
-	// name, a builtin spec past its size cap: 400, and an engine error
-	// names the registered engines.
+	// name, a builtin spec past its size cap, a lot size, task count or
+	// random-pattern budget past the config size cap: 400, and the error
+	// names the registered engines or the cap.
 	const grid = `"circuits": ["mul4"], "yields": [0.2], "n0s": [3], "lot_sizes": [60], "coverages": [0.5], "replicates": 1, "random_patterns": 32`
 	for name, tc := range map[string]struct{ body, names string }{
 		"not json":           {`{"circuits": [`, ""},
@@ -260,6 +261,9 @@ func TestErrorPaths(t *testing.T) {
 		"folded engine":      {`{` + grid + `, "engine": "concurrent"}`, "ppsfp"},
 		"oversized circuit":  {strings.Replace(`{`+grid+`}`, `"mul4"`, `"lsi400000000"`, 1), "size cap"},
 		"retired lot engine": {`{` + grid + `, "lot_engine": "chip-parallel"}`, "chipparallel256"},
+		"oversized lot":      {strings.Replace(`{`+grid+`}`, `[60]`, `[2000000000]`, 1), "lot size 2000000000 above the cap"},
+		"oversized tasks":    {strings.Replace(`{`+grid+`}`, `"replicates": 1`, `"replicates": 2000000000`, 1), "task count (cells × replicates) above the cap"},
+		"oversized patterns": {strings.Replace(`{`+grid+`}`, `"random_patterns": 32`, `"random_patterns": 2000000000`, 1), "random pattern count 2000000000 above the cap"},
 	} {
 		code, body := post(tc.body)
 		if code != http.StatusBadRequest {

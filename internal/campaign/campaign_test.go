@@ -113,3 +113,46 @@ func TestWelfordStateValidate(t *testing.T) {
 		t.Errorf("valid state rejected: %v", err)
 	}
 }
+
+func TestWelford(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	xs := make([]float64, 1000)
+	for i := range xs {
+		xs[i] = rng.NormFloat64()*2.5 + 10
+	}
+	var w Welford
+	for _, x := range xs {
+		w.Add(x)
+	}
+	// Against the naive two-pass computation.
+	mean := 0.0
+	for _, x := range xs {
+		mean += x
+	}
+	mean /= float64(len(xs))
+	varSum := 0.0
+	for _, x := range xs {
+		varSum += (x - mean) * (x - mean)
+	}
+	wantVar := varSum / float64(len(xs)-1)
+	if math.Abs(w.Mean()-mean) > 1e-9 {
+		t.Errorf("mean %v vs %v", w.Mean(), mean)
+	}
+	if math.Abs(w.Variance()-wantVar) > 1e-9 {
+		t.Errorf("variance %v vs %v", w.Variance(), wantVar)
+	}
+	lo, hi := w.CI95()
+	if !(lo < mean && mean < hi) {
+		t.Errorf("CI [%v, %v] excludes mean %v", lo, hi, mean)
+	}
+	// Degenerate cases.
+	var one Welford
+	one.Add(5)
+	if one.Variance() != 0 || one.StdErr() != 0 {
+		t.Error("single observation should have zero variance")
+	}
+	lo, hi = one.CI95()
+	if lo != 5 || hi != 5 {
+		t.Errorf("single-observation CI [%v, %v]", lo, hi)
+	}
+}

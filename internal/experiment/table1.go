@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -21,6 +22,21 @@ import (
 // gates — the scaled-down stand-in for the paper's 25k-transistor
 // chip), resolved through the internal/circuits registry.
 const DefaultCircuitSpec = "mul8"
+
+// SizeCap bounds every size a campaign allocates up front: the chips of
+// one lot, the random-pattern budget, and a sweep's task count (cells ×
+// replicates). It sits far above every real campaign (the largest use
+// 6000 chips and 20 replicates) and far below what fails the
+// allocation, so an oversized request is refused before any work.
+const SizeCap = 1_000_000
+
+// ErrTooLarge marks a configuration with a size above SizeCap.
+var ErrTooLarge = errors.New("size above cap")
+
+// errTooLarge names the oversized quantity and the cap.
+func errTooLarge(what string, n int) error {
+	return fmt.Errorf("experiment: %s %d above the cap of %d: %w", what, n, SizeCap, ErrTooLarge)
+}
 
 // Table1Config parameterizes the end-to-end lot experiment.
 type Table1Config struct {
@@ -68,11 +84,15 @@ type Table1Config struct {
 // Validate rejects configurations that would silently produce NaN or
 // empty tables downstream: a non-positive lot, a yield outside (0,1),
 // an n0 below 1 (a defective chip carries at least one fault), a
-// negative pattern budget, or a negative worker count. RunTable1, the
-// sweep engine, and the CLIs all call it before doing any work.
+// negative pattern budget, or a negative worker count. A lot or pattern
+// budget above SizeCap fails with ErrTooLarge. RunTable1, the sweep
+// engine, and the CLIs all call it before doing any work.
 func (cfg Table1Config) Validate() error {
 	if cfg.Chips <= 0 {
 		return fmt.Errorf("experiment: lot size must be positive, got %d", cfg.Chips)
+	}
+	if cfg.Chips > SizeCap {
+		return errTooLarge("lot size", cfg.Chips)
 	}
 	if !(cfg.Yield > 0 && cfg.Yield < 1) {
 		return fmt.Errorf("experiment: yield must be in (0,1), got %v", cfg.Yield)
@@ -82,6 +102,9 @@ func (cfg Table1Config) Validate() error {
 	}
 	if cfg.RandomPatterns < 0 {
 		return fmt.Errorf("experiment: random pattern count must be >= 0, got %d", cfg.RandomPatterns)
+	}
+	if cfg.RandomPatterns > SizeCap {
+		return errTooLarge("random pattern count", cfg.RandomPatterns)
 	}
 	if cfg.SimWorkers < 0 {
 		return fmt.Errorf("experiment: sim worker count must be >= 0, got %d", cfg.SimWorkers)

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -146,16 +147,22 @@ func TestTable1ConfigValidate(t *testing.T) {
 		{"n0 NaN", func(c *Table1Config) { c.N0 = math.NaN() }},
 		{"n0 infinite", func(c *Table1Config) { c.N0 = math.Inf(1) }},
 		{"negative patterns", func(c *Table1Config) { c.RandomPatterns = -1 }},
+		{"chips above cap", func(c *Table1Config) { c.Chips = SizeCap + 1 }},
+		{"patterns above cap", func(c *Table1Config) { c.RandomPatterns = 2000000000 }},
 		{"negative workers", func(c *Table1Config) { c.SimWorkers = -2 }},
 		{"bogus lot engine", func(c *Table1Config) { c.LotEngine = tester.LotEngine(42) }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultTable1Config()
 		tc.mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
+		err := cfg.Validate()
+		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		} else if !strings.Contains(err.Error(), "experiment:") {
 			t.Errorf("%s: error lacks package prefix: %v", tc.name, err)
+		}
+		if want := strings.HasSuffix(tc.name, "above cap"); errors.Is(err, ErrTooLarge) != want {
+			t.Errorf("%s: errors.Is(%v, ErrTooLarge) = %v, want %v", tc.name, err, !want, want)
 		}
 		// RunTable1 must reject the same configs before any work.
 		if _, err := RunTable1(cfg); err == nil {

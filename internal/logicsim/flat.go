@@ -356,39 +356,45 @@ func (s *FlatSim) RunWithFaultInto(block PatternBlock, slot, pin int, stuck bool
 func (s *FlatSim) Value(slot int) uint64 { return s.val[slot] }
 
 // walkRange is the flat hot loop: one linear pass over the logic slots
-// in [lo, hi), a single op switch per gate, contiguous fanin indices.
-// Full runs walk [numIn, Slots); the fault-injecting walk splits the
-// range around the fault site.
+// in [lo, hi), one evalWord per gate. Full runs walk [numIn, Slots);
+// the fault-injecting walk splits the range around the fault site.
 //
 //repolint:hotpath
 func (s *FlatSim) walkRange(lo, hi int) {
-	f := s.f
-	val, fanin, faninAt := s.val, f.fanin, f.faninAt
+	f, val := s.f, s.val
 	for slot := lo; slot < hi; slot++ {
-		fa := faninAt[slot]
-		var v uint64
-		switch f.op[slot] {
-		case opBuf:
-			v = val[fanin[fa]]
-		case opNot:
-			v = ^val[fanin[fa]]
-		case opAnd2:
-			v = val[fanin[fa]] & val[fanin[fa+1]]
-		case opNand2:
-			v = ^(val[fanin[fa]] & val[fanin[fa+1]])
-		case opOr2:
-			v = val[fanin[fa]] | val[fanin[fa+1]]
-		case opNor2:
-			v = ^(val[fanin[fa]] | val[fanin[fa+1]])
-		case opXor2:
-			v = val[fanin[fa]] ^ val[fanin[fa+1]]
-		case opXnor2:
-			v = ^(val[fanin[fa]] ^ val[fanin[fa+1]])
-		default:
-			v = evalFlatN(f.op[slot], fanin[fa:faninAt[slot+1]], val)
-		}
-		val[slot] = v
+		val[slot] = evalWord(f, val, slot)
 	}
+}
+
+// evalWord evaluates one logic slot over a 64-lane value plane: a
+// single op switch on contiguous fanin indices. It is the one scalar
+// gate switch, shared by FlatSim.walkRange and the 1-word lane walk
+// (WideSim at words == 1).
+//
+//repolint:hotpath
+func evalWord(f *Flat, val []uint64, slot int) uint64 {
+	fanin := f.fanin
+	fa := f.faninAt[slot]
+	switch f.op[slot] {
+	case opBuf:
+		return val[fanin[fa]]
+	case opNot:
+		return ^val[fanin[fa]]
+	case opAnd2:
+		return val[fanin[fa]] & val[fanin[fa+1]]
+	case opNand2:
+		return ^(val[fanin[fa]] & val[fanin[fa+1]])
+	case opOr2:
+		return val[fanin[fa]] | val[fanin[fa+1]]
+	case opNor2:
+		return ^(val[fanin[fa]] | val[fanin[fa+1]])
+	case opXor2:
+		return val[fanin[fa]] ^ val[fanin[fa+1]]
+	case opXnor2:
+		return ^(val[fanin[fa]] ^ val[fanin[fa+1]])
+	}
+	return evalFlatN(f.op[slot], fanin[fa:f.faninAt[slot+1]], val)
 }
 
 // evalFlatN evaluates the wide (3+ fanin) op codes.

@@ -3,10 +3,11 @@
 //   - the flat core: a struct-of-arrays compiled form (Flat) walked 64
 //     patterns per word (FlatSim), per-slot output cones compiled to
 //     instruction streams (FlatConeSet) for cone-restricted faulty
-//     re-simulation (RunCone/RunConeForced), and the 1..4-word wide
-//     lane layer (WideSim, WideLaneForces) that packs up to 255
-//     defective chips beside the good machine. Every production fault-simulation,
-//     strobe-refinement and lot-testing path runs on it;
+//     re-simulation (RunCone/RunConeForced), and the wide lane layer
+//     (WideSim, WideLaneForces) of 1- or 4-word lane blocks that packs
+//     up to 255 defective chips beside the good machine. Every
+//     production fault-simulation, strobe-refinement and lot-testing
+//     path runs on it;
 //   - the pointer-walking oracle (Simulator): a 64-way bit-parallel
 //     levelized walk over the netlist's gate structs, with single- and
 //     multi-fault injection. It shares no code with the flat core, so

@@ -8,27 +8,35 @@ import (
 // The wide lane layer generalizes the 64-bit machine word to an N-word
 // lane block: 64*N independent bit-lanes ride one flat circuit walk.
 // The ATE's chipparallel256 lot engine puts the good machine plus up
-// to 255 defective chips in the lanes of a block of 1..4 words. Lane
-// blocks are stored stride-packed: a slot's block is the W contiguous
-// words at [slot*W, slot*W+W), lane L living in word L/64 bit L%64 —
-// so the whole value plane is one contiguous []uint64 and the walk
-// stays a linear sweep.
+// to 255 defective chips in the lanes of a block. Lane blocks are
+// stored stride-packed: a slot's block is the W contiguous words at
+// [slot*W, slot*W+W), lane L living in word L/64 bit L%64 — so the
+// whole value plane is one contiguous []uint64 and the walk stays a
+// linear sweep.
+//
+// There are exactly two widths, each with its own kernel: 1 word (the
+// scalar evalWord switch, wide1.go) and MaxLaneWords words (unrolled,
+// wide4.go). A middle width would need a kernel of its own — a generic
+// stride loop pays a bounds check and a loop branch per word — and buys
+// nothing: a lot engine that starts every batch at 4 words and compacts
+// straight to 1 measured neutral or faster on every perfbench workload
+// than one that also walked 2 and 3 words.
 
-// MaxLaneWords bounds the lane-block width: up to 256 lanes per walk,
-// the widest block a chipparallel256 batch (the good machine plus at
-// most 255 chips) ever needs.
+// MaxLaneWords is the wide lane-block width: 256 lanes per walk, the
+// block a chipparallel256 batch (the good machine plus at most 255
+// chips) starts at.
 const MaxLaneWords = 4
 
-// ErrLaneWords marks a lane-block word count outside 1..MaxLaneWords.
-// Both wide-layer constructors (simulator and forcing table) wrap it,
-// so callers can errors.Is a shape mistake regardless of which one
-// caught it.
-var ErrLaneWords = errors.New("lane-block word count outside range")
+// ErrLaneWords marks a lane-block word count other than 1 or
+// MaxLaneWords. Both wide-layer constructors (simulator and forcing
+// table) wrap it, so callers can errors.Is a shape mistake regardless
+// of which one caught it.
+var ErrLaneWords = errors.New("lane-block word count not supported")
 
-// validLaneWords rejects widths outside 1..MaxLaneWords.
+// validLaneWords rejects widths other than 1 and MaxLaneWords.
 func validLaneWords(words int) error {
-	if words < 1 || words > MaxLaneWords {
-		return fmt.Errorf("logicsim: lane block of %d words outside 1..%d: %w", words, MaxLaneWords, ErrLaneWords)
+	if words != 1 && words != MaxLaneWords {
+		return fmt.Errorf("logicsim: lane block of %d words, want 1 or %d: %w", words, MaxLaneWords, ErrLaneWords)
 	}
 	return nil
 }
@@ -268,163 +276,25 @@ func errPatternRange(p, count int) error {
 
 // walkForced is the wide hot loop: one linear pass over the logic
 // slots with the forcing table applied. The width dispatch is hoisted
-// out of the loop so the specialized widths pay one kernel call per
-// slot instead of riding through evalForcedSlot's per-slot switch — at
-// width 1, the steady state of the compacting lot engine, that inner
-// dispatch was a second dynamic call on every gate.
+// out of the loop, so each slot pays one kernel call.
 //
 //repolint:hotpath
 func (s *WideSim) walkForced(lf *WideLaneForces) {
 	f := s.f
-	switch s.words {
-	case 1:
+	if s.words == 1 {
 		for slot := f.numIn; slot < len(f.op); slot++ {
 			s.evalForcedSlot1(slot, lf)
 		}
-	case 4:
-		for slot := f.numIn; slot < len(f.op); slot++ {
-			s.evalForcedSlot4(slot, lf)
-		}
-	default:
-		for slot := f.numIn; slot < len(f.op); slot++ {
-			s.evalForcedSlot(slot, lf)
-		}
-	}
-}
-
-// evalForcedSlot evaluates one logic slot into the value plane,
-// applying the slot's pin forces during evaluation and its stem force
-// to the result. Width dispatch: the 4-word width the lot engine
-// batches at gets the unrolled kernel in wide4.go, the 1-word width its
-// dead-lane compaction collapses to gets the scalar kernel in wide1.go,
-// and the transient widths 2 and 3 (a batch compacting down, or one
-// started with fewer than 192 chips) take the generic stride loops
-// below.
-//
-//repolint:hotpath
-func (s *WideSim) evalForcedSlot(slot int, lf *WideLaneForces) {
-	switch s.words {
-	case 1:
-		s.evalForcedSlot1(slot, lf)
 		return
-	case 4:
+	}
+	for slot := f.numIn; slot < len(f.op); slot++ {
 		s.evalForcedSlot4(slot, lf)
-		return
-	}
-	w := s.words
-	o := slot * w
-	dst := s.val[o : o+w]
-	if lf.forced(slot) {
-		if pins := lf.pins[slot]; len(pins) > 0 {
-			s.evalStaged(slot, dst, pins)
-		} else {
-			s.evalSlot(slot, dst)
-		}
-		sb := slot * 2 * w
-		for k := 0; k < w; k++ {
-			dst[k] = dst[k]&^lf.stem[sb+k] | lf.stem[sb+w+k]
-		}
-		return
-	}
-	s.evalSlot(slot, dst)
-}
-
-// evalSlot is the unforced wide gate evaluation: a single op switch,
-// word loops over the stride-packed fanin blocks.
-//
-//repolint:hotpath
-func (s *WideSim) evalSlot(slot int, dst []uint64) {
-	f := s.f
-	w := s.words
-	val, fanin := s.val, f.fanin
-	lo := f.faninAt[slot]
-	switch f.op[slot] {
-	case opBuf:
-		a := int(fanin[lo]) * w
-		copy(dst, val[a:a+w])
-	case opNot:
-		a := int(fanin[lo]) * w
-		for k := 0; k < w; k++ {
-			dst[k] = ^val[a+k]
-		}
-	case opAnd2:
-		a, b := int(fanin[lo])*w, int(fanin[lo+1])*w
-		for k := 0; k < w; k++ {
-			dst[k] = val[a+k] & val[b+k]
-		}
-	case opNand2:
-		a, b := int(fanin[lo])*w, int(fanin[lo+1])*w
-		for k := 0; k < w; k++ {
-			dst[k] = ^(val[a+k] & val[b+k])
-		}
-	case opOr2:
-		a, b := int(fanin[lo])*w, int(fanin[lo+1])*w
-		for k := 0; k < w; k++ {
-			dst[k] = val[a+k] | val[b+k]
-		}
-	case opNor2:
-		a, b := int(fanin[lo])*w, int(fanin[lo+1])*w
-		for k := 0; k < w; k++ {
-			dst[k] = ^(val[a+k] | val[b+k])
-		}
-	case opXor2:
-		a, b := int(fanin[lo])*w, int(fanin[lo+1])*w
-		for k := 0; k < w; k++ {
-			dst[k] = val[a+k] ^ val[b+k]
-		}
-	case opXnor2:
-		a, b := int(fanin[lo])*w, int(fanin[lo+1])*w
-		for k := 0; k < w; k++ {
-			dst[k] = ^(val[a+k] ^ val[b+k])
-		}
-	default:
-		s.evalWideN(slot, dst)
-	}
-}
-
-// evalWideN evaluates the wide (3+ fanin) op codes.
-func (s *WideSim) evalWideN(slot int, dst []uint64) {
-	f := s.f
-	w := s.words
-	val := s.val
-	fanin := f.fanin[f.faninAt[slot]:f.faninAt[slot+1]]
-	op := f.op[slot]
-	a := int(fanin[0]) * w
-	copy(dst, val[a:a+w])
-	switch op {
-	case opAndN, opNandN:
-		for _, fs := range fanin[1:] {
-			b := int(fs) * w
-			for k := 0; k < w; k++ {
-				dst[k] &= val[b+k]
-			}
-		}
-	case opOrN, opNorN:
-		for _, fs := range fanin[1:] {
-			b := int(fs) * w
-			for k := 0; k < w; k++ {
-				dst[k] |= val[b+k]
-			}
-		}
-	case opXorN, opXnorN:
-		for _, fs := range fanin[1:] {
-			b := int(fs) * w
-			for k := 0; k < w; k++ {
-				dst[k] ^= val[b+k]
-			}
-		}
-	default:
-		panic(fmt.Sprintf("logicsim: evalWideN on op %d", op))
-	}
-	if op == opNandN || op == opNorN || op == opXnorN {
-		for k := 0; k < w; k++ {
-			dst[k] = ^dst[k]
-		}
 	}
 }
 
 // evalStaged evaluates a pin-forced slot: fanin lane blocks are staged,
 // the pin masks applied, then the op evaluated over the staged blocks.
+// It is the fallback of both widths for pin-forced gates of 3+ inputs.
 func (s *WideSim) evalStaged(slot int, dst []uint64, pins []widePin) {
 	f := s.f
 	w := s.words

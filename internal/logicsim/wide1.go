@@ -1,62 +1,28 @@
 package logicsim
 
-// The 1-word (64-lane) specialization of the wide walk. This is the
-// width the chipparallel256 engine's dead-lane compaction collapses to
-// once a batch's survivors fit in 64 lanes — on shallow circuits that
-// is most of every batch's lifetime — so the walk must not pay the
-// generic stride loop's per-word branch for a single word. The kernels
-// mirror wide4.go with scalar ops.
+// The 1-word (64-lane) width of the wide walk. This is the width the
+// chipparallel256 engine's dead-lane compaction collapses to once a
+// batch's survivors fit in 64 lanes — on shallow circuits that is most
+// of every batch's lifetime. An unforced slot is one evalWord, the
+// scalar gate switch FlatSim.walkRange runs; forces are applied around
+// it with scalar ops, mirroring wide4.go.
 
-// block1 returns slot's lane block as a plain word pointer.
-func (s *WideSim) block1(slot int) *uint64 {
-	return &s.val[slot]
-}
-
-// evalForcedSlot1 is evalForcedSlot at words == 1.
+// evalForcedSlot1 evaluates one logic slot at words == 1, applying the
+// slot's pin forces during evaluation and its stem force to the result.
 //
 //repolint:hotpath
 func (s *WideSim) evalForcedSlot1(slot int, lf *WideLaneForces) {
-	dst := s.block1(slot)
-	if lf.forced(slot) {
-		if pins := lf.pins[slot]; len(pins) > 0 {
-			s.evalStaged1(slot, dst, pins)
-		} else {
-			s.evalSlot1(slot, dst)
-		}
-		*dst = *dst&^lf.stem[2*slot] | lf.stem[2*slot+1]
+	dst := &s.val[slot]
+	if !lf.forced(slot) {
+		*dst = evalWord(s.f, s.val, slot)
 		return
 	}
-	s.evalSlot1(slot, dst)
-}
-
-// evalSlot1 is the unforced gate evaluation at words == 1: one op
-// switch, scalar word ops.
-//
-//repolint:hotpath
-func (s *WideSim) evalSlot1(slot int, dst *uint64) {
-	f := s.f
-	val, fanin := s.val, f.fanin
-	lo := f.faninAt[slot]
-	switch f.op[slot] {
-	case opBuf:
-		*dst = val[fanin[lo]]
-	case opNot:
-		*dst = ^val[fanin[lo]]
-	case opAnd2:
-		*dst = val[fanin[lo]] & val[fanin[lo+1]]
-	case opNand2:
-		*dst = ^(val[fanin[lo]] & val[fanin[lo+1]])
-	case opOr2:
-		*dst = val[fanin[lo]] | val[fanin[lo+1]]
-	case opNor2:
-		*dst = ^(val[fanin[lo]] | val[fanin[lo+1]])
-	case opXor2:
-		*dst = val[fanin[lo]] ^ val[fanin[lo+1]]
-	case opXnor2:
-		*dst = ^(val[fanin[lo]] ^ val[fanin[lo+1]])
-	default:
-		*dst = evalFlatN(f.op[slot], fanin[lo:f.faninAt[slot+1]], val)
+	if pins := lf.pins[slot]; len(pins) > 0 {
+		s.evalStaged1(slot, dst, pins)
+	} else {
+		*dst = evalWord(s.f, s.val, slot)
 	}
+	*dst = *dst&^lf.stem[2*slot] | lf.stem[2*slot+1]
 }
 
 // evalStaged1 evaluates a pin-forced slot at words == 1. Like the

@@ -1,20 +1,20 @@
 package logicsim
 
-// The 4-word (256-lane) specialization of the wide walk. The generic
-// stride loops in wide.go pay a bounds check and a loop branch per
-// word; at the width the chipparallel256 lot engine batches at, that
-// overhead dominates the gate function itself. Converting each lane
-// block to a *[4]uint64 (a plain slice-to-array-pointer conversion, one
-// length check per block) lets the compiler emit straight-line
-// unchecked word ops — the moral equivalent of the scalar walk's
-// single-op gate evaluation, four words wide.
+// The 4-word (256-lane) width of the wide walk. A stride loop over the
+// words would pay a bounds check and a loop branch per word; at the
+// width the chipparallel256 lot engine batches at, that overhead
+// dominates the gate function itself. Converting each lane block to a
+// *[4]uint64 (a plain slice-to-array-pointer conversion, one length
+// check per block) lets the compiler emit straight-line unchecked word
+// ops — the scalar walk's single-op gate evaluation, four words wide.
 
 // block4 returns slot's lane block as a fixed-size array pointer.
 func (s *WideSim) block4(slot int) *[4]uint64 {
 	return (*[4]uint64)(s.val[slot*4:])
 }
 
-// evalForcedSlot4 is evalForcedSlot at words == 4.
+// evalForcedSlot4 evaluates one logic slot at words == 4, applying the
+// slot's pin forces during evaluation and its stem force to the result.
 //
 //repolint:hotpath
 func (s *WideSim) evalForcedSlot4(slot int, lf *WideLaneForces) {

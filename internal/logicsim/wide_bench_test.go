@@ -8,12 +8,11 @@ import (
 	"repro/internal/netlist"
 )
 
-// BenchmarkWideWidths measures the forced wide walk per lane across the
-// widths the lot engine walks: the specialized kernels (W=1 scalar,
-// W=4 unroll) against the generic stride loops (W=2, 3). The per-lane
-// rate is the number that decides whether a width deserves its own
-// unrolled kernel — the basis for the dispatch note on evalForcedSlot
-// in wide.go.
+// BenchmarkWideWidths measures the forced wide walk per lane at the two
+// widths the lot engine walks: W=1 (the scalar evalWord kernel) and
+// W=4 (the unrolled kernel). The per-lane rate is what the lot engine's
+// compaction trades: a 4-word walk costs more per pattern but less per
+// lane while the batch is full.
 func BenchmarkWideWidths(b *testing.B) {
 	c, err := netlist.ArrayMultiplier(8)
 	if err != nil {
@@ -36,7 +35,7 @@ func BenchmarkWideWidths(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, w := range []int{1, 2, 3, 4} {
+	for _, w := range wideWidths {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
 			sim, err := NewWideSim(f, w)
 			if err != nil {

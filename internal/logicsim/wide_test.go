@@ -9,11 +9,9 @@ import (
 )
 
 // wideWidths is the lane-block width matrix the wide-layer property
-// tests sweep: every width the chipparallel256 lot engine walks — the
-// specialized 1- and 4-word kernels, and the generic stride loops at 2
-// (compaction passes through it) and 3 (a batch of 128..190 chips
-// starts there).
-var wideWidths = []int{1, 2, 3, 4}
+// tests sweep: the two widths the layer has, the 1-word scalar kernel
+// and the 4-word unrolled one.
+var wideWidths = []int{1, MaxLaneWords}
 
 // forceMachine forces one machine's faults onto a lane the way the lot
 // engine builds its tables: resolved to slot space by
@@ -286,10 +284,10 @@ func TestWideLaneForcesResetKeepsLaneBounds(t *testing.T) {
 	}
 }
 
-// TestWideValidationErrors pins the wide layer's shape checks: widths
-// outside 1..MaxLaneWords (including the retired 5..8) are rejected
-// with the named ErrLaneWords by both constructors, fault lists are
-// validated once at ResolveInjections, and the walk rejects a
+// TestWideValidationErrors pins the wide layer's shape checks: every
+// width but 1 and MaxLaneWords (including the retired 2, 3 and 5..8)
+// is rejected with the named ErrLaneWords by both constructors, fault
+// lists are validated once at ResolveInjections, and the walk rejects a
 // mismatched forcing table or an out-of-range pattern.
 func TestWideValidationErrors(t *testing.T) {
 	c := netlist.C17()
@@ -297,7 +295,7 @@ func TestWideValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, words := range []int{0, -1, 5, 8, 9} {
+	for _, words := range []int{0, -1, 2, 3, 5, 8, 9} {
 		if _, err := NewWideSim(f, words); !errors.Is(err, ErrLaneWords) {
 			t.Errorf("NewWideSim(%d words) error %v, want ErrLaneWords", words, err)
 		}
@@ -319,7 +317,7 @@ func TestWideValidationErrors(t *testing.T) {
 	if _, err := f.ResolveInjections([]Injection{{Gate: c.Outputs[0], Pin: 9}}); err == nil {
 		t.Error("out-of-range pin accepted")
 	}
-	lf2, err := NewWideLaneForces(f, 2)
+	lf1, err := NewWideLaneForces(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +325,7 @@ func TestWideValidationErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ws.RunLaneForced(block, 0, lf2, nil); err == nil {
+	if _, err := ws.RunLaneForced(block, 0, lf1, nil); err == nil {
 		t.Error("shape-mismatched forcing table accepted")
 	}
 	if _, err := ws.RunLaneForced(block, 9, lf, nil); err == nil {

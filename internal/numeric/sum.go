@@ -21,15 +21,6 @@ func (k *KahanSum) Add(v float64) {
 // Sum returns the accumulated total.
 func (k *KahanSum) Sum() float64 { return k.sum }
 
-// SumSlice returns the compensated sum of xs.
-func SumSlice(xs []float64) float64 {
-	var k KahanSum
-	for _, x := range xs {
-		k.Add(x)
-	}
-	return k.Sum()
-}
-
 // LogSumExp returns ln(Σ exp(xi)) computed stably. Used when combining
 // log-space probability masses (e.g. mixing distributions).
 func LogSumExp(xs []float64) float64 {

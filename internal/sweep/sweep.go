@@ -92,22 +92,6 @@ type Config struct {
 	LotEngine tester.LotEngine
 }
 
-// DefaultConfig returns the paper-matched single-cell sweep: the
-// default workload's (y=0.07, n0=8.8) column at the §7 operating
-// points.
-func DefaultConfig() Config {
-	return Config{
-		Circuits:       []string{experiment.DefaultCircuitSpec},
-		Yields:         []float64{0.07},
-		N0s:            []float64{8.8},
-		LotSizes:       []int{2000},
-		Coverages:      []float64{0.50, 0.80, 0.94},
-		Replicates:     20,
-		RandomPatterns: 192,
-		Seed:           1981,
-	}
-}
-
 // table1 builds the lot-runner configuration for one grid point.
 func (c Config) table1(y, n0 float64, chips int) experiment.Table1Config {
 	return experiment.Table1Config{
@@ -129,10 +113,11 @@ func (c Config) table1(y, n0 float64, chips int) experiment.Table1Config {
 // Every grid cell must form a valid experiment.Table1Config, and every
 // circuit spec must expand (a typo fails here, not mid-campaign).
 func (c Config) Validate() error {
-	if _, err := c.expandUnits(); err != nil {
+	units, err := c.expandUnits()
+	if err != nil {
 		return err
 	}
-	return c.validateGrid()
+	return c.validateGrid(len(units))
 }
 
 // expandUnits expands the circuit axis to unit specs.
@@ -145,8 +130,10 @@ func (c Config) expandUnits() ([]string, error) {
 
 // validateGrid is Validate minus the spec expansion, so New — which
 // needs the expanded unit list anyway — expands exactly once and runs
-// the campaign over the same units it validated.
-func (c Config) validateGrid() error {
+// the campaign over the same units it validated. units is the length of
+// that list: it scales the task count, which must stay within
+// experiment.SizeCap.
+func (c Config) validateGrid(units int) error {
 	if len(c.Yields) == 0 {
 		return fmt.Errorf("sweep: need at least one yield")
 	}
@@ -169,6 +156,18 @@ func (c Config) validateGrid() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("sweep: worker count must be >= 0, got %d", c.Workers)
+	}
+	// The task count is cells × replicates. Multiply it up one factor at
+	// a time against the cap (the leading 1 checks the replicates
+	// alone), so the product never overflows; every factor is >= 1 here
+	// (ExpandAll never returns an empty unit list).
+	tasks := c.Replicates
+	for _, k := range []int{1, units, len(c.Yields), len(c.N0s), len(c.LotSizes)} {
+		if tasks > experiment.SizeCap/k {
+			return fmt.Errorf("sweep: task count (cells × replicates) above the cap of %d: %w",
+				experiment.SizeCap, experiment.ErrTooLarge)
+		}
+		tasks *= k
 	}
 	for _, y := range c.Yields {
 		for _, n0 := range c.N0s {
@@ -251,7 +250,7 @@ func New(cfg Config) (*Sweeper, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.validateGrid(); err != nil {
+	if err := cfg.validateGrid(len(units)); err != nil {
 		return nil, err
 	}
 	cache := cfg.Cache

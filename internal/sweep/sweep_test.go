@@ -1,14 +1,15 @@
 package sweep
 
 import (
+	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/circuits"
+	"repro/internal/experiment"
 	"repro/internal/tester"
 )
 
@@ -165,6 +166,29 @@ func TestSweepValidation(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+	// Sizes past experiment.SizeCap fail Validate with the named
+	// sentinel before anything is allocated; smallConfig has 4 cells,
+	// so 250000 replicates is exactly the task cap.
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"lot size above cap", func(c *Config) { c.LotSizes = []int{80, experiment.SizeCap + 1} }},
+		{"patterns above cap", func(c *Config) { c.RandomPatterns = 2000000000 }},
+		{"replicates above cap", func(c *Config) { c.Replicates = 2000000000 }},
+		{"tasks above cap", func(c *Config) { c.Replicates = experiment.SizeCap/4 + 1 }},
+	} {
+		cfg := smallConfig(t)
+		tc.mutate(&cfg)
+		if err := cfg.Validate(); !errors.Is(err, experiment.ErrTooLarge) {
+			t.Errorf("%s: Validate error %v, want ErrTooLarge", tc.name, err)
+		}
+	}
+	atCap := smallConfig(t)
+	atCap.Replicates = experiment.SizeCap / 4
+	if err := atCap.Validate(); err != nil {
+		t.Errorf("task count at the cap rejected: %v", err)
+	}
 	// An unreachable coverage target is an error naming the circuit,
 	// not a silent skip.
 	cfg := smallConfig(t)
@@ -217,49 +241,6 @@ func TestReplicateSeedsDecorrelated(t *testing.T) {
 			}
 			seen[s] = true
 		}
-	}
-}
-
-func TestWelford(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	xs := make([]float64, 1000)
-	for i := range xs {
-		xs[i] = rng.NormFloat64()*2.5 + 10
-	}
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	// Against the naive two-pass computation.
-	mean := 0.0
-	for _, x := range xs {
-		mean += x
-	}
-	mean /= float64(len(xs))
-	varSum := 0.0
-	for _, x := range xs {
-		varSum += (x - mean) * (x - mean)
-	}
-	wantVar := varSum / float64(len(xs)-1)
-	if math.Abs(w.Mean()-mean) > 1e-9 {
-		t.Errorf("mean %v vs %v", w.Mean(), mean)
-	}
-	if math.Abs(w.Variance()-wantVar) > 1e-9 {
-		t.Errorf("variance %v vs %v", w.Variance(), wantVar)
-	}
-	lo, hi := w.CI95()
-	if !(lo < mean && mean < hi) {
-		t.Errorf("CI [%v, %v] excludes mean %v", lo, hi, mean)
-	}
-	// Degenerate cases.
-	var one Welford
-	one.Add(5)
-	if one.Variance() != 0 || one.StdErr() != 0 {
-		t.Error("single observation should have zero variance")
-	}
-	lo, hi = one.CI95()
-	if lo != 5 || hi != 5 {
-		t.Errorf("single-observation CI [%v, %v]", lo, hi)
 	}
 }
 

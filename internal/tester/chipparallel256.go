@@ -41,22 +41,21 @@ import (
 //   - Once three quarters of a batch's lanes have died, its force table
 //     is rebuilt over the survivors, so the walk cost tracks the
 //     survivor count.
-//   - Dead-lane *compaction*: a batch starts at the narrowest width that
-//     holds its lanes (a small lot runs at one word from the start) and,
-//     whenever the survivors fit in at most half the current words,
-//     re-packs them into the low lanes of a narrower block and continues
-//     at that width. Shallow circuits kill most of a batch in the first
-//     few patterns, so the steady state collapses to the 1-word scalar
-//     kernel (logicsim wide1.go) while the opening patterns still retire
-//     255 chips per walk.
+//   - Dead-lane *compaction*: the wide layer has two widths, 1 and 4
+//     words. A batch that fits in 64 lanes runs at one word from the
+//     start; a larger one starts at four and, once its survivors fit in
+//     64 lanes, re-packs them into the low lanes of a 1-word block and
+//     continues there. Shallow circuits kill most of a batch in the
+//     first few patterns, so the steady state collapses to the 1-word
+//     scalar kernel (logicsim wide1.go) while the opening patterns still
+//     retire 255 chips per walk.
 //
 // The ordering affects only scheduling, never results: first fails are
 // bit-identical to the serial oracle.
 
 const (
-	// pp256Words is the widest lane block a batch starts at (before
-	// compaction narrows it): the wide layer's maximum, 4 words = 256
-	// lanes, so the per-width state arrays cover every width.
+	// pp256Words is the lane block a full batch starts at (before
+	// compaction narrows it to one word): 4 words = 256 lanes.
 	pp256Words = logicsim.MaxLaneWords
 	// pp256Lanes is the number of chip lanes per batch (lane 0 is the
 	// good machine).
@@ -116,13 +115,13 @@ func (ps *ppSort) sortWork(work []ppItem, nKeys int) {
 var ErrBatchLanes = errors.New("tester: batch lanes exceed lane-block width")
 
 // chipParallel256State is the engine's per-ATE scratch, allocated once
-// and reused across lots. Walk state and forcing tables are per width,
-// built lazily: a lot only pays for the widths its batches actually
-// compact through (4 at the start, then 2 and 1 as lanes die).
+// and reused across lots. Walk state and forcing tables are per width
+// (index 0: 1 word, index 1: 4 words), built lazily: a lot only pays
+// for the widths its batches actually walk.
 type chipParallel256State struct {
 	flat   *logicsim.Flat
-	sims   [logicsim.MaxLaneWords + 1]*logicsim.WideSim
-	forces [logicsim.MaxLaneWords + 1]*logicsim.WideLaneForces
+	sims   [2]*logicsim.WideSim
+	forces [2]*logicsim.WideLaneForces
 
 	out        []uint64
 	work, next []ppItem
@@ -140,7 +139,11 @@ type chipParallel256State struct {
 // at returns the walk state and forcing table of the given width,
 // building both on first use.
 func (st *chipParallel256State) at(words int) (*logicsim.WideSim, *logicsim.WideLaneForces, error) {
-	if st.sims[words] == nil {
+	i := 0
+	if words > 1 {
+		i = 1
+	}
+	if st.sims[i] == nil {
 		sim, err := logicsim.NewWideSim(st.flat, words)
 		if err != nil {
 			return nil, nil, err
@@ -149,9 +152,9 @@ func (st *chipParallel256State) at(words int) (*logicsim.WideSim, *logicsim.Wide
 		if err != nil {
 			return nil, nil, err
 		}
-		st.sims[words], st.forces[words] = sim, forces
+		st.sims[i], st.forces[i] = sim, forces
 	}
-	return st.sims[words], st.forces[words], nil
+	return st.sims[i], st.forces[i], nil
 }
 
 // chipParallel256FirstFail computes the per-chip first-fail record of
@@ -222,10 +225,13 @@ func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injec
 	return ff, nil
 }
 
-// laneWordsFor returns the narrowest lane-block width holding the good
-// machine plus n chip lanes.
+// laneWordsFor returns the lane-block width for the good machine plus n
+// chip lanes: 1 word when they fit in 64 lanes, else the 4-word block.
 func laneWordsFor(n int) int {
-	return (n + 1 + 63) / 64
+	if n < 64 {
+		return 1
+	}
+	return pp256Words
 }
 
 // pp256Build (re)fills a forcing table with the pre-resolved faults of
@@ -344,9 +350,9 @@ func (a *ATE) pp256Batch(batch []ppItem,
 		if n == 0 || p+1 >= end {
 			break
 		}
-		if w2 := laneWordsFor(n); w2 <= words/2 {
-			// ≥ half the words hold no live lane: re-pack the survivors
-			// into the low lanes of a narrower block and continue there.
+		if w2 := laneWordsFor(n); w2 < words {
+			// The survivors fit in one word: re-pack them into the low
+			// lanes of a 1-word block and continue there.
 			// Survivor order is preserved, so the lowest-fault-index
 			// ordering the scheduler relies on is untouched.
 			n2 := 0

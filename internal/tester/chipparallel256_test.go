@@ -42,6 +42,20 @@ func TestPP256BuildRejectsOverfullBatch(t *testing.T) {
 	}
 }
 
+// TestLaneWordsFor pins the batch width rule: a batch whose chips and
+// good machine fit in 64 lanes walks one word, a larger one the 4-word
+// block — never a width in between.
+func TestLaneWordsFor(t *testing.T) {
+	for _, tc := range []struct{ chips, words int }{
+		{0, 1}, {1, 1}, {63, 1},
+		{64, 4}, {65, 4}, {127, 4}, {128, 4}, {191, 4}, {192, 4}, {255, 4},
+	} {
+		if got := laneWordsFor(tc.chips); got != tc.words {
+			t.Errorf("laneWordsFor(%d) = %d, want %d", tc.chips, got, tc.words)
+		}
+	}
+}
+
 // TestPP256CompactionMatchesSerial forces the dead-lane compaction path
 // hard — a shallow, wide-fanout circuit where most chips die within the
 // first patterns — and pins the compacted engine to the serial oracle
@@ -49,8 +63,8 @@ func TestPP256BuildRejectsOverfullBatch(t *testing.T) {
 func TestPP256CompactionMatchesSerial(t *testing.T) {
 	c, universe, patterns := setup(t)
 	rng := rand.New(rand.NewSource(256))
-	// Very low yield: full 255-chip batches that thin out fast, walking
-	// the 4→2→1 width ladder repeatedly across the chunk schedule.
+	// Very low yield: full 255-chip batches that thin out fast,
+	// compacting 4→1 words repeatedly across the chunk schedule.
 	lot, err := defect.GenerateLotFromModel(0.02, 6, universe, 600, rng)
 	if err != nil {
 		t.Fatal(err)
