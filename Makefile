@@ -91,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzPoissonPMFCDF$$' -fuzztime $(FUZZTIME) ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzHypergeometricPZero$$' -fuzztime $(FUZZTIME) ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBench$$' -fuzztime $(FUZZTIME) ./internal/netlist/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/campaign/
 
 # Tiny end-to-end Monte-Carlo grid through the real CLI over a
 # two-circuit campaign: seconds, not minutes, yet it exercises the

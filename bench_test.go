@@ -98,11 +98,10 @@ func BenchmarkFig6(b *testing.B) {
 }
 
 // BenchmarkEngines is the fault-simulation engine matrix: every
-// registered engine, plus one sharded ppsfp row, against paper-scale
-// circuits, 256 random patterns each, on the collapsed fault list.
-// serial is the full-circuit baseline; comparing it with ppsfp shows
-// what cone restriction and fault dropping buy. The ns/fault-pattern
-// metric is the engine-comparison number quoted in the README.
+// registered engine (today ppsfp alone), plus one sharded ppsfp row,
+// against paper-scale circuits, 256 random patterns each, on the
+// collapsed fault list. The ns/fault-pattern metric is the number
+// quoted in the README.
 func BenchmarkEngines(b *testing.B) {
 	circuits := []struct {
 		name  string

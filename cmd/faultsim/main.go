@@ -4,7 +4,7 @@
 // fault-simulator product §5 of the paper starts from.
 //
 //	faultsim -bench c17.bench -patterns 64 -seed 7
-//	faultsim -circuit mul8 -patterns 256 -engine serial
+//	faultsim -circuit mul8 -patterns 256 -engine ppsfp
 //	faultsim -circuit cmp16 -patterns 512 -workers 8
 //	faultsim -list-circuits
 package main

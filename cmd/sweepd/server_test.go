@@ -259,6 +259,7 @@ func TestErrorPaths(t *testing.T) {
 		"bad engine":         {`{` + grid + `, "engine": "warp-drive"}`, "ppsfp"},
 		"retired engine":     {`{` + grid + `, "engine": "pf256"}`, "ppsfp"},
 		"folded engine":      {`{` + grid + `, "engine": "concurrent"}`, "ppsfp"},
+		"serial engine":      {`{` + grid + `, "engine": "serial"}`, "ppsfp"},
 		"oversized circuit":  {strings.Replace(`{`+grid+`}`, `"mul4"`, `"lsi400000000"`, 1), "size cap"},
 		"retired lot engine": {`{` + grid + `, "lot_engine": "chip-parallel"}`, "chipparallel256"},
 		"oversized lot":      {strings.Replace(`{`+grid+`}`, `[60]`, `[2000000000]`, 1), "lot size 2000000000 above the cap"},

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-func testCheckpoint(t *testing.T, layout Layout, cuts int, seed int64) *Checkpoint {
+func testCheckpoint(t testing.TB, layout Layout, cuts int, seed int64) *Checkpoint {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	sums := make([]Summary, layout.Tasks())

@@ -27,7 +27,7 @@ func randomSummary(rng *rand.Rand, cuts int) Summary {
 }
 
 // serialStore folds summaries 0..T-1 in order — the oracle.
-func serialStore(t *testing.T, layout Layout, cuts int, sums []Summary) *Store {
+func serialStore(t testing.TB, layout Layout, cuts int, sums []Summary) *Store {
 	t.Helper()
 	st, err := NewStore(layout, cuts)
 	if err != nil {

@@ -69,8 +69,13 @@ func (ca *Cache) Get(spec string, p Params) (*Prepared, error) {
 
 // fill performs the cold path for one cache entry: store load if a
 // store is attached (any store error — miss, corruption, schema skew —
-// falls through to a clean rebuild), then build and persist.
+// falls through to a clean rebuild), then build and persist. Invalid
+// Params fail first, so a warm store cannot serve what a cold build
+// would reject.
 func (ca *Cache) fill(spec string, p Params) (*Prepared, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	if ca.store == nil {
 		ca.builds.Add(1)
 		return PrepareSpec(spec, p)

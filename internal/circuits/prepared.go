@@ -23,8 +23,8 @@ type Params struct {
 	// Seed makes the test program reproducible.
 	Seed int64
 	// Engine selects the fault-simulation engine for ATPG dropping and
-	// the coverage ramp; every engine yields an identical ramp, so this
-	// only affects speed.
+	// the coverage ramp. PPSFP, the zero value, is the only registered
+	// engine.
 	Engine faultsim.Engine
 	// SimWorkers is the number of fault-list shards each fault
 	// simulation runs, one goroutine each (faultsim.Options.Workers;
@@ -47,6 +47,9 @@ type Params struct {
 func (p Params) Validate() error {
 	if p.RandomPatterns < 0 {
 		return fmt.Errorf("circuits: random pattern count must be >= 0, got %d", p.RandomPatterns)
+	}
+	if !p.Engine.Known() {
+		return fmt.Errorf("circuits: unknown fault-simulation engine %v (registered: %s)", p.Engine, faultsim.EngineNames())
 	}
 	if p.SimWorkers < 0 {
 		return fmt.Errorf("circuits: sim worker count must be >= 0, got %d", p.SimWorkers)

@@ -61,9 +61,9 @@ func (s *Store) Dir() string { return s.dir }
 // Fingerprint computes the content address of a (circuit, Params)
 // preparation: a SHA-256 over the schema string, the results-relevant
 // Params fields, and the circuit's canonical .bench rendering. Engine
-// and SimWorkers are deliberately excluded — every engine produces an
-// identical artifact, so a store populated with -engine ppsfp serves a
-// -engine serial run.
+// and SimWorkers are deliberately excluded: they only pick how the
+// artifact is computed, never what it holds, so a store populated with
+// -simworkers 4 serves a -simworkers 1 run.
 func Fingerprint(c *netlist.Circuit, p Params) (string, error) {
 	var sb strings.Builder
 	if err := c.WriteBench(&sb); err != nil {
@@ -161,8 +161,13 @@ func (s *Store) Save(pr *Prepared) error {
 // remapped to the fresh gate IDs, and the sparse ramp is recomputed
 // from the stored first-detect steps. A missing artifact is
 // ErrStoreMiss; a damaged one surfaces campaign.ErrCorrupt,
-// campaign.ErrSchema, or campaign.ErrMismatch via errors.Is.
+// campaign.ErrSchema, or campaign.ErrMismatch via errors.Is. Params a
+// cold Prepare would reject are rejected here too, before the store is
+// read.
 func (s *Store) Load(c *netlist.Circuit, p Params) (*Prepared, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
 	fp, err := Fingerprint(c, p)
 	if err != nil {
 		return nil, err
@@ -199,7 +204,7 @@ func (s *Store) Load(c *netlist.Circuit, p Params) (*Prepared, error) {
 			return nil, fmt.Errorf("circuits: store %s: %w: fault names unknown gate %q",
 				path, campaign.ErrCorrupt, sf.Gate)
 		}
-		if sf.Pin >= len(stored.Gates[id].Fanin) {
+		if sf.Pin < -1 || sf.Pin >= len(stored.Gates[id].Fanin) {
 			return nil, fmt.Errorf("circuits: store %s: %w: fault pin %d out of range on %q",
 				path, campaign.ErrCorrupt, sf.Pin, sf.Gate)
 		}

@@ -1,8 +1,10 @@
 package circuits
 
 import (
+	"encoding/json"
 	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -118,10 +120,57 @@ func TestStoreMissAndKeying(t *testing.T) {
 			t.Errorf("params %+v: err = %v, want ErrStoreMiss", q, err)
 		}
 	}
-	// Engine and SimWorkers are excluded from the key on purpose: every
-	// engine produces a bit-identical artifact.
-	if _, err := store.Load(c, Params{RandomPatterns: 16, Seed: 1, Engine: faultsim.Serial}); err != nil {
-		t.Errorf("engine change missed the store: %v", err)
+	// Engine and SimWorkers are excluded from the key on purpose: they
+	// pick how the artifact is computed, never what it holds.
+	if _, err := store.Load(c, Params{RandomPatterns: 16, Seed: 1, SimWorkers: 3}); err != nil {
+		t.Errorf("shard-count change missed the store: %v", err)
+	}
+}
+
+// TestInvalidParamsColdAndWarm checks that a store-backed cache rejects
+// every Params value a cold build rejects, even when the store holds an
+// artifact under the same fingerprint (Engine and SimWorkers are not in
+// it).
+func TestInvalidParamsColdAndWarm(t *testing.T) {
+	good := Params{RandomPatterns: 16, Seed: 8}
+	dir := t.TempDir()
+	warmStore, err := NewStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCacheWithStore(warmStore).Get("mul4", good); err != nil {
+		t.Fatal(err)
+	}
+	c, err := Resolve("mul4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*Params)
+	}{
+		{"negative sim workers", func(p *Params) { p.SimWorkers = -1 }},
+		{"retired serial engine", func(p *Params) { p.Engine = faultsim.Engine(1) }},
+		{"unregistered engine", func(p *Params) { p.Engine = faultsim.Engine(7) }},
+		{"negative patterns", func(p *Params) { p.RandomPatterns = -1 }},
+		{"negative backtrack limit", func(p *Params) { p.BacktrackLimit = -1 }},
+		{"negative fault sample", func(p *Params) { p.SampleFaults = -1 }},
+	} {
+		bad := good
+		tc.mutate(&bad)
+		if _, err := NewCacheWithStore(testStore(t)).Get("mul4", bad); err == nil {
+			t.Errorf("%s: cold cache accepted", tc.name)
+		}
+		warm := NewCacheWithStore(warmStore)
+		if _, err := warm.Get("mul4", bad); err == nil {
+			t.Errorf("%s: warm cache accepted", tc.name)
+		}
+		if warm.Loads() != 0 {
+			t.Errorf("%s: warm cache served an artifact", tc.name)
+		}
+		if _, err := warmStore.Load(c, bad); err == nil {
+			t.Errorf("%s: store load accepted", tc.name)
+		}
 	}
 }
 
@@ -154,6 +203,15 @@ func TestStoreCorruption(t *testing.T) {
 				t.Fatal("tamper target not found")
 			}
 			return []byte(s)
+		}, campaign.ErrCorrupt},
+		// Re-sealed bodies carry a valid checksum, so only Load's own
+		// checks can catch a stored fault naming a pin the gate lacks:
+		// below -1 (the stem) or past its fanin.
+		{"pin-below-stem", func(data []byte) []byte {
+			return resealed(t, data, func(b *storedPrepared) { b.Universe[0].Pin = -2 })
+		}, campaign.ErrCorrupt},
+		{"pin-past-fanin", func(data []byte) []byte {
+			return resealed(t, data, func(b *storedPrepared) { b.Universe[0].Pin = 99 })
 		}, campaign.ErrCorrupt},
 		{"wrong-schema", func(data []byte) []byte {
 			s := strings.Replace(string(data), PreparedSchema, "circuits-prepared/v999", 1)
@@ -202,6 +260,32 @@ func TestStoreCorruption(t *testing.T) {
 			}
 		})
 	}
+}
+
+// resealed applies edit to a stored artifact's body and seals the
+// result in a fresh envelope with a valid checksum.
+func resealed(t *testing.T, data []byte, edit func(*storedPrepared)) []byte {
+	t.Helper()
+	var env struct {
+		Body json.RawMessage `json:"body"`
+	}
+	if err := json.Unmarshal(data, &env); err != nil {
+		t.Fatal(err)
+	}
+	var body storedPrepared
+	if err := json.Unmarshal(env.Body, &body); err != nil {
+		t.Fatal(err)
+	}
+	edit(&body)
+	path := filepath.Join(t.TempDir(), "resealed.json")
+	if err := campaign.WriteEnvelope(path, PreparedSchema, body); err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
 }
 
 func TestStoreParamsMismatchInsideEnvelope(t *testing.T) {

@@ -60,8 +60,8 @@ type Table1Config struct {
 	// model.
 	Physical bool
 	// Engine selects the fault-simulation engine for the coverage ramp
-	// and the test-set construction. The zero value is the default
-	// cone-restricted PPSFP; every engine yields an identical ramp.
+	// and the test-set construction. The zero value is cone-restricted
+	// PPSFP, the only registered engine.
 	Engine faultsim.Engine
 	// SimWorkers is the number of fault-list shards each fault
 	// simulation runs, one goroutine each (faultsim.Options.Workers;
@@ -84,7 +84,8 @@ type Table1Config struct {
 // Validate rejects configurations that would silently produce NaN or
 // empty tables downstream: a non-positive lot, a yield outside (0,1),
 // an n0 below 1 (a defective chip carries at least one fault), a
-// negative pattern budget, or a negative worker count. A lot or pattern
+// negative pattern budget, an unregistered fault-simulation or lot
+// engine, or a negative worker count. A lot or pattern
 // budget above SizeCap fails with ErrTooLarge. RunTable1, the sweep
 // engine, and the CLIs all call it before doing any work.
 func (cfg Table1Config) Validate() error {
@@ -105,6 +106,9 @@ func (cfg Table1Config) Validate() error {
 	}
 	if cfg.RandomPatterns > SizeCap {
 		return errTooLarge("random pattern count", cfg.RandomPatterns)
+	}
+	if !cfg.Engine.Known() {
+		return fmt.Errorf("experiment: unknown fault-simulation engine %v (registered: %s)", cfg.Engine, faultsim.EngineNames())
 	}
 	if cfg.SimWorkers < 0 {
 		return fmt.Errorf("experiment: sim worker count must be >= 0, got %d", cfg.SimWorkers)

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/faultsim"
 	"repro/internal/netlist"
 	"repro/internal/tester"
 )
@@ -151,6 +152,8 @@ func TestTable1ConfigValidate(t *testing.T) {
 		{"patterns above cap", func(c *Table1Config) { c.RandomPatterns = 2000000000 }},
 		{"negative workers", func(c *Table1Config) { c.SimWorkers = -2 }},
 		{"bogus lot engine", func(c *Table1Config) { c.LotEngine = tester.LotEngine(42) }},
+		{"retired serial engine", func(c *Table1Config) { c.Engine = faultsim.Engine(1) }},
+		{"bogus engine", func(c *Table1Config) { c.Engine = faultsim.Engine(7) }},
 	}
 	for _, tc := range cases {
 		cfg := DefaultTable1Config()

@@ -1,9 +1,6 @@
 package faultsim
 
 import (
-	"fmt"
-	"sort"
-
 	"repro/internal/fault"
 	"repro/internal/logicsim"
 	"repro/internal/netlist"
@@ -53,28 +50,6 @@ func CurveFromResult(res Result) []CoveragePoint {
 	return curve
 }
 
-// Dictionary maps each pattern to the faults it detects first; an ATE
-// that logs the first failing pattern can look up the likely fault
-// class. The paper's experiment records exactly this first-fail index.
-type Dictionary struct {
-	// ByPattern[p] lists fault indices first detected by pattern p.
-	ByPattern map[int][]int
-}
-
-// BuildDictionary constructs the first-detect dictionary from a result.
-func BuildDictionary(res Result) Dictionary {
-	d := Dictionary{ByPattern: make(map[int][]int)}
-	for fi, p := range res.FirstDetect {
-		if p != NotDetected {
-			d.ByPattern[p] = append(d.ByPattern[p], fi)
-		}
-	}
-	for p := range d.ByPattern {
-		sort.Ints(d.ByPattern[p])
-	}
-	return d
-}
-
 // Undetected returns the indices of faults the pattern set misses.
 func Undetected(res Result) []int {
 	var out []int
@@ -84,42 +59,4 @@ func Undetected(res Result) []int {
 		}
 	}
 	return out
-}
-
-// Grade summarizes a test set against a circuit's collapsed fault
-// universe: total faults, detected, coverage, and the coverage curve.
-type Grade struct {
-	Circuit    string
-	Faults     int
-	Detected   int
-	Coverage   float64
-	Curve      []CoveragePoint
-	Undetected []fault.Fault
-}
-
-// GradeTests builds the fault universe (equivalence-collapsed), fault
-// simulates, and reports a grade. It is the highest-level entry point a
-// test engineer would call.
-func GradeTests(c *netlist.Circuit, patterns []logicsim.Pattern) (Grade, error) {
-	if err := c.Validate(); err != nil {
-		return Grade{}, fmt.Errorf("faultsim: invalid circuit: %w", err)
-	}
-	u := fault.BuildUniverse(c)
-	reps := fault.Reps(u.Collapsed)
-	curve, res, err := CoverageCurve(c, reps, patterns)
-	if err != nil {
-		return Grade{}, err
-	}
-	var undet []fault.Fault
-	for _, fi := range Undetected(res) {
-		undet = append(undet, reps[fi])
-	}
-	return Grade{
-		Circuit:    c.Name,
-		Faults:     len(reps),
-		Detected:   res.DetectedBy(res.Patterns - 1),
-		Coverage:   res.Coverage(),
-		Curve:      curve,
-		Undetected: undet,
-	}, nil
 }

@@ -12,13 +12,11 @@ import (
 	"repro/internal/netlist"
 )
 
-// pointerSerialFirstDetect is the pre-flat serial engine, kept
-// test-only as the independent oracle: one fault at a time, full
-// circuit re-simulation through the pointer-walking
-// logicsim.Simulator, no dropping. Since every registered engine —
-// including the flat Serial baseline — now runs on the flat core, this
-// is the one walk in the package that shares no simulation substrate
-// with the code under test.
+// pointerSerialFirstDetect is the independent oracle every engine test
+// compares against: one fault at a time, full circuit re-simulation
+// through the pointer-walking logicsim.Simulator, no dropping. The
+// engine runs on the flat core, so this walk shares no simulation
+// code with the code under test.
 func pointerSerialFirstDetect(t *testing.T, c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern) []int {
 	t.Helper()
 	sim, err := logicsim.NewSimulator(c)
@@ -63,12 +61,10 @@ func pointerSerialFirstDetect(t *testing.T, c *netlist.Circuit, faults []fault.F
 	return first
 }
 
-// TestEngineEquivalenceProperty is the cross-engine contract: every
-// engine must return identical
+// TestEngineEquivalenceProperty is the engine contract: every
+// registered engine, at every shard count, must return the oracle's
 // FirstDetect indices on randomized circuits, randomized fault subsets,
-// and randomized pattern sets. The oracle is the retired pointer-
-// walking serial engine above, so even the registered flat Serial
-// baseline is pinned against an independent implementation.
+// and randomized pattern sets.
 func TestEngineEquivalenceProperty(t *testing.T) {
 	type variant struct {
 		name   string
@@ -86,7 +82,6 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 	for _, w := range []int{1, 2, 3, 4} {
 		variants = append(variants, variant{fmt.Sprintf("ppsfp-%d", w), PPSFP, Options{Workers: w}})
 	}
-	variants = append(variants, variant{"serial-2", Serial, Options{Workers: 2}})
 	for trial := 0; trial < 8; trial++ {
 		seed := int64(trial + 1)
 		rng := rand.New(rand.NewSource(seed * 977))
@@ -150,9 +145,9 @@ func TestEngineEquivalenceProperty(t *testing.T) {
 }
 
 // TestRunStepsMatchesEngines checks the strobe-granular refinement: the
-// step-level first-detect must agree across engines, and projecting a
-// step index back to its pattern must reproduce the pattern-level
-// first-detect.
+// step-level first-detect must agree across engines and shard counts,
+// and projecting a step index back to its pattern must reproduce the
+// oracle's pattern-level first-detect.
 func TestRunStepsMatchesEngines(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		c, err := netlist.RandomCircuit("rs", 8, 90, 5, seed)
@@ -165,35 +160,30 @@ func TestRunStepsMatchesEngines(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pat, err := Run(c, faults, patterns, Serial)
-		if err != nil {
-			t.Fatal(err)
-		}
+		oracle := pointerSerialFirstDetect(t, c, faults, patterns)
 		nOut := len(c.Outputs)
 		for fi := range faults {
 			if ref.FirstDetect[fi] == NotDetected {
-				if pat.FirstDetect[fi] != NotDetected {
-					t.Fatalf("seed %d fault %d: steps say undetected, serial says %d", seed, fi, pat.FirstDetect[fi])
+				if oracle[fi] != NotDetected {
+					t.Fatalf("seed %d fault %d: steps say undetected, oracle says %d", seed, fi, oracle[fi])
 				}
 				continue
 			}
-			if got := ref.FirstDetect[fi] / nOut; got != pat.FirstDetect[fi] {
-				t.Fatalf("seed %d fault %d: step %d implies pattern %d, serial says %d",
-					seed, fi, ref.FirstDetect[fi], got, pat.FirstDetect[fi])
+			if got := ref.FirstDetect[fi] / nOut; got != oracle[fi] {
+				t.Fatalf("seed %d fault %d: step %d implies pattern %d, oracle says %d",
+					seed, fi, ref.FirstDetect[fi], got, oracle[fi])
 			}
 		}
-		for _, v := range []struct {
-			e   Engine
-			opt Options
-		}{{Serial, Options{}}, {PPSFP, Options{Workers: 3}}} {
-			got, err := RunStepsOpts(c, faults, patterns, v.e, v.opt)
+		for _, e := range Engines() {
+			opt := Options{Workers: 3}
+			got, err := RunStepsOpts(c, faults, patterns, e, opt)
 			if err != nil {
-				t.Fatalf("%v %+v: %v", v.e, v.opt, err)
+				t.Fatalf("%v %+v: %v", e, opt, err)
 			}
 			for fi := range faults {
 				if got.FirstDetect[fi] != ref.FirstDetect[fi] {
-					t.Fatalf("seed %d fault %d: %v %+v steps %d, ppsfp steps %d",
-						seed, fi, v.e, v.opt, got.FirstDetect[fi], ref.FirstDetect[fi])
+					t.Fatalf("seed %d fault %d: %v %+v steps %d, RunSteps %d",
+						seed, fi, e, opt, got.FirstDetect[fi], ref.FirstDetect[fi])
 				}
 			}
 		}
@@ -208,14 +198,14 @@ func TestParseEngine(t *testing.T) {
 		}
 	}
 	// Unknown and retired names fail fast, naming what is registered.
-	for _, name := range []string{"warp-drive", "pf", "deductive", "ppsfp-full", "pf256", "concurrent", ""} {
+	for _, name := range []string{"warp-drive", "serial", "pf", "deductive", "ppsfp-full", "pf256", "concurrent", ""} {
 		_, err := ParseEngine(name)
 		if err == nil {
 			t.Errorf("ParseEngine(%q) accepted", name)
 			continue
 		}
-		if !strings.Contains(err.Error(), "(registered: ppsfp, serial)") {
-			t.Errorf("ParseEngine(%q) error %q does not list the two engines", name, err)
+		if !strings.Contains(err.Error(), "(registered: ppsfp)") {
+			t.Errorf("ParseEngine(%q) error %q does not name the one engine", name, err)
 		}
 	}
 }

@@ -1,19 +1,16 @@
 // Package faultsim measures which single-stuck-at faults a test-pattern
-// sequence detects. Two engines share one result contract (identical
-// FirstDetect, bit for bit), one set of plumbing — block packing,
-// fault dropping, first-detect bookkeeping — and one block×fault loop
-// on the flat core (logicsim.Flat); they differ only in how each
-// faulty pass is simulated:
+// sequence detects. It has one engine, PPSFP: parallel-pattern
+// single-fault propagation with fault dropping, 64 patterns per word
+// on the flat core (logicsim.Flat), each faulty pass restricted to the
+// fault's slot cone (logicsim.FlatSim over a FlatConeSet) with an
+// activation early exit. One block×fault loop runs it over a shard of
+// the fault list; Options.Workers shards the list across goroutines,
+// and the default runs one shard inline.
 //
-//   - PPSFP: parallel-pattern single-fault propagation with fault
-//     dropping, restricted to each fault's slot cone (logicsim.FlatSim
-//     over a FlatConeSet) — the workhorse used by the experiments;
-//   - Serial: one fault at a time, full-circuit re-simulation as a
-//     scalar flat walk, no fault dropping — the classic baseline and
-//     the full-circuit reference PPSFP is cross-checked against.
-//
-// Options.Workers shards the fault list across goroutines for either
-// engine; the default runs one shard inline.
+// The tests pin every result to an independent oracle: a one-fault-at-
+// a-time, full-circuit walk over the pointer-walking
+// logicsim.Simulator, which shares no simulation code with the flat
+// core.
 //
 // The paper's experiment needs the cumulative coverage curve of an
 // ordered pattern set — CoverageCurve produces exactly the "fault
@@ -64,44 +61,36 @@ func (r Result) Coverage() float64 {
 // Engine selects the fault-simulation algorithm.
 type Engine int
 
-// Available engines. PPSFP is the zero value on purpose: an
-// unconfigured Engine field selects the workhorse. The values are
-// stable, because a sweep's JSON report records the Engine number: a
-// retired engine leaves its value unused (2, 3, 4 and 5 are).
-const (
-	PPSFP  Engine = 0
-	Serial Engine = 1
-)
+// PPSFP is the one registered engine, and the zero value, so an
+// unconfigured Engine field selects it. The values are stable, because
+// a sweep's JSON report records the Engine number: a retired engine
+// leaves its value unused (1 to 5 are).
+const PPSFP Engine = 0
 
-// strategy is one entry of the engine registry: the CLI-stable name
-// plus how the shared shard loop simulates each faulty pass.
-type strategy struct {
-	name string
-	// ppsfp selects cone-restricted passes with fault dropping; without
-	// it every fault meets every block on a full-circuit walk.
-	ppsfp bool
-}
-
-// registry maps each Engine to its strategy. Every engine runs the same
-// shard loop over the same session.
-var registry = map[Engine]strategy{
-	PPSFP:  {"ppsfp", true},
-	Serial: {"serial", false},
-}
+// engineNames maps each registered Engine to its CLI-stable name.
+// Retired names are absent, so ParseEngine rejects them by name.
+var engineNames = map[Engine]string{PPSFP: "ppsfp"}
 
 // String names the engine.
 func (e Engine) String() string {
-	if st, ok := registry[e]; ok {
-		return st.name
+	if name, ok := engineNames[e]; ok {
+		return name
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
+}
+
+// Known reports whether e is a registered engine, letting
+// configuration layers fail fast instead of erroring mid-run.
+func (e Engine) Known() bool {
+	_, ok := engineNames[e]
+	return ok
 }
 
 // ParseEngine maps an engine name (as printed by String and accepted by
 // the CLIs) back to the Engine.
 func ParseEngine(name string) (Engine, error) {
 	for _, e := range Engines() {
-		if registry[e].name == name {
+		if engineNames[e] == name {
 			return e, nil
 		}
 	}
@@ -109,12 +98,10 @@ func ParseEngine(name string) (Engine, error) {
 }
 
 // Engines lists every registered engine in a stable order (ascending
-// Engine value). It is derived from the registry, so a new registry
-// entry is automatically visible to ParseEngine, the CLIs, and the
-// cross-engine tests.
+// Engine value), derived from the name table.
 func Engines() []Engine {
-	out := make([]Engine, 0, len(registry))
-	for e := range registry {
+	out := make([]Engine, 0, len(engineNames))
+	for e := range engineNames {
 		out = append(out, e)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
@@ -124,9 +111,9 @@ func Engines() []Engine {
 // EngineNames lists the registered engine names, comma-separated in
 // Engines order, for error messages and CLI flag help.
 func EngineNames() string {
-	names := make([]string, 0, len(registry))
+	names := make([]string, 0, len(engineNames))
 	for _, e := range Engines() {
-		names = append(names, registry[e].name)
+		names = append(names, engineNames[e])
 	}
 	return strings.Join(names, ", ")
 }
@@ -141,9 +128,8 @@ type Options struct {
 
 // Run fault-simulates the ordered patterns against the fault list with
 // default options and returns per-fault first-detection indices.
-// Detected faults are dropped from further simulation where the engine
-// supports it (standard fault dropping); the first-detect indices are
-// unaffected by dropping.
+// Detected faults are dropped from further simulation (standard fault
+// dropping); the first-detect indices are unaffected by dropping.
 func Run(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, engine Engine) (Result, error) {
 	return RunOpts(c, faults, patterns, engine, Options{})
 }
@@ -153,9 +139,8 @@ func RunOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Patte
 	if len(patterns) == 0 {
 		return Result{}, fmt.Errorf("faultsim: no patterns")
 	}
-	st, ok := registry[engine]
-	if !ok {
-		return Result{}, fmt.Errorf("faultsim: unknown engine %v", engine)
+	if !engine.Known() {
+		return Result{}, fmt.Errorf("faultsim: unknown engine %v (registered: %s)", engine, EngineNames())
 	}
 	if opt.Workers < 0 {
 		return Result{}, fmt.Errorf("faultsim: shard count must be >= 0, got %d", opt.Workers)
@@ -164,14 +149,14 @@ func RunOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Patte
 	if err != nil {
 		return Result{}, err
 	}
-	if err := s.run(st.ppsfp, opt.Workers); err != nil {
+	if err := s.run(opt.Workers); err != nil {
 		return Result{}, err
 	}
 	return Result{FirstDetect: s.first, Patterns: len(patterns)}, nil
 }
 
-// session carries the state every engine shares: the circuit, the fault
-// list, the patterns, and the first-detect array the shards fill in.
+// session carries the state of one run: the circuit, the fault list,
+// the patterns, and the first-detect array the shards fill in.
 type session struct {
 	c        *netlist.Circuit
 	faults   []fault.Fault
@@ -179,20 +164,12 @@ type session struct {
 	first    []int
 }
 
-// block is one packed slab of up to 64 patterns plus its good-machine
-// primary-output words.
-type block struct {
-	pat  logicsim.PatternBlock
-	base int // pattern index of bit 0
-	good []uint64
-}
-
 func newSession(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern) (*session, error) {
 	for i, f := range faults {
 		if f.Gate < 0 || f.Gate >= len(c.Gates) {
 			return nil, fmt.Errorf("faultsim: fault %d site %d out of range", i, f.Gate)
 		}
-		if f.Pin >= len(c.Gates[f.Gate].Fanin) {
+		if f.Pin < -1 || f.Pin >= len(c.Gates[f.Gate].Fanin) {
 			return nil, fmt.Errorf("faultsim: fault %d: gate %d has no pin %d", i, f.Gate, f.Pin)
 		}
 	}
@@ -203,25 +180,16 @@ func newSession(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pa
 	return &session{c: c, faults: faults, patterns: patterns, first: first}, nil
 }
 
-// packBlocks packs the pattern sequence into 64-wide blocks. needGood
-// additionally records each block's good-machine primary-output words
-// on fsim — only the full-circuit diff path reads them; the cone
-// passes diff against the simulator's saved values and would otherwise
-// pay one wasted good simulation per block.
-func (s *session) packBlocks(fsim *logicsim.FlatSim, needGood bool) ([]block, error) {
-	var blocks []block
+// packBlocks packs the pattern sequence into 64-wide blocks: bit p of
+// block bi is pattern bi*64+p.
+func (s *session) packBlocks() ([]logicsim.PatternBlock, error) {
+	var blocks []logicsim.PatternBlock
 	for base := 0; base < len(s.patterns); base += 64 {
 		pat, err := logicsim.PackPatterns(s.patterns[base:min(base+64, len(s.patterns))])
 		if err != nil {
 			return nil, err
 		}
-		b := block{pat: pat, base: base}
-		if needGood {
-			if b.good, err = fsim.RunInto(pat, nil); err != nil {
-				return nil, err
-			}
-		}
-		blocks = append(blocks, b)
+		blocks = append(blocks, pat)
 	}
 	return blocks, nil
 }

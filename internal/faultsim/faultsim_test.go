@@ -2,6 +2,7 @@ package faultsim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -40,20 +41,16 @@ func TestEnginesAgreeOnC17(t *testing.T) {
 	c := netlist.C17()
 	faults := fault.AllFaults(c)
 	patterns := exhaustivePatterns(c)
-	var results []Result
+	oracle := pointerSerialFirstDetect(t, c, faults, patterns)
 	for _, e := range Engines() {
 		r, err := Run(c, faults, patterns, e)
 		if err != nil {
 			t.Fatalf("%v: %v", e, err)
 		}
-		results = append(results, r)
-	}
-	for i := 1; i < len(results); i++ {
 		for fi := range faults {
-			if results[0].FirstDetect[fi] != results[i].FirstDetect[fi] {
-				t.Errorf("fault %v: %v first-detect %d, %v says %d",
-					faults[fi].Name(c), Engines()[0], results[0].FirstDetect[fi],
-					Engines()[i], results[i].FirstDetect[fi])
+			if r.FirstDetect[fi] != oracle[fi] {
+				t.Errorf("fault %v: %v first-detect %d, oracle says %d",
+					faults[fi].Name(c), e, r.FirstDetect[fi], oracle[fi])
 			}
 		}
 	}
@@ -67,22 +64,16 @@ func TestEnginesAgreeOnRandomCircuits(t *testing.T) {
 		}
 		faults := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
 		patterns := randomPatterns(c, 100, seed*13)
-		serial, err := Run(c, faults, patterns, Serial)
-		if err != nil {
-			t.Fatal(err)
-		}
+		oracle := pointerSerialFirstDetect(t, c, faults, patterns)
 		for _, e := range Engines() {
-			if e == Serial {
-				continue // the oracle
-			}
 			r, err := Run(c, faults, patterns, e)
 			if err != nil {
 				t.Fatalf("%v: %v", e, err)
 			}
 			for fi := range faults {
-				if serial.FirstDetect[fi] != r.FirstDetect[fi] {
-					t.Fatalf("seed %d fault %v: serial %d, %v %d",
-						seed, faults[fi].Name(c), serial.FirstDetect[fi], e, r.FirstDetect[fi])
+				if oracle[fi] != r.FirstDetect[fi] {
+					t.Fatalf("seed %d fault %v: oracle %d, %v %d",
+						seed, faults[fi].Name(c), oracle[fi], e, r.FirstDetect[fi])
 				}
 			}
 		}
@@ -176,93 +167,68 @@ func TestResultHelpers(t *testing.T) {
 	}
 }
 
-func TestBuildDictionary(t *testing.T) {
-	r := Result{FirstDetect: []int{0, 2, NotDetected, 0}, Patterns: 3}
-	d := BuildDictionary(r)
-	if len(d.ByPattern[0]) != 2 || d.ByPattern[0][0] != 0 || d.ByPattern[0][1] != 3 {
-		t.Errorf("pattern 0 faults: %v", d.ByPattern[0])
-	}
-	if len(d.ByPattern[2]) != 1 {
-		t.Errorf("pattern 2 faults: %v", d.ByPattern[2])
-	}
-	if _, ok := d.ByPattern[1]; ok {
-		t.Error("pattern 1 should detect nothing first")
-	}
-}
-
 func TestRunErrors(t *testing.T) {
 	c := netlist.C17()
 	faults := fault.AllFaults(c)
 	if _, err := Run(c, faults, nil, PPSFP); err == nil {
 		t.Error("no patterns should error")
 	}
-	// 2, 3, 4 and 5 are the retired deductive, pf, concurrent and
+	// 1 to 5 are the retired serial, deductive, pf, concurrent and
 	// pf256 values.
-	for _, e := range []Engine{2, 3, 4, 5, 99} {
-		if _, err := Run(c, faults, exhaustivePatterns(c), e); err == nil {
+	for _, e := range []Engine{1, 2, 3, 4, 5, 99} {
+		_, err := Run(c, faults, exhaustivePatterns(c), e)
+		if err == nil {
 			t.Errorf("unknown engine %d should error", int(e))
+			continue
+		}
+		if !strings.Contains(err.Error(), "(registered: ppsfp)") {
+			t.Errorf("unknown engine %d: error %q does not name ppsfp", int(e), err)
 		}
 	}
 	if _, err := RunOpts(c, faults, exhaustivePatterns(c), PPSFP, Options{Workers: -1}); err == nil {
 		t.Error("negative shard count should error")
 	}
+	// Pin -1 is the stem; anything below it names no pin, and must not
+	// be simulated as a stem fault.
+	badPin := []fault.Fault{{Gate: c.Outputs[0], Pin: -2}}
+	if _, err := Run(c, badPin, exhaustivePatterns(c), PPSFP); err == nil {
+		t.Error("pin -2 should error")
+	}
 }
 
 func TestEngineString(t *testing.T) {
-	if Serial.String() != "serial" || PPSFP.String() != "ppsfp" {
-		t.Error("engine names")
+	if PPSFP.String() != "ppsfp" {
+		t.Error("engine name")
 	}
-	if got := EngineNames(); got != "ppsfp, serial" {
+	if got := EngineNames(); got != "ppsfp" {
 		t.Errorf("registered engines %q", got)
 	}
-	if Engine(9).String() != "Engine(9)" {
+	if Engine(1).String() != "Engine(1)" || Engine(9).String() != "Engine(9)" {
 		t.Error("unknown engine name")
 	}
-}
-
-func TestGradeTests(t *testing.T) {
-	c := netlist.C17()
-	g, err := GradeTests(c, exhaustivePatterns(c))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Coverage != 1 || g.Detected != g.Faults || len(g.Undetected) != 0 {
-		t.Errorf("grade: %+v", g)
-	}
-	if g.Circuit != "c17" {
-		t.Error("circuit name missing")
-	}
-	// A single pattern cannot cover everything.
-	g1, err := GradeTests(c, exhaustivePatterns(c)[:1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g1.Coverage >= 1 || len(g1.Undetected) == 0 {
-		t.Errorf("one pattern graded at %v", g1.Coverage)
+	if !PPSFP.Known() || Engine(1).Known() || Engine(-1).Known() {
+		t.Error("Known disagrees with the name table")
 	}
 }
 
 func TestFaultDroppingDoesNotChangeFirstDetect(t *testing.T) {
-	// Serial (no dropping) and PPSFP (dropping) must report identical
-	// first-detect indices — dropping only skips re-simulation after
-	// detection.
+	// The oracle (no dropping) and PPSFP (dropping) must report
+	// identical first-detect indices — dropping only skips
+	// re-simulation after detection.
 	c, err := netlist.Comparator(3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	faults := fault.AllFaults(c)
 	patterns := randomPatterns(c, 150, 3)
-	a, err := Run(c, faults, patterns, Serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Run(c, faults, patterns, PPSFP)
+	want := pointerSerialFirstDetect(t, c, faults, patterns)
+	got, err := Run(c, faults, patterns, PPSFP)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range faults {
-		if a.FirstDetect[i] != b.FirstDetect[i] {
-			t.Fatalf("fault %d: %d vs %d", i, a.FirstDetect[i], b.FirstDetect[i])
+		if want[i] != got.FirstDetect[i] {
+			t.Fatalf("fault %d: oracle %d, ppsfp %d", i, want[i], got.FirstDetect[i])
 		}
 	}
 }
@@ -278,22 +244,6 @@ func BenchmarkPPSFPMul8(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(c, reps, patterns, PPSFP); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSerialMul8(b *testing.B) {
-	c, err := netlist.ArrayMultiplier(8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	u := fault.BuildUniverse(c)
-	reps := fault.Reps(u.Collapsed)
-	patterns := randomPatterns(c, 64, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Run(c, reps, patterns, Serial); err != nil {
 			b.Fatal(err)
 		}
 	}

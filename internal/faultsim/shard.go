@@ -7,58 +7,31 @@ import (
 	"repro/internal/logicsim"
 )
 
-// diffFault simulates fault fi against one block on the flat core and
-// returns the word whose bit p is set iff pattern p of the block
-// detects the fault, plus the (possibly regrown) output scratch slice.
-// With cones non-nil the pass is cone-restricted — only the fault's
-// slot cone is re-evaluated, with activation early-exit — and the flat
-// simulator must already hold the block's good-machine values (the cone
-// walks never mutate them, so consecutive calls share one good
-// evaluation). With cones nil it is the serial baseline's full-circuit
-// path: a scalar flat walk with the fault injected, diffed against the
-// stored good outputs.
-// This is the single copy of the diff-and-detect rule both engines run
-// on.
+// diffFault simulates fault fi against the block whose good-machine
+// values the flat simulator holds, re-evaluating only the fault's slot
+// cone (with activation early-exit), and returns the word whose bit p
+// is set iff pattern p of the block detects the fault. The cone walks
+// never mutate the good values, so consecutive calls share one good
+// evaluation. The cone is borrowed from the set (ConeOfPtr): no
+// FlatCone copy on this per-(fault, block) path, and the gate-to-slot
+// map is a plain array lookup.
 //
 //repolint:hotpath
-func (s *session) diffFault(fsim *logicsim.FlatSim, cones *logicsim.FlatConeSet, b *block, fi int, scratch []uint64) (uint64, []uint64, error) {
+func (s *session) diffFault(fsim *logicsim.FlatSim, cones *logicsim.FlatConeSet, fi int) (uint64, error) {
 	f := s.faults[fi]
-	if cones != nil {
-		// The cone is borrowed from the set (ConeOfPtr): no FlatCone copy
-		// on this per-(fault, block) path, and the gate-to-slot map is a
-		// plain array lookup.
-		var (
-			diff uint64
-			err  error
-		)
-		slot := fsim.Flat().SlotOf(f.Gate)
-		cone := cones.ConeOfPtr(slot)
-		if f.Pin < 0 {
-			diff, err = fsim.RunCone(slot, f.Stuck, cone, nil)
-		} else {
-			diff, err = fsim.RunConeForced(slot, f.Pin, f.Stuck, cone, nil)
-		}
-		return diff, scratch, err
-	}
 	slot := fsim.Flat().SlotOf(f.Gate)
-	bad, err := fsim.RunWithFaultInto(b.pat, slot, f.Pin, f.Stuck, scratch)
-	if err != nil {
-		return 0, scratch, err
+	cone := cones.ConeOfPtr(slot)
+	if f.Pin < 0 {
+		return fsim.RunCone(slot, f.Stuck, cone, nil)
 	}
-	mask := b.pat.Mask()
-	var diff uint64
-	for o := range bad {
-		diff |= (bad[o] ^ b.good[o]) & mask
-	}
-	return diff, bad, nil
+	return fsim.RunConeForced(slot, f.Pin, f.Stuck, cone, nil)
 }
 
 // run is the parallel-pattern engine over the flat core: 64 patterns
-// per machine word, one fault injected at a time. With ppsfp set,
-// faults already detected in earlier blocks are dropped and each
-// faulty pass is restricted to the fault's slot cone on top of the
-// block's good-machine values; without it every fault meets every
-// block on a full-circuit walk, the serial baseline.
+// per machine word, one fault injected at a time. Faults already
+// detected in earlier blocks are dropped, and each faulty pass is
+// restricted to the fault's slot cone on top of the block's
+// good-machine values.
 //
 // workers (Options.Workers) splits the fault list into that many
 // contiguous shards, each run on its own goroutine with its own flat
@@ -66,25 +39,20 @@ func (s *session) diffFault(fsim *logicsim.FlatSim, cones *logicsim.FlatConeSet,
 // blocks, flat circuit and slot cones. workers <= 1 runs the one shard
 // [0, len(faults)) inline and starts no goroutine. Results do not
 // depend on the shard count.
-func (s *session) run(ppsfp bool, workers int) error {
+func (s *session) run(workers int) error {
 	// The flat form and the slot cones are cached on the circuit across
 	// sessions and shared by every shard: a cone compiles on its first
 	// request, from whichever shard asks, and is read-only from then on.
-	flat, err := logicsim.FlatFor(s.c)
+	cones, err := logicsim.FlatConeSetFor(s.c)
 	if err != nil {
 		return err
 	}
+	blocks, err := s.packBlocks()
+	if err != nil {
+		return err
+	}
+	flat := cones.Flat()
 	fsim := logicsim.NewFlatSim(flat)
-	blocks, err := s.packBlocks(fsim, !ppsfp)
-	if err != nil {
-		return err
-	}
-	var cones *logicsim.FlatConeSet
-	if ppsfp {
-		if cones, err = logicsim.FlatConeSetFor(s.c); err != nil {
-			return err
-		}
-	}
 	shards := min(workers, len(s.faults))
 	if shards <= 1 {
 		return s.runShard(fsim, cones, blocks, 0, len(s.faults))
@@ -122,40 +90,37 @@ func (s *session) run(ppsfp bool, workers int) error {
 // runShard is the one block×fault loop: it simulates faults [lo, hi)
 // against every block in pattern order. Each fault index belongs to
 // exactly one shard, so every first-detect slot has one writer and
-// fault dropping works shard-locally without synchronization. With
-// cones set (ppsfp) the good machine is established at most once per
-// block, and only if some fault of the shard is still alive; the loop
-// stops at the first block where none is.
+// fault dropping works shard-locally without synchronization. The good
+// machine is established at most once per block, and only if some
+// fault of the shard is still alive; the loop stops at the first block
+// where none is.
 //
 //repolint:hotpath
-func (s *session) runShard(fsim *logicsim.FlatSim, cones *logicsim.FlatConeSet, blocks []block, lo, hi int) error {
+func (s *session) runShard(fsim *logicsim.FlatSim, cones *logicsim.FlatConeSet, blocks []logicsim.PatternBlock, lo, hi int) error {
 	var (
 		scratch []uint64
 		diff    uint64
 		err     error
 	)
 	for bi := range blocks {
-		b := &blocks[bi]
 		live := false
 		for fi := lo; fi < hi; fi++ {
-			if cones != nil {
-				if !s.alive(fi) {
-					continue
-				}
-				if !live {
-					// The cone walks leave the good machine untouched,
-					// so one evaluation serves every surviving fault.
-					if scratch, err = fsim.RunInto(b.pat, scratch); err != nil {
-						return err
-					}
-				}
+			if !s.alive(fi) {
+				continue
 			}
-			live = true
-			if diff, scratch, err = s.diffFault(fsim, cones, b, fi, scratch); err != nil {
+			if !live {
+				// The cone walks leave the good machine untouched, so
+				// one evaluation serves every surviving fault.
+				if scratch, err = fsim.RunInto(blocks[bi], scratch); err != nil {
+					return err
+				}
+				live = true
+			}
+			if diff, err = s.diffFault(fsim, cones, fi); err != nil {
 				return err
 			}
 			if diff != 0 {
-				s.detect(fi, b.base+bits.TrailingZeros64(diff))
+				s.detect(fi, bi*64+bits.TrailingZeros64(diff))
 			}
 		}
 		if !live {

@@ -8,9 +8,9 @@ import (
 	"repro/internal/netlist"
 )
 
-// TestPPSFPShardsMatchSerial pins sharded PPSFP to the serial baseline
-// at every shard count, including more shards than faults.
-func TestPPSFPShardsMatchSerial(t *testing.T) {
+// TestPPSFPShardsMatchOracle pins sharded PPSFP to the pointer-walking
+// oracle at every shard count, including more shards than faults.
+func TestPPSFPShardsMatchOracle(t *testing.T) {
 	mul5, err := netlist.ArrayMultiplier(5)
 	if err != nil {
 		t.Fatal(err)
@@ -25,22 +25,19 @@ func TestPPSFPShardsMatchSerial(t *testing.T) {
 	} {
 		faults := fault.Reps(fault.CollapseEquivalence(tc.c, fault.AllFaults(tc.c)))
 		patterns := randomPatterns(tc.c, 150, 7)
-		serial, err := Run(tc.c, faults, patterns, Serial)
-		if err != nil {
-			t.Fatal(err)
-		}
+		oracle := pointerSerialFirstDetect(t, tc.c, faults, patterns)
 		for _, workers := range tc.workers {
 			got, err := RunOpts(tc.c, faults, patterns, PPSFP, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.c.Name, workers, err)
 			}
-			if got.Patterns != serial.Patterns {
+			if got.Patterns != len(patterns) {
 				t.Fatalf("%s workers=%d: pattern count", tc.c.Name, workers)
 			}
 			for fi := range faults {
-				if got.FirstDetect[fi] != serial.FirstDetect[fi] {
-					t.Fatalf("%s workers=%d fault %d: %d vs %d",
-						tc.c.Name, workers, fi, got.FirstDetect[fi], serial.FirstDetect[fi])
+				if got.FirstDetect[fi] != oracle[fi] {
+					t.Fatalf("%s workers=%d fault %d: %d, oracle %d",
+						tc.c.Name, workers, fi, got.FirstDetect[fi], oracle[fi])
 				}
 			}
 		}

@@ -17,7 +17,7 @@ import (
 //
 // The first failing strobe factors: its pattern is the fault's ordinary
 // first-detect pattern, and its output is the lowest-indexed output the
-// fault flips on that pattern. So RunSteps runs any pattern-level
+// fault flips on that pattern. So RunSteps runs the pattern-level
 // engine first and then refines each detected fault with a single
 // cone-restricted re-simulation of its detecting pattern — strobe
 // granularity costs one extra cone pass per detected fault instead of a

@@ -2,7 +2,7 @@
 // checker (go/parser + go/ast + go/types, no external modules) that
 // enforces the repository conventions the compiler cannot see. The
 // reproduction's value rests on invariants that live between packages:
-// engines must be bit-identical to the Serial oracle, sweep and
+// engines must be bit-identical to their oracles, sweep and
 // campaign output must be byte-identical for any worker count and
 // across crash/resume, every workload must resolve through the
 // internal/circuits registry, and every netlist.Circuit mutation must

@@ -299,65 +299,12 @@ func (s *FlatSim) RunInto(block PatternBlock, out []uint64) ([]uint64, error) {
 	return out, nil
 }
 
-// RunWithFaultInto simulates the block with a single stuck-at fault
-// injected and appends the primary-output words to out (reusing its
-// capacity): the scalar flat counterpart of Simulator.RunWithFaultInto,
-// and the walk behind the faultsim Serial baseline. slot is the fault
-// site's slot; pin < 0 is a stem fault on the slot's output, pin >= 0
-// forces that input pin during the slot's evaluation only.
-//
-//repolint:hotpath
-func (s *FlatSim) RunWithFaultInto(block PatternBlock, slot, pin int, stuck bool, out []uint64) ([]uint64, error) {
-	f := s.f
-	if err := block.validate(f.numIn); err != nil {
-		return nil, err
-	}
-	if slot < 0 || slot >= len(f.op) {
-		return nil, errSlotRange(slot)
-	}
-	var stuckWord uint64
-	if stuck {
-		stuckWord = ^uint64(0)
-	}
-	s.mask = block.Mask()
-	copy(s.val[:f.numIn], block.Inputs)
-	switch {
-	case slot < f.numIn:
-		// A fault on a primary input: stem forces the input word itself;
-		// a pin fault is impossible (inputs have no fanin).
-		if pin >= 0 {
-			return nil, errNoPin(slot, pin)
-		}
-		s.val[slot] = stuckWord
-		s.walkRange(f.numIn, len(f.op))
-	case pin < 0:
-		// Stem fault on a logic slot: walk up to the site, overwrite its
-		// output, walk the rest.
-		s.walkRange(f.numIn, slot)
-		s.val[slot] = stuckWord
-		s.walkRange(slot+1, len(f.op))
-	default:
-		if int32(pin) >= f.faninAt[slot+1]-f.faninAt[slot] {
-			return nil, errNoPin(slot, pin)
-		}
-		s.walkRange(f.numIn, slot)
-		s.val[slot] = s.evalForcedPin(slot, pin, stuckWord)
-		s.walkRange(slot+1, len(f.op))
-	}
-	out = out[:0]
-	for _, os := range f.outSlot {
-		out = append(out, s.val[os])
-	}
-	return out, nil
-}
-
 // Value returns the value word of a slot after the last run; tests
 // compare the flat walk against the pointer oracle through it.
 func (s *FlatSim) Value(slot int) uint64 { return s.val[slot] }
 
 // walkRange is the flat hot loop: one linear pass over the logic slots
-// in [lo, hi), one evalWord per gate. Full runs walk [numIn, Slots);
-// the fault-injecting walk splits the range around the fault site.
+// in [lo, hi), one evalWord per gate.
 //
 //repolint:hotpath
 func (s *FlatSim) walkRange(lo, hi int) {

@@ -165,55 +165,6 @@ func TestRunConeMatchesRunWithFault(t *testing.T) {
 	}
 }
 
-// TestRunWithFaultIntoMatchesSimulator pins the scalar flat fault walk
-// (the faultsim Serial baseline) to the pointer-walking
-// Simulator.RunWithFault.
-func TestRunWithFaultIntoMatchesSimulator(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 4; trial++ {
-		c, err := netlist.RandomCircuit("r", 6+rng.Intn(5), 40+rng.Intn(80), 3+rng.Intn(5), rng.Int63())
-		if err != nil {
-			t.Fatal(err)
-		}
-		sim, err := NewSimulator(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f, err := NewFlat(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fs := NewFlatSim(f)
-		block := randomBlock(t, c, 1+rng.Intn(64), rng.Int63())
-		var out []uint64
-		for gate, g := range c.Gates {
-			pins := make([]int, 0, len(g.Fanin)+1)
-			pins = append(pins, -1)
-			for pin := range g.Fanin {
-				pins = append(pins, pin)
-			}
-			for _, pin := range pins {
-				stuck := rng.Intn(2) == 1
-				want, err := sim.RunWithFault(block, gate, pin, stuck)
-				if err != nil {
-					t.Fatal(err)
-				}
-				out, err = fs.RunWithFaultInto(block, f.SlotOf(gate), pin, stuck, out)
-				if err != nil {
-					t.Fatal(err)
-				}
-				mask := block.Mask()
-				for o := range want {
-					if want[o]&mask != out[o]&mask {
-						t.Fatalf("trial %d gate %d pin %d: output %d flat %x, simulator %x",
-							trial, gate, pin, o, out[o]&mask, want[o]&mask)
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestRunConeZeroAllocs pins the steady-state flat cone walk — the
 // PPSFP inner loop — to zero allocations per fault.
 func TestRunConeZeroAllocs(t *testing.T) {
@@ -350,11 +301,8 @@ func TestFlatConeErrors(t *testing.T) {
 	if _, err := fs.RunConeForced(logic, 99, false, conePtr(fcs.ConeOf(logic)), nil); err == nil {
 		t.Error("bad pin accepted")
 	}
-	if _, err := fs.RunWithFaultInto(block, 0, 0, false, nil); err == nil {
+	if _, err := fs.RunConeForced(0, 0, false, conePtr(fcs.ConeOf(0)), nil); err == nil {
 		t.Error("pin fault on a primary input accepted")
-	}
-	if _, err := fs.RunWithFaultInto(block, -1, -1, false, nil); err == nil {
-		t.Error("out-of-range fault slot accepted")
 	}
 }
 

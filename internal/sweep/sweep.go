@@ -64,7 +64,7 @@ type Config struct {
 	// RandomPatterns, Seed, Physical, Engine, and SimWorkers configure
 	// the per-circuit test program exactly as in experiment.Table1Config;
 	// SimWorkers is the fault-list shard count of each fault simulation
-	// (0 = one) and, like Engine, only affects speed.
+	// (0 = one) and only affects speed.
 	RandomPatterns int
 	Seed           int64
 	Physical       bool

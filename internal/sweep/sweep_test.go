@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/circuits"
 	"repro/internal/experiment"
+	"repro/internal/faultsim"
 	"repro/internal/tester"
 )
 
@@ -183,6 +184,13 @@ func TestSweepValidation(t *testing.T) {
 		if err := cfg.Validate(); !errors.Is(err, experiment.ErrTooLarge) {
 			t.Errorf("%s: Validate error %v, want ErrTooLarge", tc.name, err)
 		}
+	}
+	// An unregistered fault-simulation engine (1 is the retired serial
+	// value) fails Validate, before any circuit is prepared.
+	retired := smallConfig(t)
+	retired.Engine = faultsim.Engine(1)
+	if err := retired.Validate(); err == nil || !strings.Contains(err.Error(), "ppsfp") {
+		t.Errorf("retired engine: Validate error %v, want one naming ppsfp", err)
 	}
 	atCap := smallConfig(t)
 	atCap.Replicates = experiment.SizeCap / 4
