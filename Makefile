@@ -92,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHypergeometricPZero$$' -fuzztime $(FUZZTIME) ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBench$$' -fuzztime $(FUZZTIME) ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzSampleDistinct$$' -fuzztime $(FUZZTIME) ./internal/defect/
 
 # Tiny end-to-end Monte-Carlo grid through the real CLI over a
 # two-circuit campaign: seconds, not minutes, yet it exercises the

@@ -173,6 +173,8 @@ func BenchmarkEngines(b *testing.B) {
 // against a production pattern set, at strobe granularity. The chips/s
 // metric is the campaign-throughput number the chipparallel256 engine
 // is judged on against the serial oracle.
+// It times the tester only: lot manufacture is timed by
+// BenchmarkGenerateLotFromModel in internal/defect.
 func BenchmarkLotEngines(b *testing.B) {
 	workloads := []struct {
 		name  string

@@ -123,9 +123,33 @@ func (m Model) ExpectedN0() float64 {
 // faults from a universe of size total. Each defect yields a
 // shifted-Poisson number of faults with mean FaultsPerDefect, placed
 // near a random center (locality) or uniformly. The returned indices
-// are distinct; a chip cannot carry the same stuck-at fault twice.
+// are distinct and sorted; a chip cannot carry the same stuck-at fault
+// twice.
 func (m Model) CastFaults(rng *rand.Rand, total, ndefects int) []int {
 	if total <= 0 || ndefects <= 0 {
+		return nil
+	}
+	return m.castFaults(rng, ndefects, newCastScratch(total))
+}
+
+// castScratch is the dense state behind castFaults, allocated once per
+// lot: one mark per universe index and the indices marked for the
+// current chip. castFaults leaves every mark clear on return.
+type castScratch struct {
+	marked []bool
+	chosen []int
+}
+
+func newCastScratch(total int) *castScratch {
+	return &castScratch{marked: make([]bool, total)}
+}
+
+// castFaults is CastFaults over a universe of len(s.marked) indices.
+//
+//repolint:hotpath
+func (m Model) castFaults(rng *rand.Rand, ndefects int, s *castScratch) []int {
+	total := len(s.marked)
+	if total == 0 || ndefects <= 0 {
 		return nil
 	}
 	window := m.Window
@@ -136,7 +160,7 @@ func (m Model) CastFaults(rng *rand.Rand, total, ndefects int) []int {
 		}
 	}
 	fpd := dist.ShiftedPoisson{N0: m.FaultsPerDefect}
-	chosen := make(map[int]bool)
+	chosen := s.chosen[:0]
 	for d := 0; d < ndefects; d++ {
 		k := fpd.Sample(rng)
 		center := rng.Intn(total)
@@ -149,23 +173,24 @@ func (m Model) CastFaults(rng *rand.Rand, total, ndefects int) []int {
 				idx = rng.Intn(total)
 			}
 			// Distinctness: probe linearly from the collision.
-			for chosen[idx] {
+			for s.marked[idx] {
 				idx = (idx + 1) % total
 				if len(chosen) >= total {
 					break
 				}
 			}
 			if len(chosen) < total {
-				chosen[idx] = true
+				s.marked[idx] = true
+				chosen = append(chosen, idx)
 			}
 		}
 	}
-	out := make([]int, 0, len(chosen))
-	for idx := range chosen {
-		out = append(out, idx)
+	out := make([]int, len(chosen))
+	copy(out, chosen)
+	for _, idx := range chosen {
+		s.marked[idx] = false
 	}
-	// Map iteration order is randomized per process; sort so the same
-	// seed yields the same chip byte-for-byte across runs.
+	s.chosen = chosen
 	sort.Ints(out)
 	return out
 }
@@ -200,10 +225,11 @@ func GenerateLot(m Model, universe []fault.Fault, n int, rng *rand.Rand) (Lot, e
 		return Lot{}, fmt.Errorf("defect: empty fault universe")
 	}
 	lot := Lot{Chips: make([]Chip, n), Universe: universe}
+	scratch := newCastScratch(len(universe))
 	good := 0
 	for i := range lot.Chips {
 		nd := m.DefectCount(rng)
-		idxs := m.CastFaults(rng, len(universe), nd)
+		idxs := m.castFaults(rng, nd, scratch)
 		lot.Chips[i] = Chip{Faults: idxs}
 		if len(idxs) == 0 {
 			good++
@@ -229,13 +255,15 @@ func GenerateLotFromModel(y, n0 float64, universe []fault.Fault, n int, rng *ran
 		return Lot{}, fmt.Errorf("defect: empty fault universe")
 	}
 	lot := Lot{Chips: make([]Chip, n), Universe: universe}
+	// int32 halves the scratch; fault universes stay far below 2^31.
+	perm := make([]int32, len(universe))
 	good := 0
 	for i := range lot.Chips {
 		k := fc.Sample(rng)
 		if k > len(universe) {
 			k = len(universe)
 		}
-		lot.Chips[i] = Chip{Faults: sampleDistinct(rng, len(universe), k)}
+		lot.Chips[i] = Chip{Faults: sampleDistinct(rng, perm, k)}
 		if k == 0 {
 			good++
 		}
@@ -244,27 +272,39 @@ func GenerateLotFromModel(y, n0 float64, universe []fault.Fault, n int, rng *ran
 	return lot, nil
 }
 
-// sampleDistinct draws k distinct integers from [0, total) by partial
-// Fisher-Yates on a virtual index map.
-func sampleDistinct(rng *rand.Rand, total, k int) []int {
+// sampleDistinct draws k distinct integers from [0, len(perm)) by
+// partial Fisher-Yates on a virtual permutation held in perm, the
+// lot's dense scratch: perm[p] == 0 means position p still holds p, and
+// perm[p] == v+1 means it holds v. perm must be all zero on entry and
+// is all zero again on return, so one scratch serves every chip of a
+// lot.
+//
+//repolint:hotpath
+func sampleDistinct(rng *rand.Rand, perm []int32, k int) []int {
 	if k <= 0 {
 		return nil
 	}
-	swapped := make(map[int]int)
+	total := len(perm)
 	out := make([]int, k)
 	for i := 0; i < k; i++ {
 		j := i + rng.Intn(total-i)
-		vi, ok := swapped[i]
-		if !ok {
-			vi = i
+		vi, vj := i, j
+		if p := perm[i]; p != 0 {
+			vi = int(p - 1)
 		}
-		vj, ok := swapped[j]
-		if !ok {
-			vj = j
+		if p := perm[j]; p != 0 {
+			vj = int(p - 1)
 		}
 		out[i] = vj
-		swapped[j] = vi
-		swapped[i] = vj
+		perm[j] = int32(vi + 1)
+		perm[i] = int32(vj + 1)
+	}
+	// The touched positions are 0..k-1 and the drawn js. A drawn j >= k
+	// still held j the first time it was drawn, so j is in out: clearing
+	// every i and every out[i] restores the all-zero scratch.
+	for i, v := range out {
+		perm[i] = 0
+		perm[v] = 0
 	}
 	return out
 }

@@ -56,6 +56,32 @@ cmp8,0.4,3,80,4,0.6,0.604167,0.150635,0.162144,0.0736697,0.0899487,0.234339,4,5.
 	}
 }
 
+func TestSweepGoldenPhysical(t *testing.T) {
+	// The same grid through the physical-defect layer (Poisson defects
+	// cast into logical faults by defect.Model.CastFaults): pins the
+	// physical lot path byte-for-byte, as TestSweepGolden pins the
+	// statistical one.
+	cfg := smallConfig(t)
+	cfg.Physical = true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `circuit,yield,n0,chips,replicates,target_coverage,coverage,analytic_r,mean_r,std_r,ci_lo,ci_hi,rej_samples,mean_escapes,mean_passed,mean_tested_yield,fit_n0_mean,true_n0_mean
+mul4,0.2,3,80,4,0.3,0.310714,0.596948,0.654979,0.0566471,0.599466,0.710493,4,26.5,40.75,0.178125,2.82586,3.01179
+mul4,0.2,3,80,4,0.6,0.610714,0.314627,0.492083,0.0818238,0.411897,0.572269,4,13.5,27.75,0.178125,2.82586,3.01179
+mul4,0.4,3,80,4,0.3,0.310714,0.357079,0.404639,0.0593072,0.346519,0.462759,4,22.5,55.25,0.4125,2.17884,2.62715
+mul4,0.4,3,80,4,0.6,0.610714,0.146865,0.217472,0.0643809,0.15438,0.280564,4,9.25,42,0.4125,2.17884,2.62715
+cmp8,0.2,3,80,4,0.3,0.354167,0.559898,0.610671,0.0687113,0.543335,0.678007,4,27.75,45.25,0.21875,2.1399,3.24043
+cmp8,0.2,3,80,4,0.6,0.604167,0.321083,0.406017,0.114769,0.293546,0.518489,4,12.25,29.75,0.21875,2.1399,3.24043
+cmp8,0.4,3,80,4,0.3,0.354167,0.322986,0.424649,0.0656693,0.360294,0.489004,4,22,51.75,0.371875,2.66137,2.9303
+cmp8,0.4,3,80,4,0.6,0.604167,0.150635,0.233563,0.0647696,0.17009,0.297036,4,9,38.75,0.371875,2.66137,2.9303
+`
+	if got := res.CSV(); got != want {
+		t.Errorf("physical golden CSV drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	// The aggregates must be bit-identical no matter how the replicates
 	// are scheduled — including across the circuit axis: per-replicate
