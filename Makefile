@@ -93,6 +93,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBench$$' -fuzztime $(FUZZTIME) ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleDistinct$$' -fuzztime $(FUZZTIME) ./internal/defect/
+	$(GO) test -run '^$$' -fuzz '^FuzzLaneWalk$$' -fuzztime $(FUZZTIME) ./internal/logicsim/
 
 # Tiny end-to-end Monte-Carlo grid through the real CLI over a
 # two-circuit campaign: seconds, not minutes, yet it exercises the

@@ -32,9 +32,11 @@
 //	<path>.bench     shorthand for bench:<path>.bench
 //
 // Every sized family has a fixed cap on N (the max column of builtins,
-// printed by List) that keeps each builtin under ~10^5 gates: a larger
-// N fails with ErrSpecTooLarge as soon as the spec is expanded, instead
-// of exhausting memory when it is built.
+// printed by List) that keeps each builtin under MaxGates: a larger N
+// fails with ErrSpecTooLarge as soon as the spec is expanded, instead
+// of exhausting memory when it is built. A .bench file above MaxGates
+// fails with ErrSpecTooLarge while it is parsed, before it is validated
+// or any simulator state is sized for it.
 //
 // A spec that names a file or builtin resolves to exactly one circuit;
 // a directory or glob spec expands to one circuit per matching .bench
@@ -55,15 +57,21 @@ import (
 )
 
 // ErrSpecTooLarge reports a builtin spec whose N exceeds its family's
-// size cap.
+// size cap, or a .bench file with more than MaxGates gates.
 var ErrSpecTooLarge = errors.New("circuits: spec exceeds its family's size cap")
+
+// MaxGates is the gate ceiling of every circuit the registry resolves:
+// the builtin caps keep each family under it, and a .bench file above
+// it is rejected. Per-worker simulator state scales with it — the lot
+// engine's good planes hold a word per gate per 64-pattern block.
+const MaxGates = 100000
 
 // builtin is one parameterized generator family of the registry.
 type builtin struct {
 	prefix string
 	doc    string
 	// max caps N. The sized families' caps keep every builtin under
-	// ~10^5 gates; rand's N is a seed, not a size, so it is uncapped.
+	// MaxGates; rand's N is a seed, not a size, so it is uncapped.
 	max   int
 	build func(n int) (*netlist.Circuit, error)
 }
@@ -240,18 +248,20 @@ func benchPath(spec string) (string, bool) {
 	return "", false
 }
 
-// resolveBenchFile parses and validates one .bench file.
+// resolveBenchFile parses one .bench file, which ParseBenchMax also
+// validates; a file past MaxGates gates fails with ErrSpecTooLarge as
+// soon as the parse reaches its first gate beyond the ceiling.
 func resolveBenchFile(path string) (*netlist.Circuit, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("circuits: %w", err)
 	}
 	defer f.Close()
-	c, err := netlist.ParseBench(path, f)
-	if err != nil {
-		return nil, fmt.Errorf("circuits: %s: %w", path, err)
+	c, err := netlist.ParseBenchMax(path, f, MaxGates)
+	if errors.Is(err, netlist.ErrTooManyGates) {
+		return nil, fmt.Errorf("%w: %s: %w", ErrSpecTooLarge, path, err)
 	}
-	if err := c.Validate(); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("circuits: %s: %w", path, err)
 	}
 	return c, nil

@@ -132,6 +132,32 @@ func TestResolveBenchFileAndGlobs(t *testing.T) {
 	}
 }
 
+// TestResolveBenchFileGateCap pins the .bench gate ceiling: a file of
+// MaxGates+1 gates is rejected with ErrSpecTooLarge before validation
+// (the file declares no outputs, which Validate would reject), while a
+// file at the ceiling gets past the cap to Validate's own error.
+func TestResolveBenchFileGateCap(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name string, gates int) string {
+		var sb strings.Builder
+		sb.WriteString("INPUT(a)\nINPUT(b)\n")
+		for i := 2; i < gates; i++ {
+			fmt.Fprintf(&sb, "g%d = NAND(a, b)\n", i)
+		}
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	if _, err := Resolve(write("over.bench", MaxGates+1)); !errors.Is(err, ErrSpecTooLarge) {
+		t.Errorf("%d-gate .bench file error %v, want ErrSpecTooLarge", MaxGates+1, err)
+	}
+	if _, err := Resolve(write("at.bench", MaxGates)); err == nil || errors.Is(err, ErrSpecTooLarge) {
+		t.Errorf("%d-gate .bench file error %v, want Validate's missing-output error", MaxGates, err)
+	}
+}
+
 func TestExpandAllDeduplicates(t *testing.T) {
 	units, err := ExpandAll([]string{"mul4", "cmp8", "mul4"})
 	if err != nil {
@@ -189,8 +215,8 @@ func TestBuiltinSizeCaps(t *testing.T) {
 			c, err := Resolve(at)
 			if err != nil {
 				t.Errorf("Resolve(%s): %v", at, err)
-			} else if len(c.Gates) > 100000 {
-				t.Errorf("%s has %d gates, above the ~10^5 budget", at, len(c.Gates))
+			} else if len(c.Gates) > MaxGates {
+				t.Errorf("%s has %d gates, above MaxGates (%d)", at, len(c.Gates), MaxGates)
 			}
 		}
 		over := fmt.Sprintf("%s%d", b.prefix, b.max+1)

@@ -69,6 +69,9 @@ type WideLaneForces struct {
 	// pins holds the per-input-pin masks of each slot, truncated to zero
 	// length when the slot is first touched in a new epoch.
 	pins [][]widePin
+	// sites lists the slots forced this epoch, in first-touch order: the
+	// divergence walk's seeds (RunLaneDiverged).
+	sites []int32
 }
 
 // widePin is one forced input pin of a slot. The masks are fixed-size
@@ -103,7 +106,13 @@ func (lf *WideLaneForces) Lanes() int { return 64 * lf.words }
 func (lf *WideLaneForces) Words() int { return lf.words }
 
 // Reset empties the table for reuse in O(1).
-func (lf *WideLaneForces) Reset() { lf.epoch++ }
+func (lf *WideLaneForces) Reset() {
+	lf.epoch++
+	lf.sites = lf.sites[:0]
+}
+
+// ForcedSlots returns the number of distinct slots forced this epoch.
+func (lf *WideLaneForces) ForcedSlots() int { return len(lf.sites) }
 
 // SlotInjection is an Injection resolved to slot space: the fault site
 // as a flat slot index, with site and pin validation already done. A
@@ -155,6 +164,7 @@ func (lf *WideLaneForces) AddResolved(f SlotInjection, lane int) {
 			lf.stem[base+k] = 0
 		}
 		lf.pins[slot] = lf.pins[slot][:0]
+		lf.sites = append(lf.sites, f.Slot)
 	}
 	word, bit := lane>>6, uint(lane&63)
 	if f.Pin < 0 {
@@ -200,6 +210,15 @@ type WideSim struct {
 	words int
 	val   []uint64 // stride-packed value plane, slot s at [s*words, s*words+words)
 	stage []uint64 // fanin staging scratch for pin-forced gates
+	// Divergence-walk state (see RunLaneDiverged). diff is a second
+	// stride-packed plane holding each slot's lane block XOR the
+	// broadcast good bit: zero wherever no lane departs from the good
+	// machine, so a fanin reads as diff ^ good with no branch. diverged
+	// lists the slots whose diff block is non-zero, cleared at the start
+	// of the next walk; pend is the bitmap of slots awaiting evaluation.
+	diff     []uint64
+	diverged []int32
+	pend     []uint64
 }
 
 // NewWideSim allocates wide walk state of 64*words lanes for the flat
@@ -208,7 +227,14 @@ func NewWideSim(f *Flat, words int) (*WideSim, error) {
 	if err := validLaneWords(words); err != nil {
 		return nil, err
 	}
-	return &WideSim{f: f, words: words, val: make([]uint64, f.Slots()*words)}, nil
+	n := f.Slots()
+	return &WideSim{
+		f:     f,
+		words: words,
+		val:   make([]uint64, n*words),
+		diff:  make([]uint64, n*words),
+		pend:  make([]uint64, (n+63)/64),
+	}, nil
 }
 
 // RunLaneForced evaluates pattern p of the block across all 64*Words

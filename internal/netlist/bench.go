@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -24,12 +25,28 @@ import (
 // scanner buffers, no case-folded copies, no per-gate fanin slices),
 // so a 10k-gate netlist loads in milliseconds.
 func ParseBench(name string, r io.Reader) (*Circuit, error) {
+	return ParseBenchMax(name, r, 0)
+}
+
+// ErrTooManyGates reports a .bench source declaring more gates than the
+// ceiling ParseBenchMax was given.
+var ErrTooManyGates = errors.New("netlist: bench source exceeds the gate ceiling")
+
+// ParseBenchMax is ParseBench with a gate ceiling: a source declaring
+// more than maxGates gates (inputs included) fails with ErrTooManyGates
+// at the first gate past it, before outputs are marked or the circuit
+// is validated. maxGates <= 0 means no ceiling.
+func ParseBenchMax(name string, r io.Reader, maxGates int) (*Circuit, error) {
 	data, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("netlist: reading bench: %w", err)
 	}
 	src := string(data)
-	c := NewSized(name, strings.Count(src, "\n")+1)
+	size := strings.Count(src, "\n") + 1
+	if maxGates > 0 {
+		size = min(size, maxGates+1)
+	}
+	c := NewSized(name, size)
 	var outputs []string
 	var args []string // reused across gate lines; AddGate copies out of it
 	lineNo := 0
@@ -75,6 +92,9 @@ func ParseBench(name string, r io.Reader) (*Circuit, error) {
 			if _, err := c.AddGate(lhs, t, args...); err != nil {
 				return nil, fmt.Errorf("netlist: line %d: %w", lineNo, err)
 			}
+		}
+		if maxGates > 0 && len(c.Gates) > maxGates {
+			return nil, fmt.Errorf("netlist: line %d: %w of %d", lineNo, ErrTooManyGates, maxGates)
 		}
 	}
 	for _, o := range outputs {

@@ -1,6 +1,7 @@
 package netlist
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -19,6 +20,20 @@ func TestParseBenchC17(t *testing.T) {
 	}
 	if c.Gates[id].Type != Nand || len(c.Gates[id].Fanin) != 2 {
 		t.Error("gate 22 malformed")
+	}
+}
+
+// TestParseBenchMaxCeiling pins the gate ceiling: c17's 11 gates parse
+// under a ceiling of 11 (and with none) and fail with ErrTooManyGates
+// under 10.
+func TestParseBenchMaxCeiling(t *testing.T) {
+	for _, max := range []int{0, 11, 12} {
+		if _, err := ParseBenchMax("c17", strings.NewReader(C17Bench), max); err != nil {
+			t.Errorf("ceiling %d: %v", max, err)
+		}
+	}
+	if _, err := ParseBenchMax("c17", strings.NewReader(C17Bench), 10); !errors.Is(err, ErrTooManyGates) {
+		t.Errorf("ceiling 10: error %v, want ErrTooManyGates", err)
 	}
 }
 

@@ -13,11 +13,29 @@ import (
 // where the serial oracle packs 64 patterns into a word and walks the
 // circuit once per (chip, block), chipparallel256 packs the good
 // machine (lane 0) plus up to 255 defective chips into the bit-lanes of
-// a multi-word lane block and walks the flat circuit once per pattern
-// for the whole batch (logicsim.WideSim.RunLaneForced). Each chip's
-// faults are forced onto its lane through a shared
+// a multi-word lane block and evaluates the whole batch once per
+// pattern. Each chip's faults are forced onto its lane through a shared
 // logicsim.WideLaneForces table — v = (v &^ care) | force per fault
 // site.
+//
+// Each pattern takes one of two walks, picked at every table build by a
+// density rule (chipParallel256State.sparse) that reads only the table
+// and the circuit:
+//
+//   - A table forcing fewer slots than a quarter of the circuit's logic
+//     slots takes the divergence walk (logicsim.WideSim.RunLaneDiverged):
+//     it evaluates only the slots where some lane departs from the good
+//     machine, reading every other slot from the good machine's value
+//     planes (logicsim.GoodPlanes), which the ATE builds on its first
+//     lot. On ISCAS-scale circuits a few percent of the logic slots
+//     diverge per pattern, so the long-surviving chips of a deep circuit
+//     cost a fraction of a full walk.
+//   - A denser table — a fresh 255-chip batch at high n0 on a small
+//     circuit diverges nearly everywhere — takes the linear forced walk
+//     over every slot (logicsim.WideSim.RunLaneForced).
+//
+// Both walks return the same output lane blocks, so the choice never
+// touches results.
 //
 // First-fail extraction is exact at either granularity: at pattern p
 // the lane block of each primary output is diffed against the
@@ -134,6 +152,21 @@ type chipParallel256State struct {
 	// universe indirection already resolved away.
 	faultAt []int32
 	faults  []logicsim.SlotInjection
+
+	// planes is the good machine's value plane of every pattern block,
+	// built on the first lot: the divergence walk reads every slot no
+	// lane departs from out of it instead of simulating the slot.
+	planes *logicsim.GoodPlanes
+	// denseWalks and sparseWalks count pattern walks on each side of
+	// the density rule (see sparse); tests read them.
+	denseWalks, sparseWalks int
+}
+
+// sparse is the density rule of the file comment, applied at every
+// table build: true (the divergence walk) when the table forces fewer
+// slots than a quarter of the circuit's logic slots.
+func (st *chipParallel256State) sparse(lf *logicsim.WideLaneForces) bool {
+	return lf.ForcedSlots()*4 < st.flat.Slots()-st.flat.NumInputs()
 }
 
 // at returns the walk state and forcing table of the given width,
@@ -165,6 +198,13 @@ func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injec
 		a.pp256 = &chipParallel256State{flat: a.flat}
 	}
 	st := a.pp256
+	if st.planes == nil {
+		planes, err := logicsim.NewGoodPlanes(st.flat, a.blocks)
+		if err != nil {
+			return nil, err
+		}
+		st.planes = planes
+	}
 	// Resolve the universe to slot space once, then flatten each chip's
 	// fault list through it into the per-lot CSR: the batch builds below
 	// re-add the same faults on every rebuild, and the flattened
@@ -304,6 +344,7 @@ func (a *ATE) pp256Batch(batch []ppItem,
 		return nil, err
 	}
 	built := len(batch)
+	sparse := st.sparse(lf)
 	liveCount := func() int {
 		n := 0
 		for k := 0; k < len(alive); k++ {
@@ -314,7 +355,13 @@ func (a *ATE) pp256Batch(batch []ppItem,
 	nOut := len(a.c.Outputs)
 	out := st.out
 	for p := base; p < end; p++ {
-		out, err = sim.RunLaneForced(a.blocks[p/64], p%64, lf, out)
+		if sparse {
+			out, err = sim.RunLaneDiverged(st.planes, p, lf, out)
+			st.sparseWalks++
+		} else {
+			out, err = sim.RunLaneForced(a.blocks[p/64], p%64, lf, out)
+			st.denseWalks++
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -373,6 +420,7 @@ func (a *ATE) pp256Batch(batch []ppItem,
 				return nil, err
 			}
 			built = n2
+			sparse = st.sparse(lf)
 		} else if n*4 <= built {
 			// Same-width prune: rebuild the force table over the
 			// survivors so the staged evaluations stop paying for dead
@@ -381,6 +429,7 @@ func (a *ATE) pp256Batch(batch []ppItem,
 				return nil, err
 			}
 			built = n
+			sparse = st.sparse(lf)
 		}
 	}
 	st.out = out

@@ -6,7 +6,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/atpg"
 	"repro/internal/defect"
+	"repro/internal/fault"
+	"repro/internal/netlist"
 )
 
 // TestPP256BuildRejectsOverfullBatch is the compaction guard: a batch
@@ -98,7 +101,9 @@ func TestPP256CompactionMatchesSerial(t *testing.T) {
 
 // TestPP256BatchZeroAllocs pins the compacted batch step — the
 // chipparallel256 inner loop, including the width ladder — to zero
-// allocations once the per-width scratch is warm.
+// allocations once the per-width scratch and the good planes are warm,
+// on both sides of the density rule: a full batch takes the linear
+// forced walk, a batch of a few chips the divergence walk.
 func TestPP256BatchZeroAllocs(t *testing.T) {
 	c, universe, patterns := setup(t)
 	a, err := NewEngine(c, patterns, ChipParallel256)
@@ -111,34 +116,106 @@ func TestPP256BatchZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	inj := a.injectionsFor(universe)
-	// One full run warms every width's walk state and the high-water
-	// marks of the output and survivor buffers.
+	// One full run warms every width's walk state, the good planes and
+	// the high-water marks of the output and survivor buffers.
 	ff, err := a.chipParallel256FirstFail(lot, inj, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var batch []ppItem
+	st := a.pp256
+	logic := st.flat.Slots() - st.flat.NumInputs()
+	var dense, sparse []ppItem
+	forced := 0
 	for i, chip := range lot.Chips {
-		if chip.Defective() {
-			batch = append(batch, ppItem{chip: i, key: chip.Faults[0]})
+		if !chip.Defective() {
+			continue
 		}
-		if len(batch) == pp256Lanes {
-			break
+		it := ppItem{chip: i, key: chip.Faults[0]}
+		if len(dense) < pp256Lanes {
+			dense = append(dense, it)
+		}
+		// A chip forces at most one slot per fault.
+		if (forced+len(chip.Faults))*4 < logic {
+			sparse = append(sparse, it)
+			forced += len(chip.Faults)
 		}
 	}
-	if len(batch) < 130 {
-		t.Fatalf("only %d defective chips; want enough to start multi-word", len(batch))
+	if len(dense) < 130 {
+		t.Fatalf("only %d defective chips; want enough to start multi-word", len(dense))
 	}
-	scratch := make([]ppItem, len(batch))
-	next := make([]ppItem, 0, len(batch))
-	if allocs := testing.AllocsPerRun(20, func() {
-		copy(scratch, batch) // the batch is compacted in place; re-seed it
-		var err error
-		next, err = a.pp256Batch(scratch, 0, len(patterns), false, ff, next[:0])
-		if err != nil {
-			t.Fatal(err)
+	if len(sparse) == 0 {
+		t.Fatal("no chip small enough for a divergence-walk batch")
+	}
+	for _, tc := range []struct {
+		name  string
+		batch []ppItem
+		walks *int // the counter of the walk the batch must take
+		never *int // a walk it must never take, if any
+	}{
+		// A full batch may turn sparse once pruned, so it may take both.
+		{"forced walk", dense, &st.denseWalks, nil},
+		{"divergence walk", sparse, &st.sparseWalks, &st.denseWalks},
+	} {
+		scratch := make([]ppItem, len(tc.batch))
+		next := make([]ppItem, 0, len(tc.batch))
+		walks, never := *tc.walks, 0
+		if tc.never != nil {
+			never = *tc.never
 		}
-	}); allocs != 0 {
-		t.Errorf("pp256Batch allocates %v per run, want 0", allocs)
+		if allocs := testing.AllocsPerRun(20, func() {
+			copy(scratch, tc.batch) // the batch is compacted in place; re-seed it
+			var err error
+			next, err = a.pp256Batch(scratch, 0, len(patterns), false, ff, next[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: pp256Batch allocates %v per run, want 0", tc.name, allocs)
+		}
+		if *tc.walks == walks {
+			t.Errorf("%s: the batch never took it", tc.name)
+		}
+		if tc.never != nil && *tc.never != never {
+			t.Errorf("%s: a sparse batch took the forced walk", tc.name)
+		}
 	}
+}
+
+// BenchmarkChipParallelDeep times the chipparallel256 lot engine on the
+// long-survivor path: a 500-chip lot at n0 1.5 on a 2000-gate LSIChip
+// under 256 random patterns, where a large share of the defective chips
+// survive every strobe and the divergence walk carries most batches.
+// BenchmarkLotEngines (mul8/cmp16) never reaches this path: its chips
+// die within the first few patterns.
+func BenchmarkChipParallelDeep(b *testing.B) {
+	const chips = 500
+	c, err := netlist.LSIChip(2000)
+	if err != nil {
+		b.Fatal(err)
+	}
+	universe := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
+	src, err := atpg.NewRandomSource(len(c.Inputs), 1981)
+	if err != nil {
+		b.Fatal(err)
+	}
+	a, err := New(c, atpg.Take(src, 256))
+	if err != nil {
+		b.Fatal(err)
+	}
+	lot, err := defect.GenerateLotFromModel(0.07, 1.5, universe, chips, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Warm-up outside the timer: flat form, good planes, universe cache.
+	if _, err := a.TestLotSteps(lot); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.TestLotSteps(lot); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(chips*b.N)/b.Elapsed().Seconds(), "chips/s")
 }

@@ -119,6 +119,65 @@ func TestLotEngineEquivalenceProperty(t *testing.T) {
 	}
 }
 
+// TestLotEnginesAgreeOnDeepCircuit pins chipparallel256 to the serial
+// oracle on a 1000-gate LSIChip, where long-surviving chips make the
+// divergence walk carry most batches — setup()'s mul4 is too small for
+// it to run much. The yield × n0 grid spans dense batches (n0 8.8: a
+// fresh 255-chip batch forces much of the circuit, the linear walk)
+// and sparse ones (n0 1.5 and pruned survivors, the divergence walk);
+// the per-state walk counters show that both sides of the density rule
+// ran, at both granularities.
+func TestLotEnginesAgreeOnDeepCircuit(t *testing.T) {
+	c, err := netlist.LSIChip(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	universe := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
+	src, err := atpg.NewRandomSource(len(c.Inputs), 1974)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patterns := atpg.Take(src, 200)
+	serial, err := NewEngine(c, patterns, Serial)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7552))
+	for _, steps := range []bool{false, true} {
+		run := (*ATE).TestLot
+		if steps {
+			run = (*ATE).TestLotSteps
+		}
+		wide, err := NewEngine(c, patterns, ChipParallel256)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, y := range []float64{0.1, 0.5} {
+			for _, n0 := range []float64{1.5, 8.8} {
+				lot, err := defect.GenerateLotFromModel(y, n0, universe, 300, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := run(serial, lot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := run(wide, lot)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("steps=%v y=%v n0=%v: chipparallel256 disagrees with serial", steps, y, n0)
+				}
+			}
+		}
+		if st := wide.pp256; st.denseWalks == 0 || st.sparseWalks == 0 {
+			t.Errorf("steps=%v: %d dense and %d divergence walks; want both sides of the density rule",
+				steps, st.denseWalks, st.sparseWalks)
+		}
+	}
+}
+
 func TestLotEnginesAgreeOnDoublePolarityChips(t *testing.T) {
 	// A chip can carry both polarities of one site (distinct universe
 	// entries); the last fault in the chip's list wins the site. Both

@@ -9,9 +9,11 @@
 // Two lot engines share one result contract (identical FirstFail, bit
 // for bit): ChipParallel256, the default, packs the good machine plus
 // up to 255 defective chips into the lanes of a multi-word lane block
-// and evaluates them in a single flat circuit walk per pattern (see
-// chipparallel256.go), and Serial tests one chip at a time on the
-// pointer-walking logicsim.Simulator — the oracle.
+// and evaluates them together once per pattern — walking only the slots
+// where some lane departs from the good machine when the batch's faults
+// are sparse, the whole flat circuit otherwise (see chipparallel256.go)
+// — and Serial tests one chip at a time on the pointer-walking
+// logicsim.Simulator — the oracle.
 package tester
 
 import (
