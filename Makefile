@@ -49,7 +49,8 @@ cover:
 bench:
 	$(GO) test -bench=. -benchtime=1x .
 
-# Persisted engine-matrix benchmark: runs the two engine suites and
+# Persisted engine-matrix benchmark: runs the fault-simulation and
+# lot-engine suites (one engine each, plus the sharded ppsfp row) and
 # writes chips/s and fault-patterns/s per engine×circuit to the
 # untracked bench-current.json (schema documented in cmd/benchjson).
 # CI archives the file as a build artifact. The checked-in
@@ -94,6 +95,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleDistinct$$' -fuzztime $(FUZZTIME) ./internal/defect/
 	$(GO) test -run '^$$' -fuzz '^FuzzLaneWalk$$' -fuzztime $(FUZZTIME) ./internal/logicsim/
+	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime $(FUZZTIME) ./cmd/sweepd/
 
 # Tiny end-to-end Monte-Carlo grid through the real CLI over a
 # two-circuit campaign: seconds, not minutes, yet it exercises the

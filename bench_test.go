@@ -97,10 +97,9 @@ func BenchmarkFig6(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines is the fault-simulation engine matrix: every
-// registered engine (today ppsfp alone), plus one sharded ppsfp row,
-// against paper-scale circuits, 256 random patterns each, on the
-// collapsed fault list. The ns/fault-pattern metric is the number
+// BenchmarkEngines is the fault-simulation matrix: ppsfp inline and
+// sharded, against paper-scale circuits, 256 random patterns each, on
+// the collapsed fault list. The ns/fault-pattern metric is the number
 // quoted in the README.
 func BenchmarkEngines(b *testing.B) {
 	circuits := []struct {
@@ -110,20 +109,17 @@ func BenchmarkEngines(b *testing.B) {
 		{"mul8", func() (*netlist.Circuit, error) { return netlist.ArrayMultiplier(8) }},
 		{"cmp16", func() (*netlist.Circuit, error) { return netlist.Comparator(16) }},
 	}
-	type row struct {
-		name   string
-		engine faultsim.Engine
-		opt    faultsim.Options
-	}
-	var rows []row
-	for _, e := range faultsim.Engines() {
-		rows = append(rows, row{e.String(), e, faultsim.Options{}})
-	}
-	// The sharded row: ppsfp over GOMAXPROCS fault-list shards, the
+	// The sharded row runs ppsfp over GOMAXPROCS fault-list shards, the
 	// configuration the retired concurrent engine ran. It keeps that
 	// engine's row name so make bench-compare still pairs it with the
 	// recorded "concurrent" rows instead of reporting them as gone.
-	rows = append(rows, row{"concurrent", faultsim.PPSFP, faultsim.Options{Workers: runtime.GOMAXPROCS(0)}})
+	rows := []struct {
+		name string
+		opt  faultsim.Options
+	}{
+		{"ppsfp", faultsim.Options{}},
+		{"concurrent", faultsim.Options{Workers: runtime.GOMAXPROCS(0)}},
+	}
 	for _, r := range rows {
 		for _, ce := range circuits {
 			b.Run(r.name+"/"+ce.name, func(b *testing.B) {
@@ -144,12 +140,12 @@ func BenchmarkEngines(b *testing.B) {
 				// One warm-up run outside the timer so -benchtime=1x
 				// still reports steady state (the per-circuit cone
 				// set is built once and cached on the circuit).
-				if _, err := faultsim.RunOpts(c, reps, patterns, r.engine, r.opt); err != nil {
+				if _, err := faultsim.RunOpts(c, reps, patterns, faultsim.PPSFP, r.opt); err != nil {
 					b.Fatal(err)
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if _, err := faultsim.RunOpts(c, reps, patterns, r.engine, r.opt); err != nil {
+					if _, err := faultsim.RunOpts(c, reps, patterns, faultsim.PPSFP, r.opt); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -167,12 +163,12 @@ func BenchmarkEngines(b *testing.B) {
 	}
 }
 
-// BenchmarkLotEngines is the ATE lot-engine matrix, the counterpart of
-// BenchmarkEngines for the lot-testing path: every lot engine first-
-// fail-tests the same paper-shaped lot (2000 chips, y=0.07, n0=8.8)
-// against a production pattern set, at strobe granularity. The chips/s
-// metric is the campaign-throughput number the chipparallel256 engine
-// is judged on against the serial oracle.
+// BenchmarkLotEngines is the counterpart of BenchmarkEngines for the
+// lot-testing path: the ATE first-fail-tests a paper-shaped lot (2000
+// chips, y=0.07, n0=8.8) against a production pattern set, at strobe
+// granularity. The chips/s metric is the campaign-throughput number of
+// the one lot engine; its row keeps the name chipparallel256 so make
+// bench-compare pairs it with the recorded rows.
 // It times the tester only: lot manufacture is timed by
 // BenchmarkGenerateLotFromModel in internal/defect.
 func BenchmarkLotEngines(b *testing.B) {
@@ -184,44 +180,42 @@ func BenchmarkLotEngines(b *testing.B) {
 		{"cmp16", func() (*netlist.Circuit, error) { return netlist.Comparator(16) }},
 	}
 	const chips = 2000
-	for _, e := range tester.LotEngines() {
-		for _, wl := range workloads {
-			b.Run(e.String()+"/"+wl.name, func(b *testing.B) {
-				c, err := wl.build()
-				if err != nil {
-					b.Fatal(err)
-				}
-				universe := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
-				patterns, err := atpg.ProductionTests(c, 96, 96, 1981)
-				if err != nil {
-					b.Fatal(err)
-				}
-				a, err := tester.NewEngine(c, patterns, e)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rng := rand.New(rand.NewSource(1))
-				lot, err := defect.GenerateLotFromModel(0.07, 8.8, universe, chips, rng)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// Warm-up outside the timer (cone/levelization caches,
-				// universe-conversion cache).
+	for _, wl := range workloads {
+		b.Run("chipparallel256/"+wl.name, func(b *testing.B) {
+			c, err := wl.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			universe := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
+			patterns, err := atpg.ProductionTests(c, 96, 96, 1981)
+			if err != nil {
+				b.Fatal(err)
+			}
+			a, err := tester.New(c, patterns)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(1))
+			lot, err := defect.GenerateLotFromModel(0.07, 8.8, universe, chips, rng)
+			if err != nil {
+				b.Fatal(err)
+			}
+			// Warm-up outside the timer (cone/levelization caches,
+			// universe-conversion cache).
+			if _, err := a.TestLotSteps(lot); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := a.TestLotSteps(lot); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := a.TestLotSteps(lot); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(chips*b.N)/b.Elapsed().Seconds(), "chips/s")
-				b.ReportMetric(float64(len(c.Gates)), "gates")
-				b.ReportMetric(float64(len(universe)), "faults")
-				b.ReportMetric(float64(len(patterns)), "patterns")
-			})
-		}
+			}
+			b.ReportMetric(float64(chips*b.N)/b.Elapsed().Seconds(), "chips/s")
+			b.ReportMetric(float64(len(c.Gates)), "gates")
+			b.ReportMetric(float64(len(universe)), "faults")
+			b.ReportMetric(float64(len(patterns)), "patterns")
+		})
 	}
 }
 

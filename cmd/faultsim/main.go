@@ -4,7 +4,7 @@
 // fault-simulator product §5 of the paper starts from.
 //
 //	faultsim -bench c17.bench -patterns 64 -seed 7
-//	faultsim -circuit mul8 -patterns 256 -engine ppsfp
+//	faultsim -circuit mul8 -patterns 256
 //	faultsim -circuit cmp16 -patterns 512 -workers 8
 //	faultsim -list-circuits
 package main
@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/circuits"
+	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/faultsim"
 	"repro/internal/tablefmt"
@@ -25,9 +26,8 @@ func main() {
 	benchPath := flag.String("bench", "", "circuit in .bench format (shorthand for -circuit bench:<path>)")
 	circuit := flag.String("circuit", "c17", "workload spec (see -list-circuits)")
 	listCircuits := flag.Bool("list-circuits", false, "print the workload spec grammar and exit")
-	npat := flag.Int("patterns", 64, "number of random patterns")
+	npat := flag.Int("patterns", 64, fmt.Sprintf("number of random patterns (1 to %d)", experiment.SizeCap))
 	seed := flag.Int64("seed", 1, "pattern seed")
-	engine := flag.String("engine", "ppsfp", "engine: "+faultsim.EngineNames())
 	workers := flag.Int("workers", 0, "fault-list shards (0 = one)")
 	lfsr := flag.Bool("lfsr", false, "use an LFSR instead of uniform random patterns")
 	flag.Parse()
@@ -41,13 +41,16 @@ func main() {
 		spec = "bench:" + *benchPath
 	}
 	opt := faultsim.Options{Workers: *workers}
-	if err := run(spec, *npat, *seed, *engine, opt, *lfsr); err != nil {
+	if err := run(spec, *npat, *seed, opt, *lfsr); err != nil {
 		fmt.Fprintln(os.Stderr, "faultsim:", err)
 		os.Exit(1)
 	}
 }
 
-func run(spec string, npat int, seed int64, engineName string, opt faultsim.Options, lfsr bool) error {
+func run(spec string, npat int, seed int64, opt faultsim.Options, lfsr bool) error {
+	if npat < 1 || npat > experiment.SizeCap {
+		return fmt.Errorf("-patterns must be in [1, %d], got %d", experiment.SizeCap, npat)
+	}
 	c, err := circuits.Resolve(spec)
 	if err != nil {
 		return err
@@ -57,11 +60,6 @@ func run(spec string, npat int, seed int64, engineName string, opt faultsim.Opti
 		return err
 	}
 	fmt.Printf("circuit %s: %s\n", c.Name, stats)
-
-	eng, err := faultsim.ParseEngine(engineName)
-	if err != nil {
-		return err
-	}
 
 	var src atpg.Source
 	if lfsr {
@@ -79,7 +77,7 @@ func run(spec string, npat int, seed int64, engineName string, opt faultsim.Opti
 	fmt.Printf("faults: %d total, %d collapsed, %d after dominance\n",
 		len(u.All), len(u.Collapsed), len(u.Checkable))
 
-	res, err := faultsim.RunOpts(c, reps, patterns, eng, opt)
+	res, err := faultsim.RunOpts(c, reps, patterns, faultsim.PPSFP, opt)
 	if err != nil {
 		return err
 	}
@@ -95,7 +93,7 @@ func run(spec string, npat int, seed int64, engineName string, opt faultsim.Opti
 	last := curve[len(curve)-1]
 	tb.AddRow(last.Pattern+1, last.Detected, fmt.Sprintf("%.4f", last.Coverage))
 	fmt.Print(tb.String())
-	fmt.Printf("final coverage (%s engine): %.4f, undetected %d\n",
-		eng, res.Coverage(), len(faultsim.Undetected(res)))
+	fmt.Printf("final coverage: %.4f, undetected %d\n",
+		res.Coverage(), len(faultsim.Undetected(res)))
 	return nil
 }

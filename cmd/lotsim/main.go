@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/circuits"
 	"repro/internal/experiment"
-	"repro/internal/tester"
 )
 
 func main() {
@@ -30,8 +29,6 @@ func main() {
 		"workload spec of the DUT (see -list-circuits)")
 	listCircuits := flag.Bool("list-circuits", false, "print the workload spec grammar and exit")
 	physical := flag.Bool("physical", false, "generate the lot through the physical-defect layer")
-	lotEngineName := flag.String("lotengine", tester.ChipParallel256.String(),
-		"ATE lot engine: chipparallel256 (up to 255 chips + good machine per lane block) or serial (per-chip oracle)")
 	sampleFaults := flag.Int("sample-faults", 0,
 		"prepare against a deterministic random sample of at most N collapsed fault classes (0 = full universe)")
 	backtrackLimit := flag.Int("backtrack-limit", 0,
@@ -44,11 +41,6 @@ func main() {
 		fmt.Print(circuits.List())
 		return
 	}
-	lotEngine, err := tester.ParseLotEngine(*lotEngineName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lotsim:", err)
-		os.Exit(1)
-	}
 	cfg := experiment.Table1Config{
 		Chips:          *chips,
 		Yield:          *yield,
@@ -56,7 +48,6 @@ func main() {
 		RandomPatterns: *random,
 		Seed:           *seed,
 		Physical:       *physical,
-		LotEngine:      lotEngine,
 		BacktrackLimit: *backtrackLimit,
 		SampleFaults:   *sampleFaults,
 	}

@@ -31,9 +31,7 @@ import (
 	"repro/internal/campaign"
 	"repro/internal/circuits"
 	"repro/internal/experiment"
-	"repro/internal/faultsim"
 	"repro/internal/sweep"
-	"repro/internal/tester"
 )
 
 func main() {
@@ -49,10 +47,7 @@ func main() {
 	seed := flag.Int64("seed", 1981, "base seed; per-replicate seeds are derived deterministically")
 	random := flag.Int("random", 192, "random patterns before PODEM cleanup")
 	physical := flag.Bool("physical", false, "generate lots through the physical-defect layer")
-	engineName := flag.String("engine", "ppsfp", "fault-simulation engine: "+faultsim.EngineNames())
 	simWorkers := flag.Int("simworkers", 0, "fault-list shards (0 = one)")
-	lotEngineName := flag.String("lotengine", tester.ChipParallel256.String(),
-		"ATE lot engine: chipparallel256 or serial (bit-identical results)")
 	sampleFaults := flag.Int("sample-faults", 0,
 		"prepare each circuit against a deterministic random sample of at most N collapsed fault classes (0 = full universe)")
 	backtrackLimit := flag.Int("backtrack-limit", 0,
@@ -85,7 +80,7 @@ func main() {
 		preparedDir:    *preparedDir,
 	}
 	if err := run(*circuitSpecs, *yields, *n0s, *chips, *coverages, *replicates, *workers, *seed,
-		*random, *physical, *engineName, *simWorkers, *lotEngineName, *format, *plot, job, prep); err != nil {
+		*random, *physical, *simWorkers, *format, *plot, job, prep); err != nil {
 		fmt.Fprintln(os.Stderr, "sweep:", err)
 		os.Exit(1)
 	}
@@ -110,7 +105,7 @@ type prepFlags struct {
 }
 
 func run(circuitSpecs, yields, n0s, chips, coverages string, replicates, workers int, seed int64,
-	random int, physical bool, engineName string, simWorkers int, lotEngineName, format string, plot bool,
+	random int, physical bool, simWorkers int, format string, plot bool,
 	job jobFlags, prep prepFlags) error {
 	specs := splitList(circuitSpecs)
 	if len(specs) == 0 {
@@ -132,14 +127,6 @@ func run(circuitSpecs, yields, n0s, chips, coverages string, replicates, workers
 	if err != nil {
 		return fmt.Errorf("-coverages: %w", err)
 	}
-	engine, err := faultsim.ParseEngine(engineName)
-	if err != nil {
-		return err
-	}
-	lotEngine, err := tester.ParseLotEngine(lotEngineName)
-	if err != nil {
-		return err
-	}
 	switch format {
 	case "table", "csv", "json":
 	default:
@@ -156,9 +143,7 @@ func run(circuitSpecs, yields, n0s, chips, coverages string, replicates, workers
 		RandomPatterns: random,
 		Seed:           seed,
 		Physical:       physical,
-		Engine:         engine,
 		SimWorkers:     simWorkers,
-		LotEngine:      lotEngine,
 		SampleFaults:   prep.sampleFaults,
 		BacktrackLimit: prep.backtrackLimit,
 		PreparedDir:    prep.preparedDir,

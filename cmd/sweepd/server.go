@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"os"
@@ -13,14 +14,13 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/circuits"
-	"repro/internal/faultsim"
 	"repro/internal/sweep"
-	"repro/internal/tester"
 )
 
-// submitRequest is the wire form of a campaign config. Engine and lot
-// engine travel as their flag names; scheduling knobs are accepted but
-// do not enter the campaign's identity (see sweep fingerprinting).
+// submitRequest is the wire form of a campaign config. Scheduling knobs
+// are accepted but do not enter the campaign's identity (see sweep
+// fingerprinting). There is no engine field: the decoder rejects
+// unknown fields, so a body naming one gets a 400.
 type submitRequest struct {
 	Circuits       []string  `json:"circuits"`
 	Yields         []float64 `json:"yields"`
@@ -32,15 +32,13 @@ type submitRequest struct {
 	RandomPatterns int       `json:"random_patterns"`
 	Seed           int64     `json:"seed"`
 	Physical       bool      `json:"physical"`
-	Engine         string    `json:"engine"`
 	SimWorkers     int       `json:"sim_workers"`
-	LotEngine      string    `json:"lot_engine"`
 	BacktrackLimit int       `json:"backtrack_limit"`
 	SampleFaults   int       `json:"sample_faults"`
 }
 
-func (r submitRequest) config(cache *circuits.Cache) (sweep.Config, error) {
-	cfg := sweep.Config{
+func (r submitRequest) config(cache *circuits.Cache) sweep.Config {
+	return sweep.Config{
 		Circuits:       r.Circuits,
 		Cache:          cache,
 		Yields:         r.Yields,
@@ -56,21 +54,6 @@ func (r submitRequest) config(cache *circuits.Cache) (sweep.Config, error) {
 		BacktrackLimit: r.BacktrackLimit,
 		SampleFaults:   r.SampleFaults,
 	}
-	if r.Engine != "" {
-		engine, err := faultsim.ParseEngine(r.Engine)
-		if err != nil {
-			return sweep.Config{}, err
-		}
-		cfg.Engine = engine
-	}
-	if r.LotEngine != "" {
-		le, err := tester.ParseLotEngine(r.LotEngine)
-		if err != nil {
-			return sweep.Config{}, err
-		}
-		cfg.LotEngine = le
-	}
-	return cfg, nil
 }
 
 // jobState is a campaign's lifecycle phase as reported by GET
@@ -293,11 +276,18 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // daemon buffer an unbounded body.
 const maxSubmitBytes = 1 << 20
 
-func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+// decodeSubmit decodes one submit body, rejecting unknown fields.
+func decodeSubmit(body io.Reader) (submitRequest, error) {
 	var req submitRequest
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	err := dec.Decode(&req)
+	return req, err
+}
+
+func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	req, err := decodeSubmit(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
+	if err != nil {
 		if tooBig := new(http.MaxBytesError); errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge, "config body over %d bytes", tooBig.Limit)
 			return
@@ -305,11 +295,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "malformed config: %v", err)
 		return
 	}
-	cfg, err := req.config(s.cache)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
+	cfg := req.config(s.cache)
 	if err := cfg.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return

@@ -231,6 +231,30 @@ func TestStreamTightensMonotonically(t *testing.T) {
 	}
 }
 
+// submitGrid is a valid one-cell grid the error-path bodies perturb.
+const submitGrid = `"circuits": ["mul4"], "yields": [0.2], "n0s": [3], "lot_sizes": [60], "coverages": [0.5], "replicates": 1, "random_patterns": 32`
+
+// errorPathBodies are submit bodies the daemon must refuse with 400:
+// malformed JSON, an unknown field (the retired engine fields
+// included), an empty grid, a builtin spec past its size cap, a lot
+// size, task count or random-pattern budget past the config size cap, a
+// worker count past the worker cap. names is a substring the error must
+// carry: the field or the cap.
+var errorPathBodies = map[string]struct{ body, names string }{
+	"not json":           {`{"circuits": [`, ""},
+	"unknown field":      {`{"circuits": ["mul4"], "bogus": 1}`, ""},
+	"empty grid":         {`{"circuits": ["mul4"]}`, ""},
+	"bad circuit":        {`{"circuits": ["no-such-circuit"], "yields": [0.2], "n0s": [3], "lot_sizes": [60], "coverages": [0.5], "replicates": 1, "random_patterns": 32}`, ""},
+	"engine field":       {`{` + submitGrid + `, "engine": "ppsfp"}`, `unknown field \"engine\"`},
+	"lot engine field":   {`{` + submitGrid + `, "lot_engine": "chipparallel256"}`, `unknown field \"lot_engine\"`},
+	"oversized circuit":  {strings.Replace(`{`+submitGrid+`}`, `"mul4"`, `"lsi400000000"`, 1), "size cap"},
+	"oversized workers":  {`{` + submitGrid + `, "workers": 1000000}`, "worker count 1000000 above the cap"},
+	"oversized sim pool": {`{` + submitGrid + `, "sim_workers": 1000000}`, "sim worker count 1000000 above the cap"},
+	"oversized lot":      {strings.Replace(`{`+submitGrid+`}`, `[60]`, `[2000000000]`, 1), "lot size 2000000000 above the cap"},
+	"oversized tasks":    {strings.Replace(`{`+submitGrid+`}`, `"replicates": 1`, `"replicates": 2000000000`, 1), "task count (cells × replicates) above the cap"},
+	"oversized patterns": {strings.Replace(`{`+submitGrid+`}`, `"random_patterns": 32`, `"random_patterns": 2000000000`, 1), "random pattern count 2000000000 above the cap"},
+}
+
 func TestErrorPaths(t *testing.T) {
 	srv := newTestServer(t, t.TempDir(), campaign.FullShard)
 	ts := httptest.NewServer(srv)
@@ -246,26 +270,7 @@ func TestErrorPaths(t *testing.T) {
 		buf.ReadFrom(resp.Body)
 		return resp.StatusCode, buf.String()
 	}
-	// Malformed JSON, unknown field, empty grid, bad or retired engine
-	// name, a builtin spec past its size cap, a lot size, task count or
-	// random-pattern budget past the config size cap: 400, and the error
-	// names the registered engines or the cap.
-	const grid = `"circuits": ["mul4"], "yields": [0.2], "n0s": [3], "lot_sizes": [60], "coverages": [0.5], "replicates": 1, "random_patterns": 32`
-	for name, tc := range map[string]struct{ body, names string }{
-		"not json":           {`{"circuits": [`, ""},
-		"unknown field":      {`{"circuits": ["mul4"], "bogus": 1}`, ""},
-		"empty grid":         {`{"circuits": ["mul4"]}`, ""},
-		"bad circuit":        {`{"circuits": ["no-such-circuit"], "yields": [0.2], "n0s": [3], "lot_sizes": [60], "coverages": [0.5], "replicates": 1, "random_patterns": 32}`, ""},
-		"bad engine":         {`{` + grid + `, "engine": "warp-drive"}`, "ppsfp"},
-		"retired engine":     {`{` + grid + `, "engine": "pf256"}`, "ppsfp"},
-		"folded engine":      {`{` + grid + `, "engine": "concurrent"}`, "ppsfp"},
-		"serial engine":      {`{` + grid + `, "engine": "serial"}`, "ppsfp"},
-		"oversized circuit":  {strings.Replace(`{`+grid+`}`, `"mul4"`, `"lsi400000000"`, 1), "size cap"},
-		"retired lot engine": {`{` + grid + `, "lot_engine": "chip-parallel"}`, "chipparallel256"},
-		"oversized lot":      {strings.Replace(`{`+grid+`}`, `[60]`, `[2000000000]`, 1), "lot size 2000000000 above the cap"},
-		"oversized tasks":    {strings.Replace(`{`+grid+`}`, `"replicates": 1`, `"replicates": 2000000000`, 1), "task count (cells × replicates) above the cap"},
-		"oversized patterns": {strings.Replace(`{`+grid+`}`, `"random_patterns": 32`, `"random_patterns": 2000000000`, 1), "random pattern count 2000000000 above the cap"},
-	} {
+	for name, tc := range errorPathBodies {
 		code, body := post(tc.body)
 		if code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, code)

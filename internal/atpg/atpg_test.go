@@ -351,6 +351,14 @@ func TestHybridTestsReachFullCoverage(t *testing.T) {
 	}
 }
 
+// TestHybridTestsRejectsNegativeCount: a negative random-pattern count
+// is an error, not a makeslice panic in Take.
+func TestHybridTestsRejectsNegativeCount(t *testing.T) {
+	if _, err := HybridTests(netlist.C17(), -1, 5); err == nil {
+		t.Error("negative random count accepted")
+	}
+}
+
 func TestStatusString(t *testing.T) {
 	if Detected.String() != "detected" || Untestable.String() != "untestable" || Aborted.String() != "aborted" {
 		t.Error("status names")

@@ -88,8 +88,12 @@ func Compact(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Patte
 // HybridTests produces the realistic production test order the paper
 // describes: a burst of pseudo-random patterns first (cheap, catches
 // the easy faults fast, giving the steep initial fallout ramp), then
-// deterministic PODEM tests for the random-resistant remainder.
+// deterministic PODEM tests for the random-resistant remainder. A
+// negative randomCount is an error.
 func HybridTests(c *netlist.Circuit, randomCount int, seed int64) ([]logicsim.Pattern, error) {
+	if randomCount < 0 {
+		return nil, fmt.Errorf("atpg: random pattern count must be >= 0, got %d", randomCount)
+	}
 	if err := c.Validate(); err != nil {
 		return nil, fmt.Errorf("atpg: invalid circuit: %w", err)
 	}

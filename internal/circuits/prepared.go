@@ -22,9 +22,9 @@ type Params struct {
 	RandomPatterns int
 	// Seed makes the test program reproducible.
 	Seed int64
-	// Engine selects the fault-simulation engine for ATPG dropping and
-	// the coverage ramp. PPSFP, the zero value, is the only registered
-	// engine.
+	// Engine names the fault-simulation engine for ATPG dropping and
+	// the coverage ramp. PPSFP, the zero value, is the only one;
+	// Validate rejects any other.
 	Engine faultsim.Engine
 	// SimWorkers is the number of fault-list shards each fault
 	// simulation runs, one goroutine each (faultsim.Options.Workers;
@@ -49,7 +49,7 @@ func (p Params) Validate() error {
 		return fmt.Errorf("circuits: random pattern count must be >= 0, got %d", p.RandomPatterns)
 	}
 	if !p.Engine.Known() {
-		return fmt.Errorf("circuits: unknown fault-simulation engine %v (registered: %s)", p.Engine, faultsim.EngineNames())
+		return fmt.Errorf("circuits: unknown fault-simulation engine %v (registered: %v)", p.Engine, faultsim.PPSFP)
 	}
 	if p.SimWorkers < 0 {
 		return fmt.Errorf("circuits: sim worker count must be >= 0, got %d", p.SimWorkers)
@@ -68,7 +68,7 @@ func (p Params) Validate() error {
 // fault universe, the ordered production test program, and the
 // strobe-granular coverage ramp. It is read-only after Prepare, so any
 // number of lots, replicates, and worker goroutines may share one
-// instance; per-worker mutable state (the ATE's simulator) is cloned
+// instance; per-worker mutable state (the ATE's lane scratch) is cloned
 // via NewATE.
 type Prepared struct {
 	Circuit *netlist.Circuit
@@ -229,9 +229,9 @@ func (pr *Prepared) FinalCoverage() float64 { return pr.Result.Coverage() }
 // FaultCount returns the size of the working fault universe.
 func (pr *Prepared) FaultCount() int { return len(pr.Universe) }
 
-// NewATE builds a tester over the shared pattern set, pre-simulating
-// the good machine. One ATE serves any number of sequential calls;
-// concurrent consumers clone one each.
+// NewATE builds a tester over the shared pattern set; it simulates the
+// good machine on its first lot. One ATE serves any number of
+// sequential calls; concurrent consumers clone one each.
 func (pr *Prepared) NewATE() (*tester.ATE, error) {
 	return tester.New(pr.Circuit, pr.Patterns)
 }

@@ -93,17 +93,11 @@ func (lr *LotRunner) Curve() faultsim.Ramp { return lr.prep.Curve }
 // FinalCoverage returns the pattern set's final fault coverage.
 func (lr *LotRunner) FinalCoverage() float64 { return lr.prep.FinalCoverage() }
 
-// NewATE builds a tester over the shared pattern set, pre-simulating
-// the good machine and selecting the configured lot engine. One ATE
-// serves any number of sequential RunLotWith calls; concurrent callers
-// need one each.
+// NewATE builds a tester over the shared pattern set. One ATE serves
+// any number of sequential RunLotWith calls; concurrent callers need
+// one each.
 func (lr *LotRunner) NewATE() (*tester.ATE, error) {
-	ate, err := lr.prep.NewATE()
-	if err != nil {
-		return nil, err
-	}
-	ate.SetEngine(lr.cfg.LotEngine)
-	return ate, nil
+	return lr.prep.NewATE()
 }
 
 // LotOutcome is one manufactured-and-tested lot: the raw step-granular

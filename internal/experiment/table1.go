@@ -30,12 +30,18 @@ const DefaultCircuitSpec = "mul8"
 // allocation, so an oversized request is refused before any work.
 const SizeCap = 1_000_000
 
-// ErrTooLarge marks a configuration with a size above SizeCap.
+// ErrTooLarge marks a configuration with a size above its cap (SizeCap,
+// or WorkerCap for a worker count).
 var ErrTooLarge = errors.New("size above cap")
 
-// errTooLarge names the oversized quantity and the cap.
-func errTooLarge(what string, n int) error {
-	return fmt.Errorf("experiment: %s %d above the cap of %d: %w", what, n, SizeCap, ErrTooLarge)
+// WorkerCap bounds a worker count: each worker builds its own
+// simulation scratch, so a hostile count would allocate that many
+// before any work. It sits above any real core count.
+const WorkerCap = 1024
+
+// errTooLarge names the oversized quantity and its cap.
+func errTooLarge(what string, n, limit int) error {
+	return fmt.Errorf("experiment: %s %d above the cap of %d: %w", what, n, limit, ErrTooLarge)
 }
 
 // Table1Config parameterizes the end-to-end lot experiment.
@@ -59,9 +65,9 @@ type Table1Config struct {
 	// to match Yield and N0) instead of directly from the statistical
 	// model.
 	Physical bool
-	// Engine selects the fault-simulation engine for the coverage ramp
-	// and the test-set construction. The zero value is cone-restricted
-	// PPSFP, the only registered engine.
+	// Engine names the fault-simulation engine for the coverage ramp
+	// and the test-set construction. PPSFP, the zero value, is the only
+	// one; Validate rejects any other.
 	Engine faultsim.Engine
 	// SimWorkers is the number of fault-list shards each fault
 	// simulation runs, one goroutine each (faultsim.Options.Workers;
@@ -74,26 +80,25 @@ type Table1Config struct {
 	// sample of at most this many collapsed fault classes (see
 	// circuits.Params.SampleFaults). Zero means the full universe.
 	SampleFaults int
-	// LotEngine selects the ATE's lot-testing engine. The zero value is
-	// the default chipparallel256 engine (good machine + up to 255 chips
-	// in one lane block); tester.Serial is the per-chip oracle, kept as
-	// an opt-out. Results are bit-identical either way.
+	// LotEngine names the ATE's lot-testing engine. chipparallel256,
+	// the zero value, is the only one; Validate rejects any other.
 	LotEngine tester.LotEngine
 }
 
 // Validate rejects configurations that would silently produce NaN or
 // empty tables downstream: a non-positive lot, a yield outside (0,1),
-// an n0 below 1 (a defective chip carries at least one fault), a
-// negative pattern budget, an unregistered fault-simulation or lot
-// engine, or a negative worker count. A lot or pattern
-// budget above SizeCap fails with ErrTooLarge. RunTable1, the sweep
-// engine, and the CLIs all call it before doing any work.
+// an n0 below 1 (a defective chip carries at least one fault), a lot
+// engine other than chipparallel256, or test-program settings
+// circuits.Params.Validate rejects. A lot or pattern budget above
+// SizeCap, or a sim worker count above WorkerCap, fails with
+// ErrTooLarge. RunTable1, the sweep engine, and the CLIs all call it
+// before doing any work.
 func (cfg Table1Config) Validate() error {
 	if cfg.Chips <= 0 {
 		return fmt.Errorf("experiment: lot size must be positive, got %d", cfg.Chips)
 	}
 	if cfg.Chips > SizeCap {
-		return errTooLarge("lot size", cfg.Chips)
+		return errTooLarge("lot size", cfg.Chips, SizeCap)
 	}
 	if !(cfg.Yield > 0 && cfg.Yield < 1) {
 		return fmt.Errorf("experiment: yield must be in (0,1), got %v", cfg.Yield)
@@ -101,26 +106,17 @@ func (cfg Table1Config) Validate() error {
 	if !(cfg.N0 >= 1) || math.IsInf(cfg.N0, 1) {
 		return fmt.Errorf("experiment: n0 must be >= 1 and finite, got %v", cfg.N0)
 	}
-	if cfg.RandomPatterns < 0 {
-		return fmt.Errorf("experiment: random pattern count must be >= 0, got %d", cfg.RandomPatterns)
-	}
 	if cfg.RandomPatterns > SizeCap {
-		return errTooLarge("random pattern count", cfg.RandomPatterns)
+		return errTooLarge("random pattern count", cfg.RandomPatterns, SizeCap)
 	}
-	if !cfg.Engine.Known() {
-		return fmt.Errorf("experiment: unknown fault-simulation engine %v (registered: %s)", cfg.Engine, faultsim.EngineNames())
+	if cfg.SimWorkers > WorkerCap {
+		return errTooLarge("sim worker count", cfg.SimWorkers, WorkerCap)
 	}
-	if cfg.SimWorkers < 0 {
-		return fmt.Errorf("experiment: sim worker count must be >= 0, got %d", cfg.SimWorkers)
+	if cfg.LotEngine != tester.ChipParallel256 {
+		return fmt.Errorf("experiment: unknown lot engine %d (only chipparallel256)", int(cfg.LotEngine))
 	}
-	if cfg.BacktrackLimit < 0 {
-		return fmt.Errorf("experiment: backtrack limit must be >= 0, got %d", cfg.BacktrackLimit)
-	}
-	if cfg.SampleFaults < 0 {
-		return fmt.Errorf("experiment: fault sample size must be >= 0, got %d", cfg.SampleFaults)
-	}
-	if !cfg.LotEngine.Known() {
-		return fmt.Errorf("experiment: unknown lot engine %v", cfg.LotEngine)
+	if err := cfg.PrepareParams().Validate(); err != nil {
+		return fmt.Errorf("experiment: %w", err)
 	}
 	return nil
 }

@@ -151,7 +151,11 @@ func TestTable1ConfigValidate(t *testing.T) {
 		{"chips above cap", func(c *Table1Config) { c.Chips = SizeCap + 1 }},
 		{"patterns above cap", func(c *Table1Config) { c.RandomPatterns = 2000000000 }},
 		{"negative workers", func(c *Table1Config) { c.SimWorkers = -2 }},
+		{"sim workers above cap", func(c *Table1Config) { c.SimWorkers = WorkerCap + 1 }},
+		{"negative backtrack limit", func(c *Table1Config) { c.BacktrackLimit = -1 }},
+		{"negative fault sample", func(c *Table1Config) { c.SampleFaults = -1 }},
 		{"bogus lot engine", func(c *Table1Config) { c.LotEngine = tester.LotEngine(42) }},
+		{"retired serial lot engine", func(c *Table1Config) { c.LotEngine = 1 }},
 		{"retired serial engine", func(c *Table1Config) { c.Engine = faultsim.Engine(1) }},
 		{"bogus engine", func(c *Table1Config) { c.Engine = faultsim.Engine(7) }},
 	}
@@ -166,6 +170,12 @@ func TestTable1ConfigValidate(t *testing.T) {
 		}
 		if want := strings.HasSuffix(tc.name, "above cap"); errors.Is(err, ErrTooLarge) != want {
 			t.Errorf("%s: errors.Is(%v, ErrTooLarge) = %v, want %v", tc.name, err, !want, want)
+		}
+		// The program settings are validated once, by
+		// circuits.Params.Validate: whatever it rejects surfaces with
+		// its own message under the experiment prefix.
+		if perr := cfg.PrepareParams().Validate(); perr != nil && err != nil && !strings.Contains(err.Error(), perr.Error()) {
+			t.Errorf("%s: error %q does not carry the Params error %q", tc.name, err, perr)
 		}
 		// RunTable1 must reject the same configs before any work.
 		if _, err := RunTable1(cfg); err == nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/fault"
@@ -61,24 +60,19 @@ func pointerSerialFirstDetect(t *testing.T, c *netlist.Circuit, faults []fault.F
 	return first
 }
 
-// TestEngineEquivalenceProperty is the engine contract: every
-// registered engine, at every shard count, must return the oracle's
-// FirstDetect indices on randomized circuits, randomized fault subsets,
-// and randomized pattern sets.
+// TestEngineEquivalenceProperty is the engine contract: PPSFP, at
+// every shard count, must return the oracle's FirstDetect indices on
+// randomized circuits, randomized fault subsets, and randomized pattern
+// sets.
 func TestEngineEquivalenceProperty(t *testing.T) {
 	type variant struct {
 		name   string
 		engine Engine
 		opt    Options
 	}
-	// Every registered engine is checked automatically (a new registry
-	// entry lands here with zero test changes); the explicit extras pin
-	// real shard counts, uneven splits included, even on single-core
-	// hosts.
-	var variants []variant
-	for _, e := range Engines() {
-		variants = append(variants, variant{e.String(), e, Options{}})
-	}
+	// The default inline run, then real shard counts, uneven splits
+	// included, even on single-core hosts.
+	variants := []variant{{PPSFP.String(), PPSFP, Options{}}}
 	for _, w := range []int{1, 2, 3, 4} {
 		variants = append(variants, variant{fmt.Sprintf("ppsfp-%d", w), PPSFP, Options{Workers: w}})
 	}
@@ -174,38 +168,16 @@ func TestRunStepsMatchesEngines(t *testing.T) {
 					seed, fi, ref.FirstDetect[fi], got, oracle[fi])
 			}
 		}
-		for _, e := range Engines() {
-			opt := Options{Workers: 3}
-			got, err := RunStepsOpts(c, faults, patterns, e, opt)
-			if err != nil {
-				t.Fatalf("%v %+v: %v", e, opt, err)
+		opt := Options{Workers: 3}
+		got, err := RunStepsOpts(c, faults, patterns, PPSFP, opt)
+		if err != nil {
+			t.Fatalf("%+v: %v", opt, err)
+		}
+		for fi := range faults {
+			if got.FirstDetect[fi] != ref.FirstDetect[fi] {
+				t.Fatalf("seed %d fault %d: %+v steps %d, RunSteps %d",
+					seed, fi, opt, got.FirstDetect[fi], ref.FirstDetect[fi])
 			}
-			for fi := range faults {
-				if got.FirstDetect[fi] != ref.FirstDetect[fi] {
-					t.Fatalf("seed %d fault %d: %v %+v steps %d, RunSteps %d",
-						seed, fi, e, opt, got.FirstDetect[fi], ref.FirstDetect[fi])
-				}
-			}
-		}
-	}
-}
-
-func TestParseEngine(t *testing.T) {
-	for _, e := range Engines() {
-		got, err := ParseEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("ParseEngine(%q) = %v, %v", e.String(), got, err)
-		}
-	}
-	// Unknown and retired names fail fast, naming what is registered.
-	for _, name := range []string{"warp-drive", "serial", "pf", "deductive", "ppsfp-full", "pf256", "concurrent", ""} {
-		_, err := ParseEngine(name)
-		if err == nil {
-			t.Errorf("ParseEngine(%q) accepted", name)
-			continue
-		}
-		if !strings.Contains(err.Error(), "(registered: ppsfp)") {
-			t.Errorf("ParseEngine(%q) error %q does not name the one engine", name, err)
 		}
 	}
 }
@@ -218,23 +190,19 @@ func TestRunOptsValidatesFaults(t *testing.T) {
 		t.Error("out-of-range fault site should error")
 	}
 	badPin := []fault.Fault{{Gate: c.Outputs[0], Pin: 99}}
-	for _, e := range Engines() {
-		if _, err := Run(c, badPin, patterns, e); err == nil {
-			t.Errorf("%v: out-of-range pin should error", e)
-		}
+	if _, err := Run(c, badPin, patterns, PPSFP); err == nil {
+		t.Error("out-of-range pin should error")
 	}
 }
 
 func TestEmptyFaultList(t *testing.T) {
 	c := netlist.C17()
 	patterns := exhaustivePatterns(c)
-	for _, e := range Engines() {
-		r, err := Run(c, nil, patterns, e)
-		if err != nil {
-			t.Fatalf("%v: %v", e, err)
-		}
-		if len(r.FirstDetect) != 0 || r.Patterns != len(patterns) {
-			t.Fatalf("%v: unexpected result %+v", e, r)
-		}
+	r, err := Run(c, nil, patterns, PPSFP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.FirstDetect) != 0 || r.Patterns != len(patterns) {
+		t.Fatalf("unexpected result %+v", r)
 	}
 }

@@ -5,7 +5,8 @@
 // fault's slot cone (logicsim.FlatSim over a FlatConeSet) with an
 // activation early exit. One block×fault loop runs it over a shard of
 // the fault list; Options.Workers shards the list across goroutines,
-// and the default runs one shard inline.
+// and the default runs one shard inline. Nothing selects an engine: the
+// engine argument of Run/RunOpts must be PPSFP, the zero value.
 //
 // The tests pin every result to an independent oracle: a one-fault-at-
 // a-time, full-circuit walk over the pointer-walking
@@ -19,8 +20,6 @@ package faultsim
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 
 	"repro/internal/fault"
 	"repro/internal/logicsim"
@@ -58,65 +57,26 @@ func (r Result) Coverage() float64 {
 	return float64(r.DetectedBy(r.Patterns-1)) / float64(len(r.FirstDetect))
 }
 
-// Engine selects the fault-simulation algorithm.
+// Engine names the fault-simulation algorithm. PPSFP, the zero value,
+// is the only one; the type survives because configurations, the
+// Prepared-store key and the sweep JSON report carry the number.
 type Engine int
 
-// PPSFP is the one registered engine, and the zero value, so an
-// unconfigured Engine field selects it. The values are stable, because
-// a sweep's JSON report records the Engine number: a retired engine
+// PPSFP is the one engine. The values are stable: a retired engine
 // leaves its value unused (1 to 5 are).
 const PPSFP Engine = 0
 
-// engineNames maps each registered Engine to its CLI-stable name.
-// Retired names are absent, so ParseEngine rejects them by name.
-var engineNames = map[Engine]string{PPSFP: "ppsfp"}
-
 // String names the engine.
 func (e Engine) String() string {
-	if name, ok := engineNames[e]; ok {
-		return name
+	if e == PPSFP {
+		return "ppsfp"
 	}
 	return fmt.Sprintf("Engine(%d)", int(e))
 }
 
-// Known reports whether e is a registered engine, letting
-// configuration layers fail fast instead of erroring mid-run.
-func (e Engine) Known() bool {
-	_, ok := engineNames[e]
-	return ok
-}
-
-// ParseEngine maps an engine name (as printed by String and accepted by
-// the CLIs) back to the Engine.
-func ParseEngine(name string) (Engine, error) {
-	for _, e := range Engines() {
-		if engineNames[e] == name {
-			return e, nil
-		}
-	}
-	return 0, fmt.Errorf("faultsim: unknown engine %q (registered: %s)", name, EngineNames())
-}
-
-// Engines lists every registered engine in a stable order (ascending
-// Engine value), derived from the name table.
-func Engines() []Engine {
-	out := make([]Engine, 0, len(engineNames))
-	for e := range engineNames {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// EngineNames lists the registered engine names, comma-separated in
-// Engines order, for error messages and CLI flag help.
-func EngineNames() string {
-	names := make([]string, 0, len(engineNames))
-	for _, e := range Engines() {
-		names = append(names, engineNames[e])
-	}
-	return strings.Join(names, ", ")
-}
+// Known reports whether e is PPSFP, letting configuration layers fail
+// fast instead of erroring mid-run.
+func (e Engine) Known() bool { return e == PPSFP }
 
 // Options tunes a run; the zero value selects the defaults.
 type Options struct {
@@ -140,7 +100,7 @@ func RunOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Patte
 		return Result{}, fmt.Errorf("faultsim: no patterns")
 	}
 	if !engine.Known() {
-		return Result{}, fmt.Errorf("faultsim: unknown engine %v (registered: %s)", engine, EngineNames())
+		return Result{}, fmt.Errorf("faultsim: unknown engine %v (registered: %v)", engine, PPSFP)
 	}
 	if opt.Workers < 0 {
 		return Result{}, fmt.Errorf("faultsim: shard count must be >= 0, got %d", opt.Workers)

@@ -75,10 +75,9 @@ type RunOptions struct {
 }
 
 // fingerprint hashes every results-relevant config field plus the
-// expanded unit list. Scheduling knobs (Workers, SimWorkers) and
-// engine selections are excluded: engines are bit-identical by
-// contract (and cross-engine tests), so a campaign checkpointed under
-// one engine may resume under another without changing a byte.
+// expanded unit list. Scheduling knobs (Workers, SimWorkers) are
+// excluded, and so are Engine and LotEngine, which Validate pins to
+// their one value.
 func fingerprint(units []string, cfg Config) string {
 	canon := struct {
 		Units          []string

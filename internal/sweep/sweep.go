@@ -58,13 +58,15 @@ type Config struct {
 	Coverages []float64
 	// Replicates is the number of independent lots per cell.
 	Replicates int
-	// Workers sizes the replicate worker pool; 0 means GOMAXPROCS.
-	// The aggregates do not depend on it.
+	// Workers sizes the replicate worker pool; 0 means GOMAXPROCS, and
+	// above experiment.WorkerCap is refused. The aggregates do not
+	// depend on it.
 	Workers int
 	// RandomPatterns, Seed, Physical, Engine, and SimWorkers configure
 	// the per-circuit test program exactly as in experiment.Table1Config;
 	// SimWorkers is the fault-list shard count of each fault simulation
-	// (0 = one) and only affects speed.
+	// (0 = one) and only affects speed. Engine must be PPSFP, the zero
+	// value.
 	RandomPatterns int
 	Seed           int64
 	Physical       bool
@@ -86,9 +88,8 @@ type Config struct {
 	// chose a caching policy). Not results-relevant: excluded from the
 	// fingerprint and from JSON output.
 	PreparedDir string `json:"-"`
-	// LotEngine selects the ATE's lot-testing engine for every
-	// replicate (the zero value is chipparallel256, tester.Serial the
-	// opt-out oracle); the aggregates are bit-identical either way.
+	// LotEngine names the ATE's lot-testing engine; it must be
+	// chipparallel256, the zero value.
 	LotEngine tester.LotEngine
 }
 
@@ -156,6 +157,10 @@ func (c Config) validateGrid(units int) error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("sweep: worker count must be >= 0, got %d", c.Workers)
+	}
+	if c.Workers > experiment.WorkerCap {
+		return fmt.Errorf("sweep: worker count %d above the cap of %d: %w",
+			c.Workers, experiment.WorkerCap, experiment.ErrTooLarge)
 	}
 	// The task count is cells × replicates. Multiply it up one factor at
 	// a time against the cap (the leading 1 checks the replicates

@@ -2,7 +2,6 @@ package sweep
 
 import (
 	"errors"
-	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -11,7 +10,6 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/experiment"
 	"repro/internal/faultsim"
-	"repro/internal/tester"
 )
 
 // smallConfig is the fixed-seed two-circuit grid the golden and
@@ -111,33 +109,6 @@ func TestSweepDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-func TestSweepDeterministicAcrossLotEngines(t *testing.T) {
-	// The lot engine is a speed knob, never a results knob: the CSV must
-	// be byte-identical across every (lot engine, worker count) pair —
-	// the chipparallel256 engine against the serial oracle, under both
-	// serial and concurrent scheduling.
-	var csvs []string
-	var labels []string
-	for _, e := range tester.LotEngines() {
-		for _, workers := range []int{1, 8} {
-			cfg := smallConfig(t)
-			cfg.LotEngine = e
-			cfg.Workers = workers
-			res, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			csvs = append(csvs, res.CSV())
-			labels = append(labels, fmt.Sprintf("%v/workers=%d", e, workers))
-		}
-	}
-	for i := 1; i < len(csvs); i++ {
-		if csvs[i] != csvs[0] {
-			t.Errorf("CSV differs between %s and %s:\n%s\nvs\n%s", labels[0], labels[i], csvs[0], csvs[i])
-		}
-	}
-}
-
 func TestSweepPreparesEachCircuitOnce(t *testing.T) {
 	// The exactly-once guarantee of the campaign: however many cells,
 	// replicates, and workers consume a circuit, its Prepared artifact
@@ -193,9 +164,10 @@ func TestSweepValidation(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
-	// Sizes past experiment.SizeCap fail Validate with the named
-	// sentinel before anything is allocated; smallConfig has 4 cells,
-	// so 250000 replicates is exactly the task cap.
+	// Sizes past experiment.SizeCap, and worker counts past
+	// experiment.WorkerCap, fail Validate with the named sentinel before
+	// anything is allocated or started; smallConfig has 4 cells, so
+	// 250000 replicates is exactly the task cap.
 	for _, tc := range []struct {
 		name   string
 		mutate func(*Config)
@@ -204,6 +176,8 @@ func TestSweepValidation(t *testing.T) {
 		{"patterns above cap", func(c *Config) { c.RandomPatterns = 2000000000 }},
 		{"replicates above cap", func(c *Config) { c.Replicates = 2000000000 }},
 		{"tasks above cap", func(c *Config) { c.Replicates = experiment.SizeCap/4 + 1 }},
+		{"workers above cap", func(c *Config) { c.Workers = experiment.WorkerCap + 1 }},
+		{"sim workers above cap", func(c *Config) { c.SimWorkers = 1000000 }},
 	} {
 		cfg := smallConfig(t)
 		tc.mutate(&cfg)
@@ -220,8 +194,15 @@ func TestSweepValidation(t *testing.T) {
 	}
 	atCap := smallConfig(t)
 	atCap.Replicates = experiment.SizeCap / 4
+	atCap.Workers, atCap.SimWorkers = experiment.WorkerCap, experiment.WorkerCap
 	if err := atCap.Validate(); err != nil {
-		t.Errorf("task count at the cap rejected: %v", err)
+		t.Errorf("task and worker counts at the cap rejected: %v", err)
+	}
+	// A lot engine other than chipparallel256 fails Validate too.
+	badLot := smallConfig(t)
+	badLot.LotEngine = 1
+	if err := badLot.Validate(); err == nil || !strings.Contains(err.Error(), "chipparallel256") {
+		t.Errorf("lot engine 1: Validate error %v, want one naming chipparallel256", err)
 	}
 	// An unreachable coverage target is an error naming the circuit,
 	// not a silent skip.

@@ -10,8 +10,8 @@ import (
 )
 
 // The chipparallel256 lot engine transposes the ATE's word layout:
-// where the serial oracle packs 64 patterns into a word and walks the
-// circuit once per (chip, block), chipparallel256 packs the good
+// where the per-chip test oracle packs 64 patterns into a word and
+// walks the circuit once per (chip, block), chipparallel256 packs the good
 // machine (lane 0) plus up to 255 defective chips into the bit-lanes of
 // a multi-word lane block and evaluates the whole batch once per
 // pattern. Each chip's faults are forced onto its lane through a shared
@@ -41,7 +41,7 @@ import (
 // the lane block of each primary output is diffed against the
 // broadcast of lane 0 (the good machine computed in the same walk),
 // outputs in strobe order, so the first differing (pattern, output)
-// pair per lane is the same strobe the serial oracle reports. A lane is
+// pair per lane is the same strobe the per-chip oracle reports. A lane is
 // dropped the moment its chip fails.
 //
 // Scheduling is what makes the lanes earn their keep:
@@ -69,7 +69,7 @@ import (
 //     retire 255 chips per walk.
 //
 // The ordering affects only scheduling, never results: first fails are
-// bit-identical to the serial oracle.
+// bit-identical to the per-chip oracle.
 
 const (
 	// pp256Words is the lane block a full batch starts at (before
@@ -192,7 +192,8 @@ func (st *chipParallel256State) at(words int) (*logicsim.WideSim, *logicsim.Wide
 
 // chipParallel256FirstFail computes the per-chip first-fail record of
 // the lot — pattern indices, or strobe steps when steps is true —
-// bit-identical to serialFirstFail.
+// bit-identical to the per-chip oracle's (serialFirstFail, in the
+// tests).
 func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injection, steps bool) ([]int, error) {
 	if a.pp256 == nil {
 		a.pp256 = &chipParallel256State{flat: a.flat}

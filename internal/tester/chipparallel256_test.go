@@ -18,7 +18,7 @@ import (
 // the walk — the invariant a re-packed batch relies on.
 func TestPP256BuildRejectsOverfullBatch(t *testing.T) {
 	c, universe, patterns := setup(t)
-	a, err := NewEngine(c, patterns, ChipParallel256)
+	a, err := New(c, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestLaneWordsFor(t *testing.T) {
 
 // TestPP256CompactionMatchesSerial forces the dead-lane compaction path
 // hard — a shallow, wide-fanout circuit where most chips die within the
-// first patterns — and pins the compacted engine to the serial oracle
+// first patterns — and pins the compacted engine to the per-chip oracle
 // at both granularities.
 func TestPP256CompactionMatchesSerial(t *testing.T) {
 	c, universe, patterns := setup(t)
@@ -72,29 +72,25 @@ func TestPP256CompactionMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := NewEngine(c, patterns, Serial)
+	serial, err := newOracle(c, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wide, err := NewEngine(c, patterns, ChipParallel256)
+	wide, err := New(c, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, steps := range []bool{false, true} {
-		run := (*ATE).TestLot
-		if steps {
-			run = (*ATE).TestLotSteps
-		}
-		want, err := run(serial, lot)
+		want, err := serial.testLot(lot, steps)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := run(wide, lot)
+		got, err := wide.testLot(lot, steps)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("steps=%v: compacted engine disagrees with serial", steps)
+			t.Fatalf("steps=%v: compacted engine disagrees with the oracle", steps)
 		}
 	}
 }
@@ -106,7 +102,7 @@ func TestPP256CompactionMatchesSerial(t *testing.T) {
 // forced walk, a batch of a few chips the divergence walk.
 func TestPP256BatchZeroAllocs(t *testing.T) {
 	c, universe, patterns := setup(t)
-	a, err := NewEngine(c, patterns, ChipParallel256)
+	a, err := New(c, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,61 +4,19 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/atpg"
 	"repro/internal/defect"
 	"repro/internal/fault"
-	"repro/internal/logicsim"
 	"repro/internal/netlist"
 )
 
-func TestParseLotEngine(t *testing.T) {
-	for _, e := range LotEngines() {
-		got, err := ParseLotEngine(e.String())
-		if err != nil || got != e {
-			t.Errorf("round-trip %v: got %v, %v", e, got, err)
-		}
-		if !e.Known() {
-			t.Errorf("%v not Known", e)
-		}
-	}
-	if got := LotEngines(); !reflect.DeepEqual(got, []LotEngine{ChipParallel256, Serial}) {
-		t.Errorf("registered lot engines %v", got)
-	}
-	var zero LotEngine
-	if zero != ChipParallel256 {
-		t.Errorf("zero-value lot engine is %v, want chipparallel256", zero)
-	}
-	// Unknown and retired names fail fast, naming what is registered.
-	for _, name := range []string{"warp", "chip-parallel", ""} {
-		_, err := ParseLotEngine(name)
-		if err == nil {
-			t.Errorf("ParseLotEngine(%q) accepted", name)
-			continue
-		}
-		for _, e := range LotEngines() {
-			if !strings.Contains(err.Error(), e.String()) {
-				t.Errorf("ParseLotEngine(%q) error %q does not name %q", name, err, e)
-			}
-		}
-	}
-	if LotEngine(99).Known() {
-		t.Error("bogus engine Known")
-	}
-	if _, err := NewEngine(netlist.C17(), []logicsim.Pattern{make(logicsim.Pattern, 5)}, LotEngine(99)); err == nil {
-		t.Error("NewEngine with bogus engine should error")
-	}
-}
-
-// TestLotEngineEquivalenceProperty is the randomized cross-engine pin:
-// over random circuits, lots, and seeds, every registered lot engine
-// must reproduce the Serial oracle's per-chip first-fail indices bit
-// for bit, at both pattern and strobe granularity, along with every
-// derived statistic. The loop iterates LotEngines(), so a new registry
-// entry is pinned automatically.
+// TestLotEngineEquivalenceProperty is the randomized pin: over random
+// circuits, lots, and seeds, chipparallel256 must reproduce the per-chip
+// oracle's first-fail indices bit for bit, at both pattern and strobe
+// granularity, along with every derived statistic.
 func TestLotEngineEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1981))
 	trials := 6
@@ -85,41 +43,32 @@ func TestLotEngineEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := NewEngine(c, patterns, Serial)
+		serial, err := newOracle(c, patterns)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, steps := range []bool{false, true} {
-			run := (*ATE).TestLot
-			if steps {
-				run = (*ATE).TestLotSteps
-			}
-			want, err := run(serial, lot)
+			want, err := serial.testLot(lot, steps)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range LotEngines() {
-				if e == Serial {
-					continue
-				}
-				par, err := NewEngine(c, patterns, e)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := run(par, lot)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("trial %d steps=%v: engines disagree\nserial: %+v\n%v: %+v",
-						trial, steps, want, e, got)
-				}
+			par, err := New(c, patterns)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := par.testLot(lot, steps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("trial %d steps=%v: chipparallel256 disagrees with the oracle\noracle: %+v\nchipparallel256: %+v",
+					trial, steps, want, got)
 			}
 		}
 	}
 }
 
-// TestLotEnginesAgreeOnDeepCircuit pins chipparallel256 to the serial
+// TestLotEnginesAgreeOnDeepCircuit pins chipparallel256 to the per-chip
 // oracle on a 1000-gate LSIChip, where long-surviving chips make the
 // divergence walk carry most batches — setup()'s mul4 is too small for
 // it to run much. The yield × n0 grid spans dense batches (n0 8.8: a
@@ -138,17 +87,13 @@ func TestLotEnginesAgreeOnDeepCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	patterns := atpg.Take(src, 200)
-	serial, err := NewEngine(c, patterns, Serial)
+	serial, err := newOracle(c, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7552))
 	for _, steps := range []bool{false, true} {
-		run := (*ATE).TestLot
-		if steps {
-			run = (*ATE).TestLotSteps
-		}
-		wide, err := NewEngine(c, patterns, ChipParallel256)
+		wide, err := New(c, patterns)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,11 +103,11 @@ func TestLotEnginesAgreeOnDeepCircuit(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, err := run(serial, lot)
+				want, err := serial.testLot(lot, steps)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := run(wide, lot)
+				got, err := wide.testLot(lot, steps)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -180,8 +125,9 @@ func TestLotEnginesAgreeOnDeepCircuit(t *testing.T) {
 
 func TestLotEnginesAgreeOnDoublePolarityChips(t *testing.T) {
 	// A chip can carry both polarities of one site (distinct universe
-	// entries); the last fault in the chip's list wins the site. Both
-	// engines must apply the same order-dependent overwrite.
+	// entries); the last fault in the chip's list wins the site.
+	// chipparallel256 and the oracle must apply the same
+	// order-dependent overwrite.
 	c, universe, patterns := setup(t)
 	var a, b int
 	found := false
@@ -207,29 +153,24 @@ func TestLotEnginesAgreeOnDoublePolarityChips(t *testing.T) {
 			{},
 		},
 	}
-	serial, err := NewEngine(c, patterns, Serial)
+	serial, err := newOracle(c, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := serial.TestLotSteps(lot)
+	want, err := serial.testLot(lot, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range LotEngines() {
-		if e == Serial {
-			continue
-		}
-		par, err := NewEngine(c, patterns, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := par.TestLotSteps(lot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("double-polarity chips disagree: serial %+v, %v %+v", want, e, got)
-		}
+	par, err := New(c, patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := par.TestLotSteps(lot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, got) {
+		t.Errorf("double-polarity chips disagree: oracle %+v, chipparallel256 %+v", want, got)
 	}
 }
 
@@ -277,14 +218,19 @@ func TestChipBadFaultIndexBothEngines(t *testing.T) {
 		Universe: universe,
 		Chips:    []defect.Chip{{Faults: []int{len(universe) + 3}}},
 	}
-	for _, e := range LotEngines() {
-		a, err := NewEngine(c, patterns, e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := a.TestLot(lot); err == nil {
-			t.Errorf("%v: out-of-universe fault index should error", e)
-		}
+	a, err := New(c, patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.TestLot(lot); err == nil {
+		t.Error("chipparallel256: out-of-universe fault index should error")
+	}
+	serial, err := newOracle(c, patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serial.testLot(lot, false); err == nil {
+		t.Error("oracle: out-of-universe fault index should error")
 	}
 }
 
@@ -314,17 +260,26 @@ func TestConcurrentATEsShareCircuit(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e := ChipParallel256
-			if w%2 == 1 {
-				e = Serial
-			}
-			a, err := NewEngine(c, patterns, e)
-			if err != nil {
-				errs[w] = err
-				return
+			// Odd workers run the per-chip oracle, whose pointer
+			// simulator reads the same cached circuit state.
+			var test func(defect.Lot, bool) (LotResult, error)
+			if w%2 == 0 {
+				a, err := New(c, patterns)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				test = a.testLot
+			} else {
+				o, err := newOracle(c, patterns)
+				if err != nil {
+					errs[w] = err
+					return
+				}
+				test = o.testLot
 			}
 			for rep := 0; rep < 3; rep++ {
-				got, err := a.TestLotSteps(lot)
+				got, err := test(lot, true)
 				if err != nil {
 					errs[w] = err
 					return

@@ -11,7 +11,7 @@ func TestTestChipStepsConsistent(t *testing.T) {
 	// Strobe-granular first-fail must land inside the pattern that the
 	// pattern-granular test reports.
 	c, universe, patterns := setup(t)
-	a, err := New(c, patterns)
+	o, err := newOracle(c, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,11 +19,11 @@ func TestTestChipStepsConsistent(t *testing.T) {
 	nOut := len(c.Outputs)
 	for fi := 0; fi < len(universe); fi += 11 {
 		chip := defect.Chip{Faults: []int{fi}}
-		byPattern, err := a.TestChip(chip, inj)
+		byPattern, err := o.TestChip(chip, inj)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bySteps, err := a.TestChipSteps(chip, inj)
+		bySteps, err := o.TestChipSteps(chip, inj)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,22 +6,19 @@
 // cumulative-coverage ramp, give the fallout curve from which n0 is
 // estimated.
 //
-// Two lot engines share one result contract (identical FirstFail, bit
-// for bit): ChipParallel256, the default, packs the good machine plus
-// up to 255 defective chips into the lanes of a multi-word lane block
-// and evaluates them together once per pattern — walking only the slots
-// where some lane departs from the good machine when the batch's faults
-// are sparse, the whole flat circuit otherwise (see chipparallel256.go)
-// — and Serial tests one chip at a time on the pointer-walking
-// logicsim.Simulator — the oracle.
+// One lot engine, chipparallel256, runs every lot: it packs the good
+// machine plus up to 255 defective chips into the lanes of a multi-word
+// lane block and evaluates them together once per pattern — walking
+// only the slots where some lane departs from the good machine when the
+// batch's faults are sparse, the whole flat circuit otherwise (see
+// chipparallel256.go). The tests pin every first fail to an independent
+// oracle: one chip at a time on the pointer-walking logicsim.Simulator,
+// which shares no simulation code with the flat core.
 package tester
 
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"sort"
-	"strings"
 
 	"repro/internal/defect"
 	"repro/internal/fault"
@@ -33,63 +30,13 @@ import (
 // NeverFails marks a chip that passes the whole pattern set.
 const NeverFails = -1
 
-// LotEngine selects how TestLot/TestLotSteps walk a lot. Both engines
-// produce bit-identical results; they differ only in speed.
+// LotEngine names the lot-testing engine. ChipParallel256, the zero
+// value, is the only one; the type survives because configurations and
+// the sweep JSON report carry the field.
 type LotEngine int
 
-// Available lot engines. ChipParallel256 is the zero value on purpose:
-// an unconfigured engine field selects the fast path, and Serial stays
-// around as the per-chip oracle the equivalence tests pin it to.
-const (
-	ChipParallel256 LotEngine = iota
-	Serial
-)
-
-// lotEngineNames maps each engine to its CLI-stable name.
-var lotEngineNames = map[LotEngine]string{
-	ChipParallel256: "chipparallel256",
-	Serial:          "serial",
-}
-
-// String names the lot engine.
-func (e LotEngine) String() string {
-	if n, ok := lotEngineNames[e]; ok {
-		return n
-	}
-	return fmt.Sprintf("LotEngine(%d)", int(e))
-}
-
-// Known reports whether e is a registered lot engine, letting
-// configuration layers fail fast instead of erroring mid-lot.
-func (e LotEngine) Known() bool {
-	_, ok := lotEngineNames[e]
-	return ok
-}
-
-// ParseLotEngine maps an engine name (as printed by String and accepted
-// by the CLIs) back to the LotEngine.
-func ParseLotEngine(name string) (LotEngine, error) {
-	for _, e := range LotEngines() {
-		if lotEngineNames[e] == name {
-			return e, nil
-		}
-	}
-	names := make([]string, 0, len(lotEngineNames))
-	for _, e := range LotEngines() {
-		names = append(names, lotEngineNames[e])
-	}
-	return 0, fmt.Errorf("tester: unknown lot engine %q (registered: %s)", name, strings.Join(names, ", "))
-}
-
-// LotEngines lists every registered lot engine in a stable order.
-func LotEngines() []LotEngine {
-	out := make([]LotEngine, 0, len(lotEngineNames))
-	for e := range lotEngineNames {
-		out = append(out, e)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+// ChipParallel256 is the one lot engine.
+const ChipParallel256 LotEngine = 0
 
 // ATE tests chips against a fixed circuit and ordered pattern set.
 type ATE struct {
@@ -97,13 +44,6 @@ type ATE struct {
 	patterns []logicsim.Pattern
 	blocks   []logicsim.PatternBlock
 	flat     *logicsim.Flat // the circuit's cached flat form
-	engine   LotEngine
-
-	// The Serial oracle's pointer-walking simulator and its good-machine
-	// outputs per block, built on first use (see oracle): the default
-	// engine never reads them.
-	sim  *logicsim.Simulator
-	good [][]uint64
 
 	// Universe→Injection conversion cache: campaigns share one fault
 	// universe across thousands of lots, so the conversion is keyed by
@@ -113,30 +53,21 @@ type ATE struct {
 	univInj []logicsim.Injection
 
 	pp256 *chipParallel256State // lazily built chipparallel256 scratch
-	tcOut []uint64              // TestChip/TestChipSteps output scratch
 }
 
-// New builds an ATE with the default (chipparallel256) lot engine,
-// packing the pattern set into 64-pattern blocks once.
+// New builds an ATE, packing the pattern set into 64-pattern blocks
+// once.
 func New(c *netlist.Circuit, patterns []logicsim.Pattern) (*ATE, error) {
-	return NewEngine(c, patterns, ChipParallel256)
-}
-
-// NewEngine is New with an explicit lot engine.
-func NewEngine(c *netlist.Circuit, patterns []logicsim.Pattern, engine LotEngine) (*ATE, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("tester: no patterns")
 	}
-	if !engine.Known() {
-		return nil, fmt.Errorf("tester: unknown lot engine %v", engine)
-	}
 	// Compiling (or fetching the cached) flat form rejects a malformed
-	// netlist at construction, whichever engine runs.
+	// netlist at construction.
 	flat, err := logicsim.FlatFor(c)
 	if err != nil {
 		return nil, err
 	}
-	a := &ATE{c: c, patterns: patterns, flat: flat, engine: engine}
+	a := &ATE{c: c, patterns: patterns, flat: flat}
 	for base := 0; base < len(patterns); base += 64 {
 		end := base + 64
 		if end > len(patterns) {
@@ -151,123 +82,8 @@ func NewEngine(c *netlist.Circuit, patterns []logicsim.Pattern, engine LotEngine
 	return a, nil
 }
 
-// oracle returns the Serial path's pointer-walking simulator, building
-// it and pre-simulating the good machine of every block on first use.
-func (a *ATE) oracle() (*logicsim.Simulator, error) {
-	if a.sim != nil {
-		return a.sim, nil
-	}
-	sim, err := logicsim.NewSimulator(a.c)
-	if err != nil {
-		return nil, err
-	}
-	good := make([][]uint64, len(a.blocks))
-	for bi, block := range a.blocks {
-		out, err := sim.Run(block)
-		if err != nil {
-			return nil, err
-		}
-		good[bi] = append([]uint64(nil), out...)
-	}
-	a.sim, a.good = sim, good
-	return sim, nil
-}
-
-// Engine returns the lot engine TestLot/TestLotSteps dispatch to.
-func (a *ATE) Engine() LotEngine { return a.engine }
-
-// SetEngine switches the lot engine. Results are unaffected — the
-// engines are bit-identical — so this is purely a speed/oracle knob.
-func (a *ATE) SetEngine(e LotEngine) { a.engine = e }
-
 // Patterns returns the number of patterns the ATE applies.
 func (a *ATE) Patterns() int { return len(a.patterns) }
-
-// TestChip returns the index of the first pattern the chip fails, or
-// NeverFails. The chip's faults are injected simultaneously (a multi-
-// fault machine), which is what physical testing actually observes.
-func (a *ATE) TestChip(chip defect.Chip, universe []logicsim.Injection) (int, error) {
-	if !chip.Defective() {
-		return NeverFails, nil
-	}
-	inj, err := a.injections(chip, universe)
-	if err != nil {
-		return 0, err
-	}
-	sim, err := a.oracle()
-	if err != nil {
-		return 0, err
-	}
-	for bi, block := range a.blocks {
-		bad, err := sim.RunWithFaultsInto(block, inj, a.tcOut)
-		if err != nil {
-			return 0, err
-		}
-		a.tcOut = bad
-		var diff uint64
-		for o := range bad {
-			diff |= (bad[o] ^ a.good[bi][o]) & block.Mask()
-		}
-		if diff != 0 {
-			return bi*64 + bits.TrailingZeros64(diff), nil
-		}
-	}
-	return NeverFails, nil
-}
-
-// TestChipSteps returns the first failing *strobe* (pattern × output)
-// step index, or NeverFails. This matches the Sentry's bookkeeping in
-// Table 1 ("the first pattern at which the tester strobed the chip
-// output"): step = pattern*numOutputs + outputIndex.
-func (a *ATE) TestChipSteps(chip defect.Chip, universe []logicsim.Injection) (int, error) {
-	if !chip.Defective() {
-		return NeverFails, nil
-	}
-	inj, err := a.injections(chip, universe)
-	if err != nil {
-		return 0, err
-	}
-	sim, err := a.oracle()
-	if err != nil {
-		return 0, err
-	}
-	nOut := len(a.c.Outputs)
-	for bi, block := range a.blocks {
-		bad, err := sim.RunWithFaultsInto(block, inj, a.tcOut)
-		if err != nil {
-			return 0, err
-		}
-		a.tcOut = bad
-		best := -1
-		for o := range bad {
-			diff := (bad[o] ^ a.good[bi][o]) & block.Mask()
-			if diff == 0 {
-				continue
-			}
-			p := bi*64 + bits.TrailingZeros64(diff)
-			step := p*nOut + o
-			if best < 0 || step < best {
-				best = step
-			}
-		}
-		if best >= 0 {
-			return best, nil
-		}
-	}
-	return NeverFails, nil
-}
-
-// injections maps a chip's fault indices into injectable faults.
-func (a *ATE) injections(chip defect.Chip, universe []logicsim.Injection) ([]logicsim.Injection, error) {
-	inj := make([]logicsim.Injection, len(chip.Faults))
-	for i, fi := range chip.Faults {
-		if fi < 0 || fi >= len(universe) {
-			return nil, fmt.Errorf("tester: chip fault index %d out of universe", fi)
-		}
-		inj[i] = universe[fi]
-	}
-	return inj, nil
-}
 
 // injectionsFor converts a lot's fault universe to injectable form,
 // cached by slice identity: campaigns share one universe (from a
@@ -318,23 +134,19 @@ func (a *ATE) TestLotSteps(lot defect.Lot) (LotResult, error) {
 	return a.testLot(lot, true)
 }
 
-// testLot runs the configured lot engine and folds the per-chip
+// testLot runs chipparallel256 over the lot and folds the per-chip
 // first-fail record into the lot statistics.
 func (a *ATE) testLot(lot defect.Lot, steps bool) (LotResult, error) {
-	universe := a.injectionsFor(lot.Universe)
-	var ff []int
-	var err error
-	switch a.engine {
-	case Serial:
-		ff, err = a.serialFirstFail(lot, universe, steps)
-	case ChipParallel256:
-		ff, err = a.chipParallel256FirstFail(lot, universe, steps)
-	default:
-		err = fmt.Errorf("tester: unknown lot engine %v", a.engine)
-	}
+	ff, err := a.chipParallel256FirstFail(lot, a.injectionsFor(lot.Universe), steps)
 	if err != nil {
 		return LotResult{}, err
 	}
+	return foldLot(lot, ff), nil
+}
+
+// foldLot aggregates a lot's per-chip first-fail record into its
+// LotResult.
+func foldLot(lot defect.Lot, ff []int) LotResult {
 	res := LotResult{FirstFail: ff}
 	trueGood := 0
 	for i, chip := range lot.Chips {
@@ -351,25 +163,7 @@ func (a *ATE) testLot(lot defect.Lot, steps bool) (LotResult, error) {
 	n := float64(len(lot.Chips))
 	res.TestedYield = float64(res.Passed) / n
 	res.TrueYield = float64(trueGood) / n
-	return res, nil
-}
-
-// serialFirstFail is the oracle engine: one chip at a time through
-// TestChip/TestChipSteps.
-func (a *ATE) serialFirstFail(lot defect.Lot, universe []logicsim.Injection, steps bool) ([]int, error) {
-	test := (*ATE).TestChip
-	if steps {
-		test = (*ATE).TestChipSteps
-	}
-	ff := make([]int, len(lot.Chips))
-	for i, chip := range lot.Chips {
-		f, err := test(a, chip, universe)
-		if err != nil {
-			return nil, err
-		}
-		ff[i] = f
-	}
-	return ff, nil
+	return res
 }
 
 // FalloutRow is one line of the paper's Table 1.

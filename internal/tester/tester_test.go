@@ -36,19 +36,19 @@ func TestNewErrors(t *testing.T) {
 
 func TestGoodChipNeverFails(t *testing.T) {
 	c, universe, patterns := setup(t)
-	a, err := New(c, patterns)
+	o, err := newOracle(c, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
 	inj := injections(universe)
-	ff, err := a.TestChip(defect.Chip{}, inj)
+	ff, err := o.TestChip(defect.Chip{}, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ff != NeverFails {
 		t.Errorf("fault-free chip failed at %d", ff)
 	}
-	if a.Patterns() != len(patterns) {
+	if o.a.Patterns() != len(patterns) {
 		t.Error("Patterns() wrong")
 	}
 }
@@ -65,7 +65,7 @@ func TestSingleFaultChipMatchesFaultSim(t *testing.T) {
 	// A chip with exactly one fault must first-fail at exactly the
 	// pattern the fault simulator says first detects that fault.
 	c, universe, patterns := setup(t)
-	a, err := New(c, patterns)
+	o, err := newOracle(c, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestSingleFaultChipMatchesFaultSim(t *testing.T) {
 	}
 	inj := injections(universe)
 	for fi := 0; fi < len(universe); fi += 7 {
-		ff, err := a.TestChip(defect.Chip{Faults: []int{fi}}, inj)
+		ff, err := o.TestChip(defect.Chip{Faults: []int{fi}}, inj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -96,7 +96,7 @@ func TestMultiFaultChipFailsNoLaterThanEasiestFault(t *testing.T) {
 	// of multi-fault chips fail no later than their easiest fault, and
 	// none pass everything if any single fault is detectable.
 	c, universe, patterns := setup(t)
-	a, err := New(c, patterns)
+	o, err := newOracle(c, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestMultiFaultChipFailsNoLaterThanEasiestFault(t *testing.T) {
 		if easiest == math.MaxInt32 {
 			continue
 		}
-		ff, err := a.TestChip(defect.Chip{Faults: fidx}, inj)
+		ff, err := o.TestChip(defect.Chip{Faults: fidx}, inj)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -246,11 +246,11 @@ func TestFirstFailCoveragesGranularityMismatch(t *testing.T) {
 
 func TestChipBadFaultIndex(t *testing.T) {
 	c, universe, patterns := setup(t)
-	a, err := New(c, patterns)
+	o, err := newOracle(c, patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.TestChip(defect.Chip{Faults: []int{len(universe) + 5}}, injections(universe)); err == nil {
+	if _, err := o.TestChip(defect.Chip{Faults: []int{len(universe) + 5}}, injections(universe)); err == nil {
 		t.Error("out-of-universe fault index should error")
 	}
 }
