@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/circuits"
+	"repro/internal/experiment"
 	"repro/internal/fault"
 	"repro/internal/faultsim"
 	"repro/internal/logicsim"
@@ -22,7 +23,7 @@ import (
 func main() {
 	circuit := flag.String("circuit", "c17", "workload spec (see -list-circuits)")
 	listCircuits := flag.Bool("list-circuits", false, "print the workload spec grammar and exit")
-	random := flag.Int("random", 0, "random patterns applied before PODEM cleanup")
+	random := flag.Int("random", 0, fmt.Sprintf("random patterns applied before PODEM cleanup (0 to %d)", experiment.SizeCap))
 	seed := flag.Int64("seed", 1, "random seed")
 	compact := flag.Bool("compact", false, "reverse-order compact the final set")
 	flag.Parse()
@@ -38,6 +39,9 @@ func main() {
 }
 
 func run(circuit string, random int, seed int64, compact bool) error {
+	if random < 0 || random > experiment.SizeCap {
+		return fmt.Errorf("-random must be in [0, %d], got %d", experiment.SizeCap, random)
+	}
 	c, err := circuits.Resolve(circuit)
 	if err != nil {
 		return err

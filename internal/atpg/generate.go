@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"fmt"
+	"runtime"
 
 	"repro/internal/fault"
 	"repro/internal/faultsim"
@@ -141,42 +142,73 @@ type Tally struct {
 // internal inconsistency and fails the run. The engine and options
 // change only wall-clock: every engine returns the same first-detects,
 // so the pattern set and tally are engine-independent.
+//
+// PODEM runs speculatively on runtime.GOMAXPROCS(0) workers, each with
+// its own generator: a worker claims the next fault that is still
+// undetected, at most 2×width claims ahead of the loop, while the loop
+// itself commits results strictly in fault-list order and throws away
+// the result for any fault an earlier committed pattern has dropped in
+// the meantime. Generate is a pure function of the circuit, the fault
+// and the budget, so every committed (pattern, status) is the one a
+// serial loop computes: patterns and tally do not depend on the width.
 func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, backtrackLimit int, engine faultsim.Engine, opt faultsim.Options) ([]logicsim.Pattern, Tally, error) {
+	patterns, tally, _, err := cleanup(c, base, reps, backtrackLimit, engine, opt, runtime.GOMAXPROCS(0))
+	return patterns, tally, err
+}
+
+// cleanup is CleanupTestsBudget at an explicit speculation width (the
+// number of PODEM workers). It also reports how many speculative results
+// the commit loop discarded.
+func cleanup(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, backtrackLimit int, engine faultsim.Engine, opt faultsim.Options, width int) ([]logicsim.Pattern, Tally, int, error) {
 	if err := c.Validate(); err != nil {
-		return nil, Tally{}, fmt.Errorf("atpg: invalid circuit: %w", err)
+		return nil, Tally{}, 0, fmt.Errorf("atpg: invalid circuit: %w", err)
 	}
 	if backtrackLimit < 0 {
-		return nil, Tally{}, fmt.Errorf("atpg: backtrack limit must be >= 0, got %d", backtrackLimit)
+		return nil, Tally{}, 0, fmt.Errorf("atpg: backtrack limit must be >= 0, got %d", backtrackLimit)
 	}
 	patterns := base
 	tally := Tally{Faults: len(reps)}
 	detected := make([]bool, len(reps))
+	targets := len(reps)
 	if len(patterns) > 0 && len(reps) > 0 {
 		res, err := faultsim.RunOpts(c, reps, patterns, engine, opt)
 		if err != nil {
-			return nil, Tally{}, err
+			return nil, Tally{}, 0, err
 		}
 		for fi, d := range res.FirstDetect {
-			detected[fi] = d != faultsim.NotDetected
+			if d != faultsim.NotDetected {
+				detected[fi] = true
+				targets--
+			}
 		}
 	}
-	gen, err := NewPodem(c)
-	if err != nil {
-		return nil, Tally{}, err
+	// No more workers than targets; every generator is built before any
+	// worker starts.
+	width = min(width, targets)
+	gens := make([]*Podem, width)
+	for i := range gens {
+		gen, err := NewPodem(c)
+		if err != nil {
+			return nil, Tally{}, 0, err
+		}
+		gen.BacktrackLimit = backtrackLimit
+		gens[i] = gen
 	}
-	gen.BacktrackLimit = backtrackLimit
+	spec := speculate(gens, reps, detected)
+	defer spec.stop()
 	// Aborts are provisional: a fault abandoned at its own budget may
 	// still fall to a later fault's pattern during dropping, so the
 	// abort bucket is settled only after the loop, over the faults that
 	// stayed undetected. Untestable is a proof and final immediately.
 	aborted := make([]bool, len(reps))
 	var remaining []fault.Fault
-	var idx []int
+	var idx, hit []int
 	for fi, f := range reps {
 		if detected[fi] {
+			spec.skip(fi)
 			continue
 		}
-		pattern, status := gen.Generate(f)
+		pattern, status := spec.result(fi)
 		if status != Detected {
 			switch status {
 			case Untestable:
@@ -196,17 +228,19 @@ func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []faul
 		}
 		one, err := faultsim.RunOpts(c, remaining, []logicsim.Pattern{pattern}, engine, opt)
 		if err != nil {
-			return nil, Tally{}, err
+			return nil, Tally{}, 0, err
 		}
+		hit = hit[:0]
 		for ri, d := range one.FirstDetect {
 			if d != faultsim.NotDetected {
-				detected[idx[ri]] = true
+				hit = append(hit, idx[ri])
 			}
 		}
+		spec.drop(hit)
 		if !detected[fi] {
 			// The generated pattern must detect its target; a miss means
 			// the generator and simulator disagree.
-			return nil, Tally{}, fmt.Errorf("atpg: internal inconsistency: PODEM test for %v not confirmed by fault simulation", f.Name(c))
+			return nil, Tally{}, 0, fmt.Errorf("atpg: internal inconsistency: PODEM test for %v not confirmed by fault simulation", f.Name(c))
 		}
 	}
 	for fi, d := range detected {
@@ -217,5 +251,5 @@ func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []faul
 			tally.Aborted++
 		}
 	}
-	return patterns, tally, nil
+	return patterns, tally, spec.discarded, nil
 }

@@ -45,10 +45,12 @@ func (s Status) String() string {
 //
 // Implication runs on the circuit's flat form (logicsim.Flat): both
 // ternary planes are slot-indexed arrays and fanin/fanout are CSR
-// ranges. Each Generate evaluates the whole circuit once, with the
-// fault injected; after that every decision, flip or pop re-evaluates
-// only the fanout of the inputs it changed, through a level-ordered
-// event queue that stops wherever a slot's (good, faulty) pair holds.
+// ranges. NewPodem evaluates the fault-free circuit once with every
+// input X; each Generate starts both planes from that all-X state,
+// injects the fault at its site and lets the event queue carry it
+// forward. After that every decision, flip or pop re-evaluates only the
+// fanout of the inputs it changed, through a level-ordered event queue
+// that stops wherever a slot's (good, faulty) pair holds.
 // The slots carrying the fault effect are tracked as values change, so
 // the per-iteration checks (detection, D-frontier, X-path) start from
 // them instead of scanning the circuit. A Podem is not safe for
@@ -65,9 +67,10 @@ type Podem struct {
 	isOut []bool  // the slot drives a primary output
 
 	// Ternary planes, slot-indexed; good[:NumInputs] is the current
-	// primary-input assignment.
-	good, bad []logicsim.Trit
-	stack     []decision
+	// primary-input assignment. allX is the fault-free plane with every
+	// input X, the state each target starts both planes from.
+	good, bad, allX []logicsim.Trit
+	stack           []decision
 
 	// The target fault in slot space: site, pin (< 0 for a stem fault),
 	// stuck value, and line, the slot whose good value activates it.
@@ -119,6 +122,7 @@ func NewPodem(c *netlist.Circuit) (*Podem, error) {
 		isOut:    make([]bool, n),
 		good:     make([]logicsim.Trit, n),
 		bad:      make([]logicsim.Trit, n),
+		allX:     make([]logicsim.Trit, n),
 		stack:    make([]decision, 0, f.NumInputs()),
 		inCone:   make([]uint32, n),
 		effect:   make([]int32, 0, n),
@@ -154,6 +158,13 @@ func NewPodem(c *netlist.Circuit) (*Podem, error) {
 	}
 	p.bucketLen = make([]int32, maxLevel+1)
 	p.lo, p.hi = len(p.bucketLen), -1
+	numIn := f.NumInputs()
+	for s := 0; s < numIn; s++ {
+		p.allX[s] = logicsim.X
+	}
+	for s := numIn; s < n; s++ {
+		p.allX[s] = f.EvalSlotT(p.allX, s, -1, logicsim.X)
+	}
 	return p, nil
 }
 
@@ -262,9 +273,11 @@ func (p *Podem) Generate(f fault.Fault) (logicsim.Pattern, Status) {
 	}
 }
 
-// target loads fault f: its slot coordinates, its output cone, and a
-// full evaluation of both planes with every input X and the fault
-// injected.
+// target loads fault f: its slot coordinates, its output cone, and
+// both planes at the all-X state with the fault injected at its site
+// and queued, so the next propagate reaches what a full evaluation with
+// every input X would. The all-X state carries no fault effect, so the
+// effect list starts empty.
 func (p *Podem) target(f fault.Fault) {
 	fl := p.flat
 	p.site, p.pin, p.stuck = int32(fl.SlotOf(f.Gate)), int32(f.Pin), stuckTrit(f.Stuck)
@@ -291,18 +304,15 @@ func (p *Podem) target(f fault.Fault) {
 		p.effAt[s] = -1
 	}
 	p.effect = p.effect[:0]
-	numIn := fl.NumInputs()
-	for s := 0; s < numIn; s++ {
-		p.good[s], p.bad[s] = logicsim.X, logicsim.X
-	}
-	if p.site < int32(numIn) {
-		p.set(p.site, logicsim.X, p.stuck) // stem fault on a primary input
-	}
-	for s := numIn; s < len(p.good); s++ {
-		g, b := p.eval(int32(s))
-		p.set(int32(s), g, b)
-	}
+	copy(p.good, p.allX)
+	copy(p.bad, p.allX)
 	p.dirty = p.dirty[:0]
+	if p.site < int32(fl.NumInputs()) {
+		p.set(p.site, logicsim.X, p.stuck) // stem fault on a primary input
+		p.dirty = append(p.dirty, p.site)
+	} else {
+		p.push(p.site)
+	}
 }
 
 // set stores slot s's (good, faulty) pair and keeps the effect list in

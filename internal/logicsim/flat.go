@@ -18,9 +18,9 @@ import (
 // Slot order: primary inputs first, in Circuit.Inputs order (so a
 // PatternBlock loads with one copy), then every logic gate in
 // topological order. Because fanins are stored as slot indices, slot
-// order is itself a valid evaluation order, and ascending-slot subsets
-// (like the slot cones FlatConeSet compiles) stay topological with a
-// plain integer sort.
+// order is itself a valid evaluation order, and any subset listed in
+// ascending slot order (like the slot cones FlatConeSet compiles) is
+// topological too.
 //
 // A Flat is immutable after construction and safe for concurrent
 // readers; per-goroutine walk state lives in FlatSim / WideSim. It is

@@ -2,7 +2,6 @@ package logicsim
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -95,10 +94,10 @@ func NewFlatConeSet(f *Flat) *FlatConeSet {
 }
 
 // compile builds the site's cone (or returns the one a concurrent
-// caller built first) and publishes it: BFS over the fanout, an
-// ascending sort (slot order is topological), the reachable-output
-// list, then the instruction stream with the boundary collected on
-// first reference.
+// caller built first) and publishes it: BFS over the fanout, the
+// members gathered in ascending slot order (which is topological), the
+// reachable-output list, then the instruction stream with the boundary
+// collected on first reference.
 func (cs *FlatConeSet) compile(site int) *FlatCone {
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
@@ -109,18 +108,27 @@ func (cs *FlatConeSet) compile(site int) *FlatCone {
 	stamp := int32(site)
 	cone := append(cs.cone[:0], stamp)
 	cs.mark[site] = stamp
+	last := stamp
 	for i := 0; i < len(cone); i++ {
 		for _, fo := range f.FanoutSlots(int(cone[i])) {
 			if cs.mark[fo] != stamp {
 				cs.mark[fo] = stamp
 				cone = append(cone, fo)
+				last = max(last, fo)
 			}
 		}
 	}
-	// Ascending slot order is topological, so a plain integer sort
-	// levelizes the cone; the site, a strict predecessor of every other
-	// member, comes first.
-	slices.Sort(cone)
+	// Ascending slot order is topological, so collecting the marked
+	// slots in slot order levelizes the cone without a sort; the site, a
+	// strict predecessor of every other member, comes first. This must
+	// run before the boundary pass below stamps out-of-cone slots.
+	n := 1
+	for s := stamp + 1; s <= last; s++ {
+		if cs.mark[s] == stamp {
+			cone[n] = s
+			n++
+		}
+	}
 	outIdx, outPos := cs.outIdx[:0], cs.outPos[:0]
 	for pos, slot := range cone {
 		if oi := cs.outOf[slot]; oi >= 0 {

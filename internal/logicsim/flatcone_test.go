@@ -69,6 +69,44 @@ func TestFlatConeSetMatchesConeSet(t *testing.T) {
 	}
 }
 
+// TestFlatConeSlotsAreSortedReach pins cone membership and order
+// directly on the flat form: each cone's Slots is strictly ascending and
+// equals the sorted set of slots a plain fanout BFS reaches from the
+// site, site included.
+func TestFlatConeSlotsAreSortedReach(t *testing.T) {
+	c, err := netlist.RandomCircuit("reach", 10, 250, 7, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFlat(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcs := NewFlatConeSet(f)
+	for site := 0; site < f.Slots(); site++ {
+		seen := map[int32]bool{int32(site): true}
+		want := []int32{int32(site)}
+		for i := 0; i < len(want); i++ {
+			for _, fo := range f.FanoutSlots(int(want[i])) {
+				if !seen[fo] {
+					seen[fo] = true
+					want = append(want, fo)
+				}
+			}
+		}
+		slices.Sort(want)
+		got := fcs.ConeOf(site).Slots
+		for i := 1; i < len(got); i++ {
+			if got[i-1] >= got[i] {
+				t.Fatalf("slot %d: cone slots %v not strictly ascending", site, got)
+			}
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("slot %d: cone slots %v, fanout BFS reaches %v", site, got, want)
+		}
+	}
+}
+
 // TestRunConeMatchesRunWithFault is the core flat-cone correctness
 // property: for every fault site, pin, and polarity, the flat cone walk
 // must return the full-circuit faulty-vs-good diff of the pointer-
