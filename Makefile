@@ -71,10 +71,10 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -in bench-current.json -baseline BENCH_PR9.json -fail-over 25
 
 # Golden guard: the paper-number fixtures (sweep CSV, dist sample
-# sequences) must stay byte-identical across engine ports. CI fails the
-# build if an engine drifts them.
+# sequences, Prepared-store file digests) must stay byte-identical
+# across engine ports. CI fails the build if an engine drifts them.
 golden:
-	$(GO) test -run 'Golden' ./internal/sweep/ ./internal/dist/
+	$(GO) test -run 'Golden' ./internal/sweep/ ./internal/dist/ ./internal/circuits/
 
 # Race-detect the whole module (-short skips the multi-second
 # Monte-Carlo runs and the full-module lint sweep): the hand-picked

@@ -28,7 +28,7 @@ func main() {
 	listCircuits := flag.Bool("list-circuits", false, "print the workload spec grammar and exit")
 	npat := flag.Int("patterns", 64, fmt.Sprintf("number of random patterns (1 to %d)", experiment.SizeCap))
 	seed := flag.Int64("seed", 1, "pattern seed")
-	workers := flag.Int("workers", 0, "fault-list shards (0 = one)")
+	workers := flag.Int("workers", 0, fmt.Sprintf("fault-list shards (0 = one, at most %d)", experiment.WorkerCap))
 	lfsr := flag.Bool("lfsr", false, "use an LFSR instead of uniform random patterns")
 	flag.Parse()
 
@@ -50,6 +50,9 @@ func main() {
 func run(spec string, npat int, seed int64, opt faultsim.Options, lfsr bool) error {
 	if npat < 1 || npat > experiment.SizeCap {
 		return fmt.Errorf("-patterns must be in [1, %d], got %d", experiment.SizeCap, npat)
+	}
+	if opt.Workers < 0 || opt.Workers > experiment.WorkerCap {
+		return fmt.Errorf("-workers must be in [0, %d], got %d", experiment.WorkerCap, opt.Workers)
 	}
 	c, err := circuits.Resolve(spec)
 	if err != nil {

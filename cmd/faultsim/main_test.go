@@ -18,3 +18,14 @@ func TestRunRejectsPatternCount(t *testing.T) {
 		}
 	}
 }
+
+// TestRunRejectsWorkerCount: -workers outside [0, WorkerCap] fails
+// naming the flag, before any circuit is built or shard started.
+func TestRunRejectsWorkerCount(t *testing.T) {
+	for _, n := range []int{-1, experiment.WorkerCap + 1} {
+		err := run("c17", 64, 1, faultsim.Options{Workers: n}, false)
+		if err == nil || !strings.Contains(err.Error(), "-workers") {
+			t.Errorf("-workers %d: error %v, want one naming -workers", n, err)
+		}
+	}
+}

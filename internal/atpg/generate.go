@@ -130,18 +130,18 @@ type Tally struct {
 // CleanupTestsBudget is the one PODEM-and-drop loop every ATPG entry
 // point runs: GenerateAll, CleanupTests and ProductionTests call it over
 // the full collapsed list with the default budget, and circuits.Prepare
-// through ProductionTestsBudget over a sample. The base sequence is
-// graded first; then, in fault-list order, each fault still undetected
-// gets a PODEM test, which is appended and fault-simulated against the
-// remaining faults so it drops every fault it detects. It targets an
-// explicit fault list (the caller's collapsed universe, or a sample of
-// it), bounds PODEM to backtrackLimit backtracks per fault (0 = the
-// generator's 10000 default), and reports the outcome tally instead of
-// silently skipping untestable and aborted faults. A PODEM test that
-// fault simulation does not confirm against its own target is an
-// internal inconsistency and fails the run. The engine and options
-// change only wall-clock: every engine returns the same first-detects,
-// so the pattern set and tally are engine-independent.
+// through ProductionTestsBudget over a sample. One faultsim.Grader
+// session grades the program: first the base sequence; then, in
+// fault-list order, each fault still undetected gets a PODEM test,
+// which is appended and graded as the next pattern, dropping every
+// fault it detects. It targets an explicit fault list (the caller's
+// collapsed universe, or a sample of it), bounds PODEM to
+// backtrackLimit backtracks per fault (0 = the generator's 10000
+// default), and reports the outcome tally instead of silently skipping
+// untestable and aborted faults. A PODEM test that fault simulation
+// does not confirm against its own target is an internal inconsistency
+// and fails the run. The options change only wall-clock: the pattern
+// set and tally do not depend on them.
 //
 // PODEM runs speculatively on runtime.GOMAXPROCS(0) workers, each with
 // its own generator: a worker claims the next fault that is still
@@ -152,44 +152,48 @@ type Tally struct {
 // and the budget, so every committed (pattern, status) is the one a
 // serial loop computes: patterns and tally do not depend on the width.
 func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, backtrackLimit int, engine faultsim.Engine, opt faultsim.Options) ([]logicsim.Pattern, Tally, error) {
-	patterns, tally, _, err := cleanup(c, base, reps, backtrackLimit, engine, opt, runtime.GOMAXPROCS(0))
+	patterns, tally, _, _, err := cleanup(c, base, reps, backtrackLimit, engine, opt, runtime.GOMAXPROCS(0))
 	return patterns, tally, err
 }
 
 // cleanup is CleanupTestsBudget at an explicit speculation width (the
-// number of PODEM workers). It also reports how many speculative results
-// the commit loop discarded.
-func cleanup(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, backtrackLimit int, engine faultsim.Engine, opt faultsim.Options, width int) ([]logicsim.Pattern, Tally, int, error) {
+// number of PODEM workers). It also returns the program's pattern-level
+// fault-simulation result and how many speculative results the commit
+// loop discarded.
+func cleanup(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, backtrackLimit int, engine faultsim.Engine, opt faultsim.Options, width int) ([]logicsim.Pattern, Tally, faultsim.Result, int, error) {
+	fail := func(err error) ([]logicsim.Pattern, Tally, faultsim.Result, int, error) {
+		return nil, Tally{}, faultsim.Result{}, 0, err
+	}
 	if err := c.Validate(); err != nil {
-		return nil, Tally{}, 0, fmt.Errorf("atpg: invalid circuit: %w", err)
+		return fail(fmt.Errorf("atpg: invalid circuit: %w", err))
 	}
 	if backtrackLimit < 0 {
-		return nil, Tally{}, 0, fmt.Errorf("atpg: backtrack limit must be >= 0, got %d", backtrackLimit)
+		return fail(fmt.Errorf("atpg: backtrack limit must be >= 0, got %d", backtrackLimit))
+	}
+	if !engine.Known() {
+		return fail(fmt.Errorf("atpg: unknown fault-simulation engine %v (registered: %v)", engine, faultsim.PPSFP))
+	}
+	grader, err := faultsim.NewGrader(c, reps, opt)
+	if err != nil {
+		return fail(err)
 	}
 	patterns := base
-	tally := Tally{Faults: len(reps)}
+	newly, err := grader.Add(patterns)
+	if err != nil {
+		return fail(err)
+	}
 	detected := make([]bool, len(reps))
-	targets := len(reps)
-	if len(patterns) > 0 && len(reps) > 0 {
-		res, err := faultsim.RunOpts(c, reps, patterns, engine, opt)
-		if err != nil {
-			return nil, Tally{}, 0, err
-		}
-		for fi, d := range res.FirstDetect {
-			if d != faultsim.NotDetected {
-				detected[fi] = true
-				targets--
-			}
-		}
+	for _, fi := range newly {
+		detected[fi] = true
 	}
 	// No more workers than targets; every generator is built before any
 	// worker starts.
-	width = min(width, targets)
+	width = min(width, len(reps)-len(newly))
 	gens := make([]*Podem, width)
 	for i := range gens {
 		gen, err := NewPodem(c)
 		if err != nil {
-			return nil, Tally{}, 0, err
+			return fail(err)
 		}
 		gen.BacktrackLimit = backtrackLimit
 		gens[i] = gen
@@ -200,9 +204,8 @@ func cleanup(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, ba
 	// still fall to a later fault's pattern during dropping, so the
 	// abort bucket is settled only after the loop, over the faults that
 	// stayed undetected. Untestable is a proof and final immediately.
+	tally := Tally{Faults: len(reps)}
 	aborted := make([]bool, len(reps))
-	var remaining []fault.Fault
-	var idx, hit []int
 	for fi, f := range reps {
 		if detected[fi] {
 			spec.skip(fi)
@@ -219,28 +222,15 @@ func cleanup(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, ba
 			continue
 		}
 		patterns = append(patterns, pattern)
-		remaining, idx = remaining[:0], idx[:0]
-		for ri := range reps {
-			if !detected[ri] {
-				remaining = append(remaining, reps[ri])
-				idx = append(idx, ri)
-			}
-		}
-		one, err := faultsim.RunOpts(c, remaining, []logicsim.Pattern{pattern}, engine, opt)
+		hit, err := grader.Add(patterns[len(patterns)-1:])
 		if err != nil {
-			return nil, Tally{}, 0, err
-		}
-		hit = hit[:0]
-		for ri, d := range one.FirstDetect {
-			if d != faultsim.NotDetected {
-				hit = append(hit, idx[ri])
-			}
+			return fail(err)
 		}
 		spec.drop(hit)
 		if !detected[fi] {
 			// The generated pattern must detect its target; a miss means
 			// the generator and simulator disagree.
-			return nil, Tally{}, 0, fmt.Errorf("atpg: internal inconsistency: PODEM test for %v not confirmed by fault simulation", f.Name(c))
+			return fail(fmt.Errorf("atpg: internal inconsistency: PODEM test for %v not confirmed by fault simulation", f.Name(c)))
 		}
 	}
 	for fi, d := range detected {
@@ -251,5 +241,5 @@ func cleanup(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, ba
 			tally.Aborted++
 		}
 	}
-	return patterns, tally, spec.discarded, nil
+	return patterns, tally, grader.Result(), spec.discarded, nil
 }

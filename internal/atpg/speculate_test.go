@@ -89,17 +89,25 @@ func cleanupReference(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.
 var specWidths = []int{1, 2, 3, 8}
 
 // compareCleanup runs the speculative loop at every width against the
-// serial reference and requires identical patterns and tally. It
-// returns the speculative results discarded over all widths.
+// serial reference and requires identical patterns and tally, and a
+// graded result equal to one fresh fault simulation of the reference
+// program. It returns the speculative results discarded over all
+// widths.
 func compareCleanup(t *testing.T, c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, limit int) int {
 	t.Helper()
 	want, wantTally, err := cleanupReference(c, base, reps, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantRes := faultsim.Result{FirstDetect: slices.Repeat([]int{faultsim.NotDetected}, len(reps))}
+	if len(want) > 0 {
+		if wantRes, err = faultsim.Run(c, reps, want, faultsim.PPSFP); err != nil {
+			t.Fatal(err)
+		}
+	}
 	discarded := 0
 	for _, width := range specWidths {
-		got, tally, n, err := cleanup(c, base, reps, limit, faultsim.PPSFP, faultsim.Options{}, width)
+		got, tally, res, n, err := cleanup(c, base, reps, limit, faultsim.PPSFP, faultsim.Options{}, width)
 		if err != nil {
 			t.Fatalf("%s width %d: %v", c.Name, width, err)
 		}
@@ -108,6 +116,9 @@ func compareCleanup(t *testing.T, c *netlist.Circuit, base []logicsim.Pattern, r
 		}
 		if !slices.EqualFunc(got, want, slices.Equal) {
 			t.Errorf("%s width %d: %d patterns differ from the serial loop's %d", c.Name, width, len(got), len(want))
+		}
+		if res.Patterns != wantRes.Patterns || !slices.Equal(res.FirstDetect, wantRes.FirstDetect) {
+			t.Errorf("%s width %d: graded result differs from a fresh run over the program", c.Name, width)
 		}
 		discarded += n
 	}
@@ -188,9 +199,9 @@ func TestGeneratePure(t *testing.T) {
 }
 
 // TestCleanupJoinsWorkers: every PODEM worker has exited once
-// CleanupTestsBudget returns, on success and on an error raised while
-// the workers run (a negative shard count fails the first drop
-// simulation, after the speculation started).
+// CleanupTestsBudget returns, on success and on an error (a negative
+// shard count, which the grading session rejects before any worker
+// starts).
 func TestCleanupJoinsWorkers(t *testing.T) {
 	c, err := netlist.ArrayMultiplier(8)
 	if err != nil {
@@ -215,7 +226,7 @@ func TestCleanupJoinsWorkers(t *testing.T) {
 			}
 			settle(func() bool { return workersAlive() == 0 })
 			start := runtime.NumGoroutine()
-			_, _, _, err := cleanup(c, nil, reps, 0, faultsim.PPSFP, tc.opt, 8)
+			_, _, _, _, err := cleanup(c, nil, reps, 0, faultsim.PPSFP, tc.opt, 8)
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("error %v, want error: %v", err, tc.wantErr)
 			}

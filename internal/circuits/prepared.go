@@ -135,35 +135,26 @@ func Prepare(c *netlist.Circuit, p Params) (*Prepared, error) {
 		sampled = true
 	}
 	// Stage 3: budgeted production test program over the working
-	// universe.
+	// universe, graded pattern by pattern as it is built.
 	opts := faultsim.Options{Workers: p.SimWorkers}
-	patterns, tally, err := atpg.ProductionTestsBudget(c, p.RandomPatterns/2, p.RandomPatterns/2,
+	patterns, tally, res, err := atpg.ProductionTestsBudget(c, p.RandomPatterns/2, p.RandomPatterns/2,
 		p.Seed, universe, p.BacktrackLimit, p.Engine, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Stage 4: strobe-granular simulation and the sparse ramp.
-	simRes, err := faultsim.RunStepsOpts(c, universe, patterns, p.Engine, opts)
+	// Stage 4: refine the cleanup's first detects to strobes, and the
+	// sparse ramp.
+	simRes, err := faultsim.StepsFrom(c, universe, patterns, res)
 	if err != nil {
 		return nil, err
 	}
 	ramp := faultsim.SparseRamp(simRes)
 	// Stage 5: bound the true whole-universe coverage.
-	detected := 0
-	for _, d := range simRes.FirstDetect {
-		if d != faultsim.NotDetected {
-			detected++
-		}
-	}
-	var ciLo, ciHi float64
+	ciLo, ciHi := simRes.Coverage(), simRes.Coverage()
 	if sampled {
-		ciLo, ciHi, err = dist.SampleCoverageCI(len(full), len(universe), detected, 0.95)
-		if err != nil {
+		if ciLo, ciHi, err = dist.SampleCoverageCI(len(full), len(universe), tally.Detected, 0.95); err != nil {
 			return nil, fmt.Errorf("circuits: coverage interval: %w", err)
 		}
-	} else {
-		ciLo = simRes.Coverage()
-		ciHi = ciLo
 	}
 	return &Prepared{
 		Circuit:        c,

@@ -65,7 +65,8 @@ func distance(a, b Syndrome) int {
 // Dictionary holds the precomputed response of every modelled fault.
 type Dictionary struct {
 	c         *netlist.Circuit
-	patterns  []logicsim.Pattern
+	npat      int
+	blocks    []logicsim.PatternBlock // the patterns, packed once
 	faults    []fault.Fault
 	syndromes []Syndrome
 }
@@ -91,32 +92,25 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern
 	if err != nil {
 		return nil, err
 	}
-	flat := cones.Flat()
-	sim := logicsim.NewFlatSim(flat)
-	d := &Dictionary{c: c, patterns: patterns, faults: faults,
+	blocks, err := logicsim.PackBlocks(patterns)
+	if err != nil {
+		return nil, err
+	}
+	sim := logicsim.NewFlatSim(cones.Flat())
+	d := &Dictionary{c: c, npat: len(patterns), blocks: blocks, faults: faults,
 		syndromes: make([]Syndrome, len(faults))}
 	for i := range d.syndromes {
 		d.syndromes[i] = make(Syndrome, len(patterns))
 	}
 	outDiffs := make([]uint64, len(c.Outputs))
 	var good []uint64
-	for base := 0; base < len(patterns); base += 64 {
-		end := min(base+64, len(patterns))
-		block, err := logicsim.PackPatterns(patterns[base:end])
-		if err != nil {
-			return nil, err
-		}
+	for bi, block := range blocks {
+		base := bi * 64
 		if good, err = sim.RunInto(block, good); err != nil {
 			return nil, err
 		}
 		for fi, f := range faults {
-			slot := flat.SlotOf(f.Gate)
-			cone := cones.ConeOfPtr(slot)
-			if f.Pin < 0 {
-				_, err = sim.RunCone(slot, f.Stuck, cone, outDiffs)
-			} else {
-				_, err = sim.RunConeForced(slot, f.Pin, f.Stuck, cone, outDiffs)
-			}
+			_, cone, err := sim.RunFault(cones, f.Gate, f.Pin, f.Stuck, outDiffs)
 			if err != nil {
 				return nil, err
 			}
@@ -147,16 +141,9 @@ func (d *Dictionary) ObserveChip(inj []logicsim.Injection) (Syndrome, error) {
 	if err != nil {
 		return nil, err
 	}
-	syn := make(Syndrome, len(d.patterns))
-	for base := 0; base < len(d.patterns); base += 64 {
-		end := base + 64
-		if end > len(d.patterns) {
-			end = len(d.patterns)
-		}
-		block, err := logicsim.PackPatterns(d.patterns[base:end])
-		if err != nil {
-			return nil, err
-		}
+	syn := make(Syndrome, d.npat)
+	for bi, block := range d.blocks {
+		base := bi * 64
 		mask := block.Mask()
 		good, err := sim.Run(block)
 		if err != nil {

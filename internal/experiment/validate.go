@@ -55,11 +55,9 @@ func ValidateRejectRate(c *netlist.Circuit, y, n0 float64, chips int, truncation
 		return RejectRateValidation{}, err
 	}
 	universe := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
-	patterns, err := atpg.ProductionTests(c, 96, 96, seed)
-	if err != nil {
-		return RejectRateValidation{}, err
-	}
-	res, err := faultsim.Run(c, universe, patterns, faultsim.PPSFP)
+	// The cleanup's grading session already holds the program's first
+	// detects over the universe.
+	patterns, _, res, err := atpg.ProductionTestsBudget(c, 96, 96, seed, universe, 0, faultsim.PPSFP, faultsim.Options{})
 	if err != nil {
 		return RejectRateValidation{}, err
 	}

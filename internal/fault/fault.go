@@ -6,7 +6,6 @@ package fault
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/netlist"
 )
@@ -94,10 +93,48 @@ func (d *dsu) find(x int) int {
 
 func (d *dsu) union(a, b int) { d.parent[d.find(a)] = d.find(b) }
 
-// faultKey indexes faults for the DSU.
-type faultKey struct {
-	gate, pin int
-	stuck     bool
+// faultIndex maps fault sites to list indices without a map: fault
+// (g, pin, stuck) owns slot off[g] + 2*(pin+1) + stuck of a dense
+// table. A site the circuit lacks (an out-of-range gate, or a pin below
+// -1 or past the gate's fanin) has no slot and is never found.
+type faultIndex struct {
+	off []int   // off[g+1]-off[g] = 2*(gate g's fanin + 1)
+	at  []int32 // slot -> index+1, 0 where none was set
+}
+
+func newFaultIndex(c *netlist.Circuit) faultIndex {
+	off := make([]int, len(c.Gates)+1)
+	for g, gate := range c.Gates {
+		off[g+1] = off[g] + 2*(len(gate.Fanin)+1)
+	}
+	return faultIndex{off: off, at: make([]int32, off[len(c.Gates)])}
+}
+
+// slot returns the table slot of fault (gate, pin, stuck), or -1.
+func (x faultIndex) slot(gate, pin int, stuck bool) int {
+	if gate < 0 || gate+1 >= len(x.off) || pin < -1 || pin >= (x.off[gate+1]-x.off[gate])/2-1 {
+		return -1
+	}
+	if stuck {
+		return x.off[gate] + 2*(pin+1) + 1
+	}
+	return x.off[gate] + 2*(pin+1)
+}
+
+// set records index i for fault f; a later set of the same fault wins.
+func (x faultIndex) set(f Fault, i int) {
+	if s := x.slot(f.Gate, f.Pin, f.Stuck); s >= 0 {
+		x.at[s] = int32(i + 1)
+	}
+}
+
+// get returns the index recorded for fault (gate, pin, stuck).
+func (x faultIndex) get(gate, pin int, stuck bool) (int, bool) {
+	s := x.slot(gate, pin, stuck)
+	if s < 0 || x.at[s] == 0 {
+		return 0, false
+	}
+	return int(x.at[s]) - 1, true
 }
 
 // CollapseEquivalence partitions the full fault universe into
@@ -114,17 +151,23 @@ type faultKey struct {
 //     BUF:  input s-a-v ≡ output s-a-v
 //     NOT:  input s-a-v ≡ output s-a-(1-v)
 //
-// XOR/XNOR gates admit no structural equivalence.
+// XOR/XNOR gates admit no structural equivalence. Members keep list
+// order. A fault listed twice unions at its last index; one naming a
+// site the circuit lacks stays a class of its own.
 func CollapseEquivalence(c *netlist.Circuit, faults []Fault) []Class {
-	index := make(map[faultKey]int, len(faults))
+	index := newFaultIndex(c)
 	for i, f := range faults {
-		index[faultKey{f.Gate, f.Pin, f.Stuck}] = i
-	}
-	lookup := func(gate, pin int, stuck bool) (int, bool) {
-		i, ok := index[faultKey{gate, pin, stuck}]
-		return i, ok
+		index.set(f, i)
 	}
 	d := newDSU(len(faults))
+	// union joins the classes of two faults when both are listed.
+	union := func(ga, pa int, sa bool, gb, pb int, sb bool) {
+		a, okA := index.get(ga, pa, sa)
+		b, okB := index.get(gb, pb, sb)
+		if okA && okB {
+			d.union(a, b)
+		}
+	}
 	for _, g := range c.Gates {
 		// Rule 1: single-fanout stem ≡ branch.
 		if len(g.Fanout) == 1 {
@@ -134,11 +177,7 @@ func CollapseEquivalence(c *netlist.Circuit, faults []Fault) []Class {
 					continue
 				}
 				for _, stuck := range []bool{false, true} {
-					a, okA := lookup(g.ID, -1, stuck)
-					b, okB := lookup(recv, pin, stuck)
-					if okA && okB {
-						d.union(a, b)
-					}
+					union(g.ID, -1, stuck, recv, pin, stuck)
 				}
 			}
 		}
@@ -156,53 +195,44 @@ func CollapseEquivalence(c *netlist.Circuit, faults []Fault) []Class {
 			inStuck, outStuck, applies = true, false, true
 		}
 		if applies {
-			out, okOut := lookup(g.ID, -1, outStuck)
-			if okOut {
-				for pin := range g.Fanin {
-					if in, ok := lookup(g.ID, pin, inStuck); ok {
-						d.union(in, out)
-					}
-				}
+			for pin := range g.Fanin {
+				union(g.ID, pin, inStuck, g.ID, -1, outStuck)
 			}
 		}
 		if g.Type == netlist.Buf || g.Type == netlist.Not {
 			inv := g.Type == netlist.Not
 			for _, stuck := range []bool{false, true} {
-				in, okIn := lookup(g.ID, 0, stuck)
-				out, okOut := lookup(g.ID, -1, stuck != inv)
-				if okIn && okOut {
-					d.union(in, out)
-				}
+				union(g.ID, 0, stuck, g.ID, -1, stuck != inv)
 			}
 		}
 	}
-	// Gather classes; representative = the stem fault closest to the
-	// inputs (lowest gate ID with Pin = -1), else the lowest-indexed
-	// member. Deterministic by construction.
-	groups := make(map[int][]int)
+	// Bucket by root with a counting pass into one member array. A root
+	// is its own parent, so an ascending scan numbers classes by root.
+	classOf := make([]int, len(faults))
+	var sizes []int
 	for i := range faults {
-		r := d.find(i)
-		groups[r] = append(groups[r], i)
-	}
-	roots := make([]int, 0, len(groups))
-	for r := range groups {
-		roots = append(roots, r)
-	}
-	sort.Ints(roots)
-	classes := make([]Class, 0, len(groups))
-	for _, r := range roots {
-		idxs := groups[r]
-		sort.Ints(idxs)
-		cl := Class{Members: make([]Fault, len(idxs))}
-		repIdx := idxs[0]
-		for j, i := range idxs {
-			cl.Members[j] = faults[i]
-			if faults[i].Pin < 0 && (faults[repIdx].Pin >= 0 || faults[i].Gate < faults[repIdx].Gate) {
-				repIdx = i
-			}
+		if d.find(i) == i {
+			classOf[i] = len(sizes)
+			sizes = append(sizes, 0)
 		}
-		cl.Rep = faults[repIdx]
-		classes = append(classes, cl)
+	}
+	for i := range faults {
+		classOf[i] = classOf[d.find(i)]
+		sizes[classOf[i]]++
+	}
+	classes := make([]Class, len(sizes))
+	members := make([]Fault, len(faults))
+	for ci, k := range sizes {
+		classes[ci].Members, members = members[:0:k], members[k:]
+	}
+	// Representative = the stem fault closest to the inputs (lowest gate
+	// ID with Pin = -1), else the lowest-indexed member.
+	for i, f := range faults {
+		cl := &classes[classOf[i]]
+		if len(cl.Members) == 0 || f.Pin < 0 && (cl.Rep.Pin >= 0 || f.Gate < cl.Rep.Gate) {
+			cl.Rep = f
+		}
+		cl.Members = append(cl.Members, f)
 	}
 	return classes
 }
@@ -223,15 +253,15 @@ func CollapseEquivalence(c *netlist.Circuit, faults []Fault) []Class {
 // never dropped (dominance holds, but keeping them preserves the
 // convention that PO faults stay explicit in reports).
 func CollapseDominance(c *netlist.Circuit, classes []Class) []Class {
-	poStem := make(map[int]bool)
+	poStem := make([]bool, len(c.Gates))
 	for _, o := range c.Outputs {
 		poStem[o] = true
 	}
 	// Map each fault to its class index.
-	where := make(map[faultKey]int)
+	where := newFaultIndex(c)
 	for ci, cl := range classes {
 		for _, f := range cl.Members {
-			where[faultKey{f.Gate, f.Pin, f.Stuck}] = ci
+			where.set(f, ci)
 		}
 	}
 	dropped := make([]bool, len(classes))
@@ -252,14 +282,14 @@ func CollapseDominance(c *netlist.Circuit, classes []Class) []Class {
 		if len(g.Fanin) < 2 {
 			continue
 		}
-		outCi, ok := where[faultKey{g.ID, -1, outStuck}]
+		outCi, ok := where.get(g.ID, -1, outStuck)
 		if !ok {
 			continue
 		}
 		// The dominating input faults must survive in other classes.
 		dominatorExists := false
 		for pin := range g.Fanin {
-			if ci, ok := where[faultKey{g.ID, pin, inStuck}]; ok && ci != outCi && !dropped[ci] {
+			if ci, ok := where.get(g.ID, pin, inStuck); ok && ci != outCi && !dropped[ci] {
 				dominatorExists = true
 				break
 			}
@@ -270,7 +300,7 @@ func CollapseDominance(c *netlist.Circuit, classes []Class) []Class {
 		// Never drop a class that contains a primary-output stem fault.
 		containsPO := false
 		for _, f := range classes[outCi].Members {
-			if f.Pin < 0 && poStem[f.Gate] {
+			if f.Pin < 0 && f.Gate >= 0 && f.Gate < len(poStem) && poStem[f.Gate] {
 				containsPO = true
 				break
 			}

@@ -1,6 +1,13 @@
 package fault
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"os"
+	"reflect"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -247,5 +254,274 @@ func BenchmarkBuildUniverse(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		BuildUniverse(c)
+	}
+}
+
+// collapseEquivalenceReference and collapseDominanceReference are the
+// map-keyed collapsing CollapseEquivalence and CollapseDominance
+// replaced, kept as their test oracle.
+
+// faultKey indexes faults for the DSU.
+type faultKey struct {
+	gate, pin int
+	stuck     bool
+}
+
+// collapseEquivalenceReference partitions the full fault universe into
+// equivalence classes using the structural rules:
+//
+//  1. A single-fanout net has one line: the driver's output fault is
+//     equivalent to the (sole) receiver's input-pin fault of the same
+//     value.
+//  2. Controlling-value collapse inside gates:
+//     AND:  any input s-a-0 ≡ output s-a-0
+//     NAND: any input s-a-0 ≡ output s-a-1
+//     OR:   any input s-a-1 ≡ output s-a-1
+//     NOR:  any input s-a-1 ≡ output s-a-0
+//     BUF:  input s-a-v ≡ output s-a-v
+//     NOT:  input s-a-v ≡ output s-a-(1-v)
+//
+// XOR/XNOR gates admit no structural equivalence.
+func collapseEquivalenceReference(c *netlist.Circuit, faults []Fault) []Class {
+	index := make(map[faultKey]int, len(faults))
+	for i, f := range faults {
+		index[faultKey{f.Gate, f.Pin, f.Stuck}] = i
+	}
+	lookup := func(gate, pin int, stuck bool) (int, bool) {
+		i, ok := index[faultKey{gate, pin, stuck}]
+		return i, ok
+	}
+	d := newDSU(len(faults))
+	for _, g := range c.Gates {
+		// Rule 1: single-fanout stem ≡ branch.
+		if len(g.Fanout) == 1 {
+			recv := g.Fanout[0]
+			for pin, fin := range c.Gates[recv].Fanin {
+				if fin != g.ID {
+					continue
+				}
+				for _, stuck := range []bool{false, true} {
+					a, okA := lookup(g.ID, -1, stuck)
+					b, okB := lookup(recv, pin, stuck)
+					if okA && okB {
+						d.union(a, b)
+					}
+				}
+			}
+		}
+		// Rule 2: controlling-value collapse.
+		var inStuck, outStuck bool
+		var applies bool
+		switch g.Type {
+		case netlist.And:
+			inStuck, outStuck, applies = false, false, true
+		case netlist.Nand:
+			inStuck, outStuck, applies = false, true, true
+		case netlist.Or:
+			inStuck, outStuck, applies = true, true, true
+		case netlist.Nor:
+			inStuck, outStuck, applies = true, false, true
+		}
+		if applies {
+			out, okOut := lookup(g.ID, -1, outStuck)
+			if okOut {
+				for pin := range g.Fanin {
+					if in, ok := lookup(g.ID, pin, inStuck); ok {
+						d.union(in, out)
+					}
+				}
+			}
+		}
+		if g.Type == netlist.Buf || g.Type == netlist.Not {
+			inv := g.Type == netlist.Not
+			for _, stuck := range []bool{false, true} {
+				in, okIn := lookup(g.ID, 0, stuck)
+				out, okOut := lookup(g.ID, -1, stuck != inv)
+				if okIn && okOut {
+					d.union(in, out)
+				}
+			}
+		}
+	}
+	// Gather classes; representative = the stem fault closest to the
+	// inputs (lowest gate ID with Pin = -1), else the lowest-indexed
+	// member. Deterministic by construction.
+	groups := make(map[int][]int)
+	for i := range faults {
+		r := d.find(i)
+		groups[r] = append(groups[r], i)
+	}
+	roots := make([]int, 0, len(groups))
+	for r := range groups {
+		roots = append(roots, r)
+	}
+	sort.Ints(roots)
+	classes := make([]Class, 0, len(groups))
+	for _, r := range roots {
+		idxs := groups[r]
+		sort.Ints(idxs)
+		cl := Class{Members: make([]Fault, len(idxs))}
+		repIdx := idxs[0]
+		for j, i := range idxs {
+			cl.Members[j] = faults[i]
+			if faults[i].Pin < 0 && (faults[repIdx].Pin >= 0 || faults[i].Gate < faults[repIdx].Gate) {
+				repIdx = i
+			}
+		}
+		cl.Rep = faults[repIdx]
+		classes = append(classes, cl)
+	}
+	return classes
+}
+
+// collapseDominanceReference removes classes that are dominated by a kept class:
+// for a gate with a controlling input value, the output fault at the
+// non-controlled value is detected by every test for any input fault at
+// the controlling-complement value, so the output fault class can be
+// dropped. Rules (value on the right is the dropped output fault):
+//
+//	AND:  output s-a-1 dominated by any input s-a-1
+//	NAND: output s-a-0 dominated by any input s-a-1
+//	OR:   output s-a-0 dominated by any input s-a-0
+//	NOR:  output s-a-1 dominated by any input s-a-0
+//
+// Gates with a single input pin (BUF/NOT) are fully handled by
+// equivalence. Classes containing any primary-output stem fault are
+// never dropped (dominance holds, but keeping them preserves the
+// convention that PO faults stay explicit in reports).
+func collapseDominanceReference(c *netlist.Circuit, classes []Class) []Class {
+	poStem := make(map[int]bool)
+	for _, o := range c.Outputs {
+		poStem[o] = true
+	}
+	// Map each fault to its class index.
+	where := make(map[faultKey]int)
+	for ci, cl := range classes {
+		for _, f := range cl.Members {
+			where[faultKey{f.Gate, f.Pin, f.Stuck}] = ci
+		}
+	}
+	dropped := make([]bool, len(classes))
+	for _, g := range c.Gates {
+		var inStuck, outStuck bool
+		switch g.Type {
+		case netlist.And:
+			inStuck, outStuck = true, true
+		case netlist.Nand:
+			inStuck, outStuck = true, false
+		case netlist.Or:
+			inStuck, outStuck = false, false
+		case netlist.Nor:
+			inStuck, outStuck = false, true
+		default:
+			continue
+		}
+		if len(g.Fanin) < 2 {
+			continue
+		}
+		outCi, ok := where[faultKey{g.ID, -1, outStuck}]
+		if !ok {
+			continue
+		}
+		// The dominating input faults must survive in other classes.
+		dominatorExists := false
+		for pin := range g.Fanin {
+			if ci, ok := where[faultKey{g.ID, pin, inStuck}]; ok && ci != outCi && !dropped[ci] {
+				dominatorExists = true
+				break
+			}
+		}
+		if !dominatorExists {
+			continue
+		}
+		// Never drop a class that contains a primary-output stem fault.
+		containsPO := false
+		for _, f := range classes[outCi].Members {
+			if f.Pin < 0 && poStem[f.Gate] {
+				containsPO = true
+				break
+			}
+		}
+		if !containsPO {
+			dropped[outCi] = true
+		}
+	}
+	kept := make([]Class, 0, len(classes))
+	for i, cl := range classes {
+		if !dropped[i] {
+			kept = append(kept, cl)
+		}
+	}
+	return kept
+}
+
+// TestCollapseMatchesReference pins the dense-index collapsing to the
+// map-keyed oracle: equal classes, members and representatives, before
+// and after dominance, for the full universe, a shuffled and a subset
+// list, one holding duplicates, and one holding faults at sites the
+// circuit lacks.
+func TestCollapseMatchesReference(t *testing.T) {
+	mul8, err := netlist.ArrayMultiplier(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := []*netlist.Circuit{netlist.C17(), mul8}
+	for seed := int64(1); seed <= 3; seed++ {
+		c, err := netlist.RandomCircuit(fmt.Sprintf("rand%d", seed), 10, 120, 5, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cs = append(cs, c)
+	}
+	fh, err := os.Open("../circuits/fixtures/lsi1k.bench")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	lsi, err := netlist.ParseBench("lsi1k", fh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs = append(cs, lsi)
+	rng := rand.New(rand.NewSource(9))
+	for _, c := range cs {
+		all := AllFaults(c)
+		shuffled := slices.Clone(all)
+		rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+		var subset, dups []Fault
+		for _, f := range shuffled {
+			if rng.Intn(3) != 0 {
+				subset = append(subset, f)
+			}
+			dups = append(dups, f)
+			if rng.Intn(5) == 0 {
+				dups = append(dups, all[rng.Intn(len(all))])
+			}
+		}
+		odd := slices.Clone(subset)
+		for _, f := range []Fault{
+			{Gate: len(c.Gates) + 3, Pin: -1},
+			{Gate: -1, Pin: -1, Stuck: true},
+			{Gate: c.Outputs[0], Pin: -2},
+			{Gate: c.Outputs[0], Pin: len(c.Gates[c.Outputs[0]].Fanin)},
+			{Gate: c.Outputs[0], Pin: math.MaxInt},
+		} {
+			odd = slices.Insert(odd, rng.Intn(len(odd)+1), f)
+		}
+		for _, tc := range []struct {
+			name   string
+			faults []Fault
+		}{{"full", all}, {"shuffled", shuffled}, {"subset", subset}, {"duplicates", dups}, {"out-of-range", odd}} {
+			got := CollapseEquivalence(c, tc.faults)
+			want := collapseEquivalenceReference(c, tc.faults)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s %s: %d equivalence classes, reference %d, or members or reps differ",
+					c.Name, tc.name, len(got), len(want))
+			}
+			if gotDom, wantDom := CollapseDominance(c, got), collapseDominanceReference(c, want); !reflect.DeepEqual(gotDom, wantDom) {
+				t.Fatalf("%s %s: %d classes after dominance, reference %d, or members or reps differ",
+					c.Name, tc.name, len(gotDom), len(wantDom))
+			}
+		}
 	}
 }

@@ -3,9 +3,12 @@
 // single-fault propagation with fault dropping, 64 patterns per word
 // on the flat core (logicsim.Flat), each faulty pass restricted to the
 // fault's slot cone (logicsim.FlatSim over a FlatConeSet) with an
-// activation early exit. One block×fault loop runs it over a shard of
-// the fault list; Options.Workers shards the list across goroutines,
-// and the default runs one shard inline. Nothing selects an engine: the
+// activation early exit. It has one session and one run loop: a Grader
+// grades a program incrementally, each Add the next patterns against
+// the faults still undetected, and Run/RunOpts are a Grader and one
+// Add. Options.Workers shards the fault list across goroutines, and
+// the default runs one shard inline. StepsFrom refines a pattern-level
+// result to tester-strobe granularity. Nothing selects an engine: the
 // engine argument of Run/RunOpts must be PPSFP, the zero value.
 //
 // The tests pin every result to an independent oracle: a one-fault-at-
@@ -94,7 +97,8 @@ func Run(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, 
 	return RunOpts(c, faults, patterns, engine, Options{})
 }
 
-// RunOpts is Run with explicit engine options.
+// RunOpts is Run with explicit engine options: a Grader over the fault
+// list and one Add of the whole pattern sequence.
 func RunOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, engine Engine, opt Options) (Result, error) {
 	if len(patterns) == 0 {
 		return Result{}, fmt.Errorf("faultsim: no patterns")
@@ -102,67 +106,25 @@ func RunOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Patte
 	if !engine.Known() {
 		return Result{}, fmt.Errorf("faultsim: unknown engine %v (registered: %v)", engine, PPSFP)
 	}
-	if opt.Workers < 0 {
-		return Result{}, fmt.Errorf("faultsim: shard count must be >= 0, got %d", opt.Workers)
-	}
-	s, err := newSession(c, faults, patterns)
+	g, err := NewGrader(c, faults, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	if err := s.run(opt.Workers); err != nil {
+	if _, err := g.Add(patterns); err != nil {
 		return Result{}, err
 	}
-	return Result{FirstDetect: s.first, Patterns: len(patterns)}, nil
+	return g.Result(), nil
 }
 
-// session carries the state of one run: the circuit, the fault list,
-// the patterns, and the first-detect array the shards fill in.
-type session struct {
-	c        *netlist.Circuit
-	faults   []fault.Fault
-	patterns []logicsim.Pattern
-	first    []int
-}
-
-func newSession(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern) (*session, error) {
+// validateFaults rejects a fault whose site or pin the circuit lacks.
+func validateFaults(c *netlist.Circuit, faults []fault.Fault) error {
 	for i, f := range faults {
 		if f.Gate < 0 || f.Gate >= len(c.Gates) {
-			return nil, fmt.Errorf("faultsim: fault %d site %d out of range", i, f.Gate)
+			return fmt.Errorf("faultsim: fault %d site %d out of range", i, f.Gate)
 		}
 		if f.Pin < -1 || f.Pin >= len(c.Gates[f.Gate].Fanin) {
-			return nil, fmt.Errorf("faultsim: fault %d: gate %d has no pin %d", i, f.Gate, f.Pin)
+			return fmt.Errorf("faultsim: fault %d: gate %d has no pin %d", i, f.Gate, f.Pin)
 		}
 	}
-	first := make([]int, len(faults))
-	for i := range first {
-		first[i] = NotDetected
-	}
-	return &session{c: c, faults: faults, patterns: patterns, first: first}, nil
+	return nil
 }
-
-// packBlocks packs the pattern sequence into 64-wide blocks: bit p of
-// block bi is pattern bi*64+p.
-func (s *session) packBlocks() ([]logicsim.PatternBlock, error) {
-	var blocks []logicsim.PatternBlock
-	for base := 0; base < len(s.patterns); base += 64 {
-		pat, err := logicsim.PackPatterns(s.patterns[base:min(base+64, len(s.patterns))])
-		if err != nil {
-			return nil, err
-		}
-		blocks = append(blocks, pat)
-	}
-	return blocks, nil
-}
-
-// detect records that fault fi is detected by pattern p, keeping the
-// earliest index. Not safe for concurrent use on the same fault index;
-// a sharded run partitions the fault list so each index has one writer.
-func (s *session) detect(fi, p int) {
-	if s.first[fi] == NotDetected || p < s.first[fi] {
-		s.first[fi] = p
-	}
-}
-
-// alive reports whether fault fi is still undetected (the fault-
-// dropping predicate).
-func (s *session) alive(fi int) bool { return s.first[fi] == NotDetected }

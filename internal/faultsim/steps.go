@@ -17,11 +17,10 @@ import (
 //
 // The first failing strobe factors: its pattern is the fault's ordinary
 // first-detect pattern, and its output is the lowest-indexed output the
-// fault flips on that pattern. So RunSteps runs the pattern-level
-// engine first and then refines each detected fault with a single
-// cone-restricted re-simulation of its detecting pattern — strobe
-// granularity costs one extra cone pass per detected fault instead of a
-// dedicated engine.
+// fault flips on that pattern. So StepsFrom refines a pattern-level
+// result with one cone-restricted re-simulation of each detected
+// fault's first-detect pattern — strobe granularity costs one extra
+// cone pass per detected fault instead of a dedicated engine.
 
 // RunSteps fault-simulates the ordered patterns with per-strobe
 // granularity using the default engine. The returned Result counts
@@ -37,17 +36,40 @@ func RunStepsOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.
 	if err != nil {
 		return Result{}, err
 	}
+	return StepsFrom(c, faults, patterns, res)
+}
+
+// StepsFrom refines res, the pattern-level result of the patterns
+// against the fault list, to the step-counting Result RunSteps returns.
+// A first detect the re-simulation does not confirm (the fault is not
+// detected there, or earlier) fails the refinement, which thereby
+// cross-checks whoever computed res.
+func StepsFrom(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, res Result) (Result, error) {
+	if len(res.FirstDetect) != len(faults) || res.Patterns != len(patterns) {
+		return Result{}, fmt.Errorf("faultsim: result covers %d faults and %d patterns, not %d and %d",
+			len(res.FirstDetect), res.Patterns, len(faults), len(patterns))
+	}
+	if err := validateFaults(c, faults); err != nil {
+		return Result{}, err
+	}
+	blocks, err := logicsim.PackBlocks(patterns)
+	if err != nil {
+		return Result{}, err
+	}
+	// Bucket the detected faults by first-detect block: one good-machine
+	// run serves each block, and the error a run reports is deterministic.
 	nOut := len(c.Outputs)
-	// Bucket the detected faults by first-detect pattern so refinement
-	// visits patterns in ascending order: the run is deterministic down
-	// to which fault an inconsistency error names.
 	first := make([]int, len(faults))
-	byPattern := make([][]int, len(patterns))
+	byBlock := make([][]int, len(blocks))
 	for fi, p := range res.FirstDetect {
 		first[fi] = NotDetected
-		if p != NotDetected {
-			byPattern[p] = append(byPattern[p], fi)
+		if p == NotDetected {
+			continue
 		}
+		if p < 0 || p >= len(patterns) {
+			return Result{}, fmt.Errorf("faultsim: fault %d first-detect pattern %d out of range", fi, p)
+		}
+		byBlock[p/64] = append(byBlock[p/64], fi)
 	}
 	// The slot cones are cached on the circuit; ATPG grading has
 	// usually compiled these faults' cones already.
@@ -55,42 +77,32 @@ func RunStepsOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.
 	if err != nil {
 		return Result{}, err
 	}
-	flat := cones.Flat()
-	fsim := logicsim.NewFlatSim(flat)
+	fsim := logicsim.NewFlatSim(cones.Flat())
 	outDiffs := make([]uint64, nOut)
 	var good []uint64
-	for p, fis := range byPattern {
+	for bi, fis := range byBlock {
 		if len(fis) == 0 {
 			continue
 		}
-		blk, err := logicsim.PackPatterns(patterns[p : p+1])
-		if err != nil {
-			return Result{}, err
-		}
-		if good, err = fsim.RunInto(blk, good); err != nil {
+		if good, err = fsim.RunInto(blocks[bi], good); err != nil {
 			return Result{}, err
 		}
 		for _, fi := range fis {
-			f := faults[fi]
-			slot := flat.SlotOf(f.Gate)
-			cone := cones.ConeOfPtr(slot)
-			var diff uint64
-			if f.Pin < 0 {
-				diff, err = fsim.RunCone(slot, f.Stuck, cone, outDiffs)
-			} else {
-				diff, err = fsim.RunConeForced(slot, f.Pin, f.Stuck, cone, outDiffs)
-			}
+			f, p := faults[fi], res.FirstDetect[fi]
+			diff, cone, err := fsim.RunFault(cones, f.Gate, f.Pin, f.Stuck, outDiffs)
 			if err != nil {
 				return Result{}, err
 			}
-			if diff == 0 {
-				return Result{}, fmt.Errorf("faultsim: %v engine detected fault %d at pattern %d but re-simulation does not", engine, fi, p)
+			// Pattern p's bit must be the lowest one set.
+			bit := uint64(1) << (p % 64)
+			if diff&(bit<<1-1) != bit {
+				return Result{}, fmt.Errorf("faultsim: fault %d detected first at pattern %d but re-simulation does not", fi, p)
 			}
 			// cone.Outputs ascends, and the walk writes outDiffs only
 			// there, so the first differing entry is the first strobed
 			// output the fault flips.
 			for _, oi := range cone.Outputs {
-				if outDiffs[oi]&1 != 0 {
+				if outDiffs[oi]&bit != 0 {
 					first[fi] = p*nOut + int(oi)
 					break
 				}

@@ -45,13 +45,9 @@ func wideGateCircuit(t testing.TB, seed int64, inputs, gates int) *netlist.Circu
 // packBlocks packs patterns into consecutive 64-pattern blocks.
 func packBlocks(t testing.TB, patterns []Pattern) []PatternBlock {
 	t.Helper()
-	var blocks []PatternBlock
-	for lo := 0; lo < len(patterns); lo += 64 {
-		block, err := PackPatterns(patterns[lo:min(lo+64, len(patterns))])
-		if err != nil {
-			t.Fatal(err)
-		}
-		blocks = append(blocks, block)
+	blocks, err := PackBlocks(patterns)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return blocks
 }

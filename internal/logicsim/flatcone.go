@@ -302,6 +302,23 @@ func (s *FlatSim) RunConeForced(slot, pin int, stuck bool, cone *FlatCone, outDi
 	return s.coneWalk(s.evalForcedPin(slot, pin, stuckWord), cone, outDiffs), nil
 }
 
+// RunFault is RunCone for a stuck-at fault on the gate's output (pin
+// < 0) and RunConeForced for one on its input pin, over the gate's cone
+// from the set, which it also returns: the cone's Outputs are the only
+// ones the fault can flip.
+//
+//repolint:hotpath
+func (s *FlatSim) RunFault(cones *FlatConeSet, gate, pin int, stuck bool, outDiffs []uint64) (uint64, *FlatCone, error) {
+	slot := s.f.SlotOf(gate)
+	cone := cones.ConeOfPtr(slot)
+	if pin < 0 {
+		diff, err := s.RunCone(slot, stuck, cone, outDiffs)
+		return diff, cone, err
+	}
+	diff, err := s.RunConeForced(slot, pin, stuck, cone, outDiffs)
+	return diff, cone, err
+}
+
 // checkCone validates the cone-walk preconditions shared by RunCone and
 // RunConeForced.
 //

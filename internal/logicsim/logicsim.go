@@ -64,6 +64,20 @@ func PackPatterns(patterns []Pattern) (PatternBlock, error) {
 	return PatternBlock{Inputs: words, Count: len(patterns)}, nil
 }
 
+// PackBlocks packs an ordered pattern sequence into 64-pattern blocks:
+// bit p of block bi is pattern bi*64+p. No patterns pack to no blocks.
+func PackBlocks(patterns []Pattern) ([]PatternBlock, error) {
+	blocks := make([]PatternBlock, 0, (len(patterns)+63)/64)
+	for base := 0; base < len(patterns); base += 64 {
+		block, err := PackPatterns(patterns[base:min(base+64, len(patterns))])
+		if err != nil {
+			return nil, err
+		}
+		blocks = append(blocks, block)
+	}
+	return blocks, nil
+}
+
 // Mask returns the valid-pattern mask of the block. Count is assumed
 // valid (1..64, as PackPatterns produces); the Run entry points reject
 // anything else before Mask is consulted, because a negative Count

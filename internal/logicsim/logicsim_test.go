@@ -80,6 +80,38 @@ func TestPackPatternsErrors(t *testing.T) {
 	}
 }
 
+// TestPackBlocks: 130 patterns pack to two full blocks and a
+// two-pattern tail, bit p of block bi being pattern bi*64+p; no
+// patterns pack to no blocks, and a ragged width fails.
+func TestPackBlocks(t *testing.T) {
+	patterns := make([]Pattern, 130)
+	for i := range patterns {
+		patterns[i] = Pattern{i%3 == 0, i%5 == 0}
+	}
+	blocks, err := PackBlocks(patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blocks) != 3 || blocks[0].Count != 64 || blocks[1].Count != 64 || blocks[2].Count != 2 {
+		t.Fatalf("%d blocks, want counts 64, 64, 2", len(blocks))
+	}
+	for i, p := range patterns {
+		b := blocks[i/64]
+		for in, v := range p {
+			if got := b.Inputs[in]>>uint(i%64)&1 == 1; got != v {
+				t.Fatalf("pattern %d input %d: packed %v, want %v", i, in, got, v)
+			}
+		}
+	}
+	if blocks, err := PackBlocks(nil); err != nil || len(blocks) != 0 {
+		t.Errorf("no patterns: %d blocks, error %v", len(blocks), err)
+	}
+	patterns[100] = Pattern{true}
+	if _, err := PackBlocks(patterns); err == nil {
+		t.Error("a ragged width in a later block should error")
+	}
+}
+
 func TestMaskFull(t *testing.T) {
 	b := PatternBlock{Count: 64}
 	if b.Mask() != ^uint64(0) {

@@ -67,19 +67,11 @@ func New(c *netlist.Circuit, patterns []logicsim.Pattern) (*ATE, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := &ATE{c: c, patterns: patterns, flat: flat}
-	for base := 0; base < len(patterns); base += 64 {
-		end := base + 64
-		if end > len(patterns) {
-			end = len(patterns)
-		}
-		block, err := logicsim.PackPatterns(patterns[base:end])
-		if err != nil {
-			return nil, err
-		}
-		a.blocks = append(a.blocks, block)
+	blocks, err := logicsim.PackBlocks(patterns)
+	if err != nil {
+		return nil, err
 	}
-	return a, nil
+	return &ATE{c: c, patterns: patterns, blocks: blocks, flat: flat}, nil
 }
 
 // Patterns returns the number of patterns the ATE applies.
