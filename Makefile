@@ -72,9 +72,11 @@ bench-compare:
 
 # Golden guard: the paper-number fixtures (sweep CSV, dist sample
 # sequences, Prepared-store file digests) must stay byte-identical
-# across engine ports. CI fails the build if an engine drifts them.
+# across engine ports, and the tester's single-fault first-detect table
+# must agree with simulating the chip. CI fails the build if an engine
+# drifts them.
 golden:
-	$(GO) test -run 'Golden' ./internal/sweep/ ./internal/dist/ ./internal/circuits/
+	$(GO) test -run 'Golden|FirstDetectTable' ./internal/sweep/ ./internal/dist/ ./internal/circuits/ ./internal/tester/
 
 # Race-detect the whole module (-short skips the multi-second
 # Monte-Carlo runs and the full-module lint sweep): the hand-picked

@@ -1,8 +1,9 @@
 // test-grading drives the full substrate: synthesize a circuit, build
-// an ordered production test program (bring-up + random + PODEM),
-// fault-simulate its coverage ramp, and translate the achieved
-// coverage into shipped quality for a given process — the complete
-// workflow a test engineer runs before releasing a test program.
+// an ordered production test program (bring-up + random + PODEM), take
+// its coverage ramp from the generator's own fault grading, and
+// translate the achieved coverage into shipped quality for a given
+// process — the complete workflow a test engineer runs before
+// releasing a test program.
 package main
 
 import (
@@ -33,16 +34,15 @@ func main() {
 	fmt.Printf("faults: %d total -> %d collapsed -> %d after dominance\n",
 		len(u.All), len(u.Collapsed), len(u.Checkable))
 
-	// Production test program.
-	patterns, err := atpg.ProductionTests(c, 64, 64, 42)
-	if err != nil {
-		log.Fatal(err)
-	}
+	// Production test program. The generator grades the program over
+	// the collapsed faults as it builds it, so its result is the
+	// coverage ramp: no second fault simulation.
 	reps := fault.Reps(u.Collapsed)
-	curve, res, err := faultsim.CoverageCurve(c, reps, patterns)
+	patterns, _, res, err := atpg.ProductionTestsBudget(c, 64, 64, 42, reps, 0, faultsim.PPSFP, faultsim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
+	curve := faultsim.CurveFromResult(res)
 	fmt.Printf("test program: %d patterns, final coverage %.4f\n",
 		len(patterns), res.Coverage())
 	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {

@@ -221,8 +221,18 @@ func (pr *Prepared) FinalCoverage() float64 { return pr.Result.Coverage() }
 func (pr *Prepared) FaultCount() int { return len(pr.Universe) }
 
 // NewATE builds a tester over the shared pattern set; it simulates the
-// good machine on its first lot. One ATE serves any number of
-// sequential calls; concurrent consumers clone one each.
+// good machine on its first lot. It installs Result as the ATE's
+// single-fault first-fail table for Universe (tester.UseFirstDetects),
+// so one-fault chips of lots over Universe skip simulation. One ATE
+// serves any number of sequential calls; concurrent consumers clone one
+// each.
 func (pr *Prepared) NewATE() (*tester.ATE, error) {
-	return tester.New(pr.Circuit, pr.Patterns)
+	ate, err := tester.New(pr.Circuit, pr.Patterns)
+	if err != nil {
+		return nil, err
+	}
+	if err := ate.UseFirstDetects(pr.Universe, pr.Result); err != nil {
+		return nil, err
+	}
+	return ate, nil
 }

@@ -1,6 +1,9 @@
 package faultsim
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // Ramp is the cumulative coverage ramp in change-point form: Points
 // holds one CoveragePoint per step at which the detected count grows,
@@ -23,30 +26,34 @@ type Ramp struct {
 
 // SparseRamp compresses a fault-simulation result to change-point form.
 // It is the sparse counterpart of CurveFromResult: for every step s,
-// SparseRamp(res).At(s) equals CurveFromResult(res)[s].
+// SparseRamp(res).At(s) equals CurveFromResult(res)[s]. The detected
+// first-detect steps are sorted, and each run of equal steps becomes one
+// change point whose Detected is the run's end.
 func SparseRamp(res Result) Ramp {
-	perStep := make(map[int]int)
+	steps := make([]int, 0, len(res.FirstDetect))
 	for _, d := range res.FirstDetect {
 		if d != NotDetected {
-			perStep[d]++
+			steps = append(steps, d)
 		}
 	}
-	steps := make([]int, 0, len(perStep))
-	//repolint:ordered — sorted ascending below before use
-	for s := range perStep {
-		steps = append(steps, s)
+	slices.Sort(steps)
+	runs := 0
+	for i, s := range steps {
+		if i == 0 || s != steps[i-1] {
+			runs++
+		}
 	}
-	sort.Ints(steps)
-	points := make([]CoveragePoint, len(steps))
-	cum := 0
+	points := make([]CoveragePoint, 0, runs)
 	total := len(res.FirstDetect)
 	for i, s := range steps {
-		cum += perStep[s]
-		points[i] = CoveragePoint{
-			Pattern:  s,
-			Detected: cum,
-			Coverage: float64(cum) / float64(total),
+		if i+1 < len(steps) && steps[i+1] == s {
+			continue
 		}
+		points = append(points, CoveragePoint{
+			Pattern:  s,
+			Detected: i + 1,
+			Coverage: float64(i+1) / float64(total),
+		})
 	}
 	return Ramp{Points: points, Steps: res.Patterns}
 }

@@ -11,9 +11,9 @@
 //   - the pointer-walking oracle (Simulator): a 64-way bit-parallel
 //     levelized walk over the netlist's gate structs, with single- and
 //     multi-fault injection. It shares no code with the flat core, so
-//     it is the independent reference: the fault-simulation and ATPG
-//     tests check against it, and the tester's serial lot engine and
-//     fault diagnosis run on it;
+//     it is the independent reference: the fault-simulation, ATPG and
+//     lot-engine tests check against it. Outside tests only fault
+//     diagnosis (diagnose.Dictionary.ObserveChip) runs on it;
 //   - the three-valued (0/1/X) gate kernel over the flat form
 //     (Flat.EvalSlotT) behind the PODEM test generator's implication,
 //     with the per-gate EvalT as its reference.

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"repro/internal/defect"
+	"repro/internal/faultsim"
 	"repro/internal/logicsim"
 )
 
@@ -70,6 +71,12 @@ import (
 //
 // The ordering affects only scheduling, never results: first fails are
 // bit-identical to the per-chip oracle.
+//
+// Chips never batched: a fault-free chip passes, and a one-fault chip of
+// a lot over the first-detect table's universe (ATE.UseFirstDetects)
+// takes its fault's first detect — divided by the output count at
+// pattern granularity — since it is exactly the single-fault machine
+// the table was simulated on.
 
 const (
 	// pp256Words is the lane block a full batch starts at (before
@@ -158,8 +165,9 @@ type chipParallel256State struct {
 	// lane departs from out of it instead of simulating the slot.
 	planes *logicsim.GoodPlanes
 	// denseWalks and sparseWalks count pattern walks on each side of
-	// the density rule (see sparse); tests read them.
-	denseWalks, sparseWalks int
+	// the density rule (see sparse), tableChips the chips resolved from
+	// the first-detect table instead; tests read them.
+	denseWalks, sparseWalks, tableChips int
 }
 
 // sparse is the density rule of the file comment, applied at every
@@ -215,6 +223,11 @@ func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injec
 	if err != nil {
 		return nil, err
 	}
+	// A one-fault chip over the table's universe is the single-fault
+	// machine: its first fail is the table entry, and it never enters
+	// the batches.
+	first := a.firstDetectsFor(lot.Universe)
+	nOut := len(a.c.Outputs)
 	ff := make([]int, len(lot.Chips))
 	work := st.work[:0]
 	st.faultAt = append(st.faultAt[:0], 0)
@@ -232,7 +245,17 @@ func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injec
 			st.faults = append(st.faults, resolved[fi])
 		}
 		st.faultAt = append(st.faultAt, int32(len(st.faults)))
-		if chip.Defective() {
+		switch {
+		case first != nil && len(chip.Faults) == 1:
+			if s := first[chip.Faults[0]]; s != faultsim.NotDetected {
+				if steps {
+					ff[i] = s
+				} else {
+					ff[i] = s / nOut
+				}
+			}
+			st.tableChips++
+		case chip.Defective():
 			work = append(work, ppItem{chip: i, key: key})
 		}
 	}

@@ -1,0 +1,19 @@
+package tester
+
+// TableChips and LaneWalks expose the lot engine's path counters to the
+// external (tester_test) cross-stack tests: the chips an ATE resolved
+// from its first-detect table, and the pattern walks its lane engine
+// ran.
+func TableChips(a *ATE) int {
+	if a.pp256 == nil {
+		return 0
+	}
+	return a.pp256.tableChips
+}
+
+func LaneWalks(a *ATE) int {
+	if a.pp256 == nil {
+		return 0
+	}
+	return a.pp256.denseWalks + a.pp256.sparseWalks
+}

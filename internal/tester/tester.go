@@ -6,11 +6,16 @@
 // cumulative-coverage ramp, give the fallout curve from which n0 is
 // estimated.
 //
-// One lot engine, chipparallel256, runs every lot: it packs the good
-// machine plus up to 255 defective chips into the lanes of a multi-word
-// lane block and evaluates them together once per pattern — walking
-// only the slots where some lane departs from the good machine when the
-// batch's faults are sparse, the whole flat circuit otherwise (see
+// One lot engine, chipparallel256, runs every lot. It first takes each
+// one-fault chip's first fail from the ATE's first-detect table, when
+// one is installed for the lot's universe (UseFirstDetects; a
+// circuits.Prepared installs its own): a chip carrying one fault is the
+// single-fault machine, whose first failing strobe the fault simulator
+// already found. The other defective chips it packs, up to 255 at a
+// time beside the good machine, into the lanes of a multi-word lane
+// block and evaluates together once per pattern — walking only the
+// slots where some lane departs from the good machine when the batch's
+// faults are sparse, the whole flat circuit otherwise (see
 // chipparallel256.go). The tests pin every first fail to an independent
 // oracle: one chip at a time on the pointer-walking logicsim.Simulator,
 // which shares no simulation code with the flat core.
@@ -19,6 +24,7 @@ package tester
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"repro/internal/defect"
 	"repro/internal/fault"
@@ -51,6 +57,14 @@ type ATE struct {
 	univKey *fault.Fault
 	univLen int
 	univInj []logicsim.Injection
+
+	// Single-fault first-fail table (see UseFirstDetects): the strobe
+	// first detect of every fault of one universe, keyed by that
+	// universe's slice identity like the injection cache. Borrowed from
+	// the caller, never written.
+	firstKey *fault.Fault
+	firstLen int
+	first    []int
 
 	pp256 *chipParallel256State // lazily built chipparallel256 scratch
 }
@@ -95,6 +109,47 @@ func (a *ATE) injectionsFor(universe []fault.Fault) []logicsim.Injection {
 	}
 	a.univKey, a.univLen, a.univInj = &universe[0], len(universe), inj
 	return inj
+}
+
+// UseFirstDetects installs a single-fault first-fail table: res must be
+// the strobe-granular fault-simulation result of this ATE's program
+// over universe (a circuits.Prepared's Result over its Universe). A
+// chip carrying exactly one fault is the single-fault machine, so its
+// first failing strobe is that fault's first detect; lots over this
+// universe (the same slice, by identity) take such chips from the table
+// instead of simulating them. Every other chip, and every lot over
+// another universe, is simulated as before, so the table never changes
+// a result. res is borrowed, not copied, and must not change while the
+// ATE uses it. A result of the wrong length or granularity, or with a
+// first detect outside the program, is rejected.
+func (a *ATE) UseFirstDetects(universe []fault.Fault, res faultsim.Result) error {
+	if len(res.FirstDetect) != len(universe) {
+		return fmt.Errorf("tester: %d first detects for %d universe faults", len(res.FirstDetect), len(universe))
+	}
+	steps := len(a.patterns) * len(a.c.Outputs)
+	if res.Patterns != steps {
+		return fmt.Errorf("tester: first detects over %d steps, program has %d patterns × %d outputs",
+			res.Patterns, len(a.patterns), len(a.c.Outputs))
+	}
+	for i, d := range res.FirstDetect {
+		if d < faultsim.NotDetected || d >= steps {
+			return fmt.Errorf("tester: first detect %d of fault %d outside the %d-step program", d, i, steps)
+		}
+	}
+	a.firstKey, a.firstLen, a.first = nil, 0, nil
+	if len(universe) > 0 {
+		a.firstKey, a.firstLen, a.first = &universe[0], len(universe), res.FirstDetect
+	}
+	return nil
+}
+
+// firstDetectsFor returns the installed first-detect table when it
+// belongs to universe (by slice identity), else nil.
+func (a *ATE) firstDetectsFor(universe []fault.Fault) []int {
+	if len(universe) == 0 || a.firstKey != &universe[0] || a.firstLen != len(universe) {
+		return nil
+	}
+	return a.first
 }
 
 // LotResult is the record the paper's experiment produces.
@@ -167,32 +222,44 @@ type FalloutRow struct {
 
 // FalloutTableRamp reduces a lot result to Table 1 format at the given
 // checkpoints against a change-point-compressed coverage ramp
-// (faultsim.SparseRamp): checkpoints are step indices in
+// (faultsim.SparseRamp): checkpoints are non-decreasing step indices in
 // [0, ramp.Steps), inclusive, and the coverage column is the ramp value
 // at that step. The sparse ramp keeps this cheap at LSI scale — the
 // dense curve for a 7.5k-gate circuit is tens of millions of points,
-// the sparse ramp a few thousand.
+// the sparse ramp a few thousand. One pass over the lot bins each first
+// fail under the first checkpoint at or after it; a prefix sum of the
+// bins gives the cumulative column.
 func FalloutTableRamp(res LotResult, ramp faultsim.Ramp, checkpoints []int) ([]FalloutRow, error) {
 	if ramp.Steps == 0 {
 		return nil, fmt.Errorf("tester: empty coverage ramp")
 	}
-	rows := make([]FalloutRow, 0, len(checkpoints))
-	total := len(res.FirstFail)
-	for _, cp := range checkpoints {
+	for i, cp := range checkpoints {
 		if cp < 0 || cp >= ramp.Steps {
 			return nil, fmt.Errorf("tester: checkpoint %d outside ramp (%d steps)", cp, ramp.Steps)
 		}
-		failed := 0
-		for _, ff := range res.FirstFail {
-			if ff != NeverFails && ff <= cp {
-				failed++
-			}
+		if i > 0 && cp < checkpoints[i-1] {
+			return nil, fmt.Errorf("tester: checkpoint %d after checkpoint %d; checkpoints must not decrease", cp, checkpoints[i-1])
 		}
-		rows = append(rows, FalloutRow{
+	}
+	bins := make([]int, len(checkpoints))
+	for _, ff := range res.FirstFail {
+		if ff == NeverFails {
+			continue
+		}
+		if k := sort.SearchInts(checkpoints, ff); k < len(bins) {
+			bins[k]++
+		}
+	}
+	rows := make([]FalloutRow, len(checkpoints))
+	total := len(res.FirstFail)
+	failed := 0
+	for k, cp := range checkpoints {
+		failed += bins[k]
+		rows[k] = FalloutRow{
 			Coverage:   ramp.At(cp).Coverage,
 			CumFailed:  failed,
 			CumFracton: float64(failed) / float64(total),
-		})
+		}
 	}
 	return rows, nil
 }

@@ -3,6 +3,8 @@ package tester
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/atpg"
@@ -213,6 +215,71 @@ func TestFalloutTableErrors(t *testing.T) {
 	ramp := faultsim.Ramp{Points: []faultsim.CoveragePoint{{Pattern: 0, Detected: 1, Coverage: 0.5}}, Steps: 1}
 	if _, err := FalloutTableRamp(res, ramp, []int{5}); err == nil {
 		t.Error("checkpoint beyond ramp should error")
+	}
+	ramp.Steps = 10
+	if _, err := FalloutTableRamp(res, ramp, []int{0, 4, 3}); err == nil {
+		t.Error("decreasing checkpoints should error")
+	}
+	if _, err := FalloutTableRamp(res, ramp, []int{0, 3, 3, 9}); err != nil {
+		t.Errorf("repeated checkpoint rejected: %v", err)
+	}
+}
+
+// falloutTableLoop is the per-checkpoint scan FalloutTableRamp replaced,
+// kept as its oracle: every chip is scanned once per checkpoint.
+func falloutTableLoop(res LotResult, ramp faultsim.Ramp, checkpoints []int) []FalloutRow {
+	rows := make([]FalloutRow, 0, len(checkpoints))
+	total := len(res.FirstFail)
+	for _, cp := range checkpoints {
+		failed := 0
+		for _, ff := range res.FirstFail {
+			if ff != NeverFails && ff <= cp {
+				failed++
+			}
+		}
+		rows = append(rows, FalloutRow{
+			Coverage:   ramp.At(cp).Coverage,
+			CumFailed:  failed,
+			CumFracton: float64(failed) / float64(total),
+		})
+	}
+	return rows
+}
+
+// TestFalloutTableMatchesLoop pins the one-pass reduction to the
+// per-checkpoint scan on random lots and checkpoint lists, repeated
+// checkpoints and first fails on, between and past them included.
+func TestFalloutTableMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for trial := 0; trial < 200; trial++ {
+		steps := 1 + rng.Intn(300)
+		fd := make([]int, 1+rng.Intn(80))
+		for i := range fd {
+			fd[i] = faultsim.NotDetected
+			if rng.Intn(3) > 0 {
+				fd[i] = rng.Intn(steps)
+			}
+		}
+		ramp := faultsim.SparseRamp(faultsim.Result{FirstDetect: fd, Patterns: steps})
+		res := LotResult{FirstFail: make([]int, 1+rng.Intn(500))}
+		for i := range res.FirstFail {
+			res.FirstFail[i] = NeverFails
+			if rng.Intn(4) > 0 {
+				res.FirstFail[i] = rng.Intn(steps)
+			}
+		}
+		checkpoints := make([]int, rng.Intn(12))
+		for i := range checkpoints {
+			checkpoints[i] = rng.Intn(steps)
+		}
+		sort.Ints(checkpoints)
+		got, err := FalloutTableRamp(res, ramp, checkpoints)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := falloutTableLoop(res, ramp, checkpoints); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: rows %+v, per-checkpoint scan %+v", trial, got, want)
+		}
 	}
 }
 
