@@ -31,8 +31,10 @@ smoke:
 	$(GO) test -run 'TestHeadlines' ./internal/dist/
 
 # Repo-contract static analysis (stdlib-only, cmd/repolint): the
-# determinism, registry, invalidation, hotpath, and sentinel-errors
-# analyzers over every package. Nonzero exit on any finding.
+# determinism, registry, invalidation, hotpath, sentinel-errors and
+# oracle (no non-test import of the reference simulator
+# internal/logicsim/ref) analyzers over every package. Nonzero exit on
+# any finding.
 lint:
 	$(GO) run ./cmd/repolint
 
@@ -71,12 +73,13 @@ bench-compare:
 	$(GO) run ./cmd/benchjson -in bench-current.json -baseline BENCH_PR9.json -fail-over 25
 
 # Golden guard: the paper-number fixtures (sweep CSV, dist sample
-# sequences, Prepared-store file digests) must stay byte-identical
+# sequences, Prepared-store file digests, the §7 reject-rate
+# validation table) must stay byte-identical
 # across engine ports, and the tester's single-fault first-detect table
 # must agree with simulating the chip. CI fails the build if an engine
 # drifts them.
 golden:
-	$(GO) test -run 'Golden|FirstDetectTable' ./internal/sweep/ ./internal/dist/ ./internal/circuits/ ./internal/tester/
+	$(GO) test -run 'Golden|FirstDetectTable' ./internal/sweep/ ./internal/dist/ ./internal/circuits/ ./internal/tester/ ./internal/experiment/
 
 # Race-detect the whole module (-short skips the multi-second
 # Monte-Carlo runs and the full-module lint sweep): the hand-picked
@@ -95,6 +98,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzHypergeometricPZero$$' -fuzztime $(FUZZTIME) ./internal/dist/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBench$$' -fuzztime $(FUZZTIME) ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/campaign/
+	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime $(FUZZTIME) ./internal/circuits/
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleDistinct$$' -fuzztime $(FUZZTIME) ./internal/defect/
 	$(GO) test -run '^$$' -fuzz '^FuzzLaneWalk$$' -fuzztime $(FUZZTIME) ./internal/logicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime $(FUZZTIME) ./cmd/sweepd/

@@ -50,38 +50,36 @@ func run(circuit string, random int, seed int64, compact bool) error {
 	reps := fault.Reps(u.Collapsed)
 	fmt.Printf("circuit %s: %d gates, %d collapsed faults\n", c.Name, len(c.Gates), len(reps))
 
-	var patterns []logicsim.Pattern
+	// One PODEM-and-drop run grades the program as it builds it, so the
+	// tally is the program's fault-simulated coverage.
+	var base []logicsim.Pattern
 	if random > 0 {
-		patterns, err = atpg.HybridTests(c, random, seed)
+		src, err := atpg.NewRandomSource(len(c.Inputs), seed)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("hybrid: %d random + %d deterministic patterns\n", random, len(patterns)-random)
-	} else {
-		res, err := atpg.GenerateAll(c)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("PODEM: %d patterns, coverage %.4f, %d untestable, %d aborted\n",
-			len(res.Patterns), res.Coverage, res.Untestable, res.Aborted)
-		patterns = res.Patterns
+		base = atpg.Take(src, random)
 	}
-
-	res, err := faultsim.Run(c, reps, patterns, faultsim.PPSFP)
+	patterns, tally, err := atpg.CleanupTestsBudget(c, base, reps, 0, faultsim.PPSFP, faultsim.Options{})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("fault-simulated coverage: %.4f with %d patterns\n", res.Coverage(), len(patterns))
+	coverage := float64(tally.Detected) / float64(tally.Faults)
+	if random > 0 {
+		fmt.Printf("hybrid: %d random + %d deterministic patterns\n", random, len(patterns)-random)
+	} else {
+		fmt.Printf("PODEM: %d patterns, coverage %.4f, %d untestable, %d aborted\n",
+			len(patterns), coverage, tally.Untestable, tally.Aborted)
+	}
+	fmt.Printf("fault-simulated coverage: %.4f with %d patterns\n", coverage, len(patterns))
 	if compact {
+		// Compact keeps every pattern that first-detects a fault in
+		// reverse order, so the compacted set detects the same faults.
 		compacted, err := atpg.Compact(c, reps, patterns)
 		if err != nil {
 			return err
 		}
-		res2, err := faultsim.Run(c, reps, compacted, faultsim.PPSFP)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("after compaction: %.4f with %d patterns\n", res2.Coverage(), len(compacted))
+		fmt.Printf("after compaction: %.4f with %d patterns\n", coverage, len(compacted))
 	}
 	return nil
 }

@@ -1,5 +1,6 @@
 // Command repolint runs the repo-contract analyzers (determinism,
-// registry, invalidation, hotpath, sentinel-errors) over the module.
+// registry, invalidation, hotpath, sentinel-errors, oracle) over the
+// module.
 // It exits 0 when clean, 1 on findings, 2 on usage or load errors.
 //
 // Built entirely on the standard library (go/parser, go/types); see

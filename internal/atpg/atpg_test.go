@@ -7,6 +7,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/faultsim"
 	"repro/internal/logicsim"
+	"repro/internal/logicsim/ref"
 	"repro/internal/netlist"
 )
 
@@ -149,11 +150,11 @@ func TestPodemFindsRedundantFault(t *testing.T) {
 }
 
 // oracleDetects reports whether the pattern detects the fault on the
-// pointer-walking logicsim.Simulator, which shares no code with the
+// pointer-walking ref.Simulator, which shares no code with the
 // flat core PODEM and the fault simulator run on.
 func oracleDetects(t *testing.T, c *netlist.Circuit, f fault.Fault, pattern logicsim.Pattern) bool {
 	t.Helper()
-	sim, err := logicsim.NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,14 @@ package atpg
 import (
 	"repro/internal/fault"
 	"repro/internal/logicsim"
+	"repro/internal/logicsim/ref"
 	"repro/internal/netlist"
 )
 
 // This file keeps the per-gate PODEM the flat, event-driven Podem
 // replaced, as the test-only reference TestPodemMatchesReference
 // compares it against: implication re-evaluates every gate with
-// logicsim.EvalT over the netlist structs, and the D-frontier, effect
+// ref.EvalT over the netlist structs, and the D-frontier, effect
 // and X-path checks scan the whole circuit. Only the names changed.
 
 // refPodem is a deterministic single-stuck-at test generator implementing
@@ -56,7 +57,7 @@ func (p *refPodem) imply(f fault.Fault) {
 			for _, fi := range g.Fanin {
 				in = append(in, p.good[fi])
 			}
-			p.good[id] = logicsim.EvalT(g.Type, in)
+			p.good[id] = ref.EvalT(g.Type, in)
 			in = buf[:0]
 			for pin, fi := range g.Fanin {
 				v := p.bad[fi]
@@ -65,7 +66,7 @@ func (p *refPodem) imply(f fault.Fault) {
 				}
 				in = append(in, v)
 			}
-			p.bad[id] = logicsim.EvalT(g.Type, in)
+			p.bad[id] = ref.EvalT(g.Type, in)
 		}
 		if f.Pin < 0 && f.Gate == id {
 			p.bad[id] = stuckTrit(f.Stuck)

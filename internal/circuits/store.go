@@ -210,6 +210,11 @@ func (s *Store) Load(c *netlist.Circuit, p Params) (*Prepared, error) {
 		}
 		universe[i] = fault.Fault{Gate: id, Pin: sf.Pin, Stuck: sf.Stuck}
 	}
+	if len(body.Patterns) == 0 {
+		// Prepare always emits the bring-up patterns, and an ATE needs
+		// at least one pattern to test with.
+		return nil, fmt.Errorf("circuits: store %s: %w: no patterns", path, campaign.ErrCorrupt)
+	}
 	patterns := make([]logicsim.Pattern, len(body.Patterns))
 	for i, bits := range body.Patterns {
 		if len(bits) != len(stored.Inputs) {

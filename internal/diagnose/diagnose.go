@@ -64,7 +64,7 @@ func distance(a, b Syndrome) int {
 
 // Dictionary holds the precomputed response of every modelled fault.
 type Dictionary struct {
-	c         *netlist.Circuit
+	flat      *logicsim.Flat
 	npat      int
 	blocks    []logicsim.PatternBlock // the patterns, packed once
 	faults    []fault.Fault
@@ -97,7 +97,7 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern
 		return nil, err
 	}
 	sim := logicsim.NewFlatSim(cones.Flat())
-	d := &Dictionary{c: c, npat: len(patterns), blocks: blocks, faults: faults,
+	d := &Dictionary{flat: cones.Flat(), npat: len(patterns), blocks: blocks, faults: faults,
 		syndromes: make([]Syndrome, len(faults))}
 	for i := range d.syndromes {
 		d.syndromes[i] = make(Syndrome, len(patterns))
@@ -135,27 +135,38 @@ func setBits(syn Syndrome, diff uint64, o int) {
 
 // ObserveChip runs the tester on a chip carrying the given faults
 // simultaneously and returns its syndrome — the input a real ATE's
-// datalog would provide.
+// datalog would provide. It is the lot engine's wide lane walk at one
+// word: lane 0 is the good machine, lane 1 the chip, and output o fails
+// on a pattern when the two lanes' bits of its word differ. A site
+// listed twice keeps its last stuck value.
 func (d *Dictionary) ObserveChip(inj []logicsim.Injection) (Syndrome, error) {
-	sim, err := logicsim.NewSimulator(d.c)
+	faults, err := d.flat.ResolveInjections(inj)
 	if err != nil {
 		return nil, err
 	}
+	sim, err := logicsim.NewWideSim(d.flat, 1)
+	if err != nil {
+		return nil, err
+	}
+	lf, err := logicsim.NewWideLaneForces(d.flat, 1)
+	if err != nil {
+		return nil, err
+	}
+	for _, f := range faults {
+		lf.AddResolved(f, 1)
+	}
 	syn := make(Syndrome, d.npat)
+	var out []uint64
 	for bi, block := range d.blocks {
-		base := bi * 64
-		mask := block.Mask()
-		good, err := sim.Run(block)
-		if err != nil {
-			return nil, err
-		}
-		goodCopy := append([]uint64(nil), good...)
-		bad, err := sim.RunWithFaults(block, inj)
-		if err != nil {
-			return nil, err
-		}
-		for o := range bad {
-			setBits(syn[base:], (bad[o]^goodCopy[o])&mask, o)
+		for p := 0; p < block.Count; p++ {
+			if out, err = sim.RunLaneForced(block, p, lf, out); err != nil {
+				return nil, err
+			}
+			var m uint64
+			for o, w := range out {
+				m |= (w ^ w>>1) & 1 << uint(o)
+			}
+			syn[bi*64+p] = m
 		}
 	}
 	return syn, nil

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/atpg"
+	"repro/internal/circuits"
 	"repro/internal/fault"
 	"repro/internal/logicsim"
+	"repro/internal/logicsim/ref"
 	"repro/internal/netlist"
 )
 
@@ -56,6 +58,103 @@ func TestDistance(t *testing.T) {
 	// Length mismatch counts the overhang.
 	if got := distance(Syndrome{0b1}, Syndrome{0b1, 0b11}); got != 2 {
 		t.Errorf("ragged distance = %d, want 2", got)
+	}
+}
+
+// randomChip draws a chip of one to five faults anywhere in the
+// circuit, stems (primary inputs included) and input pins alike. About
+// half the chips list one of their sites a second time with the other
+// polarity, so the last-listed value must win.
+func randomChip(c *netlist.Circuit, rng *rand.Rand) []logicsim.Injection {
+	chip := make([]logicsim.Injection, 1+rng.Intn(5))
+	for i := range chip {
+		gate := rng.Intn(len(c.Gates))
+		pin := -1
+		if nf := len(c.Gates[gate].Fanin); nf > 0 && rng.Intn(2) == 0 {
+			pin = rng.Intn(nf)
+		}
+		chip[i] = logicsim.Injection{Gate: gate, Pin: pin, Stuck: rng.Intn(2) == 1}
+	}
+	if rng.Intn(2) == 0 {
+		again := chip[rng.Intn(len(chip))]
+		again.Stuck = !again.Stuck
+		chip = append(chip, again)
+	}
+	return chip
+}
+
+// TestObserveChipMatchesOracle pins ObserveChip's one-word lane walk to
+// the pointer-walking oracle on four builtins: for random multi-fault
+// chips, every pattern's failing-output mask must be the outputs on
+// which ref.Simulator's RunWithFaults differs from its good run.
+func TestObserveChipMatchesOracle(t *testing.T) {
+	for _, spec := range []string{"c17", "mul4", "alu4", "dec4"} {
+		c, err := circuits.Resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
+		src, err := atpg.NewRandomSource(len(c.Inputs), 26)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patterns := atpg.Take(src, 150) // the last block is partial
+		d, err := Build(c, faults, patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := ref.NewSimulator(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, err := logicsim.PackBlocks(patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(26))
+		failing := 0
+		for trial := 0; trial < 60; trial++ {
+			chip := randomChip(c, rng)
+			got, err := d.ObserveChip(chip)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make(Syndrome, 0, len(patterns))
+			for _, block := range blocks {
+				good, err := sim.Run(block)
+				if err != nil {
+					t.Fatal(err)
+				}
+				good = append([]uint64(nil), good...)
+				bad, err := sim.RunWithFaults(block, chip)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := 0; p < block.Count; p++ {
+					var m uint64
+					for o := range bad {
+						if (bad[o]^good[o])>>uint(p)&1 == 1 {
+							m |= 1 << uint(o)
+						}
+					}
+					want = append(want, m)
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%s chip %v: %d syndrome entries, want %d", spec, chip, len(got), len(want))
+			}
+			for p := range want {
+				if got[p] != want[p] {
+					t.Fatalf("%s chip %v pattern %d: failing outputs %b, oracle %b", spec, chip, p, got[p], want[p])
+				}
+			}
+			if want.Fails() {
+				failing++
+			}
+		}
+		if failing == 0 {
+			t.Errorf("%s: no chip failed; the comparison saw only passing syndromes", spec)
+		}
 	}
 }
 

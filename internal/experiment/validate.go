@@ -5,11 +5,9 @@ import (
 	"math/rand"
 	"strings"
 
-	"repro/internal/atpg"
+	"repro/internal/circuits"
 	"repro/internal/core"
 	"repro/internal/defect"
-	"repro/internal/fault"
-	"repro/internal/faultsim"
 	"repro/internal/netlist"
 	"repro/internal/tablefmt"
 	"repro/internal/tester"
@@ -40,12 +38,12 @@ type RejectRateValidation struct {
 // of the pattern set. Chips should be large (tens of thousands) for
 // the measured rate to resolve sub-percent reject rates.
 //
-// The whole lot is first-fail-tested exactly once, against the full
-// pattern set: a chip passes the program truncated at pattern cut iff
-// its first failing pattern lies at or beyond the cut, so one pass
-// serves every truncation point (the same reduction internal/sweep
-// uses). Earlier revisions rebuilt a fresh ATE — re-simulating the good
-// machine — and retested the entire lot at every truncation point.
+// The circuit is prepared once (circuits.Prepare, 192 random patterns
+// then PODEM cleanup) and the whole lot is first-fail-tested exactly
+// once, against the full program, at strobe granularity: a chip passes
+// the program truncated after pattern cut iff its first failing strobe
+// lies at or beyond the cut's first strobe, so one pass serves every
+// truncation point (the same reduction internal/sweep uses).
 func ValidateRejectRate(c *netlist.Circuit, y, n0 float64, chips int, truncations []float64, seed int64) (RejectRateValidation, error) {
 	if chips < 100 {
 		return RejectRateValidation{}, fmt.Errorf("experiment: need >= 100 chips")
@@ -54,24 +52,20 @@ func ValidateRejectRate(c *netlist.Circuit, y, n0 float64, chips int, truncation
 	if err != nil {
 		return RejectRateValidation{}, err
 	}
-	universe := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
-	// The cleanup's grading session already holds the program's first
-	// detects over the universe.
-	patterns, _, res, err := atpg.ProductionTestsBudget(c, 96, 96, seed, universe, 0, faultsim.PPSFP, faultsim.Options{})
+	pr, err := circuits.Prepare(c, circuits.Params{RandomPatterns: 192, Seed: seed})
 	if err != nil {
 		return RejectRateValidation{}, err
 	}
-	curve := faultsim.CurveFromResult(res)
 	rng := rand.New(rand.NewSource(seed))
-	lot, err := defect.GenerateLotFromModel(y, n0, universe, chips, rng)
+	lot, err := defect.GenerateLotFromModel(y, n0, pr.Universe, chips, rng)
 	if err != nil {
 		return RejectRateValidation{}, err
 	}
-	ate, err := tester.New(c, patterns)
+	ate, err := pr.NewATE()
 	if err != nil {
 		return RejectRateValidation{}, err
 	}
-	lotRes, err := ate.TestLot(lot)
+	lotRes, err := ate.TestLotSteps(lot)
 	if err != nil {
 		return RejectRateValidation{}, err
 	}
@@ -81,18 +75,15 @@ func ValidateRejectRate(c *netlist.Circuit, y, n0 float64, chips int, truncation
 			good++
 		}
 	}
+	nOut := len(c.Outputs)
 	out := RejectRateValidation{Yield: y, N0: n0, Chips: chips}
 	seen := make(map[int]bool)
 	for _, target := range truncations {
-		// Find the shortest prefix reaching the target coverage.
-		cut := -1
-		for i, pt := range curve {
-			if pt.Coverage >= target {
-				cut = i + 1
-				break
-			}
-		}
-		if cut < 1 || seen[cut] {
+		// The shortest whole-pattern prefix reaching the target coverage:
+		// the pattern holding the first strobe that reaches it.
+		pt, ok := pr.Curve.FirstReaching(target)
+		cut := pt.Pattern/nOut + 1
+		if !ok || seen[cut] {
 			continue // unreachable target, or same prefix as a previous one
 		}
 		seen[cut] = true
@@ -101,11 +92,11 @@ func ValidateRejectRate(c *netlist.Circuit, y, n0 float64, chips int, truncation
 		// tester counted them exactly, no yield round-trip needed.
 		passed := 0
 		for _, ff := range lotRes.FirstFail {
-			if ff == tester.NeverFails || ff >= cut {
+			if ff == tester.NeverFails || ff >= cut*nOut {
 				passed++
 			}
 		}
-		achieved := curve[cut-1].Coverage
+		achieved := pr.Curve.At(cut*nOut - 1).Coverage
 		row := RejectRateRow{
 			Coverage:   achieved,
 			PredictedR: m.RejectRate(achieved),

@@ -54,6 +54,31 @@ func TestValidateRejectRateEndToEnd(t *testing.T) {
 	}
 }
 
+func TestValidateRejectRateGolden(t *testing.T) {
+	// Byte-for-byte pin of the §7 artifact (cmd/repro -artifact
+	// validate at its default seed): any change to the production
+	// program, lot generation, the ATE's first fails or the truncation
+	// arithmetic shows up here first.
+	c, err := netlist.ArrayMultiplier(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := ValidateRejectRate(c, 0.3, 6, 30000, []float64{0.5, 0.6, 0.7, 0.8, 0.9}, 1981)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `Eq. 8 end-to-end validation — y=0.30 n0=6.0, 30000 chips
+coverage  predicted r  measured r  passed  escapes
+--------  -----------  ----------  ------  -------
+0.696     0.0213       0.0328      9402    308
+0.811     0.0076       0.0094      9180    86
+0.921     0.0018       0.0014      9107    13
+`
+	if got := res.Render(); got != want {
+		t.Errorf("validation table drifted:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+}
+
 func TestValidateRejectRateWadsackComparison(t *testing.T) {
 	// At the same operating point the Wadsack formula r = (1-y)(1-f)
 	// should overpredict the measured reject rate (it ignores that

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/logicsim"
+	"repro/internal/logicsim/ref"
 	"repro/internal/netlist"
 )
 
@@ -64,7 +65,7 @@ func detectionVector(t *testing.T, c *netlist.Circuit, f Fault) uint64 {
 		}
 		patterns[v] = p
 	}
-	sim, err := logicsim.NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,17 +8,18 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/logicsim"
+	"repro/internal/logicsim/ref"
 	"repro/internal/netlist"
 )
 
 // pointerSerialFirstDetect is the independent oracle every engine test
 // compares against: one fault at a time, full circuit re-simulation
-// through the pointer-walking logicsim.Simulator, no dropping. The
+// through the pointer-walking ref.Simulator, no dropping. The
 // engine runs on the flat core, so this walk shares no simulation
 // code with the code under test.
 func pointerSerialFirstDetect(t *testing.T, c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern) []int {
 	t.Helper()
-	sim, err := logicsim.NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}

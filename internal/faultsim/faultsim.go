@@ -12,9 +12,9 @@
 // engine argument of Run/RunOpts must be PPSFP, the zero value.
 //
 // The tests pin every result to an independent oracle: a one-fault-at-
-// a-time, full-circuit walk over the pointer-walking
-// logicsim.Simulator, which shares no simulation code with the flat
-// core.
+// a-time, full-circuit walk over the test-only pointer-walking
+// ref.Simulator (internal/logicsim/ref), which shares no simulation
+// code with the flat core.
 //
 // The paper's experiment needs the cumulative coverage curve of an
 // ordered pattern set — CoverageCurve produces exactly the "fault

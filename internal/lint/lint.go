@@ -68,6 +68,7 @@ func All() []*Analyzer {
 		invalidationAnalyzer,
 		hotpathAnalyzer,
 		sentinelAnalyzer,
+		oracleAnalyzer,
 	}
 }
 

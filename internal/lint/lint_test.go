@@ -111,10 +111,15 @@ func TestSentinelFixtures(t *testing.T) {
 	checkFixture(t, "sentinel-errors", "sentinel/good")
 }
 
+func TestOracleFixtures(t *testing.T) {
+	checkFixture(t, "oracle", "oracle/bad")
+	checkFixture(t, "oracle", "oracle/good")
+}
+
 // TestAnalyzerTable pins the registry: stable names (they are CLI
 // keys), docs, and Lookup round-trips.
 func TestAnalyzerTable(t *testing.T) {
-	wantNames := []string{"determinism", "registry", "invalidation", "hotpath", "sentinel-errors"}
+	wantNames := []string{"determinism", "registry", "invalidation", "hotpath", "sentinel-errors", "oracle"}
 	all := All()
 	if len(all) != len(wantNames) {
 		t.Fatalf("%d analyzers, want %d", len(all), len(wantNames))

@@ -62,7 +62,7 @@ func TestMainUsageErrors(t *testing.T) {
 	if code, _, errb := runMain("-only", "no-such"); code != ExitUsage || !strings.Contains(errb, "unknown analyzer") {
 		t.Errorf("unknown -only: exit %d, stderr %q", code, errb)
 	}
-	if code, _, _ := runMain("-skip", "determinism,registry,invalidation,hotpath,sentinel-errors"); code != ExitUsage {
+	if code, _, _ := runMain("-skip", "determinism,registry,invalidation,hotpath,sentinel-errors,oracle"); code != ExitUsage {
 		t.Errorf("skipping everything: exit %d, want %d", code, ExitUsage)
 	}
 	if code, _, _ := runMain("-bogus-flag"); code != ExitUsage {

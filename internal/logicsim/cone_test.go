@@ -1,24 +1,25 @@
-package logicsim
+package logicsim_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/logicsim"
 	"repro/internal/netlist"
 )
 
-func randomBlock(t *testing.T, c *netlist.Circuit, count int, seed int64) PatternBlock {
+func randomBlock(t *testing.T, c *netlist.Circuit, count int, seed int64) logicsim.PatternBlock {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	patterns := make([]Pattern, count)
+	patterns := make([]logicsim.Pattern, count)
 	for i := range patterns {
-		p := make(Pattern, len(c.Inputs))
+		p := make(logicsim.Pattern, len(c.Inputs))
 		for j := range p {
 			p[j] = rng.Intn(2) == 1
 		}
 		patterns[i] = p
 	}
-	block, err := PackPatterns(patterns)
+	block, err := logicsim.PackPatterns(patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +28,7 @@ func randomBlock(t *testing.T, c *netlist.Circuit, count int, seed int64) Patter
 
 func TestConeSetStructure(t *testing.T) {
 	c := netlist.C17()
-	cs, err := NewConeSet(c)
+	cs, err := logicsim.NewConeSet(c)
 	if err != nil {
 		t.Fatal(err)
 	}

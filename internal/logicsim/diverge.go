@@ -43,7 +43,7 @@ func NewGoodPlanes(f *Flat, blocks []PatternBlock) (*GoodPlanes, error) {
 	sim := NewFlatSim(f)
 	gp := &GoodPlanes{f: f, words: make([]uint64, 0, len(blocks)*f.Slots())}
 	for bi, block := range blocks {
-		if err := block.validate(f.numIn); err != nil {
+		if err := block.Validate(f.numIn); err != nil {
 			return nil, err
 		}
 		if block.Count != 64 && bi != len(blocks)-1 {

@@ -1,16 +1,17 @@
-package logicsim
+package logicsim_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/logicsim"
 	"repro/internal/netlist"
 )
 
 // laneForce is one force of a divergence-walk test: a fault on a lane.
 type laneForce struct {
-	inj  Injection
+	inj  logicsim.Injection
 	lane int
 }
 
@@ -43,9 +44,9 @@ func wideGateCircuit(t testing.TB, seed int64, inputs, gates int) *netlist.Circu
 }
 
 // packBlocks packs patterns into consecutive 64-pattern blocks.
-func packBlocks(t testing.TB, patterns []Pattern) []PatternBlock {
+func packBlocks(t testing.TB, patterns []logicsim.Pattern) []logicsim.PatternBlock {
 	t.Helper()
-	blocks, err := PackBlocks(patterns)
+	blocks, err := logicsim.PackBlocks(patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,22 +56,22 @@ func packBlocks(t testing.TB, patterns []Pattern) []PatternBlock {
 // checkLaneWalk forces each laneForce in order onto a words-wide table
 // and requires RunLaneDiverged to return RunLaneForced's output blocks,
 // every lane, at every pattern of every block.
-func checkLaneWalk(t testing.TB, f *Flat, words int, blocks []PatternBlock, gp *GoodPlanes, forces []laneForce) {
+func checkLaneWalk(t testing.TB, f *logicsim.Flat, words int, blocks []logicsim.PatternBlock, gp *logicsim.GoodPlanes, forces []laneForce) {
 	t.Helper()
-	dense, err := NewWideSim(f, words)
+	dense, err := logicsim.NewWideSim(f, words)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := NewWideSim(f, words)
+	sparse, err := logicsim.NewWideSim(f, words)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := NewWideLaneForces(f, words)
+	lf, err := logicsim.NewWideLaneForces(f, words)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, fl := range forces {
-		forceMachine(t, f, lf, []Injection{fl.inj}, fl.lane)
+		forceMachine(t, f, lf, []logicsim.Injection{fl.inj}, fl.lane)
 	}
 	var want, got []uint64
 	for bi, block := range blocks {
@@ -101,7 +102,7 @@ func randomForces(c *netlist.Circuit, n, lanes int, rng *rand.Rand) []laneForce 
 		if nf := len(c.Gates[gate].Fanin); nf > 0 && rng.Intn(2) == 1 {
 			pin = rng.Intn(nf)
 		}
-		out[i] = laneForce{Injection{Gate: gate, Pin: pin, Stuck: rng.Intn(2) == 1}, rng.Intn(lanes)}
+		out[i] = laneForce{logicsim.Injection{Gate: gate, Pin: pin, Stuck: rng.Intn(2) == 1}, rng.Intn(lanes)}
 	}
 	return out
 }
@@ -115,12 +116,12 @@ func TestLaneWalkMatchesForcedWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(1974))
 	for trial := 0; trial < 4; trial++ {
 		c := wideGateCircuit(t, int64(trial), 6+rng.Intn(6), 60+rng.Intn(120))
-		f, err := NewFlat(c)
+		f, err := logicsim.NewFlat(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		blocks := packBlocks(t, randomPatterns(c, 100, rng))
-		gp, err := NewGoodPlanes(f, blocks)
+		gp, err := logicsim.NewGoodPlanes(f, blocks)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,17 +132,17 @@ func TestLaneWalkMatchesForcedWalk(t *testing.T) {
 			lanes := 64 * words
 			var inputs []laneForce
 			for i, g := range c.Inputs {
-				inputs = append(inputs, laneForce{Injection{Gate: g, Pin: -1, Stuck: i%2 == 0}, 1 + i%(lanes-1)})
+				inputs = append(inputs, laneForce{logicsim.Injection{Gate: g, Pin: -1, Stuck: i%2 == 0}, 1 + i%(lanes-1)})
 			}
 			// The same site twice on one lane (the last value wins) and on
 			// a neighbouring lane, at a stem and at a pin.
 			g := c.Outputs[0]
 			twice := []laneForce{
-				{Injection{Gate: g, Pin: -1, Stuck: true}, 5},
-				{Injection{Gate: g, Pin: -1, Stuck: false}, 5},
-				{Injection{Gate: g, Pin: -1, Stuck: true}, 6},
-				{Injection{Gate: g, Pin: 0, Stuck: false}, lanes - 1},
-				{Injection{Gate: g, Pin: 0, Stuck: true}, lanes - 1},
+				{logicsim.Injection{Gate: g, Pin: -1, Stuck: true}, 5},
+				{logicsim.Injection{Gate: g, Pin: -1, Stuck: false}, 5},
+				{logicsim.Injection{Gate: g, Pin: -1, Stuck: true}, 6},
+				{logicsim.Injection{Gate: g, Pin: 0, Stuck: false}, lanes - 1},
+				{logicsim.Injection{Gate: g, Pin: 0, Stuck: true}, lanes - 1},
 			}
 			every := randomForces(c, 2*lanes, lanes, rng)
 			for lane := 0; lane < lanes; lane++ {
@@ -170,27 +171,27 @@ func TestLaneWalkMatchesForcedWalk(t *testing.T) {
 // machine on every lane.
 func TestLaneWalkInactiveForces(t *testing.T) {
 	c := wideGateCircuit(t, 7, 8, 90)
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(8))
 	blocks := packBlocks(t, randomPatterns(c, 64, rng))
-	gp, err := NewGoodPlanes(f, blocks)
+	gp, err := logicsim.NewGoodPlanes(f, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := NewFlatSim(f)
+	good := logicsim.NewFlatSim(f)
 	want, err := good.RunInto(blocks[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, words := range wideWidths {
-		ws, err := NewWideSim(f, words)
+		ws, err := logicsim.NewWideSim(f, words)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lf, err := NewWideLaneForces(f, words)
+		lf, err := logicsim.NewWideLaneForces(f, words)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,8 +199,8 @@ func TestLaneWalkInactiveForces(t *testing.T) {
 		for p := 0; p < blocks[0].Count; p++ {
 			lf.Reset()
 			for slot := 0; slot < f.Slots(); slot++ {
-				bit := good.val[slot]>>uint(p)&1 == 1
-				lf.AddResolved(SlotInjection{Slot: int32(slot), Pin: -1, Stuck: bit}, (slot*7)%lf.Lanes())
+				bit := good.Value(slot)>>uint(p)&1 == 1
+				lf.AddResolved(logicsim.SlotInjection{Slot: int32(slot), Pin: -1, Stuck: bit}, (slot*7)%lf.Lanes())
 			}
 			if lf.ForcedSlots() != f.Slots() {
 				t.Fatalf("ForcedSlots %d, want %d", lf.ForcedSlots(), f.Slots())
@@ -215,7 +216,7 @@ func TestLaneWalkInactiveForces(t *testing.T) {
 					}
 				}
 			}
-			if len(ws.diverged) != 0 {
+			if logicsim.DivergedSlots(ws) != 0 {
 				t.Fatalf("words=%d pattern %d: inactive forces marked slots diverged", words, p)
 			}
 		}
@@ -226,27 +227,27 @@ func TestLaneWalkInactiveForces(t *testing.T) {
 // once its output buffer is sized.
 func TestLaneWalkZeroAllocs(t *testing.T) {
 	c := wideGateCircuit(t, 3, 10, 200)
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
 	blocks := packBlocks(t, randomPatterns(c, 64, rng))
-	gp, err := NewGoodPlanes(f, blocks)
+	gp, err := logicsim.NewGoodPlanes(f, blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, words := range wideWidths {
-		ws, err := NewWideSim(f, words)
+		ws, err := logicsim.NewWideSim(f, words)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lf, err := NewWideLaneForces(f, words)
+		lf, err := logicsim.NewWideLaneForces(f, words)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, fl := range randomForces(c, 30, lf.Lanes(), rng) {
-			forceMachine(t, f, lf, []Injection{fl.inj}, fl.lane)
+			forceMachine(t, f, lf, []logicsim.Injection{fl.inj}, fl.lane)
 		}
 		out := make([]uint64, 0, len(c.Outputs)*words)
 		p := 0
@@ -267,39 +268,39 @@ func TestLaneWalkZeroAllocs(t *testing.T) {
 // NewGoodPlanes' block-layout check.
 func TestLaneWalkValidation(t *testing.T) {
 	c := netlist.C17()
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	short, err := PackPatterns(randomPatterns(c, 4, rng))
+	short, err := logicsim.PackPatterns(randomPatterns(c, 4, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewGoodPlanes(f, []PatternBlock{short, short}); err == nil {
+	if _, err := logicsim.NewGoodPlanes(f, []logicsim.PatternBlock{short, short}); err == nil {
 		t.Error("good planes over a short non-final block accepted")
 	}
-	gp, err := NewGoodPlanes(f, []PatternBlock{short})
+	gp, err := logicsim.NewGoodPlanes(f, []logicsim.PatternBlock{short})
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := NewFlat(wideGateCircuit(t, 1, 5, 20))
+	other, err := logicsim.NewFlat(wideGateCircuit(t, 1, 5, 20))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := NewWideSim(f, 4)
+	ws, err := logicsim.NewWideSim(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := NewWideLaneForces(f, 4)
+	lf, err := logicsim.NewWideLaneForces(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf1, err := NewWideLaneForces(f, 1)
+	lf1, err := logicsim.NewWideLaneForces(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherPlanes, err := NewGoodPlanes(other, packBlocks(t, randomPatterns(other.Circuit(), 4, rng)))
+	otherPlanes, err := logicsim.NewGoodPlanes(other, packBlocks(t, randomPatterns(other.Circuit(), 4, rng)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,25 +331,25 @@ func FuzzLaneWalk(f *testing.F) {
 		}
 		rng := rand.New(rand.NewSource(seed))
 		c := wideGateCircuit(t, seed, 4+rng.Intn(6), 20+rng.Intn(60))
-		fl, err := NewFlat(c)
+		fl, err := logicsim.NewFlat(c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		words := 1
 		if wide {
-			words = MaxLaneWords
+			words = logicsim.MaxLaneWords
 		}
 		var forces []laneForce
 		for ; len(data) >= 5; data = data[5:] {
 			gate := (int(data[0]) | int(data[1])<<8) % len(c.Gates)
 			pin := int(data[2])%(len(c.Gates[gate].Fanin)+1) - 1
 			forces = append(forces, laneForce{
-				Injection{Gate: gate, Pin: pin, Stuck: data[3]&1 == 1},
+				logicsim.Injection{Gate: gate, Pin: pin, Stuck: data[3]&1 == 1},
 				int(data[4]) % (64 * words),
 			})
 		}
 		blocks := packBlocks(t, randomPatterns(c, 70, rng))
-		gp, err := NewGoodPlanes(fl, blocks)
+		gp, err := logicsim.NewGoodPlanes(fl, blocks)
 		if err != nil {
 			t.Fatal(err)
 		}

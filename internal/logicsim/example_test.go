@@ -37,11 +37,11 @@ func ExamplePackPatterns() {
 	if err := c.MarkOutput("y"); err != nil {
 		panic(err)
 	}
-	sim, err := logicsim.NewSimulator(c)
+	f, err := logicsim.FlatFor(c)
 	if err != nil {
 		panic(err)
 	}
-	out, err := sim.Run(block)
+	out, err := logicsim.NewFlatSim(f).RunInto(block, nil)
 	if err != nil {
 		panic(err)
 	}

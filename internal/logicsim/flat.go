@@ -69,7 +69,7 @@ func opFor(t netlist.GateType, fanins int) (uint8, error) {
 	}
 	if fanins == 1 {
 		// Degenerate 1-input logic gates reduce to a buffer or inverter,
-		// matching eval/evalWords semantics.
+		// matching the reference simulator's gate semantics.
 		switch t {
 		case netlist.Buf, netlist.And, netlist.Or, netlist.Xor:
 			return opBuf, nil
@@ -257,8 +257,8 @@ func (f *Flat) FanoutSlots(slot int) []int32 {
 func (f *Flat) OutputSlot(oi int) int { return int(f.outSlot[oi]) }
 
 // FlatSim is the 64-lane walk state over a Flat: one value word per
-// slot, reused across runs. Like Simulator it is not safe for
-// concurrent use; create one per goroutine over the shared Flat.
+// slot, reused across runs. It is not safe for concurrent use; create
+// one per goroutine over the shared Flat.
 type FlatSim struct {
 	f    *Flat
 	val  []uint64
@@ -279,14 +279,13 @@ func NewFlatSim(f *Flat) *FlatSim {
 func (s *FlatSim) Flat() *Flat { return s.f }
 
 // RunInto simulates the block and appends the primary-output words to
-// out (reusing its capacity): the allocation-free counterpart of
-// Simulator.Run. Passing out with capacity >= the output count makes
-// the steady state zero-alloc.
+// out (reusing its capacity). Passing out with capacity >= the output
+// count makes the steady state zero-alloc.
 //
 //repolint:hotpath
 func (s *FlatSim) RunInto(block PatternBlock, out []uint64) ([]uint64, error) {
 	f := s.f
-	if err := block.validate(f.numIn); err != nil {
+	if err := block.Validate(f.numIn); err != nil {
 		return nil, err
 	}
 	s.mask = block.Mask()

@@ -1,4 +1,4 @@
-package logicsim
+package logicsim_test
 
 import (
 	"math/rand"
@@ -6,14 +6,16 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/logicsim"
+	"repro/internal/logicsim/ref"
 	"repro/internal/netlist"
 )
 
 // randomPatterns builds n random patterns for the circuit.
-func randomPatterns(c *netlist.Circuit, n int, rng *rand.Rand) []Pattern {
-	patterns := make([]Pattern, n)
+func randomPatterns(c *netlist.Circuit, n int, rng *rand.Rand) []logicsim.Pattern {
+	patterns := make([]logicsim.Pattern, n)
 	for i := range patterns {
-		p := make(Pattern, len(c.Inputs))
+		p := make(logicsim.Pattern, len(c.Inputs))
 		for j := range p {
 			p[j] = rng.Intn(2) == 1
 		}
@@ -24,7 +26,7 @@ func randomPatterns(c *netlist.Circuit, n int, rng *rand.Rand) []Pattern {
 
 func TestFlatStructure(t *testing.T) {
 	c := netlist.C17()
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,19 +84,19 @@ func TestFlatForConcurrentBuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	const workers = 8
-	flats := make([]*Flat, workers)
-	cones := make([]*ConeSet, workers)
+	flats := make([]*logicsim.Flat, workers)
+	cones := make([]*logicsim.ConeSet, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			f, err := FlatFor(c)
+			f, err := logicsim.FlatFor(c)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			cs, err := ConeSetFor(c)
+			cs, err := logicsim.ConeSetFor(c)
 			if err != nil {
 				t.Error(err)
 				return
@@ -112,11 +114,11 @@ func TestFlatForConcurrentBuild(t *testing.T) {
 
 func TestFlatForCachesAndInvalidates(t *testing.T) {
 	c := netlist.C17()
-	f1, err := FlatFor(c)
+	f1, err := logicsim.FlatFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f2, err := FlatFor(c)
+	f2, err := logicsim.FlatFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,15 +127,15 @@ func TestFlatForCachesAndInvalidates(t *testing.T) {
 	}
 	// The cone set shares the same cache bundle without evicting the
 	// flat form.
-	cs1, err := ConeSetFor(c)
+	cs1, err := logicsim.ConeSetFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f3, err := FlatFor(c)
+	f3, err := logicsim.FlatFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs2, err := ConeSetFor(c)
+	cs2, err := logicsim.ConeSetFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,11 +146,11 @@ func TestFlatForCachesAndInvalidates(t *testing.T) {
 	if _, err := c.AddGate("extra", netlist.Not, "22"); err != nil {
 		t.Fatal(err)
 	}
-	f4, err := FlatFor(c)
+	f4, err := logicsim.FlatFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs3, err := ConeSetFor(c)
+	cs3, err := logicsim.ConeSetFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,16 +168,16 @@ func TestFlatSimMatchesSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim, err := NewSimulator(c)
+		sim, err := ref.NewSimulator(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := NewFlat(c)
+		f, err := logicsim.NewFlat(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := NewFlatSim(f)
-		block, err := PackPatterns(randomPatterns(c, 1+rng.Intn(64), rng))
+		fs := logicsim.NewFlatSim(f)
+		block, err := logicsim.PackPatterns(randomPatterns(c, 1+rng.Intn(64), rng))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -209,12 +211,12 @@ func TestFlatWalkZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := NewFlatSim(f)
-	block, err := PackPatterns(randomPatterns(c, 64, rand.New(rand.NewSource(1))))
+	fs := logicsim.NewFlatSim(f)
+	block, err := logicsim.PackPatterns(randomPatterns(c, 64, rand.New(rand.NewSource(1))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,10 +257,10 @@ func TestZeroFaninGateRejectedAtLoad(t *testing.T) {
 		c.Gates[id].Fanin = nil
 		return c
 	}
-	if _, err := NewSimulator(build()); err == nil || !strings.Contains(err.Error(), `"g"`) {
+	if _, err := ref.NewSimulator(build()); err == nil || !strings.Contains(err.Error(), `"g"`) {
 		t.Errorf("NewSimulator: want named-gate error, got %v", err)
 	}
-	if _, err := NewFlat(build()); err == nil || !strings.Contains(err.Error(), `"g"`) {
+	if _, err := logicsim.NewFlat(build()); err == nil || !strings.Contains(err.Error(), `"g"`) {
 		t.Errorf("NewFlat: want named-gate error, got %v", err)
 	}
 	if err := build().Validate(); err == nil || !strings.Contains(err.Error(), `"g"`) {
@@ -272,24 +274,24 @@ func TestZeroFaninGateRejectedAtLoad(t *testing.T) {
 // garbage lanes as valid patterns.
 func TestZeroValuePatternBlockRejected(t *testing.T) {
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := NewFlatSim(f)
-	ws, err := NewWideSim(f, 4)
+	fs := logicsim.NewFlatSim(f)
+	ws, err := logicsim.NewWideSim(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wlf, err := NewWideLaneForces(f, 4)
+	wlf, err := logicsim.NewWideLaneForces(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := []PatternBlock{
+	blocks := []logicsim.PatternBlock{
 		{},
 		{Inputs: make([]uint64, len(c.Inputs))}, // Count 0
 		{Inputs: make([]uint64, len(c.Inputs)), Count: -3},   // negative wraps Mask
@@ -315,7 +317,7 @@ func TestZeroValuePatternBlockRejected(t *testing.T) {
 	}
 	// The boundary Counts stay accepted.
 	for _, count := range []int{1, 64} {
-		b := PatternBlock{Inputs: make([]uint64, len(c.Inputs)), Count: count}
+		b := logicsim.PatternBlock{Inputs: make([]uint64, len(c.Inputs)), Count: count}
 		if _, err := sim.Run(b); err != nil {
 			t.Errorf("Count %d rejected: %v", count, err)
 		}

@@ -1,4 +1,4 @@
-package logicsim
+package logicsim_test
 
 import (
 	"math/rand"
@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/logicsim"
+	"repro/internal/logicsim/ref"
 	"repro/internal/netlist"
 )
 
@@ -22,15 +24,15 @@ func TestFlatConeSetMatchesConeSet(t *testing.T) {
 		circuits = append(circuits, c)
 	}
 	for _, c := range circuits {
-		cs, err := NewConeSet(c)
+		cs, err := logicsim.NewConeSet(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := NewFlat(c)
+		f, err := logicsim.NewFlat(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fcs := NewFlatConeSet(f)
+		fcs := logicsim.NewFlatConeSet(f)
 		for gate := range c.Gates {
 			slot := f.SlotOf(gate)
 			fc := fcs.ConeOf(slot)
@@ -78,11 +80,11 @@ func TestFlatConeSlotsAreSortedReach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcs := NewFlatConeSet(f)
+	fcs := logicsim.NewFlatConeSet(f)
 	for site := 0; site < f.Slots(); site++ {
 		seen := map[int32]bool{int32(site): true}
 		want := []int32{int32(site)}
@@ -127,16 +129,16 @@ func TestRunConeMatchesRunWithFault(t *testing.T) {
 		circuits = append(circuits, c)
 	}
 	for _, c := range circuits {
-		sim, err := NewSimulator(c)
+		sim, err := ref.NewSimulator(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := NewFlat(c)
+		f, err := logicsim.NewFlat(c)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fcs := NewFlatConeSet(f)
-		fs := NewFlatSim(f)
+		fcs := logicsim.NewFlatConeSet(f)
+		fs := logicsim.NewFlatSim(f)
 		block := randomBlock(t, c, 1+int(int64(len(c.Gates))%64), int64(len(c.Gates)))
 		mask := block.Mask()
 		good, err := sim.Run(block)
@@ -210,13 +212,13 @@ func TestRunConeZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcs := NewFlatConeSet(f)
-	fs := NewFlatSim(f)
-	block, err := PackPatterns(randomPatterns(c, 64, rand.New(rand.NewSource(1))))
+	fcs := logicsim.NewFlatConeSet(f)
+	fs := logicsim.NewFlatSim(f)
+	block, err := logicsim.PackPatterns(randomPatterns(c, 64, rand.New(rand.NewSource(1))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,24 +264,24 @@ func TestFlatConeSetLazyMatchesEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eager := NewFlatConeSet(f)
+	eager := logicsim.NewFlatConeSet(f)
 	for slot := 0; slot < f.Slots(); slot++ {
 		eager.ConeOfPtr(slot)
 	}
-	lazy := NewFlatConeSet(f)
+	lazy := logicsim.NewFlatConeSet(f)
 	const workers = 4
-	got := make([][]*FlatCone, workers)
+	got := make([][]*logicsim.FlatCone, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
-			got[w] = make([]*FlatCone, f.Slots())
+			got[w] = make([]*logicsim.FlatCone, f.Slots())
 			for _, slot := range rng.Perm(f.Slots()) {
 				got[w][slot] = lazy.ConeOfPtr(slot)
 			}
@@ -314,12 +316,12 @@ func TestFlatConeSetLazyMatchesEager(t *testing.T) {
 // TestFlatConeErrors exercises the cone-walk validation paths.
 func TestFlatConeErrors(t *testing.T) {
 	c := netlist.C17()
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fcs := NewFlatConeSet(f)
-	fs := NewFlatSim(f)
+	fcs := logicsim.NewFlatConeSet(f)
+	fs := logicsim.NewFlatSim(f)
 	// A cone walk without a preceding good run must be rejected, not
 	// silently report every fault undetected.
 	if _, err := fs.RunCone(0, true, conePtr(fcs.ConeOf(0)), nil); err == nil {
@@ -349,11 +351,11 @@ func TestFlatConeErrors(t *testing.T) {
 // the Flat and ConeSet, dropped with them on any mutation.
 func TestFlatConeSetForCachesAndInvalidates(t *testing.T) {
 	c := netlist.C17()
-	cs1, err := FlatConeSetFor(c)
+	cs1, err := logicsim.FlatConeSetFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs2, err := FlatConeSetFor(c)
+	cs2, err := logicsim.FlatConeSetFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +363,7 @@ func TestFlatConeSetForCachesAndInvalidates(t *testing.T) {
 		t.Error("FlatConeSetFor rebuilt on second call")
 	}
 	// The slot cones build over (and share) the cached Flat.
-	f, err := FlatFor(c)
+	f, err := logicsim.FlatFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,7 +373,7 @@ func TestFlatConeSetForCachesAndInvalidates(t *testing.T) {
 	if _, err := c.AddGate("extra", netlist.Not, "22"); err != nil {
 		t.Fatal(err)
 	}
-	cs3, err := FlatConeSetFor(c)
+	cs3, err := logicsim.FlatConeSetFor(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,4 +383,4 @@ func TestFlatConeSetForCachesAndInvalidates(t *testing.T) {
 }
 
 // conePtr lets test call sites pass an rvalue cone by address.
-func conePtr(c FlatCone) *FlatCone { return &c }
+func conePtr(c logicsim.FlatCone) *logicsim.FlatCone { return &c }

@@ -1,9 +1,11 @@
-package logicsim
+package logicsim_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/logicsim"
+	"repro/internal/logicsim/ref"
 	"repro/internal/netlist"
 )
 
@@ -13,14 +15,14 @@ func TestCarryLookaheadAdderAdds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for a := 0; a < 1<<w; a += 3 {
 		for b := 0; b < 1<<w; b += 5 {
 			for cin := 0; cin < 2; cin++ {
-				p := make(Pattern, 0, 2*w+1)
+				p := make(logicsim.Pattern, 0, 2*w+1)
 				for i := 0; i < w; i++ {
 					p = append(p, a>>i&1 == 1, b>>i&1 == 1)
 				}
@@ -55,11 +57,11 @@ func TestCLAMatchesRipple(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simC, _ := NewSimulator(cla)
-	simR, _ := NewSimulator(rca)
+	simC, _ := ref.NewSimulator(cla)
+	simR, _ := ref.NewSimulator(rca)
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 300; trial++ {
-		p := make(Pattern, 2*w+1)
+		p := make(logicsim.Pattern, 2*w+1)
 		for i := range p {
 			p[i] = rng.Intn(2) == 1
 		}
@@ -91,14 +93,14 @@ func TestALUSliceOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for a := 0; a < 1<<w; a++ {
 		for b := 0; b < 1<<w; b++ {
 			for op := 0; op < 4; op++ {
-				p := make(Pattern, 0, 2*w+2)
+				p := make(logicsim.Pattern, 0, 2*w+2)
 				for i := 0; i < w; i++ {
 					p = append(p, a>>i&1 == 1, b>>i&1 == 1)
 				}
@@ -143,7 +145,7 @@ func TestBarrelShifterShifts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +154,7 @@ func TestBarrelShifterShifts(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		data := rng.Intn(1 << n)
 		shift := rng.Intn(n)
-		p := make(Pattern, 0, n+stages)
+		p := make(logicsim.Pattern, 0, n+stages)
 		for i := 0; i < n; i++ {
 			p = append(p, data>>i&1 == 1)
 		}
@@ -182,7 +184,7 @@ func TestDatapathReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +193,7 @@ func TestDatapathReference(t *testing.T) {
 		for y := 0; y <= mask; y++ {
 			for z := 0; z <= mask; z++ {
 				for op := 0; op < 4; op++ {
-					p := make(Pattern, 0, 3*w+2)
+					p := make(logicsim.Pattern, 0, 3*w+2)
 					for i := 0; i < w; i++ {
 						p = append(p, x>>i&1 == 1)
 					}

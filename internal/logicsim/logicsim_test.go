@@ -1,9 +1,11 @@
-package logicsim
+package logicsim_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/logicsim"
+	"repro/internal/logicsim/ref"
 	"repro/internal/netlist"
 )
 
@@ -12,11 +14,11 @@ import (
 func runC17(t *testing.T, bits [5]bool) [2]bool {
 	t.Helper()
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := sim.RunSingle(Pattern(bits[:]))
+	out, err := sim.RunSingle(logicsim.Pattern(bits[:]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,9 +52,9 @@ func TestC17Exhaustive(t *testing.T) {
 }
 
 func TestPackPatterns(t *testing.T) {
-	p0 := Pattern{true, false, true}
-	p1 := Pattern{false, false, true}
-	b, err := PackPatterns([]Pattern{p0, p1})
+	p0 := logicsim.Pattern{true, false, true}
+	p1 := logicsim.Pattern{false, false, true}
+	b, err := logicsim.PackPatterns([]logicsim.Pattern{p0, p1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,17 +67,17 @@ func TestPackPatterns(t *testing.T) {
 }
 
 func TestPackPatternsErrors(t *testing.T) {
-	if _, err := PackPatterns(nil); err == nil {
+	if _, err := logicsim.PackPatterns(nil); err == nil {
 		t.Error("empty should error")
 	}
-	if _, err := PackPatterns([]Pattern{{true}, {true, false}}); err == nil {
+	if _, err := logicsim.PackPatterns([]logicsim.Pattern{{true}, {true, false}}); err == nil {
 		t.Error("ragged widths should error")
 	}
-	many := make([]Pattern, 65)
+	many := make([]logicsim.Pattern, 65)
 	for i := range many {
-		many[i] = Pattern{true}
+		many[i] = logicsim.Pattern{true}
 	}
-	if _, err := PackPatterns(many); err == nil {
+	if _, err := logicsim.PackPatterns(many); err == nil {
 		t.Error(">64 should error")
 	}
 }
@@ -84,11 +86,11 @@ func TestPackPatternsErrors(t *testing.T) {
 // two-pattern tail, bit p of block bi being pattern bi*64+p; no
 // patterns pack to no blocks, and a ragged width fails.
 func TestPackBlocks(t *testing.T) {
-	patterns := make([]Pattern, 130)
+	patterns := make([]logicsim.Pattern, 130)
 	for i := range patterns {
-		patterns[i] = Pattern{i%3 == 0, i%5 == 0}
+		patterns[i] = logicsim.Pattern{i%3 == 0, i%5 == 0}
 	}
-	blocks, err := PackBlocks(patterns)
+	blocks, err := logicsim.PackBlocks(patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,17 +105,17 @@ func TestPackBlocks(t *testing.T) {
 			}
 		}
 	}
-	if blocks, err := PackBlocks(nil); err != nil || len(blocks) != 0 {
+	if blocks, err := logicsim.PackBlocks(nil); err != nil || len(blocks) != 0 {
 		t.Errorf("no patterns: %d blocks, error %v", len(blocks), err)
 	}
-	patterns[100] = Pattern{true}
-	if _, err := PackBlocks(patterns); err == nil {
+	patterns[100] = logicsim.Pattern{true}
+	if _, err := logicsim.PackBlocks(patterns); err == nil {
 		t.Error("a ragged width in a later block should error")
 	}
 }
 
 func TestMaskFull(t *testing.T) {
-	b := PatternBlock{Count: 64}
+	b := logicsim.PatternBlock{Count: 64}
 	if b.Mask() != ^uint64(0) {
 		t.Error("full mask wrong")
 	}
@@ -126,20 +128,20 @@ func TestParallelMatchesScalar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(8))
-	patterns := make([]Pattern, 64)
+	patterns := make([]logicsim.Pattern, 64)
 	for i := range patterns {
-		p := make(Pattern, len(c.Inputs))
+		p := make(logicsim.Pattern, len(c.Inputs))
 		for j := range p {
 			p[j] = rng.Intn(2) == 1
 		}
 		patterns[i] = p
 	}
-	block, err := PackPatterns(patterns)
+	block, err := logicsim.PackPatterns(patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,14 +163,14 @@ func TestParallelMatchesScalar(t *testing.T) {
 }
 
 func TestRunInputWidthError(t *testing.T) {
-	sim, err := NewSimulator(netlist.C17())
+	sim, err := ref.NewSimulator(netlist.C17())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.Run(PatternBlock{Inputs: []uint64{1}, Count: 1}); err == nil {
+	if _, err := sim.Run(logicsim.PatternBlock{Inputs: []uint64{1}, Count: 1}); err == nil {
 		t.Error("wrong width should error")
 	}
-	if _, err := sim.RunWithFault(PatternBlock{Inputs: []uint64{1}, Count: 1}, 0, -1, true); err == nil {
+	if _, err := sim.RunWithFault(logicsim.PatternBlock{Inputs: []uint64{1}, Count: 1}, 0, -1, true); err == nil {
 		t.Error("wrong width should error in RunWithFault")
 	}
 }
@@ -179,7 +181,7 @@ func TestAdderAdds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +191,7 @@ func TestAdderAdds(t *testing.T) {
 		b := rng.Intn(1 << w)
 		cin := rng.Intn(2)
 		// Inputs in declaration order: a0,b0,a1,b1,...,cin.
-		p := make(Pattern, 0, 2*w+1)
+		p := make(logicsim.Pattern, 0, 2*w+1)
 		for i := 0; i < w; i++ {
 			p = append(p, a>>i&1 == 1, b>>i&1 == 1)
 		}
@@ -220,13 +222,13 @@ func TestMultiplierMultiplies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for a := 0; a < 1<<w; a++ {
 		for b := 0; b < 1<<w; b++ {
-			p := make(Pattern, 0, 2*w)
+			p := make(logicsim.Pattern, 0, 2*w)
 			for i := 0; i < w; i++ {
 				p = append(p, a>>i&1 == 1)
 			}
@@ -256,12 +258,12 @@ func TestParityTreeCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 1<<w; v++ {
-		p := make(Pattern, w)
+		p := make(logicsim.Pattern, w)
 		parity := false
 		for i := 0; i < w; i++ {
 			p[i] = v>>i&1 == 1
@@ -285,13 +287,13 @@ func TestDecoderCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for v := 0; v < 1<<bits; v++ {
 		for _, en := range []bool{false, true} {
-			p := make(Pattern, bits+1)
+			p := make(logicsim.Pattern, bits+1)
 			for i := 0; i < bits; i++ {
 				p[i] = v>>i&1 == 1
 			}
@@ -316,7 +318,7 @@ func TestMuxTreeCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +327,7 @@ func TestMuxTreeCorrect(t *testing.T) {
 	for trial := 0; trial < 100; trial++ {
 		data := rng.Intn(1 << n)
 		s := rng.Intn(n)
-		p := make(Pattern, 0, n+sel)
+		p := make(logicsim.Pattern, 0, n+sel)
 		for i := 0; i < n; i++ {
 			p = append(p, data>>i&1 == 1)
 		}
@@ -348,7 +350,7 @@ func TestComparatorCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +361,7 @@ func TestComparatorCorrect(t *testing.T) {
 		if trial%2 == 0 {
 			b = rng.Intn(1 << w)
 		}
-		p := make(Pattern, 0, 2*w)
+		p := make(logicsim.Pattern, 0, 2*w)
 		for i := 0; i < w; i++ {
 			p = append(p, a>>i&1 == 1, b>>i&1 == 1)
 		}
@@ -377,13 +379,13 @@ func TestRunWithFaultStuckOutput(t *testing.T) {
 	// c17: force gate 22's output stuck-at-1; output 22 must read 1 for
 	// every pattern.
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	id, _ := c.GateByName("22")
 	patterns := allC17Patterns()
-	block, _ := PackPatterns(patterns)
+	block, _ := logicsim.PackPatterns(patterns)
 	out, err := sim.RunWithFault(block, id, -1, true)
 	if err != nil {
 		t.Fatal(err)
@@ -399,14 +401,14 @@ func TestRunWithFaultInputPin(t *testing.T) {
 	// and check gate 19's behaviour is untouched by comparing output 23
 	// against a direct reference with only that pin forced.
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g16, _ := c.GateByName("16")
 	// Pin 1 of gate 16 is the branch from 11 (fanin order: 2, 11).
 	patterns := allC17Patterns()
-	block, _ := PackPatterns(patterns)
+	block, _ := logicsim.PackPatterns(patterns)
 	got, err := sim.RunWithFault(block, g16, 1, true)
 	if err != nil {
 		t.Fatal(err)
@@ -431,11 +433,11 @@ func TestRunWithFaultInputPin(t *testing.T) {
 }
 
 func TestRunWithFaultErrors(t *testing.T) {
-	sim, err := NewSimulator(netlist.C17())
+	sim, err := ref.NewSimulator(netlist.C17())
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, _ := PackPatterns(allC17Patterns()[:1])
+	block, _ := logicsim.PackPatterns(allC17Patterns()[:1])
 	if _, err := sim.RunWithFault(block, 999, -1, true); err == nil {
 		t.Error("bad site should error")
 	}
@@ -445,10 +447,10 @@ func TestRunWithFaultErrors(t *testing.T) {
 }
 
 // allC17Patterns returns all 32 input patterns of c17.
-func allC17Patterns() []Pattern {
-	out := make([]Pattern, 32)
+func allC17Patterns() []logicsim.Pattern {
+	out := make([]logicsim.Pattern, 32)
 	for v := 0; v < 32; v++ {
-		p := make(Pattern, 5)
+		p := make(logicsim.Pattern, 5)
 		for i := 0; i < 5; i++ {
 			p[i] = v>>i&1 == 1
 		}
@@ -462,20 +464,20 @@ func BenchmarkParallelSim(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	patterns := make([]Pattern, 64)
+	patterns := make([]logicsim.Pattern, 64)
 	for i := range patterns {
-		p := make(Pattern, len(c.Inputs))
+		p := make(logicsim.Pattern, len(c.Inputs))
 		for j := range p {
 			p[j] = rng.Intn(2) == 1
 		}
 		patterns[i] = p
 	}
-	block, _ := PackPatterns(patterns)
+	block, _ := logicsim.PackPatterns(patterns)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := sim.Run(block); err != nil {

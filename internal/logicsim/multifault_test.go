@@ -1,31 +1,36 @@
-package logicsim
+package logicsim_test
 
 import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/logicsim"
+	"repro/internal/logicsim/ref"
 	"repro/internal/netlist"
 )
+
+// The RunWithFault* tests check the oracle itself (ref.Simulator); they
+// sit beside the flat-core tests that compare against it.
 
 func TestRunWithFaultsSingleMatchesRunWithFault(t *testing.T) {
 	c, err := netlist.RandomCircuit("r", 8, 80, 6, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2))
-	patterns := make([]Pattern, 32)
+	patterns := make([]logicsim.Pattern, 32)
 	for i := range patterns {
-		p := make(Pattern, len(c.Inputs))
+		p := make(logicsim.Pattern, len(c.Inputs))
 		for j := range p {
 			p[j] = rng.Intn(2) == 1
 		}
 		patterns[i] = p
 	}
-	block, err := PackPatterns(patterns)
+	block, err := logicsim.PackPatterns(patterns)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +46,7 @@ func TestRunWithFaultsSingleMatchesRunWithFault(t *testing.T) {
 			t.Fatal(err)
 		}
 		singleCopy := append([]uint64(nil), single...)
-		multi, err := sim.RunWithFaults(block, []Injection{{Gate: gate, Pin: pin, Stuck: stuck}})
+		multi, err := sim.RunWithFaults(block, []logicsim.Injection{{Gate: gate, Pin: pin, Stuck: stuck}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,22 +62,22 @@ func TestRunWithFaultsDominantStem(t *testing.T) {
 	// Two faults where one is on a PO stem: the PO must read the stuck
 	// value regardless of the other fault.
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g22, _ := c.GateByName("22")
 	g10, _ := c.GateByName("10")
-	patterns := make([]Pattern, 32)
+	patterns := make([]logicsim.Pattern, 32)
 	for v := 0; v < 32; v++ {
-		p := make(Pattern, 5)
+		p := make(logicsim.Pattern, 5)
 		for i := range p {
 			p[i] = v>>i&1 == 1
 		}
 		patterns[v] = p
 	}
-	block, _ := PackPatterns(patterns)
-	out, err := sim.RunWithFaults(block, []Injection{
+	block, _ := logicsim.PackPatterns(patterns)
+	out, err := sim.RunWithFaults(block, []logicsim.Injection{
 		{Gate: g22, Pin: -1, Stuck: false},
 		{Gate: g10, Pin: -1, Stuck: true},
 	})
@@ -85,19 +90,19 @@ func TestRunWithFaultsDominantStem(t *testing.T) {
 }
 
 func TestRunWithFaultsErrors(t *testing.T) {
-	sim, err := NewSimulator(netlist.C17())
+	sim, err := ref.NewSimulator(netlist.C17())
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := make(Pattern, 5)
-	block, _ := PackPatterns([]Pattern{p})
-	if _, err := sim.RunWithFaults(block, []Injection{{Gate: 999, Pin: -1}}); err == nil {
+	p := make(logicsim.Pattern, 5)
+	block, _ := logicsim.PackPatterns([]logicsim.Pattern{p})
+	if _, err := sim.RunWithFaults(block, []logicsim.Injection{{Gate: 999, Pin: -1}}); err == nil {
 		t.Error("bad gate should error")
 	}
-	if _, err := sim.RunWithFaults(block, []Injection{{Gate: 10, Pin: 9}}); err == nil {
+	if _, err := sim.RunWithFaults(block, []logicsim.Injection{{Gate: 10, Pin: 9}}); err == nil {
 		t.Error("bad pin should error")
 	}
-	short := PatternBlock{Inputs: []uint64{0}, Count: 1}
+	short := logicsim.PatternBlock{Inputs: []uint64{0}, Count: 1}
 	if _, err := sim.RunWithFaults(short, nil); err == nil {
 		t.Error("wrong width should error")
 	}
@@ -106,15 +111,15 @@ func TestRunWithFaultsErrors(t *testing.T) {
 func TestRunWithFaultsInputStem(t *testing.T) {
 	// Stem fault on a primary input.
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	in3, _ := c.GateByName("3")
-	patterns := []Pattern{{true, true, false, true, true}}
-	block, _ := PackPatterns(patterns)
+	patterns := []logicsim.Pattern{{true, true, false, true, true}}
+	block, _ := logicsim.PackPatterns(patterns)
 	// Input 3 stuck at 1 with applied 0: gates 10 = NAND(1,3) sees 1,1.
-	out, err := sim.RunWithFaults(block, []Injection{{Gate: in3, Pin: -1, Stuck: true}})
+	out, err := sim.RunWithFaults(block, []logicsim.Injection{{Gate: in3, Pin: -1, Stuck: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,24 +146,24 @@ func TestRunLaneForcedMatchesPerMachineRunWithFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := NewWideSim(f, 1)
+	ws, err := logicsim.NewWideSim(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := NewWideLaneForces(f, 1)
+	lf, err := logicsim.NewWideLaneForces(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(4))
-	block, err := PackPatterns(randomPatterns(c, 17, rng))
+	block, err := logicsim.PackPatterns(randomPatterns(c, 17, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,14 +213,14 @@ func TestRunLaneForcedMatchesPerMachineRunWithFaults(t *testing.T) {
 // overwrite a chip's fault list gets, on stems and on input pins.
 func TestLaneForcesLastValueWins(t *testing.T) {
 	c := netlist.C17()
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g22, _ := c.GateByName("22")
-	block, _ := PackPatterns([]Pattern{make(Pattern, 5)})
+	block, _ := logicsim.PackPatterns([]logicsim.Pattern{make(logicsim.Pattern, 5)})
 	for _, last := range []bool{false, true} {
-		out, err := sim.RunWithFaults(block, []Injection{
+		out, err := sim.RunWithFaults(block, []logicsim.Injection{
 			{Gate: g22, Pin: -1, Stuck: !last},
 			{Gate: g22, Pin: -1, Stuck: last},
 		})
@@ -227,7 +232,7 @@ func TestLaneForcesLastValueWins(t *testing.T) {
 		}
 		// Both fanins of NAND 22 are 1 on the all-zero pattern, so
 		// output 22 reads the complement of the last value on pin 0.
-		out, err = sim.RunWithFaults(block, []Injection{
+		out, err = sim.RunWithFaults(block, []logicsim.Injection{
 			{Gate: g22, Pin: 0, Stuck: last},
 			{Gate: g22, Pin: 0, Stuck: !last},
 		})
@@ -246,41 +251,41 @@ func TestLaneForcesLastValueWins(t *testing.T) {
 // wrong width at the walk.
 func TestRunLaneForcedErrors(t *testing.T) {
 	c := netlist.C17()
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := NewWideSim(f, 1)
+	ws, err := logicsim.NewWideSim(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := NewWideLaneForces(f, 1)
+	lf, err := logicsim.NewWideLaneForces(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ResolveInjections([]Injection{{Gate: 999, Pin: -1}}); err == nil {
+	if _, err := f.ResolveInjections([]logicsim.Injection{{Gate: 999, Pin: -1}}); err == nil {
 		t.Error("bad gate should error")
 	}
-	if _, err := f.ResolveInjections([]Injection{{Gate: 10, Pin: 9}}); err == nil {
+	if _, err := f.ResolveInjections([]logicsim.Injection{{Gate: 10, Pin: 9}}); err == nil {
 		t.Error("bad pin should error")
 	}
-	block, _ := PackPatterns([]Pattern{make(Pattern, 5)})
+	block, _ := logicsim.PackPatterns([]logicsim.Pattern{make(logicsim.Pattern, 5)})
 	if _, err := ws.RunLaneForced(block, 5, lf, nil); err == nil {
 		t.Error("pattern outside block should error")
 	}
 	other, _ := netlist.RippleAdder(2)
-	of, err := NewFlat(other)
+	of, err := logicsim.NewFlat(other)
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherLf, err := NewWideLaneForces(of, 1)
+	otherLf, err := logicsim.NewWideLaneForces(of, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ws.RunLaneForced(block, 0, otherLf, nil); err == nil {
 		t.Error("foreign forcing table should error")
 	}
-	short := PatternBlock{Inputs: []uint64{0}, Count: 1}
+	short := logicsim.PatternBlock{Inputs: []uint64{0}, Count: 1}
 	if _, err := ws.RunLaneForced(short, 0, lf, nil); err == nil {
 		t.Error("wrong width should error")
 	}

@@ -1,10 +1,6 @@
 package logicsim
 
-import (
-	"fmt"
-
-	"repro/internal/netlist"
-)
+import "fmt"
 
 // Trit is a three-valued logic level: 0, 1, or X (unknown).
 type Trit uint8
@@ -42,87 +38,13 @@ func NotT(a Trit) Trit {
 	}
 }
 
-// AndT returns three-valued AND: 0 dominates X.
-func AndT(a, b Trit) Trit {
-	if a == F || b == F {
-		return F
-	}
-	if a == T && b == T {
-		return T
-	}
-	return X
-}
-
-// OrT returns three-valued OR: 1 dominates X.
-func OrT(a, b Trit) Trit {
-	if a == T || b == T {
-		return T
-	}
-	if a == F && b == F {
-		return F
-	}
-	return X
-}
-
-// XorT returns three-valued XOR: any X poisons the result.
-func XorT(a, b Trit) Trit {
-	if a == X || b == X {
-		return X
-	}
-	if a != b {
-		return T
-	}
-	return F
-}
-
-// EvalT evaluates a gate in three-valued logic over its fanin values:
-// the per-gate reference the flat kernel (Flat.EvalSlotT) is tested
-// against.
-func EvalT(t netlist.GateType, in []Trit) Trit {
-	switch t {
-	case netlist.Buf:
-		return in[0]
-	case netlist.Not:
-		return NotT(in[0])
-	case netlist.And, netlist.Nand:
-		v := in[0]
-		for _, x := range in[1:] {
-			v = AndT(v, x)
-		}
-		if t == netlist.Nand {
-			return NotT(v)
-		}
-		return v
-	case netlist.Or, netlist.Nor:
-		v := in[0]
-		for _, x := range in[1:] {
-			v = OrT(v, x)
-		}
-		if t == netlist.Nor {
-			return NotT(v)
-		}
-		return v
-	case netlist.Xor, netlist.Xnor:
-		v := in[0]
-		for _, x := range in[1:] {
-			v = XorT(v, x)
-		}
-		if t == netlist.Xnor {
-			return NotT(v)
-		}
-		return v
-	default:
-		panic(fmt.Sprintf("logicsim: cannot evaluate gate type %v", t))
-	}
-}
-
 // EvalSlotT evaluates one logic slot of the flat circuit in three-valued
 // logic over a slot-indexed value plane — the ternary kernel behind
 // PODEM's implication. pin >= 0 replaces that fanin's value with forced
 // (an input-pin fault at the slot); pin < 0 reads every fanin from val.
-// The result equals EvalT over the gate's type and fanin values. The
-// slot must be a logic slot (not a primary input) and pin, if set, one
-// of its pins.
+// The result equals the test oracle's per-gate ref.EvalT over the
+// gate's type and fanin values. The slot must be a logic slot (not a
+// primary input) and pin, if set, one of its pins.
 //
 //repolint:hotpath
 func (f *Flat) EvalSlotT(val []Trit, slot, pin int, forced Trit) Trit {

@@ -48,8 +48,9 @@ func validLaneWords(words int) error {
 // values), applied as v = (v &^ care) | force word by word. Stem forces
 // overwrite a slot's output block; pin forces overwrite one fanin block
 // during that slot's evaluation only. Adding the same site twice on an
-// overlapping lane keeps the last value, as the oracle's RunWithFaults
-// does for a chip's ordered fault list, and Reset is O(1) via an epoch
+// overlapping lane keeps the last value, as the test oracle's
+// ref.Simulator.RunWithFaults does for a chip's ordered fault list, and
+// Reset is O(1) via an epoch
 // bump. Not safe for concurrent use.
 type WideLaneForces struct {
 	f     *Flat
@@ -113,6 +114,16 @@ func (lf *WideLaneForces) Reset() {
 
 // ForcedSlots returns the number of distinct slots forced this epoch.
 func (lf *WideLaneForces) ForcedSlots() int { return len(lf.sites) }
+
+// Injection is one stuck-at fault to inject during simulation. Pin < 0
+// places the fault on the gate output; otherwise on that input pin.
+// (It mirrors fault.Fault without importing it, keeping this package a
+// pure simulation substrate.)
+type Injection struct {
+	Gate  int
+	Pin   int
+	Stuck bool
+}
 
 // SlotInjection is an Injection resolved to slot space: the fault site
 // as a flat slot index, with site and pin validation already done. A
@@ -250,7 +261,7 @@ func NewWideSim(f *Flat, words int) (*WideSim, error) {
 //repolint:hotpath
 func (s *WideSim) RunLaneForced(block PatternBlock, p int, lf *WideLaneForces, out []uint64) ([]uint64, error) {
 	f := s.f
-	if err := block.validate(f.numIn); err != nil {
+	if err := block.Validate(f.numIn); err != nil {
 		return nil, err
 	}
 	if p < 0 || p >= block.Count {

@@ -1,10 +1,11 @@
-package logicsim
+package logicsim_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"repro/internal/logicsim"
 	"repro/internal/netlist"
 )
 
@@ -18,30 +19,30 @@ func BenchmarkWideWidths(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	f, err := FlatFor(c)
+	f, err := logicsim.FlatFor(c)
 	if err != nil {
 		b.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	patterns := make([]Pattern, 64)
+	patterns := make([]logicsim.Pattern, 64)
 	for i := range patterns {
-		p := make(Pattern, len(c.Inputs))
+		p := make(logicsim.Pattern, len(c.Inputs))
 		for j := range p {
 			p[j] = rng.Intn(2) == 1
 		}
 		patterns[i] = p
 	}
-	block, err := PackPatterns(patterns)
+	block, err := logicsim.PackPatterns(patterns)
 	if err != nil {
 		b.Fatal(err)
 	}
 	for _, w := range wideWidths {
 		b.Run(fmt.Sprintf("w%d", w), func(b *testing.B) {
-			sim, err := NewWideSim(f, w)
+			sim, err := logicsim.NewWideSim(f, w)
 			if err != nil {
 				b.Fatal(err)
 			}
-			lf, err := NewWideLaneForces(f, w)
+			lf, err := logicsim.NewWideLaneForces(f, w)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -49,7 +50,7 @@ func BenchmarkWideWidths(b *testing.B) {
 			// stuck fault, the engines' batch shape.
 			for lane := 1; lane < lf.Lanes(); lane++ {
 				g := rng.Intn(len(c.Gates))
-				forceMachine(b, f, lf, []Injection{{Gate: g, Pin: -1, Stuck: lane%2 == 0}}, lane)
+				forceMachine(b, f, lf, []logicsim.Injection{{Gate: g, Pin: -1, Stuck: lane%2 == 0}}, lane)
 			}
 			var out []uint64
 			b.ResetTimer()

@@ -1,22 +1,24 @@
-package logicsim
+package logicsim_test
 
 import (
 	"errors"
 	"math/rand"
 	"testing"
 
+	"repro/internal/logicsim"
+	"repro/internal/logicsim/ref"
 	"repro/internal/netlist"
 )
 
 // wideWidths is the lane-block width matrix the wide-layer property
 // tests sweep: the two widths the layer has, the 1-word scalar kernel
 // and the 4-word unrolled one.
-var wideWidths = []int{1, MaxLaneWords}
+var wideWidths = []int{1, logicsim.MaxLaneWords}
 
 // forceMachine forces one machine's faults onto a lane the way the lot
 // engine builds its tables: resolved to slot space by
 // Flat.ResolveInjections, then added with AddResolved.
-func forceMachine(t testing.TB, f *Flat, lf *WideLaneForces, machine []Injection, lane int) {
+func forceMachine(t testing.TB, f *logicsim.Flat, lf *logicsim.WideLaneForces, machine []logicsim.Injection, lane int) {
 	t.Helper()
 	resolved, err := f.ResolveInjections(machine)
 	if err != nil {
@@ -28,8 +30,8 @@ func forceMachine(t testing.TB, f *Flat, lf *WideLaneForces, machine []Injection
 }
 
 // randomMachines builds n multi-fault machines of 1..5 random faults.
-func randomMachines(c *netlist.Circuit, n int, rng *rand.Rand) [][]Injection {
-	machines := make([][]Injection, n)
+func randomMachines(c *netlist.Circuit, n int, rng *rand.Rand) [][]logicsim.Injection {
+	machines := make([][]logicsim.Injection, n)
 	for m := range machines {
 		k := 1 + rng.Intn(5)
 		for j := 0; j < k; j++ {
@@ -38,7 +40,7 @@ func randomMachines(c *netlist.Circuit, n int, rng *rand.Rand) [][]Injection {
 			if nf := len(c.Gates[gate].Fanin); nf > 0 && rng.Intn(2) == 1 {
 				pin = rng.Intn(nf)
 			}
-			machines[m] = append(machines[m], Injection{Gate: gate, Pin: pin, Stuck: rng.Intn(2) == 1})
+			machines[m] = append(machines[m], logicsim.Injection{Gate: gate, Pin: pin, Stuck: rng.Intn(2) == 1})
 		}
 	}
 	return machines
@@ -55,24 +57,24 @@ func TestWideRunLaneForcedMatchesRunWithFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, err := PackPatterns(randomPatterns(c, 17, rng))
+	block, err := logicsim.PackPatterns(randomPatterns(c, 17, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, words := range wideWidths {
-		ws, err := NewWideSim(f, words)
+		ws, err := logicsim.NewWideSim(f, words)
 		if err != nil {
 			t.Fatal(err)
 		}
-		lf, err := NewWideLaneForces(f, words)
+		lf, err := logicsim.NewWideLaneForces(f, words)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,31 +131,31 @@ func TestWideRunLaneForcedMatchesRunWithFaults(t *testing.T) {
 
 func TestWideLaneForcesLastValueWins(t *testing.T) {
 	c := netlist.C17()
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	g22, _ := c.GateByName("22")
-	block, err := PackPatterns(randomPatterns(c, 8, rand.New(rand.NewSource(2))))
+	block, err := logicsim.PackPatterns(randomPatterns(c, 8, rand.New(rand.NewSource(2))))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := NewWideSim(f, 4)
+	ws, err := logicsim.NewWideSim(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := NewWideLaneForces(f, 4)
+	lf, err := logicsim.NewWideLaneForces(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Both polarities on one lane: the second add wins, same as a chip's
 	// ordered fault list under RunWithFaults.
 	const lane = 200
-	machine := []Injection{
+	machine := []logicsim.Injection{
 		{Gate: g22, Pin: -1, Stuck: true},
 		{Gate: g22, Pin: -1, Stuck: false},
 	}
@@ -183,15 +185,15 @@ func TestWideRunLaneForcedZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := NewWideSim(f, 4)
+	ws, err := logicsim.NewWideSim(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := NewWideLaneForces(f, 4)
+	lf, err := logicsim.NewWideLaneForces(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +201,7 @@ func TestWideRunLaneForcedZeroAllocs(t *testing.T) {
 	for m, machine := range randomMachines(c, 40, rng) {
 		forceMachine(t, f, lf, machine, m+1)
 	}
-	block, err := PackPatterns(randomPatterns(c, 64, rng))
+	block, err := logicsim.PackPatterns(randomPatterns(c, 64, rng))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,30 +230,30 @@ func TestWideRunLaneForcedZeroAllocs(t *testing.T) {
 // reaches the walk.
 func TestWideLaneForcesResetKeepsLaneBounds(t *testing.T) {
 	c := netlist.C17()
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := NewWideSim(f, 1)
+	ws, err := logicsim.NewWideSim(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := NewWideLaneForces(f, 1)
+	lf, err := logicsim.NewWideLaneForces(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if lf.Lanes() != 64 || lf.Words() != 1 {
 		t.Fatalf("1-word table has %d lanes over %d words", lf.Lanes(), lf.Words())
 	}
-	block, err := PackPatterns(randomPatterns(c, 8, rand.New(rand.NewSource(2))))
+	block, err := logicsim.PackPatterns(randomPatterns(c, 8, rand.New(rand.NewSource(2))))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Stick every output on lane 63, then Reset: the walk must see the
 	// good machine on every lane again.
-	var stuck []Injection
+	var stuck []logicsim.Injection
 	for _, g := range c.Outputs {
-		stuck = append(stuck, Injection{Gate: g, Pin: -1, Stuck: true})
+		stuck = append(stuck, logicsim.Injection{Gate: g, Pin: -1, Stuck: true})
 	}
 	forceMachine(t, f, lf, stuck, 63)
 	diverged := false
@@ -291,37 +293,37 @@ func TestWideLaneForcesResetKeepsLaneBounds(t *testing.T) {
 // mismatched forcing table or an out-of-range pattern.
 func TestWideValidationErrors(t *testing.T) {
 	c := netlist.C17()
-	f, err := NewFlat(c)
+	f, err := logicsim.NewFlat(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, words := range []int{0, -1, 2, 3, 5, 8, 9} {
-		if _, err := NewWideSim(f, words); !errors.Is(err, ErrLaneWords) {
+		if _, err := logicsim.NewWideSim(f, words); !errors.Is(err, logicsim.ErrLaneWords) {
 			t.Errorf("NewWideSim(%d words) error %v, want ErrLaneWords", words, err)
 		}
-		if _, err := NewWideLaneForces(f, words); !errors.Is(err, ErrLaneWords) {
+		if _, err := logicsim.NewWideLaneForces(f, words); !errors.Is(err, logicsim.ErrLaneWords) {
 			t.Errorf("NewWideLaneForces(%d words) error %v, want ErrLaneWords", words, err)
 		}
 	}
-	ws, err := NewWideSim(f, 4)
+	ws, err := logicsim.NewWideSim(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lf, err := NewWideLaneForces(f, 4)
+	lf, err := logicsim.NewWideLaneForces(f, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.ResolveInjections([]Injection{{Gate: len(c.Gates), Pin: -1}}); err == nil {
+	if _, err := f.ResolveInjections([]logicsim.Injection{{Gate: len(c.Gates), Pin: -1}}); err == nil {
 		t.Error("out-of-range site accepted")
 	}
-	if _, err := f.ResolveInjections([]Injection{{Gate: c.Outputs[0], Pin: 9}}); err == nil {
+	if _, err := f.ResolveInjections([]logicsim.Injection{{Gate: c.Outputs[0], Pin: 9}}); err == nil {
 		t.Error("out-of-range pin accepted")
 	}
-	lf1, err := NewWideLaneForces(f, 1)
+	lf1, err := logicsim.NewWideLaneForces(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	block, err := PackPatterns(randomPatterns(c, 4, rand.New(rand.NewSource(1))))
+	block, err := logicsim.PackPatterns(randomPatterns(c, 4, rand.New(rand.NewSource(1))))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,18 @@ import (
 // gates, one output per ~33), locality-biased fanin selection for
 // depth with occasional long-range edges for reconvergent fanout, and
 // a final collector sweep that folds would-be dead logic into XOR
-// observation trees so the circuit has no undetectable dangling cones.
+// observation trees so no gate is left without a path to an output.
+//
+// It is not ISCAS-like in redundancy. Gate types are drawn
+// independently of their fanins, so signal probabilities drift toward
+// constant 0 or 1 and most stuck-at faults cannot be detected by any
+// pattern: on the 16-input members only about 40% of the collapsed
+// faults are detectable (43% on lsi300, 39% on lsi576, exhaustively),
+// and 16384 random patterns reach only about half coverage on lsi1k,
+// lsi4k and lsi7552, where the ISCAS'85 circuits are redundant in a
+// few percent of their faults. A workload built on it cannot reach the
+// paper's 80–95% coverage range.
+//
 // The construction is deterministic in n alone: lsi<N> names one
 // reproducible workload, like rand<seed>.
 func LSIChip(n int) (*Circuit, error) {

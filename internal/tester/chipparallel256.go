@@ -38,7 +38,7 @@ import (
 // Both walks return the same output lane blocks, so the choice never
 // touches results.
 //
-// First-fail extraction is exact at either granularity: at pattern p
+// First-fail extraction is exact at strobe granularity: at pattern p
 // the lane block of each primary output is diffed against the
 // broadcast of lane 0 (the good machine computed in the same walk),
 // outputs in strobe order, so the first differing (pattern, output)
@@ -74,9 +74,8 @@ import (
 //
 // Chips never batched: a fault-free chip passes, and a one-fault chip of
 // a lot over the first-detect table's universe (ATE.UseFirstDetects)
-// takes its fault's first detect — divided by the output count at
-// pattern granularity — since it is exactly the single-fault machine
-// the table was simulated on.
+// takes its fault's strobe first detect, since it is exactly the
+// single-fault machine the table was simulated on.
 
 const (
 	// pp256Words is the lane block a full batch starts at (before
@@ -199,10 +198,9 @@ func (st *chipParallel256State) at(words int) (*logicsim.WideSim, *logicsim.Wide
 }
 
 // chipParallel256FirstFail computes the per-chip first-fail record of
-// the lot — pattern indices, or strobe steps when steps is true —
-// bit-identical to the per-chip oracle's (serialFirstFail, in the
-// tests).
-func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injection, steps bool) ([]int, error) {
+// the lot as strobe steps, bit-identical to the per-chip oracle's
+// (serialFirstFail, in the tests).
+func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injection) ([]int, error) {
 	if a.pp256 == nil {
 		a.pp256 = &chipParallel256State{flat: a.flat}
 	}
@@ -227,7 +225,6 @@ func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injec
 	// machine: its first fail is the table entry, and it never enters
 	// the batches.
 	first := a.firstDetectsFor(lot.Universe)
-	nOut := len(a.c.Outputs)
 	ff := make([]int, len(lot.Chips))
 	work := st.work[:0]
 	st.faultAt = append(st.faultAt[:0], 0)
@@ -248,11 +245,7 @@ func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injec
 		switch {
 		case first != nil && len(chip.Faults) == 1:
 			if s := first[chip.Faults[0]]; s != faultsim.NotDetected {
-				if steps {
-					ff[i] = s
-				} else {
-					ff[i] = s / nOut
-				}
+				ff[i] = s
 			}
 			st.tableChips++
 		case chip.Defective():
@@ -274,7 +267,7 @@ func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injec
 				hi = len(work)
 			}
 			var err error
-			next, err = a.pp256Batch(work[lo:hi], base, end, steps, ff, next)
+			next, err = a.pp256Batch(work[lo:hi], base, end, ff, next)
 			if err != nil {
 				return nil, err
 			}
@@ -338,7 +331,7 @@ func errBatchLanes(chips, words int) error {
 //
 //repolint:hotpath
 func (a *ATE) pp256Batch(batch []ppItem,
-	base, end int, steps bool, ff []int, next []ppItem) ([]ppItem, error) {
+	base, end int, ff []int, next []ppItem) ([]ppItem, error) {
 	st := a.pp256
 	words := laneWordsFor(len(batch))
 	sim, lf, err := st.at(words)
@@ -408,12 +401,7 @@ func (a *ATE) pp256Batch(batch []ppItem,
 					bit := bits.TrailingZeros64(d)
 					d &^= uint64(1) << uint(bit)
 					alive[k] &^= uint64(1) << uint(bit)
-					lane := k*64 + bit
-					if steps {
-						ff[batch[lane-1].chip] = p*nOut + o
-					} else {
-						ff[batch[lane-1].chip] = p
-					}
+					ff[batch[k*64+bit-1].chip] = p*nOut + o
 				}
 			}
 		}

@@ -3,7 +3,6 @@ package tester
 import (
 	"errors"
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"repro/internal/atpg"
@@ -28,7 +27,7 @@ func TestPP256BuildRejectsOverfullBatch(t *testing.T) {
 	}
 	inj := a.injectionsFor(universe)
 	// Warm the per-width scratch so pp256Build can be driven directly.
-	if _, err := a.chipParallel256FirstFail(lot, inj, false); err != nil {
+	if _, err := a.chipParallel256FirstFail(lot, inj); err != nil {
 		t.Fatal(err)
 	}
 	_, lf, err := a.pp256.at(1)
@@ -61,8 +60,7 @@ func TestLaneWordsFor(t *testing.T) {
 
 // TestPP256CompactionMatchesSerial forces the dead-lane compaction path
 // hard — a shallow, wide-fanout circuit where most chips die within the
-// first patterns — and pins the compacted engine to the per-chip oracle
-// at both granularities.
+// first patterns — and pins the compacted engine to the per-chip oracle.
 func TestPP256CompactionMatchesSerial(t *testing.T) {
 	c, universe, patterns := setup(t)
 	rng := rand.New(rand.NewSource(256))
@@ -80,18 +78,12 @@ func TestPP256CompactionMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, steps := range []bool{false, true} {
-		want, err := serial.testLot(lot, steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := wide.testLot(lot, steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("steps=%v: compacted engine disagrees with the oracle", steps)
-		}
+	got, err := wide.TestLotSteps(lot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := serial.agrees(lot, got); err != nil {
+		t.Fatalf("compacted engine: %v", err)
 	}
 }
 
@@ -114,7 +106,7 @@ func TestPP256BatchZeroAllocs(t *testing.T) {
 	inj := a.injectionsFor(universe)
 	// One full run warms every width's walk state, the good planes and
 	// the high-water marks of the output and survivor buffers.
-	ff, err := a.chipParallel256FirstFail(lot, inj, false)
+	ff, err := a.chipParallel256FirstFail(lot, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +153,7 @@ func TestPP256BatchZeroAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, func() {
 			copy(scratch, tc.batch) // the batch is compacted in place; re-seed it
 			var err error
-			next, err = a.pp256Batch(scratch, 0, len(patterns), false, ff, next[:0])
+			next, err = a.pp256Batch(scratch, 0, len(patterns), ff, next[:0])
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -15,8 +15,8 @@ import (
 
 // TestLotEngineEquivalenceProperty is the randomized pin: over random
 // circuits, lots, and seeds, chipparallel256 must reproduce the per-chip
-// oracle's first-fail indices bit for bit, at both pattern and strobe
-// granularity, along with every derived statistic.
+// oracle's first failing strobes bit for bit, along with every derived
+// statistic, and each must lie in the oracle's first failing pattern.
 func TestLotEngineEquivalenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(1981))
 	trials := 6
@@ -47,23 +47,16 @@ func TestLotEngineEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, steps := range []bool{false, true} {
-			want, err := serial.testLot(lot, steps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			par, err := New(c, patterns)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := par.testLot(lot, steps)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("trial %d steps=%v: chipparallel256 disagrees with the oracle\noracle: %+v\nchipparallel256: %+v",
-					trial, steps, want, got)
-			}
+		par, err := New(c, patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := par.TestLotSteps(lot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := serial.agrees(lot, got); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
@@ -75,7 +68,7 @@ func TestLotEngineEquivalenceProperty(t *testing.T) {
 // fresh 255-chip batch forces much of the circuit, the linear walk)
 // and sparse ones (n0 1.5 and pruned survivors, the divergence walk);
 // the per-state walk counters show that both sides of the density rule
-// ran, at both granularities.
+// ran.
 func TestLotEnginesAgreeOnDeepCircuit(t *testing.T) {
 	c, err := netlist.LSIChip(1000)
 	if err != nil {
@@ -92,34 +85,28 @@ func TestLotEnginesAgreeOnDeepCircuit(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7552))
-	for _, steps := range []bool{false, true} {
-		wide, err := New(c, patterns)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, y := range []float64{0.1, 0.5} {
-			for _, n0 := range []float64{1.5, 8.8} {
-				lot, err := defect.GenerateLotFromModel(y, n0, universe, 300, rng)
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := serial.testLot(lot, steps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := wide.testLot(lot, steps)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("steps=%v y=%v n0=%v: chipparallel256 disagrees with serial", steps, y, n0)
-				}
+	wide, err := New(c, patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, y := range []float64{0.1, 0.5} {
+		for _, n0 := range []float64{1.5, 8.8} {
+			lot, err := defect.GenerateLotFromModel(y, n0, universe, 300, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := wide.TestLotSteps(lot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := serial.agrees(lot, got); err != nil {
+				t.Fatalf("y=%v n0=%v: %v", y, n0, err)
 			}
 		}
-		if st := wide.pp256; st.denseWalks == 0 || st.sparseWalks == 0 {
-			t.Errorf("steps=%v: %d dense and %d divergence walks; want both sides of the density rule",
-				steps, st.denseWalks, st.sparseWalks)
-		}
+	}
+	if st := wide.pp256; st.denseWalks == 0 || st.sparseWalks == 0 {
+		t.Errorf("%d dense and %d divergence walks; want both sides of the density rule",
+			st.denseWalks, st.sparseWalks)
 	}
 }
 
@@ -157,10 +144,6 @@ func TestLotEnginesAgreeOnDoublePolarityChips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := serial.testLot(lot, true)
-	if err != nil {
-		t.Fatal(err)
-	}
 	par, err := New(c, patterns)
 	if err != nil {
 		t.Fatal(err)
@@ -169,8 +152,8 @@ func TestLotEnginesAgreeOnDoublePolarityChips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(want, got) {
-		t.Errorf("double-polarity chips disagree: oracle %+v, chipparallel256 %+v", want, got)
+	if err := serial.agrees(lot, got); err != nil {
+		t.Errorf("double-polarity chips: %v", err)
 	}
 }
 
@@ -185,7 +168,7 @@ func TestLotResultPassedConsistent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.TestLot(lot)
+	res, err := a.TestLotSteps(lot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +205,7 @@ func TestChipBadFaultIndexBothEngines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.TestLot(lot); err == nil {
+	if _, err := a.TestLotSteps(lot); err == nil {
 		t.Error("chipparallel256: out-of-universe fault index should error")
 	}
 	serial, err := newOracle(c, patterns)
@@ -262,24 +245,24 @@ func TestConcurrentATEsShareCircuit(t *testing.T) {
 			defer wg.Done()
 			// Odd workers run the per-chip oracle, whose pointer
 			// simulator reads the same cached circuit state.
-			var test func(defect.Lot, bool) (LotResult, error)
+			var test func(defect.Lot) (LotResult, error)
 			if w%2 == 0 {
 				a, err := New(c, patterns)
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				test = a.testLot
+				test = a.TestLotSteps
 			} else {
 				o, err := newOracle(c, patterns)
 				if err != nil {
 					errs[w] = err
 					return
 				}
-				test = o.testLot
+				test = func(lot defect.Lot) (LotResult, error) { return o.testLot(lot, true) }
 			}
 			for rep := 0; rep < 3; rep++ {
-				got, err := test(lot, true)
+				got, err := test(lot)
 				if err != nil {
 					errs[w] = err
 					return

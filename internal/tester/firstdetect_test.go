@@ -25,14 +25,10 @@ var firstDetectCircuits = []struct {
 	{"lsi1k", circuits.Params{RandomPatterns: 48, SampleFaults: 300, BacktrackLimit: 50, Seed: 7}},
 }
 
-// testLot runs TestLot, or TestLotSteps when steps is true.
-func testLot(t *testing.T, a *tester.ATE, lot defect.Lot, steps bool) tester.LotResult {
+// testLot runs TestLotSteps.
+func testLot(t *testing.T, a *tester.ATE, lot defect.Lot) tester.LotResult {
 	t.Helper()
-	run := a.TestLot
-	if steps {
-		run = a.TestLotSteps
-	}
-	res, err := run(lot)
+	res, err := a.TestLotSteps(lot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +58,7 @@ func physicalModel(y, n0 float64) defect.Model {
 
 // TestFirstDetectTableIdentity pins the single-fault first-fail table
 // across the stack. For every universe fault, a one-fault chip must
-// fail at the same pattern and strobe on a plain ATE (which simulates
+// fail at the same strobe on a plain ATE (which simulates
 // it), on the Prepared ATE (which reads the table) and in
 // Prepared.Result.FirstDetect. Mixed model and physical lots must give
 // the same record on both ATEs, and both of the table ATE's paths must
@@ -82,30 +78,24 @@ func TestFirstDetectTableIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			nOut := len(pr.Circuit.Outputs)
 			single := defect.Lot{Universe: pr.Universe, Chips: make([]defect.Chip, len(pr.Universe))}
 			for fi := range pr.Universe {
 				single.Chips[fi] = defect.Chip{Faults: []int{fi}}
 			}
-			for _, steps := range []bool{false, true} {
-				want := testLot(t, plain, single, steps)
-				got := testLot(t, table, single, steps)
-				sameLot(t, "one-fault chips", want, got)
-				for fi, d := range pr.Result.FirstDetect {
-					exp := tester.NeverFails
-					if d != faultsim.NotDetected {
-						exp = d
-						if !steps {
-							exp = d / nOut
-						}
-					}
-					if got.FirstFail[fi] != exp {
-						t.Fatalf("steps=%v fault %d: first fail %d, Prepared.Result says %d", steps, fi, got.FirstFail[fi], exp)
-					}
+			want := testLot(t, plain, single)
+			got := testLot(t, table, single)
+			sameLot(t, "one-fault chips", want, got)
+			for fi, d := range pr.Result.FirstDetect {
+				exp := tester.NeverFails
+				if d != faultsim.NotDetected {
+					exp = d
+				}
+				if got.FirstFail[fi] != exp {
+					t.Fatalf("fault %d: first fail %d, Prepared.Result says %d", fi, got.FirstFail[fi], exp)
 				}
 			}
-			if n := tester.TableChips(table); n != 2*len(pr.Universe) {
-				t.Fatalf("table resolved %d one-fault chips, want %d", n, 2*len(pr.Universe))
+			if n := tester.TableChips(table); n != len(pr.Universe) {
+				t.Fatalf("table resolved %d one-fault chips, want %d", n, len(pr.Universe))
 			}
 			if n := tester.LaneWalks(table); n != 0 {
 				t.Fatalf("a lot of one-fault chips took %d lane walks, want none", n)
@@ -126,15 +116,11 @@ func TestFirstDetectTableIdentity(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, lot := range []defect.Lot{model, physical} {
-						for _, steps := range []bool{false, true} {
-							want := testLot(t, plain, lot, steps)
-							got := testLot(t, table, lot, steps)
-							sameLot(t, "mixed lot", want, got)
-						}
+						sameLot(t, "mixed lot", testLot(t, plain, lot), testLot(t, table, lot))
 					}
 				}
 			}
-			if tester.TableChips(table) == 2*len(pr.Universe) {
+			if tester.TableChips(table) == len(pr.Universe) {
 				t.Fatal("no mixed-lot chip came from the table")
 			}
 			if tester.LaneWalks(table) == 0 {
@@ -190,9 +176,7 @@ func TestFirstDetectTableRejects(t *testing.T) {
 	for fi := range other {
 		lot.Chips[fi] = defect.Chip{Faults: []int{fi}}
 	}
-	for _, steps := range []bool{false, true} {
-		sameLot(t, "reversed universe", testLot(t, a, lot, steps), testLot(t, table, lot, steps))
-	}
+	sameLot(t, "reversed universe", testLot(t, a, lot), testLot(t, table, lot))
 	if n := tester.TableChips(table); n != 0 {
 		t.Fatalf("%d chips over another universe came from the table", n)
 	}

@@ -3,22 +3,24 @@ package tester
 import (
 	"fmt"
 	"math/bits"
+	"reflect"
 
 	"repro/internal/defect"
 	"repro/internal/logicsim"
+	"repro/internal/logicsim/ref"
 	"repro/internal/netlist"
 )
 
 // oracle is the per-chip reference the equivalence tests pin
 // chipparallel256 to: one chip at a time through the pointer-walking
-// logicsim.Simulator, which shares no simulation code with the flat
+// ref.Simulator, which shares no simulation code with the flat
 // core, diffed against the good machine's outputs of every 64-pattern
 // block.
 type oracle struct {
-	a     *ATE                // the ATE under test: pattern blocks, universe cache
-	sim   *logicsim.Simulator // pointer-walking simulator
-	good  [][]uint64          // good-machine outputs per block
-	tcOut []uint64            // TestChip/TestChipSteps output scratch
+	a     *ATE           // the ATE under test: pattern blocks, universe cache
+	sim   *ref.Simulator // pointer-walking simulator
+	good  [][]uint64     // good-machine outputs per block
+	tcOut []uint64       // TestChip/TestChipSteps output scratch
 }
 
 // newOracle builds an ATE over the patterns plus its oracle,
@@ -28,7 +30,7 @@ func newOracle(c *netlist.Circuit, patterns []logicsim.Pattern) (*oracle, error)
 	if err != nil {
 		return nil, err
 	}
-	sim, err := logicsim.NewSimulator(c)
+	sim, err := ref.NewSimulator(c)
 	if err != nil {
 		return nil, err
 	}
@@ -137,12 +139,41 @@ func (o *oracle) serialFirstFail(lot defect.Lot, universe []logicsim.Injection, 
 	return ff, nil
 }
 
-// testLot is ATE.testLot on the oracle: TestLot (pattern granularity)
-// or, when steps is true, TestLotSteps.
+// testLot is ATE.TestLotSteps on the oracle, or its pattern-granular
+// counterpart when steps is false.
 func (o *oracle) testLot(lot defect.Lot, steps bool) (LotResult, error) {
 	ff, err := o.serialFirstFail(lot, o.a.injectionsFor(lot.Universe), steps)
 	if err != nil {
 		return LotResult{}, err
 	}
 	return foldLot(lot, ff), nil
+}
+
+// agrees returns an error unless got, an ATE's TestLotSteps record of
+// the lot, equals the oracle's strobe-granular record and every first
+// failing strobe lies in the pattern the oracle's pattern-granular walk
+// reports for that chip.
+func (o *oracle) agrees(lot defect.Lot, got LotResult) error {
+	want, err := o.testLot(lot, true)
+	if err != nil {
+		return err
+	}
+	if !reflect.DeepEqual(want, got) {
+		return fmt.Errorf("chipparallel256 disagrees with the oracle\noracle: %+v\nchipparallel256: %+v", want, got)
+	}
+	byPattern, err := o.testLot(lot, false)
+	if err != nil {
+		return err
+	}
+	nOut := len(o.a.c.Outputs)
+	for i, ff := range got.FirstFail {
+		p := ff
+		if ff != NeverFails {
+			p = ff / nOut
+		}
+		if p != byPattern.FirstFail[i] {
+			return fmt.Errorf("chip %d: first failing strobe %d, oracle's first failing pattern %d", i, ff, byPattern.FirstFail[i])
+		}
+	}
+	return nil
 }

@@ -16,14 +16,15 @@
 // block and evaluates together once per pattern — walking only the
 // slots where some lane departs from the good machine when the batch's
 // faults are sparse, the whole flat circuit otherwise (see
-// chipparallel256.go). The tests pin every first fail to an independent
-// oracle: one chip at a time on the pointer-walking logicsim.Simulator,
+// chipparallel256.go). First fails are strobe steps (pattern ×
+// numOutputs + output), the Sentry's granularity in Table 1. The tests pin
+// every first fail to an independent oracle: one chip at a time on the
+// test-only pointer-walking ref.Simulator (internal/logicsim/ref),
 // which shares no simulation code with the flat core.
 package tester
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/defect"
@@ -154,7 +155,7 @@ func (a *ATE) firstDetectsFor(universe []fault.Fault) []int {
 
 // LotResult is the record the paper's experiment produces.
 type LotResult struct {
-	// FirstFail[i] is chip i's first failing pattern, or NeverFails.
+	// FirstFail[i] is chip i's first failing strobe step, or NeverFails.
 	FirstFail []int
 	// Passed counts chips that passed every pattern — the exact integer
 	// the yields are derived from.
@@ -169,22 +170,11 @@ type LotResult struct {
 	Escapes int
 }
 
-// TestLot tests every chip and aggregates the lot statistics at
-// pattern granularity.
-func (a *ATE) TestLot(lot defect.Lot) (LotResult, error) {
-	return a.testLot(lot, false)
-}
-
-// TestLotSteps is TestLot at strobe granularity: FirstFail holds step
-// indices (pattern*numOutputs + output).
+// TestLotSteps tests every chip and aggregates the lot statistics at
+// strobe granularity, the Sentry's bookkeeping in Table 1: FirstFail
+// holds step indices (pattern*numOutputs + output).
 func (a *ATE) TestLotSteps(lot defect.Lot) (LotResult, error) {
-	return a.testLot(lot, true)
-}
-
-// testLot runs chipparallel256 over the lot and folds the per-chip
-// first-fail record into the lot statistics.
-func (a *ATE) testLot(lot defect.Lot, steps bool) (LotResult, error) {
-	ff, err := a.chipParallel256FirstFail(lot, a.injectionsFor(lot.Universe), steps)
+	ff, err := a.chipParallel256FirstFail(lot, a.injectionsFor(lot.Universe))
 	if err != nil {
 		return LotResult{}, err
 	}
@@ -262,28 +252,4 @@ func FalloutTableRamp(res LotResult, ramp faultsim.Ramp, checkpoints []int) ([]F
 		}
 	}
 	return rows, nil
-}
-
-// FirstFailCoverages converts first-fail indices to first-fail
-// *coverages* using the ramp; chips that never fail map to NaN. This is
-// the input format the estimate package's bootstrap consumes. The
-// result and the curve must share one granularity: a TestLotSteps
-// result pairs with the strobe-granular ramp (pattern × output, e.g.
-// faultsim.CurveFromResult over faultsim.RunSteps), a TestLot result
-// with the pattern-granular one. A first-fail index outside the curve
-// is a granularity mismatch and returns an error instead of panicking.
-func FirstFailCoverages(res LotResult, curve []faultsim.CoveragePoint) ([]float64, error) {
-	out := make([]float64, len(res.FirstFail))
-	for i, ff := range res.FirstFail {
-		if ff == NeverFails {
-			out[i] = math.NaN()
-			continue
-		}
-		if ff < 0 || ff >= len(curve) {
-			return nil, fmt.Errorf("tester: first-fail index %d outside the %d-point curve (granularity mismatch?)",
-				ff, len(curve))
-		}
-		out[i] = curve[ff].Coverage
-	}
-	return out, nil
 }

@@ -158,7 +158,7 @@ func TestTestLotStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := a.TestLot(lot)
+	res, err := a.TestLotSteps(lot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,34 +283,6 @@ func TestFalloutTableMatchesLoop(t *testing.T) {
 	}
 }
 
-func TestFirstFailCoverages(t *testing.T) {
-	res := LotResult{FirstFail: []int{1, NeverFails}}
-	curve := []faultsim.CoveragePoint{{Coverage: 0.1}, {Coverage: 0.3}}
-	out, err := FirstFailCoverages(res, curve)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 0.3 {
-		t.Errorf("coverage %v", out[0])
-	}
-	if !math.IsNaN(out[1]) {
-		t.Error("never-fail should be NaN")
-	}
-}
-
-func TestFirstFailCoveragesGranularityMismatch(t *testing.T) {
-	// A strobe-granular first-fail record against a pattern-granular
-	// curve used to index out of bounds and panic; it must error.
-	res := LotResult{FirstFail: []int{7}}
-	curve := []faultsim.CoveragePoint{{Coverage: 0.1}, {Coverage: 0.3}}
-	if _, err := FirstFailCoverages(res, curve); err == nil {
-		t.Error("out-of-curve first-fail index should error")
-	}
-	if _, err := FirstFailCoverages(LotResult{FirstFail: []int{-3}}, curve); err == nil {
-		t.Error("negative non-sentinel index should error")
-	}
-}
-
 func TestChipBadFaultIndex(t *testing.T) {
 	c, universe, patterns := setup(t)
 	o, err := newOracle(c, patterns)
@@ -341,7 +313,7 @@ func BenchmarkTestLot277(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.TestLot(lot); err != nil {
+		if _, err := a.TestLotSteps(lot); err != nil {
 			b.Fatal(err)
 		}
 	}
