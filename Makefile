@@ -101,6 +101,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime $(FUZZTIME) ./internal/circuits/
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleDistinct$$' -fuzztime $(FUZZTIME) ./internal/defect/
 	$(GO) test -run '^$$' -fuzz '^FuzzLaneWalk$$' -fuzztime $(FUZZTIME) ./internal/logicsim/
+	$(GO) test -run '^$$' -fuzz '^FuzzChipWalk$$' -fuzztime $(FUZZTIME) ./internal/logicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime $(FUZZTIME) ./cmd/sweepd/
 
 # Tiny end-to-end Monte-Carlo grid through the real CLI over a

@@ -65,16 +65,25 @@ func (s *Store) Dir() string { return s.dir }
 // artifact is computed, never what it holds, so a store populated with
 // -simworkers 4 serves a -simworkers 1 run.
 func Fingerprint(c *netlist.Circuit, p Params) (string, error) {
+	fp, _, err := fingerprint(c, p)
+	return fp, err
+}
+
+// fingerprint is Fingerprint also returning the canonical .bench
+// rendering it hashes: Save stores that rendering, and Load compares
+// the stored one with it.
+func fingerprint(c *netlist.Circuit, p Params) (fp, bench string, err error) {
 	var sb strings.Builder
 	if err := c.WriteBench(&sb); err != nil {
-		return "", fmt.Errorf("circuits: fingerprint: %w", err)
+		return "", "", fmt.Errorf("circuits: fingerprint: %w", err)
 	}
+	bench = sb.String()
 	h := sha256.New()
 	io.WriteString(h, PreparedSchema+"\n")
 	fmt.Fprintf(h, "random_patterns=%d seed=%d backtrack_limit=%d sample_faults=%d\n",
 		p.RandomPatterns, p.Seed, p.BacktrackLimit, p.SampleFaults)
-	io.WriteString(h, sb.String())
-	return hex.EncodeToString(h.Sum(nil)), nil
+	io.WriteString(h, bench)
+	return hex.EncodeToString(h.Sum(nil)), bench, nil
 }
 
 func (s *Store) path(fingerprint string) string {
@@ -114,16 +123,12 @@ type storedPrepared struct {
 
 // Save persists a Prepared artifact under its fingerprint, atomically.
 func (s *Store) Save(pr *Prepared) error {
-	fp, err := Fingerprint(pr.Circuit, pr.Params)
+	fp, bench, err := fingerprint(pr.Circuit, pr.Params)
 	if err != nil {
 		return err
 	}
-	var sb strings.Builder
-	if err := pr.Circuit.WriteBench(&sb); err != nil {
-		return fmt.Errorf("circuits: store save: %w", err)
-	}
 	body := storedPrepared{
-		Bench:          sb.String(),
+		Bench:          bench,
 		RandomPatterns: pr.Params.RandomPatterns,
 		Seed:           pr.Params.Seed,
 		BacktrackLimit: pr.Params.BacktrackLimit,
@@ -168,7 +173,7 @@ func (s *Store) Load(c *netlist.Circuit, p Params) (*Prepared, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	fp, err := Fingerprint(c, p)
+	fp, bench, err := fingerprint(c, p)
 	if err != nil {
 		return nil, err
 	}
@@ -187,6 +192,12 @@ func (s *Store) Load(c *netlist.Circuit, p Params) (*Prepared, error) {
 	if body.RandomPatterns != p.RandomPatterns || body.Seed != p.Seed ||
 		body.BacktrackLimit != p.BacktrackLimit || body.SampleFaults != p.SampleFaults {
 		return nil, fmt.Errorf("circuits: store %s: %w: stored params differ from requested",
+			path, campaign.ErrMismatch)
+	}
+	if body.Bench != bench {
+		// The fingerprint hashes the requested circuit's rendering, so a
+		// different stored netlist can only come from a re-sealed body.
+		return nil, fmt.Errorf("circuits: store %s: %w: stored circuit differs from requested",
 			path, campaign.ErrMismatch)
 	}
 	stored, err := netlist.ParseBench(c.Name, strings.NewReader(body.Bench))

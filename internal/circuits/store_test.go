@@ -3,6 +3,7 @@ package circuits
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -323,6 +324,46 @@ func TestStoreParamsMismatchInsideEnvelope(t *testing.T) {
 	}
 	if _, err := store.Load(c, p2); !errors.Is(err, campaign.ErrMismatch) {
 		t.Fatalf("err = %v, want ErrMismatch", err)
+	}
+}
+
+// TestStoreRejectsDifferentNetlist re-seals a mul4 artifact whose
+// stored .bench carries one extra dangling gate: the checksum and the
+// fingerprint both hold, so only Load's comparison of the stored
+// netlist with the requested one can refuse to serve it.
+func TestStoreRejectsDifferentNetlist(t *testing.T) {
+	store := testStore(t)
+	c, err := Resolve("mul4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Params{RandomPatterns: 16, Seed: 4}
+	prep, err := Prepare(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Save(prep); err != nil {
+		t.Fatal(err)
+	}
+	fp, err := Fingerprint(c, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(store.path(fp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	extra := fmt.Sprintf("zzextra = NOT(%s)\n", c.Gates[c.Inputs[0]].Name)
+	data = resealed(t, data, func(b *storedPrepared) { b.Bench += extra })
+	if err := os.WriteFile(store.path(fp), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if pr, err := store.Load(c, p); !errors.Is(err, campaign.ErrMismatch) {
+		n := 0
+		if pr != nil {
+			n = len(pr.Circuit.Gates)
+		}
+		t.Fatalf("err = %v (a %d-gate circuit for the %d-gate request), want ErrMismatch", err, n, len(c.Gates))
 	}
 }
 

@@ -67,6 +67,7 @@ type Dictionary struct {
 	flat      *logicsim.Flat
 	npat      int
 	blocks    []logicsim.PatternBlock // the patterns, packed once
+	planes    *logicsim.GoodPlanes    // the good machine over blocks
 	faults    []fault.Fault
 	syndromes []Syndrome
 }
@@ -96,8 +97,12 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern
 	if err != nil {
 		return nil, err
 	}
+	planes, err := logicsim.NewGoodPlanes(cones.Flat(), blocks)
+	if err != nil {
+		return nil, err
+	}
 	sim := logicsim.NewFlatSim(cones.Flat())
-	d := &Dictionary{flat: cones.Flat(), npat: len(patterns), blocks: blocks, faults: faults,
+	d := &Dictionary{flat: cones.Flat(), npat: len(patterns), blocks: blocks, planes: planes, faults: faults,
 		syndromes: make([]Syndrome, len(faults))}
 	for i := range d.syndromes {
 		d.syndromes[i] = make(Syndrome, len(patterns))
@@ -135,10 +140,10 @@ func setBits(syn Syndrome, diff uint64, o int) {
 
 // ObserveChip runs the tester on a chip carrying the given faults
 // simultaneously and returns its syndrome — the input a real ATE's
-// datalog would provide. It is the lot engine's wide lane walk at one
-// word: lane 0 is the good machine, lane 1 the chip, and output o fails
-// on a pattern when the two lanes' bits of its word differ. A site
-// listed twice keeps its last stuck value.
+// datalog would provide. It is the lot engine's pattern-parallel chip
+// walk (logicsim.WideSim.RunChipBlock): one walk per 64-pattern block,
+// whose per-output difference words from the good machine are exactly
+// the syndrome bits. A site listed twice keeps its last stuck value.
 func (d *Dictionary) ObserveChip(inj []logicsim.Injection) (Syndrome, error) {
 	faults, err := d.flat.ResolveInjections(inj)
 	if err != nil {
@@ -148,25 +153,15 @@ func (d *Dictionary) ObserveChip(inj []logicsim.Injection) (Syndrome, error) {
 	if err != nil {
 		return nil, err
 	}
-	lf, err := logicsim.NewWideLaneForces(d.flat, 1)
-	if err != nil {
-		return nil, err
-	}
-	for _, f := range faults {
-		lf.AddResolved(f, 1)
-	}
 	syn := make(Syndrome, d.npat)
 	var out []uint64
 	for bi, block := range d.blocks {
-		for p := 0; p < block.Count; p++ {
-			if out, err = sim.RunLaneForced(block, p, lf, out); err != nil {
-				return nil, err
-			}
-			var m uint64
-			for o, w := range out {
-				m |= (w ^ w>>1) & 1 << uint(o)
-			}
-			syn[bi*64+p] = m
+		if out, err = sim.RunChipBlock(d.planes, bi, faults, out); err != nil {
+			return nil, err
+		}
+		mask := ^uint64(0) >> uint(64-block.Count)
+		for o, diff := range out {
+			setBits(syn[bi*64:], diff&mask, o)
 		}
 	}
 	return syn, nil

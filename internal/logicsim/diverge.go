@@ -23,6 +23,21 @@ import (
 // XOR its broadcast good bit, which is zero for every slot that did not
 // diverge: a fanin reads as diff ^ good whether it diverged or not, with
 // no test per fanin.
+//
+// The walk comes in two layouts over the same scratch:
+//
+//   - Lane-parallel (RunLaneDiverged): one pattern per walk, one machine
+//     per lane — the good machine plus up to 255 chips. Every walk
+//     re-evaluates the forced sites of every chip in the table.
+//   - Pattern-parallel (RunChipBlock): one chip per walk, one pattern
+//     per lane, 64 patterns of a block at once — the parallel-pattern
+//     idea of PPSFP (Waicukauski et al., 1985) applied to a multi-fault
+//     machine. A slot's good word is its GoodPlanes word itself rather
+//     than a broadcast bit, so the planes are read in the layout they
+//     are stored in, and a chip's sites are evaluated once per 64
+//     patterns. It carries one machine per walk, so it wins when a
+//     table would force few slots anyway: the lot engine takes it for
+//     a batch the density rule calls sparse.
 
 // GoodPlanes holds the good machine's value word of every slot for each
 // 64-pattern block of a pattern set: block b's plane is the Slots()
@@ -102,6 +117,183 @@ func (s *WideSim) RunLaneDiverged(gp *GoodPlanes, p int, lf *WideLaneForces, out
 // outside the annotated hot function.
 func errPlanesCircuit() error {
 	return fmt.Errorf("logicsim: good planes built over a different flat circuit")
+}
+
+// RunChipBlock evaluates one multi-fault chip over the 64 patterns of
+// block b of the pattern set gp covers, one pattern per lane, and
+// appends to out each primary output's difference word from the good
+// machine: bit p set means the chip's output differs under pattern
+// b*64+p. Bits past the last pattern of a partial final block are
+// meaningless; the caller masks them. The sim must be 1 word wide.
+//
+// faults is the chip's fault list resolved by Flat.ResolveInjections on
+// the same circuit; they are not revalidated. A stem fault sets its
+// slot to the all-0 or all-1 word (on a primary input it overrides the
+// input word), a pin fault replaces that fanin's word while its slot is
+// evaluated, and a site listed twice keeps its last entry, as
+// WideLaneForces and the test oracle do. Only the fault slots and the
+// fanout of every slot that diverged are walked, as in RunLaneDiverged.
+//
+//repolint:hotpath
+func (s *WideSim) RunChipBlock(gp *GoodPlanes, b int, faults []SlotInjection, out []uint64) ([]uint64, error) {
+	f := s.f
+	if s.words != 1 {
+		return nil, errChipWords(s.words)
+	}
+	if gp.f != f {
+		return nil, errPlanesCircuit()
+	}
+	if b < 0 || b*64 >= gp.count {
+		return nil, errBlockRange(b, gp.count)
+	}
+	n := len(f.op)
+	good := gp.words[b*n : (b+1)*n]
+	s.walkChip(good, faults)
+	out = out[:0]
+	for _, os := range f.outSlot {
+		out = append(out, s.diff[os])
+	}
+	return out, nil
+}
+
+// errChipWords and errBlockRange build RunChipBlock's validation errors
+// outside the annotated hot function.
+func errChipWords(words int) error {
+	return fmt.Errorf("logicsim: chip walk on a %d-word sim, want 1", words)
+}
+
+func errBlockRange(b, patterns int) error {
+	return fmt.Errorf("logicsim: block %d outside good planes of %d patterns", b, patterns)
+}
+
+// walkChip is walkDiverged in the pattern-parallel layout: the chip's
+// fault slots seed the pending bitmap and are marked as seeds for the
+// walk, and each popped slot's diff word is its value XOR its good
+// word.
+//
+//repolint:hotpath
+func (s *WideSim) walkChip(good []uint64, faults []SlotInjection) {
+	f := s.f
+	for _, slot := range s.diverged {
+		s.diff[slot] = 0
+	}
+	s.diverged = s.diverged[:0]
+	lo, hi := len(s.pend), -1
+	for _, sf := range faults {
+		s.seed[sf.Slot] = true
+		wi := int(sf.Slot >> 6)
+		s.pend[wi] |= 1 << uint(sf.Slot&63)
+		lo, hi = min(lo, wi), max(hi, wi)
+	}
+	for wi := lo; wi <= hi; wi++ {
+		for s.pend[wi] != 0 {
+			bit := bits.TrailingZeros64(s.pend[wi])
+			s.pend[wi] &^= 1 << uint(bit)
+			slot := wi<<6 | bit
+			var v uint64
+			if s.seed[slot] {
+				v = s.chipSeed(slot, good, faults)
+			} else {
+				v = s.chipFold(slot, good)
+			}
+			d := v ^ good[slot]
+			if d == 0 {
+				continue
+			}
+			s.diff[slot] = d
+			s.diverged = append(s.diverged, int32(slot))
+			fo := f.fanout[f.foAt[slot]:f.foAt[slot+1]]
+			for _, r := range fo {
+				s.pend[r>>6] |= 1 << uint(r&63)
+			}
+			if len(fo) > 0 {
+				hi = max(hi, int(fo[len(fo)-1]>>6)) // fanout lists ascend
+			}
+		}
+	}
+	for _, sf := range faults {
+		s.seed[sf.Slot] = false
+	}
+}
+
+// chipFold evaluates a logic slot carrying no fault, each fanin read as
+// its diff word XOR its good word.
+//
+//repolint:hotpath
+func (s *WideSim) chipFold(slot int, good []uint64) uint64 {
+	f := s.f
+	diff, fanin := s.diff, f.fanin
+	lo, hi := f.faninAt[slot], f.faninAt[slot+1]
+	op := f.op[slot]
+	fs := fanin[lo]
+	v := diff[fs] ^ good[fs]
+	switch op {
+	case opAnd2, opNand2, opAndN, opNandN:
+		for _, fs := range fanin[lo+1 : hi] {
+			v &= diff[fs] ^ good[fs]
+		}
+	case opOr2, opNor2, opOrN, opNorN:
+		for _, fs := range fanin[lo+1 : hi] {
+			v |= diff[fs] ^ good[fs]
+		}
+	case opXor2, opXnor2, opXorN, opXnorN:
+		for _, fs := range fanin[lo+1 : hi] {
+			v ^= diff[fs] ^ good[fs]
+		}
+	}
+	if isInverting(op) {
+		v = ^v
+	}
+	return v
+}
+
+// chipSeed evaluates a slot the chip's fault list names. The last stem
+// entry on the slot decides its word outright; otherwise the slot (a
+// logic slot, since a primary input carries no pins) is folded with
+// each pinned fanin replaced by its last entry's stuck word.
+func (s *WideSim) chipSeed(slot int, good []uint64, faults []SlotInjection) uint64 {
+	stem, stuck := false, false
+	for _, sf := range faults {
+		if int(sf.Slot) == slot && sf.Pin < 0 {
+			stem, stuck = true, sf.Stuck
+		}
+	}
+	if stem {
+		return stuckWord(stuck)
+	}
+	f := s.f
+	op := f.op[slot]
+	var v uint64
+	for k, fs := range f.fanin[f.faninAt[slot]:f.faninAt[slot+1]] {
+		b := s.diff[fs] ^ good[fs]
+		for _, sf := range faults {
+			if int(sf.Slot) == slot && int(sf.Pin) == k {
+				b = stuckWord(sf.Stuck)
+			}
+		}
+		switch {
+		case k == 0:
+			v = b
+		case op == opAnd2 || op == opNand2 || op == opAndN || op == opNandN:
+			v &= b
+		case op == opOr2 || op == opNor2 || op == opOrN || op == opNorN:
+			v |= b
+		default: // the xor family: 1-fanin ops never reach k > 0
+			v ^= b
+		}
+	}
+	if isInverting(op) {
+		v = ^v
+	}
+	return v
+}
+
+// stuckWord is the all-1 word for stuck-at-1, all-0 for stuck-at-0.
+func stuckWord(stuck bool) uint64 {
+	if stuck {
+		return ^uint64(0)
+	}
+	return 0
 }
 
 // walkDiverged seeds the pending bitmap with the forced slots and pops

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/logicsim"
+	"repro/internal/logicsim/ref"
 	"repro/internal/netlist"
 )
 
@@ -354,5 +355,261 @@ func FuzzLaneWalk(f *testing.F) {
 			t.Fatal(err)
 		}
 		checkLaneWalk(t, fl, words, blocks, gp, forces)
+	})
+}
+
+// blockMask is the mask of the patterns block b holds: all 64 bits but
+// in a partial final block.
+func blockMask(block logicsim.PatternBlock) uint64 {
+	if block.Count == 64 {
+		return ^uint64(0)
+	}
+	return uint64(1)<<uint(block.Count) - 1
+}
+
+// checkChipWalk requires RunChipBlock on the chip's faults to return,
+// at every block, each output's difference between the oracle's
+// multi-fault run and its good run, masked to the block's patterns.
+func checkChipWalk(t testing.TB, f *logicsim.Flat, ws *logicsim.WideSim, oracle *ref.Simulator, gp *logicsim.GoodPlanes, blocks []logicsim.PatternBlock, chip []logicsim.Injection) {
+	t.Helper()
+	faults, err := f.ResolveInjections(chip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []uint64
+	for bi, block := range blocks {
+		good, err := oracle.Run(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good = append([]uint64(nil), good...)
+		bad, err := oracle.RunWithFaults(block, chip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err = ws.RunChipBlock(gp, bi, faults, got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(good) {
+			t.Fatalf("block %d: %d output words, want %d", bi, len(got), len(good))
+		}
+		m := blockMask(block)
+		for o := range good {
+			if want := (good[o] ^ bad[o]) & m; got[o]&m != want {
+				t.Fatalf("chip %v block %d output %d: chip walk %016x, oracle %016x", chip, bi, o, got[o]&m, want)
+			}
+		}
+	}
+}
+
+// TestChipWalkMatchesOracle pins the pattern-parallel walk to the
+// pointer-walking oracle on c17, mul4, a circuit with wide gates and
+// lsi1k, over 150 patterns (a partial last block): random chips of 1–5
+// faults, the same site listed twice at both polarities (stem and pin),
+// a stem and a pin fault on one gate, a stem fault on every primary
+// input, and a fault-free chip.
+func TestChipWalkMatchesOracle(t *testing.T) {
+	mul4, err := netlist.ArrayMultiplier(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsi1k, err := netlist.LSIChip(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1985))
+	for _, c := range []*netlist.Circuit{netlist.C17(), mul4, wideGateCircuit(t, 5, 9, 120), lsi1k} {
+		t.Run(c.Name, func(t *testing.T) {
+			f, err := logicsim.NewFlat(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle, err := ref.NewSimulator(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocks := packBlocks(t, randomPatterns(c, 150, rng))
+			gp, err := logicsim.NewGoodPlanes(f, blocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ws, err := logicsim.NewWideSim(f, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var gate int // a gate with fanin, for the pin cases
+			for gate = len(c.Gates) - 1; len(c.Gates[gate].Fanin) == 0; gate-- {
+			}
+			chips := [][]logicsim.Injection{
+				nil,
+				{{Gate: gate, Pin: -1, Stuck: true}, {Gate: gate, Pin: -1, Stuck: false}},
+				{{Gate: gate, Pin: 0, Stuck: false}, {Gate: gate, Pin: 0, Stuck: true}},
+				{{Gate: gate, Pin: 0, Stuck: true}, {Gate: gate, Pin: -1, Stuck: false}},
+				{{Gate: gate, Pin: -1, Stuck: true}, {Gate: gate, Pin: 0, Stuck: false}},
+			}
+			var inputs []logicsim.Injection
+			for i, g := range c.Inputs {
+				inputs = append(inputs, logicsim.Injection{Gate: g, Pin: -1, Stuck: i%2 == 0})
+			}
+			chips = append(chips, inputs)
+			for i, chip := range randomMachines(c, 200, rng) {
+				if i%4 == 0 { // list one site again at the other polarity
+					again := chip[rng.Intn(len(chip))]
+					again.Stuck = !again.Stuck
+					chip = append(chip, again)
+				}
+				chips = append(chips, chip)
+			}
+			for _, chip := range chips {
+				checkChipWalk(t, f, ws, oracle, gp, blocks, chip)
+			}
+		})
+	}
+}
+
+// TestChipWalkZeroAllocs pins the chip walk to zero allocations once
+// its output buffer is sized.
+func TestChipWalkZeroAllocs(t *testing.T) {
+	c := wideGateCircuit(t, 3, 10, 200)
+	f, err := logicsim.NewFlat(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(4))
+	blocks := packBlocks(t, randomPatterns(c, 200, rng))
+	gp, err := logicsim.NewGoodPlanes(f, blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := logicsim.NewWideSim(f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults, err := f.ResolveInjections(randomMachines(c, 1, rng)[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]uint64, 0, len(c.Outputs))
+	b := 0
+	if allocs := testing.AllocsPerRun(50, func() {
+		var err error
+		out, err = ws.RunChipBlock(gp, b%len(blocks), faults, out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b++
+	}); allocs != 0 {
+		t.Errorf("RunChipBlock allocates %v per run, want 0", allocs)
+	}
+}
+
+// TestChipWalkValidation pins the chip walk's shape checks.
+func TestChipWalkValidation(t *testing.T) {
+	c := netlist.C17()
+	f, err := logicsim.NewFlat(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	gp, err := logicsim.NewGoodPlanes(f, packBlocks(t, randomPatterns(c, 70, rng)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := logicsim.NewFlat(wideGateCircuit(t, 1, 5, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherPlanes, err := logicsim.NewGoodPlanes(other, packBlocks(t, randomPatterns(other.Circuit(), 4, rng)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := logicsim.NewWideSim(f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws4, err := logicsim.NewWideSim(f, logicsim.MaxLaneWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() error{
+		"block past the planes":  func() error { _, err := ws.RunChipBlock(gp, 2, nil, nil); return err },
+		"negative block":         func() error { _, err := ws.RunChipBlock(gp, -1, nil, nil); return err },
+		"4-word sim":             func() error { _, err := ws4.RunChipBlock(gp, 0, nil, nil); return err },
+		"planes of another flat": func() error { _, err := ws.RunChipBlock(otherPlanes, 0, nil, nil); return err },
+	} {
+		if run() == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if _, err := ws.RunChipBlock(gp, 1, nil, nil); err != nil {
+		t.Errorf("partial last block rejected: %v", err)
+	}
+}
+
+// FuzzChipWalk drives the chip walk with a fuzzer-chosen chip, in
+// FuzzLaneWalk's byte encoding of forces (the lane byte is ignored: the
+// chip is every force). The property is that RunChipBlock equals lane 1
+// of RunLaneForced, with every force on lane 1, on every pattern of
+// every block.
+func FuzzChipWalk(f *testing.F) {
+	f.Add(int64(1), []byte{0, 0, 0, 1, 1})
+	f.Add(int64(2), []byte{3, 0, 200, 0, 255, 9, 0, 1, 1, 64, 9, 0, 1, 0, 64})
+	f.Add(int64(3), []byte{})
+	f.Add(int64(4), []byte{5, 0, 0, 1, 1, 5, 0, 1, 0, 1, 5, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
+		if len(data) > 5*64 {
+			data = data[:5*64]
+		}
+		rng := rand.New(rand.NewSource(seed))
+		c := wideGateCircuit(t, seed, 4+rng.Intn(6), 20+rng.Intn(60))
+		fl, err := logicsim.NewFlat(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var chip []logicsim.Injection
+		for ; len(data) >= 5; data = data[5:] {
+			gate := (int(data[0]) | int(data[1])<<8) % len(c.Gates)
+			pin := int(data[2])%(len(c.Gates[gate].Fanin)+1) - 1
+			chip = append(chip, logicsim.Injection{Gate: gate, Pin: pin, Stuck: data[3]&1 == 1})
+		}
+		blocks := packBlocks(t, randomPatterns(c, 70, rng))
+		gp, err := logicsim.NewGoodPlanes(fl, blocks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dense, err := logicsim.NewWideSim(fl, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := logicsim.NewWideSim(fl, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lf, err := logicsim.NewWideLaneForces(fl, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forceMachine(t, fl, lf, chip, 1)
+		faults, err := fl.ResolveInjections(chip)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lanes, got []uint64
+		for bi, block := range blocks {
+			if got, err = ws.RunChipBlock(gp, bi, faults, got); err != nil {
+				t.Fatal(err)
+			}
+			for p := 0; p < block.Count; p++ {
+				if lanes, err = dense.RunLaneForced(block, p, lf, lanes); err != nil {
+					t.Fatal(err)
+				}
+				for o, w := range lanes {
+					if want := (w ^ w>>1) & 1; got[o]>>uint(p)&1 != want {
+						t.Fatalf("chip %v pattern %d output %d: chip walk %d, lane walk %d",
+							chip, bi*64+p, o, got[o]>>uint(p)&1, want)
+					}
+				}
+			}
+		}
 	})
 }

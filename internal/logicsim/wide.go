@@ -230,6 +230,11 @@ type WideSim struct {
 	diff     []uint64
 	diverged []int32
 	pend     []uint64
+	// seed marks the slots the chip walk's (RunChipBlock) fault list
+	// names, set at the start of a walk and cleared at its end, so the
+	// walk scans the chip's faults only at those slots. Allocated for
+	// 1-word sims only, the chip walk's width.
+	seed []bool
 }
 
 // NewWideSim allocates wide walk state of 64*words lanes for the flat
@@ -239,13 +244,17 @@ func NewWideSim(f *Flat, words int) (*WideSim, error) {
 		return nil, err
 	}
 	n := f.Slots()
-	return &WideSim{
+	s := &WideSim{
 		f:     f,
 		words: words,
 		val:   make([]uint64, n*words),
 		diff:  make([]uint64, n*words),
 		pend:  make([]uint64, (n+63)/64),
-	}, nil
+	}
+	if words == 1 {
+		s.seed = make([]bool, n)
+	}
+	return s, nil
 }
 
 // RunLaneForced evaluates pattern p of the block across all 64*Words

@@ -19,23 +19,35 @@ import (
 // logicsim.WideLaneForces table — v = (v &^ care) | force per fault
 // site.
 //
-// Each pattern takes one of two walks, picked at every table build by a
-// density rule (chipParallel256State.sparse) that reads only the table
-// and the circuit:
+// A batch takes one of three walks, picked by a density rule
+// (chipParallel256State.sparse) that reads only the batch's force table
+// and the circuit — a table is sparse when it forces fewer slots than a
+// quarter of the circuit's logic slots:
 //
-//   - A table forcing fewer slots than a quarter of the circuit's logic
-//     slots takes the divergence walk (logicsim.WideSim.RunLaneDiverged):
-//     it evaluates only the slots where some lane departs from the good
-//     machine, reading every other slot from the good machine's value
-//     planes (logicsim.GoodPlanes), which the ATE builds on its first
-//     lot. On ISCAS-scale circuits a few percent of the logic slots
-//     diverge per pattern, so the long-surviving chips of a deep circuit
-//     cost a fraction of a full walk.
-//   - A denser table — a fresh 255-chip batch at high n0 on a small
-//     circuit diverges nearly everywhere — takes the linear forced walk
-//     over every slot (logicsim.WideSim.RunLaneForced).
+//   - A batch sparse at its first build takes the chip walk
+//     (logicsim.WideSim.RunChipBlock): each chip is finished alone, one
+//     walk per 64-pattern block, 64 patterns in the lanes, from the
+//     block holding the round's first pattern to the end of the
+//     program. It evaluates only the slots where the chip departs from
+//     the good machine, reading every other slot from the good
+//     machine's value planes (logicsim.GoodPlanes), which the ATE
+//     builds on its first lot — the planes' own layout. A chip's sites
+//     are evaluated once per 64 patterns instead of once per pattern,
+//     so the long-surviving chips of a deep circuit cost a fraction of
+//     a lane walk. None of the batch goes on to the next round.
+//   - A batch dense at its first build — a fresh 255-chip batch at high
+//     n0 on a small circuit diverges nearly everywhere — takes the
+//     linear forced walk over every slot, one pattern per walk
+//     (logicsim.WideSim.RunLaneForced).
+//   - Once pruned or compacted (below), a dense batch's rebuilt table
+//     may turn sparse; it then takes the lane-parallel divergence walk
+//     (logicsim.WideSim.RunLaneDiverged), one pattern per walk over the
+//     same good planes. Only a batch's first build can send it to the
+//     chip walk: a rebuilt batch stays on the lane walks until the
+//     chunk ends, and its survivors meet the rule again, in fresh
+//     batches, next round.
 //
-// Both walks return the same output lane blocks, so the choice never
+// All three walks compute the same machines, so the choice never
 // touches results.
 //
 // First-fail extraction is exact at strobe granularity: at pattern p
@@ -43,7 +55,9 @@ import (
 // broadcast of lane 0 (the good machine computed in the same walk),
 // outputs in strobe order, so the first differing (pattern, output)
 // pair per lane is the same strobe the per-chip oracle reports. A lane is
-// dropped the moment its chip fails.
+// dropped the moment its chip fails. The chip walk reads the same
+// strobe off its output difference words: the lowest failing pattern
+// of the block, then the lowest output failing under it.
 //
 // Scheduling is what makes the lanes earn their keep:
 //
@@ -160,18 +174,21 @@ type chipParallel256State struct {
 	faults  []logicsim.SlotInjection
 
 	// planes is the good machine's value plane of every pattern block,
-	// built on the first lot: the divergence walk reads every slot no
-	// lane departs from out of it instead of simulating the slot.
+	// built on the first lot: the chip and divergence walks read every
+	// slot no machine departs from out of it instead of simulating it.
 	planes *logicsim.GoodPlanes
-	// denseWalks and sparseWalks count pattern walks on each side of
-	// the density rule (see sparse), tableChips the chips resolved from
-	// the first-detect table instead; tests read them.
-	denseWalks, sparseWalks, tableChips int
+	// denseWalks and sparseWalks count the lane-parallel pattern walks
+	// on each side of the density rule (see sparse), chipWalks the
+	// pattern-parallel block walks of chips finished alone, tableChips
+	// the chips resolved from the first-detect table instead; tests
+	// read them.
+	denseWalks, sparseWalks, chipWalks, tableChips int
 }
 
 // sparse is the density rule of the file comment, applied at every
-// table build: true (the divergence walk) when the table forces fewer
-// slots than a quarter of the circuit's logic slots.
+// table build: true when the table forces fewer slots than a quarter of
+// the circuit's logic slots — the chip walk at a batch's first build,
+// the divergence walk at a later one.
 func (st *chipParallel256State) sparse(lf *logicsim.WideLaneForces) bool {
 	return lf.ForcedSlots()*4 < st.flat.Slots()-st.flat.NumInputs()
 }
@@ -360,8 +377,13 @@ func (a *ATE) pp256Batch(batch []ppItem,
 	if err := a.pp256Build(batch, lf, alive); err != nil {
 		return nil, err
 	}
+	if st.sparse(lf) {
+		// A fresh sparse batch: every chip finishes alone on the
+		// pattern-parallel walk, and none goes on to the next round.
+		return next, a.pp256Chips(batch, base, ff)
+	}
 	built := len(batch)
-	sparse := st.sparse(lf)
+	sparse := false // a dense batch turns sparse only at a rebuild
 	liveCount := func() int {
 		n := 0
 		for k := 0; k < len(alive); k++ {
@@ -451,4 +473,55 @@ func (a *ATE) pp256Batch(batch []ppItem,
 		}
 	}
 	return next, nil
+}
+
+// pp256Chips finishes each chip of a fresh sparse batch alone: one
+// pattern-parallel walk (logicsim.WideSim.RunChipBlock) per 64-pattern
+// block, from the block holding base to the end of the program, until
+// the chip fails. Patterns before base (the chip survived them) and
+// past the program are masked off. The first fail is the lowest failing
+// pattern of the block and, within it, the lowest output failing there.
+//
+//repolint:hotpath
+func (a *ATE) pp256Chips(batch []ppItem, base int, ff []int) error {
+	st := a.pp256
+	sim, _, err := st.at(1)
+	if err != nil {
+		return err
+	}
+	total := st.planes.Patterns()
+	nOut := len(a.c.Outputs)
+	last := (total - 1) >> 6
+	out := st.out
+	for _, it := range batch {
+		faults := st.faults[st.faultAt[it.chip]:st.faultAt[it.chip+1]]
+		for b := base >> 6; b <= last; b++ {
+			if out, err = sim.RunChipBlock(st.planes, b, faults, out); err != nil {
+				return err
+			}
+			st.chipWalks++
+			var fails uint64
+			for _, d := range out {
+				fails |= d
+			}
+			if b == base>>6 {
+				fails &= ^uint64(0) << uint(base&63)
+			}
+			if b == last && total&63 != 0 {
+				fails &= uint64(1)<<uint(total&63) - 1
+			}
+			if fails == 0 {
+				continue
+			}
+			p := bits.TrailingZeros64(fails)
+			o := 0
+			for out[o]>>uint(p)&1 == 0 {
+				o++
+			}
+			ff[it.chip] = (b<<6+p)*nOut + o
+			break
+		}
+	}
+	st.out = out
+	return nil
 }

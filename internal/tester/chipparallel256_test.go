@@ -3,11 +3,13 @@ package tester
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/atpg"
 	"repro/internal/defect"
 	"repro/internal/fault"
+	"repro/internal/logicsim"
 	"repro/internal/netlist"
 )
 
@@ -90,8 +92,9 @@ func TestPP256CompactionMatchesSerial(t *testing.T) {
 // TestPP256BatchZeroAllocs pins the compacted batch step — the
 // chipparallel256 inner loop, including the width ladder — to zero
 // allocations once the per-width scratch and the good planes are warm,
-// on both sides of the density rule: a full batch takes the linear
-// forced walk, a batch of a few chips the divergence walk.
+// on all three walks: a full batch takes the linear forced walk and,
+// once pruned, the divergence walk; a batch of a few chips is sparse
+// from its first build and takes the chip walk.
 func TestPP256BatchZeroAllocs(t *testing.T) {
 	c, universe, patterns := setup(t)
 	a, err := New(c, patterns)
@@ -132,23 +135,24 @@ func TestPP256BatchZeroAllocs(t *testing.T) {
 		t.Fatalf("only %d defective chips; want enough to start multi-word", len(dense))
 	}
 	if len(sparse) == 0 {
-		t.Fatal("no chip small enough for a divergence-walk batch")
+		t.Fatal("no chip small enough for a sparse batch")
 	}
+	walks := map[string]*int{"forced": &st.denseWalks, "divergence": &st.sparseWalks, "chip": &st.chipWalks}
 	for _, tc := range []struct {
 		name  string
 		batch []ppItem
-		walks *int // the counter of the walk the batch must take
-		never *int // a walk it must never take, if any
+		took  []string // the walks the batch must take; it takes no other
 	}{
-		// A full batch may turn sparse once pruned, so it may take both.
-		{"forced walk", dense, &st.denseWalks, nil},
-		{"divergence walk", sparse, &st.sparseWalks, &st.denseWalks},
+		// A full batch is dense at its first build; once pruned, it
+		// turns sparse and finishes on the divergence walk.
+		{"full batch", dense, []string{"forced", "divergence"}},
+		{"sparse batch", sparse, []string{"chip"}},
 	} {
 		scratch := make([]ppItem, len(tc.batch))
 		next := make([]ppItem, 0, len(tc.batch))
-		walks, never := *tc.walks, 0
-		if tc.never != nil {
-			never = *tc.never
+		before := make(map[string]int, len(walks))
+		for name, n := range walks {
+			before[name] = *n
 		}
 		if allocs := testing.AllocsPerRun(20, func() {
 			copy(scratch, tc.batch) // the batch is compacted in place; re-seed it
@@ -160,19 +164,175 @@ func TestPP256BatchZeroAllocs(t *testing.T) {
 		}); allocs != 0 {
 			t.Errorf("%s: pp256Batch allocates %v per run, want 0", tc.name, allocs)
 		}
-		if *tc.walks == walks {
-			t.Errorf("%s: the batch never took it", tc.name)
+		for name, n := range walks {
+			if took := *n != before[name]; took != slices.Contains(tc.took, name) {
+				t.Errorf("%s: took the %s walk: %v, want %v", tc.name, name, took, !took)
+			}
 		}
-		if tc.never != nil && *tc.never != never {
-			t.Errorf("%s: a sparse batch took the forced walk", tc.name)
+	}
+}
+
+// TestPP256ChipWalkMidBlock starts a fresh sparse batch mid-block, as
+// every round after the first does (the chunk schedule puts round
+// bases at 8, 24, 56, 120, ...), on a program whose last block is
+// partial. Each chip must take the chip walk to the end of the program
+// and report its first fail at or after base, which the oracle gives
+// by testing the same chips on the program with its first base
+// patterns cut off — a different block alignment altogether.
+func TestPP256ChipWalkMidBlock(t *testing.T) {
+	c, err := netlist.LSIChip(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	universe := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
+	src, err := atpg.NewRandomSource(len(c.Inputs), 27)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = 20 // block 0, bit 20
+	patterns := atpg.Take(src, 200)
+	a, err := New(c, patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := newOracle(c, patterns[base:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := newOracle(c, patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lot, err := defect.GenerateLotFromModel(0.1, 3, universe, 300, rand.New(rand.NewSource(64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := a.injectionsFor(universe)
+	// One full run warms the planes and flattens the lot's fault lists.
+	if _, err := a.chipParallel256FirstFail(lot, inj); err != nil {
+		t.Fatal(err)
+	}
+	st := a.pp256
+	logic := st.flat.Slots() - st.flat.NumInputs()
+	var batch []ppItem
+	forced := 0
+	for i, chip := range lot.Chips {
+		if chip.Defective() && (forced+len(chip.Faults))*4 < logic {
+			batch = append(batch, ppItem{chip: i, key: chip.Faults[0]})
+			forced += len(chip.Faults)
 		}
+	}
+	ff := make([]int, len(lot.Chips))
+	for i := range ff {
+		ff[i] = NeverFails
+	}
+	dense, sparse, chip := st.denseWalks, st.sparseWalks, st.chipWalks
+	next, err := a.pp256Batch(slices.Clone(batch), base, base+8, ff, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next) != 0 || st.denseWalks != dense || st.sparseWalks != sparse || st.chipWalks == chip {
+		t.Fatalf("sparse batch: %d survivors, %d forced, %d divergence and %d chip walks; want the chip walk alone",
+			len(next), st.denseWalks-dense, st.sparseWalks-sparse, st.chipWalks-chip)
+	}
+	nOut := len(c.Outputs)
+	var early, late, never int
+	for _, it := range batch {
+		want, err := tail.TestChipSteps(lot.Chips[it.chip], inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want != NeverFails {
+			want += base * nOut
+		}
+		if ff[it.chip] != want {
+			t.Fatalf("chip %d: first fail %d from base %d, oracle %d", it.chip, ff[it.chip], base, want)
+		}
+		first, err := full.TestChipSteps(lot.Chips[it.chip], inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case first != NeverFails && first < base*nOut:
+			early++
+		case want == NeverFails:
+			never++
+		default:
+			late++
+		}
+	}
+	// The masks must matter: some chips fail before base (their bits of
+	// the first block are masked off), some after, some never.
+	if early == 0 || late == 0 || never == 0 {
+		t.Errorf("batch of %d chips: %d fail before base, %d after, %d never; want each", len(batch), early, late, never)
+	}
+}
+
+// TestPP256ChipWalkIgnoresPadding tests, on a 3-pattern program,
+// every one-fault chip that the program misses but the all-zero input
+// vector detects. The chip walk's last block carries that vector in
+// its 61 padding lanes, so each such chip must still pass.
+func TestPP256ChipWalkIgnoresPadding(t *testing.T) {
+	c, universe, patterns := setup(t)
+	program := patterns[:3]
+	for _, p := range program {
+		if !slices.Contains(p, true) {
+			t.Fatal("the program holds the all-zero vector")
+		}
+	}
+	a, err := New(c, program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := newOracle(c, program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad, err := newOracle(c, []logicsim.Pattern{make(logicsim.Pattern, len(c.Inputs))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := a.injectionsFor(universe)
+	chipWalks := func() int {
+		if a.pp256 == nil {
+			return 0
+		}
+		return a.pp256.chipWalks
+	}
+	tested := 0
+	for fi := range universe {
+		chip := defect.Chip{Faults: []int{fi}}
+		byProgram, err := full.TestChipSteps(chip, inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		byPad, err := pad.TestChipSteps(chip, inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if byProgram != NeverFails || byPad == NeverFails {
+			continue
+		}
+		walks := chipWalks()
+		got, err := a.TestLotSteps(defect.Lot{Universe: universe, Chips: []defect.Chip{chip}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.FirstFail[0] != NeverFails || chipWalks() == walks {
+			t.Fatalf("fault %d: first fail %d after %d chip walks; want a pass on the chip walk",
+				fi, got.FirstFail[0], chipWalks()-walks)
+		}
+		tested++
+	}
+	if tested == 0 {
+		t.Fatal("no fault detected by the padding vector alone")
 	}
 }
 
 // BenchmarkChipParallelDeep times the chipparallel256 lot engine on the
 // long-survivor path: a 500-chip lot at n0 1.5 on a 2000-gate LSIChip
 // under 256 random patterns, where a large share of the defective chips
-// survive every strobe and the divergence walk carries most batches.
+// survive every strobe and the chip walk carries most batches.
 // BenchmarkLotEngines (mul8/cmp16) never reaches this path: its chips
 // die within the first few patterns.
 func BenchmarkChipParallelDeep(b *testing.B) {

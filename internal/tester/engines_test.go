@@ -63,12 +63,12 @@ func TestLotEngineEquivalenceProperty(t *testing.T) {
 
 // TestLotEnginesAgreeOnDeepCircuit pins chipparallel256 to the per-chip
 // oracle on a 1000-gate LSIChip, where long-surviving chips make the
-// divergence walk carry most batches — setup()'s mul4 is too small for
-// it to run much. The yield × n0 grid spans dense batches (n0 8.8: a
-// fresh 255-chip batch forces much of the circuit, the linear walk)
-// and sparse ones (n0 1.5 and pruned survivors, the divergence walk);
-// the per-state walk counters show that both sides of the density rule
-// ran.
+// sparse walks carry most batches — setup()'s mul4 is too small for
+// them to run much. The yield × n0 grid spans dense batches (n0 8.8: a
+// fresh 255-chip batch forces much of the circuit, the linear walk),
+// pruned survivors of those (the divergence walk) and fresh sparse
+// batches (n0 1.5, the chip walk); the per-state walk counters show
+// that all three walks ran.
 func TestLotEnginesAgreeOnDeepCircuit(t *testing.T) {
 	c, err := netlist.LSIChip(1000)
 	if err != nil {
@@ -104,9 +104,9 @@ func TestLotEnginesAgreeOnDeepCircuit(t *testing.T) {
 			}
 		}
 	}
-	if st := wide.pp256; st.denseWalks == 0 || st.sparseWalks == 0 {
-		t.Errorf("%d dense and %d divergence walks; want both sides of the density rule",
-			st.denseWalks, st.sparseWalks)
+	if st := wide.pp256; st.denseWalks == 0 || st.sparseWalks == 0 || st.chipWalks == 0 {
+		t.Errorf("%d dense, %d divergence and %d chip walks; want all three",
+			st.denseWalks, st.sparseWalks, st.chipWalks)
 	}
 }
 

@@ -2,8 +2,8 @@ package tester
 
 // TableChips and LaneWalks expose the lot engine's path counters to the
 // external (tester_test) cross-stack tests: the chips an ATE resolved
-// from its first-detect table, and the pattern walks its lane engine
-// ran.
+// from its first-detect table, and the walks its lane engine ran —
+// lane-parallel pattern walks and pattern-parallel chip walks alike.
 func TableChips(a *ATE) int {
 	if a.pp256 == nil {
 		return 0
@@ -15,5 +15,5 @@ func LaneWalks(a *ATE) int {
 	if a.pp256 == nil {
 		return 0
 	}
-	return a.pp256.denseWalks + a.pp256.sparseWalks
+	return a.pp256.denseWalks + a.pp256.sparseWalks + a.pp256.chipWalks
 }

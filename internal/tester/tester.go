@@ -13,10 +13,12 @@
 // single-fault machine, whose first failing strobe the fault simulator
 // already found. The other defective chips it packs, up to 255 at a
 // time beside the good machine, into the lanes of a multi-word lane
-// block and evaluates together once per pattern — walking only the
-// slots where some lane departs from the good machine when the batch's
-// faults are sparse, the whole flat circuit otherwise (see
-// chipparallel256.go). First fails are strobe steps (pattern ×
+// block. A batch whose faults are sparse in the circuit is finished one
+// chip at a time, 64 patterns per walk, visiting only the slots where
+// the chip departs from the good machine; a dense one is evaluated
+// together once per pattern over the whole flat circuit, and, once its
+// survivors thin out, over only the slots where some lane departs from
+// the good machine (see chipparallel256.go). First fails are strobe steps (pattern ×
 // numOutputs + output), the Sentry's granularity in Table 1. The tests pin
 // every first fail to an independent oracle: one chip at a time on the
 // test-only pointer-walking ref.Simulator (internal/logicsim/ref),
