@@ -205,6 +205,7 @@ func BenchmarkLotEngines(b *testing.B) {
 			if _, err := a.TestLotSteps(lot); err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := a.TestLotSteps(lot); err != nil {
@@ -392,6 +393,7 @@ func BenchmarkSweep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := s.Run(); err != nil {

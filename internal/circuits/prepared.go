@@ -2,7 +2,10 @@ package circuits
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/atpg"
 	"repro/internal/dist"
@@ -66,10 +69,12 @@ func (p Params) Validate() error {
 // Prepared is the once-per-circuit artifact everything downstream
 // consumes: the validated circuit, its (possibly sampled) collapsed
 // fault universe, the ordered production test program, and the
-// strobe-granular coverage ramp. It is read-only after Prepare, so any
-// number of lots, replicates, and worker goroutines may share one
-// instance; per-worker mutable state (the ATE's lane scratch) is cloned
-// via NewATE.
+// strobe-granular coverage ramp. Its exported fields are read-only
+// after Prepare (or Store.Load), so any number of lots, replicates, and
+// worker goroutines may share one instance. Beside them it holds the
+// program's tester image, built on the first NewATE, and the ATEs
+// handed back through ReleaseATE; both are safe for concurrent use, and
+// each concurrent tester takes its own ATE from NewATE.
 type Prepared struct {
 	Circuit *netlist.Circuit
 	Stats   netlist.Stats
@@ -105,6 +110,18 @@ type Prepared struct {
 	// the exact final coverage.
 	CoverageCILow  float64
 	CoverageCIHigh float64
+
+	// prog is the tester image of Circuit and Patterns, built once by
+	// the first NewATE (progOnce; progErr keeps a failed build) and
+	// never serialized.
+	progOnce sync.Once
+	prog     atomic.Pointer[tester.Program]
+	progErr  error
+	// idle holds the released ATEs of prog for NewATE to reuse. An ATE
+	// is only built while idle is empty, so the list never holds more
+	// than the most ATEs ever in use at once.
+	mu   sync.Mutex
+	idle []*tester.ATE
 }
 
 // Prepare performs the once-per-circuit work as a staged pipeline:
@@ -220,14 +237,16 @@ func (pr *Prepared) FinalCoverage() float64 { return pr.Result.Coverage() }
 // FaultCount returns the size of the working fault universe.
 func (pr *Prepared) FaultCount() int { return len(pr.Universe) }
 
-// NewATE builds a tester over the shared pattern set; it simulates the
-// good machine on its first lot. It installs Result as the ATE's
-// single-fault first-fail table for Universe (tester.UseFirstDetects),
-// so one-fault chips of lots over Universe skip simulation. One ATE
-// serves any number of sequential calls; concurrent consumers clone one
-// each.
+// NewATE returns a tester over the shared pattern set: one released
+// through ReleaseATE when there is one, else a new ATE over the
+// program's tester image (tester.Program), which the first call builds
+// — packing the patterns and simulating the good machine once for every
+// ATE of this Prepared. It installs Result as the ATE's single-fault
+// first-fail table for Universe (tester.UseFirstDetects), so one-fault
+// chips of lots over Universe skip simulation. One ATE serves any number
+// of sequential calls; concurrent consumers take one each.
 func (pr *Prepared) NewATE() (*tester.ATE, error) {
-	ate, err := tester.New(pr.Circuit, pr.Patterns)
+	ate, err := pr.takeATE()
 	if err != nil {
 		return nil, err
 	}
@@ -235,4 +254,44 @@ func (pr *Prepared) NewATE() (*tester.ATE, error) {
 		return nil, err
 	}
 	return ate, nil
+}
+
+// takeATE pops an idle ATE or builds one over the program.
+func (pr *Prepared) takeATE() (*tester.ATE, error) {
+	pr.mu.Lock()
+	if n := len(pr.idle); n > 0 {
+		ate := pr.idle[n-1]
+		pr.idle[n-1] = nil
+		pr.idle = pr.idle[:n-1]
+		pr.mu.Unlock()
+		return ate, nil
+	}
+	pr.mu.Unlock()
+	pr.progOnce.Do(func() {
+		prog, err := tester.NewProgram(pr.Circuit, pr.Patterns)
+		pr.prog.Store(prog)
+		pr.progErr = err
+	})
+	if pr.progErr != nil {
+		return nil, pr.progErr
+	}
+	return pr.prog.Load().NewATE(), nil
+}
+
+// ReleaseATE hands back an ATE from NewATE that its holder is done
+// with, for a later NewATE to reuse; the holder must not use it again.
+// Release only an ATE whose last lot succeeded. An ATE built from
+// another program (another Prepared's, or tester.New's), or one already
+// released, is refused.
+func (pr *Prepared) ReleaseATE(ate *tester.ATE) error {
+	if prog := pr.prog.Load(); ate == nil || prog == nil || ate.Program() != prog {
+		return fmt.Errorf("circuits: ATE not built from this Prepared's program")
+	}
+	pr.mu.Lock()
+	defer pr.mu.Unlock()
+	if slices.Contains(pr.idle, ate) {
+		return fmt.Errorf("circuits: ATE released twice")
+	}
+	pr.idle = append(pr.idle, ate)
+	return nil
 }

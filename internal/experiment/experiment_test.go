@@ -326,3 +326,38 @@ func TestRampCheckpoints(t *testing.T) {
 		t.Error("empty ramp should give nil")
 	}
 }
+
+// TestRunLotReleasesATE: RunLot hands the ATE it took back to the
+// Prepared artifact, so the next draw reuses it instead of building one.
+func TestRunLotReleasesATE(t *testing.T) {
+	c, err := netlist.ArrayMultiplier(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultTable1Config()
+	cfg.Circuit = c
+	cfg.RandomPatterns = 32
+	lr, err := NewLotRunner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ate, err := lr.NewATE()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lr.ReleaseATE(ate); err != nil {
+		t.Fatal(err)
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		if _, err := lr.RunLot(0.2, 3, 100, seed); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again, err := lr.NewATE()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != ate {
+		t.Error("RunLot kept the ATE it took: the next NewATE built a new one")
+	}
+}

@@ -20,10 +20,12 @@ import (
 // out thousands, sharing one Prepared per circuit via a circuits.Cache.
 //
 // A LotRunner is safe for concurrent RunLot calls: the shared state is
-// read-only after construction except the ATE's simulator, so each
-// RunLot builds its own tester over the shared pattern set. To amortize
-// the good-machine pre-simulation too, each worker goroutine should
-// clone one ATE via NewATE and pass it to RunLotWith.
+// read-only after construction except the ATE's scratch, so each RunLot
+// takes its own tester from the Prepared artifact (NewATE) and hands it
+// back when the lot is done. A worker goroutine running many lots may
+// instead hold one ATE from NewATE across its RunLotWith calls and
+// release it (ReleaseATE) when it finishes. Either way the program's
+// good machine is simulated once per Prepared, not per tester.
 type LotRunner struct {
 	cfg         Table1Config
 	prep        *circuits.Prepared
@@ -93,11 +95,18 @@ func (lr *LotRunner) Curve() faultsim.Ramp { return lr.prep.Curve }
 // FinalCoverage returns the pattern set's final fault coverage.
 func (lr *LotRunner) FinalCoverage() float64 { return lr.prep.FinalCoverage() }
 
-// NewATE builds a tester over the shared pattern set. One ATE serves
-// any number of sequential RunLotWith calls; concurrent callers need
-// one each.
+// NewATE takes a tester over the shared pattern set from the Prepared
+// artifact (circuits.Prepared.NewATE). One ATE serves any number of
+// sequential RunLotWith calls; concurrent callers need one each.
 func (lr *LotRunner) NewATE() (*tester.ATE, error) {
 	return lr.prep.NewATE()
+}
+
+// ReleaseATE hands an ATE from NewATE back to the Prepared artifact for
+// reuse (circuits.Prepared.ReleaseATE); release only an ATE whose last
+// lot succeeded.
+func (lr *LotRunner) ReleaseATE(ate *tester.ATE) error {
+	return lr.prep.ReleaseATE(ate)
 }
 
 // LotOutcome is one manufactured-and-tested lot: the raw step-granular
@@ -122,19 +131,23 @@ type LotOutcome struct {
 	Curve estimate.Curve
 }
 
-// RunLot manufactures and tests one lot at the given ground truth,
-// building a fresh ATE. Seed controls only the lot, not the test set.
+// RunLot manufactures and tests one lot at the given ground truth on an
+// ATE taken from NewATE, and releases the ATE once the lot succeeded.
+// Seed controls only the lot, not the test set.
 func (lr *LotRunner) RunLot(y, n0 float64, chips int, seed int64) (LotOutcome, error) {
 	ate, err := lr.NewATE()
 	if err != nil {
 		return LotOutcome{}, err
 	}
-	return lr.RunLotWith(ate, y, n0, chips, seed)
+	out, err := lr.RunLotWith(ate, y, n0, chips, seed)
+	if err != nil {
+		return LotOutcome{}, err
+	}
+	return out, lr.ReleaseATE(ate)
 }
 
 // RunLotWith is RunLot against a caller-held ATE (from NewATE), letting
-// worker goroutines amortize the good-machine pre-simulation across
-// many replicates.
+// worker goroutines keep one ATE's scratch across many replicates.
 func (lr *LotRunner) RunLotWith(ate *tester.ATE, y, n0 float64, chips int, seed int64) (LotOutcome, error) {
 	rng := rand.New(rand.NewSource(seed))
 	var lot defect.Lot

@@ -145,18 +145,29 @@ type SlotInjection struct {
 func (f *Flat) ResolveInjections(faults []Injection) ([]SlotInjection, error) {
 	out := make([]SlotInjection, len(faults))
 	for i, fi := range faults {
-		if fi.Gate < 0 || fi.Gate >= f.Slots() {
-			return nil, fmt.Errorf("logicsim: fault site %d out of range", fi.Gate)
+		si, err := f.ResolveInjection(fi)
+		if err != nil {
+			return nil, err
 		}
-		slot := f.slotOf[fi.Gate]
-		if fi.Pin >= 0 {
-			if nf := int(f.faninAt[slot+1] - f.faninAt[slot]); fi.Pin >= nf {
-				return nil, fmt.Errorf("logicsim: gate %d has no pin %d", fi.Gate, fi.Pin)
-			}
-		}
-		out[i] = SlotInjection{Slot: slot, Pin: int32(fi.Pin), Stuck: fi.Stuck}
+		out[i] = si
 	}
 	return out, nil
+}
+
+// ResolveInjection validates one fault and resolves it to slot space,
+// for callers that convert from their own fault type without building
+// an []Injection first.
+func (f *Flat) ResolveInjection(fi Injection) (SlotInjection, error) {
+	if fi.Gate < 0 || fi.Gate >= f.Slots() {
+		return SlotInjection{}, fmt.Errorf("logicsim: fault site %d out of range", fi.Gate)
+	}
+	slot := f.slotOf[fi.Gate]
+	if fi.Pin >= 0 {
+		if nf := int(f.faninAt[slot+1] - f.faninAt[slot]); fi.Pin >= nf {
+			return SlotInjection{}, fmt.Errorf("logicsim: gate %d has no pin %d", fi.Gate, fi.Pin)
+		}
+	}
+	return SlotInjection{Slot: slot, Pin: int32(fi.Pin), Stuck: fi.Stuck}, nil
 }
 
 // AddResolved forces a pre-resolved fault onto one lane. The caller

@@ -394,10 +394,27 @@ func (s *Sweeper) runTasks(pending []int, handle func(task int, sum campaign.Sum
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// One ATE per (worker, workload), built on first use,
-			// amortizes the good-machine pre-simulation across the
-			// worker's replicates of that circuit.
+			// One ATE per (worker, workload), taken from the workload's
+			// Prepared on first use and kept across the worker's
+			// replicates of that circuit. A worker that exits cleanly
+			// hands its ATEs back for the next campaign over the same
+			// Prepared; one that stops on its own error drops them, so
+			// an ATE whose lot failed is never reused.
 			ates := make([]*tester.ATE, len(s.workloads))
+			defer func() {
+				for wi, ate := range ates {
+					if ate == nil {
+						continue
+					}
+					if err := s.workloads[wi].lr.ReleaseATE(ate); err != nil {
+						fail(err)
+					}
+				}
+			}()
+			drop := func(err error) {
+				fail(err)
+				ates = nil
+			}
 			for t := range tasks {
 				if failed.Load() || interrupted.Load() {
 					return
@@ -414,18 +431,18 @@ func (s *Sweeper) runTasks(pending []int, handle func(task int, sum campaign.Sum
 				if ates[wi] == nil {
 					ate, err := s.workloads[wi].lr.NewATE()
 					if err != nil {
-						fail(err)
+						drop(err)
 						return
 					}
 					ates[wi] = ate
 				}
 				sum, err := s.summarize(ates[wi], t)
 				if err != nil {
-					fail(err)
+					drop(err)
 					return
 				}
 				if err := handle(t, sum); err != nil {
-					fail(err)
+					drop(err)
 					return
 				}
 			}

@@ -30,8 +30,9 @@ import (
 //     block holding the round's first pattern to the end of the
 //     program. It evaluates only the slots where the chip departs from
 //     the good machine, reading every other slot from the good
-//     machine's value planes (logicsim.GoodPlanes), which the ATE
-//     builds on its first lot — the planes' own layout. A chip's sites
+//     machine's value planes (logicsim.GoodPlanes), which the ATE's
+//     Program built once for every ATE of the test program — the
+//     planes' own layout. A chip's sites
 //     are evaluated once per 64 patterns instead of once per pattern,
 //     so the long-surviving chips of a deep circuit cost a fraction of
 //     a lane walk. None of the batch goes on to the next round.
@@ -154,8 +155,9 @@ var ErrBatchLanes = errors.New("tester: batch lanes exceed lane-block width")
 
 // chipParallel256State is the engine's per-ATE scratch, allocated once
 // and reused across lots. Walk state and forcing tables are per width
-// (index 0: 1 word, index 1: 4 words), built lazily: a lot only pays
-// for the widths its batches actually walk.
+// (index 0: 1 word, index 1: 4 words), each built lazily on its own: a
+// batch that takes the chip walk needs the forcing table of its width,
+// for the density rule, but only the 1-word walk state.
 type chipParallel256State struct {
 	flat   *logicsim.Flat
 	sims   [2]*logicsim.WideSim
@@ -174,8 +176,9 @@ type chipParallel256State struct {
 	faults  []logicsim.SlotInjection
 
 	// planes is the good machine's value plane of every pattern block,
-	// built on the first lot: the chip and divergence walks read every
-	// slot no machine departs from out of it instead of simulating it.
+	// shared read-only with every ATE of the Program: the chip and
+	// divergence walks read every slot no machine departs from out of
+	// it instead of simulating it.
 	planes *logicsim.GoodPlanes
 	// denseWalks and sparseWalks count the lane-parallel pattern walks
 	// on each side of the density rule (see sparse), chipWalks the
@@ -193,48 +196,54 @@ func (st *chipParallel256State) sparse(lf *logicsim.WideLaneForces) bool {
 	return lf.ForcedSlots()*4 < st.flat.Slots()-st.flat.NumInputs()
 }
 
-// at returns the walk state and forcing table of the given width,
-// building both on first use.
-func (st *chipParallel256State) at(words int) (*logicsim.WideSim, *logicsim.WideLaneForces, error) {
-	i := 0
+// widthIndex maps a lane-block width to its slot in sims and forces.
+func widthIndex(words int) int {
 	if words > 1 {
-		i = 1
+		return 1
 	}
+	return 0
+}
+
+// forcesAt returns the forcing table of the given width, building it on
+// first use.
+func (st *chipParallel256State) forcesAt(words int) (*logicsim.WideLaneForces, error) {
+	i := widthIndex(words)
+	if st.forces[i] == nil {
+		forces, err := logicsim.NewWideLaneForces(st.flat, words)
+		if err != nil {
+			return nil, err
+		}
+		st.forces[i] = forces
+	}
+	return st.forces[i], nil
+}
+
+// simAt returns the walk state of the given width, building it on first
+// use.
+func (st *chipParallel256State) simAt(words int) (*logicsim.WideSim, error) {
+	i := widthIndex(words)
 	if st.sims[i] == nil {
 		sim, err := logicsim.NewWideSim(st.flat, words)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		forces, err := logicsim.NewWideLaneForces(st.flat, words)
-		if err != nil {
-			return nil, nil, err
-		}
-		st.sims[i], st.forces[i] = sim, forces
+		st.sims[i] = sim
 	}
-	return st.sims[i], st.forces[i], nil
+	return st.sims[i], nil
 }
 
 // chipParallel256FirstFail computes the per-chip first-fail record of
 // the lot as strobe steps, bit-identical to the per-chip oracle's
 // (serialFirstFail, in the tests).
-func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injection) ([]int, error) {
-	if a.pp256 == nil {
-		a.pp256 = &chipParallel256State{flat: a.flat}
-	}
+func (a *ATE) chipParallel256FirstFail(lot defect.Lot) ([]int, error) {
 	st := a.pp256
-	if st.planes == nil {
-		planes, err := logicsim.NewGoodPlanes(st.flat, a.blocks)
-		if err != nil {
-			return nil, err
-		}
-		st.planes = planes
-	}
-	// Resolve the universe to slot space once, then flatten each chip's
-	// fault list through it into the per-lot CSR: the batch builds below
-	// re-add the same faults on every rebuild, and the flattened
-	// resolved form makes each of those adds a validation-free
-	// AddResolved fed by sequential reads (see chipParallel256State).
-	resolved, err := st.flat.ResolveInjections(universe)
+	// The universe is resolved to slot space once per ATE (resolvedFor);
+	// each chip's fault list is flattened through it into the per-lot
+	// CSR: the batch builds below re-add the same faults on every
+	// rebuild, and the flattened resolved form makes each of those adds
+	// a validation-free AddResolved fed by sequential reads (see
+	// chipParallel256State).
+	universe, err := a.resolvedFor(lot.Universe)
 	if err != nil {
 		return nil, err
 	}
@@ -256,7 +265,7 @@ func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injec
 			if fi < key {
 				key = fi
 			}
-			st.faults = append(st.faults, resolved[fi])
+			st.faults = append(st.faults, universe[fi])
 		}
 		st.faultAt = append(st.faultAt, int32(len(st.faults)))
 		switch {
@@ -272,10 +281,10 @@ func (a *ATE) chipParallel256FirstFail(lot defect.Lot, universe []logicsim.Injec
 	st.sort.sortWork(work, len(universe))
 	spare := st.next[:0]
 	base, chunk := 0, ppChunkStart
-	for len(work) > 0 && base < len(a.patterns) {
+	for len(work) > 0 && base < len(a.prog.patterns) {
 		end := base + chunk
-		if end > len(a.patterns) {
-			end = len(a.patterns)
+		if end > len(a.prog.patterns) {
+			end = len(a.prog.patterns)
 		}
 		next := spare[:0]
 		for lo := 0; lo < len(work); lo += pp256Lanes {
@@ -351,7 +360,7 @@ func (a *ATE) pp256Batch(batch []ppItem,
 	base, end int, ff []int, next []ppItem) ([]ppItem, error) {
 	st := a.pp256
 	words := laneWordsFor(len(batch))
-	sim, lf, err := st.at(words)
+	lf, err := st.forcesAt(words)
 	if err != nil {
 		return nil, err
 	}
@@ -382,6 +391,10 @@ func (a *ATE) pp256Batch(batch []ppItem,
 		// pattern-parallel walk, and none goes on to the next round.
 		return next, a.pp256Chips(batch, base, ff)
 	}
+	sim, err := st.simAt(words)
+	if err != nil {
+		return nil, err
+	}
 	built := len(batch)
 	sparse := false // a dense batch turns sparse only at a rebuild
 	liveCount := func() int {
@@ -391,14 +404,14 @@ func (a *ATE) pp256Batch(batch []ppItem,
 		}
 		return n
 	}
-	nOut := len(a.c.Outputs)
+	nOut := len(a.prog.c.Outputs)
 	out := st.out
 	for p := base; p < end; p++ {
 		if sparse {
 			out, err = sim.RunLaneDiverged(st.planes, p, lf, out)
 			st.sparseWalks++
 		} else {
-			out, err = sim.RunLaneForced(a.blocks[p/64], p%64, lf, out)
+			out, err = sim.RunLaneForced(a.prog.blocks[p/64], p%64, lf, out)
 			st.denseWalks++
 		}
 		if err != nil {
@@ -445,7 +458,10 @@ func (a *ATE) pp256Batch(batch []ppItem,
 			}
 			batch = batch[:n2]
 			words = w2
-			if sim, lf, err = st.at(words); err != nil {
+			if lf, err = st.forcesAt(words); err != nil {
+				return nil, err
+			}
+			if sim, err = st.simAt(words); err != nil {
 				return nil, err
 			}
 			alive = aliveArr[:words]
@@ -485,12 +501,12 @@ func (a *ATE) pp256Batch(batch []ppItem,
 //repolint:hotpath
 func (a *ATE) pp256Chips(batch []ppItem, base int, ff []int) error {
 	st := a.pp256
-	sim, _, err := st.at(1)
+	sim, err := st.simAt(1)
 	if err != nil {
 		return err
 	}
 	total := st.planes.Patterns()
-	nOut := len(a.c.Outputs)
+	nOut := len(a.prog.c.Outputs)
 	last := (total - 1) >> 6
 	out := st.out
 	for _, it := range batch {

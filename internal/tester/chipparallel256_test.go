@@ -27,12 +27,11 @@ func TestPP256BuildRejectsOverfullBatch(t *testing.T) {
 		Universe: universe,
 		Chips:    []defect.Chip{{Faults: []int{0}}},
 	}
-	inj := a.injectionsFor(universe)
 	// Warm the per-width scratch so pp256Build can be driven directly.
-	if _, err := a.chipParallel256FirstFail(lot, inj); err != nil {
+	if _, err := a.chipParallel256FirstFail(lot); err != nil {
 		t.Fatal(err)
 	}
-	_, lf, err := a.pp256.at(1)
+	lf, err := a.pp256.forcesAt(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,10 +105,9 @@ func TestPP256BatchZeroAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := a.injectionsFor(universe)
-	// One full run warms every width's walk state, the good planes and
-	// the high-water marks of the output and survivor buffers.
-	ff, err := a.chipParallel256FirstFail(lot, inj)
+	// One full run warms every width's walk state and the high-water
+	// marks of the output and survivor buffers.
+	ff, err := a.chipParallel256FirstFail(lot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,9 +205,9 @@ func TestPP256ChipWalkMidBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := a.injectionsFor(universe)
-	// One full run warms the planes and flattens the lot's fault lists.
-	if _, err := a.chipParallel256FirstFail(lot, inj); err != nil {
+	inj := injections(universe)
+	// One full run flattens the lot's fault lists.
+	if _, err := a.chipParallel256FirstFail(lot); err != nil {
 		t.Fatal(err)
 	}
 	st := a.pp256
@@ -292,13 +290,8 @@ func TestPP256ChipWalkIgnoresPadding(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := a.injectionsFor(universe)
-	chipWalks := func() int {
-		if a.pp256 == nil {
-			return 0
-		}
-		return a.pp256.chipWalks
-	}
+	inj := injections(universe)
+	chipWalks := func() int { return a.pp256.chipWalks }
 	tested := 0
 	for fi := range universe {
 		chip := defect.Chip{Faults: []int{fi}}

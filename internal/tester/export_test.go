@@ -4,16 +4,8 @@ package tester
 // external (tester_test) cross-stack tests: the chips an ATE resolved
 // from its first-detect table, and the walks its lane engine ran —
 // lane-parallel pattern walks and pattern-parallel chip walks alike.
-func TableChips(a *ATE) int {
-	if a.pp256 == nil {
-		return 0
-	}
-	return a.pp256.tableChips
-}
+func TableChips(a *ATE) int { return a.pp256.tableChips }
 
 func LaneWalks(a *ATE) int {
-	if a.pp256 == nil {
-		return 0
-	}
 	return a.pp256.denseWalks + a.pp256.sparseWalks + a.pp256.chipWalks
 }

@@ -17,7 +17,7 @@ import (
 // core, diffed against the good machine's outputs of every 64-pattern
 // block.
 type oracle struct {
-	a     *ATE           // the ATE under test: pattern blocks, universe cache
+	a     *ATE           // the ATE under test: its program's pattern blocks
 	sim   *ref.Simulator // pointer-walking simulator
 	good  [][]uint64     // good-machine outputs per block
 	tcOut []uint64       // TestChip/TestChipSteps output scratch
@@ -34,8 +34,8 @@ func newOracle(c *netlist.Circuit, patterns []logicsim.Pattern) (*oracle, error)
 	if err != nil {
 		return nil, err
 	}
-	good := make([][]uint64, len(a.blocks))
-	for bi, block := range a.blocks {
+	good := make([][]uint64, len(a.prog.blocks))
+	for bi, block := range a.prog.blocks {
 		out, err := sim.Run(block)
 		if err != nil {
 			return nil, err
@@ -56,7 +56,7 @@ func (o *oracle) TestChip(chip defect.Chip, universe []logicsim.Injection) (int,
 	if err != nil {
 		return 0, err
 	}
-	for bi, block := range o.a.blocks {
+	for bi, block := range o.a.prog.blocks {
 		bad, err := o.sim.RunWithFaultsInto(block, inj, o.tcOut)
 		if err != nil {
 			return 0, err
@@ -84,8 +84,8 @@ func (o *oracle) TestChipSteps(chip defect.Chip, universe []logicsim.Injection) 
 	if err != nil {
 		return 0, err
 	}
-	nOut := len(o.a.c.Outputs)
-	for bi, block := range o.a.blocks {
+	nOut := len(o.a.prog.c.Outputs)
+	for bi, block := range o.a.prog.blocks {
 		bad, err := o.sim.RunWithFaultsInto(block, inj, o.tcOut)
 		if err != nil {
 			return 0, err
@@ -142,7 +142,7 @@ func (o *oracle) serialFirstFail(lot defect.Lot, universe []logicsim.Injection, 
 // testLot is ATE.TestLotSteps on the oracle, or its pattern-granular
 // counterpart when steps is false.
 func (o *oracle) testLot(lot defect.Lot, steps bool) (LotResult, error) {
-	ff, err := o.serialFirstFail(lot, o.a.injectionsFor(lot.Universe), steps)
+	ff, err := o.serialFirstFail(lot, injections(lot.Universe), steps)
 	if err != nil {
 		return LotResult{}, err
 	}
@@ -165,7 +165,7 @@ func (o *oracle) agrees(lot defect.Lot, got LotResult) error {
 	if err != nil {
 		return err
 	}
-	nOut := len(o.a.c.Outputs)
+	nOut := len(o.a.prog.c.Outputs)
 	for i, ff := range got.FirstFail {
 		p := ff
 		if ff != NeverFails {

@@ -6,6 +6,11 @@
 // cumulative-coverage ramp, give the fallout curve from which n0 is
 // estimated.
 //
+// The tester splits into an immutable Program (NewProgram: the packed
+// pattern blocks and the good machine's value planes), which every ATE
+// of one test program shares, and the ATE (Program.NewATE), which adds
+// only its own per-lot scratch.
+//
 // One lot engine, chipparallel256, runs every lot. It first takes each
 // one-fault chip's first fail from the ATE's first-detect table, when
 // one is installed for the lot's universe (UseFirstDetects; a
@@ -47,34 +52,23 @@ type LotEngine int
 // ChipParallel256 is the one lot engine.
 const ChipParallel256 LotEngine = 0
 
-// ATE tests chips against a fixed circuit and ordered pattern set.
-type ATE struct {
+// Program is a test program's immutable tester image: the circuit, its
+// ordered pattern set packed once into 64-pattern blocks, the circuit's
+// cached flat form, and the good machine's value planes of every block,
+// which the lot engine's chip and divergence walks read instead of
+// simulating the good machine. It is safe for concurrent readers, so
+// one Program serves every ATE of its test program (NewATE).
+type Program struct {
 	c        *netlist.Circuit
 	patterns []logicsim.Pattern
 	blocks   []logicsim.PatternBlock
 	flat     *logicsim.Flat // the circuit's cached flat form
-
-	// Universe→Injection conversion cache: campaigns share one fault
-	// universe across thousands of lots, so the conversion is keyed by
-	// slice identity and done once per ATE (see injectionsFor).
-	univKey *fault.Fault
-	univLen int
-	univInj []logicsim.Injection
-
-	// Single-fault first-fail table (see UseFirstDetects): the strobe
-	// first detect of every fault of one universe, keyed by that
-	// universe's slice identity like the injection cache. Borrowed from
-	// the caller, never written.
-	firstKey *fault.Fault
-	firstLen int
-	first    []int
-
-	pp256 *chipParallel256State // lazily built chipparallel256 scratch
+	planes   *logicsim.GoodPlanes
 }
 
-// New builds an ATE, packing the pattern set into 64-pattern blocks
-// once.
-func New(c *netlist.Circuit, patterns []logicsim.Pattern) (*ATE, error) {
+// NewProgram builds the tester image of a test program: it packs the
+// patterns into blocks and simulates the good machine over them once.
+func NewProgram(c *netlist.Circuit, patterns []logicsim.Pattern) (*Program, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("tester: no patterns")
 	}
@@ -88,30 +82,82 @@ func New(c *netlist.Circuit, patterns []logicsim.Pattern) (*ATE, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ATE{c: c, patterns: patterns, blocks: blocks, flat: flat}, nil
+	planes, err := logicsim.NewGoodPlanes(flat, blocks)
+	if err != nil {
+		return nil, err
+	}
+	return &Program{c: c, patterns: patterns, blocks: blocks, flat: flat, planes: planes}, nil
 }
 
-// Patterns returns the number of patterns the ATE applies.
-func (a *ATE) Patterns() int { return len(a.patterns) }
+// NewATE returns a tester over the program. The ATE shares the
+// program's image and owns only its per-lot scratch, so concurrent
+// testers take one ATE each.
+func (p *Program) NewATE() *ATE {
+	return &ATE{prog: p, pp256: &chipParallel256State{flat: p.flat, planes: p.planes}}
+}
 
-// injectionsFor converts a lot's fault universe to injectable form,
-// cached by slice identity: campaigns share one universe (from a
-// circuits.Prepared) across thousands of lots, so per-lot reconversion
+// ATE tests chips against a fixed circuit and ordered pattern set.
+type ATE struct {
+	prog *Program
+
+	// Universe resolution cache: campaigns share one fault universe
+	// across thousands of lots, so its resolution to slot space is
+	// keyed by slice identity and done once per ATE and universe (see
+	// resolvedFor). The key pointer keeps the universe's array alive,
+	// so its address cannot be reused while the ATE holds it.
+	univKey *fault.Fault
+	univLen int
+	univRes []logicsim.SlotInjection
+
+	// Single-fault first-fail table (see UseFirstDetects): the strobe
+	// first detect of every fault of one universe, keyed by that
+	// universe's slice identity like the resolution cache. Borrowed
+	// from the caller, never written.
+	firstKey *fault.Fault
+	firstLen int
+	first    []int
+
+	pp256 *chipParallel256State // the lot engine's scratch
+}
+
+// New builds an ATE over a program of its own: NewProgram followed by
+// NewATE.
+func New(c *netlist.Circuit, patterns []logicsim.Pattern) (*ATE, error) {
+	p, err := NewProgram(c, patterns)
+	if err != nil {
+		return nil, err
+	}
+	return p.NewATE(), nil
+}
+
+// Program returns the test program the ATE applies.
+func (a *ATE) Program() *Program { return a.prog }
+
+// Patterns returns the number of patterns the ATE applies.
+func (a *ATE) Patterns() int { return len(a.prog.patterns) }
+
+// resolvedFor resolves a lot's fault universe to slot space, cached by
+// slice identity: campaigns share one universe (from a
+// circuits.Prepared) across thousands of lots, so per-lot resolution
 // was pure waste. A different universe (or a same-length reallocation)
-// misses and reconverts.
-func (a *ATE) injectionsFor(universe []fault.Fault) []logicsim.Injection {
+// misses and resolves again.
+func (a *ATE) resolvedFor(universe []fault.Fault) ([]logicsim.SlotInjection, error) {
 	if len(universe) == 0 {
-		return nil
+		return nil, nil
 	}
 	if a.univKey == &universe[0] && a.univLen == len(universe) {
-		return a.univInj
+		return a.univRes, nil
 	}
-	inj := make([]logicsim.Injection, len(universe))
+	res := make([]logicsim.SlotInjection, len(universe))
 	for i, f := range universe {
-		inj[i] = logicsim.Injection{Gate: f.Gate, Pin: f.Pin, Stuck: f.Stuck}
+		si, err := a.prog.flat.ResolveInjection(logicsim.Injection{Gate: f.Gate, Pin: f.Pin, Stuck: f.Stuck})
+		if err != nil {
+			return nil, err
+		}
+		res[i] = si
 	}
-	a.univKey, a.univLen, a.univInj = &universe[0], len(universe), inj
-	return inj
+	a.univKey, a.univLen, a.univRes = &universe[0], len(universe), res
+	return res, nil
 }
 
 // UseFirstDetects installs a single-fault first-fail table: res must be
@@ -129,10 +175,10 @@ func (a *ATE) UseFirstDetects(universe []fault.Fault, res faultsim.Result) error
 	if len(res.FirstDetect) != len(universe) {
 		return fmt.Errorf("tester: %d first detects for %d universe faults", len(res.FirstDetect), len(universe))
 	}
-	steps := len(a.patterns) * len(a.c.Outputs)
+	steps := len(a.prog.patterns) * len(a.prog.c.Outputs)
 	if res.Patterns != steps {
 		return fmt.Errorf("tester: first detects over %d steps, program has %d patterns × %d outputs",
-			res.Patterns, len(a.patterns), len(a.c.Outputs))
+			res.Patterns, len(a.prog.patterns), len(a.prog.c.Outputs))
 	}
 	for i, d := range res.FirstDetect {
 		if d < faultsim.NotDetected || d >= steps {
@@ -176,7 +222,7 @@ type LotResult struct {
 // strobe granularity, the Sentry's bookkeeping in Table 1: FirstFail
 // holds step indices (pattern*numOutputs + output).
 func (a *ATE) TestLotSteps(lot defect.Lot) (LotResult, error) {
-	ff, err := a.chipParallel256FirstFail(lot, a.injectionsFor(lot.Universe))
+	ff, err := a.chipParallel256FirstFail(lot)
 	if err != nil {
 		return LotResult{}, err
 	}
