@@ -98,8 +98,9 @@ func BenchmarkFig6(b *testing.B) {
 }
 
 // BenchmarkEngines is the fault-simulation matrix: ppsfp inline and
-// sharded, against paper-scale circuits, 256 random patterns each, on
-// the collapsed fault list. The ns/fault-pattern metric is the number
+// sharded, against paper-scale circuits and the embedded lsi1k fixture
+// (the ISCAS scale Prepare grades at), 256 random patterns each, on the
+// collapsed fault list. The ns/fault-pattern metric is the number
 // quoted in the README.
 func BenchmarkEngines(b *testing.B) {
 	circuits := []struct {
@@ -108,6 +109,7 @@ func BenchmarkEngines(b *testing.B) {
 	}{
 		{"mul8", func() (*netlist.Circuit, error) { return netlist.ArrayMultiplier(8) }},
 		{"cmp16", func() (*netlist.Circuit, error) { return netlist.Comparator(16) }},
+		{"lsi1k", func() (*netlist.Circuit, error) { return circuits.Resolve("lsi1k") }},
 	}
 	// The sharded row runs ppsfp over GOMAXPROCS fault-list shards, the
 	// configuration the retired concurrent engine ran. It keeps that
@@ -138,8 +140,8 @@ func BenchmarkEngines(b *testing.B) {
 					patterns[i] = p
 				}
 				// One warm-up run outside the timer so -benchtime=1x
-				// still reports steady state (the per-circuit cone
-				// set is built once and cached on the circuit).
+				// still reports steady state (the flat form is built
+				// once and cached on the circuit).
 				if _, err := faultsim.RunOpts(c, reps, patterns, faultsim.PPSFP, r.opt); err != nil {
 					b.Fatal(err)
 				}

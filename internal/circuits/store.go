@@ -90,8 +90,9 @@ func (s *Store) path(fingerprint string) string {
 	return filepath.Join(s.dir, fingerprint+".json")
 }
 
-// storedFault addresses a fault by gate name rather than gate ID:
-// ParseBench renumbers IDs, names survive the round trip.
+// storedFault addresses a fault by gate name rather than gate ID: the
+// rendering does not carry IDs (a circuit parsed from it numbers its
+// gates afresh), names survive the round trip.
 type storedFault struct {
 	Gate  string `json:"gate"`
 	Pin   int    `json:"pin"`
@@ -102,8 +103,8 @@ type storedFault struct {
 // the circuit's input declaration order and FirstDetect holds strobe
 // step indices over the output declaration order — both orders are
 // preserved by the canonical .bench rendering, so the artifact is
-// valid against the re-parsed circuit. The ramp is not stored; it is
-// losslessly rebuilt from FirstDetect.
+// valid against any circuit with that rendering. The ramp is not
+// stored; it is losslessly rebuilt from FirstDetect.
 type storedPrepared struct {
 	Bench          string        `json:"bench"`
 	RandomPatterns int           `json:"random_patterns"`
@@ -161,10 +162,11 @@ func (s *Store) Save(pr *Prepared) error {
 }
 
 // Load retrieves the Prepared artifact for (c, p), rebuilding the
-// in-memory form from the stored one: the circuit is re-parsed from
-// its canonical .bench bytes and re-validated, fault names are
-// remapped to the fresh gate IDs, and the sparse ramp is recomputed
-// from the stored first-detect steps. A missing artifact is
+// in-memory form from the stored one over c itself: the stored
+// canonical .bench bytes must equal c's rendering, so the artifact
+// describes exactly c and nothing is re-parsed. Fault names are mapped
+// to c's gate IDs, the stats come from c, and the sparse ramp is
+// recomputed from the stored first-detect steps. A missing artifact is
 // ErrStoreMiss; a damaged one surfaces campaign.ErrCorrupt,
 // campaign.ErrSchema, or campaign.ErrMismatch via errors.Is. Params a
 // cold Prepare would reject are rejected here too, before the store is
@@ -200,22 +202,18 @@ func (s *Store) Load(c *netlist.Circuit, p Params) (*Prepared, error) {
 		return nil, fmt.Errorf("circuits: store %s: %w: stored circuit differs from requested",
 			path, campaign.ErrMismatch)
 	}
-	stored, err := netlist.ParseBench(c.Name, strings.NewReader(body.Bench))
+	stats, err := c.ComputeStats()
 	if err != nil {
-		return nil, fmt.Errorf("circuits: store %s: %w: %w", path, campaign.ErrCorrupt, err)
-	}
-	stats, err := stored.ComputeStats()
-	if err != nil {
-		return nil, fmt.Errorf("circuits: store %s: %w: %w", path, campaign.ErrCorrupt, err)
+		return nil, err
 	}
 	universe := make([]fault.Fault, len(body.Universe))
 	for i, sf := range body.Universe {
-		id, ok := stored.GateByName(sf.Gate)
+		id, ok := c.GateByName(sf.Gate)
 		if !ok {
 			return nil, fmt.Errorf("circuits: store %s: %w: fault names unknown gate %q",
 				path, campaign.ErrCorrupt, sf.Gate)
 		}
-		if sf.Pin < -1 || sf.Pin >= len(stored.Gates[id].Fanin) {
+		if sf.Pin < -1 || sf.Pin >= len(c.Gates[id].Fanin) {
 			return nil, fmt.Errorf("circuits: store %s: %w: fault pin %d out of range on %q",
 				path, campaign.ErrCorrupt, sf.Pin, sf.Gate)
 		}
@@ -228,9 +226,9 @@ func (s *Store) Load(c *netlist.Circuit, p Params) (*Prepared, error) {
 	}
 	patterns := make([]logicsim.Pattern, len(body.Patterns))
 	for i, bits := range body.Patterns {
-		if len(bits) != len(stored.Inputs) {
+		if len(bits) != len(c.Inputs) {
 			return nil, fmt.Errorf("circuits: store %s: %w: pattern %d has %d bits for %d inputs",
-				path, campaign.ErrCorrupt, i, len(bits), len(stored.Inputs))
+				path, campaign.ErrCorrupt, i, len(bits), len(c.Inputs))
 		}
 		pat := make(logicsim.Pattern, len(bits))
 		for j := 0; j < len(bits); j++ {
@@ -249,10 +247,10 @@ func (s *Store) Load(c *netlist.Circuit, p Params) (*Prepared, error) {
 		return nil, fmt.Errorf("circuits: store %s: %w: %d first-detect entries for %d faults",
 			path, campaign.ErrCorrupt, len(body.FirstDetect), len(universe))
 	}
-	wantSteps := len(patterns) * len(stored.Outputs)
+	wantSteps := len(patterns) * len(c.Outputs)
 	if body.Steps != wantSteps {
 		return nil, fmt.Errorf("circuits: store %s: %w: %d steps for %d patterns × %d outputs",
-			path, campaign.ErrCorrupt, body.Steps, len(patterns), len(stored.Outputs))
+			path, campaign.ErrCorrupt, body.Steps, len(patterns), len(c.Outputs))
 	}
 	for i, d := range body.FirstDetect {
 		if d != faultsim.NotDetected && (d < 0 || d >= body.Steps) {
@@ -262,7 +260,7 @@ func (s *Store) Load(c *netlist.Circuit, p Params) (*Prepared, error) {
 	}
 	res := faultsim.Result{FirstDetect: body.FirstDetect, Patterns: body.Steps}
 	return &Prepared{
-		Circuit:        stored,
+		Circuit:        c,
 		Stats:          stats,
 		Params:         p,
 		UniverseSize:   body.UniverseSize,

@@ -9,7 +9,9 @@ package defect
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/dist"
@@ -257,35 +259,50 @@ func GenerateLotFromModel(y, n0 float64, universe []fault.Fault, n int, rng *ran
 	lot := Lot{Chips: make([]Chip, n), Universe: universe}
 	// int32 halves the scratch; fault universes stay far below 2^31.
 	perm := make([]int32, len(universe))
+	// Every chip's faults live in one backing array, each chip holding
+	// a capacity-capped window of it. It is sized for the lot's total
+	// fault count four standard deviations above its mean, so a second
+	// array is almost never started; sampling order is unchanged.
+	nf := float64(n)
+	size := int(math.Min(nf*fc.Mean()+4*math.Sqrt(nf*fc.Variance()), nf*float64(len(universe))))
+	all := make([]int, 0, size)
 	good := 0
 	for i := range lot.Chips {
 		k := fc.Sample(rng)
 		if k > len(universe) {
 			k = len(universe)
 		}
-		lot.Chips[i] = Chip{Faults: sampleDistinct(rng, perm, k)}
 		if k == 0 {
 			good++
+			continue
 		}
+		if cap(all)-len(all) < k {
+			all = make([]int, 0, max(k, size))
+		}
+		lo := len(all)
+		all = appendDistinct(all, rng, perm, k)
+		lot.Chips[i].Faults = all[lo:len(all):len(all)]
 	}
 	lot.Yield = float64(good) / float64(n)
 	return lot, nil
 }
 
-// sampleDistinct draws k distinct integers from [0, len(perm)) by
+// appendDistinct draws k distinct integers from [0, len(perm)) by
 // partial Fisher-Yates on a virtual permutation held in perm, the
-// lot's dense scratch: perm[p] == 0 means position p still holds p, and
-// perm[p] == v+1 means it holds v. perm must be all zero on entry and
-// is all zero again on return, so one scratch serves every chip of a
-// lot.
+// lot's dense scratch, and appends them to dst in draw order: perm[p]
+// == 0 means position p still holds p, and perm[p] == v+1 means it
+// holds v. perm must be all zero on entry and is all zero again on
+// return, so one scratch serves every chip of a lot.
 //
 //repolint:hotpath
-func sampleDistinct(rng *rand.Rand, perm []int32, k int) []int {
+func appendDistinct(dst []int, rng *rand.Rand, perm []int32, k int) []int {
 	if k <= 0 {
-		return nil
+		return dst
 	}
 	total := len(perm)
-	out := make([]int, k)
+	lo := len(dst)
+	dst = slices.Grow(dst, k)[:lo+k]
+	out := dst[lo:]
 	for i := 0; i < k; i++ {
 		j := i + rng.Intn(total-i)
 		vi, vj := i, j
@@ -306,7 +323,7 @@ func sampleDistinct(rng *rand.Rand, perm []int32, k int) []int {
 		perm[i] = 0
 		perm[v] = 0
 	}
-	return out
+	return dst
 }
 
 // MeanFaultsOnDefective returns the lot's empirical n0: the average

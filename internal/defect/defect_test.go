@@ -206,6 +206,53 @@ func TestGenerateLotFromModelErrors(t *testing.T) {
 	}
 }
 
+// sampleDistinct is appendDistinct for one chip into a fresh slice: the
+// form the sampler tests check against the map reference.
+func sampleDistinct(rng *rand.Rand, perm []int32, k int) []int {
+	return appendDistinct(nil, rng, perm, k)
+}
+
+// TestLotSharesOneFaultArray pins the lot's fault storage: a constant
+// number of allocations per lot (one backing array for every chip, not
+// one slice per defective chip), each chip's window capacity-capped so
+// growing one chip's list cannot overwrite the next chip's, and the
+// draws equal to sampling each chip into its own slice from the same
+// RNG stream.
+func TestLotSharesOneFaultArray(t *testing.T) {
+	universe := universeFor(t)
+	lot, err := GenerateLotFromModel(0.07, 8.8, universe, 2000, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	fc, err := dist.NewChipFaultCount(0.07, 8.8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perm := make([]int32, len(universe))
+	for i, c := range lot.Chips {
+		k := min(fc.Sample(rng), len(universe))
+		if want := sampleDistinct(rng, perm, k); !reflect.DeepEqual(c.Faults, want) {
+			t.Fatalf("chip %d: faults %v, per-chip draw %v", i, c.Faults, want)
+		}
+		if len(c.Faults) == 0 {
+			continue
+		}
+		if cap(c.Faults) != len(c.Faults) {
+			t.Fatalf("chip %d: capacity %d for %d faults, want capped", i, cap(c.Faults), len(c.Faults))
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := GenerateLotFromModel(0.07, 8.8, universe, 2000, rand.New(rand.NewSource(11))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The RNG, the chip slice, the scratch and the fault array.
+	if allocs > 6 {
+		t.Errorf("GenerateLotFromModel: %v allocs per lot, want at most 6", allocs)
+	}
+}
+
 func TestSampleDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	perm := make([]int32, 20)

@@ -4,7 +4,10 @@
 // locate a failing chip's defect by matching its observed syndrome
 // against the dictionary. The paper's experiment records only the
 // first failing pattern; the dictionary shows how much more the same
-// tester run can reveal.
+// tester run can reveal. Both the dictionary's single faults and an
+// observed chip's faults are simulated on the lot engine's
+// pattern-parallel divergence walk (logicsim.WideSim.RunChipBlock) over
+// the good machine's planes, built once per dictionary.
 package diagnose
 
 import (
@@ -73,10 +76,12 @@ type Dictionary struct {
 }
 
 // Build fault-simulates every fault against the ordered pattern set
-// and stores full response signatures. Each fault costs one flat cone
-// walk per 64-pattern block (logicsim.FlatSim.RunCone), whose
-// per-output diff words are exactly the syndrome bits, so it is run
-// once per test program release.
+// and stores full response signatures. Each fault costs one
+// pattern-parallel divergence walk per 64-pattern block
+// (logicsim.WideSim.RunChipBlock, the lot engine's chip walk with the
+// fault as a one-fault chip) over the good machine's planes, which the
+// dictionary keeps for ObserveChip; its per-output diff words are
+// exactly the syndrome bits. It is run once per test program release.
 func Build(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern) (*Dictionary, error) {
 	if len(patterns) == 0 {
 		return nil, fmt.Errorf("diagnose: no patterns")
@@ -89,40 +94,42 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern
 			return nil, fmt.Errorf("diagnose: fault %d site %d out of range", i, f.Gate)
 		}
 	}
-	cones, err := logicsim.FlatConeSetFor(c)
+	flat, err := logicsim.FlatFor(c)
 	if err != nil {
 		return nil, err
+	}
+	inj := make([]logicsim.SlotInjection, len(faults))
+	for i, f := range faults {
+		if inj[i], err = flat.ResolveInjection(logicsim.Injection{Gate: f.Gate, Pin: f.Pin, Stuck: f.Stuck}); err != nil {
+			return nil, err
+		}
 	}
 	blocks, err := logicsim.PackBlocks(patterns)
 	if err != nil {
 		return nil, err
 	}
-	planes, err := logicsim.NewGoodPlanes(cones.Flat(), blocks)
+	planes, err := logicsim.NewGoodPlanes(flat, blocks)
 	if err != nil {
 		return nil, err
 	}
-	sim := logicsim.NewFlatSim(cones.Flat())
-	d := &Dictionary{flat: cones.Flat(), npat: len(patterns), blocks: blocks, planes: planes, faults: faults,
+	sim, err := logicsim.NewWideSim(flat, 1)
+	if err != nil {
+		return nil, err
+	}
+	d := &Dictionary{flat: flat, npat: len(patterns), blocks: blocks, planes: planes, faults: faults,
 		syndromes: make([]Syndrome, len(faults))}
 	for i := range d.syndromes {
 		d.syndromes[i] = make(Syndrome, len(patterns))
 	}
-	outDiffs := make([]uint64, len(c.Outputs))
-	var good []uint64
+	var out []uint64
 	for bi, block := range blocks {
-		base := bi * 64
-		if good, err = sim.RunInto(block, good); err != nil {
-			return nil, err
-		}
-		for fi, f := range faults {
-			_, cone, err := sim.RunFault(cones, f.Gate, f.Pin, f.Stuck, outDiffs)
-			if err != nil {
+		good, mask := planes.Block(bi), block.Mask()
+		for fi := range faults {
+			if out, err = sim.RunChipBlock(good, mask, inj[fi:fi+1], out); err != nil {
 				return nil, err
 			}
-			// The walk writes outDiffs only at the cone's reachable
-			// outputs; no other output can differ.
-			for _, o := range cone.Outputs {
-				setBits(d.syndromes[fi][base:], outDiffs[o], int(o))
+			for o, diff := range out {
+				setBits(d.syndromes[fi][bi*64:], diff, o)
 			}
 		}
 	}
@@ -142,8 +149,8 @@ func setBits(syn Syndrome, diff uint64, o int) {
 // simultaneously and returns its syndrome — the input a real ATE's
 // datalog would provide. It is the lot engine's pattern-parallel chip
 // walk (logicsim.WideSim.RunChipBlock): one walk per 64-pattern block,
-// whose per-output difference words from the good machine are exactly
-// the syndrome bits. A site listed twice keeps its last stuck value.
+// whose per-output difference words from the good machine, masked to
+// the block's patterns, are exactly the syndrome bits. A site listed twice keeps its last stuck value.
 func (d *Dictionary) ObserveChip(inj []logicsim.Injection) (Syndrome, error) {
 	faults, err := d.flat.ResolveInjections(inj)
 	if err != nil {
@@ -156,12 +163,11 @@ func (d *Dictionary) ObserveChip(inj []logicsim.Injection) (Syndrome, error) {
 	syn := make(Syndrome, d.npat)
 	var out []uint64
 	for bi, block := range d.blocks {
-		if out, err = sim.RunChipBlock(d.planes, bi, faults, out); err != nil {
+		if out, err = sim.RunChipBlock(d.planes.Block(bi), block.Mask(), faults, out); err != nil {
 			return nil, err
 		}
-		mask := ^uint64(0) >> uint(64-block.Count)
 		for o, diff := range out {
-			setBits(syn[bi*64:], diff&mask, o)
+			setBits(syn[bi*64:], diff, o)
 		}
 	}
 	return syn, nil

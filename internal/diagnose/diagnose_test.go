@@ -2,6 +2,7 @@ package diagnose
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/atpg"
@@ -81,6 +82,92 @@ func randomChip(c *netlist.Circuit, rng *rand.Rand) []logicsim.Injection {
 		chip = append(chip, again)
 	}
 	return chip
+}
+
+// TestBuildMatchesOracle pins the dictionary's single-fault walks to
+// the pointer-walking oracle on c17, mul4 and the lsi1k fixture over 150
+// patterns (a partial last block): every fault's syndrome must hold, at
+// every pattern, exactly the outputs on which ref.Simulator's
+// single-fault run differs from its good run. On lsi1k every fifth
+// collapsed fault keeps the oracle quick.
+func TestBuildMatchesOracle(t *testing.T) {
+	for _, spec := range []string{"c17", "mul4", "lsi1k"} {
+		c, err := circuits.Resolve(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var faults []fault.Fault
+		for i, f := range fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c))) {
+			if spec != "lsi1k" || i%5 == 0 {
+				faults = append(faults, f)
+			}
+		}
+		src, err := atpg.NewRandomSource(len(c.Inputs), 29)
+		if err != nil {
+			t.Fatal(err)
+		}
+		patterns := atpg.Take(src, 150)
+		d, err := Build(c, faults, patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim, err := ref.NewSimulator(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks, err := logicsim.PackBlocks(patterns)
+		if err != nil {
+			t.Fatal(err)
+		}
+		detected := 0
+		for bi, block := range blocks {
+			good, err := sim.Run(block)
+			if err != nil {
+				t.Fatal(err)
+			}
+			good = append([]uint64(nil), good...)
+			for fi, f := range faults {
+				bad, err := sim.RunWithFault(block, f.Gate, f.Pin, f.Stuck)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for p := 0; p < block.Count; p++ {
+					var m uint64
+					for o := range bad {
+						m |= (bad[o] ^ good[o]) >> uint(p) & 1 << uint(o)
+					}
+					if got := d.syndromes[fi][bi*64+p]; got != m {
+						t.Fatalf("%s fault %v pattern %d: failing outputs %b, oracle %b", spec, f.Name(c), bi*64+p, got, m)
+					}
+					if m != 0 {
+						detected++
+					}
+				}
+			}
+		}
+		if detected == 0 {
+			t.Errorf("%s: no fault detected; the comparison saw only empty syndromes", spec)
+		}
+	}
+}
+
+// TestBuildIgnoresPaddingLanes: y = NOR(a, b) stuck-at-0 is detected by
+// a = b = 0 only, the vector every padding lane of a partial block
+// carries; a program without it must leave the fault's syndrome empty.
+func TestBuildIgnoresPaddingLanes(t *testing.T) {
+	c, err := netlist.ParseBench("nor", strings.NewReader("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NOR(a, b)\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, _ := c.GateByName("y")
+	faults := []fault.Fault{{Gate: y, Pin: -1, Stuck: false}}
+	d, err := Build(c, faults, []logicsim.Pattern{{true, false}, {false, true}, {true, true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.syndromes[0].Fails() {
+		t.Fatalf("syndrome %v, want no failing pattern", d.syndromes[0])
+	}
 }
 
 // TestObserveChipMatchesOracle pins ObserveChip's one-word lane walk to

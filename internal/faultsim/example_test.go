@@ -11,9 +11,7 @@ import (
 
 // ExampleRun grades a tiny exhaustive test set against the c17
 // benchmark circuit: build the collapsed fault list, fault-simulate
-// with the default cone-restricted PPSFP engine, and read the coverage
-// off the result. Swapping the engine changes only the wall-clock —
-// every engine returns identical first-detect indices.
+// with PPSFP, the one engine, and read the coverage off the result.
 func ExampleRun() {
 	c := netlist.C17()
 	u := fault.BuildUniverse(c)

@@ -1,15 +1,19 @@
 // Package faultsim measures which single-stuck-at faults a test-pattern
 // sequence detects. It has one engine, PPSFP: parallel-pattern
 // single-fault propagation with fault dropping, 64 patterns per word
-// on the flat core (logicsim.Flat), each faulty pass restricted to the
-// fault's slot cone (logicsim.FlatSim over a FlatConeSet) with an
-// activation early exit. It has one session and one run loop: a Grader
+// on the flat core (logicsim.Flat). The good machine is simulated once
+// per 64-pattern block (logicsim.FlatSim), and each fault is then
+// walked alone over that block's good plane on the lot engine's
+// divergence walk (logicsim.WideSim.RunChipBlock), which evaluates only
+// the slots where the faulty machine departs from the good one on the
+// block's valid patterns. It has one session and one run loop: a Grader
 // grades a program incrementally, each Add the next patterns against
 // the faults still undetected, and Run/RunOpts are a Grader and one
 // Add. Options.Workers shards the fault list across goroutines, and
 // the default runs one shard inline. StepsFrom refines a pattern-level
-// result to tester-strobe granularity. Nothing selects an engine: the
-// engine argument of Run/RunOpts must be PPSFP, the zero value.
+// result to tester-strobe granularity on the same walk. Nothing
+// selects an engine: the engine argument of Run/RunOpts must be PPSFP,
+// the zero value.
 //
 // The tests pin every result to an independent oracle: a one-fault-at-
 // a-time, full-circuit walk over the test-only pointer-walking

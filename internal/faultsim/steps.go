@@ -18,9 +18,9 @@ import (
 // The first failing strobe factors: its pattern is the fault's ordinary
 // first-detect pattern, and its output is the lowest-indexed output the
 // fault flips on that pattern. So StepsFrom refines a pattern-level
-// result with one cone-restricted re-simulation of each detected
-// fault's first-detect pattern — strobe granularity costs one extra
-// cone pass per detected fault instead of a dedicated engine.
+// result with one divergence walk of each detected fault over its
+// first-detect block — strobe granularity costs one extra walk per
+// detected fault instead of a dedicated engine.
 
 // RunSteps fault-simulates the ordered patterns with per-strobe
 // granularity using the default engine. The returned Result counts
@@ -71,15 +71,20 @@ func StepsFrom(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pat
 		}
 		byBlock[p/64] = append(byBlock[p/64], fi)
 	}
-	// The slot cones are cached on the circuit; ATPG grading has
-	// usually compiled these faults' cones already.
-	cones, err := logicsim.FlatConeSetFor(c)
+	flat, err := logicsim.FlatFor(c)
 	if err != nil {
 		return Result{}, err
 	}
-	fsim := logicsim.NewFlatSim(cones.Flat())
-	outDiffs := make([]uint64, nOut)
-	var good []uint64
+	inj, err := resolve(flat, faults)
+	if err != nil {
+		return Result{}, err
+	}
+	fsim := logicsim.NewFlatSim(flat)
+	sim, err := logicsim.NewWideSim(flat, 1)
+	if err != nil {
+		return Result{}, err
+	}
+	var good, out []uint64
 	for bi, fis := range byBlock {
 		if len(fis) == 0 {
 			continue
@@ -88,22 +93,24 @@ func StepsFrom(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pat
 			return Result{}, err
 		}
 		for _, fi := range fis {
-			f, p := faults[fi], res.FirstDetect[fi]
-			diff, cone, err := fsim.RunFault(cones, f.Gate, f.Pin, f.Stuck, outDiffs)
-			if err != nil {
+			p := res.FirstDetect[fi]
+			// Follow the block's patterns up to and including p only:
+			// p's bit must then be the only one the fault flips.
+			bit := uint64(1) << (p % 64)
+			if out, err = sim.RunChipBlock(fsim.Plane(), bit<<1-1, inj[fi:fi+1], out); err != nil {
 				return Result{}, err
 			}
-			// Pattern p's bit must be the lowest one set.
-			bit := uint64(1) << (p % 64)
-			if diff&(bit<<1-1) != bit {
+			var diff uint64
+			for _, d := range out {
+				diff |= d
+			}
+			if diff != bit {
 				return Result{}, fmt.Errorf("faultsim: fault %d detected first at pattern %d but re-simulation does not", fi, p)
 			}
-			// cone.Outputs ascends, and the walk writes outDiffs only
-			// there, so the first differing entry is the first strobed
-			// output the fault flips.
-			for _, oi := range cone.Outputs {
-				if outDiffs[oi]&bit != 0 {
-					first[fi] = p*nOut + int(oi)
+			// The first output flipped under p is the first strobed one.
+			for oi, d := range out {
+				if d != 0 {
+					first[fi] = p*nOut + oi
 					break
 				}
 			}

@@ -25,10 +25,11 @@ type Cone struct {
 }
 
 // ConeSet precomputes the output cone of every gate of a circuit, in
-// gate-ID space. No simulation path reads it: every cone walk runs on
-// the flat slot cones (FlatConeSet). It remains as the independent
-// structural reference the flat cones are tested against, and because
-// the perfbench trace still times its construction. The set is
+// gate-ID space. No simulation path reads it: fault simulation walks
+// the divergent region of a fault (WideSim.RunChipBlock), not its cone.
+// It remains as the independent structural reference the flat cones
+// are tested against, and because the perfbench trace still times its
+// construction. The set is
 // immutable after construction and safe for concurrent readers. Memory
 // is O(sum of cone sizes).
 type ConeSet struct {

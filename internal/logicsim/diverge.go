@@ -3,6 +3,7 @@ package logicsim
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 )
 
 // The divergence-driven lane walk. In a lane block of nearly identical
@@ -32,12 +33,16 @@ import (
 //   - Pattern-parallel (RunChipBlock): one chip per walk, one pattern
 //     per lane, 64 patterns of a block at once — the parallel-pattern
 //     idea of PPSFP (Waicukauski et al., 1985) applied to a multi-fault
-//     machine. A slot's good word is its GoodPlanes word itself rather
-//     than a broadcast bit, so the planes are read in the layout they
-//     are stored in, and a chip's sites are evaluated once per 64
-//     patterns. It carries one machine per walk, so it wins when a
-//     table would force few slots anyway: the lot engine takes it for
-//     a batch the density rule calls sparse.
+//     machine. A slot's good word is its word of the block's good plane
+//     itself rather than a broadcast bit, so the plane is read in the
+//     layout it is stored in, and a chip's sites are evaluated once per
+//     64 patterns. A lane mask limits the walk to the patterns the
+//     caller still needs. It carries one machine per walk, so it wins
+//     when a table would force few slots anyway: the lot engine takes
+//     it for a batch the density rule calls sparse, and fault
+//     simulation (faultsim), strobe refinement and diagnosis grade
+//     every single fault on it — a fault whose effect dies within a few
+//     gates costs those few gates, not its whole output cone.
 
 // GoodPlanes holds the good machine's value word of every slot for each
 // 64-pattern block of a pattern set: block b's plane is the Slots()
@@ -119,12 +124,27 @@ func errPlanesCircuit() error {
 	return fmt.Errorf("logicsim: good planes built over a different flat circuit")
 }
 
-// RunChipBlock evaluates one multi-fault chip over the 64 patterns of
-// block b of the pattern set gp covers, one pattern per lane, and
-// appends to out each primary output's difference word from the good
-// machine: bit p set means the chip's output differs under pattern
-// b*64+p. Bits past the last pattern of a partial final block are
-// meaningless; the caller masks them. The sim must be 1 word wide.
+// Block returns the good machine's plane of block b, one word per slot,
+// in the layout RunChipBlock reads, or nil when b is outside the
+// planes (which RunChipBlock then rejects). Callers must not mutate it.
+func (gp *GoodPlanes) Block(b int) []uint64 {
+	n := gp.f.Slots()
+	if b < 0 || b*64 >= gp.count {
+		return nil
+	}
+	return gp.words[b*n : (b+1)*n]
+}
+
+// RunChipBlock evaluates one multi-fault chip over the 64 patterns of a
+// block, one pattern per lane, and appends to out each primary output's
+// difference word from the good machine: bit p set means the chip's
+// output differs under pattern p of the block. good is the block's
+// good-machine plane, one word per slot (GoodPlanes.Block, or
+// FlatSim.Plane after a RunInto). Only the lanes set in mask are
+// followed: a slot diverges when (v ^ good) & mask is non-zero, so
+// padding lanes past a partial block's last pattern, or patterns the
+// caller has already accounted for, cost nothing and never set a bit of
+// out. The sim must be 1 word wide.
 //
 // faults is the chip's fault list resolved by Flat.ResolveInjections on
 // the same circuit; they are not revalidated. A stem fault sets its
@@ -133,46 +153,55 @@ func errPlanesCircuit() error {
 // evaluated, and a site listed twice keeps its last entry, as
 // WideLaneForces and the test oracle do. Only the fault slots and the
 // fanout of every slot that diverged are walked, as in RunLaneDiverged.
+// A single fault is the single-fault machine: fault simulation grades
+// each fault alone on this walk.
 //
 //repolint:hotpath
-func (s *WideSim) RunChipBlock(gp *GoodPlanes, b int, faults []SlotInjection, out []uint64) ([]uint64, error) {
+func (s *WideSim) RunChipBlock(good []uint64, mask uint64, faults []SlotInjection, out []uint64) ([]uint64, error) {
 	f := s.f
 	if s.words != 1 {
 		return nil, errChipWords(s.words)
 	}
-	if gp.f != f {
-		return nil, errPlanesCircuit()
+	if len(good) != len(f.op) {
+		return nil, errPlaneSize(len(good), len(f.op))
 	}
-	if b < 0 || b*64 >= gp.count {
-		return nil, errBlockRange(b, gp.count)
+	s.walkChip(good, mask, faults)
+	if f.outOf == nil {
+		out = out[:0]
+		for _, os := range f.outSlot {
+			out = append(out, s.diff[os])
+		}
+		return out, nil
 	}
-	n := len(f.op)
-	good := gp.words[b*n : (b+1)*n]
-	s.walkChip(good, faults)
-	out = out[:0]
-	for _, os := range f.outSlot {
-		out = append(out, s.diff[os])
+	// Only a diverged slot has a non-zero diff word, so the outputs are
+	// read off the divergent region rather than the whole output list.
+	out = slices.Grow(out[:0], len(f.outSlot))[:len(f.outSlot)]
+	clear(out)
+	for _, slot := range s.diverged {
+		if oi := f.outOf[slot]; oi >= 0 {
+			out[oi] = s.diff[slot]
+		}
 	}
 	return out, nil
 }
 
-// errChipWords and errBlockRange build RunChipBlock's validation errors
+// errChipWords and errPlaneSize build RunChipBlock's validation errors
 // outside the annotated hot function.
 func errChipWords(words int) error {
 	return fmt.Errorf("logicsim: chip walk on a %d-word sim, want 1", words)
 }
 
-func errBlockRange(b, patterns int) error {
-	return fmt.Errorf("logicsim: block %d outside good planes of %d patterns", b, patterns)
+func errPlaneSize(words, slots int) error {
+	return fmt.Errorf("logicsim: good plane of %d words for %d slots (block outside the planes, or planes of another circuit?)", words, slots)
 }
 
 // walkChip is walkDiverged in the pattern-parallel layout: the chip's
 // fault slots seed the pending bitmap and are marked as seeds for the
 // walk, and each popped slot's diff word is its value XOR its good
-// word.
+// word, masked to the lanes followed.
 //
 //repolint:hotpath
-func (s *WideSim) walkChip(good []uint64, faults []SlotInjection) {
+func (s *WideSim) walkChip(good []uint64, mask uint64, faults []SlotInjection) {
 	f := s.f
 	for _, slot := range s.diverged {
 		s.diff[slot] = 0
@@ -185,10 +214,16 @@ func (s *WideSim) walkChip(good []uint64, faults []SlotInjection) {
 		s.pend[wi] |= 1 << uint(sf.Slot&63)
 		lo, hi = min(lo, wi), max(hi, wi)
 	}
+	pend := s.pend
 	for wi := lo; wi <= hi; wi++ {
-		for s.pend[wi] != 0 {
-			bit := bits.TrailingZeros64(s.pend[wi])
-			s.pend[wi] &^= 1 << uint(bit)
+		// The word's pending bits are popped from a local copy; a
+		// fanout scheduled into this same word is picked up after
+		// its scheduling loop.
+		w := pend[wi]
+		pend[wi] = 0
+		for w != 0 {
+			bit := bits.TrailingZeros64(w)
+			w &= w - 1
 			slot := wi<<6 | bit
 			var v uint64
 			if s.seed[slot] {
@@ -196,7 +231,7 @@ func (s *WideSim) walkChip(good []uint64, faults []SlotInjection) {
 			} else {
 				v = s.chipFold(slot, good)
 			}
-			d := v ^ good[slot]
+			d := (v ^ good[slot]) & mask
 			if d == 0 {
 				continue
 			}
@@ -204,11 +239,13 @@ func (s *WideSim) walkChip(good []uint64, faults []SlotInjection) {
 			s.diverged = append(s.diverged, int32(slot))
 			fo := f.fanout[f.foAt[slot]:f.foAt[slot+1]]
 			for _, r := range fo {
-				s.pend[r>>6] |= 1 << uint(r&63)
+				pend[r>>6] |= 1 << uint(r&63)
 			}
 			if len(fo) > 0 {
 				hi = max(hi, int(fo[len(fo)-1]>>6)) // fanout lists ascend
 			}
+			w |= pend[wi]
+			pend[wi] = 0
 		}
 	}
 	for _, sf := range faults {
@@ -217,7 +254,8 @@ func (s *WideSim) walkChip(good []uint64, faults []SlotInjection) {
 }
 
 // chipFold evaluates a logic slot carrying no fault, each fanin read as
-// its diff word XOR its good word.
+// its diff word XOR its good word. The 1- and 2-input shapes are
+// evaluated inline, as in evalWord; wider gates fold.
 //
 //repolint:hotpath
 func (s *WideSim) chipFold(slot int, good []uint64) uint64 {
@@ -228,15 +266,35 @@ func (s *WideSim) chipFold(slot int, good []uint64) uint64 {
 	fs := fanin[lo]
 	v := diff[fs] ^ good[fs]
 	switch op {
-	case opAnd2, opNand2, opAndN, opNandN:
+	case opBuf:
+		return v
+	case opNot:
+		return ^v
+	case opAnd2, opNand2, opOr2, opNor2, opXor2, opXnor2:
+		fb := fanin[lo+1]
+		b := diff[fb] ^ good[fb]
+		switch op {
+		case opAnd2:
+			return v & b
+		case opNand2:
+			return ^(v & b)
+		case opOr2:
+			return v | b
+		case opNor2:
+			return ^(v | b)
+		case opXor2:
+			return v ^ b
+		}
+		return ^(v ^ b)
+	case opAndN, opNandN:
 		for _, fs := range fanin[lo+1 : hi] {
 			v &= diff[fs] ^ good[fs]
 		}
-	case opOr2, opNor2, opOrN, opNorN:
+	case opOrN, opNorN:
 		for _, fs := range fanin[lo+1 : hi] {
 			v |= diff[fs] ^ good[fs]
 		}
-	case opXor2, opXnor2, opXorN, opXnorN:
+	default: // the xor family
 		for _, fs := range fanin[lo+1 : hi] {
 			v ^= diff[fs] ^ good[fs]
 		}

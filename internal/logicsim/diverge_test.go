@@ -369,7 +369,9 @@ func blockMask(block logicsim.PatternBlock) uint64 {
 
 // checkChipWalk requires RunChipBlock on the chip's faults to return,
 // at every block, each output's difference between the oracle's
-// multi-fault run and its good run, masked to the block's patterns.
+// multi-fault run and its good run, restricted to the lanes of the mask
+// it was given: the block's patterns, then a sparser subset of them. A
+// bit outside the mask fails the check as surely as a wrong one inside.
 func checkChipWalk(t testing.TB, f *logicsim.Flat, ws *logicsim.WideSim, oracle *ref.Simulator, gp *logicsim.GoodPlanes, blocks []logicsim.PatternBlock, chip []logicsim.Injection) {
 	t.Helper()
 	faults, err := f.ResolveInjections(chip)
@@ -387,24 +389,97 @@ func checkChipWalk(t testing.TB, f *logicsim.Flat, ws *logicsim.WideSim, oracle 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, err = ws.RunChipBlock(gp, bi, faults, got); err != nil {
+		m := blockMask(block)
+		for _, mask := range []uint64{m, m & (0xF0F0F0F0F0F0F0F0 >> uint(bi%4))} {
+			if got, err = ws.RunChipBlock(gp.Block(bi), mask, faults, got); err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != len(good) {
+				t.Fatalf("block %d: %d output words, want %d", bi, len(got), len(good))
+			}
+			for o := range good {
+				if want := (good[o] ^ bad[o]) & mask; got[o] != want {
+					t.Fatalf("chip %v block %d mask %016x output %d: chip walk %016x, oracle %016x", chip, bi, mask, o, got[o], want)
+				}
+			}
+		}
+	}
+}
+
+// TestChipWalkSingleFaultsMatchOracle pins the walk fault simulation
+// grades on: every single stuck-at fault — each gate, each pin and the
+// stem, both polarities — walked alone over a partial block must flip
+// exactly the outputs, on exactly the valid patterns, that the
+// pointer-walking oracle's single-fault run flips.
+func TestChipWalkSingleFaultsMatchOracle(t *testing.T) {
+	circuits := []*netlist.Circuit{netlist.C17()}
+	adder, err := netlist.RippleAdder(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	circuits = append(circuits, adder)
+	for seed := int64(4); seed <= 5; seed++ {
+		c, err := netlist.RandomCircuit("r", 8, 80, 6, seed)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != len(good) {
-			t.Fatalf("block %d: %d output words, want %d", bi, len(got), len(good))
+		circuits = append(circuits, c)
+	}
+	for _, c := range circuits {
+		sim, err := ref.NewSimulator(c)
+		if err != nil {
+			t.Fatal(err)
 		}
-		m := blockMask(block)
-		for o := range good {
-			if want := (good[o] ^ bad[o]) & m; got[o]&m != want {
-				t.Fatalf("chip %v block %d output %d: chip walk %016x, oracle %016x", chip, bi, o, got[o]&m, want)
+		f, err := logicsim.NewFlat(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		block := randomBlock(t, c, 1+len(c.Gates)%63, int64(len(c.Gates)))
+		good, err := sim.Run(block)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good = append([]uint64(nil), good...)
+		fs := logicsim.NewFlatSim(f)
+		if _, err := fs.RunInto(block, nil); err != nil {
+			t.Fatal(err)
+		}
+		ws, err := logicsim.NewWideSim(f, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []uint64
+		for gate, g := range c.Gates {
+			for pin := -1; pin < len(g.Fanin); pin++ {
+				for _, stuck := range []bool{false, true} {
+					bad, err := sim.RunWithFault(block, gate, pin, stuck)
+					if err != nil {
+						t.Fatal(err)
+					}
+					one, err := f.ResolveInjections([]logicsim.Injection{{Gate: gate, Pin: pin, Stuck: stuck}})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, err = ws.RunChipBlock(fs.Plane(), block.Mask(), one, got); err != nil {
+						t.Fatal(err)
+					}
+					for o := range bad {
+						if want := (bad[o] ^ good[o]) & block.Mask(); got[o] != want {
+							t.Fatalf("%s gate %d pin %d stuck %v output %d: walk %016x, oracle %016x",
+								c.Name, gate, pin, stuck, o, got[o], want)
+						}
+					}
+				}
 			}
 		}
 	}
 }
 
 // TestChipWalkMatchesOracle pins the pattern-parallel walk to the
-// pointer-walking oracle on c17, mul4, a circuit with wide gates and
-// lsi1k, over 150 patterns (a partial last block): random chips of 1–5
+// pointer-walking oracle on c17, c17 with one gate listed twice as an
+// output (the walk's fallback output read), mul4, a circuit with wide
+// gates and lsi1k, over 150 patterns (a partial last block): random
+// chips of 1–5
 // faults, the same site listed twice at both polarities (stem and pin),
 // a stem and a pin fault on one gate, a stem fault on every primary
 // input, and a fault-free chip.
@@ -417,8 +492,11 @@ func TestChipWalkMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	dup := netlist.C17()
+	dup.Name = "c17dup"
+	dup.Outputs = append(dup.Outputs, dup.Outputs[1])
 	rng := rand.New(rand.NewSource(1985))
-	for _, c := range []*netlist.Circuit{netlist.C17(), mul4, wideGateCircuit(t, 5, 9, 120), lsi1k} {
+	for _, c := range []*netlist.Circuit{netlist.C17(), dup, mul4, wideGateCircuit(t, 5, 9, 120), lsi1k} {
 		t.Run(c.Name, func(t *testing.T) {
 			f, err := logicsim.NewFlat(c)
 			if err != nil {
@@ -493,7 +571,7 @@ func TestChipWalkZeroAllocs(t *testing.T) {
 	b := 0
 	if allocs := testing.AllocsPerRun(50, func() {
 		var err error
-		out, err = ws.RunChipBlock(gp, b%len(blocks), faults, out)
+		out, err = ws.RunChipBlock(gp.Block(b%len(blocks)), ^uint64(0), faults, out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -532,16 +610,16 @@ func TestChipWalkValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]func() error{
-		"block past the planes":  func() error { _, err := ws.RunChipBlock(gp, 2, nil, nil); return err },
-		"negative block":         func() error { _, err := ws.RunChipBlock(gp, -1, nil, nil); return err },
-		"4-word sim":             func() error { _, err := ws4.RunChipBlock(gp, 0, nil, nil); return err },
-		"planes of another flat": func() error { _, err := ws.RunChipBlock(otherPlanes, 0, nil, nil); return err },
+		"block past the planes":  func() error { _, err := ws.RunChipBlock(gp.Block(2), ^uint64(0), nil, nil); return err },
+		"negative block":         func() error { _, err := ws.RunChipBlock(gp.Block(-1), ^uint64(0), nil, nil); return err },
+		"4-word sim":             func() error { _, err := ws4.RunChipBlock(gp.Block(0), ^uint64(0), nil, nil); return err },
+		"planes of another flat": func() error { _, err := ws.RunChipBlock(otherPlanes.Block(0), ^uint64(0), nil, nil); return err },
 	} {
 		if run() == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	if _, err := ws.RunChipBlock(gp, 1, nil, nil); err != nil {
+	if _, err := ws.RunChipBlock(gp.Block(1), ^uint64(0), nil, nil); err != nil {
 		t.Errorf("partial last block rejected: %v", err)
 	}
 }
@@ -596,7 +674,7 @@ func FuzzChipWalk(f *testing.F) {
 		}
 		var lanes, got []uint64
 		for bi, block := range blocks {
-			if got, err = ws.RunChipBlock(gp, bi, faults, got); err != nil {
+			if got, err = ws.RunChipBlock(gp.Block(bi), ^uint64(0), faults, got); err != nil {
 				t.Fatal(err)
 			}
 			for p := 0; p < block.Count; p++ {

@@ -18,8 +18,8 @@ import (
 // Slot order: primary inputs first, in Circuit.Inputs order (so a
 // PatternBlock loads with one copy), then every logic gate in
 // topological order. Because fanins are stored as slot indices, slot
-// order is itself a valid evaluation order, and any subset listed in
-// ascending slot order (like the slot cones FlatConeSet compiles) is
+// order is itself a valid evaluation order, and any subset visited in
+// ascending slot order (like the divergence walks' pending bitmap) is
 // topological too.
 //
 // A Flat is immutable after construction and safe for concurrent
@@ -39,6 +39,11 @@ type Flat struct {
 	slotOf  []int32 // gate ID -> slot
 	gateOf  []int32 // slot -> gate ID
 	outSlot []int32 // primary-output index -> slot
+	// outOf maps a slot to the index of the primary output it drives,
+	// -1 for none; nil when a slot drives more than one output (a
+	// hand-built circuit listing a gate twice), where the chip walk
+	// reads every output slot instead.
+	outOf []int32
 }
 
 // Flat op codes: the gate-function switch of the flat walks. The
@@ -194,6 +199,18 @@ func NewFlat(c *netlist.Circuit) (*Flat, error) {
 	for oi, id := range c.Outputs {
 		f.outSlot[oi] = f.slotOf[id]
 	}
+	// fill is spent; it becomes the slot -> output map.
+	f.outOf = fill
+	for i := range f.outOf {
+		f.outOf[i] = -1
+	}
+	for oi, os := range f.outSlot {
+		if f.outOf[os] >= 0 {
+			f.outOf = nil // a slot drives two outputs
+			break
+		}
+		f.outOf[os] = int32(oi)
+	}
 	return f, nil
 }
 
@@ -260,14 +277,8 @@ func (f *Flat) OutputSlot(oi int) int { return int(f.outSlot[oi]) }
 // slot, reused across runs. It is not safe for concurrent use; create
 // one per goroutine over the shared Flat.
 type FlatSim struct {
-	f    *Flat
-	val  []uint64
-	mask uint64 // valid-pattern mask of the last RunInto block
-	// Cone-walk scratch (see coneWalk): the slot-indexed shadow value
-	// plane the faulty values propagate through, allocated on the first
-	// cone walk and kept warm. The good machine in val is never mutated
-	// by a cone walk, so there is nothing to save or restore.
-	shadow []uint64
+	f   *Flat
+	val []uint64
 }
 
 // NewFlatSim allocates walk state for the flat circuit.
@@ -288,7 +299,6 @@ func (s *FlatSim) RunInto(block PatternBlock, out []uint64) ([]uint64, error) {
 	if err := block.Validate(f.numIn); err != nil {
 		return nil, err
 	}
-	s.mask = block.Mask()
 	copy(s.val[:f.numIn], block.Inputs)
 	s.walkRange(f.numIn, len(f.op))
 	out = out[:0]
@@ -301,6 +311,12 @@ func (s *FlatSim) RunInto(block PatternBlock, out []uint64) ([]uint64, error) {
 // Value returns the value word of a slot after the last run; tests
 // compare the flat walk against the pointer oracle through it.
 func (s *FlatSim) Value(slot int) uint64 { return s.val[slot] }
+
+// Plane returns the value plane of the last run, one word per slot: the
+// block's good-machine plane in the layout WideSim.RunChipBlock reads.
+// It aliases the simulator's state, so the next RunInto overwrites it;
+// callers must not mutate it.
+func (s *FlatSim) Plane() []uint64 { return s.val }
 
 // walkRange is the flat hot loop: one linear pass over the logic slots
 // in [lo, hi), one evalWord per gate.

@@ -1,13 +1,15 @@
 // Package logicsim simulates combinational circuits. It provides
 //
 //   - the flat core: a struct-of-arrays compiled form (Flat) walked 64
-//     patterns per word (FlatSim), per-slot output cones compiled to
-//     instruction streams (FlatConeSet) for cone-restricted faulty
-//     re-simulation (RunCone/RunConeForced), and the wide lane layer
-//     (WideSim, WideLaneForces) of 1- or 4-word lane blocks that packs
-//     up to 255 defective chips beside the good machine. It is the only
-//     simulator in production: fault simulation, strobe refinement, lot
-//     testing and fault diagnosis all run on it;
+//     patterns per word (FlatSim), and the wide lane layer (WideSim,
+//     WideLaneForces) of 1- or 4-word lane blocks that packs up to 255
+//     defective chips beside the good machine. Its divergence walks
+//     (diverge.go) evaluate only the slots where a faulty machine
+//     departs from the good one; the pattern-parallel one
+//     (WideSim.RunChipBlock) is the one faulty-machine kernel of fault
+//     simulation, strobe refinement, diagnosis and the lot engine's
+//     sparse batches. The flat core is the only simulator in
+//     production;
 //   - the three-valued (0/1/X) gate kernel over the flat form
 //     (Flat.EvalSlotT) behind the PODEM test generator's implication.
 //

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -188,31 +189,51 @@ func parseAssignment(line string, args []string) (lhs string, t GateType, _ []st
 
 // WriteBench writes the circuit in .bench format. Gates appear in
 // topological order so the output re-parses without forward
-// references.
+// references. The store fingerprints every circuit through this
+// rendering, so it writes strings straight into one buffered writer,
+// with no formatting machinery; a write error sticks in the writer and
+// surfaces from the final Flush.
 func (c *Circuit) WriteBench(w io.Writer) error {
 	order, err := c.Order()
 	if err != nil {
 		return err
 	}
 	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# %s\n", c.Name)
-	fmt.Fprintf(bw, "# %d inputs, %d outputs, %d gates\n", len(c.Inputs), len(c.Outputs), len(c.Gates))
+	bw.WriteString("# ")
+	bw.WriteString(c.Name)
+	bw.WriteString("\n# ")
+	bw.WriteString(strconv.Itoa(len(c.Inputs)))
+	bw.WriteString(" inputs, ")
+	bw.WriteString(strconv.Itoa(len(c.Outputs)))
+	bw.WriteString(" outputs, ")
+	bw.WriteString(strconv.Itoa(len(c.Gates)))
+	bw.WriteString(" gates\n")
 	for _, id := range c.Inputs {
-		fmt.Fprintf(bw, "INPUT(%s)\n", c.Gates[id].Name)
+		bw.WriteString("INPUT(")
+		bw.WriteString(c.Gates[id].Name)
+		bw.WriteString(")\n")
 	}
 	for _, id := range c.Outputs {
-		fmt.Fprintf(bw, "OUTPUT(%s)\n", c.Gates[id].Name)
+		bw.WriteString("OUTPUT(")
+		bw.WriteString(c.Gates[id].Name)
+		bw.WriteString(")\n")
 	}
 	for _, id := range order {
 		g := &c.Gates[id]
 		if g.Type == Input {
 			continue
 		}
-		names := make([]string, len(g.Fanin))
+		bw.WriteString(g.Name)
+		bw.WriteString(" = ")
+		bw.WriteString(g.Type.String())
+		bw.WriteByte('(')
 		for i, f := range g.Fanin {
-			names[i] = c.Gates[f].Name
+			if i > 0 {
+				bw.WriteString(", ")
+			}
+			bw.WriteString(c.Gates[f].Name)
 		}
-		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Name, g.Type, strings.Join(names, ", "))
+		bw.WriteString(")\n")
 	}
 	return bw.Flush()
 }

@@ -494,9 +494,11 @@ func (a *ATE) pp256Batch(batch []ppItem,
 // pp256Chips finishes each chip of a fresh sparse batch alone: one
 // pattern-parallel walk (logicsim.WideSim.RunChipBlock) per 64-pattern
 // block, from the block holding base to the end of the program, until
-// the chip fails. Patterns before base (the chip survived them) and
-// past the program are masked off. The first fail is the lowest failing
-// pattern of the block and, within it, the lowest output failing there.
+// the chip fails. The walk follows only the patterns from base (the
+// chip survived those before it) to the end of the program, so every
+// bit it reports is a real failing strobe pattern. The first fail is
+// the lowest failing pattern of the block and, within it, the lowest
+// output failing there.
 //
 //repolint:hotpath
 func (a *ATE) pp256Chips(batch []ppItem, base int, ff []int) error {
@@ -512,19 +514,20 @@ func (a *ATE) pp256Chips(batch []ppItem, base int, ff []int) error {
 	for _, it := range batch {
 		faults := st.faults[st.faultAt[it.chip]:st.faultAt[it.chip+1]]
 		for b := base >> 6; b <= last; b++ {
-			if out, err = sim.RunChipBlock(st.planes, b, faults, out); err != nil {
+			mask := ^uint64(0)
+			if b == base>>6 {
+				mask <<= uint(base & 63)
+			}
+			if b == last && total&63 != 0 {
+				mask &= uint64(1)<<uint(total&63) - 1
+			}
+			if out, err = sim.RunChipBlock(st.planes.Block(b), mask, faults, out); err != nil {
 				return err
 			}
 			st.chipWalks++
 			var fails uint64
 			for _, d := range out {
 				fails |= d
-			}
-			if b == base>>6 {
-				fails &= ^uint64(0) << uint(base&63)
-			}
-			if b == last && total&63 != 0 {
-				fails &= uint64(1)<<uint(total&63) - 1
 			}
 			if fails == 0 {
 				continue
