@@ -99,8 +99,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBench$$' -fuzztime $(FUZZTIME) ./internal/netlist/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadSnapshot$$' -fuzztime $(FUZZTIME) ./internal/campaign/
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreLoad$$' -fuzztime $(FUZZTIME) ./internal/circuits/
+	$(GO) test -run '^$$' -fuzz '^FuzzSpec$$' -fuzztime $(FUZZTIME) ./internal/circuits/
 	$(GO) test -run '^$$' -fuzz '^FuzzSampleDistinct$$' -fuzztime $(FUZZTIME) ./internal/defect/
-	$(GO) test -run '^$$' -fuzz '^FuzzLaneWalk$$' -fuzztime $(FUZZTIME) ./internal/logicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzChipWalk$$' -fuzztime $(FUZZTIME) ./internal/logicsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzSubmitRequest$$' -fuzztime $(FUZZTIME) ./cmd/sweepd/
 

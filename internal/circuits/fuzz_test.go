@@ -3,6 +3,7 @@ package circuits
 import (
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/campaign"
@@ -91,6 +92,62 @@ func FuzzStoreLoad(f *testing.F) {
 		}
 		if _, err := pr.NewATE(); err != nil {
 			t.Fatalf("Load accepted an artifact NewATE rejects: %v", err)
+		}
+	})
+}
+
+// fuzzResolveMax bounds the N of the sized builtin specs FuzzSpec
+// resolves, so the fuzzer never synthesizes a large circuit (the
+// families' caps reach 100k-gate circuits).
+const fuzzResolveMax = 8
+
+// FuzzSpec feeds arbitrary workload specs to Expand and Resolve.
+// Property: neither panics; Expand either fails with an error or
+// returns the trimmed builtin spec as its one unit; a builtin spec whose
+// N exceeds its family's cap fails both with ErrSpecTooLarge; and a
+// spec Resolve accepts yields a valid circuit and is accepted by Expand
+// too. Resolve runs only on specs that build nothing large — unknown
+// specs, c17, the fixtures, rand<seed> and sized builtins with N <=
+// fuzzResolveMax — and bench: paths are skipped, so the fuzzer touches
+// no file.
+func FuzzSpec(f *testing.F) {
+	for _, spec := range []string{
+		"c17", "mul8", " cmp16 ", "lsi1k", "lsi100", "rand7", "rand-3", "dec0", "mux-2",
+		"mul129", "lsi50001", "rca99999999999999999999", "mul8x", "mul08", "mul+8", "",
+		"unknown", "bench:x.bench", "x.bench",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		trimmed := strings.TrimSpace(spec)
+		if _, ok := benchPath(trimmed); ok {
+			t.Skip("bench specs read the file system")
+		}
+		units, err := Expand(spec)
+		if err == nil && (len(units) != 1 || units[0] != trimmed) {
+			t.Fatalf("Expand(%q) = %q, want the one unit %q", spec, units, trimmed)
+		}
+		b, n, sized, _ := matchBuiltin(trimmed)
+		over := sized && n > b.max
+		if over && !errors.Is(err, ErrSpecTooLarge) {
+			t.Fatalf("Expand(%q) over the %s cap %d: error %v, want ErrSpecTooLarge", spec, b.prefix, b.max, err)
+		}
+		if sized && !over && n > fuzzResolveMax && b.prefix != "rand" {
+			return
+		}
+		c, rerr := Resolve(spec)
+		switch {
+		case over && !errors.Is(rerr, ErrSpecTooLarge):
+			t.Fatalf("Resolve(%q) over the %s cap %d: error %v, want ErrSpecTooLarge", spec, b.prefix, b.max, rerr)
+		case rerr != nil:
+			return
+		case c == nil:
+			t.Fatalf("Resolve(%q) returned no circuit and no error", spec)
+		case err != nil:
+			t.Fatalf("Resolve(%q) accepted a spec Expand rejects: %v", spec, err)
+		}
+		if verr := c.Validate(); verr != nil {
+			t.Fatalf("Resolve(%q) returned an invalid circuit: %v", spec, verr)
 		}
 	})
 }

@@ -8,7 +8,7 @@ import (
 
 var hotpathAnalyzer = &Analyzer{
 	Name: "hotpath",
-	Doc: "functions annotated //repolint:hotpath (the flat and divergence walks, " +
+	Doc: "functions annotated //repolint:hotpath (the flat and chip walks, " +
 		"WideSim.RunLaneForced, engine inner loops) may not call fmt, allocate via " +
 		"unsized make or slice/map/pointer composite literals, or capture " +
 		"loop state into closures — the zero-alloc steady state is a measured " +

@@ -6,43 +6,31 @@ import (
 	"slices"
 )
 
-// The divergence-driven lane walk. In a lane block of nearly identical
-// machines — the good circuit plus chips that each carry a handful of
-// faults — almost every slot holds the good value on every lane: on
-// ISCAS-scale circuits only a few percent of the logic slots have a lane
-// that departs from the good machine at a given pattern. RunLaneDiverged
-// simulates only those, the idea behind concurrent fault simulation
-// (Ulrich & Baker, 1974): the forced slots seed a pending bitmap, slots
-// are popped in ascending (= topological) order, a fanin that diverged
-// at this pattern is read from the lane plane and any other as the
-// broadcast bit of the good machine's plane, and a result is stored —
-// and its fanouts scheduled — only when some lane differs from the good
-// bit. Every slot never scheduled equals the good machine on every
-// lane, so the output blocks are exactly RunLaneForced's.
+// The divergence walk. A multi-fault chip — or a single fault, during
+// fault simulation — departs from the good machine at only a few
+// percent of the logic slots under a given pattern on ISCAS-scale
+// circuits. RunChipBlock simulates only those, the idea behind
+// concurrent fault simulation (Ulrich & Baker, 1974): the fault slots
+// seed a pending bitmap, slots are popped in ascending (= topological)
+// order, a fanin that diverged is read from the walk's difference plane
+// and any other from the good machine's plane, and a result is stored
+// — and its fanouts scheduled — only when it differs from the good
+// value. Every slot never scheduled equals the good machine, so the
+// output difference words are exact.
 //
-// The lane plane of this walk (WideSim.diff) holds each slot's block
-// XOR its broadcast good bit, which is zero for every slot that did not
-// diverge: a fanin reads as diff ^ good whether it diverged or not, with
-// no test per fanin.
-//
-// The walk comes in two layouts over the same scratch:
-//
-//   - Lane-parallel (RunLaneDiverged): one pattern per walk, one machine
-//     per lane — the good machine plus up to 255 chips. Every walk
-//     re-evaluates the forced sites of every chip in the table.
-//   - Pattern-parallel (RunChipBlock): one chip per walk, one pattern
-//     per lane, 64 patterns of a block at once — the parallel-pattern
-//     idea of PPSFP (Waicukauski et al., 1985) applied to a multi-fault
-//     machine. A slot's good word is its word of the block's good plane
-//     itself rather than a broadcast bit, so the plane is read in the
-//     layout it is stored in, and a chip's sites are evaluated once per
-//     64 patterns. A lane mask limits the walk to the patterns the
-//     caller still needs. It carries one machine per walk, so it wins
-//     when a table would force few slots anyway: the lot engine takes
-//     it for a batch the density rule calls sparse, and fault
-//     simulation (faultsim), strobe refinement and diagnosis grade
-//     every single fault on it — a fault whose effect dies within a few
-//     gates costs those few gates, not its whole output cone.
+// The walk is pattern-parallel: one chip per walk, one pattern per lane,
+// 64 patterns of a block at once — the parallel-pattern idea of PPSFP
+// (Waicukauski et al., 1985) applied to a multi-fault machine. A slot's
+// good word is its word of the block's good plane (GoodPlanes), read in
+// the layout it is stored in, and a chip's sites are evaluated once per
+// 64 patterns. The difference plane (WideSim.diff) holds each slot's
+// word XOR its good word, zero for every slot that did not diverge, so
+// a fanin reads as diff ^ good with no test per fanin. A lane mask
+// limits the walk to the patterns the caller still needs. The lot
+// engine finishes every batch the density rule calls sparse on it, and
+// fault simulation (faultsim), strobe refinement and diagnosis grade
+// every single fault on it: a fault whose effect dies within a few
+// gates costs those few gates, not its whole output cone.
 
 // GoodPlanes holds the good machine's value word of every slot for each
 // 64-pattern block of a pattern set: block b's plane is the Slots()
@@ -80,50 +68,6 @@ func NewGoodPlanes(f *Flat, blocks []PatternBlock) (*GoodPlanes, error) {
 // Patterns returns the number of patterns the planes cover.
 func (gp *GoodPlanes) Patterns() int { return gp.count }
 
-// RunLaneDiverged evaluates pattern p (an index into the whole pattern
-// set gp covers) across all 64*Words lanes and returns the same output
-// lane blocks as RunLaneForced over that pattern's block, but walks only
-// the slots where some lane departs from the good machine: the slots lf
-// forces, and the fanout of every slot that diverged. Its cost tracks
-// the divergent region rather than the circuit, so it wins when the
-// table forces few slots; a table forcing much of the circuit diverges
-// almost everywhere and is cheaper on RunLaneForced's linear sweep.
-//
-//repolint:hotpath
-func (s *WideSim) RunLaneDiverged(gp *GoodPlanes, p int, lf *WideLaneForces, out []uint64) ([]uint64, error) {
-	f := s.f
-	if gp.f != f {
-		return nil, errPlanesCircuit()
-	}
-	if p < 0 || p >= gp.count {
-		return nil, errPatternRange(p, gp.count)
-	}
-	if lf.f != f || lf.words != s.words {
-		return nil, errForcesShape(lf.words)
-	}
-	n := len(f.op)
-	bi := p >> 6
-	good := gp.words[bi*n : (bi+1)*n]
-	sh := uint(p & 63)
-	s.walkDiverged(good, sh, lf)
-	out = out[:0]
-	w := s.words
-	for _, os := range f.outSlot {
-		g := -(good[os] >> sh & 1)
-		o := int(os) * w
-		for _, d := range s.diff[o : o+w] {
-			out = append(out, d^g)
-		}
-	}
-	return out, nil
-}
-
-// errPlanesCircuit builds RunLaneDiverged's circuit-mismatch error
-// outside the annotated hot function.
-func errPlanesCircuit() error {
-	return fmt.Errorf("logicsim: good planes built over a different flat circuit")
-}
-
 // Block returns the good machine's plane of block b, one word per slot,
 // in the layout RunChipBlock reads, or nil when b is outside the
 // planes (which RunChipBlock then rejects). Callers must not mutate it.
@@ -152,7 +96,7 @@ func (gp *GoodPlanes) Block(b int) []uint64 {
 // input word), a pin fault replaces that fanin's word while its slot is
 // evaluated, and a site listed twice keeps its last entry, as
 // WideLaneForces and the test oracle do. Only the fault slots and the
-// fanout of every slot that diverged are walked, as in RunLaneDiverged.
+// fanout of every slot that diverged are walked.
 // A single fault is the single-fault machine: fault simulation grades
 // each fault alone on this walk.
 //
@@ -195,10 +139,15 @@ func errPlaneSize(words, slots int) error {
 	return fmt.Errorf("logicsim: good plane of %d words for %d slots (block outside the planes, or planes of another circuit?)", words, slots)
 }
 
-// walkChip is walkDiverged in the pattern-parallel layout: the chip's
-// fault slots seed the pending bitmap and are marked as seeds for the
-// walk, and each popped slot's diff word is its value XOR its good
-// word, masked to the lanes followed.
+// walkChip seeds the pending bitmap with the chip's fault slots, marks
+// them as seeds, and pops the bitmap in ascending slot order. A slot's
+// fanouts always sit at higher slots than the slot itself, so one
+// forward scan over the bitmap words sees every slot scheduled during
+// the scan; hi tracks the highest word holding a pending bit, so the
+// scan stops at the end of the divergent region. Each popped slot's
+// diff word is its value XOR its good word, masked to the lanes
+// followed. The previous walk's divergent words are zeroed first,
+// restoring the diff plane's invariant.
 //
 //repolint:hotpath
 func (s *WideSim) walkChip(good []uint64, mask uint64, faults []SlotInjection) {
@@ -352,60 +301,6 @@ func stuckWord(stuck bool) uint64 {
 		return ^uint64(0)
 	}
 	return 0
-}
-
-// walkDiverged seeds the pending bitmap with the forced slots and pops
-// it in ascending slot order. A slot's fanouts always sit at higher
-// slots than the slot itself, so one forward scan over the bitmap words sees every
-// slot scheduled during the scan; hi tracks the highest word holding a
-// pending bit, so the scan stops at the end of the divergent region.
-// The previous walk's divergent blocks are zeroed first, restoring the
-// diff plane's invariant.
-//
-//repolint:hotpath
-func (s *WideSim) walkDiverged(good []uint64, sh uint, lf *WideLaneForces) {
-	f := s.f
-	w := s.words
-	if w == 1 {
-		for _, slot := range s.diverged {
-			s.diff[slot] = 0
-		}
-	} else {
-		for _, slot := range s.diverged {
-			*(*[4]uint64)(s.diff[int(slot)*4:]) = [4]uint64{}
-		}
-	}
-	s.diverged = s.diverged[:0]
-	lo, hi := len(s.pend), -1
-	for _, slot := range lf.sites {
-		wi := int(slot >> 6)
-		s.pend[wi] |= 1 << uint(slot&63)
-		lo, hi = min(lo, wi), max(hi, wi)
-	}
-	for wi := lo; wi <= hi; wi++ {
-		for s.pend[wi] != 0 {
-			bit := bits.TrailingZeros64(s.pend[wi])
-			s.pend[wi] &^= 1 << uint(bit)
-			slot := wi<<6 | bit
-			var diverged bool
-			if w == 1 {
-				diverged = s.divSlot1(slot, good, sh, lf)
-			} else {
-				diverged = s.divSlot4(slot, good, sh, lf)
-			}
-			if !diverged {
-				continue
-			}
-			s.diverged = append(s.diverged, int32(slot))
-			fo := f.fanout[f.foAt[slot]:f.foAt[slot+1]]
-			for _, r := range fo {
-				s.pend[r>>6] |= 1 << uint(r&63)
-			}
-			if len(fo) > 0 {
-				hi = max(hi, int(fo[len(fo)-1]>>6)) // fanout lists ascend
-			}
-		}
-	}
 }
 
 // isInverting reports whether an op code complements its fold (NAND,

@@ -10,7 +10,7 @@ import (
 	"repro/internal/netlist"
 )
 
-// laneForce is one force of a divergence-walk test: a fault on a lane.
+// laneForce is one force of a lane-walk test: a fault on a lane.
 type laneForce struct {
 	inj  logicsim.Injection
 	lane int
@@ -55,15 +55,18 @@ func packBlocks(t testing.TB, patterns []logicsim.Pattern) []logicsim.PatternBlo
 }
 
 // checkLaneWalk forces each laneForce in order onto a words-wide table
-// and requires RunLaneDiverged to return RunLaneForced's output blocks,
-// every lane, at every pattern of every block.
+// and requires, at every pattern of every block, each lane of
+// RunLaneForced's output blocks to differ from the good machine exactly
+// where RunChipBlock, walking that lane's forces in the same order as
+// one chip, reports a difference. A lane with no force is the good
+// machine on both walks.
 func checkLaneWalk(t testing.TB, f *logicsim.Flat, words int, blocks []logicsim.PatternBlock, gp *logicsim.GoodPlanes, forces []laneForce) {
 	t.Helper()
 	dense, err := logicsim.NewWideSim(f, words)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sparse, err := logicsim.NewWideSim(f, words)
+	ws, err := logicsim.NewWideSim(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,22 +74,39 @@ func checkLaneWalk(t testing.TB, f *logicsim.Flat, words int, blocks []logicsim.
 	if err != nil {
 		t.Fatal(err)
 	}
+	chips := make([][]logicsim.SlotInjection, lf.Lanes())
 	for _, fl := range forces {
 		forceMachine(t, f, lf, []logicsim.Injection{fl.inj}, fl.lane)
+		sf, err := f.ResolveInjection(fl.inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chips[fl.lane] = append(chips[fl.lane], sf)
 	}
-	var want, got []uint64
+	good := logicsim.NewFlatSim(f)
+	var want, lanes []uint64
+	diffs := make([][]uint64, len(chips))
 	for bi, block := range blocks {
+		if want, err = good.RunInto(block, want); err != nil {
+			t.Fatal(err)
+		}
+		for lane, chip := range chips {
+			if diffs[lane], err = ws.RunChipBlock(gp.Block(bi), block.Mask(), chip, diffs[lane]); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for p := 0; p < block.Count; p++ {
-			if want, err = dense.RunLaneForced(block, p, lf, want); err != nil {
+			if lanes, err = dense.RunLaneForced(block, p, lf, lanes); err != nil {
 				t.Fatal(err)
 			}
-			if got, err = sparse.RunLaneDiverged(gp, bi*64+p, lf, got); err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("words=%d pattern %d output %d word %d: diverged walk %016x, forced walk %016x",
-						words, bi*64+p, i/words, i%words, got[i], want[i])
+			for o, g := range want {
+				gb := g >> uint(p) & 1
+				for lane, d := range diffs {
+					v := lanes[o*words+lane/64] >> uint(lane%64) & 1
+					if got, lw := d[o]>>uint(p)&1, v^gb; got != lw {
+						t.Fatalf("words=%d pattern %d output %d lane %d: chip walk %d, lane walk %d",
+							words, bi*64+p, o, lane, got, lw)
+					}
 				}
 			}
 		}
@@ -108,11 +128,13 @@ func randomForces(c *netlist.Circuit, n, lanes int, rng *rand.Rand) []laneForce 
 	return out
 }
 
-// TestLaneWalkMatchesForcedWalk is the divergence walk's differential
-// pin: over random circuits with wide gates, at both widths, every lane
-// of every output block must equal RunLaneForced's, across sparse
-// tables, primary-input stem forces, a site added twice, forces that
-// never activate, an empty table and a table forcing every lane.
+// TestLaneWalkMatchesForcedWalk pins the chip walk to every lane of the
+// lane-parallel forced walk: over random circuits with wide gates, at
+// both table widths, each lane's output blocks must differ from the
+// good machine exactly where the chip walk of that lane's forces says,
+// across sparse tables, primary-input stem forces, a site added twice,
+// forces that never activate, an empty table and a table forcing every
+// lane.
 func TestLaneWalkMatchesForcedWalk(t *testing.T) {
 	rng := rand.New(rand.NewSource(1974))
 	for trial := 0; trial < 4; trial++ {
@@ -166,11 +188,12 @@ func TestLaneWalkMatchesForcedWalk(t *testing.T) {
 	}
 }
 
-// TestLaneWalkInactiveForces forces, at each pattern, every slot's
-// output to its own good value on some lane: nothing ever activates, so
-// the walk must visit only the seeds and return the broadcast good
-// machine on every lane.
-func TestLaneWalkInactiveForces(t *testing.T) {
+// TestChipWalkInactiveForces puts, at each pattern, a stem fault on
+// every slot at that slot's own good value, and walks the chip with the
+// mask set to exactly the lanes where every stuck value equals its good
+// bit: nothing ever activates, so the walk must visit only the seeds,
+// mark no slot diverged and return all-zero difference words.
+func TestChipWalkInactiveForces(t *testing.T) {
 	c := wideGateCircuit(t, 7, 8, 90)
 	f, err := logicsim.NewFlat(c)
 	if err != nil {
@@ -182,189 +205,35 @@ func TestLaneWalkInactiveForces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := logicsim.NewFlatSim(f)
-	want, err := good.RunInto(blocks[0], nil)
+	good := gp.Block(0)
+	ws, err := logicsim.NewWideSim(f, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, words := range wideWidths {
-		ws, err := logicsim.NewWideSim(f, words)
-		if err != nil {
+	faults := make([]logicsim.SlotInjection, f.Slots())
+	var out []uint64
+	for p := 0; p < blocks[0].Count; p++ {
+		mask := blocks[0].Mask()
+		for slot := range faults {
+			bit := good[slot] >> uint(p) & 1
+			faults[slot] = logicsim.SlotInjection{Slot: int32(slot), Pin: -1, Stuck: bit == 1}
+			mask &^= good[slot] ^ -bit
+		}
+		if mask>>uint(p)&1 == 0 {
+			t.Fatalf("pattern %d: mask %016x misses its own lane", p, mask)
+		}
+		if out, err = ws.RunChipBlock(good, mask, faults, out); err != nil {
 			t.Fatal(err)
 		}
-		lf, err := logicsim.NewWideLaneForces(f, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []uint64
-		for p := 0; p < blocks[0].Count; p++ {
-			lf.Reset()
-			for slot := 0; slot < f.Slots(); slot++ {
-				bit := good.Value(slot)>>uint(p)&1 == 1
-				lf.AddResolved(logicsim.SlotInjection{Slot: int32(slot), Pin: -1, Stuck: bit}, (slot*7)%lf.Lanes())
-			}
-			if lf.ForcedSlots() != f.Slots() {
-				t.Fatalf("ForcedSlots %d, want %d", lf.ForcedSlots(), f.Slots())
-			}
-			if out, err = ws.RunLaneDiverged(gp, p, lf, out); err != nil {
-				t.Fatal(err)
-			}
-			for o := range c.Outputs {
-				g := -(want[o] >> uint(p) & 1)
-				for k := 0; k < words; k++ {
-					if out[o*words+k] != g {
-						t.Fatalf("words=%d pattern %d output %d: %016x, want broadcast good %016x", words, p, o, out[o*words+k], g)
-					}
-				}
-			}
-			if logicsim.DivergedSlots(ws) != 0 {
-				t.Fatalf("words=%d pattern %d: inactive forces marked slots diverged", words, p)
+		for o, d := range out {
+			if d != 0 {
+				t.Fatalf("pattern %d mask %016x output %d: difference %016x, want 0", p, mask, o, d)
 			}
 		}
-	}
-}
-
-// TestLaneWalkZeroAllocs pins the divergence walk to zero allocations
-// once its output buffer is sized.
-func TestLaneWalkZeroAllocs(t *testing.T) {
-	c := wideGateCircuit(t, 3, 10, 200)
-	f, err := logicsim.NewFlat(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	blocks := packBlocks(t, randomPatterns(c, 64, rng))
-	gp, err := logicsim.NewGoodPlanes(f, blocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, words := range wideWidths {
-		ws, err := logicsim.NewWideSim(f, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lf, err := logicsim.NewWideLaneForces(f, words)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, fl := range randomForces(c, 30, lf.Lanes(), rng) {
-			forceMachine(t, f, lf, []logicsim.Injection{fl.inj}, fl.lane)
-		}
-		out := make([]uint64, 0, len(c.Outputs)*words)
-		p := 0
-		if allocs := testing.AllocsPerRun(50, func() {
-			var err error
-			out, err = ws.RunLaneDiverged(gp, p%gp.Patterns(), lf, out)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p++
-		}); allocs != 0 {
-			t.Errorf("words=%d: RunLaneDiverged allocates %v per run, want 0", words, allocs)
+		if logicsim.DivergedSlots(ws) != 0 {
+			t.Fatalf("pattern %d: inactive faults marked %d slots diverged", p, logicsim.DivergedSlots(ws))
 		}
 	}
-}
-
-// TestLaneWalkValidation pins the divergence walk's shape checks and
-// NewGoodPlanes' block-layout check.
-func TestLaneWalkValidation(t *testing.T) {
-	c := netlist.C17()
-	f, err := logicsim.NewFlat(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(1))
-	short, err := logicsim.PackPatterns(randomPatterns(c, 4, rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := logicsim.NewGoodPlanes(f, []logicsim.PatternBlock{short, short}); err == nil {
-		t.Error("good planes over a short non-final block accepted")
-	}
-	gp, err := logicsim.NewGoodPlanes(f, []logicsim.PatternBlock{short})
-	if err != nil {
-		t.Fatal(err)
-	}
-	other, err := logicsim.NewFlat(wideGateCircuit(t, 1, 5, 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws, err := logicsim.NewWideSim(f, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lf, err := logicsim.NewWideLaneForces(f, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lf1, err := logicsim.NewWideLaneForces(f, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	otherPlanes, err := logicsim.NewGoodPlanes(other, packBlocks(t, randomPatterns(other.Circuit(), 4, rng)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, run := range map[string]func() error{
-		"pattern past the planes": func() error { _, err := ws.RunLaneDiverged(gp, 4, lf, nil); return err },
-		"negative pattern":        func() error { _, err := ws.RunLaneDiverged(gp, -1, lf, nil); return err },
-		"table width mismatch":    func() error { _, err := ws.RunLaneDiverged(gp, 0, lf1, nil); return err },
-		"planes of another flat":  func() error { _, err := ws.RunLaneDiverged(otherPlanes, 0, lf, nil); return err },
-	} {
-		if run() == nil {
-			t.Errorf("%s accepted", name)
-		}
-	}
-}
-
-// FuzzLaneWalk drives the divergence walk with fuzzer-chosen forces: a
-// random circuit with wide gates picked by seed, and every 5 bytes of
-// data one force (site, pin or stem, stuck value, lane). The property
-// is TestLaneWalkMatchesForcedWalk's: RunLaneDiverged returns
-// RunLaneForced's output blocks on every lane.
-func FuzzLaneWalk(f *testing.F) {
-	f.Add(int64(1), false, []byte{0, 0, 0, 1, 1})
-	f.Add(int64(2), true, []byte{3, 0, 200, 0, 255, 9, 0, 1, 1, 64, 9, 0, 1, 0, 64})
-	f.Add(int64(3), true, []byte{})
-	f.Fuzz(func(t *testing.T, seed int64, wide bool, data []byte) {
-		if len(data) > 5*512 {
-			data = data[:5*512]
-		}
-		rng := rand.New(rand.NewSource(seed))
-		c := wideGateCircuit(t, seed, 4+rng.Intn(6), 20+rng.Intn(60))
-		fl, err := logicsim.NewFlat(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		words := 1
-		if wide {
-			words = logicsim.MaxLaneWords
-		}
-		var forces []laneForce
-		for ; len(data) >= 5; data = data[5:] {
-			gate := (int(data[0]) | int(data[1])<<8) % len(c.Gates)
-			pin := int(data[2])%(len(c.Gates[gate].Fanin)+1) - 1
-			forces = append(forces, laneForce{
-				logicsim.Injection{Gate: gate, Pin: pin, Stuck: data[3]&1 == 1},
-				int(data[4]) % (64 * words),
-			})
-		}
-		blocks := packBlocks(t, randomPatterns(c, 70, rng))
-		gp, err := logicsim.NewGoodPlanes(fl, blocks)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkLaneWalk(t, fl, words, blocks, gp, forces)
-	})
-}
-
-// blockMask is the mask of the patterns block b holds: all 64 bits but
-// in a partial final block.
-func blockMask(block logicsim.PatternBlock) uint64 {
-	if block.Count == 64 {
-		return ^uint64(0)
-	}
-	return uint64(1)<<uint(block.Count) - 1
 }
 
 // checkChipWalk requires RunChipBlock on the chip's faults to return,
@@ -389,7 +258,7 @@ func checkChipWalk(t testing.TB, f *logicsim.Flat, ws *logicsim.WideSim, oracle 
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := blockMask(block)
+		m := block.Mask()
 		for _, mask := range []uint64{m, m & (0xF0F0F0F0F0F0F0F0 >> uint(bi%4))} {
 			if got, err = ws.RunChipBlock(gp.Block(bi), mask, faults, got); err != nil {
 				t.Fatal(err)
@@ -581,6 +450,60 @@ func TestChipWalkZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestLaneWalkValidation pins the forced lane walk's shape checks and
+// NewGoodPlanes' block-layout check.
+func TestLaneWalkValidation(t *testing.T) {
+	c := netlist.C17()
+	f, err := logicsim.NewFlat(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	short, err := logicsim.PackPatterns(randomPatterns(c, 4, rng))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := logicsim.NewGoodPlanes(f, []logicsim.PatternBlock{short, short}); err == nil {
+		t.Error("good planes over a short non-final block accepted")
+	}
+	if _, err := logicsim.NewGoodPlanes(f, []logicsim.PatternBlock{short}); err != nil {
+		t.Errorf("good planes over one short block rejected: %v", err)
+	}
+	other, err := logicsim.NewFlat(wideGateCircuit(t, 1, 5, 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := logicsim.NewWideSim(f, logicsim.MaxLaneWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lf, err := logicsim.NewWideLaneForces(f, logicsim.MaxLaneWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lf1, err := logicsim.NewWideLaneForces(f, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherForces, err := logicsim.NewWideLaneForces(other, logicsim.MaxLaneWords)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func() error{
+		"pattern past the block": func() error { _, err := ws.RunLaneForced(short, 4, lf, nil); return err },
+		"negative pattern":       func() error { _, err := ws.RunLaneForced(short, -1, lf, nil); return err },
+		"table width mismatch":   func() error { _, err := ws.RunLaneForced(short, 0, lf1, nil); return err },
+		"forces of another flat": func() error { _, err := ws.RunLaneForced(short, 0, otherForces, nil); return err },
+	} {
+		if run() == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	if _, err := ws.RunLaneForced(short, 3, lf, nil); err != nil {
+		t.Errorf("last pattern of a short block rejected: %v", err)
+	}
+}
+
 // TestChipWalkValidation pins the chip walk's shape checks.
 func TestChipWalkValidation(t *testing.T) {
 	c := netlist.C17()
@@ -624,10 +547,11 @@ func TestChipWalkValidation(t *testing.T) {
 	}
 }
 
-// FuzzChipWalk drives the chip walk with a fuzzer-chosen chip, in
-// FuzzLaneWalk's byte encoding of forces (the lane byte is ignored: the
-// chip is every force). The property is that RunChipBlock equals lane 1
-// of RunLaneForced, with every force on lane 1, on every pattern of
+// FuzzChipWalk drives the chip walk with a fuzzer-chosen chip: a random
+// circuit with wide gates picked by seed, and every 5 bytes of data one
+// fault (two bytes of site, then pin or stem, stuck value, and a fifth
+// byte that is ignored). The property is that RunChipBlock equals lane
+// 1 of RunLaneForced, with every fault on lane 1, on every pattern of
 // every block.
 func FuzzChipWalk(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 0, 1, 1})

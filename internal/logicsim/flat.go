@@ -19,7 +19,7 @@ import (
 // PatternBlock loads with one copy), then every logic gate in
 // topological order. Because fanins are stored as slot indices, slot
 // order is itself a valid evaluation order, and any subset visited in
-// ascending slot order (like the divergence walks' pending bitmap) is
+// ascending slot order (like the divergence walk's pending bitmap) is
 // topological too.
 //
 // A Flat is immutable after construction and safe for concurrent

@@ -3,10 +3,11 @@
 //   - the flat core: a struct-of-arrays compiled form (Flat) walked 64
 //     patterns per word (FlatSim), and the wide lane layer (WideSim,
 //     WideLaneForces) of 1- or 4-word lane blocks that packs up to 255
-//     defective chips beside the good machine. Its divergence walks
-//     (diverge.go) evaluate only the slots where a faulty machine
-//     departs from the good one; the pattern-parallel one
-//     (WideSim.RunChipBlock) is the one faulty-machine kernel of fault
+//     defective chips beside the good machine, walked linearly over
+//     every slot (WideSim.RunLaneForced). Its divergence walk
+//     (WideSim.RunChipBlock, diverge.go) evaluates one faulty machine
+//     over 64 patterns, only at the slots where it departs from the
+//     good one: it is the one faulty-machine kernel of fault
 //     simulation, strobe refinement, diagnosis and the lot engine's
 //     sparse batches. The flat core is the only simulator in
 //     production;

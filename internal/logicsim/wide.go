@@ -70,9 +70,9 @@ type WideLaneForces struct {
 	// pins holds the per-input-pin masks of each slot, truncated to zero
 	// length when the slot is first touched in a new epoch.
 	pins [][]widePin
-	// sites lists the slots forced this epoch, in first-touch order: the
-	// divergence walk's seeds (RunLaneDiverged).
-	sites []int32
+	// sites counts the slots forced this epoch (ForcedSlots, which the
+	// lot engine's density rule reads).
+	sites int
 }
 
 // widePin is one forced input pin of a slot. The masks are fixed-size
@@ -109,11 +109,11 @@ func (lf *WideLaneForces) Words() int { return lf.words }
 // Reset empties the table for reuse in O(1).
 func (lf *WideLaneForces) Reset() {
 	lf.epoch++
-	lf.sites = lf.sites[:0]
+	lf.sites = 0
 }
 
 // ForcedSlots returns the number of distinct slots forced this epoch.
-func (lf *WideLaneForces) ForcedSlots() int { return len(lf.sites) }
+func (lf *WideLaneForces) ForcedSlots() int { return lf.sites }
 
 // Injection is one stuck-at fault to inject during simulation. Pin < 0
 // places the fault on the gate output; otherwise on that input pin.
@@ -186,7 +186,7 @@ func (lf *WideLaneForces) AddResolved(f SlotInjection, lane int) {
 			lf.stem[base+k] = 0
 		}
 		lf.pins[slot] = lf.pins[slot][:0]
-		lf.sites = append(lf.sites, f.Slot)
+		lf.sites++
 	}
 	word, bit := lane>>6, uint(lane&63)
 	if f.Pin < 0 {
@@ -232,20 +232,19 @@ type WideSim struct {
 	words int
 	val   []uint64 // stride-packed value plane, slot s at [s*words, s*words+words)
 	stage []uint64 // fanin staging scratch for pin-forced gates
-	// Divergence-walk state (see RunLaneDiverged). diff is a second
-	// stride-packed plane holding each slot's lane block XOR the
-	// broadcast good bit: zero wherever no lane departs from the good
+	// Chip-walk state (see RunChipBlock), allocated for 1-word sims
+	// only, the chip walk's width. diff holds each slot's word XOR its
+	// good word: zero wherever the chip does not depart from the good
 	// machine, so a fanin reads as diff ^ good with no branch. diverged
-	// lists the slots whose diff block is non-zero, cleared at the start
+	// lists the slots whose diff word is non-zero, cleared at the start
 	// of the next walk; pend is the bitmap of slots awaiting evaluation.
+	// seed marks the slots the chip's fault list names, set at the start
+	// of a walk and cleared at its end, so the walk scans the chip's
+	// faults only at those slots.
 	diff     []uint64
 	diverged []int32
 	pend     []uint64
-	// seed marks the slots the chip walk's (RunChipBlock) fault list
-	// names, set at the start of a walk and cleared at its end, so the
-	// walk scans the chip's faults only at those slots. Allocated for
-	// 1-word sims only, the chip walk's width.
-	seed []bool
+	seed     []bool
 }
 
 // NewWideSim allocates wide walk state of 64*words lanes for the flat
@@ -259,10 +258,10 @@ func NewWideSim(f *Flat, words int) (*WideSim, error) {
 		f:     f,
 		words: words,
 		val:   make([]uint64, n*words),
-		diff:  make([]uint64, n*words),
-		pend:  make([]uint64, (n+63)/64),
 	}
 	if words == 1 {
+		s.diff = make([]uint64, n)
+		s.pend = make([]uint64, (n+63)/64)
 		s.seed = make([]bool, n)
 	}
 	return s, nil

@@ -19,37 +19,33 @@ import (
 // logicsim.WideLaneForces table — v = (v &^ care) | force per fault
 // site.
 //
-// A batch takes one of three walks, picked by a density rule
+// A batch takes one of two walks, picked by a density rule
 // (chipParallel256State.sparse) that reads only the batch's force table
 // and the circuit — a table is sparse when it forces fewer slots than a
 // quarter of the circuit's logic slots:
 //
-//   - A batch sparse at its first build takes the chip walk
-//     (logicsim.WideSim.RunChipBlock): each chip is finished alone, one
-//     walk per 64-pattern block, 64 patterns in the lanes, from the
-//     block holding the round's first pattern to the end of the
+//   - A dense batch — a fresh 255-chip batch at high n0 on a small
+//     circuit diverges nearly everywhere — takes the linear forced walk
+//     over every slot, one pattern per walk
+//     (logicsim.WideSim.RunLaneForced).
+//   - A sparse batch takes the chip walk
+//     (logicsim.WideSim.RunChipBlock): each chip still alive is
+//     finished alone, one walk per 64-pattern block, 64 patterns in the
+//     lanes, from the block holding its next pattern to the end of the
 //     program. It evaluates only the slots where the chip departs from
 //     the good machine, reading every other slot from the good
 //     machine's value planes (logicsim.GoodPlanes), which the ATE's
 //     Program built once for every ATE of the test program — the
-//     planes' own layout. A chip's sites
-//     are evaluated once per 64 patterns instead of once per pattern,
-//     so the long-surviving chips of a deep circuit cost a fraction of
-//     a lane walk. None of the batch goes on to the next round.
-//   - A batch dense at its first build — a fresh 255-chip batch at high
-//     n0 on a small circuit diverges nearly everywhere — takes the
-//     linear forced walk over every slot, one pattern per walk
-//     (logicsim.WideSim.RunLaneForced).
-//   - Once pruned or compacted (below), a dense batch's rebuilt table
-//     may turn sparse; it then takes the lane-parallel divergence walk
-//     (logicsim.WideSim.RunLaneDiverged), one pattern per walk over the
-//     same good planes. Only a batch's first build can send it to the
-//     chip walk: a rebuilt batch stays on the lane walks until the
-//     chunk ends, and its survivors meet the rule again, in fresh
-//     batches, next round.
+//     planes' own layout. A chip's sites are evaluated once per 64
+//     patterns instead of once per pattern, so the long-surviving
+//     chips of a deep circuit cost a fraction of a lane walk. None of
+//     the batch goes on to the next round.
 //
-// All three walks compute the same machines, so the choice never
-// touches results.
+// The rule runs at every table build: a fresh batch's first build, and
+// every rebuild of a dense batch after a prune or a compaction (below).
+// A dense batch whose rebuilt table is sparse hands its survivors to
+// the chip walk from the next pattern on. Both walks compute the same
+// machines, so the choice never touches results.
 //
 // First-fail extraction is exact at strobe granularity: at pattern p
 // the lane block of each primary output is diffed against the
@@ -176,22 +172,21 @@ type chipParallel256State struct {
 	faults  []logicsim.SlotInjection
 
 	// planes is the good machine's value plane of every pattern block,
-	// shared read-only with every ATE of the Program: the chip and
-	// divergence walks read every slot no machine departs from out of
-	// it instead of simulating it.
+	// shared read-only with every ATE of the Program: the chip walk
+	// reads every slot the chip does not disturb out of it instead of
+	// simulating it.
 	planes *logicsim.GoodPlanes
-	// denseWalks and sparseWalks count the lane-parallel pattern walks
-	// on each side of the density rule (see sparse), chipWalks the
-	// pattern-parallel block walks of chips finished alone, tableChips
-	// the chips resolved from the first-detect table instead; tests
-	// read them.
-	denseWalks, sparseWalks, chipWalks, tableChips int
+	// denseWalks counts the lane-parallel pattern walks of dense
+	// batches, chipWalks the pattern-parallel block walks of chips
+	// finished alone (see sparse), tableChips the chips resolved from
+	// the first-detect table instead; tests read them.
+	denseWalks, chipWalks, tableChips int
 }
 
 // sparse is the density rule of the file comment, applied at every
 // table build: true when the table forces fewer slots than a quarter of
-// the circuit's logic slots — the chip walk at a batch's first build,
-// the divergence walk at a later one.
+// the circuit's logic slots, which sends the batch's live chips to the
+// chip walk.
 func (st *chipParallel256State) sparse(lf *logicsim.WideLaneForces) bool {
 	return lf.ForcedSlots()*4 < st.flat.Slots()-st.flat.NumInputs()
 }
@@ -350,9 +345,11 @@ func errBatchLanes(chips, words int) error {
 }
 
 // pp256Batch walks patterns [base, end) for one batch of up to 255
-// chips, recording first fails and appending the survivors to next. The
-// batch slice is compacted in place as lanes die (its tail entries are
-// dead storage afterwards; the caller's work buffer is rebuilt from
+// chips, recording first fails and appending the survivors to next. A
+// batch whose table is sparse, at its first build or at a rebuild,
+// finishes its live chips on the chip walk instead and appends none.
+// The batch slice is compacted in place as lanes die (its tail entries
+// are dead storage afterwards; the caller's work buffer is rebuilt from
 // next each chunk, so nothing reads them).
 //
 //repolint:hotpath
@@ -387,8 +384,6 @@ func (a *ATE) pp256Batch(batch []ppItem,
 		return nil, err
 	}
 	if st.sparse(lf) {
-		// A fresh sparse batch: every chip finishes alone on the
-		// pattern-parallel walk, and none goes on to the next round.
 		return next, a.pp256Chips(batch, base, ff)
 	}
 	sim, err := st.simAt(words)
@@ -396,7 +391,6 @@ func (a *ATE) pp256Batch(batch []ppItem,
 		return nil, err
 	}
 	built := len(batch)
-	sparse := false // a dense batch turns sparse only at a rebuild
 	liveCount := func() int {
 		n := 0
 		for k := 0; k < len(alive); k++ {
@@ -407,16 +401,10 @@ func (a *ATE) pp256Batch(batch []ppItem,
 	nOut := len(a.prog.c.Outputs)
 	out := st.out
 	for p := base; p < end; p++ {
-		if sparse {
-			out, err = sim.RunLaneDiverged(st.planes, p, lf, out)
-			st.sparseWalks++
-		} else {
-			out, err = sim.RunLaneForced(a.prog.blocks[p/64], p%64, lf, out)
-			st.denseWalks++
-		}
-		if err != nil {
+		if out, err = sim.RunLaneForced(a.prog.blocks[p/64], p%64, lf, out); err != nil {
 			return nil, err
 		}
+		st.denseWalks++
 		for o := 0; o < nOut; o++ {
 			ob := out[o*words : (o+1)*words]
 			gb := -(ob[0] & 1) // broadcast the good machine (lane 0)
@@ -446,17 +434,10 @@ func (a *ATE) pp256Batch(batch []ppItem,
 		}
 		if w2 := laneWordsFor(n); w2 < words {
 			// The survivors fit in one word: re-pack them into the low
-			// lanes of a 1-word block and continue there.
-			// Survivor order is preserved, so the lowest-fault-index
-			// ordering the scheduler relies on is untouched.
-			n2 := 0
-			for lane := 1; lane <= len(batch); lane++ {
-				if alive[lane>>6]>>uint(lane&63)&1 == 1 {
-					batch[n2] = batch[lane-1]
-					n2++
-				}
-			}
-			batch = batch[:n2]
+			// lanes of a 1-word block. Survivor order is preserved, so
+			// the lowest-fault-index ordering the scheduler relies on
+			// is untouched.
+			batch = survivors(batch, alive)
 			words = w2
 			if lf, err = st.forcesAt(words); err != nil {
 				return nil, err
@@ -465,33 +446,41 @@ func (a *ATE) pp256Batch(batch []ppItem,
 				return nil, err
 			}
 			alive = aliveArr[:words]
-			setAlive(n2 + 1)
-			if err := a.pp256Build(batch, lf, alive); err != nil {
-				return nil, err
-			}
-			built = n2
-			sparse = st.sparse(lf)
-		} else if n*4 <= built {
-			// Same-width prune: rebuild the force table over the
-			// survivors so the staged evaluations stop paying for dead
-			// lanes' faults.
-			if err := a.pp256Build(batch, lf, alive); err != nil {
-				return nil, err
-			}
-			built = n
-			sparse = st.sparse(lf)
+			setAlive(len(batch) + 1)
+		} else if n*4 > built {
+			continue // under 3/4 dead: keep the table
+		}
+		// Compacted, or 3/4 dead: rebuild the force table over the
+		// survivors so the walk stops paying for dead lanes' faults.
+		if err := a.pp256Build(batch, lf, alive); err != nil {
+			return nil, err
+		}
+		built = n
+		if st.sparse(lf) {
+			// The survivors finish alone on the chip walk, from the
+			// next pattern to the end of the program.
+			st.out = out
+			return next, a.pp256Chips(survivors(batch, alive), p+1, ff)
 		}
 	}
 	st.out = out
-	for lane := 1; lane <= len(batch); lane++ {
-		if alive[lane>>6]>>uint(lane&63)&1 == 1 {
-			next = append(next, batch[lane-1])
-		}
-	}
-	return next, nil
+	return append(next, survivors(batch, alive)...), nil
 }
 
-// pp256Chips finishes each chip of a fresh sparse batch alone: one
+// survivors moves the chips of the batch's live lanes (lane i+1 carries
+// batch[i]) to the front of batch, in order, and returns them.
+func survivors(batch []ppItem, alive []uint64) []ppItem {
+	n := 0
+	for lane := 1; lane <= len(batch); lane++ {
+		if alive[lane>>6]>>uint(lane&63)&1 == 1 {
+			batch[n] = batch[lane-1]
+			n++
+		}
+	}
+	return batch[:n]
+}
+
+// pp256Chips finishes each chip of a sparse batch alone: one
 // pattern-parallel walk (logicsim.WideSim.RunChipBlock) per 64-pattern
 // block, from the block holding base to the end of the program, until
 // the chip fails. The walk follows only the patterns from base (the

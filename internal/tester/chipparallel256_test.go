@@ -91,9 +91,9 @@ func TestPP256CompactionMatchesSerial(t *testing.T) {
 // TestPP256BatchZeroAllocs pins the compacted batch step — the
 // chipparallel256 inner loop, including the width ladder — to zero
 // allocations once the per-width scratch and the good planes are warm,
-// on all three walks: a full batch takes the linear forced walk and,
-// once pruned, the divergence walk; a batch of a few chips is sparse
-// from its first build and takes the chip walk.
+// on both walks: a full batch takes the linear forced walk and, once
+// pruned, hands its survivors to the chip walk; a batch of a few chips
+// is sparse from its first build and takes the chip walk alone.
 func TestPP256BatchZeroAllocs(t *testing.T) {
 	c, universe, patterns := setup(t)
 	a, err := New(c, patterns)
@@ -135,15 +135,15 @@ func TestPP256BatchZeroAllocs(t *testing.T) {
 	if len(sparse) == 0 {
 		t.Fatal("no chip small enough for a sparse batch")
 	}
-	walks := map[string]*int{"forced": &st.denseWalks, "divergence": &st.sparseWalks, "chip": &st.chipWalks}
+	walks := map[string]*int{"forced": &st.denseWalks, "chip": &st.chipWalks}
 	for _, tc := range []struct {
 		name  string
 		batch []ppItem
 		took  []string // the walks the batch must take; it takes no other
 	}{
 		// A full batch is dense at its first build; once pruned, it
-		// turns sparse and finishes on the divergence walk.
-		{"full batch", dense, []string{"forced", "divergence"}},
+		// turns sparse and finishes on the chip walk.
+		{"full batch", dense, []string{"forced", "chip"}},
 		{"sparse batch", sparse, []string{"chip"}},
 	} {
 		scratch := make([]ppItem, len(tc.batch))
@@ -224,14 +224,14 @@ func TestPP256ChipWalkMidBlock(t *testing.T) {
 	for i := range ff {
 		ff[i] = NeverFails
 	}
-	dense, sparse, chip := st.denseWalks, st.sparseWalks, st.chipWalks
+	dense, chip := st.denseWalks, st.chipWalks
 	next, err := a.pp256Batch(slices.Clone(batch), base, base+8, ff, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(next) != 0 || st.denseWalks != dense || st.sparseWalks != sparse || st.chipWalks == chip {
-		t.Fatalf("sparse batch: %d survivors, %d forced, %d divergence and %d chip walks; want the chip walk alone",
-			len(next), st.denseWalks-dense, st.sparseWalks-sparse, st.chipWalks-chip)
+	if len(next) != 0 || st.denseWalks != dense || st.chipWalks == chip {
+		t.Fatalf("sparse batch: %d survivors, %d forced and %d chip walks; want the chip walk alone",
+			len(next), st.denseWalks-dense, st.chipWalks-chip)
 	}
 	nOut := len(c.Outputs)
 	var early, late, never int
@@ -263,6 +263,166 @@ func TestPP256ChipWalkMidBlock(t *testing.T) {
 	// the first block are masked off), some after, some never.
 	if early == 0 || late == 0 || never == 0 {
 		t.Errorf("batch of %d chips: %d fail before base, %d after, %d never; want each", len(batch), early, late, never)
+	}
+}
+
+// TestPP256RebuildHandsOffToChipWalk drives both table rebuilds of a
+// dense batch — a same-width prune of a 1-word batch and a 4→1-word
+// compaction — into a sparse table, from a mid-block base on a program
+// whose last block is partial. Each batch mixes many-fault chips that
+// the program's tail detects within its first patterns (which make the
+// first build dense) with few-fault chips that outlive them (whose
+// rebuilt table is sparse), interleaved so the survivors sit on
+// scattered lanes. The survivors must finish on the chip walk: nothing
+// goes on to the next round, every first fail is the per-chip oracle's,
+// and the step allocates nothing once warm.
+func TestPP256RebuildHandsOffToChipWalk(t *testing.T) {
+	c, err := netlist.LSIChip(1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	universe := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
+	src, err := atpg.NewRandomSource(len(c.Inputs), 27)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const base = 20 // block 0, bit 20
+	patterns := atpg.Take(src, 200)
+	a, err := New(c, patterns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := newOracle(c, patterns[base:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(30))
+	many, err := defect.GenerateLotFromModel(0.01, 8.8, universe, 400, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	few, err := defect.GenerateLotFromModel(0.1, 1.5, universe, 400, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := injections(universe)
+	nOut := len(c.Outputs)
+	// want holds each chip's first fail from base, by the oracle over
+	// the program's tail.
+	lot := defect.Lot{Universe: universe}
+	var want []int
+	var early, late []ppItem
+	for _, chip := range append(many.Chips, few.Chips...) {
+		if len(chip.Faults) == 0 {
+			continue
+		}
+		ff, err := tail.TestChipSteps(chip, inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		it := ppItem{chip: len(lot.Chips), key: chip.Faults[0]}
+		switch {
+		case len(chip.Faults) >= 6 && ff != NeverFails && ff < 4*nOut:
+			early = append(early, it)
+		case len(chip.Faults) <= 2 && (ff == NeverFails || ff >= 8*nOut):
+			late = append(late, it)
+		default:
+			continue
+		}
+		if ff != NeverFails {
+			ff += base * nOut
+		}
+		lot.Chips = append(lot.Chips, chip)
+		want = append(want, ff)
+	}
+	// One full run flattens the lot's fault lists.
+	if _, err := a.chipParallel256FirstFail(lot); err != nil {
+		t.Fatal(err)
+	}
+	st := a.pp256
+	for _, tc := range []struct {
+		name           string
+		early, late    int
+		words, rebuilt int // the batch's first width, and its width at the rebuild
+	}{
+		{"prune", 45, 10, 1, 1},
+		{"compaction", 100, 30, pp256Words, 1},
+	} {
+		if len(early) < tc.early || len(late) < tc.late {
+			t.Fatalf("%s: %d early and %d late chips, want %d and %d", tc.name, len(early), len(late), tc.early, tc.late)
+		}
+		// Interleave: one late chip after every few early ones.
+		var batch []ppItem
+		e := early[:tc.early]
+		for _, it := range late[:tc.late] {
+			k := min(len(e), tc.early/tc.late)
+			batch = append(append(batch, e[:k]...), it)
+			e = e[k:]
+		}
+		batch = append(batch, e...)
+		if laneWordsFor(len(batch)) != tc.words {
+			t.Fatalf("%s: %d chips start at %d words, want %d", tc.name, len(batch), laneWordsFor(len(batch)), tc.words)
+		}
+		// The first build must be dense and the survivors' rebuild sparse.
+		for _, check := range []struct {
+			chips  []ppItem
+			words  int
+			sparse bool
+		}{{batch, tc.words, false}, {late[:tc.late], tc.rebuilt, true}} {
+			lf, err := st.forcesAt(check.words)
+			if err != nil {
+				t.Fatal(err)
+			}
+			alive := make([]uint64, check.words)
+			for lane := 1; lane <= len(check.chips); lane++ {
+				alive[lane>>6] |= 1 << uint(lane&63)
+			}
+			if err := a.pp256Build(check.chips, lf, alive); err != nil {
+				t.Fatal(err)
+			}
+			if st.sparse(lf) != check.sparse {
+				t.Fatalf("%s: table of %d chips forces %d slots, sparse %v; want %v",
+					tc.name, len(check.chips), lf.ForcedSlots(), !check.sparse, check.sparse)
+			}
+		}
+		ff := make([]int, len(lot.Chips))
+		for i := range ff {
+			ff[i] = NeverFails
+		}
+		scratch := make([]ppItem, len(batch))
+		next := make([]ppItem, 0, len(batch))
+		dense, chip := st.denseWalks, st.chipWalks
+		// Drop the output buffer the earlier runs sized: the warm-up run
+		// of AllocsPerRun must size it for both walks, or every run
+		// regrows it.
+		st.out = nil
+		if allocs := testing.AllocsPerRun(10, func() {
+			copy(scratch, batch) // the batch is compacted in place; re-seed it
+			var err error
+			next, err = a.pp256Batch(scratch, base, base+8, ff, next[:0])
+			if err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: pp256Batch allocates %v per run, want 0", tc.name, allocs)
+		}
+		if len(next) != 0 || st.denseWalks == dense || st.chipWalks == chip {
+			t.Fatalf("%s: %d survivors, %d forced and %d chip walks; want none, and both walks",
+				tc.name, len(next), st.denseWalks-dense, st.chipWalks-chip)
+		}
+		fails := 0
+		for _, it := range batch {
+			if ff[it.chip] != want[it.chip] {
+				t.Fatalf("%s: chip %d: first fail %d from base %d, oracle %d", tc.name, it.chip, ff[it.chip], base, want[it.chip])
+			}
+			if ff[it.chip] >= (base+8)*nOut {
+				fails++
+			}
+		}
+		// Some survivors must fail on the chip walk, past the chunk.
+		if fails == 0 {
+			t.Errorf("%s: no chip fails past the chunk", tc.name)
+		}
 	}
 }
 

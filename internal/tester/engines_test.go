@@ -63,12 +63,11 @@ func TestLotEngineEquivalenceProperty(t *testing.T) {
 
 // TestLotEnginesAgreeOnDeepCircuit pins chipparallel256 to the per-chip
 // oracle on a 1000-gate LSIChip, where long-surviving chips make the
-// sparse walks carry most batches — setup()'s mul4 is too small for
-// them to run much. The yield × n0 grid spans dense batches (n0 8.8: a
-// fresh 255-chip batch forces much of the circuit, the linear walk),
-// pruned survivors of those (the divergence walk) and fresh sparse
-// batches (n0 1.5, the chip walk); the per-state walk counters show
-// that all three walks ran.
+// chip walk carry most batches — setup()'s mul4 is too small for it to
+// run much. The yield × n0 grid spans dense batches (n0 8.8: a fresh
+// 255-chip batch forces much of the circuit, the linear walk), pruned
+// survivors of those and fresh sparse batches (n0 1.5), both on the
+// chip walk; the walk counters show that both walks ran.
 func TestLotEnginesAgreeOnDeepCircuit(t *testing.T) {
 	c, err := netlist.LSIChip(1000)
 	if err != nil {
@@ -104,9 +103,8 @@ func TestLotEnginesAgreeOnDeepCircuit(t *testing.T) {
 			}
 		}
 	}
-	if st := wide.pp256; st.denseWalks == 0 || st.sparseWalks == 0 || st.chipWalks == 0 {
-		t.Errorf("%d dense, %d divergence and %d chip walks; want all three",
-			st.denseWalks, st.sparseWalks, st.chipWalks)
+	if st := wide.pp256; st.denseWalks == 0 || st.chipWalks == 0 {
+		t.Errorf("%d forced and %d chip walks; want both", st.denseWalks, st.chipWalks)
 	}
 }
 

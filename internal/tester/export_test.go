@@ -6,6 +6,4 @@ package tester
 // lane-parallel pattern walks and pattern-parallel chip walks alike.
 func TableChips(a *ATE) int { return a.pp256.tableChips }
 
-func LaneWalks(a *ATE) int {
-	return a.pp256.denseWalks + a.pp256.sparseWalks + a.pp256.chipWalks
-}
+func LaneWalks(a *ATE) int { return a.pp256.denseWalks + a.pp256.chipWalks }

@@ -111,9 +111,9 @@ func TestChipWalkBuildsNoWideSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := a.pp256
-	if st.chipWalks == 0 || st.denseWalks+st.sparseWalks != 0 {
-		t.Fatalf("%d chip, %d dense and %d divergence walks; want the chip walk alone",
-			st.chipWalks, st.denseWalks, st.sparseWalks)
+	if st.chipWalks == 0 || st.denseWalks != 0 {
+		t.Fatalf("%d chip and %d forced walks; want the chip walk alone",
+			st.chipWalks, st.denseWalks)
 	}
 	if st.forces[1] == nil || st.sims[1] != nil {
 		t.Errorf("4-word forcing table built %v, 4-word WideSim built %v; want the table alone",

@@ -55,9 +55,9 @@ const ChipParallel256 LotEngine = 0
 // Program is a test program's immutable tester image: the circuit, its
 // ordered pattern set packed once into 64-pattern blocks, the circuit's
 // cached flat form, and the good machine's value planes of every block,
-// which the lot engine's chip and divergence walks read instead of
-// simulating the good machine. It is safe for concurrent readers, so
-// one Program serves every ATE of its test program (NewATE).
+// which the lot engine's chip walk reads instead of simulating the good
+// machine. It is safe for concurrent readers, so one Program serves
+// every ATE of its test program (NewATE).
 type Program struct {
 	c        *netlist.Circuit
 	patterns []logicsim.Pattern
