@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build fmt vet test smoke lint cover bench bench-json bench-compare golden race fuzz sweep-smoke sweepd-smoke lsi-smoke perfbench-check
+.PHONY: verify build fmt vet test smoke lint cover bench bench-json bench-compare golden race fuzz sweep-smoke shard-smoke sweepd-smoke lsi-smoke perfbench-check
 
 # Tier-1 verification plus gofmt, vet, repolint and the benchmark
 # harness check: what CI runs.
@@ -111,6 +111,23 @@ fuzz:
 sweep-smoke:
 	$(GO) run ./cmd/sweep -circuits mul4,cmp8 -random 32 -yields 0.2 -n0s 3 \
 		-chips 80 -coverages 0.3,0.6 -replicates 4 -workers 2 -seed 7 -format table
+
+# Sharded campaign through the real CLI, on sweep-smoke's grid: a plain
+# CSV run, shards 0/2 and 1/2 each into its own -checkpoint file, and a
+# -merge of the two files, which must be byte-identical to the plain CSV.
+SHARD_GRID = -circuits mul4,cmp8 -random 32 -yields 0.2 -n0s 3 -chips 80 \
+	-coverages 0.3,0.6 -replicates 4 -workers 2 -seed 7
+SHARD_DIR ?= /tmp/shard-smoke
+shard-smoke:
+	rm -rf $(SHARD_DIR) && mkdir -p $(SHARD_DIR)
+	$(GO) build -o $(SHARD_DIR)/sweep ./cmd/sweep
+	$(SHARD_DIR)/sweep $(SHARD_GRID) -format csv > $(SHARD_DIR)/plain.csv
+	$(SHARD_DIR)/sweep $(SHARD_GRID) -shard 0/2 -checkpoint $(SHARD_DIR)/s0.shard
+	$(SHARD_DIR)/sweep $(SHARD_GRID) -shard 1/2 -checkpoint $(SHARD_DIR)/s1.shard
+	$(SHARD_DIR)/sweep $(SHARD_GRID) -merge $(SHARD_DIR)/s0.shard,$(SHARD_DIR)/s1.shard \
+		-format csv > $(SHARD_DIR)/merged.csv
+	cmp $(SHARD_DIR)/plain.csv $(SHARD_DIR)/merged.csv
+	@echo "shard-smoke: merged shard files byte-identical to the plain run"
 
 # ISCAS-scale smoke: the embedded 1k-gate fixture end to end — sampled
 # fault universe, budgeted ATPG with an outcome tally, and the on-disk

@@ -177,43 +177,42 @@ func run(circuitSpecs, yields, n0s, chips, coverages string, replicates, workers
 // execute runs the campaign through the job engine: plain run,
 // checkpointed run, one shard of a partition, or a merge of finished
 // shard files — all producing the same bytes for the same config.
+// Flags and shard files are checked before any circuit is prepared.
 func execute(cfg sweep.Config, job jobFlags) (*sweep.Result, error) {
 	if job.merge != "" && job.shard != "" {
 		return nil, fmt.Errorf("-merge and -shard are mutually exclusive")
 	}
-	if job.merge != "" {
-		paths := splitList(job.merge)
-		shards := make([]*campaign.ShardResult, len(paths))
-		for i, p := range paths {
-			sr, err := campaign.LoadShard(p)
-			if err != nil {
-				return nil, err
-			}
-			shards[i] = sr
+	var sh campaign.Shard
+	if job.shard != "" {
+		if job.checkpoint == "" {
+			return nil, fmt.Errorf("-shard requires -checkpoint (the shard output file)")
 		}
-		sw, err := sweep.New(cfg)
+		var err error
+		if sh, err = campaign.ParseShard(job.shard); err != nil {
+			return nil, err
+		}
+	}
+	var shards []*campaign.ShardResult
+	for _, p := range splitList(job.merge) {
+		sr, err := campaign.LoadShard(p)
 		if err != nil {
 			return nil, err
 		}
-		return sw.MergeShards(shards)
+		shards = append(shards, sr)
+	}
+	sw, err := sweep.New(cfg)
+	if err != nil {
+		return nil, err
 	}
 	opts := sweep.RunOptions{
 		Checkpoint:      job.checkpoint,
 		Resume:          job.resume,
 		CheckpointEvery: job.checkpointEvery,
 	}
-	if job.shard != "" {
-		if job.checkpoint == "" {
-			return nil, fmt.Errorf("-shard requires -checkpoint (the shard output file)")
-		}
-		sh, err := campaign.ParseShard(job.shard)
-		if err != nil {
-			return nil, err
-		}
-		sw, err := sweep.New(cfg)
-		if err != nil {
-			return nil, err
-		}
+	switch {
+	case job.merge != "":
+		return sw.MergeShards(shards)
+	case job.shard != "":
 		sr, err := sw.RunShard(sh, opts)
 		if err != nil {
 			return nil, err
@@ -223,10 +222,6 @@ func execute(cfg sweep.Config, job jobFlags) (*sweep.Result, error) {
 		fmt.Fprintf(os.Stderr, "sweep: shard %s complete: %d replicate summaries in %s (merge with -merge)\n",
 			sh, len(sr.Summaries), job.checkpoint)
 		return nil, nil
-	}
-	sw, err := sweep.New(cfg)
-	if err != nil {
-		return nil, err
 	}
 	return sw.RunWith(opts)
 }

@@ -345,44 +345,45 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, s.status(j))
 }
 
-// run is the job's background runner: prepare circuits, then drive the
-// campaign with resume-or-start durability against the daemon's
-// checkpoint directory.
+// run is the job's background runner: it drives the campaign and
+// records how it ended.
 func (s *server) run(j *job) {
 	defer s.wg.Done()
 	defer close(j.finished)
-	fail := func(err error) {
-		j.mu.Lock()
-		j.state = stateFailed
-		j.errMsg = err.Error()
-		j.mu.Unlock()
+	res, sr, err := s.runCampaign(j)
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	switch {
+	case errors.Is(err, sweep.ErrInterrupted):
+		j.state = stateInterrupted
+	case err != nil:
+		j.state, j.errMsg = stateFailed, err.Error()
+	default:
+		j.state, j.result, j.shard = stateDone, res, sr
 	}
+}
+
+// runCampaign prepares the job's circuits, then runs the daemon's share of
+// the campaign — the whole of it, or its shard — with resume-or-start
+// durability against the daemon's checkpoint directory.
+func (s *server) runCampaign(j *job) (*sweep.Result, *campaign.ShardResult, error) {
 	sw, err := sweep.New(j.cfg)
 	if err != nil {
-		fail(err)
-		return
+		return nil, nil, err
 	}
 	layout := sw.Layout()
-	snaps := make([]campaign.CellSnapshot, layout.Cells)
-	cuts := len(j.cfg.Coverages)
-	for i := range snaps {
-		snaps[i] = campaign.CellSnapshot{
-			Rej:  make([]campaign.WelfordState, cuts),
-			Esc:  make([]campaign.WelfordState, cuts),
-			Pass: make([]campaign.WelfordState, cuts),
-		}
+	empty, err := campaign.NewStore(layout, len(j.cfg.Coverages))
+	if err != nil {
+		return nil, nil, err
 	}
 	ckpt := filepath.Join(s.ckptDir, j.fingerprint+s.checkpointSuffix())
-	resumed := false
-	if _, statErr := os.Stat(ckpt); statErr == nil {
-		resumed = true
-	}
+	_, statErr := os.Stat(ckpt)
 
 	j.mu.Lock()
-	j.resumed = resumed
+	j.resumed = statErr == nil
 	j.sweeper = sw
 	j.cells = sw.Cells()
-	j.snaps = snaps
+	j.snaps = empty.Snapshot()
 	j.total = layout.Tasks()
 	j.state = stateRunning
 	j.mu.Unlock()
@@ -401,35 +402,10 @@ func (s *server) run(j *job) {
 	}
 	if s.sharded() {
 		sr, err := sw.RunShard(s.shard, opts)
-		switch {
-		case errors.Is(err, sweep.ErrInterrupted):
-			j.mu.Lock()
-			j.state = stateInterrupted
-			j.mu.Unlock()
-		case err != nil:
-			fail(err)
-		default:
-			j.mu.Lock()
-			j.state = stateDone
-			j.shard = sr
-			j.mu.Unlock()
-		}
-		return
+		return nil, sr, err
 	}
 	res, err := sw.RunWith(opts)
-	switch {
-	case errors.Is(err, sweep.ErrInterrupted):
-		j.mu.Lock()
-		j.state = stateInterrupted
-		j.mu.Unlock()
-	case err != nil:
-		fail(err)
-	default:
-		j.mu.Lock()
-		j.state = stateDone
-		j.result = res
-		j.mu.Unlock()
-	}
+	return res, nil, err
 }
 
 func (s *server) checkpointSuffix() string {

@@ -4,11 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -356,6 +358,89 @@ func TestGracefulShutdownDrainsAndResumes(t *testing.T) {
 	code, csv := fetch(t, ts2.URL+"/campaigns/"+st2.ID+"/results")
 	if code != http.StatusOK || csv != goldenCSV(t) {
 		t.Errorf("resumed daemon CSV differs from in-process run (status %d)", code)
+	}
+}
+
+// writeCheckpoint runs testConfig in process into the checkpoint file a
+// whole-campaign daemon on dir resumes from, stopping after maxNew new
+// tasks (0: run to completion).
+func writeCheckpoint(t *testing.T, dir string, maxNew int) {
+	t.Helper()
+	sw, err := sweep.New(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(dir, sw.Fingerprint()+".ckpt")
+	_, err = sw.RunWith(sweep.RunOptions{Checkpoint: ckpt, MaxNewTasks: maxNew})
+	if maxNew > 0 && !errors.Is(err, sweep.ErrPaused) || maxNew == 0 && err != nil {
+		t.Fatalf("writing checkpoint: %v", err)
+	}
+}
+
+// streamEvents reads a campaign's whole /stream: the replay, then every
+// advance until the campaign's terminal state.
+func streamEvents(t *testing.T, ts *httptest.Server, id string) []cellEvent {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/campaigns/" + id + "/stream")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var evs []cellEvent
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		var ev cellEvent
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("bad stream line %q: %v", sc.Text(), err)
+		}
+		evs = append(evs, ev)
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return evs
+}
+
+func TestResumedCampaignReportsRestoredState(t *testing.T) {
+	// A campaign resumed from a complete checkpoint runs nothing, yet
+	// its status counts every task and every cell as done.
+	dir := t.TempDir()
+	writeCheckpoint(t, dir, 0)
+	ts := httptest.NewServer(newTestServer(t, dir, campaign.FullShard))
+	defer ts.Close()
+	final := waitState(t, ts, submit(t, ts, testBody()).ID, stateDone)
+	if !final.Resumed {
+		t.Error("campaign over a complete checkpoint did not resume")
+	}
+	if final.TasksDone != final.TasksTotal || final.TasksTotal != 6 {
+		t.Errorf("complete checkpoint: status reports %d/%d tasks, want 6/6", final.TasksDone, final.TasksTotal)
+	}
+	for i, c := range final.Cells {
+		if c.Done != 3 {
+			t.Errorf("complete checkpoint: cell %d done=%d, want 3", i, c.Done)
+		}
+	}
+
+	// A partial checkpoint (cell 0 complete, cell 1 untouched): the
+	// replay of a finished campaign's stream holds the restored cell
+	// as well as the one the daemon ran.
+	dir = t.TempDir()
+	writeCheckpoint(t, dir, 3)
+	ts2 := httptest.NewServer(newTestServer(t, dir, campaign.FullShard))
+	defer ts2.Close()
+	id := submit(t, ts2, testBody()).ID
+	if final := waitState(t, ts2, id, stateDone); !final.Resumed || final.TasksDone != 6 {
+		t.Errorf("partial checkpoint: resumed=%v, %d tasks done, want a resume to 6", final.Resumed, final.TasksDone)
+	}
+	done := map[int]int{}
+	for _, ev := range streamEvents(t, ts2, id) {
+		done[ev.Cell] = ev.Done
+	}
+	if want := map[int]int{0: 3, 1: 3}; !reflect.DeepEqual(done, want) {
+		t.Errorf("stream replay of the resumed campaign: cell watermarks %v, want %v", done, want)
+	}
+	if code, csv := fetch(t, ts2.URL+"/campaigns/"+id+"/results"); code != http.StatusOK || csv != goldenCSV(t) {
+		t.Errorf("resumed campaign CSV differs from in-process run (status %d)", code)
 	}
 }
 

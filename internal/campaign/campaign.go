@@ -79,6 +79,10 @@ func (s Shard) Validate() error {
 // Owns reports whether global task t belongs to this shard.
 func (s Shard) Owns(t int) bool { return t%s.Count == s.Index }
 
+// Owned returns how many of a grid's tasks this shard owns: Index,
+// Index+Count, ... below tasks. The k-th of them is Index + k*Count.
+func (s Shard) Owned(tasks int) int { return (tasks - s.Index + s.Count - 1) / s.Count }
+
 // String renders the flag form, "index/count".
 func (s Shard) String() string { return fmt.Sprintf("%d/%d", s.Index, s.Count) }
 

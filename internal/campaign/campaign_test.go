@@ -156,3 +156,24 @@ func TestWelford(t *testing.T) {
 		t.Errorf("single-observation CI [%v, %v]", lo, hi)
 	}
 }
+
+func TestShardOwnedCountsOwns(t *testing.T) {
+	// Owned is the closed form of counting Owns over a grid, including
+	// grids smaller than the partition (shards that own nothing).
+	for _, n := range []int{1, 2, 3, 8} {
+		for i := 0; i < n; i++ {
+			sh := Shard{Index: i, Count: n}
+			for tasks := 0; tasks < 20; tasks++ {
+				want := 0
+				for task := 0; task < tasks; task++ {
+					if sh.Owns(task) {
+						want++
+					}
+				}
+				if got := sh.Owned(tasks); got != want {
+					t.Fatalf("shard %s of %d tasks: Owned = %d, want %d", sh, tasks, got, want)
+				}
+			}
+		}
+	}
+}

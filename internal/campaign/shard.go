@@ -3,7 +3,6 @@ package campaign
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 )
 
 // ShardResult is one shard's contribution to a campaign: the raw
@@ -22,15 +21,6 @@ type ShardResult struct {
 	Complete bool `json:"complete"`
 	// Summaries holds the finished tasks in ascending task order.
 	Summaries []TaskSummary `json:"summaries"`
-}
-
-// ownedTasks returns how many tasks of a full grid this shard owns.
-func ownedTasks(total int, sh Shard) int {
-	n := total / sh.Count
-	if sh.Index < total%sh.Count {
-		n++
-	}
-	return n
 }
 
 // validate checks internal consistency: every summary owned by the
@@ -56,7 +46,7 @@ func (sr *ShardResult) validate() error {
 		}
 		prev = ts.Task
 	}
-	owned := ownedTasks(sr.Tasks, sr.Key.Shard)
+	owned := sr.Key.Shard.Owned(sr.Tasks)
 	if sr.Complete && len(sr.Summaries) != owned {
 		return fmt.Errorf("campaign: shard %s marked complete with %d of %d owned tasks",
 			sr.Key.Shard, len(sr.Summaries), owned)
@@ -66,12 +56,6 @@ func (sr *ShardResult) validate() error {
 			sr.Key.Shard, len(sr.Summaries), owned)
 	}
 	return nil
-}
-
-// SortSummaries orders the summaries by task index (WriteShard requires
-// ascending order; builders that collect from a map call this first).
-func (sr *ShardResult) SortSummaries() {
-	sort.Slice(sr.Summaries, func(i, j int) bool { return sr.Summaries[i].Task < sr.Summaries[j].Task })
 }
 
 // WriteShard atomically persists a shard result (partial or complete).

@@ -345,7 +345,7 @@ func TestRunLotReleasesATE(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lr.ReleaseATE(ate); err != nil {
+	if err := lr.Prepared().ReleaseATE(ate); err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(1); seed <= 2; seed++ {

@@ -6,8 +6,6 @@ import (
 	"repro/internal/circuits"
 	"repro/internal/defect"
 	"repro/internal/estimate"
-	"repro/internal/faultsim"
-	"repro/internal/netlist"
 	"repro/internal/tester"
 )
 
@@ -24,8 +22,9 @@ import (
 // takes its own tester from the Prepared artifact (NewATE) and hands it
 // back when the lot is done. A worker goroutine running many lots may
 // instead hold one ATE from NewATE across its RunLotWith calls and
-// release it (ReleaseATE) when it finishes. Either way the program's
-// good machine is simulated once per Prepared, not per tester.
+// release it to the Prepared artifact (circuits.Prepared.ReleaseATE)
+// when it finishes. Either way the program's good machine is simulated
+// once per Prepared, not per tester.
 type LotRunner struct {
 	cfg         Table1Config
 	prep        *circuits.Prepared
@@ -76,37 +75,11 @@ func NewLotRunnerFrom(prep *circuits.Prepared, cfg Table1Config) (*LotRunner, er
 // Prepared returns the shared once-per-circuit artifact.
 func (lr *LotRunner) Prepared() *circuits.Prepared { return lr.prep }
 
-// Circuit returns the circuit under test.
-func (lr *LotRunner) Circuit() *netlist.Circuit { return lr.prep.Circuit }
-
-// Stats returns the circuit statistics.
-func (lr *LotRunner) Stats() netlist.Stats { return lr.prep.Stats }
-
-// FaultCount returns the size of the collapsed fault universe.
-func (lr *LotRunner) FaultCount() int { return lr.prep.FaultCount() }
-
-// Patterns returns the number of test patterns in the production set.
-func (lr *LotRunner) Patterns() int { return len(lr.prep.Patterns) }
-
-// Curve returns the strobe-granular cumulative coverage ramp
-// (change-point compressed; see faultsim.SparseRamp).
-func (lr *LotRunner) Curve() faultsim.Ramp { return lr.prep.Curve }
-
-// FinalCoverage returns the pattern set's final fault coverage.
-func (lr *LotRunner) FinalCoverage() float64 { return lr.prep.FinalCoverage() }
-
 // NewATE takes a tester over the shared pattern set from the Prepared
 // artifact (circuits.Prepared.NewATE). One ATE serves any number of
 // sequential RunLotWith calls; concurrent callers need one each.
 func (lr *LotRunner) NewATE() (*tester.ATE, error) {
 	return lr.prep.NewATE()
-}
-
-// ReleaseATE hands an ATE from NewATE back to the Prepared artifact for
-// reuse (circuits.Prepared.ReleaseATE); release only an ATE whose last
-// lot succeeded.
-func (lr *LotRunner) ReleaseATE(ate *tester.ATE) error {
-	return lr.prep.ReleaseATE(ate)
 }
 
 // LotOutcome is one manufactured-and-tested lot: the raw step-granular
@@ -143,7 +116,7 @@ func (lr *LotRunner) RunLot(y, n0 float64, chips int, seed int64) (LotOutcome, e
 	if err != nil {
 		return LotOutcome{}, err
 	}
-	return out, lr.ReleaseATE(ate)
+	return out, lr.prep.ReleaseATE(ate)
 }
 
 // RunLotWith is RunLot against a caller-held ATE (from NewATE), letting

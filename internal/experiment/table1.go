@@ -218,9 +218,9 @@ func runTable1(lr *LotRunner, cfg Table1Config) (Table1Result, error) {
 	}
 	return Table1Result{
 		Config:       cfg,
-		CircuitStats: lr.Stats(),
-		FaultCount:   lr.FaultCount(),
-		FinalCov:     lr.FinalCoverage(),
+		CircuitStats: lr.prep.Stats,
+		FaultCount:   lr.prep.FaultCount(),
+		FinalCov:     lr.prep.FinalCoverage(),
 		Rows:         outcome.Rows,
 		Curve:        outcome.Curve,
 		TrueN0:       outcome.TrueN0,

@@ -64,13 +64,17 @@ type RunOptions struct {
 	Interrupt <-chan struct{}
 	// OnCellUpdate, when set, is called every time a cell's folded
 	// watermark advances, with a copy of the cell's new snapshot —
-	// the incremental-results stream (CIs tighten as Done grows).
-	// Calls are ordered per cell but concurrent across cells; keep it
-	// fast.
+	// the incremental-results stream (CIs tighten as Done grows). A
+	// resumed run first calls it once per restored cell with Done > 0,
+	// in cell order, before any worker starts. Calls are ordered per
+	// cell but concurrent across cells; keep it fast. RunShard never
+	// calls it.
 	OnCellUpdate func(cell int, snap campaign.CellSnapshot)
-	// OnProgress, when set, is called after every completed task with
-	// the campaign-wide folded/total counts (RunShard reports collected
-	// counts instead).
+	// OnProgress, when set, is called once before any worker starts
+	// with the counts the run starts from (those restored by a resume,
+	// else zero), then after every completed task, with the
+	// campaign-wide folded/total counts (RunShard reports the shard's
+	// collected/owned counts instead).
 	OnProgress func(done, total int)
 }
 
@@ -135,7 +139,7 @@ func (s *Sweeper) Cells() []CellInfo {
 	out := make([]CellInfo, len(s.cells))
 	for i, c := range s.cells {
 		out[i] = CellInfo{
-			Circuit: s.workloads[c.w].lr.Circuit().Name,
+			Circuit: s.workloads[c.w].prep.Circuit.Name,
 			Yield:   c.y,
 			N0:      c.n0,
 			Chips:   c.chips,
@@ -148,91 +152,18 @@ func (s *Sweeper) Cells() []CellInfo {
 // crashed run resumes from its last checkpoint and finishes with the
 // exact bytes of an uninterrupted run.
 func (s *Sweeper) RunWith(opts RunOptions) (*Result, error) {
-	layout := s.Layout()
-	key := campaign.Key{ConfigHash: s.fingerprint, Shard: campaign.FullShard}
-	st, err := campaign.NewStore(layout, len(s.cfg.Coverages))
+	st, err := campaign.NewStore(s.Layout(), len(s.cfg.Coverages))
 	if err != nil {
 		return nil, err
-	}
-	if opts.Resume {
-		if opts.Checkpoint == "" {
-			return nil, fmt.Errorf("sweep: resume requires a checkpoint path")
-		}
-		if _, statErr := os.Stat(opts.Checkpoint); statErr == nil {
-			ck, err := campaign.LoadCheckpoint(opts.Checkpoint, key, layout, len(s.cfg.Coverages))
-			if err != nil {
-				return nil, err
-			}
-			if err := st.Restore(ck.Cells); err != nil {
-				return nil, err
-			}
-		} else if !errors.Is(statErr, os.ErrNotExist) {
-			return nil, fmt.Errorf("sweep: checkpoint %s: %w", opts.Checkpoint, statErr)
-		}
 	}
 	st.OnAdvance = opts.OnCellUpdate
-
-	var ckptMu sync.Mutex
-	writeCkpt := func() error {
-		if opts.Checkpoint == "" {
-			return nil
-		}
-		ckptMu.Lock()
-		defer ckptMu.Unlock()
-		return campaign.WriteCheckpoint(opts.Checkpoint, &campaign.Checkpoint{Key: key, Cells: st.Snapshot()})
+	l := &storeLedger{
+		key:  campaign.Key{ConfigHash: s.fingerprint, Shard: campaign.FullShard},
+		cuts: len(s.cfg.Coverages),
+		st:   st,
 	}
-
-	// Everything at or above a cell's restored watermark re-runs;
-	// deterministic seeding makes the re-run byte-identical.
-	var pending []int
-	for t := 0; t < layout.Tasks(); t++ {
-		if layout.RepOf(t) >= st.Done(layout.CellOf(t)) {
-			pending = append(pending, t)
-		}
-	}
-	paused := false
-	if opts.MaxNewTasks > 0 && len(pending) > opts.MaxNewTasks {
-		pending = pending[:opts.MaxNewTasks]
-		paused = true
-	}
-
-	var sinceCkpt atomic.Int64
-	handle := func(task int, sum campaign.Summary) error {
-		_, done, err := st.Add(task, sum)
-		if err != nil {
-			return err
-		}
-		if opts.OnProgress != nil {
-			opts.OnProgress(st.TasksFolded(), layout.Tasks())
-		}
-		// Durability cadence: every completed cell is a checkpoint
-		// boundary, plus the optional every-K-tasks cadence.
-		if done == layout.Replicates {
-			return writeCkpt()
-		}
-		if opts.CheckpointEvery > 0 && sinceCkpt.Add(1) >= int64(opts.CheckpointEvery) {
-			sinceCkpt.Store(0)
-			return writeCkpt()
-		}
-		return nil
-	}
-
-	interrupted, err := s.runTasks(pending, handle, opts.Interrupt)
-	if err != nil {
-		// Keep whatever folded: the checkpoint may already cover it.
+	if err := s.drive(opts, l); err != nil {
 		return nil, err
-	}
-	if err := writeCkpt(); err != nil {
-		return nil, err
-	}
-	if interrupted && !st.Complete() {
-		return nil, ErrInterrupted
-	}
-	if paused {
-		return nil, ErrPaused
-	}
-	if !st.Complete() {
-		return nil, fmt.Errorf("sweep: campaign folded %d of %d tasks", st.TasksFolded(), layout.Tasks())
 	}
 	return s.ResultFrom(st.Snapshot())
 }
@@ -247,35 +178,64 @@ func (s *Sweeper) RunShard(sh campaign.Shard, opts RunOptions) (*campaign.ShardR
 		return nil, err
 	}
 	layout := s.Layout()
-	key := campaign.Key{ConfigHash: s.fingerprint, Shard: sh}
-	var (
-		mu   sync.Mutex
-		have = map[int]campaign.Summary{}
-	)
+	l := &shardLedger{
+		key:    campaign.Key{ConfigHash: s.fingerprint, Shard: sh},
+		layout: layout,
+		cuts:   len(s.cfg.Coverages),
+		sums:   make([]*campaign.Summary, sh.Owned(layout.Tasks())),
+	}
+	if err := s.drive(opts, l); err != nil {
+		return nil, err
+	}
+	return l.result(), nil
+}
+
+// ledger is the campaign state the driver makes durable: a whole run's
+// folded cells, or one shard's raw summaries. The driver calls load and
+// todo before any worker starts; add and progress are safe concurrently.
+type ledger interface {
+	// load restores the state a checkpoint file holds; a file written
+	// by another campaign, shard or grid is a named error.
+	load(path string) error
+	// todo reports whether task t is still to run.
+	todo(t int) bool
+	// add records a finished task and reports whether it completed a
+	// cell, a checkpoint boundary.
+	add(t int, sum campaign.Summary) (cellDone bool, err error)
+	// write persists the state to path atomically.
+	write(path string) error
+	// progress returns the tasks recorded and the tasks to record; the
+	// campaign is complete when they are equal.
+	progress() (done, total int)
+}
+
+// drive runs the tasks the ledger still needs under the durability
+// policy every campaign shares: resume-or-start from opts.Checkpoint,
+// the MaxNewTasks pause, a checkpoint write at each completed cell and
+// every CheckpointEvery tasks, a closing write, and the exit
+// classification. A nil return means the ledger is complete.
+func (s *Sweeper) drive(opts RunOptions, l ledger) error {
 	if opts.Resume {
 		if opts.Checkpoint == "" {
-			return nil, fmt.Errorf("sweep: resume requires a checkpoint path")
+			return fmt.Errorf("sweep: resume requires a checkpoint path")
 		}
 		if _, statErr := os.Stat(opts.Checkpoint); statErr == nil {
-			sr, err := campaign.LoadShardFor(opts.Checkpoint, key, layout, len(s.cfg.Coverages))
-			if err != nil {
-				return nil, err
-			}
-			for _, ts := range sr.Summaries {
-				have[ts.Task] = ts.Summary
+			if err := l.load(opts.Checkpoint); err != nil {
+				return err
 			}
 		} else if !errors.Is(statErr, os.ErrNotExist) {
-			return nil, fmt.Errorf("sweep: checkpoint %s: %w", opts.Checkpoint, statErr)
+			return fmt.Errorf("sweep: checkpoint %s: %w", opts.Checkpoint, statErr)
 		}
 	}
-	owned := 0
+	if opts.OnProgress != nil {
+		opts.OnProgress(l.progress())
+	}
+
+	// Everything the ledger does not hold re-runs; deterministic
+	// seeding makes the re-run byte-identical.
 	var pending []int
-	for t := 0; t < layout.Tasks(); t++ {
-		if !sh.Owns(t) {
-			continue
-		}
-		owned++
-		if _, done := have[t]; !done {
+	for t := 0; t < s.Layout().Tasks(); t++ {
+		if l.todo(t) {
 			pending = append(pending, t)
 		}
 	}
@@ -284,25 +244,7 @@ func (s *Sweeper) RunShard(sh campaign.Shard, opts RunOptions) (*campaign.ShardR
 		pending = pending[:opts.MaxNewTasks]
 		paused = true
 	}
-	snapshot := func() *campaign.ShardResult {
-		mu.Lock()
-		defer mu.Unlock()
-		sr := &campaign.ShardResult{
-			Key:      key,
-			Tasks:    layout.Tasks(),
-			Complete: len(have) == owned,
-			Summaries: func() []campaign.TaskSummary {
-				out := make([]campaign.TaskSummary, 0, len(have))
-				//repolint:ordered — SortSummaries below canonicalizes before anything is written
-				for t, sum := range have {
-					out = append(out, campaign.TaskSummary{Task: t, Summary: sum})
-				}
-				return out
-			}(),
-		}
-		sr.SortSummaries()
-		return sr
-	}
+
 	var ckptMu sync.Mutex
 	writeCkpt := func() error {
 		if opts.Checkpoint == "" {
@@ -310,16 +252,21 @@ func (s *Sweeper) RunShard(sh campaign.Shard, opts RunOptions) (*campaign.ShardR
 		}
 		ckptMu.Lock()
 		defer ckptMu.Unlock()
-		return campaign.WriteShard(opts.Checkpoint, snapshot())
+		return l.write(opts.Checkpoint)
 	}
 	var sinceCkpt atomic.Int64
 	handle := func(task int, sum campaign.Summary) error {
-		mu.Lock()
-		have[task] = sum
-		n := len(have)
-		mu.Unlock()
+		cellDone, err := l.add(task, sum)
+		if err != nil {
+			return err
+		}
 		if opts.OnProgress != nil {
-			opts.OnProgress(n, owned)
+			opts.OnProgress(l.progress())
+		}
+		// Durability cadence: every completed cell is a checkpoint
+		// boundary, plus the optional every-K-tasks cadence.
+		if cellDone {
+			return writeCkpt()
 		}
 		if opts.CheckpointEvery > 0 && sinceCkpt.Add(1) >= int64(opts.CheckpointEvery) {
 			sinceCkpt.Store(0)
@@ -327,21 +274,137 @@ func (s *Sweeper) RunShard(sh campaign.Shard, opts RunOptions) (*campaign.ShardR
 		}
 		return nil
 	}
+
 	interrupted, err := s.runTasks(pending, handle, opts.Interrupt)
 	if err != nil {
-		return nil, err
+		// Keep whatever folded: the checkpoint may already cover it.
+		return err
 	}
 	if err := writeCkpt(); err != nil {
-		return nil, err
+		return err
 	}
-	sr := snapshot()
-	if interrupted && !sr.Complete {
-		return nil, ErrInterrupted
+	done, total := l.progress()
+	switch {
+	case interrupted && done < total:
+		return ErrInterrupted
+	case paused:
+		return ErrPaused
+	case done < total:
+		return fmt.Errorf("sweep: campaign folded %d of %d tasks", done, total)
 	}
-	if paused {
-		return nil, ErrPaused
+	return nil
+}
+
+// storeLedger is a whole run's ledger: the campaign.Store and its
+// Checkpoint file.
+type storeLedger struct {
+	key  campaign.Key
+	cuts int
+	st   *campaign.Store
+}
+
+// load restores the checkpoint and replays every restored cell to the
+// store's OnAdvance, in cell order, so a resumed campaign reports what
+// it already holds before any worker starts.
+func (l *storeLedger) load(path string) error {
+	ck, err := campaign.LoadCheckpoint(path, l.key, l.st.Layout(), l.cuts)
+	if err != nil {
+		return err
 	}
-	return sr, nil
+	if err := l.st.Restore(ck.Cells); err != nil {
+		return err
+	}
+	if l.st.OnAdvance != nil {
+		for cell, snap := range ck.Cells {
+			if snap.Done > 0 {
+				l.st.OnAdvance(cell, snap)
+			}
+		}
+	}
+	return nil
+}
+
+// todo is true at or above the task's cell watermark: finished but
+// unfolded replicates are not persisted, so they re-run.
+func (l *storeLedger) todo(t int) bool {
+	layout := l.st.Layout()
+	return layout.RepOf(t) >= l.st.Done(layout.CellOf(t))
+}
+
+func (l *storeLedger) add(t int, sum campaign.Summary) (bool, error) {
+	_, done, err := l.st.Add(t, sum)
+	return done == l.st.Layout().Replicates, err
+}
+
+func (l *storeLedger) write(path string) error {
+	return campaign.WriteCheckpoint(path, &campaign.Checkpoint{Key: l.key, Cells: l.st.Snapshot()})
+}
+
+func (l *storeLedger) progress() (int, int) { return l.st.TasksFolded(), l.st.Layout().Tasks() }
+
+// shardLedger is one shard's ledger: the summaries of its owned tasks,
+// indexed by owned ordinal t/Count so they come out in ascending task
+// order, and its ShardResult file. A shard folds nothing, so no add
+// completes a cell.
+type shardLedger struct {
+	key    campaign.Key
+	layout campaign.Layout
+	cuts   int
+
+	mu   sync.Mutex
+	sums []*campaign.Summary // nil: not yet run
+	n    int                 // non-nil entries of sums
+}
+
+func (l *shardLedger) load(path string) error {
+	sr, err := campaign.LoadShardFor(path, l.key, l.layout, l.cuts)
+	if err != nil {
+		return err
+	}
+	for i := range sr.Summaries {
+		l.sums[sr.Summaries[i].Task/l.key.Shard.Count] = &sr.Summaries[i].Summary
+	}
+	l.n = len(sr.Summaries)
+	return nil
+}
+
+func (l *shardLedger) todo(t int) bool {
+	return l.key.Shard.Owns(t) && l.sums[t/l.key.Shard.Count] == nil
+}
+
+func (l *shardLedger) add(t int, sum campaign.Summary) (bool, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.sums[t/l.key.Shard.Count] = &sum
+	l.n++
+	return false, nil
+}
+
+func (l *shardLedger) write(path string) error { return campaign.WriteShard(path, l.result()) }
+
+func (l *shardLedger) progress() (int, int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.n, len(l.sums)
+}
+
+// result snapshots the ledger as a ShardResult, summaries in ascending
+// task order.
+func (l *shardLedger) result() *campaign.ShardResult {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	sr := &campaign.ShardResult{
+		Key:       l.key,
+		Tasks:     l.layout.Tasks(),
+		Complete:  l.n == len(l.sums),
+		Summaries: make([]campaign.TaskSummary, 0, l.n),
+	}
+	for i, sum := range l.sums {
+		if sum != nil {
+			sr.Summaries = append(sr.Summaries, campaign.TaskSummary{Task: l.key.Shard.Index + i*l.key.Shard.Count, Summary: *sum})
+		}
+	}
+	return sr
 }
 
 // MergeShards validates a complete shard set against this campaign and
@@ -406,7 +469,7 @@ func (s *Sweeper) runTasks(pending []int, handle func(task int, sum campaign.Sum
 					if ate == nil {
 						continue
 					}
-					if err := s.workloads[wi].lr.ReleaseATE(ate); err != nil {
+					if err := s.workloads[wi].prep.ReleaseATE(ate); err != nil {
 						fail(err)
 					}
 				}
@@ -429,7 +492,7 @@ func (s *Sweeper) runTasks(pending []int, handle func(task int, sum campaign.Sum
 				}
 				wi := s.cells[t/s.cfg.Replicates].w
 				if ates[wi] == nil {
-					ate, err := s.workloads[wi].lr.NewATE()
+					ate, err := s.workloads[wi].prep.NewATE()
 					if err != nil {
 						drop(err)
 						return
@@ -463,14 +526,14 @@ func (s *Sweeper) ResultFrom(snaps []campaign.CellSnapshot) (*Result, error) {
 	}
 	res := &Result{Config: s.cfg}
 	for _, wl := range s.workloads {
-		prep := wl.lr.Prepared()
+		prep := wl.prep
 		res.Workloads = append(res.Workloads, WorkloadInfo{
 			Spec:           wl.spec,
-			Name:           wl.lr.Circuit().Name,
-			Stats:          wl.lr.Stats(),
-			FaultCount:     wl.lr.FaultCount(),
-			PatternCount:   wl.lr.Patterns(),
-			FinalCoverage:  wl.lr.FinalCoverage(),
+			Name:           prep.Circuit.Name,
+			Stats:          prep.Stats,
+			FaultCount:     prep.FaultCount(),
+			PatternCount:   len(prep.Patterns),
+			FinalCoverage:  prep.FinalCoverage(),
 			UniverseSize:   prep.UniverseSize,
 			Sampled:        prep.Sampled,
 			CoverageCILow:  prep.CoverageCILow,
@@ -486,7 +549,7 @@ func (s *Sweeper) ResultFrom(snaps []campaign.CellSnapshot) (*Result, error) {
 		}
 		snap := snaps[ci]
 		cr := CellResult{
-			Circuit:    wl.lr.Circuit().Name,
+			Circuit:    wl.prep.Circuit.Name,
 			Yield:      cell.y,
 			N0:         cell.n0,
 			Chips:      cell.chips,

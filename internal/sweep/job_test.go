@@ -44,6 +44,61 @@ func newSweeper(t *testing.T, cfg Config, cache *circuits.Cache) *Sweeper {
 	return s
 }
 
+// runKind is one face of the durable campaign driver: the whole run
+// (RunWith), or one shard of a partition (RunShard) merged with its
+// sibling shards. Each durability test runs once per kind.
+type runKind struct {
+	name  string
+	shard campaign.Shard // FullShard: the whole run
+}
+
+var runKinds = []runKind{
+	{"whole", campaign.FullShard},
+	{"shard1of2", campaign.Shard{Index: 1, Count: 2}},
+}
+
+// tasks is how many tasks the run under test owns.
+func (k runKind) tasks(s *Sweeper) int { return k.shard.Owned(s.Layout().Tasks()) }
+
+// run drives the campaign under opts and returns the CSV it reports.
+// A shard kind runs its own shard under opts first, then every sibling
+// shard plainly, and merges them: the CSV is the merged campaign's.
+func (k runKind) run(s *Sweeper, opts RunOptions) (string, error) {
+	if k.shard == campaign.FullShard {
+		res, err := s.RunWith(opts)
+		if err != nil {
+			return "", err
+		}
+		return res.CSV(), nil
+	}
+	shards := make([]*campaign.ShardResult, k.shard.Count)
+	sr, err := s.RunShard(k.shard, opts)
+	if err != nil {
+		return "", err
+	}
+	shards[k.shard.Index] = sr
+	for i := range shards {
+		if i == k.shard.Index {
+			continue
+		}
+		if shards[i], err = s.RunShard(campaign.Shard{Index: i, Count: k.shard.Count}, RunOptions{}); err != nil {
+			return "", err
+		}
+	}
+	res, err := s.MergeShards(shards)
+	if err != nil {
+		return "", err
+	}
+	return res.CSV(), nil
+}
+
+// forEachKind runs test once per run kind, as a subtest.
+func forEachKind(t *testing.T, test func(t *testing.T, k runKind)) {
+	for _, k := range runKinds {
+		t.Run(k.name, func(t *testing.T) { test(t, k) })
+	}
+}
+
 func TestCrashResumeByteIdentical(t *testing.T) {
 	// The crash/resume equivalence harness: run the two-circuit
 	// campaign to completion for the golden CSV, then kill a fresh
@@ -58,45 +113,46 @@ func TestCrashResumeByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCSV := golden.CSV()
-	total := len(golden.Cells) * cfg.Replicates
-	if total != 6 {
+	if total := len(golden.Cells) * cfg.Replicates; total != 6 {
 		t.Fatalf("expected 6 tasks, got %d", total)
 	}
-	for kill := 1; kill < total; kill++ {
-		ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
-		// Phase 1: the doomed run — stops (the injected kill) after
-		// exactly `kill` new tasks, checkpointing on the way out.
-		s := newSweeper(t, cfg, cache)
-		_, err := s.RunWith(RunOptions{Checkpoint: ckpt, MaxNewTasks: kill})
-		if !errors.Is(err, ErrPaused) {
-			t.Fatalf("kill=%d: err = %v, want ErrPaused", kill, err)
+	forEachKind(t, func(t *testing.T, k runKind) {
+		total := k.tasks(newSweeper(t, cfg, cache))
+		for kill := 1; kill < total; kill++ {
+			ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+			// Phase 1: the doomed run — stops (the injected kill) after
+			// exactly `kill` new tasks, checkpointing on the way out.
+			_, err := k.run(newSweeper(t, cfg, cache), RunOptions{Checkpoint: ckpt, MaxNewTasks: kill})
+			if !errors.Is(err, ErrPaused) {
+				t.Fatalf("kill=%d: err = %v, want ErrPaused", kill, err)
+			}
+			if _, err := os.Stat(ckpt); err != nil {
+				t.Fatalf("kill=%d: no checkpoint written: %v", kill, err)
+			}
+			// Phase 2: resume from the checkpoint and finish.
+			got, err := k.run(newSweeper(t, cfg, cache), RunOptions{Checkpoint: ckpt, Resume: true})
+			if err != nil {
+				t.Fatalf("kill=%d resume: %v", kill, err)
+			}
+			if got != goldenCSV {
+				t.Errorf("kill=%d: resumed CSV differs from uninterrupted run:\n--- resumed ---\n%s--- golden ---\n%s",
+					kill, got, goldenCSV)
+			}
 		}
-		if _, err := os.Stat(ckpt); err != nil {
-			t.Fatalf("kill=%d: no checkpoint written: %v", kill, err)
+		// Resuming an already-complete checkpoint re-runs nothing and
+		// still reports the same bytes.
+		ckpt := filepath.Join(t.TempDir(), "done.ckpt")
+		if _, err := k.run(newSweeper(t, cfg, cache), RunOptions{Checkpoint: ckpt}); err != nil {
+			t.Fatal(err)
 		}
-		// Phase 2: resume from the checkpoint and finish.
-		res, err := newSweeper(t, cfg, cache).RunWith(RunOptions{Checkpoint: ckpt, Resume: true})
+		got, err := k.run(newSweeper(t, cfg, cache), RunOptions{Checkpoint: ckpt, Resume: true})
 		if err != nil {
-			t.Fatalf("kill=%d resume: %v", kill, err)
+			t.Fatal(err)
 		}
-		if got := res.CSV(); got != goldenCSV {
-			t.Errorf("kill=%d: resumed CSV differs from uninterrupted run:\n--- resumed ---\n%s--- golden ---\n%s",
-				kill, got, goldenCSV)
+		if got != goldenCSV {
+			t.Error("resume of a complete checkpoint drifted")
 		}
-	}
-	// Resuming an already-complete checkpoint re-runs nothing and
-	// still reports the same bytes.
-	ckpt := filepath.Join(t.TempDir(), "done.ckpt")
-	if _, err := newSweeper(t, cfg, cache).RunWith(RunOptions{Checkpoint: ckpt}); err != nil {
-		t.Fatal(err)
-	}
-	res, err := newSweeper(t, cfg, cache).RunWith(RunOptions{Checkpoint: ckpt, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CSV() != goldenCSV {
-		t.Error("resume of a complete checkpoint drifted")
-	}
+	})
 }
 
 func TestCrashResumeWithFineCheckpointCadence(t *testing.T) {
@@ -110,18 +166,22 @@ func TestCrashResumeWithFineCheckpointCadence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckpt := filepath.Join(t.TempDir(), "fine.ckpt")
-	s := newSweeper(t, cfg, cache)
-	if _, err := s.RunWith(RunOptions{Checkpoint: ckpt, CheckpointEvery: 1, MaxNewTasks: 4}); !errors.Is(err, ErrPaused) {
-		t.Fatalf("pause: %v", err)
-	}
-	res, err := newSweeper(t, cfg, cache).RunWith(RunOptions{Checkpoint: ckpt, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CSV() != golden.CSV() {
-		t.Error("fine-cadence resume drifted from golden")
-	}
+	forEachKind(t, func(t *testing.T, k runKind) {
+		ckpt := filepath.Join(t.TempDir(), "fine.ckpt")
+		s := newSweeper(t, cfg, cache)
+		// Two thirds of the run's tasks: 4 of the whole run's 6.
+		kill := 2 * k.tasks(s) / 3
+		if _, err := k.run(s, RunOptions{Checkpoint: ckpt, CheckpointEvery: 1, MaxNewTasks: kill}); !errors.Is(err, ErrPaused) {
+			t.Fatalf("pause: %v", err)
+		}
+		got, err := k.run(newSweeper(t, cfg, cache), RunOptions{Checkpoint: ckpt, Resume: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != golden.CSV() {
+			t.Error("fine-cadence resume drifted from golden")
+		}
+	})
 }
 
 func TestResumeRejectsForeignCheckpoint(t *testing.T) {
@@ -129,27 +189,29 @@ func TestResumeRejectsForeignCheckpoint(t *testing.T) {
 	// by name (with the file path), never silently resumed.
 	cache := circuits.NewCache()
 	cfg := crashConfig()
-	ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
-	if _, err := newSweeper(t, cfg, cache).RunWith(RunOptions{Checkpoint: ckpt, MaxNewTasks: 2}); !errors.Is(err, ErrPaused) {
-		t.Fatal(err)
-	}
-	other := cfg
-	other.Seed = 77 // different lots, same shape: only the fingerprint can tell
-	_, err := newSweeper(t, other, cache).RunWith(RunOptions{Checkpoint: ckpt, Resume: true})
-	if !errors.Is(err, campaign.ErrMismatch) {
-		t.Fatalf("foreign checkpoint: err = %v, want campaign.ErrMismatch", err)
-	}
-	if !strings.Contains(err.Error(), ckpt) {
-		t.Errorf("error does not name the checkpoint path: %v", err)
-	}
-	// Corruption on the resume path reports the file too.
-	if err := os.WriteFile(ckpt, []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = newSweeper(t, cfg, cache).RunWith(RunOptions{Checkpoint: ckpt, Resume: true})
-	if !errors.Is(err, campaign.ErrCorrupt) || !strings.Contains(err.Error(), ckpt) {
-		t.Fatalf("corrupt checkpoint: err = %v", err)
-	}
+	forEachKind(t, func(t *testing.T, k runKind) {
+		ckpt := filepath.Join(t.TempDir(), "campaign.ckpt")
+		if _, err := k.run(newSweeper(t, cfg, cache), RunOptions{Checkpoint: ckpt, MaxNewTasks: 2}); !errors.Is(err, ErrPaused) {
+			t.Fatal(err)
+		}
+		other := cfg
+		other.Seed = 77 // different lots, same shape: only the fingerprint can tell
+		_, err := k.run(newSweeper(t, other, cache), RunOptions{Checkpoint: ckpt, Resume: true})
+		if !errors.Is(err, campaign.ErrMismatch) {
+			t.Fatalf("foreign checkpoint: err = %v, want campaign.ErrMismatch", err)
+		}
+		if !strings.Contains(err.Error(), ckpt) {
+			t.Errorf("error does not name the checkpoint path: %v", err)
+		}
+		// Corruption on the resume path reports the file too.
+		if err := os.WriteFile(ckpt, []byte("junk"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = k.run(newSweeper(t, cfg, cache), RunOptions{Checkpoint: ckpt, Resume: true})
+		if !errors.Is(err, campaign.ErrCorrupt) || !strings.Contains(err.Error(), ckpt) {
+			t.Fatalf("corrupt checkpoint: err = %v", err)
+		}
+	})
 }
 
 func TestInterruptDrainsAndResumes(t *testing.T) {
@@ -162,20 +224,66 @@ func TestInterruptDrainsAndResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	interrupt := make(chan struct{})
-	close(interrupt)
-	ckpt := filepath.Join(t.TempDir(), "int.ckpt")
-	_, err = newSweeper(t, cfg, cache).RunWith(RunOptions{Checkpoint: ckpt, Interrupt: interrupt})
-	if !errors.Is(err, ErrInterrupted) {
-		t.Fatalf("interrupt: err = %v, want ErrInterrupted", err)
-	}
-	res, err := newSweeper(t, cfg, cache).RunWith(RunOptions{Checkpoint: ckpt, Resume: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CSV() != golden.CSV() {
-		t.Error("post-interrupt resume drifted from golden")
-	}
+	forEachKind(t, func(t *testing.T, k runKind) {
+		interrupt := make(chan struct{})
+		close(interrupt)
+		ckpt := filepath.Join(t.TempDir(), "int.ckpt")
+		_, err := k.run(newSweeper(t, cfg, cache), RunOptions{Checkpoint: ckpt, Interrupt: interrupt})
+		if !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("interrupt: err = %v, want ErrInterrupted", err)
+		}
+		got, err := k.run(newSweeper(t, cfg, cache), RunOptions{Checkpoint: ckpt, Resume: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != golden.CSV() {
+			t.Error("post-interrupt resume drifted from golden")
+		}
+	})
+}
+
+func TestResumeReportsRestoredState(t *testing.T) {
+	// A resumed run reports what it restored before any worker starts:
+	// OnProgress once with the restored count, and (whole run)
+	// OnCellUpdate once per restored cell, in cell order. A complete
+	// checkpoint runs nothing, so that first report is all there is.
+	cache := circuits.NewCache()
+	cfg := crashConfig()
+	forEachKind(t, func(t *testing.T, k runKind) {
+		ckpt := filepath.Join(t.TempDir(), "done.ckpt")
+		s := newSweeper(t, cfg, cache)
+		if _, err := k.run(s, RunOptions{Checkpoint: ckpt}); err != nil {
+			t.Fatal(err)
+		}
+		var progress [][2]int
+		var cells []int
+		opts := RunOptions{
+			Checkpoint: ckpt,
+			Resume:     true,
+			OnProgress: func(done, total int) { progress = append(progress, [2]int{done, total}) },
+			OnCellUpdate: func(cell int, snap campaign.CellSnapshot) {
+				if snap.Done != cfg.Replicates {
+					t.Errorf("cell %d restored at done=%d, want %d", cell, snap.Done, cfg.Replicates)
+				}
+				cells = append(cells, cell)
+			},
+		}
+		if k.shard == campaign.FullShard {
+			_, err := s.RunWith(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []int{0, 1}; !reflect.DeepEqual(cells, want) {
+				t.Errorf("restored cell updates %v, want %v", cells, want)
+			}
+		} else if _, err := s.RunShard(k.shard, opts); err != nil {
+			t.Fatal(err)
+		}
+		owned := k.tasks(s)
+		if want := [][2]int{{owned, owned}}; !reflect.DeepEqual(progress, want) {
+			t.Errorf("progress reports %v, want %v", progress, want)
+		}
+	})
 }
 
 func TestShardMergeByteIdenticalToSerial(t *testing.T) {

@@ -191,6 +191,7 @@ func (c Config) validateGrid(units int) error {
 // resolved against this circuit's own ramp.
 type workload struct {
 	spec string // unit spec that produced the circuit
+	prep *circuits.Prepared
 	lr   *experiment.LotRunner
 	cuts []cut
 }
@@ -305,7 +306,7 @@ func New(cfg Config) (*Sweeper, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.workloads[i] = workload{spec: unit, lr: lr, cuts: cuts}
+		s.workloads[i] = workload{spec: unit, prep: preps[i], lr: lr, cuts: cuts}
 	}
 	s.cells = s.cellList()
 	s.fingerprint = fingerprint(units, cfg)

@@ -21,10 +21,11 @@
 // block. A batch whose faults are sparse in the circuit is finished one
 // chip at a time, 64 patterns per walk, visiting only the slots where
 // the chip departs from the good machine; a dense one is evaluated
-// together once per pattern over the whole flat circuit, and, once its
-// survivors thin out, over only the slots where some lane departs from
-// the good machine (see chipparallel256.go). First fails are strobe steps (pattern ×
-// numOutputs + output), the Sentry's granularity in Table 1. The tests pin
+// together once per pattern over the whole flat circuit, and a dense
+// batch whose rebuilt table turns sparse as its survivors thin out
+// finishes on the chip walk (see chipparallel256.go). First fails are
+// strobe steps (pattern × numOutputs + output), the Sentry's granularity
+// in Table 1. The tests pin
 // every first fail to an independent oracle: one chip at a time on the
 // test-only pointer-walking ref.Simulator (internal/logicsim/ref),
 // which shares no simulation code with the flat core.
