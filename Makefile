@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: verify build fmt vet test smoke lint cover bench bench-json bench-compare golden race fuzz sweep-smoke shard-smoke sweepd-smoke lsi-smoke perfbench-check
+.PHONY: verify build fmt vet test smoke lint cover bench bench-compare golden race fuzz sweep-smoke shard-smoke sweepd-smoke lsi-smoke perfbench-check
 
 # Tier-1 verification plus gofmt, vet, repolint and the benchmark
 # harness check: what CI runs.
@@ -51,26 +51,33 @@ cover:
 bench:
 	$(GO) test -bench=. -benchtime=1x .
 
-# Persisted engine-matrix benchmark: runs the fault-simulation and
-# lot-engine suites (one engine each, plus the sharded ppsfp row) and
-# writes chips/s and fault-patterns/s per engine×circuit to the
-# untracked bench-current.json (schema documented in cmd/benchjson).
-# CI archives the file as a build artifact. The checked-in
-# BENCH_PR*.json files are the append-only history and are never
-# overwritten here.
-bench-json:
-	$(GO) test -run '^$$' -bench 'BenchmarkEngines|BenchmarkLotEngines' -benchtime 40x . \
-		| $(GO) run ./cmd/benchjson -out bench-current.json
-	@echo "wrote bench-current.json"
-
-# Soft regression gate over the persisted matrix: compares the fresh
-# bench-current.json against the newest checked-in record,
-# BENCH_PR9.json, and fails only on a >25% fault-patterns/s slide in
-# the engines suite (lot-engines and smaller slips print as warnings —
-# CI runners are noisy). Engines retired since the record print as
-# "gone".
+# Kernel regression gate: the fault-simulation and lot-engine suites
+# (BenchmarkEngines, BenchmarkLotEngines) of the base revision BASE and
+# of the working tree, paired on this host. BASE is exported with git
+# archive into /tmp/bench-compare and each side's test binary is built
+# once; then 10 pairs run, each binary in its own source tree,
+# alternating which side goes first. Fails
+# when any row's median throughput, in either suite, falls more than
+# 25% below the base's; a row on one side only prints as new or gone.
+# Writes the head medians to the untracked bench-current.json (schema
+# documented in cmd/benchjson), which CI archives. The checked-in
+# BENCH_PR*.json files are history; nothing reads them.
+BASE ?= HEAD~1
 bench-compare:
-	$(GO) run ./cmd/benchjson -in bench-current.json -baseline BENCH_PR9.json -fail-over 25
+	rm -rf /tmp/bench-compare && mkdir -p /tmp/bench-compare/base
+	git archive $(BASE) | tar -x -C /tmp/bench-compare/base
+	cd /tmp/bench-compare/base && $(GO) test -c -o /tmp/bench-compare/base.test .
+	$(GO) test -c -o /tmp/bench-compare/head.test .
+	head=$$(pwd); for i in 1 2 3 4 5 6 7 8 9 10; do \
+		if [ $$((i % 2)) = 1 ]; then order="base head"; else order="head base"; fi; \
+		for side in $$order; do \
+			if [ $$side = base ]; then dir=/tmp/bench-compare/base; else dir=$$head; fi; \
+			(cd $$dir && /tmp/bench-compare/$$side.test -test.run '^$$' -test.timeout 10m \
+				-test.bench 'BenchmarkEngines|BenchmarkLotEngines' -test.benchtime 40x) \
+				>> /tmp/bench-compare/$$side.txt || exit 1; \
+		done; \
+	done
+	$(GO) run ./cmd/benchjson -out bench-current.json /tmp/bench-compare/base.txt /tmp/bench-compare/head.txt
 
 # Golden guard: the paper-number fixtures (sweep CSV, dist sample
 # sequences, Prepared-store file digests, the §7 reject-rate

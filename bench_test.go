@@ -97,11 +97,13 @@ func BenchmarkFig6(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines is the fault-simulation matrix: ppsfp inline and
-// sharded, against paper-scale circuits and the embedded lsi1k fixture
-// (the ISCAS scale Prepare grades at), 256 random patterns each, on the
-// collapsed fault list. The ns/fault-pattern metric is the number
-// quoted in the README.
+// BenchmarkEngines is the fault-simulation matrix. The ppsfp and
+// concurrent rows run ppsfp inline and sharded against paper-scale
+// circuits and the embedded lsi1k fixture (the ISCAS scale Prepare
+// grades at), 256 random patterns each, on the collapsed fault list;
+// the ns/fault-pattern metric is the number quoted in the README. The
+// grader and steps rows time the grading circuits.Prepare itself runs
+// (see benchPreparedGrading).
 func BenchmarkEngines(b *testing.B) {
 	circuits := []struct {
 		name  string
@@ -112,9 +114,10 @@ func BenchmarkEngines(b *testing.B) {
 		{"lsi1k", func() (*netlist.Circuit, error) { return circuits.Resolve("lsi1k") }},
 	}
 	// The sharded row runs ppsfp over GOMAXPROCS fault-list shards, the
-	// configuration the retired concurrent engine ran. It keeps that
-	// engine's row name so make bench-compare still pairs it with the
-	// recorded "concurrent" rows instead of reporting them as gone.
+	// configuration the retired concurrent engine ran, and keeps that
+	// engine's row name. A row's name is its pairing key in make
+	// bench-compare: a renamed row would print as gone on one side and
+	// new on the other, and go unguarded for one change.
 	rows := []struct {
 		name string
 		opt  faultsim.Options
@@ -163,14 +166,108 @@ func BenchmarkEngines(b *testing.B) {
 			})
 		}
 	}
+	benchPreparedGrading(b)
+}
+
+// benchPreparedGrading adds the BenchmarkEngines rows that time what
+// circuits.Prepare runs, over the universe and program Prepare builds:
+// mul8 at the paper-lots campaign's parameters and lsi1k at
+// lsi-smoke's. "grader" is the cleanup's grading session, a cold
+// faultsim.Grader given the base patterns in one Add and then each
+// PODEM pattern in an Add of its own; "steps" is the StepsFrom
+// refinement of its result to strobes. Each is timed per fault-pattern
+// of the final program.
+func benchPreparedGrading(b *testing.B) {
+	programs := []struct {
+		spec   string
+		params circuits.Params
+	}{
+		{"mul8", circuits.Params{RandomPatterns: 192, Seed: 1}},
+		{"lsi1k", circuits.Params{RandomPatterns: 48, SampleFaults: 150, BacktrackLimit: 50, Seed: 1}},
+	}
+	for _, pg := range programs {
+		var (
+			prep sync.Once
+			p    *circuits.Prepared
+			res  faultsim.Result
+			base int
+			err  error
+		)
+		// Prepared and graded once per program, on first use, for both
+		// rows; the good result is what StepsFrom refines.
+		setup := func(b *testing.B) {
+			prep.Do(func() {
+				var c *netlist.Circuit
+				if c, err = circuits.Resolve(pg.spec); err != nil {
+					return
+				}
+				if p, err = circuits.Prepare(c, pg.params); err != nil {
+					return
+				}
+				var basePatterns []logicsim.Pattern
+				half := pg.params.RandomPatterns / 2
+				if basePatterns, err = atpg.ProductionPatterns(len(c.Inputs), half, half, pg.params.Seed); err != nil {
+					return
+				}
+				base = len(basePatterns)
+				res, err = faultsim.Run(c, p.Universe, p.Patterns, faultsim.PPSFP)
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		grade := func() error {
+			g, err := faultsim.NewGrader(p.Circuit, p.Universe, faultsim.Options{})
+			if err != nil {
+				return err
+			}
+			if _, err := g.Add(p.Patterns[:base]); err != nil {
+				return err
+			}
+			for i := base; i < len(p.Patterns); i++ {
+				if _, err := g.Add(p.Patterns[i : i+1]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		steps := func() error {
+			_, err := faultsim.StepsFrom(p.Circuit, p.Universe, p.Patterns, res)
+			return err
+		}
+		for _, r := range []struct {
+			name string
+			run  func() error
+		}{{"grader", grade}, {"steps", steps}} {
+			b.Run(r.name+"/"+pg.spec, func(b *testing.B) {
+				setup(b)
+				// Warm-up outside the timer, as in the rows above.
+				if err := r.run(); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := r.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(
+					float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(p.Universe)*len(p.Patterns)),
+					"ns/fault-pattern")
+				b.ReportMetric(float64(len(p.Circuit.Gates)), "gates")
+				b.ReportMetric(float64(len(p.Universe)), "faults")
+				b.ReportMetric(float64(len(p.Patterns)), "patterns")
+			})
+		}
+	}
 }
 
 // BenchmarkLotEngines is the counterpart of BenchmarkEngines for the
 // lot-testing path: the ATE first-fail-tests a paper-shaped lot (2000
 // chips, y=0.07, n0=8.8) against a production pattern set, at strobe
 // granularity. The chips/s metric is the campaign-throughput number of
-// the one lot engine; its row keeps the name chipparallel256 so make
-// bench-compare pairs it with the recorded rows.
+// the one lot engine; its row keeps the name chipparallel256, its
+// pairing key in make bench-compare.
 // It times the tester only: lot manufacture is timed by
 // BenchmarkGenerateLotFromModel in internal/defect.
 func BenchmarkLotEngines(b *testing.B) {

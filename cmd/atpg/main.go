@@ -60,7 +60,7 @@ func run(circuit string, random int, seed int64, compact bool) error {
 		}
 		base = atpg.Take(src, random)
 	}
-	patterns, tally, err := atpg.CleanupTestsBudget(c, base, reps, 0, faultsim.PPSFP, faultsim.Options{})
+	patterns, tally, err := atpg.CleanupTestsBudget(c, base, reps, 0, faultsim.Options{})
 	if err != nil {
 		return err
 	}

@@ -1,21 +1,29 @@
-// Command benchjson converts `go test -bench` output on stdin into the
-// JSON benchmark artifact CI archives (bench-current.json, written by
-// `make bench-json`) and compares two artifacts. It understands the two
+// Command benchjson is the kernel regression gate behind `make
+// bench-compare`. It reads the raw `go test -bench` output of two
+// builds, the base and the head, each the concatenation of several runs
+// that alternated with the other side's on the same host. It pairs rows
+// by name, compares each row's median throughput, and fails when any
+// head row falls more than 25% below its base. It understands the two
 // engine-matrix suites:
 //
-//	BenchmarkEngines/<engine>/<circuit>-P     ... ns/op ... ns/fault-pattern
-//	BenchmarkLotEngines/<engine>/<circuit>-P  ... ns/op ... chips/s
+//	BenchmarkEngines/<row>/<circuit>-P     ... ns/op ... ns/fault-pattern
+//	BenchmarkLotEngines/<row>/<circuit>-P  ... ns/op ... chips/s
 //
-// and emits one row per benchmark line:
+// Usage:
+//
+//	benchjson [-out bench-current.json] base.txt head.txt
+//
+// A row on only one side prints as "new" or "gone" and never fails.
+// The head medians are written to -out as one row per engine×circuit:
 //
 //	{
 //	  "schema": "bench/v1",
 //	  "rows": [
 //	    {
 //	      "suite": "engines",             // "engines" | "lot-engines"
-//	      "engine": "ppsfp",              // benchmark row name, e.g. serial, ppsfp, concurrent
+//	      "engine": "ppsfp",              // benchmark row name, e.g. ppsfp, concurrent, grader
 //	      "circuit": "mul8",              // workload name
-//	      "iterations": 30,               // benchmark iteration count
+//	      "iterations": 40,               // benchmark iteration count of one run
 //	      "ns_per_op": 1885999,           // one op = one full run over the workload
 //	      "ns_per_fault_pattern": 5.54,   // engines suite only
 //	      "fault_patterns_per_sec": 1.8e8,// 1e9 / ns_per_fault_pattern
@@ -27,18 +35,9 @@
 //	  ]
 //	}
 //
-// Rows keep input order (the registries' stable engine order). Usage:
-//
-//	go test -run '^$' -bench 'BenchmarkEngines|BenchmarkLotEngines' . | benchjson > bench-current.json
-//	go test ... -bench ... | benchjson -out bench-current.json -baseline BENCH_PR9.json
-//	benchjson -in bench-current.json -baseline BENCH_PR9.json -fail-over 25
-//
-// With -baseline, a per-row comparison table (throughput delta % per
-// engine×circuit) is printed; -fail-over N exits non-zero when any
-// `engines`-suite row's fault_patterns_per_sec regresses by more than
-// N% against the baseline (other suites and smaller slips only warn —
-// CI runners are noisy). -in reads a previously written artifact
-// instead of parsing benchmark output on stdin.
+// Rows keep the order of their first appearance in the head output.
+// The checked-in BENCH_PR*.json files use the same schema; they are
+// history, and the gate reads none of them.
 package main
 
 import (
@@ -48,11 +47,16 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/tablefmt"
 )
+
+// bound is the largest fraction by which a row's paired median
+// throughput may fall below the base's before the gate fails.
+const bound = 0.25
 
 // Row is one engine×circuit measurement. Zero-valued metrics are
 // omitted: engines rows have no chips/s, lot-engines rows have no
@@ -89,113 +93,120 @@ var suites = map[string]string{
 }
 
 func main() {
-	var (
-		inPath       = flag.String("in", "", "read a bench/v1 artifact instead of parsing benchmark output on stdin")
-		outPath      = flag.String("out", "", "write the artifact to this file instead of stdout")
-		baselinePath = flag.String("baseline", "", "bench/v1 artifact to compare against (prints a delta table)")
-		failOver     = flag.Float64("fail-over", 0, "exit non-zero when an engines-suite fault_patterns_per_sec regression exceeds this percentage (0 = never fail)")
-	)
+	outPath := flag.String("out", "bench-current.json", "write the head medians as a bench/v1 artifact to this file")
+	flag.Usage = func() {
+		fmt.Fprintln(os.Stderr, "usage: benchjson [-out file] base.txt head.txt")
+		flag.PrintDefaults()
+	}
 	flag.Parse()
-	report, err := currentReport(*inPath)
+	if flag.NArg() != 2 {
+		flag.Usage()
+		os.Exit(2)
+	}
+	failed, err := run(os.Stdout, *outPath, flag.Arg(0), flag.Arg(1))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	jsonOnStdout := false
-	switch {
-	case *outPath != "":
-		if err := writeReport(*outPath, report); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-	case *inPath == "":
-		// Classic pipe mode: the artifact goes to stdout.
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
-		}
-		jsonOnStdout = true
-	}
-	if *baselinePath == "" {
-		return
-	}
-	baseline, err := readReport(*baselinePath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	// The table shares stdout with nothing unless the artifact went
-	// there; then it moves to stderr so `> BENCH.json` stays clean.
-	dst := io.Writer(os.Stdout)
-	if jsonOnStdout {
-		dst = os.Stderr
-	}
-	worst, err := compare(dst, baseline, report, *failOver)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	if *failOver > 0 && worst > *failOver {
-		fmt.Fprintf(os.Stderr, "benchjson: engines-suite throughput regressed %.1f%% (> %.0f%% budget)\n", worst, *failOver)
+	if len(failed) > 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: %d rows more than %.0f%% below base: %s\n",
+			len(failed), bound*100, strings.Join(failed, ", "))
 		os.Exit(1)
 	}
 }
 
-// currentReport builds the report under test: from a previously written
-// artifact when inPath is set, else by parsing benchmark output on
-// stdin.
-func currentReport(inPath string) (Report, error) {
-	if inPath != "" {
-		return readReport(inPath)
+// run reads both sides' benchmark output, writes the head medians to
+// outPath, prints the paired table to w and returns the rows over the
+// bound.
+func run(w io.Writer, outPath, basePath, headPath string) ([]string, error) {
+	var sides [2][]Row
+	for i, path := range []string{basePath, headPath} {
+		samples, err := readSamples(path)
+		if err != nil {
+			return nil, err
+		}
+		sides[i] = medians(samples)
 	}
-	report := Report{Schema: "bench/v1"}
-	sc := bufio.NewScanner(os.Stdin)
+	data, err := json.MarshalIndent(Report{Schema: "bench/v1", Rows: sides[1]}, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
+		return nil, err
+	}
+	return compare(w, sides[0], sides[1])
+}
+
+// readSamples parses every engine-matrix line of one side's output.
+func readSamples(path string) ([]Row, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var rows []Row
+	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		if row, ok := parseLine(sc.Text()); ok {
-			report.Rows = append(report.Rows, row)
+			rows = append(rows, row)
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return Report{}, err
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if len(report.Rows) == 0 {
-		return Report{}, fmt.Errorf("no benchmark lines on stdin")
+	if len(rows) == 0 {
+		return nil, fmt.Errorf("%s: no benchmark lines", path)
 	}
-	return report, nil
+	return rows, nil
 }
 
-// readReport loads and validates a bench/v1 artifact.
-func readReport(path string) (Report, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return Report{}, err
+// key is a row's pairing key: its name.
+type key struct{ suite, engine, circuit string }
+
+func keyOf(r Row) key { return key{r.Suite, r.Engine, r.Circuit} }
+
+// medians folds the samples of each row into one row holding the
+// median of every timed metric, in order of first appearance. A single
+// slow run, which a noisy host produces now and then, moves no median.
+func medians(samples []Row) []Row {
+	var order []key
+	byKey := make(map[key][]Row)
+	for _, r := range samples {
+		k := keyOf(r)
+		if _, ok := byKey[k]; !ok {
+			order = append(order, k)
+		}
+		byKey[k] = append(byKey[k], r)
 	}
-	var r Report
-	if err := json.Unmarshal(data, &r); err != nil {
-		return Report{}, fmt.Errorf("%s: %w", path, err)
+	out := make([]Row, 0, len(order))
+	for _, k := range order {
+		rs := byKey[k]
+		row := rs[0]
+		row.NsPerOp = median(rs, func(r Row) float64 { return r.NsPerOp })
+		row.NsPerFaultPattern = median(rs, func(r Row) float64 { return r.NsPerFaultPattern })
+		row.FaultPatternsPerSec = 0
+		if row.NsPerFaultPattern > 0 {
+			row.FaultPatternsPerSec = 1e9 / row.NsPerFaultPattern
+		}
+		row.ChipsPerSec = median(rs, func(r Row) float64 { return r.ChipsPerSec })
+		out = append(out, row)
 	}
-	if r.Schema != "bench/v1" {
-		return Report{}, fmt.Errorf("%s: schema %q, want bench/v1", path, r.Schema)
-	}
-	return r, nil
+	return out
 }
 
-// writeReport writes the artifact to a file.
-func writeReport(path string, r Report) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+// median returns the median of one metric over the samples.
+func median(rs []Row, metric func(Row) float64) float64 {
+	v := make([]float64, len(rs))
+	for i, r := range rs {
+		v[i] = metric(r)
 	}
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(r); err != nil {
-		f.Close()
-		return err
+	slices.Sort(v)
+	n := len(v)
+	if n%2 == 1 {
+		return v[n/2]
 	}
-	return f.Close()
+	return (v[n/2-1] + v[n/2]) / 2
 }
 
 // throughput returns the suite's headline rate metric: the comparison
@@ -208,52 +219,44 @@ func throughput(r Row) (float64, string) {
 	return r.FaultPatternsPerSec, "fault-patterns/s"
 }
 
-// compare prints the per-row delta table and returns the worst
-// engines-suite throughput regression in percent (0 when nothing
-// regressed). Rows present on only one side are listed but never fail
-// the budget — engines come and go across PRs.
-func compare(w io.Writer, baseline, current Report, budget float64) (float64, error) {
-	type key struct{ suite, engine, circuit string }
-	base := make(map[key]Row, len(baseline.Rows))
-	for _, r := range baseline.Rows {
-		base[key{r.Suite, r.Engine, r.Circuit}] = r
+// compare prints the paired table of median throughputs and returns
+// the rows, in either suite, whose head median is more than bound
+// below the base's. Rows on only one side print as "new" or "gone" and
+// never fail: benchmark rows come and go across PRs.
+func compare(w io.Writer, base, head []Row) ([]string, error) {
+	baseBy := make(map[key]Row, len(base))
+	for _, r := range base {
+		baseBy[keyOf(r)] = r
 	}
-	tb := tablefmt.New("suite", "engine", "circuit", "metric", "baseline", "current", "delta")
-	worst := 0.0
-	seen := make(map[key]bool, len(current.Rows))
-	for _, r := range current.Rows {
-		k := key{r.Suite, r.Engine, r.Circuit}
+	tb := tablefmt.New("suite", "engine", "circuit", "metric", "base", "head", "delta")
+	var failed []string
+	seen := make(map[key]bool, len(head))
+	for _, r := range head {
+		k := keyOf(r)
 		seen[k] = true
 		cur, unit := throughput(r)
-		b, ok := base[k]
+		b, ok := baseBy[k]
 		if !ok {
 			tb.AddRowf(r.Suite, r.Engine, r.Circuit, unit, "-", fmt.Sprintf("%.4g", cur), "new")
 			continue
 		}
 		was, _ := throughput(b)
-		if was <= 0 || cur <= 0 {
-			tb.AddRowf(r.Suite, r.Engine, r.Circuit, unit, fmt.Sprintf("%.4g", was), fmt.Sprintf("%.4g", cur), "n/a")
-			continue
-		}
-		delta := (cur - was) / was * 100
+		delta := (cur - was) / was
 		mark := ""
-		if r.Suite == "engines" && budget > 0 && -delta > budget {
+		if -delta > bound {
 			mark = "  << over budget"
-			if -delta > worst {
-				worst = -delta
-			}
+			failed = append(failed, fmt.Sprintf("%s %s/%s (%+.1f%%)", r.Suite, r.Engine, r.Circuit, delta*100))
 		}
 		tb.AddRowf(r.Suite, r.Engine, r.Circuit, unit,
-			fmt.Sprintf("%.4g", was), fmt.Sprintf("%.4g", cur), fmt.Sprintf("%+.1f%%%s", delta, mark))
+			fmt.Sprintf("%.4g", was), fmt.Sprintf("%.4g", cur), fmt.Sprintf("%+.1f%%%s", delta*100, mark))
 	}
-	for _, r := range baseline.Rows {
-		k := key{r.Suite, r.Engine, r.Circuit}
-		if !seen[k] {
+	for _, r := range base {
+		if !seen[keyOf(r)] {
 			was, unit := throughput(r)
 			tb.AddRowf(r.Suite, r.Engine, r.Circuit, unit, fmt.Sprintf("%.4g", was), "-", "gone")
 		}
 	}
-	return worst, tb.Render(w)
+	return failed, tb.Render(w)
 }
 
 // parseLine extracts a Row from one `go test -bench` result line, or

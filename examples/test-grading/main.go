@@ -38,7 +38,7 @@ func main() {
 	// the collapsed faults as it builds it, so its result is the
 	// coverage ramp: no second fault simulation.
 	reps := fault.Reps(u.Collapsed)
-	patterns, _, res, err := atpg.ProductionTestsBudget(c, 64, 64, 42, reps, 0, faultsim.PPSFP, faultsim.Options{})
+	patterns, _, res, err := atpg.ProductionTestsBudget(c, 64, 64, 42, reps, 0, faultsim.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -26,7 +26,7 @@ func TestCleanupTestsBudgetMatchesUnbudgeted(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := fault.Reps(fault.BuildUniverse(c).Collapsed)
-	got, tally, err := CleanupTestsBudget(c, base, reps, 0, faultsim.PPSFP, faultsim.Options{})
+	got, tally, err := CleanupTestsBudget(c, base, reps, 0, faultsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestCleanupTestsBudgetAborts(t *testing.T) {
 		t.Fatal(err)
 	}
 	reps := fault.Reps(fault.BuildUniverse(c).Collapsed)
-	_, tight, err := CleanupTestsBudget(c, nil, reps, 1, faultsim.PPSFP, faultsim.Options{})
+	_, tight, err := CleanupTestsBudget(c, nil, reps, 1, faultsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,14 +70,14 @@ func TestCleanupTestsBudgetAborts(t *testing.T) {
 	if sum := tight.Detected + tight.Untestable + tight.Aborted; sum != tight.Faults {
 		t.Fatalf("tally buckets sum to %d, want %d (%+v)", sum, tight.Faults, tight)
 	}
-	_, loose, err := CleanupTestsBudget(c, nil, reps, 0, faultsim.PPSFP, faultsim.Options{})
+	_, loose, err := CleanupTestsBudget(c, nil, reps, 0, faultsim.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loose.Detected <= tight.Detected {
 		t.Fatalf("default budget detected %d faults, tight budget %d — budget had no effect", loose.Detected, tight.Detected)
 	}
-	if _, _, err := CleanupTestsBudget(c, nil, reps, -1, faultsim.PPSFP, faultsim.Options{}); err == nil {
+	if _, _, err := CleanupTestsBudget(c, nil, reps, -1, faultsim.Options{}); err == nil {
 		t.Fatal("negative backtrack budget must be rejected")
 	}
 }

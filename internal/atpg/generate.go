@@ -31,7 +31,7 @@ func GenerateAll(c *netlist.Circuit) (RunResult, error) {
 	if err != nil {
 		return RunResult{}, err
 	}
-	patterns, tally, err := CleanupTestsBudget(c, nil, reps, 0, faultsim.PPSFP, faultsim.Options{})
+	patterns, tally, err := CleanupTestsBudget(c, nil, reps, 0, faultsim.Options{})
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -112,7 +112,7 @@ func CleanupTests(c *netlist.Circuit, base []logicsim.Pattern) ([]logicsim.Patte
 	if err != nil {
 		return nil, err
 	}
-	patterns, _, err := CleanupTestsBudget(c, base, reps, 0, faultsim.PPSFP, faultsim.Options{})
+	patterns, _, err := CleanupTestsBudget(c, base, reps, 0, faultsim.Options{})
 	return patterns, err
 }
 
@@ -151,8 +151,8 @@ type Tally struct {
 // the meantime. Generate is a pure function of the circuit, the fault
 // and the budget, so every committed (pattern, status) is the one a
 // serial loop computes: patterns and tally do not depend on the width.
-func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, backtrackLimit int, engine faultsim.Engine, opt faultsim.Options) ([]logicsim.Pattern, Tally, error) {
-	patterns, tally, _, _, err := cleanup(c, base, reps, backtrackLimit, engine, opt, runtime.GOMAXPROCS(0))
+func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, backtrackLimit int, opt faultsim.Options) ([]logicsim.Pattern, Tally, error) {
+	patterns, tally, _, _, err := cleanup(c, base, reps, backtrackLimit, opt, runtime.GOMAXPROCS(0))
 	return patterns, tally, err
 }
 
@@ -160,7 +160,7 @@ func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []faul
 // number of PODEM workers). It also returns the program's pattern-level
 // fault-simulation result and how many speculative results the commit
 // loop discarded.
-func cleanup(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, backtrackLimit int, engine faultsim.Engine, opt faultsim.Options, width int) ([]logicsim.Pattern, Tally, faultsim.Result, int, error) {
+func cleanup(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, backtrackLimit int, opt faultsim.Options, width int) ([]logicsim.Pattern, Tally, faultsim.Result, int, error) {
 	fail := func(err error) ([]logicsim.Pattern, Tally, faultsim.Result, int, error) {
 		return nil, Tally{}, faultsim.Result{}, 0, err
 	}
@@ -169,9 +169,6 @@ func cleanup(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, ba
 	}
 	if backtrackLimit < 0 {
 		return fail(fmt.Errorf("atpg: backtrack limit must be >= 0, got %d", backtrackLimit))
-	}
-	if !engine.Known() {
-		return fail(fmt.Errorf("atpg: unknown fault-simulation engine %v (registered: %v)", engine, faultsim.PPSFP))
 	}
 	grader, err := faultsim.NewGrader(c, reps, opt)
 	if err != nil {

@@ -88,19 +88,19 @@ func ProductionTests(c *netlist.Circuit, lowWeight, uniform int, seed int64) ([]
 	if err != nil {
 		return nil, err
 	}
-	patterns, _, _, err := ProductionTestsBudget(c, lowWeight, uniform, seed, reps, 0, faultsim.PPSFP, faultsim.Options{})
+	patterns, _, _, err := ProductionTestsBudget(c, lowWeight, uniform, seed, reps, 0, faultsim.Options{})
 	return patterns, err
 }
 
 // ProductionTestsBudget is ProductionTests with an explicit target
-// fault list, fault-simulation engine and per-fault PODEM backtrack
-// budget, returning the outcome tally and the program's pattern-level
-// fault-simulation result over reps. It is the circuits-layer
+// fault list and per-fault PODEM backtrack budget, returning the
+// outcome tally and the program's pattern-level fault-simulation
+// result over reps. It is the circuits-layer
 // staged-pipeline entry point: sampling hands it a subset of the
 // collapsed universe, and the budget bounds the worst-case cleanup cost
 // on LSI-scale circuits instead of burning the 10k-backtrack default on
 // every hard fault.
-func ProductionTestsBudget(c *netlist.Circuit, lowWeight, uniform int, seed int64, reps []fault.Fault, backtrackLimit int, engine faultsim.Engine, opt faultsim.Options) ([]logicsim.Pattern, Tally, faultsim.Result, error) {
+func ProductionTestsBudget(c *netlist.Circuit, lowWeight, uniform int, seed int64, reps []fault.Fault, backtrackLimit int, opt faultsim.Options) ([]logicsim.Pattern, Tally, faultsim.Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, Tally{}, faultsim.Result{}, fmt.Errorf("atpg: invalid circuit: %w", err)
 	}
@@ -108,6 +108,6 @@ func ProductionTestsBudget(c *netlist.Circuit, lowWeight, uniform int, seed int6
 	if err != nil {
 		return nil, Tally{}, faultsim.Result{}, err
 	}
-	patterns, tally, res, _, err := cleanup(c, base, reps, backtrackLimit, engine, opt, runtime.GOMAXPROCS(0))
+	patterns, tally, res, _, err := cleanup(c, base, reps, backtrackLimit, opt, runtime.GOMAXPROCS(0))
 	return patterns, tally, res, err
 }

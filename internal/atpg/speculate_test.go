@@ -107,7 +107,7 @@ func compareCleanup(t *testing.T, c *netlist.Circuit, base []logicsim.Pattern, r
 	}
 	discarded := 0
 	for _, width := range specWidths {
-		got, tally, res, n, err := cleanup(c, base, reps, limit, faultsim.PPSFP, faultsim.Options{}, width)
+		got, tally, res, n, err := cleanup(c, base, reps, limit, faultsim.Options{}, width)
 		if err != nil {
 			t.Fatalf("%s width %d: %v", c.Name, width, err)
 		}
@@ -226,7 +226,7 @@ func TestCleanupJoinsWorkers(t *testing.T) {
 			}
 			settle(func() bool { return workersAlive() == 0 })
 			start := runtime.NumGoroutine()
-			_, _, _, _, err := cleanup(c, nil, reps, 0, faultsim.PPSFP, tc.opt, 8)
+			_, _, _, _, err := cleanup(c, nil, reps, 0, tc.opt, 8)
 			if (err != nil) != tc.wantErr {
 				t.Fatalf("error %v, want error: %v", err, tc.wantErr)
 			}

@@ -228,13 +228,6 @@ func (st *Store) Complete() bool {
 	return st.folded == st.layout.Tasks()
 }
 
-// Cell returns a copy of one cell's folded state.
-func (st *Store) Cell(i int) CellSnapshot {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.cells[i].snapshot()
-}
-
 // Snapshot copies every cell's folded state — the checkpoint payload.
 func (st *Store) Snapshot() []CellSnapshot {
 	st.mu.Lock()

@@ -155,7 +155,7 @@ func Prepare(c *netlist.Circuit, p Params) (*Prepared, error) {
 	// universe, graded pattern by pattern as it is built.
 	opts := faultsim.Options{Workers: p.SimWorkers}
 	patterns, tally, res, err := atpg.ProductionTestsBudget(c, p.RandomPatterns/2, p.RandomPatterns/2,
-		p.Seed, universe, p.BacktrackLimit, p.Engine, opts)
+		p.Seed, universe, p.BacktrackLimit, opts)
 	if err != nil {
 		return nil, err
 	}
