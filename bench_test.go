@@ -169,48 +169,61 @@ func BenchmarkEngines(b *testing.B) {
 	benchPreparedGrading(b)
 }
 
+// benchProgram is a program circuits.Prepare builds for the kernel
+// rows, prepared once per process on first use and shared by every row
+// that reads it.
+type benchProgram struct {
+	spec   string
+	params circuits.Params
+	once   sync.Once
+	p      *circuits.Prepared
+	err    error
+}
+
+// prepared returns the program's Prepared, building it on first use.
+func (bp *benchProgram) prepared(b *testing.B) *circuits.Prepared {
+	bp.once.Do(func() { bp.p, bp.err = circuits.PrepareSpec(bp.spec, bp.params) })
+	if bp.err != nil {
+		b.Fatal(bp.err)
+	}
+	return bp.p
+}
+
+// The kernel rows' programs: mul8 at the paper-lots campaign's
+// parameters and lsi1k at lsi-smoke's.
+var (
+	benchMul8  = &benchProgram{spec: "mul8", params: circuits.Params{RandomPatterns: 192, Seed: 1}}
+	benchLSI1k = &benchProgram{spec: "lsi1k", params: circuits.Params{RandomPatterns: 48, SampleFaults: 150, BacktrackLimit: 50, Seed: 1}}
+)
+
 // benchPreparedGrading adds the BenchmarkEngines rows that time what
-// circuits.Prepare runs, over the universe and program Prepare builds:
-// mul8 at the paper-lots campaign's parameters and lsi1k at
-// lsi-smoke's. "grader" is the cleanup's grading session, a cold
-// faultsim.Grader given the base patterns in one Add and then each
-// PODEM pattern in an Add of its own; "steps" is the StepsFrom
+// circuits.Prepare runs, over the universe and program Prepare builds
+// (benchMul8, benchLSI1k). "grader" is the cleanup's grading session,
+// a cold faultsim.Grader given the base patterns in one Add and then
+// each PODEM pattern in an Add of its own; "steps" is the StepsFrom
 // refinement of its result to strobes. Each is timed per fault-pattern
 // of the final program.
 func benchPreparedGrading(b *testing.B) {
-	programs := []struct {
-		spec   string
-		params circuits.Params
-	}{
-		{"mul8", circuits.Params{RandomPatterns: 192, Seed: 1}},
-		{"lsi1k", circuits.Params{RandomPatterns: 48, SampleFaults: 150, BacktrackLimit: 50, Seed: 1}},
-	}
-	for _, pg := range programs {
+	for _, pg := range []*benchProgram{benchMul8, benchLSI1k} {
 		var (
-			prep sync.Once
-			p    *circuits.Prepared
-			res  faultsim.Result
-			base int
-			err  error
+			graded sync.Once
+			p      *circuits.Prepared
+			res    faultsim.Result
+			base   int
+			err    error
 		)
-		// Prepared and graded once per program, on first use, for both
-		// rows; the good result is what StepsFrom refines.
+		// Graded once per program, on first use, for both rows; the
+		// good result is what StepsFrom refines.
 		setup := func(b *testing.B) {
-			prep.Do(func() {
-				var c *netlist.Circuit
-				if c, err = circuits.Resolve(pg.spec); err != nil {
-					return
-				}
-				if p, err = circuits.Prepare(c, pg.params); err != nil {
-					return
-				}
+			p = pg.prepared(b)
+			graded.Do(func() {
 				var basePatterns []logicsim.Pattern
 				half := pg.params.RandomPatterns / 2
-				if basePatterns, err = atpg.ProductionPatterns(len(c.Inputs), half, half, pg.params.Seed); err != nil {
+				if basePatterns, err = atpg.ProductionPatterns(len(p.Circuit.Inputs), half, half, pg.params.Seed); err != nil {
 					return
 				}
 				base = len(basePatterns)
-				res, err = faultsim.Run(c, p.Universe, p.Patterns, faultsim.PPSFP)
+				res, err = faultsim.Run(p.Circuit, p.Universe, p.Patterns, faultsim.PPSFP)
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -263,11 +276,17 @@ func benchPreparedGrading(b *testing.B) {
 }
 
 // BenchmarkLotEngines is the counterpart of BenchmarkEngines for the
-// lot-testing path: the ATE first-fail-tests a paper-shaped lot (2000
-// chips, y=0.07, n0=8.8) against a production pattern set, at strobe
-// granularity. The chips/s metric is the campaign-throughput number of
-// the one lot engine; its row keeps the name chipparallel256, its
-// pairing key in make bench-compare.
+// lot-testing path: the ATE first-fail-tests a 2000-chip lot against a
+// production pattern set, at strobe granularity. On mul8 and cmp16 the
+// lot is paper-shaped (y=0.07, n0=8.8) and the dense lane walk does
+// nearly all of the work; on lsi1k it is drawn at lsi-warm's operating
+// point (y=0.07, n0=1.5) over the program and universe circuits.Prepare
+// builds at lsi-smoke's parameters, tested by the Prepared's own ATE,
+// so one-fault chips read the first-detect table and every batch of
+// the rest is sparse and finishes on the chip walk, the sparse lot path
+// the other rows barely reach. The chips/s metric is the
+// campaign-throughput number of the one lot engine; its rows keep the
+// name chipparallel256, their pairing key in make bench-compare.
 // It times the tester only: lot manufacture is timed by
 // BenchmarkGenerateLotFromModel in internal/defect.
 func BenchmarkLotEngines(b *testing.B) {
@@ -278,7 +297,6 @@ func BenchmarkLotEngines(b *testing.B) {
 		{"mul8", func() (*netlist.Circuit, error) { return netlist.ArrayMultiplier(8) }},
 		{"cmp16", func() (*netlist.Circuit, error) { return netlist.Comparator(16) }},
 	}
-	const chips = 2000
 	for _, wl := range workloads {
 		b.Run("chipparallel256/"+wl.name, func(b *testing.B) {
 			c, err := wl.build()
@@ -294,29 +312,44 @@ func BenchmarkLotEngines(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(1))
-			lot, err := defect.GenerateLotFromModel(0.07, 8.8, universe, chips, rng)
-			if err != nil {
-				b.Fatal(err)
-			}
-			// Warm-up outside the timer (cone/levelization caches,
-			// universe-conversion cache).
-			if _, err := a.TestLotSteps(lot); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := a.TestLotSteps(lot); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(chips*b.N)/b.Elapsed().Seconds(), "chips/s")
-			b.ReportMetric(float64(len(c.Gates)), "gates")
-			b.ReportMetric(float64(len(universe)), "faults")
-			b.ReportMetric(float64(len(patterns)), "patterns")
+			benchLot(b, a, c, universe, len(patterns), 8.8)
 		})
 	}
+	b.Run("chipparallel256/lsi1k", func(b *testing.B) {
+		p := benchLSI1k.prepared(b)
+		a, err := p.NewATE()
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchLot(b, a, p.Circuit, p.Universe, len(p.Patterns), 1.5)
+	})
+}
+
+// benchLot times the ATE on a 2000-chip lot drawn at y=0.07 and the
+// given n0 over the universe, reporting chips/s.
+func benchLot(b *testing.B, a *tester.ATE, c *netlist.Circuit, universe []fault.Fault, patterns int, n0 float64) {
+	const chips = 2000
+	rng := rand.New(rand.NewSource(1))
+	lot, err := defect.GenerateLotFromModel(0.07, n0, universe, chips, rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	// Warm-up outside the timer (cone/levelization caches,
+	// universe-conversion cache).
+	if _, err := a.TestLotSteps(lot); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a.TestLotSteps(lot); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(chips*b.N)/b.Elapsed().Seconds(), "chips/s")
+	b.ReportMetric(float64(len(c.Gates)), "gates")
+	b.ReportMetric(float64(len(universe)), "faults")
+	b.ReportMetric(float64(patterns), "patterns")
 }
 
 // BenchmarkTable1 runs the full synthetic lot experiment: circuit,

@@ -267,8 +267,9 @@ func GenerateLotFromModel(y, n0 float64, universe []fault.Fault, n int, rng *ran
 	size := int(math.Min(nf*fc.Mean()+4*math.Sqrt(nf*fc.Variance()), nf*float64(len(universe))))
 	all := make([]int, 0, size)
 	good := 0
+	draw := fc.Sampler()
 	for i := range lot.Chips {
-		k := fc.Sample(rng)
+		k := draw.Sample(rng)
 		if k > len(universe) {
 			k = len(universe)
 		}

@@ -125,7 +125,7 @@ func Build(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern
 	for bi, block := range blocks {
 		good, mask := planes.Block(bi), block.Mask()
 		for fi := range faults {
-			if out, err = sim.RunChipBlock(good, mask, inj[fi:fi+1], out); err != nil {
+			if out, _, err = sim.RunChipBlock(good, mask, inj[fi:fi+1], out); err != nil {
 				return nil, err
 			}
 			for o, diff := range out {
@@ -163,7 +163,7 @@ func (d *Dictionary) ObserveChip(inj []logicsim.Injection) (Syndrome, error) {
 	syn := make(Syndrome, d.npat)
 	var out []uint64
 	for bi, block := range d.blocks {
-		if out, err = sim.RunChipBlock(d.planes.Block(bi), block.Mask(), faults, out); err != nil {
+		if out, _, err = sim.RunChipBlock(d.planes.Block(bi), block.Mask(), faults, out); err != nil {
 			return nil, err
 		}
 		for o, diff := range out {

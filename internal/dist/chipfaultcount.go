@@ -95,12 +95,32 @@ func (d ChipFaultCount) Quantile(p float64) int {
 
 // Sample draws one chip's fault count: zero with probability Y, else a
 // defective-chip count. The mixture indicator always consumes exactly
-// one uniform so draw sequences stay reproducible.
+// one uniform so draw sequences stay reproducible. A loop drawing many
+// chips at one (Y, n0) takes a Sampler once instead.
 func (d ChipFaultCount) Sample(rng *rand.Rand) int {
+	return d.Sampler().Sample(rng)
+}
+
+// ChipFaultSampler draws fault counts of one ChipFaultCount with the
+// per-draw constants computed once: the Poisson limit exp(-λ) of the
+// defective count's λ = n0-1 is a math.Exp per chip otherwise. Its
+// draws consume exactly the uniforms ChipFaultCount.Sample does.
+type ChipFaultSampler struct {
+	y, lambda, limit float64
+}
+
+// Sampler validates the distribution and returns its sampler.
+func (d ChipFaultCount) Sampler() ChipFaultSampler {
 	d.check()
+	lambda := d.Defective.N0 - 1
+	return ChipFaultSampler{y: d.Y, lambda: lambda, limit: math.Exp(-lambda)}
+}
+
+// Sample draws one chip's fault count, as ChipFaultCount.Sample.
+func (s ChipFaultSampler) Sample(rng *rand.Rand) int {
 	checkRNG(rng)
-	if rng.Float64() < d.Y {
+	if rng.Float64() < s.y {
 		return 0
 	}
-	return d.Defective.Sample(rng)
+	return 1 + poissonDraw(rng, s.lambda, s.limit)
 }

@@ -76,19 +76,26 @@ const ptrsCutoff = 30
 func (d Poisson) Sample(rng *rand.Rand) int {
 	d.check()
 	checkRNG(rng)
-	if d.Lambda == 0 {
+	return poissonDraw(rng, d.Lambda, math.Exp(-d.Lambda))
+}
+
+// poissonDraw is the one Poisson draw behind Poisson.Sample and
+// ChipFaultSampler: limit must be exp(-lambda), which a caller drawing
+// many variates at one mean computes once. A zero mean draws no
+// uniform.
+func poissonDraw(rng *rand.Rand, lambda, limit float64) int {
+	switch {
+	case lambda == 0:
 		return 0
+	case lambda < ptrsCutoff:
+		return poissonKnuth(rng, limit)
 	}
-	if d.Lambda < ptrsCutoff {
-		return poissonKnuth(rng, d.Lambda)
-	}
-	return poissonPTRS(rng, d.Lambda)
+	return poissonPTRS(rng, lambda)
 }
 
 // poissonKnuth counts how many uniform factors fit before the running
-// product drops below exp(-lambda).
-func poissonKnuth(rng *rand.Rand, lambda float64) int {
-	limit := math.Exp(-lambda)
+// product drops below limit = exp(-lambda).
+func poissonKnuth(rng *rand.Rand, limit float64) int {
 	k := 0
 	for prod := rng.Float64(); prod > limit; prod *= rng.Float64() {
 		k++

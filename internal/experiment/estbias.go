@@ -49,13 +49,13 @@ func EstimatorBias(points []struct{ Y, N0 float64 }, chips, lots int, seed int64
 		if err != nil {
 			return EstimatorBiasResult{}, err
 		}
-		fc := m.FaultCount()
+		draw := m.FaultCount().Sampler()
 		var fitSum, fitSq, slopeSum, slopeSq numeric.KahanSum
 		used := 0
 		for lot := 0; lot < lots; lot++ {
 			firstFail := make([]float64, chips)
 			for i := range firstFail {
-				n := fc.Sample(rng)
+				n := draw.Sample(rng)
 				firstFail[i] = sampleFirstFail(rng, n, coverages)
 			}
 			curve := estimate.CurveFromFirstFails(firstFail, coverages)

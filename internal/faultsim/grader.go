@@ -175,12 +175,9 @@ func (g *Grader) gradeShard(sh *shard, good []uint64, mask uint64, base int) err
 		if g.first[fi] != NotDetected {
 			continue
 		}
-		if sh.out, err = sh.sim.RunChipBlock(good, mask, g.inj[fi:fi+1], sh.out); err != nil {
-			return err
-		}
 		var diff uint64
-		for _, d := range sh.out {
-			diff |= d
+		if sh.out, diff, err = sh.sim.RunChipBlock(good, mask, g.inj[fi:fi+1], sh.out); err != nil {
+			return err
 		}
 		if diff != 0 {
 			g.first[fi] = base + bits.TrailingZeros64(diff)

@@ -97,12 +97,9 @@ func StepsFrom(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pat
 			// Follow the block's patterns up to and including p only:
 			// p's bit must then be the only one the fault flips.
 			bit := uint64(1) << (p % 64)
-			if out, err = sim.RunChipBlock(fsim.Plane(), bit<<1-1, inj[fi:fi+1], out); err != nil {
-				return Result{}, err
-			}
 			var diff uint64
-			for _, d := range out {
-				diff |= d
+			if out, diff, err = sim.RunChipBlock(fsim.Plane(), bit<<1-1, inj[fi:fi+1], out); err != nil {
+				return Result{}, err
 			}
 			if diff != bit {
 				return Result{}, fmt.Errorf("faultsim: fault %d detected first at pattern %d but re-simulation does not", fi, p)

@@ -82,13 +82,16 @@ func (gp *GoodPlanes) Block(b int) []uint64 {
 // RunChipBlock evaluates one multi-fault chip over the 64 patterns of a
 // block, one pattern per lane, and appends to out each primary output's
 // difference word from the good machine: bit p set means the chip's
-// output differs under pattern p of the block. good is the block's
-// good-machine plane, one word per slot (GoodPlanes.Block, or
-// FlatSim.Plane after a RunInto). Only the lanes set in mask are
-// followed: a slot diverges when (v ^ good) & mask is non-zero, so
-// padding lanes past a partial block's last pattern, or patterns the
-// caller has already accounted for, cost nothing and never set a bit of
-// out. The sim must be 1 word wide.
+// output differs under pattern p of the block. It also returns fails,
+// the OR of those words — the patterns under which any output fails —
+// folded while the outputs are read, so a caller that wants the first
+// failing pattern or just whether any failed needs no second pass over
+// out. good is the block's good-machine plane, one word per slot
+// (GoodPlanes.Block, or FlatSim.Plane after a RunInto). Only the lanes
+// set in mask are followed: a slot diverges when (v ^ good) & mask is
+// non-zero, so padding lanes past a partial block's last pattern, or
+// patterns the caller has already accounted for, cost nothing and
+// never set a bit of out. The sim must be 1 word wide.
 //
 // faults is the chip's fault list resolved by Flat.ResolveInjections on
 // the same circuit; they are not revalidated. A stem fault sets its
@@ -101,21 +104,23 @@ func (gp *GoodPlanes) Block(b int) []uint64 {
 // each fault alone on this walk.
 //
 //repolint:hotpath
-func (s *WideSim) RunChipBlock(good []uint64, mask uint64, faults []SlotInjection, out []uint64) ([]uint64, error) {
+func (s *WideSim) RunChipBlock(good []uint64, mask uint64, faults []SlotInjection, out []uint64) ([]uint64, uint64, error) {
 	f := s.f
 	if s.words != 1 {
-		return nil, errChipWords(s.words)
+		return nil, 0, errChipWords(s.words)
 	}
 	if len(good) != len(f.op) {
-		return nil, errPlaneSize(len(good), len(f.op))
+		return nil, 0, errPlaneSize(len(good), len(f.op))
 	}
 	s.walkChip(good, mask, faults)
+	var fails uint64
 	if f.outOf == nil {
 		out = out[:0]
 		for _, os := range f.outSlot {
 			out = append(out, s.diff[os])
+			fails |= s.diff[os]
 		}
-		return out, nil
+		return out, fails, nil
 	}
 	// Only a diverged slot has a non-zero diff word, so the outputs are
 	// read off the divergent region rather than the whole output list.
@@ -124,9 +129,10 @@ func (s *WideSim) RunChipBlock(good []uint64, mask uint64, faults []SlotInjectio
 	for _, slot := range s.diverged {
 		if oi := f.outOf[slot]; oi >= 0 {
 			out[oi] = s.diff[slot]
+			fails |= s.diff[slot]
 		}
 	}
-	return out, nil
+	return out, fails, nil
 }
 
 // errChipWords and errPlaneSize build RunChipBlock's validation errors

@@ -58,7 +58,8 @@ func packBlocks(t testing.TB, patterns []logicsim.Pattern) []logicsim.PatternBlo
 // and requires, at every pattern of every block, each lane of
 // RunLaneForced's output blocks to differ from the good machine exactly
 // where RunChipBlock, walking that lane's forces in the same order as
-// one chip, reports a difference. A lane with no force is the good
+// one chip, reports a difference, and RunChipBlock's fail union to be
+// the OR of its difference words. A lane with no force is the good
 // machine on both walks.
 func checkLaneWalk(t testing.TB, f *logicsim.Flat, words int, blocks []logicsim.PatternBlock, gp *logicsim.GoodPlanes, forces []laneForce) {
 	t.Helper()
@@ -91,9 +92,11 @@ func checkLaneWalk(t testing.TB, f *logicsim.Flat, words int, blocks []logicsim.
 			t.Fatal(err)
 		}
 		for lane, chip := range chips {
-			if diffs[lane], err = ws.RunChipBlock(gp.Block(bi), block.Mask(), chip, diffs[lane]); err != nil {
+			var fails uint64
+			if diffs[lane], fails, err = ws.RunChipBlock(gp.Block(bi), block.Mask(), chip, diffs[lane]); err != nil {
 				t.Fatal(err)
 			}
+			checkFails(t, diffs[lane], fails)
 		}
 		for p := 0; p < block.Count; p++ {
 			if lanes, err = dense.RunLaneForced(block, p, lf, lanes); err != nil {
@@ -110,6 +113,19 @@ func checkLaneWalk(t testing.TB, f *logicsim.Flat, words int, blocks []logicsim.
 				}
 			}
 		}
+	}
+}
+
+// checkFails requires RunChipBlock's fail union to be the OR of the
+// difference words it returned.
+func checkFails(t testing.TB, out []uint64, fails uint64) {
+	t.Helper()
+	var want uint64
+	for _, d := range out {
+		want |= d
+	}
+	if fails != want {
+		t.Fatalf("fail union %016x, OR of the output differences %016x", fails, want)
 	}
 }
 
@@ -222,7 +238,7 @@ func TestChipWalkInactiveForces(t *testing.T) {
 		if mask>>uint(p)&1 == 0 {
 			t.Fatalf("pattern %d: mask %016x misses its own lane", p, mask)
 		}
-		if out, err = ws.RunChipBlock(good, mask, faults, out); err != nil {
+		if out, _, err = ws.RunChipBlock(good, mask, faults, out); err != nil {
 			t.Fatal(err)
 		}
 		for o, d := range out {
@@ -260,7 +276,7 @@ func checkChipWalk(t testing.TB, f *logicsim.Flat, ws *logicsim.WideSim, oracle 
 		}
 		m := block.Mask()
 		for _, mask := range []uint64{m, m & (0xF0F0F0F0F0F0F0F0 >> uint(bi%4))} {
-			if got, err = ws.RunChipBlock(gp.Block(bi), mask, faults, got); err != nil {
+			if got, _, err = ws.RunChipBlock(gp.Block(bi), mask, faults, got); err != nil {
 				t.Fatal(err)
 			}
 			if len(got) != len(good) {
@@ -329,7 +345,7 @@ func TestChipWalkSingleFaultsMatchOracle(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if got, err = ws.RunChipBlock(fs.Plane(), block.Mask(), one, got); err != nil {
+					if got, _, err = ws.RunChipBlock(fs.Plane(), block.Mask(), one, got); err != nil {
 						t.Fatal(err)
 					}
 					for o := range bad {
@@ -440,7 +456,7 @@ func TestChipWalkZeroAllocs(t *testing.T) {
 	b := 0
 	if allocs := testing.AllocsPerRun(50, func() {
 		var err error
-		out, err = ws.RunChipBlock(gp.Block(b%len(blocks)), ^uint64(0), faults, out)
+		out, _, err = ws.RunChipBlock(gp.Block(b%len(blocks)), ^uint64(0), faults, out)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -533,16 +549,16 @@ func TestChipWalkValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, run := range map[string]func() error{
-		"block past the planes":  func() error { _, err := ws.RunChipBlock(gp.Block(2), ^uint64(0), nil, nil); return err },
-		"negative block":         func() error { _, err := ws.RunChipBlock(gp.Block(-1), ^uint64(0), nil, nil); return err },
-		"4-word sim":             func() error { _, err := ws4.RunChipBlock(gp.Block(0), ^uint64(0), nil, nil); return err },
-		"planes of another flat": func() error { _, err := ws.RunChipBlock(otherPlanes.Block(0), ^uint64(0), nil, nil); return err },
+		"block past the planes":  func() error { _, _, err := ws.RunChipBlock(gp.Block(2), ^uint64(0), nil, nil); return err },
+		"negative block":         func() error { _, _, err := ws.RunChipBlock(gp.Block(-1), ^uint64(0), nil, nil); return err },
+		"4-word sim":             func() error { _, _, err := ws4.RunChipBlock(gp.Block(0), ^uint64(0), nil, nil); return err },
+		"planes of another flat": func() error { _, _, err := ws.RunChipBlock(otherPlanes.Block(0), ^uint64(0), nil, nil); return err },
 	} {
 		if run() == nil {
 			t.Errorf("%s accepted", name)
 		}
 	}
-	if _, err := ws.RunChipBlock(gp.Block(1), ^uint64(0), nil, nil); err != nil {
+	if _, _, err := ws.RunChipBlock(gp.Block(1), ^uint64(0), nil, nil); err != nil {
 		t.Errorf("partial last block rejected: %v", err)
 	}
 }
@@ -552,7 +568,11 @@ func TestChipWalkValidation(t *testing.T) {
 // fault (two bytes of site, then pin or stem, stuck value, and a fifth
 // byte that is ignored). The property is that RunChipBlock equals lane
 // 1 of RunLaneForced, with every fault on lane 1, on every pattern of
-// every block.
+// every block, and that its fail union is the OR of its difference
+// words. The lane table first holds another chip on lane 1 — every
+// site of each faulted gate at the opposite stuck value, plus a random
+// machine — and is Reset before the fuzzed chip is added, so a site
+// block left over from the previous epoch shows as a wrong lane.
 func FuzzChipWalk(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 0, 1, 1})
 	f.Add(int64(2), []byte{3, 0, 200, 0, 255, 9, 0, 1, 1, 64, 9, 0, 1, 0, 64})
@@ -591,6 +611,14 @@ func FuzzChipWalk(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		other := randomMachines(c, 1, rng)[0]
+		for _, fi := range chip {
+			for pin := -1; pin < len(c.Gates[fi.Gate].Fanin); pin++ {
+				other = append(other, logicsim.Injection{Gate: fi.Gate, Pin: pin, Stuck: !fi.Stuck})
+			}
+		}
+		forceMachine(t, fl, lf, other, 1)
+		lf.Reset()
 		forceMachine(t, fl, lf, chip, 1)
 		faults, err := fl.ResolveInjections(chip)
 		if err != nil {
@@ -598,9 +626,11 @@ func FuzzChipWalk(f *testing.F) {
 		}
 		var lanes, got []uint64
 		for bi, block := range blocks {
-			if got, err = ws.RunChipBlock(gp.Block(bi), ^uint64(0), faults, got); err != nil {
+			var fails uint64
+			if got, fails, err = ws.RunChipBlock(gp.Block(bi), ^uint64(0), faults, got); err != nil {
 				t.Fatal(err)
 			}
+			checkFails(t, got, fails)
 			for p := 0; p < block.Count; p++ {
 				if lanes, err = dense.RunLaneForced(block, p, lf, lanes); err != nil {
 					t.Fatal(err)

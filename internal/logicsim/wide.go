@@ -42,49 +42,37 @@ func validLaneWords(words int) error {
 }
 
 // WideLaneForces is a multi-fault forcing table over the 64*N lanes of
-// an N-word lane block, indexed by *slot* so it pairs with the flat
-// walk: each lane carries one machine, and each forced slot carries a
+// an N-word lane block, indexed by fault site so it pairs with the flat
+// walk: each lane carries one machine, and each fault site carries a
 // care mask (which lanes are forced there) and force bits (their stuck
-// values), applied as v = (v &^ care) | force word by word. Stem forces
-// overwrite a slot's output block; pin forces overwrite one fanin block
-// during that slot's evaluation only. Adding the same site twice on an
-// overlapping lane keeps the last value, as the test oracle's
-// ref.Simulator.RunWithFaults does for a chip's ordered fault list, and
-// Reset is O(1) via an epoch
-// bump. Not safe for concurrent use.
+// values), applied as v = (v &^ care) | force word by word. A stem
+// force overwrites its slot's output block; a pin force overwrites one
+// fanin block during that slot's evaluation only. Adding the same site
+// twice on an overlapping lane keeps the last value, as the test
+// oracle's ref.Simulator.RunWithFaults does for a chip's ordered fault
+// list, and Reset is O(1) via an epoch bump. Not safe for concurrent
+// use.
 type WideLaneForces struct {
 	f     *Flat
 	words int
 	epoch int32
-	mark  []int32 // per slot: epoch its entries belong to
-	// stem holds the stride-packed stem masks of every slot, care and
-	// force interleaved: slot s owns stem[s*2*words : (s+1)*2*words),
-	// care block first, force block second. Builds and force application
-	// always touch a slot's care and force words together, and slots are
-	// visited in scattered order — keeping the pair adjacent makes the
-	// common case one cache line per site instead of two (a measurable
-	// share of lot-engine time on shallow circuits, where tables are
-	// rebuilt far more often than they are walked). An all-zero care
-	// block means no stem fault on the slot this epoch.
-	stem []uint64
-	// pins holds the per-input-pin masks of each slot, truncated to zero
-	// length when the slot is first touched in a new epoch.
-	pins [][]widePin
+	mark  []int32 // per slot: epoch its site blocks belong to
+	// tab holds a care block and a force block, each `words` words, for
+	// every fault site of the circuit, stride-packed: site (s, pin),
+	// pin -1 being the stem, is block pair s + faninAt[s] + pin + 1, at
+	// tab[pair*2*words:], care first. A slot's stem and pins are
+	// therefore contiguous and in pin order, so a kernel reads a pin's
+	// masks by its fanin position and a table build writes them with no
+	// search. A slot's pairs are cleared when it is first touched in an
+	// epoch, so an all-zero care block means no force at that site.
+	tab []uint64
 	// sites counts the slots forced this epoch (ForcedSlots, which the
 	// lot engine's density rule reads).
 	sites int
 }
 
-// widePin is one forced input pin of a slot. The masks are fixed-size
-// so pin entries recycle across epochs without reallocation; only the
-// leading `words` entries are meaningful.
-type widePin struct {
-	pin         int32
-	care, force [MaxLaneWords]uint64
-}
-
 // NewWideLaneForces allocates a forcing table of 64*words lanes sized
-// for the flat circuit.
+// for the flat circuit: one block pair per slot and per fanin edge.
 func NewWideLaneForces(f *Flat, words int) (*WideLaneForces, error) {
 	if err := validLaneWords(words); err != nil {
 		return nil, err
@@ -95,8 +83,7 @@ func NewWideLaneForces(f *Flat, words int) (*WideLaneForces, error) {
 		words: words,
 		epoch: 1,
 		mark:  make([]int32, n),
-		stem:  make([]uint64, n*2*words),
-		pins:  make([][]widePin, n),
+		tab:   make([]uint64, (n+len(f.fanin))*2*words),
 	}, nil
 }
 
@@ -174,49 +161,36 @@ func (f *Flat) ResolveInjection(fi Injection) (SlotInjection, error) {
 // guarantees the injection came from ResolveInjections on the same
 // flat circuit and that lane is inside 0..Lanes()-1; no per-call
 // validation is repeated. On a lane already forced at the same site,
-// the new stuck value wins.
+// the new stuck value wins. Past a slot's first touch of the epoch,
+// which clears the slot's site blocks, the add is branch-free: one
+// care bit set and one force bit overwritten at the site's fixed
+// offset.
 //
 //repolint:hotpath
 func (lf *WideLaneForces) AddResolved(f SlotInjection, lane int) {
 	slot := int(f.Slot)
-	base := slot * 2 * lf.words
+	w := lf.words
+	base := lf.siteAt(slot)
 	if lf.mark[slot] != lf.epoch {
 		lf.mark[slot] = lf.epoch
-		for k := 0; k < 2*lf.words; k++ {
-			lf.stem[base+k] = 0
-		}
-		lf.pins[slot] = lf.pins[slot][:0]
+		clear(lf.tab[base:lf.siteAt(slot+1)])
 		lf.sites++
 	}
-	word, bit := lane>>6, uint(lane&63)
-	if f.Pin < 0 {
-		o := base + word
-		lf.stem[o] |= 1 << bit
-		if f.Stuck {
-			lf.stem[o+lf.words] |= 1 << bit
-		} else {
-			lf.stem[o+lf.words] &^= 1 << bit
-		}
-		return
-	}
-	for i := range lf.pins[slot] {
-		if pl := &lf.pins[slot][i]; pl.pin == f.Pin {
-			pl.care[word] |= 1 << bit
-			if f.Stuck {
-				pl.force[word] |= 1 << bit
-			} else {
-				pl.force[word] &^= 1 << bit
-			}
-			return
-		}
-	}
-	var pl widePin
-	pl.pin = f.Pin
-	pl.care[word] |= 1 << bit
+	var stuck uint64
 	if f.Stuck {
-		pl.force[word] |= 1 << bit
+		stuck = 1
 	}
-	lf.pins[slot] = append(lf.pins[slot], pl)
+	bit := uint(lane & 63)
+	o := base + int(f.Pin+1)*2*w + lane>>6
+	lf.tab[o] |= 1 << bit
+	lf.tab[o+w] = lf.tab[o+w]&^(1<<bit) | stuck<<bit
+}
+
+// siteAt returns the offset in tab of slot's stem block pair, the first
+// of its 1 + fanin pairs; siteAt(slot+1) ends them, and siteAt(Slots())
+// is the table's length.
+func (lf *WideLaneForces) siteAt(slot int) int {
+	return (slot + int(lf.f.faninAt[slot])) * 2 * lf.words
 }
 
 // forced reports whether the slot carries forces this epoch.
@@ -231,7 +205,7 @@ type WideSim struct {
 	f     *Flat
 	words int
 	val   []uint64 // stride-packed value plane, slot s at [s*words, s*words+words)
-	stage []uint64 // fanin staging scratch for pin-forced gates
+	stage []uint64 // fanin staging scratch for forced gates of 3+ inputs
 	// Chip-walk state (see RunChipBlock), allocated for 1-word sims
 	// only, the chip walk's width. diff holds each slot's word XOR its
 	// good word: zero wherever the chip does not depart from the good
@@ -294,9 +268,9 @@ func (s *WideSim) RunLaneForced(block PatternBlock, p int, lf *WideLaneForces, o
 		b := -(block.Inputs[i] >> uint(p) & 1)
 		o := i * w
 		if lf.forced(i) {
-			sb := i * 2 * w
+			sb := lf.siteAt(i)
 			for k := 0; k < w; k++ {
-				s.val[o+k] = b&^lf.stem[sb+k] | lf.stem[sb+w+k]
+				s.val[o+k] = b&^lf.tab[sb+k] | lf.tab[sb+w+k]
 			}
 		} else {
 			for k := 0; k < w; k++ {
@@ -348,10 +322,12 @@ func (s *WideSim) walkForced(lf *WideLaneForces) {
 	}
 }
 
-// evalStaged evaluates a pin-forced slot: fanin lane blocks are staged,
-// the pin masks applied, then the op evaluated over the staged blocks.
-// It is the fallback of both widths for pin-forced gates of 3+ inputs.
-func (s *WideSim) evalStaged(slot int, dst []uint64, pins []widePin) {
+// evalStaged evaluates a forced slot of 3+ inputs, at either width:
+// every fanin lane block is staged with its pin masks applied, then the
+// op is folded over the staged blocks. pins is the slot's pin block
+// pairs in the forcing table, pin 0 first; a pin not forced this epoch
+// has an all-zero pair, which leaves its block as it is.
+func (s *WideSim) evalStaged(slot int, dst []uint64, pins []uint64) {
 	f := s.f
 	w := s.words
 	lo, hi := f.faninAt[slot], f.faninAt[slot+1]
@@ -361,57 +337,35 @@ func (s *WideSim) evalStaged(slot int, dst []uint64, pins []widePin) {
 	}
 	stage := s.stage[:n]
 	for i, fs := range f.fanin[lo:hi] {
-		copy(stage[i*w:(i+1)*w], s.val[int(fs)*w:int(fs)*w+w])
-	}
-	for i := range pins {
-		pl := &pins[i]
-		o := int(pl.pin) * w
-		for k := 0; k < w; k++ {
-			stage[o+k] = stage[o+k]&^pl.care[k] | pl.force[k]
+		v, cf := s.val[int(fs)*w:int(fs)*w+w], pins[2*i*w:2*i*w+2*w]
+		for k := range v {
+			stage[i*w+k] = v[k]&^cf[k] | cf[w+k]
 		}
 	}
 	op := f.op[slot]
 	copy(dst, stage[:w])
-	switch op {
-	case opBuf:
-	case opNot:
-		for k := 0; k < w; k++ {
+	for o := w; o < n; o += w {
+		b := stage[o : o+w]
+		switch op {
+		case opAndN, opNandN:
+			for k := range b {
+				dst[k] &= b[k]
+			}
+		case opOrN, opNorN:
+			for k := range b {
+				dst[k] |= b[k]
+			}
+		case opXorN, opXnorN:
+			for k := range b {
+				dst[k] ^= b[k]
+			}
+		default:
+			panic(fmt.Sprintf("logicsim: evalStaged on op %d", op))
+		}
+	}
+	if isInverting(op) {
+		for k := range dst {
 			dst[k] = ^dst[k]
 		}
-	case opAnd2, opNand2, opAndN, opNandN:
-		for o := w; o < n; o += w {
-			for k := 0; k < w; k++ {
-				dst[k] &= stage[o+k]
-			}
-		}
-		if op == opNand2 || op == opNandN {
-			for k := 0; k < w; k++ {
-				dst[k] = ^dst[k]
-			}
-		}
-	case opOr2, opNor2, opOrN, opNorN:
-		for o := w; o < n; o += w {
-			for k := 0; k < w; k++ {
-				dst[k] |= stage[o+k]
-			}
-		}
-		if op == opNor2 || op == opNorN {
-			for k := 0; k < w; k++ {
-				dst[k] = ^dst[k]
-			}
-		}
-	case opXor2, opXnor2, opXorN, opXnorN:
-		for o := w; o < n; o += w {
-			for k := 0; k < w; k++ {
-				dst[k] ^= stage[o+k]
-			}
-		}
-		if op == opXnor2 || op == opXnorN {
-			for k := 0; k < w; k++ {
-				dst[k] = ^dst[k]
-			}
-		}
-	default:
-		panic(fmt.Sprintf("logicsim: evalStaged on op %d", op))
 	}
 }

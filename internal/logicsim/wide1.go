@@ -4,73 +4,55 @@ package logicsim
 // chipparallel256 engine's dead-lane compaction collapses to once a
 // batch's survivors fit in 64 lanes — on shallow circuits that is most
 // of every batch's lifetime. An unforced slot is one evalWord, the
-// scalar gate switch FlatSim.walkRange runs; forces are applied around
-// it with scalar ops, mirroring wide4.go. It is also the only width
-// the chip walk (RunChipBlock, diverge.go) runs at.
+// scalar gate switch FlatSim.walkRange runs; a forced slot reads its
+// fanins through their pin masks and its result through its stem mask,
+// straight from the slot's block pairs in the forcing table, mirroring
+// wide4.go. It is also the only width the chip walk (RunChipBlock,
+// diverge.go) runs at.
 
 // evalForcedSlot1 evaluates one logic slot at words == 1, applying the
-// slot's pin forces during evaluation and its stem force to the result.
+// slot's pin masks to its fanins and its stem mask to the result. A
+// forced slot's unforced sites hold all-zero masks, so every fanin is
+// masked with no test for which pins carry faults.
 //
 //repolint:hotpath
 func (s *WideSim) evalForcedSlot1(slot int, lf *WideLaneForces) {
-	dst := &s.val[slot]
 	if !lf.forced(slot) {
-		*dst = evalWord(s.f, s.val, slot)
+		s.val[slot] = evalWord(s.f, s.val, slot)
 		return
 	}
-	if pins := lf.pins[slot]; len(pins) > 0 {
-		s.evalStaged1(slot, dst, pins)
-	} else {
-		*dst = evalWord(s.f, s.val, slot)
-	}
-	*dst = *dst&^lf.stem[2*slot] | lf.stem[2*slot+1]
-}
-
-// evalStaged1 evaluates a pin-forced slot at words == 1. Like the
-// 4-word kernel, the ubiquitous 1- and 2-input shapes run inline on
-// local copies; wider gates take the generic staged path.
-func (s *WideSim) evalStaged1(slot int, dst *uint64, pins []widePin) {
 	f := s.f
-	lo, hi := f.faninAt[slot], f.faninAt[slot+1]
+	lo := f.faninAt[slot]
+	t := lf.tab[(slot+int(lo))*2:] // stem care, force; pin 0 care, force; ...
 	op := f.op[slot]
-	switch hi - lo {
-	case 1:
-		a := s.val[f.fanin[lo]]
-		for i := range pins {
-			pl := &pins[i]
-			a = a&^pl.care[0] | pl.force[0]
-		}
+	var v uint64
+	switch op {
+	case opBuf, opNot:
+		v = s.val[f.fanin[lo]]&^t[2] | t[3]
 		if op == opNot {
-			*dst = ^a
-		} else { // opBuf: 1-fanin gates compile to buf or not only
-			*dst = a
+			v = ^v
 		}
-	case 2:
-		a := s.val[f.fanin[lo]]
-		b := s.val[f.fanin[lo+1]]
-		for i := range pins {
-			pl := &pins[i]
-			if pl.pin == 0 {
-				a = a&^pl.care[0] | pl.force[0]
-			} else {
-				b = b&^pl.care[0] | pl.force[0]
-			}
-		}
+	case opAnd2, opNand2, opOr2, opNor2, opXor2, opXnor2:
+		t := (*[6]uint64)(t)
+		a := s.val[f.fanin[lo]]&^t[2] | t[3]
+		b := s.val[f.fanin[lo+1]]&^t[4] | t[5]
 		switch op {
 		case opAnd2:
-			*dst = a & b
+			v = a & b
 		case opNand2:
-			*dst = ^(a & b)
+			v = ^(a & b)
 		case opOr2:
-			*dst = a | b
+			v = a | b
 		case opNor2:
-			*dst = ^(a | b)
+			v = ^(a | b)
 		case opXor2:
-			*dst = a ^ b
-		case opXnor2:
-			*dst = ^(a ^ b)
+			v = a ^ b
+		default:
+			v = ^(a ^ b)
 		}
 	default:
-		s.evalStaged(slot, s.val[slot:slot+1], pins)
+		s.evalStaged(slot, s.val[slot:slot+1], t[2:])
+		v = s.val[slot]
 	}
+	s.val[slot] = v&^t[0] | t[1]
 }

@@ -14,25 +14,63 @@ func (s *WideSim) block4(slot int) *[4]uint64 {
 }
 
 // evalForcedSlot4 evaluates one logic slot at words == 4, applying the
-// slot's pin forces during evaluation and its stem force to the result.
+// slot's pin masks to its fanins and its stem mask to the result. Each
+// site's block pair is viewed as one *[8]uint64, care words 0..3 and
+// force words 4..7; a forced slot's unforced sites hold all-zero
+// masks, so every fanin is masked with no test for which pins carry
+// faults.
 //
 //repolint:hotpath
 func (s *WideSim) evalForcedSlot4(slot int, lf *WideLaneForces) {
 	dst := s.block4(slot)
-	if lf.forced(slot) {
-		if pins := lf.pins[slot]; len(pins) > 0 {
-			s.evalStaged4(slot, dst, pins)
-		} else {
-			s.evalSlot4(slot, dst)
-		}
-		cf := (*[8]uint64)(lf.stem[slot*8:]) // care words 0..3, force 4..7
-		dst[0] = dst[0]&^cf[0] | cf[4]
-		dst[1] = dst[1]&^cf[1] | cf[5]
-		dst[2] = dst[2]&^cf[2] | cf[6]
-		dst[3] = dst[3]&^cf[3] | cf[7]
+	if !lf.forced(slot) {
+		s.evalSlot4(slot, dst)
 		return
 	}
-	s.evalSlot4(slot, dst)
+	f := s.f
+	lo := f.faninAt[slot]
+	t := lf.tab[(slot+int(lo))*8:]
+	op := f.op[slot]
+	switch op {
+	case opBuf, opNot:
+		a := forced4(s.val, f.fanin[lo], (*[8]uint64)(t[8:]))
+		if op == opNot {
+			a[0], a[1], a[2], a[3] = ^a[0], ^a[1], ^a[2], ^a[3]
+		}
+		*dst = a
+	case opAnd2, opNand2, opOr2, opNor2, opXor2, opXnor2:
+		pins := (*[16]uint64)(t[8:])
+		a := forced4(s.val, f.fanin[lo], (*[8]uint64)(pins[:8]))
+		b := forced4(s.val, f.fanin[lo+1], (*[8]uint64)(pins[8:]))
+		switch op {
+		case opAnd2:
+			dst[0], dst[1], dst[2], dst[3] = a[0]&b[0], a[1]&b[1], a[2]&b[2], a[3]&b[3]
+		case opNand2:
+			dst[0], dst[1], dst[2], dst[3] = ^(a[0] & b[0]), ^(a[1] & b[1]), ^(a[2] & b[2]), ^(a[3] & b[3])
+		case opOr2:
+			dst[0], dst[1], dst[2], dst[3] = a[0]|b[0], a[1]|b[1], a[2]|b[2], a[3]|b[3]
+		case opNor2:
+			dst[0], dst[1], dst[2], dst[3] = ^(a[0] | b[0]), ^(a[1] | b[1]), ^(a[2] | b[2]), ^(a[3] | b[3])
+		case opXor2:
+			dst[0], dst[1], dst[2], dst[3] = a[0]^b[0], a[1]^b[1], a[2]^b[2], a[3]^b[3]
+		default:
+			dst[0], dst[1], dst[2], dst[3] = ^(a[0] ^ b[0]), ^(a[1] ^ b[1]), ^(a[2] ^ b[2]), ^(a[3] ^ b[3])
+		}
+	default:
+		s.evalStaged(slot, dst[:], t[8:])
+	}
+	cf := (*[8]uint64)(t)
+	dst[0] = dst[0]&^cf[0] | cf[4]
+	dst[1] = dst[1]&^cf[1] | cf[5]
+	dst[2] = dst[2]&^cf[2] | cf[6]
+	dst[3] = dst[3]&^cf[3] | cf[7]
+}
+
+// forced4 returns the lane block of fanin slot fs with a pin's masks
+// applied: care words 0..3 of cf cleared, force words 4..7 set.
+func forced4(val []uint64, fs int32, cf *[8]uint64) [4]uint64 {
+	a := (*[4]uint64)(val[int(fs)*4:])
+	return [4]uint64{a[0]&^cf[0] | cf[4], a[1]&^cf[1] | cf[5], a[2]&^cf[2] | cf[6], a[3]&^cf[3] | cf[7]}
 }
 
 // evalSlot4 is the unforced gate evaluation at words == 4: one op
@@ -76,66 +114,6 @@ func (s *WideSim) evalSlot4(slot int, dst *[4]uint64) {
 		dst[0], dst[1], dst[2], dst[3] = ^(a[0] ^ b[0]), ^(a[1] ^ b[1]), ^(a[2] ^ b[2]), ^(a[3] ^ b[3])
 	default:
 		s.evalWideN4(slot, dst)
-	}
-}
-
-// evalStaged4 evaluates a pin-forced slot at words == 4. In a dense
-// chipparallel256 batch most of the circuit carries forces, so this runs
-// for a large fraction of gates per walk: the ubiquitous 1- and 2-input
-// shapes are evaluated inline on local copies with no staging pass, and
-// only wider gates pay the generic staged path.
-func (s *WideSim) evalStaged4(slot int, dst *[4]uint64, pins []widePin) {
-	f := s.f
-	lo, hi := f.faninAt[slot], f.faninAt[slot+1]
-	op := f.op[slot]
-	switch hi - lo {
-	case 1:
-		a := *(*[4]uint64)(s.val[int(f.fanin[lo])*4:])
-		for i := range pins {
-			pl := &pins[i]
-			a[0] = a[0]&^pl.care[0] | pl.force[0]
-			a[1] = a[1]&^pl.care[1] | pl.force[1]
-			a[2] = a[2]&^pl.care[2] | pl.force[2]
-			a[3] = a[3]&^pl.care[3] | pl.force[3]
-		}
-		if op == opNot {
-			dst[0], dst[1], dst[2], dst[3] = ^a[0], ^a[1], ^a[2], ^a[3]
-		} else { // opBuf: 1-fanin gates compile to buf or not only
-			*dst = a
-		}
-	case 2:
-		a := *(*[4]uint64)(s.val[int(f.fanin[lo])*4:])
-		b := *(*[4]uint64)(s.val[int(f.fanin[lo+1])*4:])
-		for i := range pins {
-			pl := &pins[i]
-			if pl.pin == 0 {
-				a[0] = a[0]&^pl.care[0] | pl.force[0]
-				a[1] = a[1]&^pl.care[1] | pl.force[1]
-				a[2] = a[2]&^pl.care[2] | pl.force[2]
-				a[3] = a[3]&^pl.care[3] | pl.force[3]
-			} else {
-				b[0] = b[0]&^pl.care[0] | pl.force[0]
-				b[1] = b[1]&^pl.care[1] | pl.force[1]
-				b[2] = b[2]&^pl.care[2] | pl.force[2]
-				b[3] = b[3]&^pl.care[3] | pl.force[3]
-			}
-		}
-		switch op {
-		case opAnd2:
-			dst[0], dst[1], dst[2], dst[3] = a[0]&b[0], a[1]&b[1], a[2]&b[2], a[3]&b[3]
-		case opNand2:
-			dst[0], dst[1], dst[2], dst[3] = ^(a[0] & b[0]), ^(a[1] & b[1]), ^(a[2] & b[2]), ^(a[3] & b[3])
-		case opOr2:
-			dst[0], dst[1], dst[2], dst[3] = a[0]|b[0], a[1]|b[1], a[2]|b[2], a[3]|b[3]
-		case opNor2:
-			dst[0], dst[1], dst[2], dst[3] = ^(a[0] | b[0]), ^(a[1] | b[1]), ^(a[2] | b[2]), ^(a[3] | b[3])
-		case opXor2:
-			dst[0], dst[1], dst[2], dst[3] = a[0]^b[0], a[1]^b[1], a[2]^b[2], a[3]^b[3]
-		case opXnor2:
-			dst[0], dst[1], dst[2], dst[3] = ^(a[0] ^ b[0]), ^(a[1] ^ b[1]), ^(a[2] ^ b[2]), ^(a[3] ^ b[3])
-		}
-	default:
-		s.evalStaged(slot, dst[:], pins)
 	}
 }
 

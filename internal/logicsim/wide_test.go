@@ -286,6 +286,93 @@ func TestWideLaneForcesResetKeepsLaneBounds(t *testing.T) {
 	}
 }
 
+// TestWideLaneForcesEpochs pins the table across a Reset at both
+// widths. The first epoch forces pins only: both pins of a 2-input
+// output gate and the last pin of a 3+-input one, at both stuck values
+// on separate lanes. After Reset, the second epoch forces only those
+// gates' stems, on other lanes, so it touches the same slots again and
+// must clear their pin blocks: every lane of RunLaneForced must match
+// ref.Simulator.RunWithFaults over that lane's second-epoch faults
+// alone, a pin lane of the first epoch being the good machine.
+func TestWideLaneForcesEpochs(t *testing.T) {
+	c := wideGateCircuit(t, 11, 8, 60)
+	sim, err := ref.NewSimulator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := logicsim.NewFlat(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2, gN := -1, -1
+	for _, g := range c.Outputs {
+		switch n := len(c.Gates[g].Fanin); {
+		case n == 2 && g2 < 0:
+			g2 = g
+		case n >= 3 && gN < 0:
+			gN = g
+		}
+	}
+	if g2 < 0 || gN < 0 {
+		t.Fatalf("no 2-input (%d) or 3+-input (%d) output gate", g2, gN)
+	}
+	last := len(c.Gates[gN].Fanin) - 1
+	block, err := logicsim.PackPatterns(randomPatterns(c, 64, rand.New(rand.NewSource(6))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, words := range wideWidths {
+		ws, err := logicsim.NewWideSim(f, words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lf, err := logicsim.NewWideLaneForces(f, words)
+		if err != nil {
+			t.Fatal(err)
+		}
+		top := lf.Lanes() - 1
+		pins := map[int][]logicsim.Injection{
+			1:       {{Gate: g2, Pin: 0, Stuck: false}, {Gate: g2, Pin: 1, Stuck: false}},
+			2:       {{Gate: g2, Pin: 0, Stuck: true}, {Gate: g2, Pin: 1, Stuck: true}},
+			3:       {{Gate: gN, Pin: last, Stuck: false}},
+			top - 1: {{Gate: gN, Pin: last, Stuck: true}},
+		}
+		for lane, machine := range pins {
+			forceMachine(t, f, lf, machine, lane)
+		}
+		lf.Reset()
+		machines := make([][]logicsim.Injection, lf.Lanes())
+		machines[4] = []logicsim.Injection{{Gate: g2, Pin: -1, Stuck: true}}
+		machines[top] = []logicsim.Injection{{Gate: gN, Pin: -1, Stuck: false}, {Gate: g2, Pin: -1, Stuck: false}}
+		for lane, machine := range machines {
+			forceMachine(t, f, lf, machine, lane)
+		}
+		want := make([][]uint64, len(machines))
+		for lane, machine := range machines {
+			out, err := sim.RunWithFaults(block, machine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[lane] = append([]uint64(nil), out...)
+		}
+		var out []uint64
+		for p := 0; p < block.Count; p++ {
+			if out, err = ws.RunLaneForced(block, p, lf, out); err != nil {
+				t.Fatal(err)
+			}
+			for o := range c.Outputs {
+				for lane := range machines {
+					got := out[o*words+lane>>6] >> uint(lane&63) & 1
+					if w := want[lane][o] >> uint(p) & 1; got != w {
+						t.Fatalf("words=%d pattern %d output %d lane %d: got %d, RunWithFaults %d (first-epoch pins %v)",
+							words, p, o, lane, got, w, pins[lane])
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestWideValidationErrors pins the wide layer's shape checks: every
 // width but 1 and MaxLaneWords (including the retired 2, 3 and 5..8)
 // is rejected with the named ErrLaneWords by both constructors, fault

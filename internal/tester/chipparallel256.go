@@ -510,14 +510,11 @@ func (a *ATE) pp256Chips(batch []ppItem, base int, ff []int) error {
 			if b == last && total&63 != 0 {
 				mask &= uint64(1)<<uint(total&63) - 1
 			}
-			if out, err = sim.RunChipBlock(st.planes.Block(b), mask, faults, out); err != nil {
+			var fails uint64
+			if out, fails, err = sim.RunChipBlock(st.planes.Block(b), mask, faults, out); err != nil {
 				return err
 			}
 			st.chipWalks++
-			var fails uint64
-			for _, d := range out {
-				fails |= d
-			}
 			if fails == 0 {
 				continue
 			}
