@@ -200,34 +200,23 @@ var (
 // circuits.Prepare runs, over the universe and program Prepare builds
 // (benchMul8, benchLSI1k). "grader" is the cleanup's grading session,
 // a cold faultsim.Grader given the base patterns in one Add and then
-// each PODEM pattern in an Add of its own; "steps" is the StepsFrom
-// refinement of its result to strobes. Each is timed per fault-pattern
-// of the final program.
+// each PODEM pattern in an Add of its own, recording every fault's
+// first failing strobe. It is timed per fault-pattern of the final
+// program.
 func benchPreparedGrading(b *testing.B) {
 	for _, pg := range []*benchProgram{benchMul8, benchLSI1k} {
 		var (
-			graded sync.Once
-			p      *circuits.Prepared
-			res    faultsim.Result
-			base   int
-			err    error
+			p    *circuits.Prepared
+			base int
 		)
-		// Graded once per program, on first use, for both rows; the
-		// good result is what StepsFrom refines.
 		setup := func(b *testing.B) {
 			p = pg.prepared(b)
-			graded.Do(func() {
-				var basePatterns []logicsim.Pattern
-				half := pg.params.RandomPatterns / 2
-				if basePatterns, err = atpg.ProductionPatterns(len(p.Circuit.Inputs), half, half, pg.params.Seed); err != nil {
-					return
-				}
-				base = len(basePatterns)
-				res, err = faultsim.Run(p.Circuit, p.Universe, p.Patterns, faultsim.PPSFP)
-			})
+			half := pg.params.RandomPatterns / 2
+			basePatterns, err := atpg.ProductionPatterns(len(p.Circuit.Inputs), half, half, pg.params.Seed)
 			if err != nil {
 				b.Fatal(err)
 			}
+			base = len(basePatterns)
 		}
 		grade := func() error {
 			g, err := faultsim.NewGrader(p.Circuit, p.Universe, faultsim.Options{})
@@ -244,34 +233,25 @@ func benchPreparedGrading(b *testing.B) {
 			}
 			return nil
 		}
-		steps := func() error {
-			_, err := faultsim.StepsFrom(p.Circuit, p.Universe, p.Patterns, res)
-			return err
-		}
-		for _, r := range []struct {
-			name string
-			run  func() error
-		}{{"grader", grade}, {"steps", steps}} {
-			b.Run(r.name+"/"+pg.spec, func(b *testing.B) {
-				setup(b)
-				// Warm-up outside the timer, as in the rows above.
-				if err := r.run(); err != nil {
+		b.Run("grader/"+pg.spec, func(b *testing.B) {
+			setup(b)
+			// Warm-up outside the timer, as in the rows above.
+			if err := grade(); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := grade(); err != nil {
 					b.Fatal(err)
 				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := r.run(); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(
-					float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(p.Universe)*len(p.Patterns)),
-					"ns/fault-pattern")
-				b.ReportMetric(float64(len(p.Circuit.Gates)), "gates")
-				b.ReportMetric(float64(len(p.Universe)), "faults")
-				b.ReportMetric(float64(len(p.Patterns)), "patterns")
-			})
-		}
+			}
+			b.ReportMetric(
+				float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(p.Universe)*len(p.Patterns)),
+				"ns/fault-pattern")
+			b.ReportMetric(float64(len(p.Circuit.Gates)), "gates")
+			b.ReportMetric(float64(len(p.Universe)), "faults")
+			b.ReportMetric(float64(len(p.Patterns)), "patterns")
+		})
 	}
 }
 

@@ -36,7 +36,8 @@ func main() {
 
 	// Production test program. The generator grades the program over
 	// the collapsed faults as it builds it, so its result is the
-	// coverage ramp: no second fault simulation.
+	// coverage ramp, at tester-strobe granularity: no second fault
+	// simulation.
 	reps := fault.Reps(u.Collapsed)
 	patterns, _, res, err := atpg.ProductionTestsBudget(c, 64, 64, 42, reps, 0, faultsim.Options{})
 	if err != nil {
@@ -45,8 +46,10 @@ func main() {
 	curve := faultsim.CurveFromResult(res)
 	fmt.Printf("test program: %d patterns, final coverage %.4f\n",
 		len(patterns), res.Coverage())
+	nOut := len(c.Outputs)
 	for _, frac := range []float64{0.25, 0.5, 0.75, 1.0} {
-		i := int(frac*float64(len(curve))) - 1
+		// The coverage after a pattern is the curve at its last strobe.
+		i := int(frac*float64(len(patterns)))*nOut - 1
 		fmt.Printf("  after %3.0f%% of patterns: coverage %.4f\n", frac*100, curve[i].Coverage)
 	}
 

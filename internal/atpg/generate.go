@@ -157,9 +157,9 @@ func CleanupTestsBudget(c *netlist.Circuit, base []logicsim.Pattern, reps []faul
 }
 
 // cleanup is CleanupTestsBudget at an explicit speculation width (the
-// number of PODEM workers). It also returns the program's pattern-level
-// fault-simulation result and how many speculative results the commit
-// loop discarded.
+// number of PODEM workers). It also returns the program's strobe-level
+// fault-simulation result (Grader.Steps) and how many speculative
+// results the commit loop discarded.
 func cleanup(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, backtrackLimit int, opt faultsim.Options, width int) ([]logicsim.Pattern, Tally, faultsim.Result, int, error) {
 	fail := func(err error) ([]logicsim.Pattern, Tally, faultsim.Result, int, error) {
 		return nil, Tally{}, faultsim.Result{}, 0, err
@@ -238,5 +238,5 @@ func cleanup(c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, ba
 			tally.Aborted++
 		}
 	}
-	return patterns, tally, grader.Result(), spec.discarded, nil
+	return patterns, tally, grader.Steps(), spec.discarded, nil
 }

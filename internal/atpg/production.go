@@ -94,8 +94,10 @@ func ProductionTests(c *netlist.Circuit, lowWeight, uniform int, seed int64) ([]
 
 // ProductionTestsBudget is ProductionTests with an explicit target
 // fault list and per-fault PODEM backtrack budget, returning the
-// outcome tally and the program's pattern-level fault-simulation
-// result over reps. It is the circuits-layer
+// outcome tally and the program's strobe-level fault-simulation result
+// over reps, as RunSteps reports it: FirstDetect holds each fault's
+// first failing strobe, pattern×outputs + output, and Patterns counts
+// strobes. It is the circuits-layer
 // staged-pipeline entry point: sampling hands it a subset of the
 // collapsed universe, and the budget bounds the worst-case cleanup cost
 // on LSI-scale circuits instead of burning the 10k-backtrack default on

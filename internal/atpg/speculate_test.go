@@ -90,9 +90,9 @@ var specWidths = []int{1, 2, 3, 8}
 
 // compareCleanup runs the speculative loop at every width against the
 // serial reference and requires identical patterns and tally, and a
-// graded result equal to one fresh fault simulation of the reference
-// program. It returns the speculative results discarded over all
-// widths.
+// graded result equal to one fresh strobe-level fault simulation of the
+// reference program. It returns the speculative results discarded over
+// all widths.
 func compareCleanup(t *testing.T, c *netlist.Circuit, base []logicsim.Pattern, reps []fault.Fault, limit int) int {
 	t.Helper()
 	want, wantTally, err := cleanupReference(c, base, reps, limit)
@@ -101,7 +101,7 @@ func compareCleanup(t *testing.T, c *netlist.Circuit, base []logicsim.Pattern, r
 	}
 	wantRes := faultsim.Result{FirstDetect: slices.Repeat([]int{faultsim.NotDetected}, len(reps))}
 	if len(want) > 0 {
-		if wantRes, err = faultsim.Run(c, reps, want, faultsim.PPSFP); err != nil {
+		if wantRes, err = faultsim.RunSteps(c, reps, want); err != nil {
 			t.Fatal(err)
 		}
 	}

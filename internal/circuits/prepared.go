@@ -152,21 +152,16 @@ func Prepare(c *netlist.Circuit, p Params) (*Prepared, error) {
 		sampled = true
 	}
 	// Stage 3: budgeted production test program over the working
-	// universe, graded pattern by pattern as it is built.
+	// universe, graded pattern by pattern as it is built, to each
+	// fault's first failing strobe; and its sparse ramp.
 	opts := faultsim.Options{Workers: p.SimWorkers}
-	patterns, tally, res, err := atpg.ProductionTestsBudget(c, p.RandomPatterns/2, p.RandomPatterns/2,
+	patterns, tally, simRes, err := atpg.ProductionTestsBudget(c, p.RandomPatterns/2, p.RandomPatterns/2,
 		p.Seed, universe, p.BacktrackLimit, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Stage 4: refine the cleanup's first detects to strobes, and the
-	// sparse ramp.
-	simRes, err := faultsim.StepsFrom(c, universe, patterns, res)
-	if err != nil {
-		return nil, err
-	}
 	ramp := faultsim.SparseRamp(simRes)
-	// Stage 5: bound the true whole-universe coverage.
+	// Stage 4: bound the true whole-universe coverage.
 	ciLo, ciHi := simRes.Coverage(), simRes.Coverage()
 	if sampled {
 		if ciLo, ciHi, err = dist.SampleCoverageCI(len(full), len(universe), tally.Detected, 0.95); err != nil {

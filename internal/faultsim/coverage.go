@@ -1,11 +1,5 @@
 package faultsim
 
-import (
-	"repro/internal/fault"
-	"repro/internal/logicsim"
-	"repro/internal/netlist"
-)
-
 // CoveragePoint is one point of the cumulative coverage ramp: after
 // applying patterns 0..Pattern, the test set detects Detected faults,
 // for a coverage of Coverage (fraction of the simulated fault list).
@@ -15,20 +9,11 @@ type CoveragePoint struct {
 	Coverage float64
 }
 
-// CoverageCurve fault-simulates the ordered patterns (PPSFP with fault
-// dropping) and returns the cumulative coverage after every pattern.
+// CurveFromResult converts first-detect indices to a cumulative curve:
+// the coverage after every pattern (or strobe, over a RunSteps result).
 // This is the fault-simulator product the paper's §5 procedure starts
 // from: "A cumulative fault coverage as a function of the number of
 // test patterns is obtained."
-func CoverageCurve(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern) ([]CoveragePoint, Result, error) {
-	res, err := Run(c, faults, patterns, PPSFP)
-	if err != nil {
-		return nil, Result{}, err
-	}
-	return CurveFromResult(res), res, nil
-}
-
-// CurveFromResult converts first-detect indices to a cumulative curve.
 func CurveFromResult(res Result) []CoveragePoint {
 	perPattern := make([]int, res.Patterns)
 	for _, d := range res.FirstDetect {

@@ -10,8 +10,9 @@
 // grades a program incrementally, each Add the next patterns against
 // the faults still undetected, and Run/RunOpts are a Grader and one
 // Add. Options.Workers shards the fault list across goroutines, and
-// the default runs one shard inline. StepsFrom refines a pattern-level
-// result to tester-strobe granularity on the same walk. Nothing
+// the default runs one shard inline. The walk records each fault's
+// first failing tester strobe where it detects it, so the strobe-level
+// result (Grader.Steps, RunSteps) costs no second pass. Nothing
 // selects an engine: the engine argument of Run/RunOpts must be PPSFP,
 // the zero value.
 //
@@ -21,8 +22,9 @@
 // code with the flat core.
 //
 // The paper's experiment needs the cumulative coverage curve of an
-// ordered pattern set — CoverageCurve produces exactly the "fault
-// coverage vs. pattern number" table that §5 feeds to the tester.
+// ordered pattern set — CurveFromResult turns a Result into exactly the
+// "fault coverage vs. pattern number" table that §5 feeds to the
+// tester, and SparseRamp its change-point form at strobe granularity.
 package faultsim
 
 import (
@@ -104,20 +106,30 @@ func Run(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, 
 // RunOpts is Run with explicit engine options: a Grader over the fault
 // list and one Add of the whole pattern sequence.
 func RunOpts(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, engine Engine, opt Options) (Result, error) {
-	if len(patterns) == 0 {
-		return Result{}, fmt.Errorf("faultsim: no patterns")
-	}
-	if !engine.Known() {
-		return Result{}, fmt.Errorf("faultsim: unknown engine %v (registered: %v)", engine, PPSFP)
-	}
-	g, err := NewGrader(c, faults, opt)
+	g, err := gradeAll(c, faults, patterns, engine, opt)
 	if err != nil {
 		return Result{}, err
 	}
-	if _, err := g.Add(patterns); err != nil {
-		return Result{}, err
-	}
 	return g.Result(), nil
+}
+
+// gradeAll checks a run's arguments and grades the whole pattern
+// sequence in one Add of a new Grader.
+func gradeAll(c *netlist.Circuit, faults []fault.Fault, patterns []logicsim.Pattern, engine Engine, opt Options) (*Grader, error) {
+	if len(patterns) == 0 {
+		return nil, fmt.Errorf("faultsim: no patterns")
+	}
+	if !engine.Known() {
+		return nil, fmt.Errorf("faultsim: unknown engine %v (registered: %v)", engine, PPSFP)
+	}
+	g, err := NewGrader(c, faults, opt)
+	if err != nil {
+		return nil, err
+	}
+	if _, err := g.Add(patterns); err != nil {
+		return nil, err
+	}
+	return g, nil
 }
 
 // validateFaults rejects a fault whose site or pin the circuit lacks.

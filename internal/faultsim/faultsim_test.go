@@ -98,10 +98,11 @@ func TestCoverageCurveMonotone(t *testing.T) {
 	}
 	u := fault.BuildUniverse(c)
 	patterns := randomPatterns(c, 200, 5)
-	curve, res, err := CoverageCurve(c, fault.Reps(u.Collapsed), patterns)
+	res, err := Run(c, fault.Reps(u.Collapsed), patterns, PPSFP)
 	if err != nil {
 		t.Fatal(err)
 	}
+	curve := CurveFromResult(res)
 	if len(curve) != len(patterns) {
 		t.Fatalf("curve has %d points for %d patterns", len(curve), len(patterns))
 	}
@@ -135,10 +136,11 @@ func TestSteepThenFlatShape(t *testing.T) {
 	}
 	u := fault.BuildUniverse(c)
 	patterns := randomPatterns(c, 300, 9)
-	curve, _, err := CoverageCurve(c, fault.Reps(u.Collapsed), patterns)
+	res, err := Run(c, fault.Reps(u.Collapsed), patterns, PPSFP)
 	if err != nil {
 		t.Fatal(err)
 	}
+	curve := CurveFromResult(res)
 	early := curve[len(curve)/10].Coverage
 	final := curve[len(curve)-1].Coverage
 	if early < 0.6*final {

@@ -16,19 +16,23 @@ import (
 // and one Add. Each Add grades the next patterns of an ordered program
 // against the faults still undetected, numbering them after the
 // patterns already added, so a program graded in pieces gets exactly
-// the first detects of one run over the whole program. Options.Workers
-// splits the fault list into that many contiguous shards, each walked
-// on its own goroutine with its own WideSim; results do not depend on
-// the shard count. A Grader is not safe for concurrent use, nor for use
-// after a failed Add.
+// the first detects of one run over the whole program. It records each
+// fault's first failing tester strobe, pattern×outputs + output (the
+// lowest output the fault flips under its first failing pattern), where
+// the walk detects it: Steps reports those, Result the patterns they
+// fall in. Options.Workers splits the fault list into that many
+// contiguous shards, each walked on its own goroutine with its own
+// WideSim; results do not depend on the shard count. A Grader is not
+// safe for concurrent use, nor for use after a failed Add.
 type Grader struct {
 	faults []fault.Fault
 	inj    []logicsim.SlotInjection // faults resolved to slot space
 	good   *logicsim.FlatSim        // the good machine, one block at a time
 	outs   []uint64                 // good's output words, unused
 	shards []*shard                 // kept across Adds
-	first  []int
-	added  int // patterns added so far
+	nOut   int                      // strobes per pattern
+	first  []int                    // first failing strobe per fault
+	added  int                      // patterns added so far
 }
 
 // shard is one contiguous range of the fault list and its walk state.
@@ -56,7 +60,7 @@ func NewGrader(c *netlist.Circuit, faults []fault.Fault, opt Options) (*Grader, 
 	if err != nil {
 		return nil, err
 	}
-	g := &Grader{faults: faults, inj: inj, good: logicsim.NewFlatSim(flat), first: make([]int, len(faults))}
+	g := &Grader{faults: faults, inj: inj, good: logicsim.NewFlatSim(flat), nOut: len(c.Outputs), first: make([]int, len(faults))}
 	for fi := range g.first {
 		g.first[fi] = NotDetected
 	}
@@ -99,7 +103,7 @@ func (g *Grader) Add(patterns []logicsim.Pattern) ([]int, error) {
 	}
 	var newly []int
 	for fi, d := range g.first {
-		if d >= g.added {
+		if d >= g.added*g.nOut {
 			newly = append(newly, fi)
 		}
 	}
@@ -109,7 +113,21 @@ func (g *Grader) Add(patterns []logicsim.Pattern) ([]int, error) {
 
 // Result returns the pattern-level outcome of everything added so far.
 func (g *Grader) Result() Result {
-	return Result{FirstDetect: slices.Clone(g.first), Patterns: g.added}
+	first := make([]int, len(g.first))
+	for fi, d := range g.first {
+		first[fi] = NotDetected
+		if d != NotDetected {
+			first[fi] = d / g.nOut
+		}
+	}
+	return Result{FirstDetect: first, Patterns: g.added}
+}
+
+// Steps returns the strobe-level outcome of everything added so far:
+// FirstDetect holds each fault's first failing strobe and Patterns
+// counts strobes, patterns added × outputs.
+func (g *Grader) Steps() Result {
+	return Result{FirstDetect: slices.Clone(g.first), Patterns: g.added * g.nOut}
 }
 
 // grade simulates the faults against the blocks in pattern order. Each
@@ -164,9 +182,10 @@ func (g *Grader) grade(blocks []logicsim.PatternBlock) error {
 // fault of the shard alone over the block's good plane, following only
 // the block's valid patterns (mask), so the walk evaluates just the
 // slots where the faulty machine departs from the good one. base is the
-// program index of the block's first pattern. Each fault index belongs
-// to one shard, so every first-detect slot has one writer and dropping
-// needs no locks.
+// program index of the block's first pattern. A detected fault's first
+// failing strobe is its lowest failing output under the first pattern
+// that fails any. Each fault index belongs to one shard, so every
+// first-detect slot has one writer and dropping needs no locks.
 //
 //repolint:hotpath
 func (g *Grader) gradeShard(sh *shard, good []uint64, mask uint64, base int) error {
@@ -180,7 +199,12 @@ func (g *Grader) gradeShard(sh *shard, good []uint64, mask uint64, base int) err
 			return err
 		}
 		if diff != 0 {
-			g.first[fi] = base + bits.TrailingZeros64(diff)
+			p := bits.TrailingZeros64(diff)
+			o := 0
+			for sh.out[o]>>uint(p)&1 == 0 {
+				o++
+			}
+			g.first[fi] = (base+p)*g.nOut + o
 			sh.left--
 		}
 	}

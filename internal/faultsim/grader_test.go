@@ -101,50 +101,3 @@ func TestGraderRejectsAsRunOpts(t *testing.T) {
 		}
 	}
 }
-
-// TestStepsFromRejectsForeignResult: a result that does not belong to
-// the fault list and patterns fails the refinement instead of indexing
-// out of range, and so does one whose first detect the re-simulation
-// does not confirm: a pattern that misses the fault, or a later one
-// that detects it.
-func TestStepsFromRejectsForeignResult(t *testing.T) {
-	c := netlist.C17()
-	faults := fault.Reps(fault.CollapseEquivalence(c, fault.AllFaults(c)))
-	patterns := exhaustivePatterns(c)
-	res, err := Run(c, faults, patterns, PPSFP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := StepsFrom(c, faults, patterns, res); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := StepsFrom(c, faults[1:], patterns, res); err == nil {
-		t.Error("a result over another fault list should error")
-	}
-	if _, err := StepsFrom(c, faults, patterns[1:], res); err == nil {
-		t.Error("a result over another pattern count should error")
-	}
-	moved := func(p int) Result {
-		r := Result{FirstDetect: slices.Clone(res.FirstDetect), Patterns: res.Patterns}
-		r.FirstDetect[0] = p
-		return r
-	}
-	if _, err := StepsFrom(c, faults, patterns, moved(len(patterns))); err == nil {
-		t.Error("an out-of-range first-detect pattern should error")
-	}
-	missed, later := false, false
-	for p := res.FirstDetect[0] + 1; p < len(patterns); p++ {
-		one, err := Run(c, faults[:1], patterns[p:p+1], PPSFP)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := StepsFrom(c, faults, patterns, moved(p)); err == nil {
-			t.Errorf("fault 0 first detected at %d claimed at %d: no error", res.FirstDetect[0], p)
-		}
-		missed = missed || one.FirstDetect[0] == NotDetected
-		later = later || one.FirstDetect[0] == 0
-	}
-	if !missed || !later {
-		t.Fatalf("c17 fault 0: some later pattern missed it %v, detected it %v; want both", missed, later)
-	}
-}

@@ -131,62 +131,44 @@ func TestGraderWalkMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestStepsFromWalkMatchesOracle pins the strobe refinement to the
-// oracle's first failing strobe on c17, mul4 and lsi1k with a partial
-// last block, and requires it to reject forged first detects: an
-// undetected fault claimed detected, and a detected fault claimed at an
-// earlier or a later pattern of its block than its real first detect.
-func TestStepsFromWalkMatchesOracle(t *testing.T) {
+// TestGraderStepsMatchOracle pins the strobe the grading walk records
+// to the oracle's first failing strobe on c17, mul4 and lsi1k over 150
+// patterns (a partial last block): through RunSteps, and through a
+// Grader given one pattern per Add — the ATPG commit loop's shape — at
+// 1 and 3 shards.
+func TestGraderStepsMatchOracle(t *testing.T) {
 	cs, faultLists := oracleCircuits(t)
 	for ci, c := range cs {
 		faults := faultLists[ci]
 		patterns := randomPatterns(c, 150, int64(ci)+9)
-		res, err := RunOpts(c, faults, patterns, PPSFP, Options{})
+		want := pointerFirstSteps(t, c, faults, patterns)
+		check := func(name string, got Result) {
+			t.Helper()
+			if got.Patterns != len(patterns)*len(c.Outputs) {
+				t.Fatalf("%s %s: %d steps, want %d", c.Name, name, got.Patterns, len(patterns)*len(c.Outputs))
+			}
+			for fi := range faults {
+				if got.FirstDetect[fi] != want[fi] {
+					t.Fatalf("%s %s: fault %v first step %d, oracle %d", c.Name, name, faults[fi].Name(c), got.FirstDetect[fi], want[fi])
+				}
+			}
+		}
+		res, err := RunSteps(c, faults, patterns)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := StepsFrom(c, faults, patterns, res)
-		if err != nil {
-			t.Fatalf("%s: %v", c.Name, err)
-		}
-		want := pointerFirstSteps(t, c, faults, patterns)
-		nOut := len(c.Outputs)
-		if got.Patterns != len(patterns)*nOut {
-			t.Fatalf("%s: %d steps, want %d", c.Name, got.Patterns, len(patterns)*nOut)
-		}
-		for fi := range faults {
-			if got.FirstDetect[fi] != want[fi] {
-				t.Fatalf("%s: fault %v first step %d, oracle %d", c.Name, faults[fi].Name(c), got.FirstDetect[fi], want[fi])
+		check("RunSteps", res)
+		for _, workers := range []int{1, 3} {
+			g, err := NewGrader(c, faults, Options{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		forged := func(fi, p int) error {
-			r := Result{FirstDetect: append([]int(nil), res.FirstDetect...), Patterns: res.Patterns}
-			r.FirstDetect[fi] = p
-			_, err := StepsFrom(c, faults, patterns, r)
-			return err
-		}
-		undetected, earlier, later := false, false, false
-		for fi, p := range res.FirstDetect {
-			switch {
-			case p == NotDetected && !undetected:
-				undetected = true
-				if forged(fi, 0) == nil {
-					t.Errorf("%s: undetected fault %v claimed at pattern 0 accepted", c.Name, faults[fi].Name(c))
-				}
-			case p != NotDetected && p%64 > 0 && !earlier:
-				earlier = true
-				if forged(fi, p-1) == nil {
-					t.Errorf("%s: fault %v first detected at %d claimed at %d accepted", c.Name, faults[fi].Name(c), p, p-1)
-				}
-			case p != NotDetected && p%64 < 63 && p+1 < len(patterns) && !later:
-				later = true
-				if forged(fi, p+1) == nil {
-					t.Errorf("%s: fault %v first detected at %d claimed at %d accepted", c.Name, faults[fi].Name(c), p, p+1)
+			for i := range patterns {
+				if _, err := g.Add(patterns[i : i+1]); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}
-		if !earlier || !later {
-			t.Fatalf("%s: no fault to forge an earlier (%v) or a later (%v) first detect for", c.Name, earlier, later)
+			check(fmt.Sprintf("one-pattern Adds, workers=%d", workers), g.Steps())
 		}
 	}
 }
