@@ -2,6 +2,7 @@ package atpg
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"repro/internal/fault"
@@ -47,10 +48,13 @@ func (s Status) String() string {
 // ternary planes are slot-indexed arrays and fanin/fanout are CSR
 // ranges. NewPodem evaluates the fault-free circuit once with every
 // input X; each Generate starts both planes from that all-X state,
-// injects the fault at its site and lets the event queue carry it
-// forward. After that every decision, flip or pop re-evaluates only the
-// fanout of the inputs it changed, through a level-ordered event queue
-// that stops wherever a slot's (good, faulty) pair holds.
+// injects the fault at its site and implies it: the root state. A
+// decision re-evaluates only the fanout of the input it assigned,
+// through a pending bitmap scanned in slot order that stops wherever a
+// slot's (good, faulty) pair holds. A backtrack restores the state
+// before a decision by undoing the trail of pairs changed since, with
+// no re-implication; ternary implication is monotone, so a slot's pair
+// changes at most twice on one decision path.
 // The slots carrying the fault effect are tracked as values change, so
 // the per-iteration checks (detection, D-frontier, X-path) start from
 // them instead of scanning the circuit. A Podem is not safe for
@@ -62,15 +66,16 @@ type Podem struct {
 	// BacktrackLimit bounds the search; 0 means the default (10000).
 	BacktrackLimit int
 
-	// Per-slot circuit facts, fixed at construction.
-	level []int32 // logic depth; primary inputs are level 0
-	isOut []bool  // the slot drives a primary output
+	isOut []bool // per slot, fixed: the slot drives a primary output
 
 	// Ternary planes, slot-indexed; good[:NumInputs] is the current
 	// primary-input assignment. allX is the fault-free plane with every
 	// input X, the state each target starts both planes from.
 	good, bad, allX []logicsim.Trit
 	stack           []decision
+	// trail holds the old pair of every change since the root state,
+	// oldest first: at most two per slot, so 2·slots entries.
+	trail []trailEntry
 
 	// The target fault in slot space: site, pin (< 0 for a stem fault),
 	// stuck value, and line, the slot whose good value activates it.
@@ -89,16 +94,9 @@ type Podem struct {
 	effAt    []int32
 	frontier []int32
 
-	// Level-ordered event queue: bucket l holds queued slots of level l
-	// in events[bucketAt[l] : bucketAt[l]+bucketLen[l]], sized so every
-	// slot of the level fits; lo..hi bound the non-empty levels. dirty
-	// lists the inputs assigned since the last propagate.
-	events    []int32
-	bucketAt  []int32
-	bucketLen []int32
-	queued    []bool
-	lo, hi    int
-	dirty     []int32
+	// pend is propagate's pending bitmap: bit s%64 of word s/64 marks
+	// slot s. It is all clear between calls.
+	pend []uint64
 
 	// Search scratch: seen[slot] == seenEpoch marks a slot dFrontier or
 	// xPathExists already visited; walk is the traversal queue or stack
@@ -106,6 +104,12 @@ type Podem struct {
 	seen      []uint32
 	seenEpoch uint32
 	walk      []int32
+}
+
+// trailEntry is one logged change: the slot and the pair it held.
+type trailEntry struct {
+	slot      int32
+	good, bad logicsim.Trit
 }
 
 // NewPodem prepares a generator for the circuit.
@@ -118,46 +122,26 @@ func NewPodem(c *netlist.Circuit) (*Podem, error) {
 	p := &Podem{
 		c:        c,
 		flat:     f,
-		level:    make([]int32, n),
 		isOut:    make([]bool, n),
 		good:     make([]logicsim.Trit, n),
 		bad:      make([]logicsim.Trit, n),
 		allX:     make([]logicsim.Trit, n),
 		stack:    make([]decision, 0, f.NumInputs()),
+		trail:    make([]trailEntry, 0, 2*n),
 		inCone:   make([]uint32, n),
 		effect:   make([]int32, 0, n),
 		effAt:    make([]int32, n),
 		frontier: make([]int32, 0, n),
-		events:   make([]int32, n),
-		queued:   make([]bool, n),
-		dirty:    make([]int32, 0, f.NumInputs()+1),
+		pend:     make([]uint64, (n+63)/64),
 		seen:     make([]uint32, n),
 		walk:     make([]int32, 0, n),
 	}
 	for i := range p.effAt {
 		p.effAt[i] = -1
 	}
-	maxLevel := int32(0)
-	for s := 0; s < n; s++ {
-		l, err := c.Level(f.GateAt(s))
-		if err != nil {
-			return nil, err
-		}
-		p.level[s] = int32(l)
-		maxLevel = max(maxLevel, p.level[s])
-	}
 	for oi := range c.Outputs {
 		p.isOut[f.OutputSlot(oi)] = true
 	}
-	p.bucketAt = make([]int32, maxLevel+2)
-	for s := 0; s < n; s++ {
-		p.bucketAt[p.level[s]+1]++
-	}
-	for l := int32(0); l <= maxLevel; l++ {
-		p.bucketAt[l+1] += p.bucketAt[l]
-	}
-	p.bucketLen = make([]int32, maxLevel+1)
-	p.lo, p.hi = len(p.bucketLen), -1
 	numIn := f.NumInputs()
 	for s := 0; s < numIn; s++ {
 		p.allX[s] = logicsim.X
@@ -204,6 +188,7 @@ type decision struct {
 	pi      int32
 	value   logicsim.Trit
 	flipped bool
+	mark    int32 // the trail's length before the assignment
 }
 
 // Generate attempts to produce a test pattern for fault f. Unassigned
@@ -223,7 +208,6 @@ func (p *Podem) Generate(f fault.Fault) (logicsim.Pattern, Status) {
 	p.stack = p.stack[:0]
 	backtracks := 0
 	for {
-		p.propagate()
 		if p.detected() {
 			return p.extractPattern(), Detected
 		}
@@ -245,39 +229,38 @@ func (p *Podem) Generate(f fault.Fault) (logicsim.Pattern, Status) {
 		if !failed {
 			if id, v, ok := p.objective(); ok {
 				if pi, val, ok := p.backtrace(id, v); ok {
-					p.stack = append(p.stack, decision{pi: pi, value: val})
+					p.stack = append(p.stack, decision{pi: pi, value: val, mark: int32(len(p.trail))})
 					p.assign(pi, val)
 					continue
 				}
 			}
 		}
-		// Backtrack.
+		// Backtrack: restore the state before the top decision, then
+		// flip it, or pop it if it was flipped already.
 		for {
 			if len(p.stack) == 0 {
 				return nil, Untestable
 			}
 			top := &p.stack[len(p.stack)-1]
+			p.undo(top.mark)
 			if !top.flipped {
+				if backtracks++; backtracks > limit {
+					return nil, Aborted
+				}
 				top.flipped = true
 				top.value = logicsim.NotT(top.value)
 				p.assign(top.pi, top.value)
-				backtracks++
-				if backtracks > limit {
-					return nil, Aborted
-				}
 				break
 			}
-			p.assign(top.pi, logicsim.X)
 			p.stack = p.stack[:len(p.stack)-1]
 		}
 	}
 }
 
 // target loads fault f: its slot coordinates, its output cone, and
-// both planes at the all-X state with the fault injected at its site
-// and queued, so the next propagate reaches what a full evaluation with
-// every input X would. The all-X state carries no fault effect, so the
-// effect list starts empty.
+// both planes at the root state, the all-X state with the fault
+// injected and implied, as a full evaluation with every input X. The
+// all-X state carries no effect, so the effect list and trail start empty.
 func (p *Podem) target(f fault.Fault) {
 	fl := p.flat
 	p.site, p.pin, p.stuck = int32(fl.SlotOf(f.Gate)), int32(f.Pin), stuckTrit(f.Stuck)
@@ -306,20 +289,29 @@ func (p *Podem) target(f fault.Fault) {
 	p.effect = p.effect[:0]
 	copy(p.good, p.allX)
 	copy(p.bad, p.allX)
-	p.dirty = p.dirty[:0]
-	if p.site < int32(fl.NumInputs()) {
-		p.set(p.site, logicsim.X, p.stuck) // stem fault on a primary input
-		p.dirty = append(p.dirty, p.site)
-	} else {
-		p.push(p.site)
+	g, b := logicsim.X, p.stuck // a stem fault on a primary input
+	if p.site >= int32(fl.NumInputs()) {
+		g, b = p.eval(p.site)
 	}
+	p.set(p.site, g, b)
+	p.propagate(p.site)
+	p.trail = p.trail[:0]
 }
 
-// set stores slot s's (good, faulty) pair and keeps the effect list in
-// step.
+// set stores slot s's (good, faulty) pair, logging the old pair on the
+// trail.
 //
 //repolint:hotpath
 func (p *Podem) set(s int32, g, b logicsim.Trit) {
+	p.trail = append(p.trail, trailEntry{s, p.good[s], p.bad[s]})
+	p.store(s, g, b)
+}
+
+// store writes slot s's (good, faulty) pair and keeps the effect list
+// in step.
+//
+//repolint:hotpath
+func (p *Podem) store(s int32, g, b logicsim.Trit) {
 	p.good[s], p.bad[s] = g, b
 	on := g != logicsim.X && b != logicsim.X && g != b
 	if on == (p.effAt[s] >= 0) {
@@ -335,6 +327,17 @@ func (p *Podem) set(s int32, g, b logicsim.Trit) {
 	p.effect[i], p.effAt[last] = last, i
 	p.effect = p.effect[:len(p.effect)-1]
 	p.effAt[s] = -1
+}
+
+// undo restores, newest first, every pair changed since the trail was
+// mark entries long. The pairs it restores are implied by the
+// assignment in force then, so nothing is left to propagate.
+func (p *Podem) undo(mark int32) {
+	for i := len(p.trail) - 1; i >= int(mark); i-- {
+		e := p.trail[i]
+		p.store(e.slot, e.good, e.bad)
+	}
+	p.trail = p.trail[:mark]
 }
 
 // eval computes a logic slot's (good, faulty) pair from its fanins,
@@ -357,62 +360,57 @@ func (p *Podem) eval(s int32) (logicsim.Trit, logicsim.Trit) {
 }
 
 // assign sets primary input pi to v in both planes (a stem fault on the
-// input keeps its stuck value in the faulty one) and marks it for the
-// next propagate.
+// input keeps its stuck value in the faulty one) and implies it.
 func (p *Podem) assign(pi int32, v logicsim.Trit) {
 	b := v
 	if pi == p.site && p.pin < 0 {
 		b = p.stuck
 	}
 	p.set(pi, v, b)
-	p.dirty = append(p.dirty, pi)
+	p.propagate(pi)
 }
 
-// propagate is the event-driven implication: it queues the fanout of
-// every input assigned since the last call and re-evaluates queued
-// slots level by level. A slot whose (good, faulty) pair changes queues
-// its own fanout, always at a higher level, so one ascending pass over
-// the levels reaches the same values a full evaluation would.
+// propagate is the event-driven implication of a change at slot s: it
+// marks s's fanout in the pending bitmap and scans the bitmap forward
+// in slot order, re-evaluating each marked slot. A slot whose (good,
+// faulty) pair changes marks its own fanout, always at higher slots, so
+// one forward scan evaluates each marked slot once and reaches the same
+// values a full evaluation would; hi tracks the highest marked word.
 //
 //repolint:hotpath
-func (p *Podem) propagate() {
-	fl := p.flat
-	for _, pi := range p.dirty {
-		for _, fo := range fl.FanoutSlots(int(pi)) {
-			p.push(fo)
-		}
-	}
-	p.dirty = p.dirty[:0]
-	for l := p.lo; l <= p.hi; l++ {
-		bucket := p.events[p.bucketAt[l] : p.bucketAt[l]+p.bucketLen[l]]
-		for _, s := range bucket {
-			p.queued[s] = false
+func (p *Podem) propagate(s int32) {
+	fl, pend := p.flat, p.pend
+	hi := markFanout(pend, fl.FanoutSlots(int(s)), -1)
+	for wi := int(s >> 6); wi <= hi; wi++ {
+		// The word's marks are popped from a local copy; a fanout marked
+		// in this same word is picked up after its marking.
+		w := pend[wi]
+		pend[wi] = 0
+		for w != 0 {
+			s := int32(wi<<6 | bits.TrailingZeros64(w))
+			w &= w - 1
 			g, b := p.eval(s)
 			if g == p.good[s] && b == p.bad[s] {
 				continue
 			}
 			p.set(s, g, b)
-			for _, fo := range fl.FanoutSlots(int(s)) {
-				p.push(fo)
-			}
+			hi = markFanout(pend, fl.FanoutSlots(int(s)), hi)
+			w |= pend[wi]
+			pend[wi] = 0
 		}
-		p.bucketLen[l] = 0
 	}
-	p.lo, p.hi = len(p.bucketLen), -1
 }
 
-// push queues slot s for re-evaluation, once.
-//
-//repolint:hotpath
-func (p *Podem) push(s int32) {
-	if p.queued[s] {
-		return
+// markFanout sets the pending bits of a fanout list and returns the
+// highest word marked, given hi, the highest before it.
+func markFanout(pend []uint64, fo []int32, hi int) int {
+	for _, r := range fo {
+		pend[r>>6] |= 1 << uint(r&63)
 	}
-	p.queued[s] = true
-	l := int(p.level[s])
-	p.events[p.bucketAt[l]+p.bucketLen[l]] = s
-	p.bucketLen[l]++
-	p.lo, p.hi = min(p.lo, l), max(p.hi, l)
+	if len(fo) > 0 {
+		hi = max(hi, int(fo[len(fo)-1]>>6)) // fanout lists ascend
+	}
+	return hi
 }
 
 // detected reports whether any primary output shows the effect.

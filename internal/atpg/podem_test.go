@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fault"
 	"repro/internal/faultsim"
+	"repro/internal/logicsim"
 	"repro/internal/netlist"
 )
 
@@ -268,4 +269,131 @@ func BenchmarkPodemLSI1k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		gen.Generate(sample[i%len(sample)])
 	}
+}
+
+// checkImplied requires gen's state after a Detected or Untestable
+// return to be the one a from-scratch evaluation gives: both planes
+// equal EvalSlotT over the circuit from the assignment good[:NumInputs]
+// (the fault injected in the faulty plane), and the effect list holds
+// exactly the slots whose two copies are binary and differ, each once.
+// A backtrack that undoes too little or an implication pass that skips
+// a marked slot leaves a plane that disagrees.
+func checkImplied(t *testing.T, c *netlist.Circuit, gen *Podem, f fault.Fault, status Status) {
+	t.Helper()
+	fl := gen.flat
+	n, numIn := fl.Slots(), fl.NumInputs()
+	good := slices.Clone(gen.good[:numIn])
+	good = append(good, make([]logicsim.Trit, n-numIn)...)
+	bad := slices.Clone(good)
+	site, stuck := fl.SlotOf(f.Gate), stuckTrit(f.Stuck)
+	if site < numIn {
+		bad[site] = stuck // a stem fault on a primary input
+	}
+	for s := numIn; s < n; s++ {
+		good[s] = fl.EvalSlotT(good, s, -1, logicsim.X)
+		switch {
+		case s != site:
+			bad[s] = fl.EvalSlotT(bad, s, -1, logicsim.X)
+		case f.Pin < 0:
+			bad[s] = stuck
+		default:
+			bad[s] = fl.EvalSlotT(bad, s, f.Pin, stuck)
+		}
+	}
+	for s := range n {
+		if gen.good[s] != good[s] || gen.bad[s] != bad[s] {
+			t.Fatalf("%s %s (%v): slot %d holds (%v, %v), evaluation gives (%v, %v)",
+				c.Name, f.Name(c), status, s, gen.good[s], gen.bad[s], good[s], bad[s])
+		}
+		on := good[s] != logicsim.X && bad[s] != logicsim.X && good[s] != bad[s]
+		if at := gen.effAt[s]; on != (at >= 0) || on && gen.effect[at] != int32(s) {
+			t.Fatalf("%s %s (%v): slot %d effect %v, effect position %d", c.Name, f.Name(c), status, s, on, at)
+		}
+	}
+	for i, s := range gen.effect {
+		if gen.effAt[s] != int32(i) {
+			t.Fatalf("%s %s (%v): effect[%d] = slot %d, whose position reads %d", c.Name, f.Name(c), status, i, s, gen.effAt[s])
+		}
+	}
+}
+
+// TestPodemStateIsImplied drives one reused Podem over every collapsed
+// fault of the small circuits and the 150-fault lsi1k sample, at budgets
+// 1, 50 and the default, and checks its state at every Detected and
+// Untestable return with checkImplied: a Detected return holds the
+// decision path's implication, an Untestable one the root state that
+// undoing every decision restores.
+func TestPodemStateIsImplied(t *testing.T) {
+	check := func(t *testing.T, c *netlist.Circuit, faults []fault.Fault, limits []int) {
+		gen, err := NewPodem(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, limit := range limits {
+			gen.BacktrackLimit = limit
+			for _, f := range faults {
+				if _, status := gen.Generate(f); status != Aborted {
+					checkImplied(t, c, gen, f, status)
+				}
+			}
+		}
+	}
+	for _, c := range podemCircuits(t) {
+		check(t, c, fault.Reps(fault.BuildUniverse(c).Collapsed), []int{1, 50, 0})
+	}
+	t.Run("lsi1k", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("lsi1k sample skipped in -short mode")
+		}
+		c, sample := lsi1k(t, 150)
+		check(t, c, sample, []int{1, 50, 0})
+	})
+}
+
+// FuzzPodem pins the flat PODEM to the per-gate reference on small
+// random circuits (2–12 inputs): the same status and pattern for the
+// fuzzed fault at the fuzzed budget, the reached state implied
+// (checkImplied), and every Detected pattern detecting its fault under
+// fault simulation.
+func FuzzPodem(f *testing.F) {
+	f.Add(int64(1), uint8(10), uint8(40), uint16(7), uint8(0))
+	f.Add(int64(9), uint8(12), uint8(90), uint16(123), uint8(1))
+	f.Add(int64(3), uint8(2), uint8(1), uint16(0), uint8(50))
+	f.Add(int64(42), uint8(6), uint8(200), uint16(999), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, inputs, gates uint8, fi uint16, budget uint8) {
+		c, err := netlist.RandomCircuit("fuzz", 2+int(inputs)%11, 1+int(gates)%120, 1+int(gates)%5, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := fault.AllFaults(c)
+		flt := all[int(fi)%len(all)]
+		gen, err := NewPodem(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := newRefPodem(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen.BacktrackLimit, ref.BacktrackLimit = int(budget), int(budget)
+		got, gs := gen.Generate(flt)
+		want, ws := ref.Generate(flt)
+		if gs != ws || !slices.Equal(got, want) {
+			t.Fatalf("%s budget %d: flat PODEM (%v, %v), reference (%v, %v)", flt.Name(c), budget, gs, got, ws, want)
+		}
+		if gs == Aborted {
+			return
+		}
+		checkImplied(t, c, gen, flt, gs)
+		if gs != Detected {
+			return
+		}
+		res, err := faultsim.Run(c, []fault.Fault{flt}, []logicsim.Pattern{got}, faultsim.PPSFP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FirstDetect[0] == faultsim.NotDetected {
+			t.Fatalf("%s: pattern %v misses its target", flt.Name(c), got)
+		}
+	})
 }

@@ -149,6 +149,51 @@ func TestGenerateLotYield(t *testing.T) {
 	}
 }
 
+// TestGenerateLotMatchesPerChipDraws: GenerateLot's lot must equal,
+// chip for chip, a reference loop that draws each chip's defect count
+// straight from the model's distribution (none at D0·A = 0, negative
+// binomial when clustered, Poisson otherwise) and then casts its
+// faults, from the same seed, with both streams left at the same
+// position. The means span the multiplicative Poisson draw, the PTRS
+// cutoff (30) and above it, and the clustered path, so a count draw
+// that skips or adds a uniform shows here.
+func TestGenerateLotMatchesPerChipDraws(t *testing.T) {
+	universe := universeFor(t)
+	for _, m := range []Model{
+		{D0A: 0, FaultsPerDefect: 2},
+		{D0A: 0.05, FaultsPerDefect: 1},
+		{D0A: 2.659, FaultsPerDefect: 3.3, Locality: 0.7},
+		{D0A: 29.9, FaultsPerDefect: 1.5, Locality: 0.2},
+		{D0A: 30, FaultsPerDefect: 1.5},
+		{D0A: 47.5, FaultsPerDefect: 2, Locality: 0.5},
+		{D0A: 2, Count: ClusteredDefects, Cluster: 0.8, FaultsPerDefect: 2},
+	} {
+		lotRNG := rand.New(rand.NewSource(5))
+		lot, err := GenerateLot(m, universe, 300, lotRNG)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(5))
+		scratch := newCastScratch(len(universe))
+		for i, chip := range lot.Chips {
+			nd := 0
+			switch {
+			case m.D0A == 0:
+			case m.Count == ClusteredDefects:
+				nd = dist.NegativeBinomial{R: m.Cluster, Mu: m.D0A}.Sample(rng)
+			default:
+				nd = dist.Poisson{Lambda: m.D0A}.Sample(rng)
+			}
+			if want := m.castFaults(rng, nd, scratch); !reflect.DeepEqual(chip.Faults, want) {
+				t.Fatalf("%+v chip %d: lot %v, reference draws %v", m, i, chip.Faults, want)
+			}
+		}
+		if got, want := lotRNG.Int63(), rng.Int63(); got != want {
+			t.Errorf("%+v: streams part after the lot (%d, %d)", m, got, want)
+		}
+	}
+}
+
 func TestGenerateLotErrors(t *testing.T) {
 	universe := universeFor(t)
 	rng := rand.New(rand.NewSource(1))

@@ -266,14 +266,6 @@ func (c *Circuit) Order() ([]int, error) {
 	return c.order, nil
 }
 
-// Level returns the level of gate id, levelizing on demand.
-func (c *Circuit) Level(id int) (int, error) {
-	if err := c.Levelize(); err != nil {
-		return 0, err
-	}
-	return c.level[id], nil
-}
-
 // Depth returns the maximum gate level (critical path length in gates).
 func (c *Circuit) Depth() (int, error) {
 	if err := c.Levelize(); err != nil {

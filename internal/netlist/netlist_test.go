@@ -100,8 +100,7 @@ func TestLevelizeAndDepth(t *testing.T) {
 	}
 	// Inputs at level 0.
 	for _, id := range c.Inputs {
-		l, _ := c.Level(id)
-		if l != 0 {
+		if l := c.level[id]; l != 0 {
 			t.Errorf("input %q level %d", c.Gates[id].Name, l)
 		}
 	}
@@ -111,10 +110,9 @@ func TestLevelizeAndDepth(t *testing.T) {
 		t.Fatal("order incomplete")
 	}
 	for _, g := range c.Gates {
-		gl, _ := c.Level(g.ID)
+		gl := c.level[g.ID]
 		for _, f := range g.Fanin {
-			fl, _ := c.Level(f)
-			if fl >= gl {
+			if fl := c.level[f]; fl >= gl {
 				t.Errorf("gate %q level %d <= fanin level %d", g.Name, gl, fl)
 			}
 		}
